@@ -2,9 +2,9 @@
 
 Forward maps: symplectic tomogram w(X, mu, nu), its optical ((mu, nu) on the
 unit circle) and Fresnel (mu = 1) families, for 1D states and product states
-up to three axes. Inverse maps: wavefunction recovery through the
-autocorrelation slice of the plane-wise 2D Fourier transform, and direct
-quadrature inversion to the density matrix and the Wigner function. The
+up to three axes. Inverse maps: the wavefunction, the density matrix and the
+Wigner function as linear read-outs of one table of the tomographic
+characteristic function, built from plane sweeps or source callables. The
 chirped-Gaussian model state is built in as the analytic anchor for every
 numerical path, and a text file format plus CLI expose the whole pipeline.
 """
@@ -21,12 +21,9 @@ from .errors import (
 )
 from .grid import (
     ComplexField1D,
-    ComplexField2D,
-    RealField2D,
     SampledWavefunction,
     UniformGrid1D,
     dft2_at,
-    fft2,
     trapezoid_integrate,
 )
 from .tomography import (
@@ -35,7 +32,6 @@ from .tomography import (
     Moments,
     NdWavefunction,
     OpticalTomogram,
-    SymplecticPoint,
     TomogramPlane,
     fresnel_tomogram,
     fresnel_tomogram_nd,
@@ -43,7 +39,6 @@ from .tomography import (
     optical_tomogram,
     plane_grids_for_slice,
     symplectic_from_fresnel,
-    symplectic_plane_set,
     symplectic_tomogram,
     symplectic_tomogram_nd,
     symplectic_tomogram_plane,
@@ -58,14 +53,12 @@ from .reconstruct import (
     WignerFunction,
     density_matrix_from_planes,
     fresnel_as_symplectic_source,
-    psi_slice_at,
     raised_cosine_taper,
     reconstruct_density_matrix,
     reconstruct_density_matrix_fresnel,
     reconstruct_density_matrix_nd,
     reconstruct_psi,
     reconstruct_wigner,
-    tomogram_ft2,
     wigner_from_planes,
 )
 from .analytic import (
@@ -97,19 +90,19 @@ __all__ = [
     "MissingAnchorError", "NodeAtOriginError", "SingularFrequencyError",
     "UnsupportedSizeError",
     # grids and fields
-    "UniformGrid1D", "ComplexField1D", "ComplexField2D", "RealField2D",
-    "SampledWavefunction", "trapezoid_integrate", "fft2", "dft2_at",
+    "UniformGrid1D", "ComplexField1D", "SampledWavefunction",
+    "trapezoid_integrate", "dft2_at",
     # forward maps
-    "EPS_NU", "SymplecticPoint", "TomogramPlane", "FresnelTomogram",
+    "EPS_NU", "TomogramPlane", "FresnelTomogram",
     "OpticalTomogram", "NdWavefunction", "Moments",
     "symplectic_tomogram", "symplectic_tomogram_plane", "fresnel_tomogram",
     "optical_tomogram", "symplectic_from_fresnel", "optical_from_fresnel",
     "symplectic_tomogram_nd", "fresnel_tomogram_nd", "wavefunction_moments",
-    "plane_grids_for_slice", "symplectic_plane_set",
+    "plane_grids_for_slice",
     # inverse maps
     "DensityMatrix", "DensityMatrixNd", "WignerFunction", "PsiAutocorrelation",
     "PsiReconstruction", "InversionConfig", "raised_cosine_taper",
-    "tomogram_ft2", "psi_slice_at", "reconstruct_psi",
+    "reconstruct_psi",
     "reconstruct_density_matrix", "reconstruct_density_matrix_fresnel",
     "reconstruct_density_matrix_nd", "reconstruct_wigner",
     "fresnel_as_symplectic_source", "density_matrix_from_planes",

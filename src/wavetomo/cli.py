@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedSizeError,
     WavetomoError,
 )
-from .grid import ComplexField1D, RealField2D, SampledWavefunction, UniformGrid1D, dft2_at
+from .grid import ComplexField1D, SampledWavefunction, UniformGrid1D, dft2_at
 from .reconstruct import (
     InversionConfig,
     density_matrix_from_planes,
@@ -57,6 +57,7 @@ from .reconstruct import (
     wigner_from_planes,
 )
 from .tomography import (
+    EPS_NU,
     NdWavefunction,
     OpticalTomogram,
     TomogramPlane,
@@ -269,7 +270,7 @@ def _cmd_tomogram(args) -> int:
     explicit_x = eff("x_min", None) is not None or eff("x_max", None) is not None
     explicit_mu = eff("mu_min", None) is not None or eff("mu_max", None) is not None
     moments = wavefunction_moments(psi)
-    nonzero = [abs(v) for v in nus if abs(v) > 1e-8]
+    nonzero = [abs(v) for v in nus if abs(v) > EPS_NU]
     nu_floor = 0.5 * min(nonzero) if nonzero else 0.1
     written = []
     for i, nu in enumerate(nus):
@@ -460,15 +461,14 @@ def _validate_fast(rep: _Report, gdir: Path) -> None:
     gx = UniformGrid1D.symmetric(40.0, 1601)
     gmu = UniformGrid1D(-17.0, 0.1, 321)
     plane = gcf_plane_analytic(p, gx, gmu, nu)
-    field = RealField2D(gx, gmu, plane.values)
     worst = 0.0
     for om_x, om_mu in ((1.0, -0.25), (0.7, 0.3), (1.5, 0.0)):
-        got = dft2_at(field, om_x, om_mu)
+        got = dft2_at(gx, gmu, plane.values, om_x, om_mu)
         want = gcf_tomogram_ft_analytic(p, om_x, om_mu, nu)
         worst = max(worst, abs(got - want))
     rep.check("plane-transform-closed-form", worst <= 1e-6, f"max dev {worst:.2e}")
 
-    slice_val = dft2_at(field, 1.0, -0.5 * nu)
+    slice_val = dft2_at(gx, gmu, plane.values, 1.0, -0.5 * nu)
     want = gcf_autocorrelation(p, nu)
     dev = abs(slice_val - want)
     rep.check("autocorrelation-slice", dev <= 1e-6,
@@ -672,7 +672,7 @@ def build_parser() -> _Parser:
     n.set_defaults(func=_cmd_tomogram_nd)
 
     r = sub.add_parser("reconstruct", help="invert tomogram planes")
-    r.add_argument("--input", action="append")
+    r.add_argument("--input", action="extend", nargs="+")
     r.add_argument("--target", choices=("psi", "rho", "wigner"), required=True)
     r.add_argument("--mu-window", type=float, dest="mu_window")
     r.add_argument("--taper", type=float)

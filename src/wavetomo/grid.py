@@ -3,7 +3,7 @@
 Conventions used throughout the package:
 
 * grids are uniform, ascending, described by (start, step, count);
-* 2D field values are row-major, ``values[i, j]`` belonging to
+* 2D values are row-major, ``values[i, j]`` belonging to
   ``(grid_x.point(i), grid_y.point(j))``;
 * ``dft2_at`` evaluates a plain Riemann sum against true grid coordinates,
   so frequencies are physical, never bin indices.
@@ -17,11 +17,8 @@ import numpy as np
 __all__ = [
     "UniformGrid1D",
     "ComplexField1D",
-    "RealField2D",
-    "ComplexField2D",
     "SampledWavefunction",
     "trapezoid_integrate",
-    "fft2",
     "dft2_at",
 ]
 
@@ -90,28 +87,6 @@ class ComplexField1D:
         )
 
 
-@dataclass(frozen=True)
-class RealField2D:
-    grid_x: UniformGrid1D
-    grid_y: UniformGrid1D
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        shape = (self.grid_x.count, self.grid_y.count)
-        object.__setattr__(self, "values", _as_array(self.values, shape, np.float64))
-
-
-@dataclass(frozen=True)
-class ComplexField2D:
-    grid_x: UniformGrid1D
-    grid_y: UniformGrid1D
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        shape = (self.grid_x.count, self.grid_y.count)
-        object.__setattr__(self, "values", _as_array(self.values, shape, np.complex128))
-
-
 class SampledWavefunction:
     """Complex wavefunction samples on a uniform grid, unit L2 norm.
 
@@ -156,6 +131,14 @@ class SampledWavefunction:
         return np.interp(x, self.grid.points, np.abs(self.values) ** 2, left=0.0, right=0.0)
 
 
+def trapezoid_weights(n: int, step: float) -> np.ndarray:
+    """Composite trapezoid weights for n uniform samples: `step`, halved at both ends."""
+    w = np.full(n, step)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 def trapezoid_integrate(values, step: float):
     """Composite trapezoid integral of uniformly sampled values.
 
@@ -178,31 +161,15 @@ def trapezoid_integrate(values, step: float):
     return np.trapezoid(arr, dx=step)
 
 
-def fft2(field: ComplexField2D, sign: int) -> ComplexField2D:
-    """Unnormalized 2D DFT with kernel exp(sign * 2*pi*i * (r*n/N + s*m/M)).
-
-    Pure index-space primitive: the grids are carried through unchanged and
-    no 1/(N*M) factor is applied, so fft2(fft2(f, +1), -1)/(N*M) == f.
-    Frequency interpretation, scaling and origin phases are the caller's job
-    (see ``tomogram_ft2``).
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if sign == +1:
-        out = np.fft.ifft2(field.values) * (field.grid_x.count * field.grid_y.count)
-    else:
-        out = np.fft.fft2(field.values)
-    return ComplexField2D(field.grid_x, field.grid_y, out)
-
-
-def dft2_at(field, omega_x: float, omega_y: float) -> complex:
-    """Riemann-sum Fourier coefficient of a 2D field at an arbitrary frequency.
+def dft2_at(
+    grid_x: UniformGrid1D, grid_y: UniformGrid1D, values, omega_x: float, omega_y: float
+) -> complex:
+    """Riemann-sum Fourier coefficient of 2D samples at an arbitrary frequency.
 
     Computes (1/2pi) * sum_{n,m} f[n,m] exp(i*(omega_x*X_n + omega_y*Y_m)) * dX * dY
     with X_n, Y_m the true grid coordinates. Exact frequencies, no bin snapping.
     """
-    gx, gy = field.grid_x, field.grid_y
-    ex = np.exp(1j * omega_x * gx.points)
-    ey = np.exp(1j * omega_y * gy.points)
-    total = ex @ (field.values @ ey)
-    return complex(total * gx.step * gy.step / (2.0 * np.pi))
+    ex = np.exp(1j * omega_x * grid_x.points)
+    ey = np.exp(1j * omega_y * grid_y.points)
+    total = ex @ (np.asarray(values) @ ey)
+    return complex(total * grid_x.step * grid_y.step / (2.0 * np.pi))

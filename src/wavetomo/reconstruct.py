@@ -1,19 +1,23 @@
 """Inverse maps: tomogram back to wavefunction, density matrix and Wigner function.
 
-Two routes are implemented.
+Every inversion goes through one table of the tomographic characteristic
+function C(mu, nu) = Int w(X, mu, nu) e^{iX} dX. The table is a list of
+fixed-nu rows; each row holds its mu nodes, C times the mu weight (trapezoid
+rule and raised-cosine taper) and a nu weight. psi, rho and W are linear
+read-outs of it:
 
-1. The Fourier-slice route for pure states: the 2D transform of a fixed-nu
-   plane, evaluated at frequency (1, -nu/2), equals psi(nu) * conj(psi(0)).
-   Sweeping nu over the plane set and dividing by the nu=0 anchor rebuilds
-   psi up to its (fixed) global phase.
+    rho(x, x') = (1/2pi) Sum_mu C(mu, x - x') w_mu e^{-i mu (x + x')/2}
+    psi(x)     = rho(x, 0) / sqrt(rho(0, 0))     (pure states, up to a phase)
+    W(q, p)    = (1/4pi^2) Sum_nu w_nu Sum_mu C(mu, nu) w_mu e^{-i (mu q + nu p)}
 
-2. Direct kernel quadrature for the density matrix and the Wigner function.
-   The integrands decay only through oscillation along mu, so the mu axis is
-   truncated at `mu_window` with a raised-cosine taper on its outer
-   `taper_fraction`. Column integrals over X use abscissas scaled per column
-   (X = s*u with s = r_q*|mu| + r_p*|nu|): a fixed absolute X grid cannot
-   resolve the near-delta columns at small |mu|+|nu| while covering the wide
-   ones at the window edge with a fixed point budget.
+Two builders fill the table. From a plane sweep, each plane is one row: its
+own X grid does the X integral and its own mu span carries the taper. From
+a source callable w(X, mu, nu), the integrands decay only through
+oscillation along mu, so the mu axis is truncated at `mu_window` with the
+taper on its outer `taper_fraction`. Column integrals over X then use
+abscissas scaled per column (X = s*u with s = r_q*|mu| + r_p*|nu|): a fixed
+absolute X grid cannot resolve the near-delta columns at small |mu|+|nu|
+while covering the wide ones at the window edge with a fixed point budget.
 """
 from __future__ import annotations
 
@@ -23,15 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MissingAnchorError, NodeAtOriginError, UnsupportedSizeError
-from .grid import (
-    ComplexField2D,
-    RealField2D,
-    SampledWavefunction,
-    UniformGrid1D,
-    dft2_at,
-    trapezoid_integrate,
-)
-from .tomography import FresnelTomogram, TomogramPlane
+from .grid import SampledWavefunction, UniformGrid1D, trapezoid_integrate, trapezoid_weights
+from .tomography import FresnelTomogram, TomogramPlane, _bilinear
 
 __all__ = [
     "DensityMatrix",
@@ -41,8 +38,6 @@ __all__ = [
     "PsiReconstruction",
     "InversionConfig",
     "raised_cosine_taper",
-    "tomogram_ft2",
-    "psi_slice_at",
     "reconstruct_psi",
     "reconstruct_density_matrix",
     "reconstruct_density_matrix_fresnel",
@@ -54,6 +49,8 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-8
 ANCHOR_FLOOR = 1e-12
+# psi(0) counts as a node when rho(0,0) is at most this fraction of max rho(x,x)
+ANCHOR_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
@@ -226,115 +223,85 @@ def raised_cosine_taper(x, half_width: float, fraction: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-slice route
+# The characteristic table and its read-outs
 
 
-def tomogram_ft2(plane: TomogramPlane, taper_fraction: float = 0.0) -> ComplexField2D:
-    """2D Fourier transform of a plane on its FFT frequency lattice.
+@dataclass(frozen=True)
+class _Row:
+    """One fixed-nu row of the characteristic table.
 
-    Returns (1/2pi) * sum w(X, mu) exp(i*(om_x*X + om_mu*mu)) * dX * dmu on
-    ascending frequency grids, with the origin phase of both axes applied so
-    bins agree with ``dft2_at`` at the same frequencies. The optional taper
-    damps the mu edges of a window that truncates slowly-decaying data.
+    c holds C(mu, nu) at the mu nodes times their weight (trapezoid rule and
+    taper); w_nu is the row's weight in sums over nu.
     """
-    gx, gmu = plane.grid_x, plane.grid_mu
-    vals = plane.values
-    if taper_fraction > 0.0:
-        center = 0.5 * (gmu.start + gmu.end)
-        t = raised_cosine_taper(gmu.points - center, 0.5 * gmu.width, taper_fraction)
-        vals = vals * t[None, :]
-    nx, nm = gx.count, gmu.count
-    # kernel exp(+2pi*i*(rn/N + sm/M)) on index space, then coordinate phases
-    F = np.fft.ifft2(vals) * (nx * nm)
-    wx = 2.0 * np.pi * np.fft.fftfreq(nx, d=gx.step)
-    wm = 2.0 * np.pi * np.fft.fftfreq(nm, d=gmu.step)
-    F = F * np.exp(1j * gx.start * wx)[:, None] * np.exp(1j * gmu.start * wm)[None, :]
-    F *= gx.step * gmu.step / (2.0 * np.pi)
-    F = np.fft.fftshift(F)
-    wx = np.fft.fftshift(wx)
-    wm = np.fft.fftshift(wm)
-    grid_wx = UniformGrid1D(float(wx[0]), float(wx[1] - wx[0]), nx)
-    grid_wm = UniformGrid1D(float(wm[0]), float(wm[1] - wm[0]), nm)
-    return ComplexField2D(grid_wx, grid_wm, F)
+
+    nu: float
+    w_nu: float
+    mu: np.ndarray
+    c: np.ndarray
+
+    def rho(self, x, xp):
+        """rho(x, x') at pairs with x - x' = nu; x and xp broadcast."""
+        b = 0.5 * (np.asarray(x) + xp)
+        return np.exp(-1j * np.multiply.outer(b, self.mu)) @ self.c / (2.0 * np.pi)
 
 
-def psi_slice_at(plane: TomogramPlane) -> complex:
-    """Autocorrelation slice psi(nu)*conj(psi(0)) of one plane.
+def _rho_on_grid(rows: Sequence[_Row], grid: UniformGrid1D) -> DensityMatrix:
+    """Density matrix on grid; rows[k] must hold nu = (k - count + 1) * grid.step."""
+    x = grid.points
+    n = grid.count
+    raw = np.zeros((n, n), dtype=np.complex128)
+    for d, row in zip(range(-(n - 1), n), rows):
+        i = np.arange(max(0, d), n + min(0, d))
+        j = i - d
+        raw[i, j] = row.rho(x[i], x[j])
+    return DensityMatrix.from_raw(grid, raw)
 
-    Evaluates the plane's 2D Fourier sum at exactly (1, -nu/2); bin snapping
-    would corrupt the quadratic phase of chirped states.
+
+def _wigner(rows: Sequence[_Row], grid_q: UniformGrid1D, grid_p: UniformGrid1D) -> WignerFunction:
+    """W(q, p) = (1/4pi^2) Sum_rows w_nu (Sum_mu c e^{-i mu q}) e^{-i nu p}."""
+    q, p = grid_q.points, grid_p.points
+    cols, mu = [], None
+    for r in rows:
+        if r.mu is not mu:  # rows built from a source share one mu array
+            mu, Eq = r.mu, np.exp(-1j * np.outer(q, r.mu))
+        cols.append(Eq @ r.c)
+    inner = np.stack(cols, axis=1)
+    nu = np.array([r.nu for r in rows])
+    w_nu = np.array([r.w_nu for r in rows])
+    W = inner @ (w_nu[:, None] * np.exp(-1j * np.outer(nu, p))) / (4.0 * np.pi**2)
+    return WignerFunction(grid_q, grid_p, W.real, float(np.max(np.abs(W.imag))))
+
+
+def _table_from_planes(ordered: Sequence[TomogramPlane], taper_fraction: float) -> list[_Row]:
+    """One row per plane, in the given (ascending nu) order.
+
+    Each plane's own X grid does the X integral by the trapezoid rule and its
+    own mu span carries the taper; nu weights are the local plane spacing,
+    tapered over the nu range.
     """
-    field = RealField2D(plane.grid_x, plane.grid_mu, plane.values)
-    return dft2_at(field, 1.0, -0.5 * plane.nu)
-
-
-def _plane_nu_axis(planes: Sequence[TomogramPlane]) -> tuple[list[TomogramPlane], UniformGrid1D, int]:
-    ordered = sorted(planes, key=lambda p: p.nu)
     nus = np.array([p.nu for p in ordered])
-    if nus.size < 3:
-        raise MissingAnchorError("need at least 3 planes for a symmetric nu sweep")
-    anchor = int(np.argmin(np.abs(nus)))
-    if abs(nus[anchor]) > ANCHOR_FLOOR:
-        raise MissingAnchorError(
-            "psi reconstruction anchors on the nu=0 plane; include a plane at exactly nu=0"
-        )
-    steps = np.diff(nus)
-    step = float(np.mean(steps))
-    if step <= 0 or np.max(np.abs(steps - step)) > 1e-9 * max(1.0, abs(step)):
-        raise ValueError("plane nu values must form a uniform grid")
-    if abs(nus[0] + nus[-1]) > 1e-9:
-        raise ValueError("plane nu grid must be symmetric about zero")
-    return ordered, UniformGrid1D(float(nus[0]), step, int(nus.size)), anchor
+    nu_half = max(abs(nus[0]), abs(nus[-1]))
+    w_nus = raised_cosine_taper(nus, nu_half, taper_fraction) * np.gradient(nus)
+    rows = []
+    for plane, w_nu in zip(ordered, w_nus):
+        gx, gmu = plane.grid_x, plane.grid_mu
+        C = (np.exp(1j * gx.points) * trapezoid_weights(gx.count, gx.step)) @ plane.values
+        center = 0.5 * (gmu.start + gmu.end)
+        taper = raised_cosine_taper(gmu.points - center, 0.5 * gmu.width, taper_fraction)
+        wmu = trapezoid_weights(gmu.count, gmu.step) * taper
+        rows.append(_Row(plane.nu, float(w_nu), gmu.points, C * wmu))
+    return rows
 
-
-def reconstruct_psi(
-    planes: Sequence[TomogramPlane],
-    phase_convention: str = "origin-real-positive",
-) -> PsiReconstruction:
-    """Wavefunction from a symmetric sweep of fixed-nu planes.
-
-    The nu grid must be uniform, symmetric, and contain nu=0 exactly; the
-    anchor slice there equals |psi(0)|^2 and fixes the scale. Tomograms are
-    blind to one global phase, so a convention closes the gap; the only one
-    implemented pins psi(0) real positive. The result is renormalized to
-    unit L2 norm (the pre-normalization norm is reported).
-    """
-    if phase_convention != "origin-real-positive":
-        raise ValueError(f"unknown phase convention {phase_convention!r}")
-    ordered, grid_nu, anchor_idx = _plane_nu_axis(planes)
-    slices = np.array([psi_slice_at(p) for p in ordered])
-    s0 = slices[anchor_idx]
-    if s0.real <= ANCHOR_FLOOR:
-        raise NodeAtOriginError(
-            f"anchor slice {s0!r} is consistent with psi(0)=0; the scale is undefined"
-        )
-    raw = slices / np.sqrt(s0.real)
-    prenorm = float(np.sqrt(trapezoid_integrate(np.abs(raw) ** 2, grid_nu.step).real))
-    psi = SampledWavefunction(grid_nu, raw / prenorm)
-    return PsiReconstruction(
-        psi=psi,
-        autocorrelation=PsiAutocorrelation(grid_nu, slices),
-        prenorm_l2=prenorm,
-        anchor=float(s0.real),
-        anchor_imag=float(s0.imag),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Direct kernel quadrature
 
 Source = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 
 def _quad_nodes(cfg: InversionConfig):
+    """mu nodes with their trapezoid weights, and the scaled X abscissas u."""
     m = cfg.samples_per_axis
     mu = np.linspace(-cfg.mu_window, cfg.mu_window, m)  # even m: no node at 0
-    wmu = np.full(m, mu[1] - mu[0])
-    wmu[0] *= 0.5
-    wmu[-1] *= 0.5
-    wmu *= raised_cosine_taper(mu, cfg.mu_window, cfg.taper_fraction)
     u = np.linspace(-cfg.X_window, cfg.X_window, m)
-    return mu, wmu, u
+    return mu, trapezoid_weights(m, mu[1] - mu[0]), u
 
 
 def _phase_column_weights(s: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -374,9 +341,7 @@ def _phase_column_weights(s: np.ndarray, u: np.ndarray) -> np.ndarray:
         fw[:, k - 2] += A
         fw[:, k - 1] += B * eR
 
-    trap = np.ones((m, k))
-    trap[:, 0] = trap[:, -1] = 0.5
-    W = np.where(filon[:, None], fw, trap)
+    W = np.where(filon[:, None], fw, trapezoid_weights(k, 1.0))
     Y = s[:, None] * u[None, :]
     R = h[:, None] * W * np.exp(1j * Y)
     # average with the right-anchored mirror assembly: keeps the accuracy
@@ -396,21 +361,131 @@ def _column_integrals(
     return (w * _phase_column_weights(s, u)).sum(axis=1)
 
 
-def _density_matrix_raw(
-    source: Source, grid: UniformGrid1D, cfg: InversionConfig, extent
-) -> np.ndarray:
-    x = grid.points
-    n = grid.count
+def _table_from_source(
+    source: Source, nus: np.ndarray, cfg: InversionConfig, extent, radial: bool
+) -> list[_Row]:
+    """Rows at the uniform nus, from column integrals on cfg's mu nodes.
+
+    The taper acts on |mu|, or on hypot(mu, nu) when `radial` (a window over
+    the whole (mu, nu) plane); nu weights are the trapezoid rule over nus.
+    """
     mu, wmu, u = _quad_nodes(cfg)
-    raw = np.zeros((n, n), dtype=np.complex128)
-    for d in range(-(n - 1), n):
-        nu = d * grid.step
-        C = _column_integrals(source, mu, nu, u, extent) * wmu
-        i = np.arange(max(0, d), n + min(0, d))
-        j = i - d
-        b = 0.5 * (x[i] + x[j])
-        raw[i, j] = np.exp(-1j * np.outer(b, mu)) @ C / (2.0 * np.pi)
-    return raw
+    rows = []
+    for nu, w_nu in zip(nus, trapezoid_weights(len(nus), nus[1] - nus[0])):
+        r = np.hypot(mu, nu) if radial else mu
+        taper = raised_cosine_taper(r, cfg.mu_window, cfg.taper_fraction)
+        C = _column_integrals(source, mu, float(nu), u, extent)
+        rows.append(_Row(float(nu), float(w_nu), mu, C * (wmu * taper)))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Plane-set-backed inversion (no off-grid lookups; used by the CLI)
+
+
+def _plane_nu_axis(planes: Sequence[TomogramPlane]) -> tuple[list[TomogramPlane], UniformGrid1D, int]:
+    ordered = sorted(planes, key=lambda p: p.nu)
+    nus = np.array([p.nu for p in ordered])
+    if nus.size < 3:
+        raise MissingAnchorError("need at least 3 planes for a symmetric nu sweep")
+    anchor = int(np.argmin(np.abs(nus)))
+    if abs(nus[anchor]) > ANCHOR_FLOOR:
+        raise MissingAnchorError(
+            "psi reconstruction anchors on the nu=0 plane; include a plane at exactly nu=0"
+        )
+    steps = np.diff(nus)
+    step = float(np.mean(steps))
+    if step <= 0 or np.max(np.abs(steps - step)) > 1e-9 * max(1.0, abs(step)):
+        raise ValueError("plane nu values must form a uniform grid")
+    if abs(nus[0] + nus[-1]) > 1e-9:
+        raise ValueError("plane nu grid must be symmetric about zero")
+    return ordered, UniformGrid1D(float(nus[0]), step, int(nus.size)), anchor
+
+
+def reconstruct_psi(planes: Sequence[TomogramPlane]) -> PsiReconstruction:
+    """Wavefunction from a symmetric sweep of fixed-nu planes.
+
+    The nu grid must be uniform, symmetric, and contain nu=0 exactly. psi is
+    the x' = 0 column of the density matrix, rho(nu, 0) = psi(nu) conj(psi(0)),
+    on the plane nu grid, scaled by the anchor rho(0, 0) = |psi(0)|^2.
+    Tomograms are blind to one global phase; this pins psi(0) real positive.
+    A state with psi(0) = 0 has no usable anchor and raises
+    NodeAtOriginError. The result is renormalized to unit L2 norm (the
+    pre-normalization norm is reported).
+    """
+    ordered, grid_nu, anchor_idx = _plane_nu_axis(planes)
+    table = _table_from_planes(ordered, InversionConfig().taper_fraction)
+    column = np.array([row.rho(row.nu, 0.0) for row in table])
+    s0 = column[anchor_idx]
+    peak = float(np.max(table[anchor_idx].rho(grid_nu.points, grid_nu.points).real))
+    if s0.real <= ANCHOR_RATIO * peak:
+        raise NodeAtOriginError(
+            f"rho(0,0) = {s0.real:.3e} against max rho(x,x) = {peak:.3e} is consistent "
+            "with psi(0)=0; the scale is undefined"
+        )
+    raw = column / np.sqrt(s0.real)
+    prenorm = float(np.sqrt(trapezoid_integrate(np.abs(raw) ** 2, grid_nu.step).real))
+    psi = SampledWavefunction(grid_nu, raw / prenorm)
+    return PsiReconstruction(
+        psi=psi,
+        autocorrelation=PsiAutocorrelation(grid_nu, column),
+        prenorm_l2=prenorm,
+        anchor=float(s0.real),
+        anchor_imag=float(s0.imag),
+    )
+
+
+def density_matrix_from_planes(
+    planes: Sequence[TomogramPlane],
+    cfg: InversionConfig = InversionConfig(),
+    grid: UniformGrid1D | None = None,
+) -> DensityMatrix:
+    """Density matrix using plane nodes themselves as quadrature nodes.
+
+    The planes' nu grid supplies every X - X' difference, so the output grid
+    step equals the plane spacing and no interpolation happens anywhere. Each
+    plane's own (X, mu) grid does the inner integrals; cfg's taper masks the
+    mu nodes.
+    """
+    ordered, grid_nu, anchor_idx = _plane_nu_axis(planes)
+    step = grid_nu.step
+    if grid is None:
+        half = (grid_nu.count - 1) // 2
+        count = half + 1 if half + 1 >= 2 else 2
+        start = -step * (count // 2)
+        grid = UniformGrid1D(start, step, count)
+    elif abs(grid.step - step) > 1e-9 * step:
+        raise ValueError("output grid step must equal the plane nu spacing")
+    n = grid.count
+    lo, hi = anchor_idx - (n - 1), anchor_idx + n
+    if lo < 0 or hi > grid_nu.count:
+        raise ValueError(
+            f"the grid needs planes out to |nu| = {(n - 1) * step:g}; "
+            "extend the sweep or shrink the grid"
+        )
+    return _rho_on_grid(_table_from_planes(ordered[lo:hi], cfg.taper_fraction), grid)
+
+
+def wigner_from_planes(
+    planes: Sequence[TomogramPlane],
+    grid_q: UniformGrid1D,
+    grid_p: UniformGrid1D,
+    cfg: InversionConfig = InversionConfig(),
+) -> WignerFunction:
+    """Wigner function from a plane sweep; plane nodes are the quadrature nodes.
+
+    Iterated quadrature: each plane integrates its own (X, mu) grid, the
+    plane spacing integrates nu. The taper acts on each plane's mu span and
+    on the outer nu range.
+    """
+    ordered = sorted(planes, key=lambda p: p.nu)
+    if len(ordered) < 3:
+        raise ValueError("need at least 3 planes")
+    return _wigner(_table_from_planes(ordered, cfg.taper_fraction), grid_q, grid_p)
+
+
+# ---------------------------------------------------------------------------
+# Source-callable inversion
 
 
 def reconstruct_density_matrix(
@@ -427,8 +502,8 @@ def reconstruct_density_matrix(
     state's position/momentum live radius (~4 standard deviations) and sets
     the per-column scale of the X abscissas.
     """
-    raw = _density_matrix_raw(source, grid, cfg, extent)
-    return DensityMatrix.from_raw(grid, raw)
+    nus = grid.step * np.arange(-(grid.count - 1), grid.count)
+    return _rho_on_grid(_table_from_source(source, nus, cfg, extent, radial=False), grid)
 
 
 def fresnel_as_symplectic_source(fresnel) -> Source:
@@ -439,17 +514,9 @@ def fresnel_as_symplectic_source(fresnel) -> Source:
     (bilinear interpolation, domain errors for out-of-grid lookups).
     """
     if isinstance(fresnel, FresnelTomogram):
-        gx, gn, vals = fresnel.grid_x, fresnel.grid_nu, fresnel.values
 
         def lookup(xp, nup):
-            from .tomography import _bilinear
-
-            xp_b, nup_b = np.broadcast_arrays(xp, nup)
-            out = np.empty(xp_b.shape)
-            flat_x, flat_n, flat_o = xp_b.ravel(), nup_b.ravel(), out.ravel()
-            for k in range(flat_x.size):
-                flat_o[k] = _bilinear(gx, gn, vals, float(flat_x[k]), float(flat_n[k]))
-            return out
+            return _bilinear(fresnel.grid_x, fresnel.grid_nu, fresnel.values, xp, nup)
 
     else:
         lookup = fresnel
@@ -488,23 +555,8 @@ def reconstruct_wigner(
     function, which decays fast; the (mu, nu) window reuses mu_window on both
     axes with a radial raised-cosine taper.
     """
-    mu, _, u = _quad_nodes(cfg)
-    # separate the taper from the mu weights: here it must act radially
-    wmu = np.full(mu.size, mu[1] - mu[0])
-    wmu[0] *= 0.5
-    wmu[-1] *= 0.5
-    nuv = mu.copy()
-    wnu = wmu.copy()
-    S = np.empty((mu.size, nuv.size), dtype=np.complex128)
-    for j, nu in enumerate(nuv):
-        S[:, j] = _column_integrals(source, mu, float(nu), u, extent)
-    taper = raised_cosine_taper(np.hypot(mu[:, None], nuv[None, :]), cfg.mu_window, cfg.taper_fraction)
-    G = S * taper * wmu[:, None] * wnu[None, :]
-    Eq = np.exp(-1j * np.outer(grid_q.points, mu))
-    Ep = np.exp(-1j * np.outer(nuv, grid_p.points))
-    W = (Eq @ G @ Ep) / (4.0 * np.pi**2)
-    residue = float(np.max(np.abs(W.imag)))
-    return WignerFunction(grid_q, grid_p, W.real, residue)
+    mu = _quad_nodes(cfg)[0]
+    return _wigner(_table_from_source(source, mu, cfg, extent, radial=True), grid_q, grid_p)
 
 
 SourceNd = Callable[..., np.ndarray]
@@ -529,16 +581,14 @@ def reconstruct_density_matrix_nd(
     if extents is None:
         extents = [(4.0, 4.0)] * n_axes
     if n_axes == 1:
-        def source1(X, mu, nu):
-            return source(X, mu, nu)
-
-        dm = reconstruct_density_matrix(source1, grids[0], cfg, extents[0])
+        dm = reconstruct_density_matrix(source, grids[0], cfg, extents[0])
         return DensityMatrixNd((grids[0],), dm.values, dm.asymmetry)
     if n_axes != 2:
         raise UnsupportedSizeError(f"general reconstruction supports N<=2, got {n_axes}")
     g1, g2 = grids
     (rq1, rp1), (rq2, rp2) = extents
     mu, wmu, u = _quad_nodes(cfg)
+    wmu = wmu * raised_cosine_taper(mu, cfg.mu_window, cfg.taper_fraction)
     x1, x2 = g1.points, g2.points
     n1, n2 = g1.count, g2.count
     raw = np.zeros((n1, n2, n1, n2), dtype=np.complex128)
@@ -572,101 +622,3 @@ def reconstruct_density_matrix_nd(
             block = (P1 @ C2 @ P2.T) / (2.0 * np.pi) ** 2
             raw[i1[:, None], i2[None, :], j1[:, None], j2[None, :]] = block
     return DensityMatrixNd.from_raw(grids, raw)
-
-
-# ---------------------------------------------------------------------------
-# Plane-set-backed inversion (no off-grid lookups; used by the CLI)
-
-
-def _plane_char_vector(plane: TomogramPlane) -> np.ndarray:
-    """Int w(X, mu_m) e^{iX} dX on the plane's own X grid, for every mu node."""
-    gx = plane.grid_x
-    wx = np.full(gx.count, gx.step)
-    wx[0] *= 0.5
-    wx[-1] *= 0.5
-    return (np.exp(1j * gx.points) * wx) @ plane.values
-
-
-def density_matrix_from_planes(
-    planes: Sequence[TomogramPlane],
-    cfg: InversionConfig = InversionConfig(),
-    grid: UniformGrid1D | None = None,
-) -> DensityMatrix:
-    """Density matrix using plane nodes themselves as quadrature nodes.
-
-    The planes' nu grid supplies every X - X' difference, so the output grid
-    step equals the plane spacing and no interpolation happens anywhere. Each
-    plane's own (X, mu) grid does the inner integrals; cfg's window and taper
-    mask the mu nodes.
-    """
-    ordered, grid_nu, anchor_idx = _plane_nu_axis(planes)
-    step = grid_nu.step
-    if grid is None:
-        half = (grid_nu.count - 1) // 2
-        count = half + 1 if half + 1 >= 2 else 2
-        start = -step * (count // 2)
-        grid = UniformGrid1D(start, step, count)
-    else:
-        if abs(grid.step - step) > 1e-9 * step:
-            raise ValueError("output grid step must equal the plane nu spacing")
-    x = grid.points
-    n = grid.count
-    raw = np.zeros((n, n), dtype=np.complex128)
-    for d in range(-(n - 1), n):
-        nu = d * step
-        k = anchor_idx + d
-        if k < 0 or k >= grid_nu.count:
-            raise ValueError(f"no plane at nu = {nu}; extend the sweep or shrink the grid")
-        plane = ordered[k]
-        mu = plane.grid_mu.points
-        wmu = np.full(mu.size, plane.grid_mu.step)
-        wmu[0] *= 0.5
-        wmu[-1] *= 0.5
-        center = 0.5 * (plane.grid_mu.start + plane.grid_mu.end)
-        wmu = wmu * raised_cosine_taper(
-            mu - center, 0.5 * plane.grid_mu.width, cfg.taper_fraction
-        )
-        C = _plane_char_vector(plane) * wmu
-        i = np.arange(max(0, d), n + min(0, d))
-        j = i - d
-        b = 0.5 * (x[i] + x[j])
-        raw[i, j] = np.exp(-1j * np.outer(b, mu)) @ C / (2.0 * np.pi)
-    return DensityMatrix.from_raw(grid, raw)
-
-
-def wigner_from_planes(
-    planes: Sequence[TomogramPlane],
-    grid_q: UniformGrid1D,
-    grid_p: UniformGrid1D,
-    cfg: InversionConfig = InversionConfig(),
-) -> WignerFunction:
-    """Wigner function from a plane sweep; plane nodes are the quadrature nodes.
-
-    Iterated quadrature: each plane integrates its own (X, mu) grid, the
-    plane spacing integrates nu. The taper acts on each plane's mu span and
-    on the outer nu range.
-    """
-    ordered = sorted(planes, key=lambda p: p.nu)
-    nus = np.array([p.nu for p in ordered])
-    if nus.size < 3:
-        raise ValueError("need at least 3 planes")
-    dnu = np.gradient(nus)
-    nu_half = max(abs(nus[0]), abs(nus[-1]))
-    tnu = raised_cosine_taper(nus, nu_half, cfg.taper_fraction)
-    acc = np.zeros((grid_q.count, grid_p.count), dtype=np.complex128)
-    for plane, nu, wn, tn in zip(ordered, nus, dnu, tnu):
-        mu = plane.grid_mu.points
-        wmu = np.full(mu.size, plane.grid_mu.step)
-        wmu[0] *= 0.5
-        wmu[-1] *= 0.5
-        center = 0.5 * (plane.grid_mu.start + plane.grid_mu.end)
-        wmu = wmu * raised_cosine_taper(
-            mu - center, 0.5 * plane.grid_mu.width + 1e-12, cfg.taper_fraction
-        )
-        C = _plane_char_vector(plane) * wmu
-        inner = np.exp(-1j * np.outer(grid_q.points, mu)) @ C  # (n_q,)
-        phase_p = np.exp(-1j * nu * grid_p.points)
-        acc += (tn * wn) * np.outer(inner, phase_p)
-    W = acc / (4.0 * np.pi**2)
-    residue = float(np.max(np.abs(W.imag)))
-    return WignerFunction(grid_q, grid_p, W.real, residue)

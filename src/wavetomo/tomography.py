@@ -22,11 +22,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneratePointError, DomainLookupError, UnsupportedSizeError
-from .grid import ComplexField1D, SampledWavefunction, UniformGrid1D, trapezoid_integrate
+from .grid import (
+    ComplexField1D,
+    SampledWavefunction,
+    UniformGrid1D,
+    trapezoid_integrate,
+    trapezoid_weights,
+)
 
 __all__ = [
     "EPS_NU",
-    "SymplecticPoint",
     "TomogramPlane",
     "FresnelTomogram",
     "OpticalTomogram",
@@ -42,25 +47,12 @@ __all__ = [
     "fresnel_tomogram_nd",
     "wavefunction_moments",
     "plane_grids_for_slice",
-    "symplectic_plane_set",
 ]
 
 # Below this, |nu| (or |cos t|, |mu|) counts as zero and the analytic limit applies.
 EPS_NU = 1e-8
 
 NEGATIVITY_TOL = -1e-10
-
-
-@dataclass(frozen=True)
-class SymplecticPoint:
-    """A direction (mu, nu) in the tomographic parameter plane; not both zero."""
-
-    mu: float
-    nu: float
-
-    def __post_init__(self) -> None:
-        if math.hypot(self.mu, self.nu) == 0.0:
-            raise DegeneratePointError("(mu, nu) = (0, 0) carries no quadrature")
 
 
 @dataclass(frozen=True)
@@ -133,13 +125,6 @@ class OpticalTomogram:
         object.__setattr__(self, "values", vals)
 
 
-def _trap_weights(n: int, step: float) -> np.ndarray:
-    w = np.full(n, step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def symplectic_tomogram(psi: SampledWavefunction, X: float, mu: float, nu: float) -> float:
     """Symplectic tomogram of psi at a single (X, mu, nu).
 
@@ -178,7 +163,7 @@ def symplectic_tomogram_plane(
         vals = psi.abs2_at(x[:, None] / mu[None, :]) / np.abs(mu)[None, :]
         return TomogramPlane(nu, grid_x, grid_mu, vals)
     y = psi.grid.points
-    weighted = psi.values * _trap_weights(y.size, psi.grid.step)
+    weighted = psi.values * trapezoid_weights(y.size, psi.grid.step)
     chirp = np.exp((1j / (2.0 * nu)) * np.outer(y * y, mu))  # (n_y, n_mu)
     kernel = np.exp((-1j / nu) * np.outer(x, y))  # (n_x, n_y)
     amps = kernel @ (weighted[:, None] * chirp)
@@ -195,7 +180,7 @@ def fresnel_tomogram(
     """
     x = grid_x.points
     y = psi.grid.points
-    weighted = psi.values * _trap_weights(y.size, psi.grid.step)
+    weighted = psi.values * trapezoid_weights(y.size, psi.grid.step)
     out = np.empty((grid_x.count, grid_nu.count))
     for j in range(grid_nu.count):
         nu = grid_nu.point(j)
@@ -213,24 +198,29 @@ def optical_tomogram(psi: SampledWavefunction, X: float, theta: float) -> float:
     return symplectic_tomogram(psi, X, math.cos(theta), math.sin(theta))
 
 
-def _bilinear(
-    gx: UniformGrid1D, gy: UniformGrid1D, values: np.ndarray, x: float, y: float
-) -> float:
+def _bilinear(gx: UniformGrid1D, gy: UniformGrid1D, values: np.ndarray, x, y) -> np.ndarray:
+    """Bilinear interpolation of values at the points (x, y), broadcast together.
+
+    Raises DomainLookupError carrying the first point outside the grid.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
     # fractional indices; tolerate a hair of roundoff at the far edges
     fx = (x - gx.start) / gx.step
     fy = (y - gy.start) / gy.step
     edge = 1e-9
-    if fx < -edge or fx > gx.count - 1 + edge or fy < -edge or fy > gy.count - 1 + edge:
-        raise DomainLookupError("lookup outside the sampled tomogram domain", (x, y))
-    i = min(int(np.clip(np.floor(fx), 0, gx.count - 2)), gx.count - 2)
-    j = min(int(np.clip(np.floor(fy), 0, gy.count - 2)), gy.count - 2)
+    inside = (fx >= -edge) & (fx <= gx.count - 1 + edge)
+    inside &= (fy >= -edge) & (fy <= gy.count - 1 + edge)
+    if not inside.all():
+        k = int(np.argmin(inside.ravel()))
+        point = (float(x.ravel()[k]), float(y.ravel()[k]))
+        raise DomainLookupError("lookup outside the sampled tomogram domain", point)
+    i = np.clip(np.floor(fx), 0, gx.count - 2).astype(np.intp)
+    j = np.clip(np.floor(fy), 0, gy.count - 2).astype(np.intp)
     tx = np.clip(fx - i, 0.0, 1.0)
     ty = np.clip(fy - j, 0.0, 1.0)
     v00, v01 = values[i, j], values[i, j + 1]
     v10, v11 = values[i + 1, j], values[i + 1, j + 1]
-    return float(
-        v00 * (1 - tx) * (1 - ty) + v10 * tx * (1 - ty) + v01 * (1 - tx) * ty + v11 * tx * ty
-    )
+    return v00 * (1 - tx) * (1 - ty) + v10 * tx * (1 - ty) + v01 * (1 - tx) * ty + v11 * tx * ty
 
 
 def symplectic_from_fresnel(wf: FresnelTomogram, X: float, mu: float, nu: float) -> float:
@@ -242,7 +232,7 @@ def symplectic_from_fresnel(wf: FresnelTomogram, X: float, mu: float, nu: float)
     """
     if abs(mu) <= EPS_NU:
         raise DegeneratePointError(f"mu = {mu} is below threshold; rescaling is singular")
-    return _bilinear(wf.grid_x, wf.grid_nu, wf.values, X / mu, nu / mu) / abs(mu)
+    return float(_bilinear(wf.grid_x, wf.grid_nu, wf.values, X / mu, nu / mu)) / abs(mu)
 
 
 def optical_from_fresnel(wf: FresnelTomogram, X: float, theta: float) -> float:
@@ -335,7 +325,7 @@ def _nd_point(grids, values, Xs, mus, nus) -> float:
     amp = values
     for g, X, mu, nu in zip(grids, Xs, mus, nus):
         y = g.points
-        k = np.exp(1j * (mu * y * y / (2.0 * nu) - X * y / nu)) * _trap_weights(y.size, g.step)
+        k = np.exp(1j * (mu * y * y / (2.0 * nu) - X * y / nu)) * trapezoid_weights(y.size, g.step)
         amp = np.tensordot(k, amp, axes=(0, 0))
         factor /= 2.0 * np.pi * abs(nu)
     return factor * float(np.abs(amp) ** 2)
@@ -452,27 +442,3 @@ def plane_grids_for_slice(
         step_x = 2.0 * x_half / (n_x - 1)
     grid_x = UniformGrid1D(-step_x * (n_x // 2), step_x, n_x)
     return grid_x, grid_mu
-
-
-def symplectic_plane_set(
-    psi: SampledWavefunction,
-    nu_values: Sequence[float],
-    moments: Moments | None = None,
-    nu_floor: float | None = None,
-) -> list[TomogramPlane]:
-    """Adapted-grid tomogram planes for each requested nu.
-
-    The nu=0 plane (analytic limit) is included like any other; its grids are
-    sized as if nu were nu_floor, which defaults to half the smallest nonzero
-    |nu| requested.
-    """
-    if moments is None:
-        moments = wavefunction_moments(psi)
-    nonzero = [abs(v) for v in nu_values if abs(v) > EPS_NU]
-    if nu_floor is None:
-        nu_floor = 0.5 * min(nonzero) if nonzero else 0.1
-    planes = []
-    for nu in nu_values:
-        gx, gmu = plane_grids_for_slice(nu, moments, nu_floor)
-        planes.append(symplectic_tomogram_plane(psi, gx, gmu, nu))
-    return planes

@@ -21,6 +21,7 @@ from wavetomo.analytic import (
     gcf_width,
 )
 from wavetomo.cli import golden_dir, main
+from wavetomo.grid import SampledWavefunction, UniformGrid1D
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
@@ -311,6 +312,31 @@ def test_reconstruct_psi_round_trip(chirped_planes, monkeypatch, capsys):
         rec.values, gcf_psi(GcfParams(1.0, 1.0), rec.grid.points),
         rec.grid.step)
     assert dev_closed <= 1e-3
+
+
+def test_reconstruct_accepts_shell_expanded_paths(chirped_planes, monkeypatch):
+    # what an unquoted pl_*.txt becomes: several paths after one --input
+    monkeypatch.chdir(chirped_planes)
+    assert run("reconstruct", "--input", "pl_29.txt", "pl_30.txt", "pl_31.txt",
+               "--target", "psi", "--output", "rec3.txt") == 0
+    _, rec = fileio.read_file(chirped_planes / "rec3.txt")
+    assert rec.grid.count == 3
+
+
+def test_reconstruct_psi_node_at_origin(tmp_path, monkeypatch, capsys):
+    # first excited state, psi(0) = 0: the anchor is quadrature noise; the
+    # 0.1 plane spacing matches the reference sweep, where that noise is positive
+    monkeypatch.chdir(tmp_path)
+    g = UniformGrid1D.symmetric(8.0, 1025)
+    psi = SampledWavefunction.normalized(g, g.points * np.exp(-(g.points**2) / 2.0))
+    fileio.write_wavefunction("excited.txt", psi, {}, "first excited state")
+    assert run("tomogram", "--input", "excited.txt",
+               "--nu-min", "-1", "--nu-max", "1", "--nu-count", "21",
+               "--output", "e_{index}.txt") == 0
+    capsys.readouterr()
+    assert run("reconstruct", "--input", "e_*.txt", "--target", "psi",
+               "--output", "rec.txt") == 4
+    assert "psi(0)=0" in capsys.readouterr().err
 
 
 def test_reconstruct_rho_diagnostics(chirped_planes, monkeypatch, capsys):

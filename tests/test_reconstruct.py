@@ -1,4 +1,4 @@
-"""Inversion pipeline tests: Fourier-slice route, kernel quadratures, plane sweeps.
+"""Inversion pipeline tests: autocorrelation slice, kernel quadratures, plane sweeps.
 
 Oracle values come from the closed-form model state and from the slow
 direct-quadrature oracles in the analytic module. Quadrature tolerances were
@@ -18,7 +18,6 @@ from wavetomo.analytic import (
     gcf_sampled,
     gcf_source,
     gcf_tomogram_analytic,
-    gcf_tomogram_ft_analytic,
     wigner_direct,
 )
 from wavetomo.errors import (
@@ -27,24 +26,29 @@ from wavetomo.errors import (
     NodeAtOriginError,
     UnsupportedSizeError,
 )
-from wavetomo.grid import RealField2D, UniformGrid1D, dft2_at
+from wavetomo.grid import SampledWavefunction, UniformGrid1D, dft2_at
 from wavetomo.reconstruct import (
     DensityMatrix,
     InversionConfig,
     PsiAutocorrelation,
     WignerFunction,
     density_matrix_from_planes,
-    psi_slice_at,
+    fresnel_as_symplectic_source,
     raised_cosine_taper,
     reconstruct_density_matrix,
     reconstruct_density_matrix_fresnel,
     reconstruct_density_matrix_nd,
     reconstruct_psi,
     reconstruct_wigner,
-    tomogram_ft2,
     wigner_from_planes,
 )
-from wavetomo.tomography import FresnelTomogram, TomogramPlane
+from wavetomo.tomography import (
+    FresnelTomogram,
+    TomogramPlane,
+    plane_grids_for_slice,
+    symplectic_tomogram_plane,
+    wavefunction_moments,
+)
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 SLICE_HALF = 0.6020755134639533 + 0.15373511832802772j
@@ -110,58 +114,18 @@ def test_raised_cosine_taper_profile():
 
 
 # ---------------------------------------------------------------------------
-# Fourier-slice route
+# autocorrelation slice: the plane transform at (1, -nu/2) is psi(nu) conj(psi(0))
 
 
-def test_ft2_bin_matches_closed_form():
-    p = GcfParams(1.0, 0.0)
-    gx = UniformGrid1D.symmetric(30.0, 513)
-    gmu = UniformGrid1D.symmetric(12.0, 241)
-    F = tomogram_ft2(gcf_plane_analytic(p, gx, gmu, 0.5))
-    ix = int(np.argmin(np.abs(F.grid_x.points - 1.0)))
-    im = int(np.argmin(np.abs(F.grid_y.points + 0.25)))
-    want = gcf_tomogram_ft_analytic(p, F.grid_x.point(ix), F.grid_y.point(im), 0.5)
-    assert F.values[ix, im] == pytest.approx(want, abs=1e-3)
-
-
-def test_ft2_dc_bin_equals_trapezoid_integral():
-    # synthetic plane decaying at every edge, so the plain Fourier sum and the
-    # trapezoid rule agree to roundoff
-    gx = UniformGrid1D.symmetric(8.0, 129)
-    gmu = UniformGrid1D.symmetric(8.0, 127)
-    X, M = np.meshgrid(gx.points, gmu.points, indexing="ij")
-    vals = np.exp(-(X**2 + M**2) / 2.0) * (1.0 + 0.1 * X**2 * M**2)
-    F = tomogram_ft2(TomogramPlane(0.3, gx, gmu, vals))
-    i0 = int(np.argmin(np.abs(F.grid_x.points)))
-    j0 = int(np.argmin(np.abs(F.grid_y.points)))
-    trap = np.trapezoid(np.trapezoid(vals, dx=gmu.step, axis=1), dx=gx.step)
-    assert F.values[i0, j0] == pytest.approx(trap / (2.0 * np.pi), abs=1e-10)
-
-
-def test_ft2_zero_plane():
-    g = UniformGrid1D.symmetric(2.0, 17)
-    F = tomogram_ft2(TomogramPlane(0.1, g, g, np.zeros((17, 17))))
-    assert np.max(np.abs(F.values)) == 0.0
-
-
-def test_ft2_agrees_with_dft2_at_on_bins():
-    p = GcfParams(1.0, 1.0)
-    gx = UniformGrid1D.symmetric(12.0, 64)
-    gmu = UniformGrid1D.symmetric(6.0, 48)
-    plane = gcf_plane_analytic(p, gx, gmu, 0.4)
-    F = tomogram_ft2(plane)
-    field = RealField2D(gx, gmu, plane.values)
-    for i in (0, 13, 32, 63):
-        for j in (0, 11, 24, 47):
-            direct = dft2_at(field, F.grid_x.point(i), F.grid_y.point(j))
-            assert F.values[i, j] == pytest.approx(direct, abs=1e-10)
+def _slice(plane):
+    return dft2_at(plane.grid_x, plane.grid_mu, plane.values, 1.0, -0.5 * plane.nu)
 
 
 def test_psi_slice_anchor_plane():
     p = GcfParams(1.0, 0.0)
     gx = UniformGrid1D.symmetric(40.0, 4801)  # narrow near-zero-mu columns need the fine step
     gmu = UniformGrid1D(-16.05, 0.1, 322)
-    s0 = psi_slice_at(gcf_plane_analytic(p, gx, gmu, 0.0))
+    s0 = _slice(gcf_plane_analytic(p, gx, gmu, 0.0))
     assert s0 == pytest.approx(SQRT_2_OVER_PI, abs=1e-6)
 
 
@@ -169,7 +133,7 @@ def test_psi_slice_chirped_value_and_phase():
     p = GcfParams(1.0, 1.0)
     gx = UniformGrid1D.symmetric(40.0, 1601)
     gmu = UniformGrid1D(-17.05, 0.1, 322)  # centered on the chirp-shifted ridge
-    s = psi_slice_at(gcf_plane_analytic(p, gx, gmu, 0.5))
+    s = _slice(gcf_plane_analytic(p, gx, gmu, 0.5))
     assert s == pytest.approx(SLICE_HALF, abs=1e-6)
     assert np.angle(s) == pytest.approx(1.0 * 0.5**2, abs=1e-3)
 
@@ -208,10 +172,6 @@ def test_reconstruct_psi_error_paths():
         reconstruct_psi(analytic_plane_set(p, [-0.4, 0.0, 0.1]))  # non-uniform
     with pytest.raises(ValueError):
         reconstruct_psi(analytic_plane_set(p, [-0.1, 0.0, 0.1, 0.2]))  # asymmetric
-    with pytest.raises(ValueError):
-        reconstruct_psi(
-            analytic_plane_set(p, [-0.1, 0.0, 0.1]), phase_convention="first-maximum"
-        )
 
 
 def test_reconstruct_psi_vanishing_anchor_raises():
@@ -223,6 +183,35 @@ def test_reconstruct_psi_vanishing_anchor_raises():
     ]
     with pytest.raises(NodeAtOriginError):
         reconstruct_psi(planes)
+
+
+def test_reconstruct_psi_excited_state_raises():
+    # first oscillator excited state, psi(0) = 0: quadrature noise leaves
+    # rho(0,0) at ~3e-4 of the largest diagonal value, which must not pass
+    # for an anchor; planes come from the same grid policy the CLI uses
+    g = UniformGrid1D.symmetric(8.0, 1025)
+    psi = SampledWavefunction.normalized(g, g.points * np.exp(-(g.points**2) / 2.0))
+    moments = wavefunction_moments(psi)
+    planes = [
+        symplectic_tomogram_plane(psi, *plane_grids_for_slice(nu, moments, 0.05), nu)
+        for nu in np.linspace(-3.0, 3.0, 61)
+    ]
+    with pytest.raises(NodeAtOriginError):
+        reconstruct_psi(planes)
+
+
+def test_psi_autocorrelation_is_rho_column():
+    # psi and rho read the same table: the autocorrelation is the raw x' = 0
+    # column, which symmetrization moves by at most half the asymmetry
+    for a in (0.0, 1.0):
+        planes = analytic_plane_set(GcfParams(1.0, a), list(np.linspace(-3.0, 3.0, 61)))
+        auto = reconstruct_psi(planes).autocorrelation
+        dm = density_matrix_from_planes(planes)
+        k = np.rint((dm.grid.points - auto.grid_nu.start) / auto.grid_nu.step).astype(int)
+        c = int(np.argmin(np.abs(dm.grid.points)))
+        assert dm.grid.points[c] == 0.0
+        dev = np.max(np.abs(auto.values[k] - dm.values[:, c]))
+        assert dev <= 0.5 * dm.asymmetry + 1e-12
 
 
 def test_odd_state_anchor_vanishes():
@@ -237,7 +226,7 @@ def test_odd_state_anchor_vanishes():
     om = omega(gmu.points[None, :], 0.0)
     X = gx.points[:, None]
     vals = (2.0 / math.sqrt(math.pi)) * X**2 / om**3 * np.exp(-(X**2) / om**2)
-    s0 = psi_slice_at(TomogramPlane(0.0, gx, gmu, vals))
+    s0 = _slice(TomogramPlane(0.0, gx, gmu, vals))
     assert abs(s0) <= 1e-6
 
 
@@ -294,6 +283,37 @@ def test_fresnel_grid_backed_source_domain_error():
     wf = FresnelTomogram(g, gn, gcf_tomogram_analytic(GcfParams(1.0, 0.0), X, 1.0, NU))
     with pytest.raises(DomainLookupError):
         reconstruct_density_matrix_fresnel(wf, UniformGrid1D.symmetric(2.0, 17))
+
+
+def _bilinear_reference(wf, x, y):
+    # one point at a time: the loop the array lookup replaced
+    gx, gy, v = wf.grid_x, wf.grid_nu, wf.values
+    fx = (x - gx.start) / gx.step
+    fy = (y - gy.start) / gy.step
+    i = min(int(np.clip(np.floor(fx), 0, gx.count - 2)), gx.count - 2)
+    j = min(int(np.clip(np.floor(fy), 0, gy.count - 2)), gy.count - 2)
+    tx = np.clip(fx - i, 0.0, 1.0)
+    ty = np.clip(fy - j, 0.0, 1.0)
+    return float(
+        v[i, j] * (1 - tx) * (1 - ty) + v[i + 1, j] * tx * (1 - ty)
+        + v[i, j + 1] * (1 - tx) * ty + v[i + 1, j + 1] * tx * ty
+    )
+
+
+def test_fresnel_grid_backed_source_matches_pointwise_lookup():
+    g = UniformGrid1D.symmetric(2.0, 33)
+    gn = UniformGrid1D.symmetric(0.5, 9)
+    X, NU = np.meshgrid(g.points, gn.points, indexing="ij")
+    wf = FresnelTomogram(g, gn, gcf_tomogram_analytic(GcfParams(1.0, 1.0), X, 1.0, NU))
+    source = fresnel_as_symplectic_source(wf)
+    rng = np.random.default_rng(0)
+    mu = rng.uniform(0.8, 2.0, 50) * rng.choice([-1.0, 1.0], 50)
+    Xs = rng.uniform(-1.5, 1.5, 50)
+    want = [_bilinear_reference(wf, x / m, 0.3 / m) / abs(m) for x, m in zip(Xs, mu)]
+    assert np.array_equal(source(Xs, mu, 0.3), want)
+    with pytest.raises(DomainLookupError) as err:
+        source(np.array([0.1, 0.2, 0.3]), np.array([1.0, 0.1, 0.05]), 0.3)
+    assert err.value.point == pytest.approx((2.0, 3.0))  # the first point outside
 
 
 # ---------------------------------------------------------------------------
