@@ -178,17 +178,17 @@ def _cmd_gcf(args) -> int:
     meta = {"sigma": sigma, "alpha": alpha}
 
     psi = gcf_sampled(p, count=x_count)
-    fileio.write_wavefunction(f"{prefix}_psi.txt", psi, meta, prov)
+    fileio.write_file(f"{prefix}_psi.txt", psi, meta, prov)
     written = [f"{prefix}_psi.txt"]
 
     # the (X', nu') map at mu = 1: the two-argument face every 3D surface plot shows
     wf = gcf_fresnel_analytic(p, gx, gn)
-    fileio.write_fresnel(f"{prefix}_fresnel.txt", wf, meta, prov)
+    fileio.write_file(f"{prefix}_fresnel.txt", wf, meta, prov)
     written.append(f"{prefix}_fresnel.txt")
 
     if eff("width_map", False):
         widths = np.array([gcf_width(p, 1.0, nu) for nu in gn.points])
-        fileio.write_width_map(f"{prefix}_width.txt", fileio.WidthMap(gn, widths), meta, prov)
+        fileio.write_file(f"{prefix}_width.txt", fileio.WidthMap(gn, widths), meta, prov)
         written.append(f"{prefix}_width.txt")
     for name in written:
         print(name)
@@ -228,7 +228,7 @@ def _cmd_tomogram(args) -> int:
         effective = {"kind": kind, "x": [gx.start, gx.end, gx.count],
                      "nu": [gn.start, gn.end, gn.count]}
         wf = fresnel_tomogram(psi, gx, gn)
-        fileio.write_fresnel(out, wf, meta, _provenance(args, effective))
+        fileio.write_file(out, wf, meta, _provenance(args, effective))
         print(out)
         return 0
 
@@ -246,8 +246,8 @@ def _cmd_tomogram(args) -> int:
         for j, t in enumerate(gt.points):
             for i, x in enumerate(gx.points):
                 vals[i, j] = optical_tomogram(psi, float(x), float(t))
-        fileio.write_optical(out, OpticalTomogram(gx, gt, vals), meta,
-                             _provenance(args, effective))
+        fileio.write_file(out, OpticalTomogram(gx, gt, vals), meta,
+                          _provenance(args, effective))
         print(out)
         return 0
 
@@ -283,7 +283,7 @@ def _cmd_tomogram(args) -> int:
         effective = {"kind": kind, "nu": nu, "x": [gx.start, gx.end, gx.count],
                      "mu": [gmu.start, gmu.end, gmu.count]}
         path = _format_pattern(out, i, nu)
-        fileio.write_plane(path, plane, meta, _provenance(args, effective))
+        fileio.write_file(path, plane, meta, _provenance(args, effective))
         written.append(path)
     for name in written:
         print(name)
@@ -370,33 +370,24 @@ def _cmd_reconstruct(args) -> int:
     out = eff("output", None)
     if not out:
         raise UsageError("--output is required")
-    inv = InversionConfig(
-        mu_window=float(eff("mu_window", 40.0)),
-        taper_fraction=float(eff("taper", 0.2)),
-        X_window=float(eff("x_window", 2.5)),
-        samples_per_axis=int(eff("samples", 128)),
-    )
+    inv = InversionConfig(taper_fraction=float(eff("taper", 0.2)))
     planes = _read_planes(args.input)
-    effective = {
-        "target": args.target, "mu_window": inv.mu_window, "taper": inv.taper_fraction,
-        "x_window": inv.X_window, "samples": inv.samples_per_axis,
-        "inputs": len(planes),
-    }
+    effective = {"target": args.target, "taper": inv.taper_fraction, "inputs": len(planes)}
     prov = _provenance(args, effective)
 
     if args.target == "psi":
-        rec = reconstruct_psi(planes)
-        fileio.write_wavefunction(out, rec.psi, {}, prov)
+        rec = reconstruct_psi(planes, inv)
+        fileio.write_file(out, rec.psi, {}, prov)
         _diag(prenorm_l2=rec.prenorm_l2, anchor=rec.anchor, anchor_imag=rec.anchor_imag)
     elif args.target == "rho":
         dm = density_matrix_from_planes(planes, inv)
-        fileio.write_density_matrix(out, dm, {}, prov)
+        fileio.write_file(out, dm, {}, prov)
         _diag(asymmetry=dm.asymmetry, trace_step=dm.trace_times_step)
     else:
         gq = _grid_from(eff, "q", -4.0, 4.0, 81)
         gp = _grid_from(eff, "p", -4.0, 4.0, 81)
         w = wigner_from_planes(planes, gq, gp, inv)
-        fileio.write_wigner(out, w, {}, prov)
+        fileio.write_file(out, w, {}, prov)
         _diag(imag_residue=w.imag_residue, normalization=w.normalization())
     print(out)
     return 0
@@ -582,7 +573,7 @@ def _regen_golden(gdir: Path) -> list[str]:
         p = GcfParams(s, a)
         wf = gcf_fresnel_analytic(p, GOLDEN_GRID_X, GOLDEN_GRID_NU)
         path = gdir / golden_name(s, a)
-        fileio.write_fresnel(
+        fileio.write_file(
             path, wf, {"sigma": s, "alpha": a},
             "wavetomo validate --level full (golden regeneration)",
         )
@@ -674,10 +665,7 @@ def build_parser() -> _Parser:
     r = sub.add_parser("reconstruct", help="invert tomogram planes")
     r.add_argument("--input", action="extend", nargs="+")
     r.add_argument("--target", choices=("psi", "rho", "wigner"), required=True)
-    r.add_argument("--mu-window", type=float, dest="mu_window")
     r.add_argument("--taper", type=float)
-    r.add_argument("--x-window", type=float, dest="x_window")
-    r.add_argument("--samples", type=int)
     for ax in ("q", "p"):
         r.add_argument(f"--{ax}-min", type=float, dest=f"{ax}_min")
         r.add_argument(f"--{ax}-max", type=float, dest=f"{ax}_max")

@@ -6,18 +6,26 @@ columns (coordinates first, then values; complex values as a real and an
 imaginary column). Floats are written with 17 significant digits, so a
 write-then-read round trip is bit exact. 2D kinds insert a blank line
 between blocks of constant first coordinate, which makes the files directly
-plottable as surfaces by gnuplot's nonuniform-matrix mode.
+plottable as surfaces by gnuplot's nonuniform-matrix mode. Reading checks
+the coordinate columns exactly against the manifest grids and refuses
+non-finite values.
+
+One table, ``_KINDS``, says how each payload type is stored; the writer and
+the reader are both driven by it.
 """
 from __future__ import annotations
 
+import io
+import itertools
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ManifestError
-from .grid import SampledWavefunction, UniformGrid1D
+from .grid import SampledWavefunction, UniformGrid1D, _frozen_array
 from .reconstruct import DensityMatrix, PsiAutocorrelation, WignerFunction
 from .tomography import FresnelTomogram, OpticalTomogram, TomogramPlane
 
@@ -26,30 +34,12 @@ __all__ = [
     "Manifest",
     "WidthMap",
     "read_file",
-    "write_wavefunction",
-    "write_plane",
-    "write_optical",
-    "write_fresnel",
-    "write_density_matrix",
-    "write_wigner",
-    "write_autocorrelation",
-    "write_width_map",
+    "write_file",
 ]
 
 FORMAT_VERSION = "1"
 
 MAGIC = "#MANIFEST "
-
-# grids a payload of each kind must carry
-KIND_GRID_COUNT = {
-    "wavefunction": 1,
-    "autocorrelation": 1,
-    "density_matrix": 1,
-    "width_map": 1,
-    "tomogram_plane": 2,
-    "fresnel_tomogram": 2,
-    "wigner": 2,
-}
 
 
 @dataclass(frozen=True)
@@ -60,12 +50,48 @@ class WidthMap:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.grid.count,):
-            raise ValueError("width values length does not match the grid")
-        vals = np.array(vals)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(
+            self, "values", _frozen_array(self.values, (self.grid.count,), np.float64)
+        )
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How one payload type is stored.
+
+    axes names the payload's grid attribute behind each coordinate column
+    (a density matrix uses its one grid twice); the manifest lists each
+    distinct grid once. The value columns follow the coordinates: two
+    (re, im) for complex payloads, one for real ones. scalars are payload
+    fields kept in the manifest params; variant, when set, is stored as
+    params.variant and tells payloads of one kind apart.
+    """
+
+    kind: str
+    payload: type
+    axes: tuple[str, ...]
+    columns: str
+    scalars: tuple[str, ...] = ()
+    variant: str | None = None
+
+    @property
+    def grids(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(self.axes))
+
+
+# reading takes the first row whose kind matches and whose variant is unset
+# or equals params.variant, so the optical row precedes the plain plane row
+_KINDS = (
+    _Kind("wavefunction", SampledWavefunction, ("grid",), "x re im"),
+    _Kind("autocorrelation", PsiAutocorrelation, ("grid_nu",), "nu re im"),
+    _Kind("width_map", WidthMap, ("grid",), "nu width"),
+    _Kind("tomogram_plane", OpticalTomogram, ("grid_x", "grid_theta"), "X theta w",
+          variant="optical"),
+    _Kind("tomogram_plane", TomogramPlane, ("grid_x", "grid_mu"), "X mu w", ("nu",)),
+    _Kind("fresnel_tomogram", FresnelTomogram, ("grid_x", "grid_nu"), "X nu w"),
+    _Kind("density_matrix", DensityMatrix, ("grid", "grid"), "X Xp re im", ("asymmetry",)),
+    _Kind("wigner", WignerFunction, ("grid_q", "grid_p"), "q p W", ("imag_residue",)),
+)
 
 
 @dataclass(frozen=True)
@@ -77,12 +103,12 @@ class Manifest:
     version: str = FORMAT_VERSION
 
     def __post_init__(self) -> None:
-        if self.kind not in KIND_GRID_COUNT:
+        need = {k.kind: len(k.grids) for k in _KINDS}.get(self.kind)
+        if need is None:
             raise ManifestError(f"unknown kind {self.kind!r}")
-        if len(self.grids) != KIND_GRID_COUNT[self.kind]:
+        if len(self.grids) != need:
             raise ManifestError(
-                f"kind {self.kind!r} requires {KIND_GRID_COUNT[self.kind]} grids, "
-                f"got {len(self.grids)}"
+                f"kind {self.kind!r} requires {need} grids, got {len(self.grids)}"
             )
 
     def to_line(self) -> str:
@@ -123,153 +149,71 @@ class Manifest:
             raise ManifestError(f"manifest fields are invalid: {e}") from None
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _coordinates(axes) -> list[np.ndarray]:
+    """One flat column per axis, row-major over the product grid."""
+    return [c.ravel() for c in np.meshgrid(*(g.points for g in axes), indexing="ij")]
 
 
-def _write(path, manifest: Manifest, columns: str, rows) -> None:
-    """rows: iterable of tuples of floats, or None for a block separator."""
+def write_file(path, payload, params=None, provenance="") -> Manifest:
+    """Write any dataset payload; returns the manifest written.
+
+    `params` go into the manifest beside the payload's own scalar fields
+    (plane nu, density-matrix asymmetry, Wigner imaginary residue).
+    """
+    k = next((r for r in _KINDS if type(payload) is r.payload), None)
+    if k is None:
+        raise TypeError(f"no file kind stores a {type(payload).__name__}")
+    p = dict(params or {})
+    p.update({name: float(getattr(payload, name)) for name in k.scalars})
+    if k.variant:
+        p["variant"] = k.variant
+    m = Manifest(k.kind, tuple(getattr(payload, g) for g in k.grids), p, provenance)
+    axes = [getattr(payload, a) for a in k.axes]
+    v = payload.values.ravel()
+    values = [v.real, v.imag] if np.iscomplexobj(v) else [v]
+    table = np.column_stack(_coordinates(axes) + values)
+    # one format string per block of constant first coordinate (2D), or for
+    # the whole file (1D); consecutive blocks are separated by a blank line
+    row = " ".join(["%.17g"] * table.shape[1]) + "\n"
+    block = axes[-1].count
+    text = "\n".join([row * block] * (len(table) // block))
     with open(path, "w", encoding="utf-8") as f:
-        f.write(manifest.to_line() + "\n")
-        f.write(f"# columns: {columns}\n")
-        for row in rows:
-            if row is None:
-                f.write("\n")
-            else:
-                f.write(" ".join(_fmt(v) for v in row) + "\n")
-
-
-def _rows_1d(xs, cols) -> list:
-    return [(x, *c) for x, c in zip(xs, cols)]
-
-
-def _rows_2d(xs, ys, per_cell):
-    first = True
-    for i, x in enumerate(xs):
-        if not first:
-            yield None
-        first = False
-        for j, y in enumerate(ys):
-            yield (x, y, *per_cell(i, j))
-
-
-def write_wavefunction(path, psi: SampledWavefunction, params=None, provenance="") -> Manifest:
-    m = Manifest("wavefunction", (psi.grid,), dict(params or {}), provenance)
-    v = psi.values
-    _write(path, m, "x re im", _rows_1d(psi.grid.points, zip(v.real, v.imag)))
+        f.write(f"{m.to_line()}\n# columns: {k.columns}\n")
+        f.write(text % tuple(table.ravel().tolist()))
     return m
 
 
-def write_autocorrelation(path, ac: PsiAutocorrelation, params=None, provenance="") -> Manifest:
-    m = Manifest("autocorrelation", (ac.grid_nu,), dict(params or {}), provenance)
-    v = ac.values
-    _write(path, m, "nu re im", _rows_1d(ac.grid_nu.points, zip(v.real, v.imag)))
-    return m
-
-
-def write_width_map(path, wm: WidthMap, params=None, provenance="") -> Manifest:
-    m = Manifest("width_map", (wm.grid,), dict(params or {}), provenance)
-    _write(path, m, "nu width", _rows_1d(wm.grid.points, ((w,) for w in wm.values)))
-    return m
-
-
-def write_plane(path, plane: TomogramPlane, params=None, provenance="") -> Manifest:
-    p = dict(params or {})
-    p["nu"] = float(plane.nu)
-    m = Manifest("tomogram_plane", (plane.grid_x, plane.grid_mu), p, provenance)
-    _write(
-        path,
-        m,
-        "X mu w",
-        _rows_2d(
-            plane.grid_x.points,
-            plane.grid_mu.points,
-            lambda i, j: (plane.values[i, j],),
-        ),
-    )
-    return m
-
-
-def write_optical(path, opt: OpticalTomogram, params=None, provenance="") -> Manifest:
-    p = dict(params or {})
-    p["variant"] = "optical"
-    m = Manifest("tomogram_plane", (opt.grid_x, opt.grid_theta), p, provenance)
-    _write(
-        path,
-        m,
-        "X theta w",
-        _rows_2d(
-            opt.grid_x.points,
-            opt.grid_theta.points,
-            lambda i, j: (opt.values[i, j],),
-        ),
-    )
-    return m
-
-
-def write_fresnel(path, wf: FresnelTomogram, params=None, provenance="") -> Manifest:
-    m = Manifest("fresnel_tomogram", (wf.grid_x, wf.grid_nu), dict(params or {}), provenance)
-    _write(
-        path,
-        m,
-        "X nu w",
-        _rows_2d(wf.grid_x.points, wf.grid_nu.points, lambda i, j: (wf.values[i, j],)),
-    )
-    return m
-
-
-def write_density_matrix(path, dm: DensityMatrix, params=None, provenance="") -> Manifest:
-    p = dict(params or {})
-    p["asymmetry"] = float(dm.asymmetry)
-    m = Manifest("density_matrix", (dm.grid,), p, provenance)
-    _write(
-        path,
-        m,
-        "X Xp re im",
-        _rows_2d(
-            dm.grid.points,
-            dm.grid.points,
-            lambda i, j: (dm.values[i, j].real, dm.values[i, j].imag),
-        ),
-    )
-    return m
-
-
-def write_wigner(path, w: WignerFunction, params=None, provenance="") -> Manifest:
-    p = dict(params or {})
-    p["imag_residue"] = float(w.imag_residue)
-    m = Manifest("wigner", (w.grid_q, w.grid_p), p, provenance)
-    _write(
-        path,
-        m,
-        "q p W",
-        _rows_2d(w.grid_q.points, w.grid_p.points, lambda i, j: (w.values[i, j],)),
-    )
-    return m
-
-
-def _value_columns(path, lines, n_coord: int, n_val: int, n_rows: int) -> np.ndarray:
-    out = np.empty((n_rows, n_val))
-    k = 0
-    for ln, line in lines:
+def _data_lines(body: str):
+    """(file line number, fields) of every data line: not blank, not a comment."""
+    for ln, line in enumerate(body.splitlines(), start=2):
         s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        parts = s.split()
-        if len(parts) != n_coord + n_val:
-            raise ManifestError(
-                f"{path}:{ln}: expected {n_coord + n_val} columns, got {len(parts)}"
-            )
-        if k >= n_rows:
-            raise ManifestError(f"{path}:{ln}: more data rows than the grids allow")
+        if s and not s.startswith("#"):
+            yield ln, s.split()
+
+
+def _line_of(body: str, row: int) -> int:
+    """File line number of the data row with the given index."""
+    return next(itertools.islice(_data_lines(body), int(row), None))[0]
+
+
+def _parse(path, body: str, n_cols: int) -> np.ndarray:
+    """All data rows as one (rows, n_cols) array; malformed lines are named."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: the count check reports it
+            data = np.loadtxt(io.StringIO(body), ndmin=2)
+        if len(data) == 0 or data.shape[1] == n_cols:
+            return data
+    except ValueError:
+        pass
+    for ln, fields in _data_lines(body):
+        if len(fields) != n_cols:
+            raise ManifestError(f"{path}:{ln}: expected {n_cols} columns, got {len(fields)}")
         try:
-            out[k] = [float(p) for p in parts[n_coord:]]
+            [float(f) for f in fields]
         except ValueError:
-            raise ManifestError(f"{path}:{ln}: non-numeric value column") from None
-        k += 1
-    if k != n_rows:
-        raise ManifestError(f"{path}: expected {n_rows} data rows, found {k}")
-    return out
+            raise ManifestError(f"{path}:{ln}: non-numeric column") from None
+    raise ManifestError(f"{path}: the data block does not parse as numbers")
 
 
 def read_file(path):
@@ -277,60 +221,50 @@ def read_file(path):
 
     The payload type follows the manifest kind (tomogram_plane splits into
     TomogramPlane or OpticalTomogram on params.variant). All structural
-    problems raise ManifestError; domain validation failures of the payload
-    constructors are wrapped into ManifestError as well.
+    problems, coordinates off the manifest grids and non-finite values raise
+    ManifestError; domain validation failures of the payload constructors
+    are wrapped into ManifestError as well.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise ManifestError(f"cannot read {path}: {e}") from None
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise ManifestError(f"{path} is empty")
-    manifest = Manifest.from_line(lines[0])
-    body = list(enumerate(lines[1:], start=2))
-    g = manifest.grids
-    kind = manifest.kind
+    head, _, body = text.partition("\n")
+    manifest = Manifest.from_line(head)
+    variant = manifest.params.get("variant")
+    k = next(r for r in _KINDS if r.kind == manifest.kind and r.variant in (None, variant))
+    grids = dict(zip(k.grids, manifest.grids))
+    axes = [grids[a] for a in k.axes]
+    shape = tuple(g.count for g in axes)
+    data = _parse(path, body, len(k.columns.split()))
+
+    n_rows = int(np.prod(shape))
+    if len(data) < n_rows:
+        raise ManifestError(f"{path}: expected {n_rows} data rows, found {len(data)}")
+    if len(data) > n_rows:
+        raise ManifestError(
+            f"{path}:{_line_of(body, n_rows)}: more data rows than the grids allow"
+        )
+    coords, values = data[:, : len(axes)], data[:, len(axes):]
+    off = np.flatnonzero((coords != np.column_stack(_coordinates(axes))).any(axis=1))
+    if off.size:
+        raise ManifestError(
+            f"{path}:{_line_of(body, off[0])}: coordinates do not match the manifest grids"
+        )
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ManifestError(f"{path}:{_line_of(body, bad[0])}: non-finite value")
+    if values.shape[1] == 2:
+        values = np.ascontiguousarray(values).view(np.complex128)
+
+    missing = [name for name in k.scalars if name not in manifest.params]
+    if missing:
+        raise ManifestError(f"{path}: {k.kind} manifest lacks params.{missing[0]}")
     try:
-        if kind in ("wavefunction", "autocorrelation"):
-            cols = _value_columns(path, body, 1, 2, g[0].count)
-            vals = cols[:, 0] + 1j * cols[:, 1]
-            if kind == "wavefunction":
-                return manifest, SampledWavefunction(g[0], vals)
-            return manifest, PsiAutocorrelation(g[0], vals)
-        if kind == "width_map":
-            cols = _value_columns(path, body, 1, 1, g[0].count)
-            return manifest, WidthMap(g[0], cols[:, 0])
-        if kind == "density_matrix":
-            n = g[0].count
-            cols = _value_columns(path, body, 2, 2, n * n)
-            vals = (cols[:, 0] + 1j * cols[:, 1]).reshape(n, n)
-            return manifest, DensityMatrix(
-                g[0], vals, float(manifest.params.get("asymmetry", 0.0))
-            )
-        if kind == "tomogram_plane":
-            shape = (g[0].count, g[1].count)
-            cols = _value_columns(path, body, 2, 1, shape[0] * shape[1])
-            vals = cols[:, 0].reshape(shape)
-            if manifest.params.get("variant") == "optical":
-                return manifest, OpticalTomogram(g[0], g[1], vals)
-            if "nu" not in manifest.params:
-                raise ManifestError(f"{path}: tomogram_plane manifest lacks params.nu")
-            return manifest, TomogramPlane(float(manifest.params["nu"]), g[0], g[1], vals)
-        if kind == "fresnel_tomogram":
-            shape = (g[0].count, g[1].count)
-            cols = _value_columns(path, body, 2, 1, shape[0] * shape[1])
-            return manifest, FresnelTomogram(g[0], g[1], cols[:, 0].reshape(shape))
-        if kind == "wigner":
-            shape = (g[0].count, g[1].count)
-            cols = _value_columns(path, body, 2, 1, shape[0] * shape[1])
-            return manifest, WignerFunction(
-                g[0], g[1], cols[:, 0].reshape(shape),
-                float(manifest.params.get("imag_residue", 0.0)),
-            )
-    except ManifestError:
-        raise
-    except ValueError as e:
+        scalars = {name: float(manifest.params[name]) for name in k.scalars}
+        return manifest, k.payload(**grids, values=values.reshape(shape), **scalars)
+    except (TypeError, ValueError) as e:
         raise ManifestError(f"{path}: payload failed validation: {e}") from None
-    raise ManifestError(f"unknown kind {kind!r}")  # unreachable; Manifest validates

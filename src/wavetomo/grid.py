@@ -65,15 +65,19 @@ class UniformGrid1D:
         return UniformGrid1D(-half_width, step, count)
 
 
-def _as_array(values, shape: tuple[int, ...], dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
+def _frozen_array(values, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Private read-only copy of finite `values` with the given shape and dtype.
+
+    Every dataset type stores its samples through this, so a constructed
+    dataset can neither hold NaN/inf nor be changed through a caller's array.
+    """
+    arr = np.array(values, dtype=dtype)
     if arr.shape != shape:
         raise ValueError(f"values shape {arr.shape} does not match grid shape {shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("field values must be finite")
-    out = np.array(arr)  # private copy; fields are immutable once constructed
-    out.flags.writeable = False
-    return out
+        raise ValueError("values must be finite")
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class ComplexField1D:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "values", _as_array(self.values, (self.grid.count,), np.complex128)
+            self, "values", _frozen_array(self.values, (self.grid.count,), np.complex128)
         )
 
 
@@ -97,7 +101,7 @@ class SampledWavefunction:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: UniformGrid1D, values) -> None:
-        vals = _as_array(values, (grid.count,), np.complex128)
+        vals = _frozen_array(values, (grid.count,), np.complex128)
         norm2 = float(trapezoid_integrate(np.abs(vals) ** 2, grid.step).real)
         if abs(norm2 - 1.0) > NORM_TOL:
             raise ValueError(

@@ -27,7 +27,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import MissingAnchorError, NodeAtOriginError, UnsupportedSizeError
-from .grid import SampledWavefunction, UniformGrid1D, trapezoid_integrate, trapezoid_weights
+from .grid import (
+    SampledWavefunction,
+    UniformGrid1D,
+    _frozen_array,
+    trapezoid_integrate,
+    trapezoid_weights,
+)
 from .tomography import FresnelTomogram, TomogramPlane, _bilinear
 
 __all__ = [
@@ -51,6 +57,14 @@ HERMITICITY_TOL = 1e-8
 ANCHOR_FLOOR = 1e-12
 # psi(0) counts as a node when rho(0,0) is at most this fraction of max rho(x,x)
 ANCHOR_RATIO = 1e-3
+# points of rho(x, x) searched for that maximum
+DIAGONAL_SAMPLES = 401
+
+
+def _check_hermitian(mat: np.ndarray) -> None:
+    defect = float(np.max(np.abs(mat - mat.conj().T)))
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"hermiticity defect {defect} exceeds {HERMITICITY_TOL}")
 
 
 @dataclass(frozen=True)
@@ -67,17 +81,9 @@ class DensityMatrix:
     asymmetry: float = 0.0
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
         n = self.grid.count
-        if vals.shape != (n, n):
-            raise ValueError(f"density matrix shape {vals.shape}, expected {(n, n)}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("density matrix values must be finite")
-        defect = float(np.max(np.abs(vals - vals.conj().T)))
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"hermiticity defect {defect} exceeds {HERMITICITY_TOL}")
-        vals = np.array(vals)
-        vals.flags.writeable = False
+        vals = _frozen_array(self.values, (n, n), np.complex128)
+        _check_hermitian(vals)
         object.__setattr__(self, "values", vals)
 
     @staticmethod
@@ -101,21 +107,12 @@ class DensityMatrixNd:
 
     def __post_init__(self) -> None:
         shape = tuple(g.count for g in self.grids) * 2
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != shape:
-            raise ValueError(f"values shape {vals.shape}, expected {shape}")
-        mat = self.as_matrix(vals)
-        defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"hermiticity defect {defect} exceeds {HERMITICITY_TOL}")
-        vals = np.array(vals)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen_array(self.values, shape, np.complex128))
+        _check_hermitian(self.as_matrix())
 
-    def as_matrix(self, vals=None) -> np.ndarray:
-        v = self.values if vals is None else vals
+    def as_matrix(self) -> np.ndarray:
         n = int(np.prod([g.count for g in self.grids]))
-        return np.asarray(v).reshape(n, n)
+        return self.values.reshape(n, n)
 
     @staticmethod
     def from_raw(grids, raw) -> "DensityMatrixNd":
@@ -137,14 +134,7 @@ class WignerFunction:
 
     def __post_init__(self) -> None:
         shape = (self.grid_q.count, self.grid_p.count)
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != shape:
-            raise ValueError(f"values shape {vals.shape}, expected {shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("Wigner values must be finite")
-        vals = np.array(vals)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen_array(self.values, shape, np.float64))
 
     def normalization(self) -> float:
         col = np.trapezoid(self.values, dx=self.grid_p.step, axis=1)
@@ -162,12 +152,8 @@ class PsiAutocorrelation:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.grid_nu.count,):
-            raise ValueError("autocorrelation length does not match its grid")
-        vals = np.array(vals)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        shape = (self.grid_nu.count,)
+        object.__setattr__(self, "values", _frozen_array(self.values, shape, np.complex128))
 
 
 @dataclass(frozen=True)
@@ -402,7 +388,9 @@ def _plane_nu_axis(planes: Sequence[TomogramPlane]) -> tuple[list[TomogramPlane]
     return ordered, UniformGrid1D(float(nus[0]), step, int(nus.size)), anchor
 
 
-def reconstruct_psi(planes: Sequence[TomogramPlane]) -> PsiReconstruction:
+def reconstruct_psi(
+    planes: Sequence[TomogramPlane], cfg: InversionConfig = InversionConfig()
+) -> PsiReconstruction:
     """Wavefunction from a symmetric sweep of fixed-nu planes.
 
     The nu grid must be uniform, symmetric, and contain nu=0 exactly. psi is
@@ -410,14 +398,18 @@ def reconstruct_psi(planes: Sequence[TomogramPlane]) -> PsiReconstruction:
     on the plane nu grid, scaled by the anchor rho(0, 0) = |psi(0)|^2.
     Tomograms are blind to one global phase; this pins psi(0) real positive.
     A state with psi(0) = 0 has no usable anchor and raises
-    NodeAtOriginError. The result is renormalized to unit L2 norm (the
+    NodeAtOriginError: rho(0, 0) is compared with max rho(x, x), read from
+    the nu=0 row over its whole unaliased window |x| <= pi/step_mu, so a
+    sweep narrower than the state cannot hide the state's peak. cfg's taper
+    masks the mu nodes. The result is renormalized to unit L2 norm (the
     pre-normalization norm is reported).
     """
     ordered, grid_nu, anchor_idx = _plane_nu_axis(planes)
-    table = _table_from_planes(ordered, InversionConfig().taper_fraction)
+    table = _table_from_planes(ordered, cfg.taper_fraction)
     column = np.array([row.rho(row.nu, 0.0) for row in table])
     s0 = column[anchor_idx]
-    peak = float(np.max(table[anchor_idx].rho(grid_nu.points, grid_nu.points).real))
+    x = np.linspace(-1.0, 1.0, DIAGONAL_SAMPLES) * np.pi / ordered[anchor_idx].grid_mu.step
+    peak = float(np.max(table[anchor_idx].rho(x, x).real))
     if s0.real <= ANCHOR_RATIO * peak:
         raise NodeAtOriginError(
             f"rho(0,0) = {s0.real:.3e} against max rho(x,x) = {peak:.3e} is consistent "

@@ -26,6 +26,7 @@ from .grid import (
     ComplexField1D,
     SampledWavefunction,
     UniformGrid1D,
+    _frozen_array,
     trapezoid_integrate,
     trapezoid_weights,
 )
@@ -55,6 +56,14 @@ EPS_NU = 1e-8
 NEGATIVITY_TOL = -1e-10
 
 
+def _tomogram_values(values, grid_a: UniformGrid1D, grid_b: UniformGrid1D) -> np.ndarray:
+    """Frozen samples on the (grid_a, grid_b) product grid; a tomogram is nonnegative."""
+    vals = _frozen_array(values, (grid_a.count, grid_b.count), np.float64)
+    if vals.min(initial=0.0) < NEGATIVITY_TOL:
+        raise ValueError(f"tomogram values must be nonnegative, min {vals.min()}")
+    return vals
+
+
 @dataclass(frozen=True)
 class TomogramPlane:
     """Tomogram samples on a product (X, mu) grid at one fixed nu."""
@@ -65,17 +74,9 @@ class TomogramPlane:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        shape = (self.grid_x.count, self.grid_mu.count)
-        if vals.shape != shape:
-            raise ValueError(f"plane values shape {vals.shape}, expected {shape}")
         if not np.isfinite(self.nu):
             raise ValueError("nu must be finite")
-        if vals.min(initial=0.0) < NEGATIVITY_TOL:
-            raise ValueError(f"tomogram values must be nonnegative, min {vals.min()}")
-        vals = np.array(vals)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _tomogram_values(self.values, self.grid_x, self.grid_mu))
 
 
 @dataclass(frozen=True)
@@ -90,15 +91,7 @@ class FresnelTomogram:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        shape = (self.grid_x.count, self.grid_nu.count)
-        if vals.shape != shape:
-            raise ValueError(f"tomogram values shape {vals.shape}, expected {shape}")
-        if vals.min(initial=0.0) < NEGATIVITY_TOL:
-            raise ValueError(f"tomogram values must be nonnegative, min {vals.min()}")
-        vals = np.array(vals)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _tomogram_values(self.values, self.grid_x, self.grid_nu))
 
     def norms_over_x(self) -> np.ndarray:
         """Integral over X for every nu; 1 to within 1e-4 when the grid covers the field."""
@@ -114,15 +107,9 @@ class OpticalTomogram:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        shape = (self.grid_x.count, self.grid_theta.count)
-        if vals.shape != shape:
-            raise ValueError(f"tomogram values shape {vals.shape}, expected {shape}")
-        if vals.min(initial=0.0) < NEGATIVITY_TOL:
-            raise ValueError(f"tomogram values must be nonnegative, min {vals.min()}")
-        vals = np.array(vals)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(
+            self, "values", _tomogram_values(self.values, self.grid_x, self.grid_theta)
+        )
 
 
 def symplectic_tomogram(psi: SampledWavefunction, X: float, mu: float, nu: float) -> float:
@@ -268,10 +255,7 @@ class NdWavefunction:
         n = len(self.grids)
         if n not in (1, 2, 3):
             raise UnsupportedSizeError(f"supported dimensions are 1..3, got {n}")
-        vals = np.asarray(self.values, dtype=np.complex128)
-        shape = tuple(g.count for g in self.grids)
-        if vals.shape != shape:
-            raise ValueError(f"values shape {vals.shape}, expected {shape}")
+        vals = _frozen_array(self.values, tuple(g.count for g in self.grids), np.complex128)
         # no norm gate here: unnormalized tensors (even all-zero) are legal
         # inputs to the forward transforms
         if self.separable_factors is not None:
@@ -282,8 +266,6 @@ class NdWavefunction:
                 outer = np.multiply.outer(outer, f.values)
             if np.max(np.abs(outer - vals)) > 1e-10:
                 raise ValueError("separable_factors outer product does not match values")
-        vals = np.array(vals)
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property

@@ -323,15 +323,18 @@ def test_reconstruct_accepts_shell_expanded_paths(chirped_planes, monkeypatch):
     assert rec.grid.count == 3
 
 
-def test_reconstruct_psi_node_at_origin(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("nu_max,count", [("1", "21"), ("0.1", "3")])
+def test_reconstruct_psi_node_at_origin(tmp_path, monkeypatch, capsys, nu_max, count):
     # first excited state, psi(0) = 0: the anchor is quadrature noise; the
-    # 0.1 plane spacing matches the reference sweep, where that noise is positive
+    # 0.1 plane spacing matches the reference sweep, where that noise is
+    # positive. The +-0.1 sweep is far narrower than the state: the node
+    # check must still see the state's peak.
     monkeypatch.chdir(tmp_path)
     g = UniformGrid1D.symmetric(8.0, 1025)
     psi = SampledWavefunction.normalized(g, g.points * np.exp(-(g.points**2) / 2.0))
-    fileio.write_wavefunction("excited.txt", psi, {}, "first excited state")
+    fileio.write_file("excited.txt", psi, {}, "first excited state")
     assert run("tomogram", "--input", "excited.txt",
-               "--nu-min", "-1", "--nu-max", "1", "--nu-count", "21",
+               "--nu-min", "-" + nu_max, "--nu-max", nu_max, "--nu-count", count,
                "--output", "e_{index}.txt") == 0
     capsys.readouterr()
     assert run("reconstruct", "--input", "e_*.txt", "--target", "psi",
@@ -339,10 +342,41 @@ def test_reconstruct_psi_node_at_origin(tmp_path, monkeypatch, capsys):
     assert "psi(0)=0" in capsys.readouterr().err
 
 
+def test_reconstruct_psi_taper(chirped_planes, monkeypatch):
+    monkeypatch.chdir(chirped_planes)
+    values = {}
+    for taper in (None, "0.2", "0", "0.5"):
+        flags = [] if taper is None else ["--taper", taper]
+        assert run("reconstruct", "--input", "pl_*.txt", "--target", "psi", *flags,
+                   "--output", "tap.txt") == 0
+        values[taper] = fileio.read_file(chirped_planes / "tap.txt")[1].values
+    assert values[None].tobytes() == values["0.2"].tobytes()
+    assert not np.array_equal(values["0"], values["0.5"])
+
+
+@pytest.mark.parametrize("corruption", ["coordinate", "nan", "inf"])
+def test_reconstruct_corrupt_plane_exits_3(chirped_planes, tmp_path, monkeypatch,
+                                           capsys, corruption):
+    monkeypatch.chdir(tmp_path)
+    for i in (29, 30, 31):
+        (tmp_path / f"pl_{i}.txt").write_text((chirped_planes / f"pl_{i}.txt").read_text())
+    lines = (tmp_path / "pl_30.txt").read_text().splitlines()
+    parts = lines[5].split()
+    if corruption == "coordinate":
+        parts[0] = repr(float(parts[0]) + 0.01)
+    else:
+        parts[2] = corruption
+    lines[5] = " ".join(parts)
+    (tmp_path / "pl_30.txt").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("reconstruct", "--input", "pl_*.txt", "--target", "psi",
+               "--output", "rec.txt") == 3
+    assert "pl_30.txt:6" in capsys.readouterr().err
+
+
 def test_reconstruct_rho_diagnostics(chirped_planes, monkeypatch, capsys):
     monkeypatch.chdir(chirped_planes)
     assert run("reconstruct", "--input", "pl_*.txt", "--target", "rho",
-               "--mu-window", "12", "--samples", "32",
                "--output", "rho.txt") == 0
     err = capsys.readouterr().err
     assert "asymmetry=" in err and "trace_step=" in err

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wavetomo.analytic import (
     GcfParams,
@@ -17,20 +19,9 @@ from wavetomo.analytic import (
     gcf_width,
 )
 from wavetomo.errors import ManifestError
-from wavetomo.fileio import (
-    Manifest,
-    WidthMap,
-    read_file,
-    write_autocorrelation,
-    write_density_matrix,
-    write_fresnel,
-    write_optical,
-    write_plane,
-    write_wavefunction,
-    write_width_map,
-    write_wigner,
-)
-from wavetomo.grid import UniformGrid1D
+from wavetomo.cli import golden_dir
+from wavetomo.fileio import _KINDS, Manifest, WidthMap, read_file, write_file
+from wavetomo.grid import SampledWavefunction, UniformGrid1D
 from wavetomo.reconstruct import DensityMatrix, PsiAutocorrelation, WignerFunction
 from wavetomo.tomography import FresnelTomogram, OpticalTomogram, TomogramPlane
 
@@ -44,7 +35,7 @@ def _grids_equal(a: UniformGrid1D, b: UniformGrid1D) -> bool:
 def test_wavefunction_round_trip(tmp_path):
     psi = gcf_sampled(P, UniformGrid1D.symmetric(5.0, 65))
     path = tmp_path / "psi.txt"
-    m = write_wavefunction(path, psi, params={"sigma": 1.0}, provenance="unit test")
+    m = write_file(path, psi, params={"sigma": 1.0}, provenance="unit test")
     m2, payload = read_file(path)
     assert m2.kind == "wavefunction" and m2.params["sigma"] == 1.0
     assert m2.provenance == "unit test"
@@ -57,7 +48,7 @@ def test_autocorrelation_round_trip(tmp_path):
     g = UniformGrid1D.symmetric(3.0, 41)
     ac = PsiAutocorrelation(g, gcf_autocorrelation(P, g.points))
     path = tmp_path / "ac.txt"
-    write_autocorrelation(path, ac)
+    write_file(path, ac)
     _, payload = read_file(path)
     assert np.array_equal(payload.values, ac.values)
 
@@ -66,7 +57,7 @@ def test_width_map_round_trip(tmp_path):
     g = UniformGrid1D.symmetric(2.0, 21)
     wm = WidthMap(g, np.array([gcf_width(P, 1.0, nu) for nu in g.points]))
     path = tmp_path / "wm.txt"
-    write_width_map(path, wm)
+    write_file(path, wm)
     _, payload = read_file(path)
     assert isinstance(payload, WidthMap)
     assert np.array_equal(payload.values, wm.values)
@@ -77,7 +68,7 @@ def test_plane_round_trip_and_blocking(tmp_path):
     gmu = UniformGrid1D.symmetric(2.0, 7)
     plane = gcf_plane_analytic(P, gx, gmu, 0.7)
     path = tmp_path / "plane.txt"
-    write_plane(path, plane, provenance="tomogram --nu 0.7")
+    write_file(path, plane, provenance="tomogram --nu 0.7")
     m, payload = read_file(path)
     assert isinstance(payload, TomogramPlane)
     assert payload.nu == 0.7
@@ -93,7 +84,7 @@ def test_optical_round_trip(tmp_path):
     vals = np.abs(np.random.default_rng(5).normal(size=(5, 7)))
     opt = OpticalTomogram(gx, gth, vals)
     path = tmp_path / "opt.txt"
-    write_optical(path, opt)
+    write_file(path, opt)
     m, payload = read_file(path)
     assert isinstance(payload, OpticalTomogram)
     assert m.params["variant"] == "optical"
@@ -106,7 +97,7 @@ def test_fresnel_round_trip(tmp_path):
     X, NU = np.meshgrid(gx.points, gnu.points, indexing="ij")
     wf = FresnelTomogram(gx, gnu, np.exp(-(X**2) / (1.0 + NU**2)))
     path = tmp_path / "fres.txt"
-    write_fresnel(path, wf)
+    write_file(path, wf)
     _, payload = read_file(path)
     assert isinstance(payload, FresnelTomogram)
     assert np.array_equal(payload.values, wf.values)
@@ -117,7 +108,7 @@ def test_density_matrix_round_trip(tmp_path):
     psi = gcf_psi(P, g.points)
     dm = DensityMatrix(g, np.outer(psi, psi.conj()), asymmetry=3.5e-9)
     path = tmp_path / "rho.txt"
-    write_density_matrix(path, dm)
+    write_file(path, dm)
     m, payload = read_file(path)
     assert isinstance(payload, DensityMatrix)
     assert payload.asymmetry == 3.5e-9
@@ -130,11 +121,103 @@ def test_wigner_round_trip(tmp_path):
     Q, Pm = np.meshgrid(gq.points, gp.points, indexing="ij")
     w = WignerFunction(gq, gp, np.exp(-(Q**2) - Pm**2) / math.pi, imag_residue=2e-12)
     path = tmp_path / "wig.txt"
-    write_wigner(path, w)
+    write_file(path, w)
     _, payload = read_file(path)
     assert isinstance(payload, WignerFunction)
     assert payload.imag_residue == 2e-12
     assert np.array_equal(payload.values, w.values)
+
+
+# finite float64 draws, with negative zero and subnormals forced into the mix
+FINITE = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072009e-308, 1e-310]),
+)
+
+
+def _draw_grid(data) -> UniformGrid1D:
+    return UniformGrid1D(
+        data.draw(st.floats(-1e3, 1e3)), data.draw(st.floats(1e-3, 10.0)),
+        data.draw(st.integers(2, 4)),
+    )
+
+
+def _draw_values(data, shape, nonnegative=False) -> np.ndarray:
+    n = int(np.prod(shape))
+    v = np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n))).reshape(shape)
+    return np.where(v < 0, -v, v) if nonnegative else v  # keeps -0.0
+
+
+def _draw_complex(data, shape) -> np.ndarray:
+    z = np.empty(shape, dtype=np.complex128)  # set parts apart: re + 1j*im loses -0.0
+    z.real = _draw_values(data, shape)
+    z.imag = _draw_values(data, shape)
+    return z
+
+
+def _draw_wavefunction(data):
+    g = _draw_grid(data)
+    z = _draw_complex(data, (g.count,))
+    if not np.any(np.abs(z) > 1e-100):
+        z[0] = 1.0  # normalizable
+    return SampledWavefunction.normalized(g, z)
+
+
+def _draw_pair(data, make, nonnegative=True):
+    ga, gb = _draw_grid(data), _draw_grid(data)
+    return make(ga, gb, _draw_values(data, (ga.count, gb.count), nonnegative))
+
+
+def _draw_density_matrix(data):
+    g = _draw_grid(data)
+    return DensityMatrix.from_raw(g, _draw_complex(data, (g.count, g.count)))
+
+
+ABS = st.floats(0.0, 1e6)
+DRAW_PAYLOAD = {
+    SampledWavefunction: _draw_wavefunction,
+    PsiAutocorrelation: lambda d: PsiAutocorrelation(
+        g := _draw_grid(d), _draw_complex(d, (g.count,))),
+    WidthMap: lambda d: WidthMap(g := _draw_grid(d), _draw_values(d, (g.count,))),
+    OpticalTomogram: lambda d: _draw_pair(d, OpticalTomogram),
+    TomogramPlane: lambda d: _draw_pair(
+        d, lambda a, b, v: TomogramPlane(d.draw(FINITE), a, b, v)),
+    FresnelTomogram: lambda d: _draw_pair(d, FresnelTomogram),
+    DensityMatrix: _draw_density_matrix,
+    WignerFunction: lambda d: _draw_pair(
+        d, lambda a, b, v: WignerFunction(a, b, v, d.draw(ABS)), nonnegative=False),
+}
+
+
+def test_every_kind_has_a_payload_strategy():
+    assert {k.payload for k in _KINDS} == set(DRAW_PAYLOAD)
+
+
+@pytest.mark.parametrize("kind", _KINDS, ids=lambda k: k.payload.__name__)
+@settings(derandomize=True, database=None, max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_round_trip_property(kind, data, tmp_path):
+    # write -> read is bit exact; write -> read -> write is byte identical
+    payload = DRAW_PAYLOAD[kind.payload](data)
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    write_file(first, payload, {"tag": "prop"}, "property test")
+    m, back = read_file(first)
+    assert type(back) is type(payload)
+    assert back.values.dtype == payload.values.dtype
+    assert back.values.shape == payload.values.shape
+    assert back.values.tobytes() == payload.values.tobytes()
+    write_file(second, back, m.params, m.provenance)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_golden_files_rewrite_byte_for_byte(tmp_path):
+    paths = sorted(golden_dir().glob("golden_*.txt"))
+    assert len(paths) == 10
+    for path in paths:
+        m, payload = read_file(path)
+        write_file(tmp_path / path.name, payload, m.params, m.provenance)
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +268,7 @@ def test_manifest_rejects_bad_magic_and_json():
 def _psi_file(tmp_path):
     psi = gcf_sampled(P, UniformGrid1D.symmetric(5.0, 33))
     path = tmp_path / "psi.txt"
-    write_wavefunction(path, psi)
+    write_file(path, psi)
     return path
 
 
@@ -235,7 +318,7 @@ def test_read_plane_without_nu_param(tmp_path):
     gx = UniformGrid1D.symmetric(1.0, 3)
     plane = TomogramPlane(0.4, gx, gx, np.ones((3, 3)))
     path = tmp_path / "plane.txt"
-    write_plane(path, plane)
+    write_file(path, plane)
     lines = path.read_text().splitlines()
     lines[0] = lines[0].replace('{"nu":0.4}', "{}")
     path.write_text("\n".join(lines) + "\n")
@@ -262,3 +345,28 @@ def test_stray_comment_lines_ignored(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     _, payload = read_file(path)
     assert payload.grid.count == 33
+
+
+def test_read_coordinate_mismatch(tmp_path):
+    path = _psi_file(tmp_path)
+    lines = path.read_text().splitlines()
+    parts = lines[12].split()
+    parts[0] = repr(float(parts[0]) + 1e-3)
+    lines[12] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestError, match=r"psi\.txt:13: coordinates do not match"):
+        read_file(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_read_non_finite_value(tmp_path, token):
+    gx = UniformGrid1D.symmetric(1.0, 3)
+    path = tmp_path / "plane.txt"
+    write_file(path, TomogramPlane(0.4, gx, gx, np.ones((3, 3))))
+    lines = path.read_text().splitlines()
+    parts = lines[3].split()
+    parts[2] = token
+    lines[3] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestError, match=r"plane\.txt:4: non-finite value"):
+        read_file(path)
