@@ -37,6 +37,7 @@ from .tomography import (
     fresnel_tomogram_nd,
     optical_from_fresnel,
     optical_tomogram,
+    optical_tomogram_map,
     plane_grids_for_slice,
     symplectic_from_fresnel,
     symplectic_tomogram,
@@ -96,7 +97,8 @@ __all__ = [
     "EPS_NU", "TomogramPlane", "FresnelTomogram",
     "OpticalTomogram", "NdWavefunction", "Moments",
     "symplectic_tomogram", "symplectic_tomogram_plane", "fresnel_tomogram",
-    "optical_tomogram", "symplectic_from_fresnel", "optical_from_fresnel",
+    "optical_tomogram", "optical_tomogram_map", "symplectic_from_fresnel",
+    "optical_from_fresnel",
     "symplectic_tomogram_nd", "fresnel_tomogram_nd", "wavefunction_moments",
     "plane_grids_for_slice",
     # inverse maps

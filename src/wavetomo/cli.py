@@ -10,7 +10,8 @@ Subcommands:
 Exit codes: 0 success; 1 validation-suite failure; 2 usage error; 3 file
 parse error; 4 degenerate point or vanishing anchor value; 5 missing nu=0
 anchor plane. Configuration precedence is flags > --config JSON > defaults;
-the effective settings are echoed into each output file's provenance.
+a JSON key must be a flag's dest (``x_count`` for ``--x-count``), or the run
+exits 2. The effective settings are echoed into each output file's provenance.
 ``NO_COLOR`` (or a non-tty stdout) disables the PASS/FAIL coloring.
 """
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .tomography import (
     TomogramPlane,
     fresnel_tomogram,
     optical_tomogram,
+    optical_tomogram_map,
     plane_grids_for_slice,
     symplectic_tomogram,
     symplectic_tomogram_nd,
@@ -123,6 +125,14 @@ def _load_config(args) -> dict:
         raise ManifestError(f"config JSON is malformed: {e}")
     if not isinstance(cfg, dict):
         raise ManifestError("config JSON must be an object of flag: value pairs")
+    # a key is valid when it names one of this subcommand's flags
+    known = {k for k in vars(args) if not k.startswith("_")} - {"func", "command", "config"}
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise UsageError(
+            f"config key(s) {', '.join(map(repr, unknown))} are not flags of "
+            f"{args.command!r}; valid keys: {', '.join(sorted(known))}"
+        )
     return cfg
 
 
@@ -242,11 +252,7 @@ def _cmd_tomogram(args) -> int:
             gt = _grid_from(eff, "theta", 0.0, math.pi, 65)
         effective = {"kind": kind, "x": [gx.start, gx.end, gx.count],
                      "theta": [gt.start, gt.end, gt.count]}
-        vals = np.empty((gx.count, gt.count))
-        for j, t in enumerate(gt.points):
-            for i, x in enumerate(gx.points):
-                vals[i, j] = optical_tomogram(psi, float(x), float(t))
-        fileio.write_file(out, OpticalTomogram(gx, gt, vals), meta,
+        fileio.write_file(out, optical_tomogram_map(psi, gx, gt), meta,
                           _provenance(args, effective))
         print(out)
         return 0

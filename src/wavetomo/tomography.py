@@ -12,6 +12,10 @@ special cases, and the scaling identity
 connecting them. All quadratures are composite trapezoid sums on the
 wavefunction's own grid; the caller is responsible for sampling psi finely
 enough for the oscillatory kernel (roughly step < 2*pi / ((|mu|*y_max + |X|)/|nu|)).
+
+Every gridded map (plane, Fresnel, optical) is one call to `_chirp_z_abs2`:
+with X and y both on uniform grids the sum over y is a chirp-z transform,
+one FFT convolution costing O((n_x + n_y) log) per row.
 """
 from __future__ import annotations
 
@@ -42,6 +46,7 @@ __all__ = [
     "symplectic_tomogram_plane",
     "fresnel_tomogram",
     "optical_tomogram",
+    "optical_tomogram_map",
     "symplectic_from_fresnel",
     "optical_from_fresnel",
     "symplectic_tomogram_nd",
@@ -129,6 +134,63 @@ def symplectic_tomogram(psi: SampledWavefunction, X: float, mu: float, nu: float
     return float(abs(integral) ** 2 / (2.0 * np.pi * abs(nu)))
 
 
+def _chirp_z_abs2(
+    rows: np.ndarray, grid_y: UniformGrid1D, grid_x: UniformGrid1D, nu
+) -> np.ndarray:
+    """|Sum_j rows[r, j] exp(-i X_k y_j / nu_r)|^2 for X_k on grid_x, shape (n_x, n_rows).
+
+    nu is one value for every row or one per row. With k and j counted from
+    the grid centres, X_k y_j / nu = (terms in k alone) + xc*y_j/nu + c*k*j,
+    c = dX*dy/nu, and Bluestein's k*j = (k^2 + j^2 - (k-j)^2)/2 makes the sum
+    one convolution with the chirp exp(i*c*m^2/2), done by FFT; the factors
+    of unit modulus in k drop out of |.|^2.
+    """
+    n_rows, n_y = rows.shape
+    n_x = grid_x.count
+    kc, jc = n_x // 2, n_y // 2
+    nu = np.reshape(np.asarray(nu, dtype=np.float64), (-1, 1))
+    c = grid_x.step * grid_y.step / nu
+    size = 1 << (n_x + n_y - 2).bit_length()  # >= n_x + n_y - 1, so no lag wraps
+    j = np.arange(n_y) - jc
+    buf = np.zeros((n_rows, size), np.complex128)
+    buf[:, :n_y] = rows * np.exp(-1j * (grid_x.point(kc) * grid_y.points / nu + c * (j * j) / 2))
+    lag = np.arange(size)
+    m = np.where(lag < n_x, lag, lag - size) - (kc - jc)  # (k - kc) - (j - jc), exact integers
+    chirp = np.exp(1j * (c * (m * m) / 2))
+    np.fft.fft(chirp, axis=1, out=chirp)
+    np.fft.fft(buf, axis=1, out=buf)
+    buf *= chirp
+    np.fft.ifft(buf, axis=1, out=buf)
+    amp = buf[:, :n_x]
+    return (amp.real**2 + amp.imag**2).T
+
+
+def _tomogram_columns(psi: SampledWavefunction, grid_x: UniformGrid1D, mu, nu) -> np.ndarray:
+    """w(X, mu_r, nu_r) for X on grid_x, one column per mu_r; nu is one value or one per column.
+
+    Columns at |nu| <= EPS_NU take the limit |psi(X/mu)|^2 / |mu|; the rest
+    are one chirp-z call, with one shared chirp when nu is a single value.
+    """
+    mu = np.asarray(mu, dtype=np.float64)
+    nu_r = np.broadcast_to(np.asarray(nu, dtype=np.float64), mu.shape)
+    flat = np.abs(nu_r) <= EPS_NU
+    if np.min(np.abs(mu[flat]), initial=np.inf) <= EPS_NU:
+        raise DegeneratePointError(
+            "a column at nu=0 has |mu| below threshold; the limit is undefined there"
+        )
+    out = np.empty((grid_x.count, mu.size))
+    out[:, flat] = psi.abs2_at(grid_x.points[:, None] / mu[flat]) / np.abs(mu[flat])
+    live = ~flat
+    if live.any():
+        nu_live = nu if np.ndim(nu) == 0 else nu_r[live]
+        y = psi.grid.points
+        weighted = psi.values * trapezoid_weights(y.size, psi.grid.step)
+        rows = weighted * np.exp(1j * (mu[live] / (2.0 * nu_r[live]))[:, None] * (y * y))
+        amp2 = _chirp_z_abs2(rows, psi.grid, grid_x, nu_live)
+        out[:, live] = amp2 / (2.0 * np.pi * np.abs(nu_r[live]))
+    return out
+
+
 def symplectic_tomogram_plane(
     psi: SampledWavefunction,
     grid_x: UniformGrid1D,
@@ -137,25 +199,10 @@ def symplectic_tomogram_plane(
 ) -> TomogramPlane:
     """Tomogram over a full (X, mu) product grid at fixed nu.
 
-    One chirp matrix and one matrix product per plane, so building planes for
-    many nu values stays affordable.
+    The mu columns share one nu, so the plane is one chirp-z call with one
+    chirp FFT; building planes for many nu values stays affordable.
     """
-    x = grid_x.points
-    mu = grid_mu.points
-    if abs(nu) <= EPS_NU:
-        if np.min(np.abs(mu)) <= EPS_NU:
-            raise DegeneratePointError(
-                "plane at nu=0 includes |mu| below threshold; the limit is undefined there"
-            )
-        vals = psi.abs2_at(x[:, None] / mu[None, :]) / np.abs(mu)[None, :]
-        return TomogramPlane(nu, grid_x, grid_mu, vals)
-    y = psi.grid.points
-    weighted = psi.values * trapezoid_weights(y.size, psi.grid.step)
-    chirp = np.exp((1j / (2.0 * nu)) * np.outer(y * y, mu))  # (n_y, n_mu)
-    kernel = np.exp((-1j / nu) * np.outer(x, y))  # (n_x, n_y)
-    amps = kernel @ (weighted[:, None] * chirp)
-    vals = (amps.real**2 + amps.imag**2) / (2.0 * np.pi * abs(nu))
-    return TomogramPlane(nu, grid_x, grid_mu, vals)
+    return TomogramPlane(nu, grid_x, grid_mu, _tomogram_columns(psi, grid_x, grid_mu.points, nu))
 
 
 def fresnel_tomogram(
@@ -165,24 +212,25 @@ def fresnel_tomogram(
 
     Rows at |nu| <= EPS_NU reduce to |psi(X)|^2.
     """
-    x = grid_x.points
-    y = psi.grid.points
-    weighted = psi.values * trapezoid_weights(y.size, psi.grid.step)
-    out = np.empty((grid_x.count, grid_nu.count))
-    for j in range(grid_nu.count):
-        nu = grid_nu.point(j)
-        if abs(nu) <= EPS_NU:
-            out[:, j] = psi.abs2_at(x)
-            continue
-        diff = x[:, None] - y[None, :]
-        amp = np.exp((1j / (2.0 * nu)) * diff * diff) @ weighted
-        out[:, j] = (amp.real**2 + amp.imag**2) / (2.0 * np.pi * abs(nu))
-    return FresnelTomogram(grid_x, grid_nu, out)
+    ones = np.ones(grid_nu.count)
+    return FresnelTomogram(grid_x, grid_nu, _tomogram_columns(psi, grid_x, ones, grid_nu.points))
 
 
 def optical_tomogram(psi: SampledWavefunction, X: float, theta: float) -> float:
     """Optical tomogram: the symplectic tomogram along (mu, nu) = (cos t, sin t)."""
     return symplectic_tomogram(psi, X, math.cos(theta), math.sin(theta))
+
+
+def optical_tomogram_map(
+    psi: SampledWavefunction, grid_x: UniformGrid1D, grid_theta: UniformGrid1D
+) -> OpticalTomogram:
+    """Optical tomogram over a product (X, theta) grid.
+
+    Rows at |sin t| <= EPS_NU reduce to |psi(X/cos t)|^2 / |cos t|.
+    """
+    theta = grid_theta.points
+    vals = _tomogram_columns(psi, grid_x, np.cos(theta), np.sin(theta))
+    return OpticalTomogram(grid_x, grid_theta, vals)
 
 
 def _bilinear(gx: UniformGrid1D, gy: UniformGrid1D, values: np.ndarray, x, y) -> np.ndarray:

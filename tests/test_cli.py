@@ -453,6 +453,20 @@ def test_config_error_codes(tmp_path, monkeypatch):
     assert run("gcf", "--sigma", "1", "--config", "absent.json") == 2
 
 
+@pytest.mark.parametrize("key", ["taperr", "mu_window", "func", "command", "config"])
+def test_config_unknown_key_is_usage_error(chirped_planes, tmp_path, capsys, key):
+    # a misspelled key, a removed flag, or a name argparse owns but no flag sets
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"taper": 0.3, key: 0.5}))
+    out = tmp_path / "rho.txt"
+    assert run("reconstruct", "--input", str(chirped_planes / "pl_*.txt"),
+               "--target", "rho", "--config", str(cfg), "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err
+    assert "'taper'" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 

@@ -22,6 +22,8 @@ from wavetomo.tomography import (
     fresnel_tomogram_nd,
     optical_from_fresnel,
     optical_tomogram,
+    optical_tomogram_map,
+    plane_grids_for_slice,
     symplectic_from_fresnel,
     symplectic_tomogram,
     symplectic_tomogram_nd,
@@ -63,6 +65,10 @@ def test_pinned_oblique_value(psi_plain):
 def test_degenerate_point_raises(psi_plain):
     with pytest.raises(DegeneratePointError):
         symplectic_tomogram(psi_plain, 0.3, 0.0, 0.0)
+    with pytest.raises(DegeneratePointError):  # the nu = 0 plane's mu grid holds mu = 0
+        symplectic_tomogram_plane(
+            psi_plain, UniformGrid1D.symmetric(1.0, 5), UniformGrid1D.symmetric(1.0, 5), 0.0
+        )
 
 
 def test_homogeneity_loop(psi_chirped):
@@ -151,6 +157,48 @@ def test_optical_momentum_direction_against_fft(psi_plain):
     want = abs(ft) ** 2
     got = optical_tomogram(psi_plain, k, math.pi / 2.0)
     assert got == pytest.approx(want, abs=1e-9)
+
+
+# Chirp-z (FFT) maps against the scalar quadrature oracle
+
+
+@pytest.mark.parametrize("nu", [0.1, -0.1, 3.0])
+def test_plane_chirp_z_matches_scalar_oracle(nu):
+    # +-0.1 are the sweep's narrowest chirp planes (n_x = 1163, n_mu = 47 for the
+    # 1025-sample state of a 61-plane +-3 sweep); nu = 3 is its widest plane
+    psi = gcf_sampled(GcfParams(1.0, 1.0), count=1025)
+    gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi), 0.05)
+    if abs(nu) == 0.1:
+        assert (gx.count, gmu.count) == (1163, 47)
+    plane = symplectic_tomogram_plane(psi, gx, gmu, nu)
+    worst = 0.0
+    for i in range(0, gx.count, 7):
+        for j in range(gmu.count):
+            point = symplectic_tomogram(psi, gx.point(i), gmu.point(j), nu)
+            worst = max(worst, abs(plane.values[i, j] - point))
+    assert worst <= 1e-12
+
+
+def test_fresnel_chirp_z_rows_match_scalar_oracle():
+    psi = gcf_sampled(GcfParams(1.0, 2.0), count=1025)
+    gx = UniformGrid1D.symmetric(8.0, 481)
+    gnu = UniformGrid1D.symmetric(2.0, 161)  # nu = -2 .. 2 in steps of 0.025
+    wf = fresnel_tomogram(psi, gx, gnu)
+    # most negative nu, smallest |nu| on both sides, and the nu = 0 row
+    for j in (0, 79, 80, 81):
+        nu = gnu.point(j)
+        want = [symplectic_tomogram(psi, gx.point(i), 1.0, nu) for i in range(gx.count)]
+        assert np.max(np.abs(wf.values[:, j] - want)) <= 1e-12
+
+
+def test_optical_map_matches_scalar_oracle(psi_chirped):
+    gx = UniformGrid1D.symmetric(6.0, 121)
+    gt = UniformGrid1D(0.0, math.pi / 8.0, 9)  # holds 0, pi/2 and pi exactly
+    assert {gt.point(0), gt.point(4), gt.point(8)} == {0.0, math.pi / 2.0, math.pi}
+    ot = optical_tomogram_map(psi_chirped, gx, gt)
+    for j in range(gt.count):
+        want = [optical_tomogram(psi_chirped, gx.point(i), gt.point(j)) for i in range(gx.count)]
+        assert np.max(np.abs(ot.values[:, j] - want)) <= 1e-12
 
 
 def _fresnel_map(psi, half_x=8.0, nx=481, half_nu=2.0, nnu=161):
