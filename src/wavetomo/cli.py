@@ -9,9 +9,10 @@ Subcommands:
 
 Exit codes: 0 success; 1 validation-suite failure; 2 usage error; 3 file
 parse error; 4 degenerate point or vanishing anchor value; 5 missing nu=0
-anchor plane. Configuration precedence is flags > --config JSON > defaults;
-a JSON key must be a flag's dest (``x_count`` for ``--x-count``), or the run
-exits 2. The effective settings are echoed into each output file's provenance.
+anchor plane. gcf, tomogram and reconstruct take --config; precedence is
+flags > --config JSON > defaults, and a JSON key must be a flag's dest
+(``x_count`` for ``--x-count``), or the run exits 2. The effective
+settings are echoed into each output file's provenance.
 ``NO_COLOR`` (or a non-tty stdout) disables the PASS/FAIL coloring.
 """
 from __future__ import annotations
@@ -665,7 +666,6 @@ def build_parser() -> _Parser:
     n.add_argument("--input", action="append")
     n.add_argument("--point", required=True,
                    help='"X1,..;mu1,..;nu1,.." with one component per axis')
-    _add_config_flag(n)
     n.set_defaults(func=_cmd_tomogram_nd)
 
     r = sub.add_parser("reconstruct", help="invert tomogram planes")
@@ -683,7 +683,6 @@ def build_parser() -> _Parser:
     v = sub.add_parser("validate", help="run the oracle suite")
     v.add_argument("--level", choices=("fast", "full"), default="fast")
     v.add_argument("--golden-dir", dest="golden_dir")
-    _add_config_flag(v)
     v.set_defaults(func=_cmd_validate)
     return top
 

@@ -6,16 +6,21 @@ columns (coordinates first, then values; complex values as a real and an
 imaginary column). Floats are written with 17 significant digits, so a
 write-then-read round trip is bit exact. 2D kinds insert a blank line
 between blocks of constant first coordinate, which makes the files directly
-plottable as surfaces by gnuplot's nonuniform-matrix mode. Reading checks
-the coordinate columns exactly against the manifest grids and refuses
-non-finite values.
+plottable as surfaces by gnuplot's nonuniform-matrix mode.
+
+A coordinate must be the canonical text of its manifest grid point: the
+grid point written with "%.17g", as the writer prints it. Any other
+spelling of the same number ("1.0" for "1", "5e-1" for "0.5") is refused.
+The writer formats each grid point once and only the value columns per
+cell; the reader streams the data block from the open file into one
+structured array, compares the coordinate columns as bytes and parses only
+the value columns as floats. It also refuses non-finite values.
 
 One table, ``_KINDS``, says how each payload type is stored; the writer and
 the reader are both driven by it.
 """
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import warnings
@@ -149,9 +154,9 @@ class Manifest:
             raise ManifestError(f"manifest fields are invalid: {e}") from None
 
 
-def _coordinates(axes) -> list[np.ndarray]:
-    """One flat column per axis, row-major over the product grid."""
-    return [c.ravel() for c in np.meshgrid(*(g.points for g in axes), indexing="ij")]
+def _canonical(g: UniformGrid1D) -> list[str]:
+    """The "%.17g" text of each point of grid g: how the writer prints it."""
+    return ["%.17g" % x for x in g.points.tolist()]
 
 
 def write_file(path, payload, params=None, provenance="") -> Manifest:
@@ -168,49 +173,60 @@ def write_file(path, payload, params=None, provenance="") -> Manifest:
     if k.variant:
         p["variant"] = k.variant
     m = Manifest(k.kind, tuple(getattr(payload, g) for g in k.grids), p, provenance)
-    axes = [getattr(payload, a) for a in k.axes]
     v = payload.values.ravel()
-    values = [v.real, v.imag] if np.iscomplexobj(v) else [v]
-    table = np.column_stack(_coordinates(axes) + values)
-    # one format string per block of constant first coordinate (2D), or for
-    # the whole file (1D); consecutive blocks are separated by a blank line
-    row = " ".join(["%.17g"] * table.shape[1]) + "\n"
-    block = axes[-1].count
-    text = "\n".join([row * block] * (len(table) // block))
+    vals = v.view(np.float64) if np.iscomplexobj(v) else v  # re, im in column order
+    # coordinates are formatted once per grid point, values once per cell
+    *outer, inner = (_canonical(getattr(payload, a)) for a in k.axes)
+    cells = " %.17g" * (vals.size // v.size) + "\n"
+    rows = [c + cells for c in inner]
+    if outer:
+        # 2D: one block per first coordinate a, each row led by a; consecutive
+        # blocks are separated by a blank line
+        tails = [" " + r for r in rows]
+        text = "\n".join(a + a.join(tails) for a in outer[0])
+    else:
+        text = "".join(rows)
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{m.to_line()}\n# columns: {k.columns}\n")
-        f.write(text % tuple(table.ravel().tolist()))
+        f.write(text % tuple(vals.tolist()))
     return m
 
 
-def _data_lines(body: str):
-    """(file line number, fields) of every data line: not blank, not a comment."""
-    for ln, line in enumerate(body.splitlines(), start=2):
-        s = line.strip()
-        if s and not s.startswith("#"):
-            yield ln, s.split()
+def _data_lines(path):
+    """(file line number, fields) of every data line, the rows np.loadtxt
+    reads: "#" starts a comment, and a line left blank is no row."""
+    with open(path, encoding="utf-8") as f:
+        next(f, None)  # the manifest line
+        for ln, line in enumerate(f, start=2):
+            fields = line.split("#", 1)[0].split()
+            if fields:
+                yield ln, fields
 
 
-def _line_of(body: str, row: int) -> int:
+def _line_of(path, row: int) -> int:
     """File line number of the data row with the given index."""
-    return next(itertools.islice(_data_lines(body), int(row), None))[0]
+    return next(itertools.islice(_data_lines(path), int(row), None))[0]
 
 
-def _parse(path, body: str, n_cols: int) -> np.ndarray:
-    """All data rows as one (rows, n_cols) array; malformed lines are named."""
+def _parse(f, path, n_coords: int, n_values: int) -> np.ndarray:
+    """The rest of the open file as one record per data row: coordinate text
+    in field "c" (bytes, cut at 25), values in field "v"; malformed lines are
+    named. 25 bytes is one more than the longest "%.17g" text of a float64,
+    so a cut token never equals a canonical coordinate."""
+    dtype = np.dtype([("c", "S25", (n_coords,)), ("v", np.float64, (n_values,))])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows: the count check reports it
-            data = np.loadtxt(io.StringIO(body), ndmin=2)
-        if len(data) == 0 or data.shape[1] == n_cols:
-            return data
+            return np.loadtxt(f, dtype=dtype, ndmin=1)
     except ValueError:
         pass
-    for ln, fields in _data_lines(body):
-        if len(fields) != n_cols:
-            raise ManifestError(f"{path}:{ln}: expected {n_cols} columns, got {len(fields)}")
+    for ln, fields in _data_lines(path):
+        if len(fields) != n_coords + n_values:
+            raise ManifestError(
+                f"{path}:{ln}: expected {n_coords + n_values} columns, got {len(fields)}"
+            )
         try:
-            [float(f) for f in fields]
+            [float(x) for x in fields[n_coords:]]
         except ValueError:
             raise ManifestError(f"{path}:{ln}: non-numeric column") from None
     raise ManifestError(f"{path}: the data block does not parse as numbers")
@@ -221,42 +237,50 @@ def read_file(path):
 
     The payload type follows the manifest kind (tomogram_plane splits into
     TomogramPlane or OpticalTomogram on params.variant). All structural
-    problems, coordinates off the manifest grids and non-finite values raise
-    ManifestError; domain validation failures of the payload constructors
-    are wrapped into ManifestError as well.
+    problems, coordinates that are not the canonical text of their manifest
+    grid points and non-finite values raise ManifestError; domain
+    validation failures of the payload constructors are wrapped into
+    ManifestError as well.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
+        with open(path, encoding="utf-8") as f:
+            head = f.readline()
+            if not head:
+                raise ManifestError(f"{path} is empty")
+            manifest = Manifest.from_line(head.rstrip("\n"))
+            variant = manifest.params.get("variant")
+            k = next(r for r in _KINDS
+                     if r.kind == manifest.kind and r.variant in (None, variant))
+            grids = dict(zip(k.grids, manifest.grids))
+            axes = [grids[a] for a in k.axes]
+            data = _parse(f, path, len(axes), len(k.columns.split()) - len(axes))
+    except (OSError, UnicodeDecodeError) as e:
         raise ManifestError(f"cannot read {path}: {e}") from None
-    if not text:
-        raise ManifestError(f"{path} is empty")
-    head, _, body = text.partition("\n")
-    manifest = Manifest.from_line(head)
-    variant = manifest.params.get("variant")
-    k = next(r for r in _KINDS if r.kind == manifest.kind and r.variant in (None, variant))
-    grids = dict(zip(k.grids, manifest.grids))
-    axes = [grids[a] for a in k.axes]
-    shape = tuple(g.count for g in axes)
-    data = _parse(path, body, len(k.columns.split()))
 
+    shape = tuple(g.count for g in axes)
     n_rows = int(np.prod(shape))
     if len(data) < n_rows:
         raise ManifestError(f"{path}: expected {n_rows} data rows, found {len(data)}")
     if len(data) > n_rows:
         raise ManifestError(
-            f"{path}:{_line_of(body, n_rows)}: more data rows than the grids allow"
+            f"{path}:{_line_of(path, n_rows)}: more data rows than the grids allow"
         )
-    coords, values = data[:, : len(axes)], data[:, len(axes):]
-    off = np.flatnonzero((coords != np.column_stack(_coordinates(axes))).any(axis=1))
+    mismatch = np.zeros(shape, dtype=bool)
+    for i, g in enumerate(axes):
+        # the grid's canonical text along axis i, broadcast over the others
+        canon = np.array(_canonical(g), dtype="S25").reshape(
+            [-1 if j == i else 1 for j in range(len(shape))])
+        mismatch |= data["c"][:, i].reshape(shape) != canon
+    off = np.flatnonzero(mismatch)
     if off.size:
         raise ManifestError(
-            f"{path}:{_line_of(body, off[0])}: coordinates do not match the manifest grids"
+            f"{path}:{_line_of(path, off[0])}: coordinates do not match the manifest grids"
         )
+    values = data["v"]
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
-        raise ManifestError(f"{path}:{_line_of(body, bad[0])}: non-finite value")
+        raise ManifestError(f"{path}:{_line_of(path, bad[0])}: non-finite value")
     if values.shape[1] == 2:
         values = np.ascontiguousarray(values).view(np.complex128)
 

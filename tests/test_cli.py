@@ -467,6 +467,20 @@ def test_config_unknown_key_is_usage_error(chirped_planes, tmp_path, capsys, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("tomogram-nd", "--input", "g_psi.txt", "--point", "0.1;1;0.5"),
+    ("validate",),
+], ids=["tomogram-nd", "validate"])
+def test_config_flag_refused_where_unread(tmp_path, monkeypatch, capsys, argv):
+    # these subcommands read no settings a config file could supply
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    assert run(*argv, "--config", str(cfg)) == 2
+    assert "--config" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # validate
 

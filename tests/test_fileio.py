@@ -4,6 +4,7 @@ Every kind must survive write-then-read bit exactly; 17-significant-digit
 decimal serialization guarantees that for 64-bit floats.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,35 @@ def test_round_trip_property(kind, data, tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
+def _old_rendering(payload, kind) -> str:
+    """The data block as one "%.17g" per cell, row by row, with a blank line
+    between blocks of constant first coordinate (2D kinds)."""
+    axes = [getattr(payload, a) for a in kind.axes]
+    cols = [c.ravel() for c in np.meshgrid(*(g.points for g in axes), indexing="ij")]
+    v = payload.values.ravel()
+    cols += [v.real, v.imag] if np.iscomplexobj(v) else [v]
+    lines = []
+    for i, row in enumerate(zip(*cols)):
+        if len(axes) == 2 and i and i % axes[1].count == 0:
+            lines.append("")
+        lines.append(" ".join("%.17g" % x for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", _KINDS, ids=lambda k: k.payload.__name__)
+@settings(derandomize=True, database=None, max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_writer_matches_per_cell_formatting(kind, data, tmp_path):
+    # 1D, 2D, complex and repeated-grid (density matrix) kinds alike
+    payload = DRAW_PAYLOAD[kind.payload](data)
+    path = tmp_path / "w.txt"
+    write_file(path, payload)
+    header, columns, body = path.read_text(encoding="utf-8").split("\n", 2)
+    assert columns == f"# columns: {kind.columns}"
+    assert body == _old_rendering(payload, kind)
+
+
 def test_golden_files_rewrite_byte_for_byte(tmp_path):
     paths = sorted(golden_dir().glob("golden_*.txt"))
     assert len(paths) == 10
@@ -281,6 +311,13 @@ def test_read_missing_and_empty(tmp_path):
         read_file(empty)
 
 
+def test_read_not_utf8(tmp_path):
+    path = _psi_file(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 5))
+    with pytest.raises(ManifestError, match="cannot read"):
+        read_file(path)
+
+
 def test_read_wrong_column_count(tmp_path):
     path = _psi_file(tmp_path)
     lines = path.read_text().splitlines()
@@ -347,6 +384,18 @@ def test_stray_comment_lines_ignored(tmp_path):
     assert payload.grid.count == 33
 
 
+def test_trailing_comment_does_not_misname_a_later_error(tmp_path):
+    path = _psi_file(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[4] += " # a note"
+    parts = lines[9].split()
+    parts[1] = "x"
+    lines[9] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestError, match=r"psi\.txt:10: non-numeric column"):
+        read_file(path)
+
+
 def test_read_coordinate_mismatch(tmp_path):
     path = _psi_file(tmp_path)
     lines = path.read_text().splitlines()
@@ -370,3 +419,50 @@ def test_read_non_finite_value(tmp_path, token):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ManifestError, match=r"plane\.txt:4: non-finite value"):
         read_file(path)
+
+
+def _plane_file(tmp_path):
+    # X points such as -0.90000000000000002, mu points 0.5, 1, 1.5
+    gx, gmu = UniformGrid1D(-1.0, 0.1, 21), UniformGrid1D(0.5, 0.5, 3)
+    path = tmp_path / "plane.txt"
+    write_file(path, TomogramPlane(0.4, gx, gmu, np.ones((21, 3))))
+    return path
+
+
+@pytest.mark.parametrize("line, col, rewrite, equal", [
+    (7, 0, lambda t: repr(float(t)), True),  # -0.90000000000000002 -> -0.9
+    (4, 1, lambda t: t + ".0", True),  # 1 -> 1.0
+    (3, 1, lambda t: "5e-1", True),  # 0.5 -> 5e-1
+    (8, 0, lambda t: t + "000000000", True),  # past 25 bytes
+    (9, 1, lambda t: "abc", False),
+], ids=["shortest-repr", "trailing-zero", "exponent", "padded", "non-numeric"])
+def test_read_non_canonical_coordinate(tmp_path, line, col, rewrite, equal):
+    path = _plane_file(tmp_path)
+    lines = path.read_text().splitlines()
+    parts = lines[line - 1].split()
+    new = rewrite(parts[col])
+    assert new != parts[col]
+    if equal:  # the same number, spelled another way
+        assert float(new) == float(parts[col])
+    parts[col] = new
+    lines[line - 1] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestError,
+                       match=rf"plane\.txt:{line}: coordinates do not match"):
+        read_file(path)
+
+
+def test_read_peak_memory_is_about_the_file_size(tmp_path):
+    # the size of the reference sweep's nu=0 plane: 2253 X by 47 mu points
+    gx, gmu = UniformGrid1D.symmetric(11.0, 2253), UniformGrid1D.symmetric(1.0, 47)
+    vals = np.abs(np.random.default_rng(3).normal(size=(2253, 47)))
+    path = tmp_path / "plane.txt"
+    write_file(path, TomogramPlane(0.0, gx, gmu, vals))
+    tracemalloc.start()
+    try:
+        _, plane = read_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(plane.values, vals)
+    assert peak < 2 * path.stat().st_size
