@@ -23,7 +23,6 @@ from .grid import (
     ComplexField1D,
     SampledWavefunction,
     UniformGrid1D,
-    dft2_at,
     trapezoid_integrate,
 )
 from .tomography import (
@@ -92,7 +91,7 @@ __all__ = [
     "UnsupportedSizeError",
     # grids and fields
     "UniformGrid1D", "ComplexField1D", "SampledWavefunction",
-    "trapezoid_integrate", "dft2_at",
+    "trapezoid_integrate",
     # forward maps
     "EPS_NU", "TomogramPlane", "FresnelTomogram",
     "OpticalTomogram", "NdWavefunction", "Moments",

@@ -5,7 +5,7 @@ Subcommands:
   tomogram     compute a tomogram of a wavefunction file (symplectic/fresnel/optical)
   tomogram-nd  evaluate a product-state tomogram at one (X, mu, nu) tuple
   reconstruct  invert tomogram plane files to psi, the density matrix, or Wigner
-  validate     run the built-in oracle suite and golden-file checks
+  validate     run the oracle table of wavetomo.oracles, which the tests also run
 
 Exit codes: 0 success; 1 validation-suite failure; 2 usage error; 3 file
 parse error; 4 degenerate point or vanishing anchor value; 5 missing nu=0
@@ -29,18 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .analytic import (
-    GcfParams,
-    analytic_plane_set,
-    gcf_autocorrelation,
-    gcf_fresnel_analytic,
-    gcf_plane_analytic,
-    gcf_psi,
-    gcf_sampled,
-    gcf_tomogram_analytic,
-    gcf_tomogram_ft_analytic,
-    gcf_width,
-)
+from .analytic import GcfParams, gcf_fresnel_analytic, gcf_sampled, gcf_width
 from .errors import (
     DegeneratePointError,
     DomainLookupError,
@@ -51,7 +40,7 @@ from .errors import (
     UnsupportedSizeError,
     WavetomoError,
 )
-from .grid import ComplexField1D, SampledWavefunction, UniformGrid1D, dft2_at
+from .grid import ComplexField1D, SampledWavefunction, UniformGrid1D
 from .reconstruct import (
     InversionConfig,
     density_matrix_from_planes,
@@ -64,10 +53,8 @@ from .tomography import (
     OpticalTomogram,
     TomogramPlane,
     fresnel_tomogram,
-    optical_tomogram,
     optical_tomogram_map,
     plane_grids_for_slice,
-    symplectic_tomogram,
     symplectic_tomogram_nd,
     symplectic_tomogram_plane,
     wavefunction_moments,
@@ -84,25 +71,6 @@ class _Parser(argparse.ArgumentParser):
     # raise instead of exiting so main() owns the exit code
     def error(self, message):
         raise UsageError(message)
-
-
-GOLDEN_COMBOS = [
-    (s, a) for s in (0.5, 1.0) for a in (0.0, 0.5, 1.0, 2.0, 3.0)
-]
-GOLDEN_GRID_X = UniformGrid1D.symmetric(4.0, 41)
-GOLDEN_GRID_NU = UniformGrid1D.symmetric(2.0, 21)
-
-
-def _tag(v: float) -> str:
-    return ("%g" % v).replace(".", "p").replace("-", "m")
-
-
-def golden_name(sigma: float, alpha: float) -> str:
-    return f"golden_s{_tag(sigma)}_a{_tag(alpha)}.txt"
-
-
-def golden_dir() -> Path:
-    return Path(__file__).resolve().parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +148,7 @@ def _cmd_gcf(args) -> int:
     x_count = int(eff("x_count", 1025))
     gx = _grid_from(eff, "xp", -6.0, 6.0, 121)
     gn = _grid_from(eff, "nup", -3.0, 3.0, 61)
-    prefix = eff("output", f"gcf_s{_tag(sigma)}_a{_tag(alpha)}")
+    prefix = eff("output", f"gcf_s{fileio._tag(sigma)}_a{fileio._tag(alpha)}")
     effective = {
         "sigma": sigma, "alpha": alpha, "x_count": x_count,
         "xp": [gx.start, gx.end, gx.count], "nup": [gn.start, gn.end, gn.count],
@@ -404,226 +372,23 @@ def _cmd_reconstruct(args) -> int:
 # validate
 
 
-class _Report:
-    def __init__(self) -> None:
-        self.failures = 0
-        use_color = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
-        self._ok = "\x1b[32mPASS\x1b[0m" if use_color else "PASS"
-        self._bad = "\x1b[31mFAIL\x1b[0m" if use_color else "FAIL"
-
-    def check(self, name: str, ok: bool, detail: str) -> None:
-        tag = self._ok if ok else self._bad
-        if not ok:
-            self.failures += 1
-        print(f"{tag} {name}: {detail}")
-
-
-def _quad_tomogram(p: GcfParams, X: float, mu: float, nu: float, n: int = 4096) -> float:
-    psi = gcf_sampled(p, count=n)
-    return symplectic_tomogram(psi, X, mu, nu)
-
-
-def _validate_fast(rep: _Report, gdir: Path) -> None:
-    # closed form vs quadrature
-    worst = 0.0
-    for s, a in ((1.0, 0.0), (1.0, 1.0), (0.5, 3.0)):
-        p = GcfParams(s, a)
-        for X in (-2.0, 0.0, 2.0):
-            for mu in (-1.0, 0.5, 2.0):
-                for nu in (0.25, 1.0, 2.0):
-                    got = _quad_tomogram(p, X, mu, nu)
-                    worst = max(worst, abs(got - gcf_tomogram_analytic(p, X, mu, nu)))
-    rep.check("tomogram-closed-form", worst <= 1e-6, f"max dev vs quadrature {worst:.2e}")
-
-    # which width reading matches a numeric profile (the printed candidates differ off sigma=1)
-    p = GcfParams(0.5, 0.0)
-    mu, nu = 1.0, 0.5
-    w0 = _quad_tomogram(p, 0.0, mu, nu)
-    x_probe = 0.4
-    wx = _quad_tomogram(p, x_probe, mu, nu)
-    omega_fit = x_probe / math.sqrt(-math.log(wx / w0))
-    quartic = math.sqrt((4 * nu**2 + p.sigma**4 * mu**2) / (2 * p.sigma**2))
-    quadratic = math.sqrt((4 * nu**2 + p.sigma**2 * mu**2) / (2 * p.sigma**2))
-    ok = abs(omega_fit - quartic) <= 1e-6 and abs(omega_fit - quadratic) > 1e-2
-    rep.check(
-        "width-form-resolution", ok,
-        f"fitted width {omega_fit:.8f}; quartic-sigma form {quartic:.8f} matches, "
-        f"quadratic-sigma alternative {quadratic:.8f} deviates {abs(omega_fit - quadratic):.2e}",
-    )
-
-    # plane transform closed form vs direct 2D sum; the closed-form plane is
-    # legitimate input here because the first check ties it to quadrature at
-    # machine precision, and it lets the grids cover the wide edge columns
-    p = GcfParams(1.0, 1.0)
-    nu = 0.5
-    gx = UniformGrid1D.symmetric(40.0, 1601)
-    gmu = UniformGrid1D(-17.0, 0.1, 321)
-    plane = gcf_plane_analytic(p, gx, gmu, nu)
-    worst = 0.0
-    for om_x, om_mu in ((1.0, -0.25), (0.7, 0.3), (1.5, 0.0)):
-        got = dft2_at(gx, gmu, plane.values, om_x, om_mu)
-        want = gcf_tomogram_ft_analytic(p, om_x, om_mu, nu)
-        worst = max(worst, abs(got - want))
-    rep.check("plane-transform-closed-form", worst <= 1e-6, f"max dev {worst:.2e}")
-
-    slice_val = dft2_at(gx, gmu, plane.values, 1.0, -0.5 * nu)
-    want = gcf_autocorrelation(p, nu)
-    dev = abs(slice_val - want)
-    rep.check("autocorrelation-slice", dev <= 1e-6,
-              f"slice at (1, -nu/2) dev {dev:.2e} incl. chirp phase")
-
-    # homogeneity w(lX, lmu, lnu) = w/|l|
-    worst = 0.0
-    for s, a in ((1.0, 1.0), (0.5, 2.0)):
-        p = GcfParams(s, a)
-        psi = gcf_sampled(p, count=4097)
-        for lam in (-2.0, 0.5, 3.0):
-            base = symplectic_tomogram(psi, 0.7, 0.9, 0.6)
-            scaled = symplectic_tomogram(psi, lam * 0.7, lam * 0.9, lam * 0.6)
-            worst = max(worst, abs(scaled - base / abs(lam)) / base)
-    rep.check("homogeneity", worst <= 1e-8,
-              f"max rel dev {worst:.2e} over scale factors -2, 0.5, 3")
-
-    # which optical/Fresnel bridge holds
-    p = GcfParams(1.0, 1.0)
-    psi = gcf_sampled(p, count=4097)
-    dev_good = dev_alt = 0.0
-    for theta in (0.3, 1.0, 2.2):
-        for X in (-0.8, 0.4):
-            direct = optical_tomogram(psi, X, theta)
-            c, s_ = math.cos(theta), math.sin(theta)
-            good = gcf_tomogram_analytic(p, X / c, 1.0, s_ / c) / abs(c)
-            alt = gcf_tomogram_analytic(p, X / s_, 1.0, c / s_) / abs(s_)
-            dev_good = max(dev_good, abs(direct - good))
-            dev_alt = max(dev_alt, abs(direct - alt))
-    rep.check(
-        "optical-fresnel-bridge", dev_good <= 1e-6 and dev_alt > 1e-2,
-        f"(X/cos, tan)/|cos| form matches to {dev_good:.2e}; "
-        f"(X/sin, cot)/|sin| alternative deviates {dev_alt:.2e}",
-    )
-
-    # chirp shift: alpha state equals alpha=0 state at mu + 2*alpha*nu
-    pa = GcfParams(1.0, 2.0)
-    p0 = GcfParams(1.0, 0.0)
-    dev = max(
-        abs(gcf_tomogram_analytic(pa, X, mu, nu) - gcf_tomogram_analytic(p0, X, mu + 2 * 2.0 * nu, nu))
-        for X in (-1.0, 0.5)
-        for mu in (0.3, 1.2)
-        for nu in (0.4, 1.5)
-    )
-    rep.check("chirp-shift", dev <= 1e-12, f"max dev {dev:.2e}")
-
-    # mu=1 line of the symplectic map is the Fresnel map
-    p = GcfParams(1.0, 1.0)
-    psi = gcf_sampled(p, count=2049)
-    gx = UniformGrid1D.symmetric(4.0, 17)
-    gn = UniformGrid1D.symmetric(1.5, 7)
-    wf = fresnel_tomogram(psi, gx, gn)
-    dev = max(
-        abs(wf.values[i, j] - symplectic_tomogram(psi, float(gx.point(i)), 1.0, float(nu)))
-        for i in (0, 8, 16)
-        for j, nu in enumerate(gn.points)
-    )
-    rep.check("fresnel-is-mu1-line", dev <= 1e-10, f"max dev {dev:.2e}")
-
-    # each profile is a unit-mass distribution
-    gx_wide = UniformGrid1D.symmetric(12.0, 1201)
-    worst = 0.0
-    for s, a in ((1.0, 1.0), (0.5, 0.5)):
-        p = GcfParams(s, a)
-        for mu, nu in ((1.0, 0.5), (0.2, 1.5)):
-            prof = gcf_tomogram_analytic(p, gx_wide.points, mu, nu)
-            worst = max(worst, abs(float(np.trapezoid(prof, dx=gx_wide.step)) - 1.0))
-    rep.check("profile-normalization", worst <= 1e-4, f"max |integral - 1| {worst:.2e}")
-
-    p = GcfParams(1.0, 1.0)
-    psi = gcf_sampled(p, count=2049)
-    plane = symplectic_tomogram_plane(psi, UniformGrid1D.symmetric(6.0, 101),
-                                      UniformGrid1D.symmetric(4.0, 41), 0.7)
-    rep.check("nonnegativity", float(plane.values.min()) >= -1e-10,
-              f"min plane value {float(plane.values.min()):.2e}")
-
-    # peak shrink with chirp, and its softening at smaller width
-    heights = {}
-    for s in (1.0, 0.5):
-        hs = [gcf_tomogram_analytic(GcfParams(s, a), 0.0, 1.0, 0.5) for a in (0.5, 1.0, 2.0, 3.0)]
-        heights[s] = hs
-    mono = all(b < a for a, b in zip(heights[1.0], heights[1.0][1:]))
-    rel_1 = (heights[1.0][0] - heights[1.0][-1]) / heights[1.0][0]
-    rel_05 = (heights[0.5][0] - heights[0.5][-1]) / heights[0.5][0]
-    rep.check(
-        "chirp-peak-shrink", mono and rel_05 < rel_1,
-        f"relative drop {rel_1:.4f} at width 1 vs {rel_05:.4f} at width 0.5",
-    )
-
-    # golden files agree with the closed form
-    worst = -1.0
-    missing = []
-    for s, a in GOLDEN_COMBOS:
-        path = gdir / golden_name(s, a)
-        if not path.exists():
-            missing.append(path.name)
-            continue
-        _, wf = fileio.read_file(path)
-        want = gcf_fresnel_analytic(GcfParams(s, a), wf.grid_x, wf.grid_nu)
-        worst = max(worst, float(np.max(np.abs(wf.values - want.values))))
-    if missing:
-        rep.check("golden-files", False, f"missing {', '.join(missing)}")
-    else:
-        rep.check("golden-files", 0.0 <= worst <= 1e-12, f"max dev vs closed form {worst:.2e}")
-
-
-def _regen_golden(gdir: Path) -> list[str]:
-    gdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for s, a in GOLDEN_COMBOS:
-        p = GcfParams(s, a)
-        wf = gcf_fresnel_analytic(p, GOLDEN_GRID_X, GOLDEN_GRID_NU)
-        path = gdir / golden_name(s, a)
-        fileio.write_file(
-            path, wf, {"sigma": s, "alpha": a},
-            "wavetomo validate --level full (golden regeneration)",
-        )
-        written.append(str(path))
-    return written
-
-
-def _validate_full(rep: _Report, gdir: Path) -> None:
-    written = _regen_golden(gdir)
-    ok = all(Path(w).exists() for w in written)
-    rep.check("golden-regeneration", ok, f"rewrote {len(written)} files in {gdir}")
-
-    # round-trip bit-exactness on one regenerated file
-    path = gdir / golden_name(1.0, 1.0)
-    _, wf = fileio.read_file(path)
-    want = gcf_fresnel_analytic(GcfParams(1.0, 1.0), wf.grid_x, wf.grid_nu)
-    exact = np.array_equal(wf.values, want.values)
-    rep.check("golden-round-trip", exact, "read-back equals generator bit for bit")
-
-    # end-to-end wavefunction recovery on one chirped case
-    p = GcfParams(1.0, 1.0)
-    nus = np.linspace(-4.0, 4.0, 129)
-    planes = analytic_plane_set(p, [float(v) for v in nus])
-    rec = reconstruct_psi(planes)
-    target = gcf_psi(p, rec.psi.grid.points)
-    step = rec.psi.grid.step
-    err = np.sqrt(np.trapezoid(np.abs(rec.psi.values - target) ** 2, dx=step))
-    rep.check("end-to-end-psi", float(err) <= 1e-3,
-              f"relative L2 error {float(err):.2e} on a 129-plane sweep")
-
-
 def _cmd_validate(args) -> int:
-    level = args.level
-    gdir = Path(args.golden_dir) if args.golden_dir else golden_dir()
-    rep = _Report()
+    from . import oracles  # the other subcommands never load the oracle table
+
+    gdir = Path(args.golden_dir) if args.golden_dir else oracles.golden_dir()
+    color = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
+    tags = ("\x1b[31mFAIL\x1b[0m", "\x1b[32mPASS\x1b[0m") if color else ("FAIL", "PASS")
+    failures = 0
     t0 = time.monotonic()
-    if level == "full":
-        _validate_full(rep, gdir)
-    _validate_fast(rep, gdir)
+    for name, level, check in oracles.ORACLES:
+        if level == "fast" or args.level == "full":
+            ok, detail = check(gdir)
+            failures += not ok
+            print(f"{tags[bool(ok)]} {name}: {detail}")
     dt = time.monotonic() - t0
-    print(f"{'ok' if rep.failures == 0 else 'FAILED'}: "
-          f"{rep.failures} failure(s), level={level}, {dt:.1f}s")
-    return 0 if rep.failures == 0 else 1
+    print(f"{'ok' if failures == 0 else 'FAILED'}: "
+          f"{failures} failure(s), level={args.level}, {dt:.1f}s")
+    return 0 if failures == 0 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,11 @@ FORMAT_VERSION = "1"
 MAGIC = "#MANIFEST "
 
 
+def _tag(v: float) -> str:
+    """A number as output file names spell it: "%g" with p for "." and m for "-"."""
+    return ("%g" % v).replace(".", "p").replace("-", "m")
+
+
 @dataclass(frozen=True)
 class WidthMap:
     """Profile 1/e half-width along one parameter line; CLI convenience output."""

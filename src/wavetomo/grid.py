@@ -1,12 +1,10 @@
-"""Uniform grids, sampled fields and the small Fourier/quadrature primitives.
+"""Uniform grids, sampled fields and the trapezoid rule.
 
 Conventions used throughout the package:
 
 * grids are uniform, ascending, described by (start, step, count);
 * 2D values are row-major, ``values[i, j]`` belonging to
-  ``(grid_x.point(i), grid_y.point(j))``;
-* ``dft2_at`` evaluates a plain Riemann sum against true grid coordinates,
-  so frequencies are physical, never bin indices.
+  ``(grid_x.point(i), grid_y.point(j))``.
 """
 from __future__ import annotations
 
@@ -19,7 +17,6 @@ __all__ = [
     "ComplexField1D",
     "SampledWavefunction",
     "trapezoid_integrate",
-    "dft2_at",
 ]
 
 NORM_TOL = 1e-6
@@ -163,17 +160,3 @@ def trapezoid_integrate(values, step: float):
     if not (step > 0.0 and np.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
     return np.trapezoid(arr, dx=step)
-
-
-def dft2_at(
-    grid_x: UniformGrid1D, grid_y: UniformGrid1D, values, omega_x: float, omega_y: float
-) -> complex:
-    """Riemann-sum Fourier coefficient of 2D samples at an arbitrary frequency.
-
-    Computes (1/2pi) * sum_{n,m} f[n,m] exp(i*(omega_x*X_n + omega_y*Y_m)) * dX * dY
-    with X_n, Y_m the true grid coordinates. Exact frequencies, no bin snapping.
-    """
-    ex = np.exp(1j * omega_x * grid_x.points)
-    ey = np.exp(1j * omega_y * grid_y.points)
-    total = ex @ (np.asarray(values) @ ey)
-    return complex(total * grid_x.step * grid_y.step / (2.0 * np.pi))

@@ -1,0 +1,247 @@
+"""The oracle table that `wavetomo validate` and the acceptance tests both run.
+
+``ORACLES`` holds rows ``(name, level, check)`` in print order; level is
+"fast" or "full". ``check(gdir)`` measures against an independent oracle
+(quadrature, a closed form, or the golden files in ``gdir``) and returns
+``(ok, detail)``, the detail naming each measured number and its frozen
+tolerance (RESOLUTIONS.md).
+"""
+from __future__ import annotations
+
+import cmath
+import itertools
+import math
+from pathlib import Path
+
+import numpy as np
+
+from . import fileio
+from .analytic import (GcfParams, analytic_plane_set, gcf_autocorrelation,
+                       gcf_fresnel_analytic, gcf_plane_analytic, gcf_psi, gcf_sampled,
+                       gcf_tomogram_analytic, gcf_tomogram_ft_analytic)
+from .grid import UniformGrid1D
+from .reconstruct import InversionConfig, reconstruct_psi
+from .tomography import (fresnel_tomogram, optical_tomogram, symplectic_tomogram,
+                         symplectic_tomogram_plane)
+
+__all__ = ["ORACLES", "golden_dir", "golden_name"]
+
+GOLDEN_COMBOS = [(s, a) for s in (0.5, 1.0) for a in (0.0, 0.5, 1.0, 2.0, 3.0)]
+GOLDEN_GRID_X = UniformGrid1D.symmetric(4.0, 41)
+GOLDEN_GRID_NU = UniformGrid1D.symmetric(2.0, 21)
+
+# mu nodes of the slice planes: centred near the chirp-shifted ridges, and
+# the half-step offset keeps the degenerate mu = 0 column out
+SLICE_MU = UniformGrid1D(-17.05, 0.1, 322)
+
+
+def golden_name(sigma: float, alpha: float) -> str:
+    return f"golden_s{fileio._tag(sigma)}_a{fileio._tag(alpha)}.txt"
+
+
+def golden_dir() -> Path:
+    return Path(__file__).resolve().parent / "golden"
+
+
+def _plane_transform(grid_x, grid_y, values, omega_x: float, omega_y: float) -> complex:
+    """(1/2pi) Sum_{n,m} f[n,m] e^{i(omega_x X_n + omega_y Y_m)} dX dY, at exact frequencies."""
+    total = np.exp(1j * omega_x * grid_x.points) @ values @ np.exp(1j * omega_y * grid_y.points)
+    return complex(total * grid_x.step * grid_y.step / (2.0 * np.pi))
+
+
+def _psi_slice(p: GcfParams, nu: float, grid_x: UniformGrid1D) -> np.ndarray:
+    """psi(nu') conj(psi(0)), the plane transform at (1, -nu'/2), for nu' = -nu, 0, nu:
+    the characteristic table of closed-form planes on (grid_x, SLICE_MU), no taper."""
+    planes = [gcf_plane_analytic(p, grid_x, SLICE_MU, v) for v in (-nu, 0.0, nu)]
+    return reconstruct_psi(planes, InversionConfig(taper_fraction=0.0)).autocorrelation.values
+
+
+def _golden_regeneration(gdir: Path):
+    gdir.mkdir(parents=True, exist_ok=True)
+    for s, a in GOLDEN_COMBOS:
+        wf = gcf_fresnel_analytic(GcfParams(s, a), GOLDEN_GRID_X, GOLDEN_GRID_NU)
+        fileio.write_file(gdir / golden_name(s, a), wf, {"sigma": s, "alpha": a},
+                          "wavetomo validate --level full (golden regeneration)")
+    return all((gdir / golden_name(s, a)).exists() for s, a in GOLDEN_COMBOS), (
+        f"rewrote {len(GOLDEN_COMBOS)} files in {gdir}")
+
+
+def _golden_round_trip(gdir: Path):
+    _, wf = fileio.read_file(gdir / golden_name(1.0, 1.0))
+    want = gcf_fresnel_analytic(GcfParams(1.0, 1.0), wf.grid_x, wf.grid_nu)
+    return np.array_equal(wf.values, want.values), "read-back equals generator bit for bit"
+
+
+def _end_to_end_psi(gdir: Path):
+    p = GcfParams(1.0, 1.0)
+    rec = reconstruct_psi(analytic_plane_set(p, [float(v) for v in np.linspace(-4.0, 4.0, 129)]))
+    target = gcf_psi(p, rec.psi.grid.points)
+    err = float(np.sqrt(np.trapezoid(np.abs(rec.psi.values - target) ** 2, dx=rec.psi.grid.step)))
+    return err <= 1e-3, f"relative L2 error {err:.2e} (tol 1e-3) on a 129-plane sweep"
+
+
+def _tomogram_closed_form(gdir: Path):
+    worst = 0.0
+    for s, a in ((1.0, 0.0), (1.0, 1.0), (0.5, 3.0)):
+        p = GcfParams(s, a)
+        psi = gcf_sampled(p, count=4096)
+        for X, mu, nu in itertools.product((-2.0, 0.0, 2.0), (-1.0, 0.5, 2.0), (0.25, 1.0, 2.0)):
+            dev = abs(symplectic_tomogram(psi, X, mu, nu) - gcf_tomogram_analytic(p, X, mu, nu))
+            worst = max(worst, dev)
+    return worst <= 1e-6, f"max dev vs quadrature {worst:.2e} (tol 1e-6)"
+
+
+def _width_form_resolution(gdir: Path):
+    # which printed width reading matches a numeric profile (they differ off sigma = 1)
+    p = GcfParams(0.5, 0.0)
+    mu, nu, x_probe = 1.0, 0.5, 0.4
+    psi = gcf_sampled(p, count=4096)
+    w0, wx = (symplectic_tomogram(psi, X, mu, nu) for X in (0.0, x_probe))
+    omega_fit = x_probe / math.sqrt(-math.log(wx / w0))
+    quartic = math.sqrt((4 * nu**2 + p.sigma**4 * mu**2) / (2 * p.sigma**2))
+    quadratic = math.sqrt((4 * nu**2 + p.sigma**2 * mu**2) / (2 * p.sigma**2))
+    dev, alt = abs(omega_fit - quartic), abs(omega_fit - quadratic)
+    return dev <= 1e-6 and alt > 1e-2, (
+        f"fitted width {omega_fit:.8f}; quartic-sigma form {quartic:.8f} matches to {dev:.2e} "
+        f"(tol 1e-6), quadratic-sigma alternative {quadratic:.8f} deviates {alt:.2e} (over 1e-2)")
+
+
+def _plane_transform_closed_form(gdir: Path):
+    # closed-form planes are fair input (tomogram-closed-form ties them to quadrature);
+    # the window holds the slow mu decay at omega_X = 0.5 and the wide edge columns
+    p = GcfParams(1.0, 1.0)
+    gx = UniformGrid1D.symmetric(80.0, 1601)
+    gmu = UniformGrid1D(-30.0, 0.1, 601)
+    freqs = [(1.0, -0.25), (0.7, 0.3), (1.5, 0.0),
+             *itertools.product((0.5, 1.0, 2.0), (-1.0, 0.3, 1.0))]
+    worst = 0.0
+    for nu in (0.5, 0.8):
+        plane = gcf_plane_analytic(p, gx, gmu, nu)
+        for om_x, om_mu in freqs:
+            got = _plane_transform(gx, gmu, plane.values, om_x, om_mu)
+            worst = max(worst, abs(got - gcf_tomogram_ft_analytic(p, om_x, om_mu, nu)))
+    return worst <= 1e-6, f"max dev {worst:.2e} (tol 1e-6) over nu 0.5, 0.8 x 12 frequencies"
+
+
+def _autocorrelation_slice(gdir: Path):
+    nu = 0.5
+    gx = UniformGrid1D.symmetric(40.0, 1601)
+    dev = phase = 0.0
+    for a in (1.0, 2.0):
+        p = GcfParams(1.0, a)
+        s = complex(_psi_slice(p, nu, gx)[2])
+        dev = max(dev, abs(s - complex(gcf_autocorrelation(p, nu))))
+        phase = max(phase, abs(cmath.phase(s) - a * nu**2))
+    return dev <= 1e-6 and phase <= 1e-3, (
+        f"slice at (1, -nu/2) from the characteristic table, chirps 1 and 2: "
+        f"value dev {dev:.2e} (tol 1e-6), chirp phase dev {phase:.2e} (tol 1e-3)")
+
+
+def _homogeneity(gdir: Path):
+    # w(lX, lmu, lnu) = w / |l|
+    worst = 0.0
+    for s, a in ((1.0, 1.0), (0.5, 2.0)):
+        psi = gcf_sampled(GcfParams(s, a), count=4097)
+        base = symplectic_tomogram(psi, 0.7, 0.9, 0.6)
+        for lam in (-2.0, 0.5, 3.0):
+            scaled = symplectic_tomogram(psi, lam * 0.7, lam * 0.9, lam * 0.6)
+            worst = max(worst, abs(scaled - base / abs(lam)) / base)
+    return worst <= 1e-8, f"max rel dev {worst:.2e} (tol 1e-8) over scale factors -2, 0.5, 3"
+
+
+def _optical_fresnel_bridge(gdir: Path):
+    # which optical/Fresnel bridge holds
+    p = GcfParams(1.0, 1.0)
+    psi = gcf_sampled(p, count=4097)
+    dev_good = dev_alt = 0.0
+    for theta, X in itertools.product((0.3, 1.0, 2.2), (-0.8, 0.4)):
+        direct = optical_tomogram(psi, X, theta)
+        c, s = math.cos(theta), math.sin(theta)
+        good = gcf_tomogram_analytic(p, X / c, 1.0, s / c) / abs(c)
+        alt = gcf_tomogram_analytic(p, X / s, 1.0, c / s) / abs(s)
+        dev_good = max(dev_good, abs(direct - good))
+        dev_alt = max(dev_alt, abs(direct - alt))
+    return dev_good <= 1e-6 and dev_alt > 1e-2, (
+        f"(X/cos, tan)/|cos| form matches to {dev_good:.2e} (tol 1e-6); "
+        f"(X/sin, cot)/|sin| alternative deviates {dev_alt:.2e} (over 1e-2)")
+
+
+def _chirp_shift(gdir: Path):
+    # the alpha state equals the alpha = 0 state at mu + 2*alpha*nu
+    pa, p0 = GcfParams(1.0, 2.0), GcfParams(1.0, 0.0)
+    dev = max(
+        abs(gcf_tomogram_analytic(pa, X, mu, nu) - gcf_tomogram_analytic(p0, X, mu + 4.0 * nu, nu))
+        for X, mu, nu in itertools.product((-1.0, 0.5), (0.3, 1.2), (0.4, 1.5))
+    )
+    return dev <= 1e-12, f"max dev {dev:.2e} (tol 1e-12)"
+
+
+def _fresnel_is_mu1_line(gdir: Path):
+    psi = gcf_sampled(GcfParams(1.0, 1.0), count=2049)
+    gx = UniformGrid1D.symmetric(4.0, 17)
+    gn = UniformGrid1D.symmetric(1.5, 7)
+    wf = fresnel_tomogram(psi, gx, gn)
+    dev = max(abs(wf.values[i, j] - symplectic_tomogram(psi, gx.point(i), 1.0, float(nu)))
+              for i in (0, 8, 16) for j, nu in enumerate(gn.points))
+    return dev <= 1e-10, f"max dev {dev:.2e} (tol 1e-10)"
+
+
+def _profile_normalization(gdir: Path):
+    gx = UniformGrid1D.symmetric(12.0, 1201)
+    worst = 0.0
+    for s, a in ((1.0, 1.0), (0.5, 0.5)):
+        for mu, nu in ((1.0, 0.5), (0.2, 1.5)):
+            prof = gcf_tomogram_analytic(GcfParams(s, a), gx.points, mu, nu)
+            worst = max(worst, abs(float(np.trapezoid(prof, dx=gx.step)) - 1.0))
+    return worst <= 1e-4, f"max |integral - 1| {worst:.2e} (tol 1e-4)"
+
+
+def _nonnegativity(gdir: Path):
+    psi = gcf_sampled(GcfParams(1.0, 1.0), count=2049)
+    plane = symplectic_tomogram_plane(psi, UniformGrid1D.symmetric(6.0, 101),
+                                      UniformGrid1D.symmetric(4.0, 41), 0.7)
+    low = float(plane.values.min())
+    return low >= -1e-10, f"min plane value {low:.2e} (floor -1e-10)"
+
+
+def _chirp_peak_shrink(gdir: Path):
+    # peak strictly falls with chirp at width 1; the drop softens at width 0.5
+    h1, h05 = ([gcf_tomogram_analytic(GcfParams(s, a), 0.0, 1.0, 0.5)
+                for a in (0.0, 0.5, 1.0, 2.0, 3.0)] for s in (1.0, 0.5))
+    mono = all(b < a for a, b in zip(h1, h1[1:]))
+    rel_1, rel_05 = ((h[1] - h[-1]) / h[1] for h in (h1, h05))  # chirp 0.5 -> 3
+    return mono and rel_05 < rel_1, (
+        f"strictly decreasing over chirps 0..3 at width 1; relative drop {rel_1:.4f} "
+        f"at width 1 vs {rel_05:.4f} at width 0.5 (must be smaller)")
+
+
+def _golden_files(gdir: Path):
+    names = [golden_name(s, a) for s, a in GOLDEN_COMBOS]
+    missing = [n for n in names if not (gdir / n).exists()]
+    if missing:
+        return False, f"missing {', '.join(missing)}"
+    worst = 0.0
+    for name, (s, a) in zip(names, GOLDEN_COMBOS):
+        _, wf = fileio.read_file(gdir / name)
+        want = gcf_fresnel_analytic(GcfParams(s, a), wf.grid_x, wf.grid_nu)
+        worst = max(worst, float(np.max(np.abs(wf.values - want.values))))
+    return worst <= 1e-12, f"max dev vs closed form {worst:.2e} (tol 1e-12)"
+
+
+ORACLES = (
+    ("golden-regeneration", "full", _golden_regeneration),
+    ("golden-round-trip", "full", _golden_round_trip),
+    ("end-to-end-psi", "full", _end_to_end_psi),
+    ("tomogram-closed-form", "fast", _tomogram_closed_form),
+    ("width-form-resolution", "fast", _width_form_resolution),
+    ("plane-transform-closed-form", "fast", _plane_transform_closed_form),
+    ("autocorrelation-slice", "fast", _autocorrelation_slice),
+    ("homogeneity", "fast", _homogeneity),
+    ("optical-fresnel-bridge", "fast", _optical_fresnel_bridge),
+    ("chirp-shift", "fast", _chirp_shift),
+    ("fresnel-is-mu1-line", "fast", _fresnel_is_mu1_line),
+    ("profile-normalization", "fast", _profile_normalization),
+    ("nonnegativity", "fast", _nonnegativity),
+    ("chirp-peak-shrink", "fast", _chirp_peak_shrink),
+    ("golden-files", "fast", _golden_files),
+)

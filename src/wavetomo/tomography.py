@@ -98,10 +98,6 @@ class FresnelTomogram:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _tomogram_values(self.values, self.grid_x, self.grid_nu))
 
-    def norms_over_x(self) -> np.ndarray:
-        """Integral over X for every nu; 1 to within 1e-4 when the grid covers the field."""
-        return np.trapezoid(self.values, dx=self.grid_x.step, axis=0)
-
 
 @dataclass(frozen=True)
 class OpticalTomogram:

@@ -3,10 +3,13 @@
 Each criterion is checked at its stated tolerance against an independent
 oracle (direct quadrature, closed forms, or the tensor-product construction);
 the printed line records the measured number next to the tolerance so a
-failure is diagnosable from the log alone.
+failure is diagnosable from the log alone. The checks `wavetomo validate`
+runs are rows of `wavetomo.oracles.ORACLES`; `test_oracle` runs every row,
+fast and full, so they are not repeated here.
 """
 
 import math
+import shutil
 import time
 
 import numpy as np
@@ -16,14 +19,14 @@ from wavetomo.analytic import (
     GcfParams,
     analytic_plane_set,
     gcf_fresnel_source,
-    gcf_plane_analytic,
     gcf_psi,
     gcf_sampled,
     gcf_source,
     gcf_tomogram_analytic,
 )
 from wavetomo.cli import main as cli_main
-from wavetomo.grid import UniformGrid1D, dft2_at
+from wavetomo.grid import UniformGrid1D
+from wavetomo.oracles import ORACLES, golden_dir
 from wavetomo.reconstruct import (
     InversionConfig,
     reconstruct_density_matrix,
@@ -32,7 +35,7 @@ from wavetomo.reconstruct import (
     reconstruct_psi,
     reconstruct_wigner,
 )
-from wavetomo.tomography import fresnel_tomogram, symplectic_tomogram, symplectic_tomogram_plane
+from wavetomo.tomography import symplectic_tomogram
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -161,72 +164,6 @@ def test_criterion_5_wigner_reconstruction():
     )
 
 
-def test_criterion_6_property_suite():
-    # scale covariance, relative, over lambda in {-2, 0.5, 3}
-    homo = 0.0
-    for s, a in ((1.0, 1.0), (0.5, 2.0)):
-        psi = gcf_sampled(GcfParams(s, a), count=4097)
-        base = symplectic_tomogram(psi, 0.7, 0.9, 0.6)
-        for lam in (-2.0, 0.5, 3.0):
-            scaled = symplectic_tomogram(psi, lam * 0.7, lam * 0.9, lam * 0.6)
-            homo = max(homo, abs(scaled - base / abs(lam)) / base)
-
-    # unit mass of each profile
-    gx_wide = UniformGrid1D.symmetric(12.0, 1201)
-    norm = 0.0
-    for s, a in ((1.0, 1.0), (0.5, 0.5)):
-        p = GcfParams(s, a)
-        for mu, nu in ((1.0, 0.5), (0.2, 1.5)):
-            prof = gcf_tomogram_analytic(p, gx_wide.points, mu, nu)
-            norm = max(norm, abs(float(np.trapezoid(prof, dx=gx_wide.step)) - 1.0))
-
-    # nonnegativity of a numerically computed plane
-    psi = gcf_sampled(GcfParams(1.0, 1.0), count=2049)
-    plane = symplectic_tomogram_plane(
-        psi, UniformGrid1D.symmetric(6.0, 101), UniformGrid1D.symmetric(4.0, 41), 0.7
-    )
-    neg = float(plane.values.min())
-
-    # chirp shift: chirped state = unchirped at mu + 2*alpha*nu
-    pa, p0 = GcfParams(1.0, 2.0), GcfParams(1.0, 0.0)
-    shift = max(
-        abs(gcf_tomogram_analytic(pa, X, mu, nu)
-            - gcf_tomogram_analytic(p0, X, mu + 4.0 * nu, nu))
-        for X in (-1.0, 0.5) for mu in (0.3, 1.2) for nu in (0.4, 1.5)
-    )
-
-    # the mu=1 line of the three-argument map is the propagation map
-    psi_m = gcf_sampled(GcfParams(1.0, 1.0), count=2049)
-    gx = UniformGrid1D.symmetric(4.0, 17)
-    gn = UniformGrid1D.symmetric(1.5, 7)
-    wf = fresnel_tomogram(psi_m, gx, gn)
-    mu1 = max(
-        abs(wf.values[i, j] - symplectic_tomogram(psi_m, float(gx.point(i)), 1.0, float(nu)))
-        for i in (0, 8, 16) for j, nu in enumerate(gn.points)
-    )
-
-    # phase of the transform slice equals chirp * nu^2
-    phase = 0.0
-    for a in (1.0, 2.0):
-        p = GcfParams(1.0, a)
-        nu = 0.5
-        gxp = UniformGrid1D.symmetric(40.0, 1601)
-        gmu = UniformGrid1D(-17.0, 0.1, 321)
-        pl = gcf_plane_analytic(p, gxp, gmu, nu)
-        s = dft2_at(gxp, gmu, pl.values, 1.0, -0.5 * nu)
-        phase = max(phase, abs(float(np.angle(s)) - a * nu**2))
-
-    ok = (homo <= 1e-8 and norm <= 1e-4 and neg >= -1e-10
-          and shift <= 1e-8 and mu1 <= 1e-10 and phase <= 1e-3)
-    _report(
-        "criterion-6 property-suite",
-        ok,
-        f"homogeneity {homo:.1e} (1e-8), normalization {norm:.1e} (1e-4), "
-        f"min value {neg:.1e} (-1e-10), chirp-shift {shift:.1e} (1e-8), "
-        f"mu1-line {mu1:.1e} (1e-10), slice-phase {phase:.1e} (1e-3)",
-    )
-
-
 def test_criterion_7_peak_shrink_and_width_softening():
     alphas = (0.5, 1.0, 2.0, 3.0)
     heights = {
@@ -256,3 +193,12 @@ def test_criterion_8_validate_fast_budget(monkeypatch, capsys):
         rc == 0 and dt < 60.0 and resolved,
         f"exit {rc}, {dt:.1f}s (budget 60s), formula-ambiguity resolutions printed",
     )
+
+
+@pytest.mark.parametrize("name,level,check", ORACLES, ids=[row[0] for row in ORACLES])
+def test_oracle(name, level, check, tmp_path):
+    # a copy, so the full rows regenerate goldens outside the package tree
+    gdir = tmp_path / "golden"
+    shutil.copytree(golden_dir(), gdir)
+    ok, detail = check(gdir)
+    _report(f"oracle {name} ({level})", ok, detail)

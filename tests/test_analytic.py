@@ -28,7 +28,7 @@ from wavetomo.analytic import (
     wigner_direct,
 )
 from wavetomo.errors import DegeneratePointError, SingularFrequencyError
-from wavetomo.grid import UniformGrid1D, dft2_at
+from wavetomo.grid import UniformGrid1D
 from wavetomo.tomography import symplectic_tomogram
 
 PSI_0 = 0.8932438417380023  # (2/pi)^(1/4)
@@ -161,21 +161,6 @@ def test_ft_alpha_zero_is_real():
 def test_ft_singular_frequency_raises():
     with pytest.raises(SingularFrequencyError):
         gcf_tomogram_ft_analytic(GcfParams(1.0, 0.0), 0.0, 0.5, 0.5)
-
-
-def test_ft_matches_direct_transform():
-    # Window sized so truncation of the slow (1/omega) mu-profile stays under
-    # the tolerance at the hardest point omega_x = 0.5.
-    p = GcfParams(1.0, 1.0)
-    nu = 0.8
-    gx = UniformGrid1D.symmetric(45.0, 901)
-    gmu = UniformGrid1D.symmetric(20.0, 401)
-    plane = gcf_plane_analytic(p, gx, gmu, nu)
-    for om_x in (0.5, 1.0, 2.0):
-        for om_mu in (-1.0, 0.3, 1.0):
-            got = dft2_at(gx, gmu, plane.values, om_x, om_mu)
-            want = gcf_tomogram_ft_analytic(p, om_x, om_mu, nu)
-            assert got == pytest.approx(want, abs=1e-4)
 
 
 def test_wigner_direct_peak():

@@ -20,8 +20,9 @@ from wavetomo.analytic import (
     gcf_tomogram_analytic,
     gcf_width,
 )
-from wavetomo.cli import golden_dir, main
+from wavetomo.cli import main
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
+from wavetomo.oracles import golden_dir
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
@@ -499,3 +500,26 @@ def test_validate_fast_passes(monkeypatch, capsys):
     # the printed-formula disambiguations must be part of the fast level
     assert "width-form-resolution" in names
     assert "optical-fresnel-bridge" in names
+
+
+def test_validate_full_regenerates_goldens_byte_for_byte(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NO_COLOR", "1")
+    assert run("validate", "--level", "full", "--golden-dir", str(tmp_path)) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-1].startswith("ok:")
+    checks = [l for l in lines if l.startswith(("PASS", "FAIL"))]
+    assert len(checks) == 15
+    assert all(l.startswith("PASS") for l in checks)
+    bundled = sorted(golden_dir().glob("golden_*.txt"))
+    assert len(bundled) == 10
+    assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in bundled]
+    for p in bundled:
+        assert (tmp_path / p.name).read_bytes() == p.read_bytes()
+
+
+def test_validate_missing_goldens_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NO_COLOR", "1")
+    assert run("validate", "--golden-dir", str(tmp_path)) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert any(l.startswith("FAIL golden-files: missing golden_") for l in lines)
+    assert lines[-1].startswith("FAILED: 1 failure(s)")

@@ -20,9 +20,9 @@ from wavetomo.analytic import (
     gcf_width,
 )
 from wavetomo.errors import ManifestError
-from wavetomo.cli import golden_dir
 from wavetomo.fileio import _KINDS, Manifest, WidthMap, read_file, write_file
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
+from wavetomo.oracles import golden_dir
 from wavetomo.reconstruct import DensityMatrix, PsiAutocorrelation, WignerFunction
 from wavetomo.tomography import FresnelTomogram, OpticalTomogram, TomogramPlane
 

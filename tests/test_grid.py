@@ -1,4 +1,4 @@
-"""Grid, field, and transform primitive tests."""
+"""Grid, field, quadrature and plane-transform primitive tests."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,10 @@ import pytest
 from wavetomo.grid import (
     SampledWavefunction,
     UniformGrid1D,
-    dft2_at,
     trapezoid_integrate,
     trapezoid_weights,
 )
+from wavetomo.oracles import _plane_transform
 
 
 def test_grid_points_and_width():
@@ -50,7 +50,7 @@ def test_trapezoid_rejects_degenerate_input():
         trapezoid_integrate([1.0, 2.0], 0.0)
 
 
-def test_dft2_at_equals_direct_sum():
+def test_plane_transform_equals_direct_sum():
     gx = UniformGrid1D.symmetric(4.0, 17)
     gy = UniformGrid1D.symmetric(3.0, 13)
     X, Y = np.meshgrid(gx.points, gy.points, indexing="ij")
@@ -61,7 +61,7 @@ def test_dft2_at_equals_direct_sum():
         for j, y in enumerate(gy.points):
             acc += values[i, j] * np.exp(1j * (om_x * x + om_y * y))
     acc *= gx.step * gy.step / (2.0 * np.pi)
-    assert dft2_at(gx, gy, values, om_x, om_y) == pytest.approx(acc, abs=1e-13)
+    assert _plane_transform(gx, gy, values, om_x, om_y) == pytest.approx(acc, abs=1e-13)
 
 
 def test_wavefunction_norm_enforced():

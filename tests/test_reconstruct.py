@@ -13,7 +13,6 @@ from wavetomo.analytic import (
     GcfParams,
     analytic_plane_set,
     gcf_fresnel_source,
-    gcf_plane_analytic,
     gcf_psi,
     gcf_sampled,
     gcf_source,
@@ -26,7 +25,8 @@ from wavetomo.errors import (
     NodeAtOriginError,
     UnsupportedSizeError,
 )
-from wavetomo.grid import SampledWavefunction, UniformGrid1D, dft2_at
+from wavetomo.grid import SampledWavefunction, UniformGrid1D
+from wavetomo.oracles import _psi_slice
 from wavetomo.reconstruct import (
     DensityMatrix,
     InversionConfig,
@@ -51,7 +51,6 @@ from wavetomo.tomography import (
 )
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-SLICE_HALF = 0.6020755134639533 + 0.15373511832802772j
 
 
 # ---------------------------------------------------------------------------
@@ -114,28 +113,14 @@ def test_raised_cosine_taper_profile():
 
 
 # ---------------------------------------------------------------------------
-# autocorrelation slice: the plane transform at (1, -nu/2) is psi(nu) conj(psi(0))
-
-
-def _slice(plane):
-    return dft2_at(plane.grid_x, plane.grid_mu, plane.values, 1.0, -0.5 * plane.nu)
+# autocorrelation slice: the plane transform at (1, -nu/2) is psi(nu) conj(psi(0));
+# the chirped slice is the autocorrelation-slice row of wavetomo.oracles
 
 
 def test_psi_slice_anchor_plane():
-    p = GcfParams(1.0, 0.0)
-    gx = UniformGrid1D.symmetric(40.0, 4801)  # narrow near-zero-mu columns need the fine step
-    gmu = UniformGrid1D(-16.05, 0.1, 322)
-    s0 = _slice(gcf_plane_analytic(p, gx, gmu, 0.0))
-    assert s0 == pytest.approx(SQRT_2_OVER_PI, abs=1e-6)
-
-
-def test_psi_slice_chirped_value_and_phase():
-    p = GcfParams(1.0, 1.0)
-    gx = UniformGrid1D.symmetric(40.0, 1601)
-    gmu = UniformGrid1D(-17.05, 0.1, 322)  # centered on the chirp-shifted ridge
-    s = _slice(gcf_plane_analytic(p, gx, gmu, 0.5))
-    assert s == pytest.approx(SLICE_HALF, abs=1e-6)
-    assert np.angle(s) == pytest.approx(1.0 * 0.5**2, abs=1e-3)
+    # the characteristic table's nu = 0 row; narrow near-zero-mu columns need the fine X step
+    ac = _psi_slice(GcfParams(1.0, 0.0), 0.5, UniformGrid1D.symmetric(40.0, 4801))
+    assert ac[1] == pytest.approx(SQRT_2_OVER_PI, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +208,16 @@ def test_odd_state_anchor_vanishes():
 
     gx = UniformGrid1D.symmetric(48.0, 5761)
     gmu = UniformGrid1D(-13.05, 0.1, 262)
-    om = omega(gmu.points[None, :], 0.0)
     X = gx.points[:, None]
-    vals = (2.0 / math.sqrt(math.pi)) * X**2 / om**3 * np.exp(-(X**2) / om**2)
-    s0 = _slice(TomogramPlane(0.0, gx, gmu, vals))
-    assert abs(s0) <= 1e-6
+    planes = []
+    for nu in (-0.5, 0.0, 0.5):
+        om = omega(gmu.points[None, :], nu)
+        vals = (2.0 / math.sqrt(math.pi)) * X**2 / om**3 * np.exp(-(X**2) / om**2)
+        planes.append(TomogramPlane(nu, gx, gmu, vals))
+    # rho(0, 0), read from the characteristic table's nu = 0 row
+    dm = density_matrix_from_planes(planes, InversionConfig(taper_fraction=0.0))
+    assert dm.grid.point(1) == 0.0
+    assert abs(dm.values[1, 1]) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
