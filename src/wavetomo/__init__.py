@@ -65,6 +65,8 @@ from .analytic import (
     GcfParams,
     analytic_plane_set,
     density_matrix_direct,
+    gaussian2_psi,
+    gaussian2_tomogram,
     gcf_autocorrelation,
     gcf_fresnel_analytic,
     gcf_grid,
@@ -114,4 +116,5 @@ __all__ = [
     "gcf_fresnel_analytic", "gcf_autocorrelation", "gcf_tomogram_ft_analytic",
     "gcf_wigner_analytic", "gcf_source", "gcf_fresnel_source",
     "analytic_plane_set", "wigner_direct", "density_matrix_direct",
+    "gaussian2_psi", "gaussian2_tomogram",
 ]

@@ -6,6 +6,10 @@ Every transform of it is Gaussian, so each numerical path in this package has
 an exact target here. The closed forms below were pinned against quadrature
 before being frozen; see RESOLUTIONS.md for the evidence table.
 
+The two-mode Gaussian psi(x) ~ exp(-x^T A x / 2), entangled when A is not
+diagonal, gives the N = 2 paths a target that no product of one-mode states
+meets (gaussian2_psi, gaussian2_tomogram).
+
 wigner_direct and density_matrix_direct are the slow, assumption-free oracles
 for arbitrary sampled states.
 """
@@ -42,6 +46,8 @@ __all__ = [
     "gcf_wigner_analytic",
     "gcf_source",
     "gcf_fresnel_source",
+    "gaussian2_psi",
+    "gaussian2_tomogram",
     "analytic_plane_set",
     "wigner_direct",
     "density_matrix_direct",
@@ -210,6 +216,40 @@ def gcf_fresnel_source(p: GcfParams):
         return gcf_tomogram_analytic(p, Xp, 1.0, nup)
 
     return source
+
+
+def gaussian2_psi(A, x1, x2):
+    """Two-mode Gaussian (det A / pi^2)^(1/4) exp(-x^T A x / 2) at (x1, x2).
+
+    A is a real symmetric positive-definite 2x2 matrix; the state is a
+    product of one-mode states only when A is diagonal. Broadcasts.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    x1, x2 = np.asarray(x1, dtype=np.float64), np.asarray(x2, dtype=np.float64)
+    quad = A[0, 0] * x1**2 + 2.0 * A[0, 1] * x1 * x2 + A[1, 1] * x2**2
+    return (np.linalg.det(A) / np.pi**2) ** 0.25 * np.exp(-0.5 * quad)
+
+
+def gaussian2_tomogram(A, X1, X2, mu1, mu2, nu1, nu2):
+    """Symplectic tomogram of gaussian2_psi: a bivariate normal in (X1, X2).
+
+    Its covariance is M V M^T with M = [[mu1, nu1, 0, 0], [0, 0, mu2, nu2]]
+    and V the covariance of (q1, p1, q2, p2): position block A^-1 / 2,
+    momentum block A / 2, no position-momentum correlation (psi is real).
+    Undefined where one mode has mu = nu = 0. Broadcasts.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    Ai = np.linalg.inv(A)
+    X1, X2, mu1, mu2, nu1, nu2 = (np.asarray(v, dtype=np.float64)
+                                  for v in (X1, X2, mu1, mu2, nu1, nu2))
+    s11 = 0.5 * (mu1**2 * Ai[0, 0] + nu1**2 * A[0, 0])
+    s22 = 0.5 * (mu2**2 * Ai[1, 1] + nu2**2 * A[1, 1])
+    s12 = 0.5 * (mu1 * mu2 * Ai[0, 1] + nu1 * nu2 * A[0, 1])
+    det = s11 * s22 - s12**2
+    if np.any(det <= 0.0):
+        raise DegeneratePointError("tomogram undefined where a mode has mu = nu = 0")
+    quad = (s22 * X1**2 - 2.0 * s12 * X1 * X2 + s11 * X2**2) / det
+    return np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))
 
 
 def analytic_plane_set(

@@ -14,7 +14,8 @@ spelling of the same number ("1.0" for "1", "5e-1" for "0.5") is refused.
 The writer formats each grid point once and only the value columns per
 cell; the reader streams the data block from the open file into one
 structured array, compares the coordinate columns as bytes and parses only
-the value columns as floats. It also refuses non-finite values.
+the value columns as floats. It also refuses non-finite values and any NUL
+byte in the file.
 
 One table, ``_KINDS``, says how each payload type is stored; the writer and
 the reader are both driven by it.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import mmap
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -213,6 +215,21 @@ def _line_of(path, row: int) -> int:
     return next(itertools.islice(_data_lines(path), int(row), None))[0]
 
 
+def _refuse_nul(path) -> None:
+    """Raise naming the line of the first NUL byte in the file, if any. The
+    byte comparison of coordinates strips trailing NULs, so a token followed
+    by NULs would otherwise pass for its canonical text; one mapped
+    memchr-speed scan keeps the check off the per-line path."""
+    with open(path, "rb") as f:
+        if f.seek(0, 2) == 0:
+            return  # nothing to map; the manifest check reports the empty file
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            at = mm.find(b"\0")
+            if at >= 0:
+                line = mm[:at].count(b"\n") + 1
+                raise ManifestError(f"{path}:{line}: NUL byte")
+
+
 def _parse(f, path, n_coords: int, n_values: int) -> np.ndarray:
     """The rest of the open file as one record per data row: coordinate text
     in field "c" (bytes, cut at 25), values in field "v"; malformed lines are
@@ -242,13 +259,14 @@ def read_file(path):
 
     The payload type follows the manifest kind (tomogram_plane splits into
     TomogramPlane or OpticalTomogram on params.variant). All structural
-    problems, coordinates that are not the canonical text of their manifest
-    grid points and non-finite values raise ManifestError; domain
+    problems, NUL bytes, coordinates that are not the canonical text of
+    their manifest grid points and non-finite values raise ManifestError; domain
     validation failures of the payload constructors are wrapped into
     ManifestError as well.
     """
     path = Path(path)
     try:
+        _refuse_nul(path)
         with open(path, encoding="utf-8") as f:
             head = f.readline()
             if not head:

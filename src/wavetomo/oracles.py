@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .analytic import (GcfParams, analytic_plane_set, gcf_autocorrelation,
-                       gcf_fresnel_analytic, gcf_plane_analytic, gcf_psi, gcf_sampled,
-                       gcf_tomogram_analytic, gcf_tomogram_ft_analytic)
+from .analytic import (GcfParams, analytic_plane_set, gaussian2_psi, gaussian2_tomogram,
+                       gcf_autocorrelation, gcf_fresnel_analytic, gcf_plane_analytic, gcf_psi,
+                       gcf_sampled, gcf_tomogram_analytic, gcf_tomogram_ft_analytic)
 from .grid import UniformGrid1D
-from .reconstruct import InversionConfig, reconstruct_psi
-from .tomography import (fresnel_tomogram, optical_tomogram, symplectic_tomogram,
-                         symplectic_tomogram_plane)
+from .reconstruct import InversionConfig, reconstruct_density_matrix_nd, reconstruct_psi
+from .tomography import (NdWavefunction, fresnel_tomogram, optical_tomogram,
+                         symplectic_tomogram, symplectic_tomogram_nd, symplectic_tomogram_plane)
 
 __all__ = ["ORACLES", "golden_dir", "golden_name"]
 
@@ -137,6 +137,31 @@ def _autocorrelation_slice(gdir: Path):
         f"value dev {dev:.2e} (tol 1e-6), chirp phase dev {phase:.2e} (tol 1e-3)")
 
 
+def _entangled_two_mode(gdir: Path):
+    # psi ~ exp(-x^T A x / 2) with off-diagonal A: no product state, and the
+    # axis-swapped state differs by 4.9e-2 on the rho grid, so a swap of the
+    # two axes anywhere in the N = 2 path fails the rho tolerance
+    A = np.array([[1.0, 0.6], [0.6, 1.5]])
+    g = UniformGrid1D.symmetric(8.0, 301)
+    psi = NdWavefunction((g, g), gaussian2_psi(A, g.points[:, None], g.points[None, :]))
+    dev = 0.0
+    for X, mu, nu in (((0.3, -0.5), (0.8, -0.4), (0.6, 1.2)),
+                      ((-1.0, 0.7), (1.5, 0.5), (-0.7, 0.9)),
+                      ((0.2, 0.4), (-0.3, 1.0), (1.1, -0.5))):
+        want = float(gaussian2_tomogram(A, *X, *mu, *nu))
+        dev = max(dev, abs(symplectic_tomogram_nd(psi, X, mu, nu) - want) / want)
+    g3 = UniformGrid1D.symmetric(1.0, 3)
+    rho = reconstruct_density_matrix_nd(
+        lambda *a: gaussian2_tomogram(A, *a), (g3, g3),
+        InversionConfig(mu_window=16.0, samples_per_axis=48))
+    p3 = gaussian2_psi(A, g3.points[:, None], g3.points[None, :])
+    err = float(np.max(np.abs(rho.values - np.multiply.outer(p3, p3))))
+    return dev <= 4e-12 and err <= 2e-2, (
+        f"closed form vs symplectic_tomogram_nd at three points: max rel dev {dev:.2e} "
+        f"(tol 4e-12); reconstruct_density_matrix_nd on 3x3 over +-1 vs psi psi*: "
+        f"max dev {err:.2e} (tol 2e-2)")
+
+
 def _homogeneity(gdir: Path):
     # w(lX, lmu, lnu) = w / |l|
     worst = 0.0
@@ -232,6 +257,7 @@ ORACLES = (
     ("golden-regeneration", "full", _golden_regeneration),
     ("golden-round-trip", "full", _golden_round_trip),
     ("end-to-end-psi", "full", _end_to_end_psi),
+    ("entangled-two-mode", "full", _entangled_two_mode),
     ("tomogram-closed-form", "fast", _tomogram_closed_form),
     ("width-form-resolution", "fast", _width_form_resolution),
     ("plane-transform-closed-form", "fast", _plane_transform_closed_form),

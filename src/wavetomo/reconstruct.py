@@ -18,6 +18,8 @@ taper on its outer `taper_fraction`. Column integrals over X then use
 abscissas scaled per column (X = s*u with s = r_q*|mu| + r_p*|nu|): a fixed
 absolute X grid cannot resolve the near-delta columns at small |mu|+|nu|
 while covering the wide ones at the window edge with a fixed point budget.
+s depends on |nu| only, so the abscissas and column weights are computed
+once per |nu| and shared by the rows at +-nu; each row costs one source call.
 """
 from __future__ import annotations
 
@@ -283,10 +285,11 @@ Source = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 
 def _quad_nodes(cfg: InversionConfig):
-    """mu nodes with their trapezoid weights, and the scaled X abscissas u."""
+    """mu nodes with their trapezoid weights, and the scaled X abscissas u;
+    both are exact mirror images (x[::-1] == -x), so rows at +-nu share columns."""
     m = cfg.samples_per_axis
-    mu = np.linspace(-cfg.mu_window, cfg.mu_window, m)  # even m: no node at 0
-    u = np.linspace(-cfg.X_window, cfg.X_window, m)
+    h = np.linspace(-1.0, 1.0, m)[m // 2 :]  # the positive half; even m: no node at 0
+    mu, u = (np.concatenate([-w * h[::-1], w * h]) for w in (cfg.mu_window, cfg.X_window))
     return mu, trapezoid_weights(m, mu[1] - mu[0]), u
 
 
@@ -336,15 +339,17 @@ def _phase_column_weights(s: np.ndarray, u: np.ndarray) -> np.ndarray:
     return 0.5 * (R + np.conj(R[:, ::-1]))
 
 
-def _column_integrals(
-    source: Source, mu: np.ndarray, nu: float, u, extent
-) -> np.ndarray:
-    """Int w(X, mu_m, nu) e^{iX} dX for every mu node, scaled abscissas."""
+def _columns(nus, mu: np.ndarray, u: np.ndarray, extent):
+    """Yield (ns, Y, E) once per distinct |nu|: the indices ns of the nus with
+    that |nu|, the abscissas Y = s*u and the weights of _phase_column_weights
+    (s depends on |nu| only, so the rows at +-nu share them)."""
     rq, rp = extent
-    s = rq * np.abs(mu) + rp * abs(nu)
-    Y = s[:, None] * u[None, :]
-    w = source(Y, mu[:, None], nu)
-    return (w * _phase_column_weights(s, u)).sum(axis=1)
+    groups: dict[float, list[int]] = {}
+    for n, nu in enumerate(nus):
+        groups.setdefault(abs(float(nu)), []).append(n)
+    for a, ns in groups.items():
+        s = rq * np.abs(mu) + rp * a
+        yield ns, s[:, None] * u[None, :], _phase_column_weights(s, u)
 
 
 def _table_from_source(
@@ -356,12 +361,15 @@ def _table_from_source(
     the whole (mu, nu) plane); nu weights are the trapezoid rule over nus.
     """
     mu, wmu, u = _quad_nodes(cfg)
-    rows = []
-    for nu, w_nu in zip(nus, trapezoid_weights(len(nus), nus[1] - nus[0])):
-        r = np.hypot(mu, nu) if radial else mu
-        taper = raised_cosine_taper(r, cfg.mu_window, cfg.taper_fraction)
-        C = _column_integrals(source, mu, float(nu), u, extent)
-        rows.append(_Row(float(nu), float(w_nu), mu, C * (wmu * taper)))
+    w_nus = trapezoid_weights(len(nus), nus[1] - nus[0])
+    rows = [None] * len(nus)
+    for ns, Y, E in _columns(nus, mu, u, extent):
+        for n in ns:
+            nu = float(nus[n])
+            r = np.hypot(mu, nu) if radial else mu
+            taper = raised_cosine_taper(r, cfg.mu_window, cfg.taper_fraction)
+            C = (source(Y, mu[:, None], nu) * E).sum(axis=1)
+            rows[n] = _Row(nu, float(w_nus[n]), mu, C * (wmu * taper))
     return rows
 
 
@@ -565,8 +573,10 @@ def reconstruct_density_matrix_nd(
     N=1 delegates to the 1D path; N=2 runs the full 4-fold quadrature
     rho(X1, X2, X1', X2') = (1/2pi)^2 Int w(Y1, Y2, mu1, mu2, nu1, nu2)
     * prod_k exp(i*(Y_k - mu_k*(X_k + X_k')/2)) with nu_k = X_k - X_k'.
-    `source(X1, X2, mu1, mu2, nu1, nu2)` must broadcast. N >= 3 is not
-    supported (separable states factor into 1D reconstructions instead).
+    `source(X1, X2, mu1, mu2, nu1, nu2)` must broadcast. The cost is one
+    source call per (nu1, nu2) pair on the m^2 k^2 block of (mu, u) nodes;
+    column weights are computed once per |nu_k| and shared across +-nu_k.
+    N >= 3 is not supported (separable states factor into 1D instead).
     """
     grids = tuple(grids)
     n_axes = len(grids)
@@ -577,40 +587,30 @@ def reconstruct_density_matrix_nd(
         return DensityMatrixNd((grids[0],), dm.values, dm.asymmetry)
     if n_axes != 2:
         raise UnsupportedSizeError(f"general reconstruction supports N<=2, got {n_axes}")
-    g1, g2 = grids
-    (rq1, rp1), (rq2, rp2) = extents
     mu, wmu, u = _quad_nodes(cfg)
     wmu = wmu * raised_cosine_taper(mu, cfg.mu_window, cfg.taper_fraction)
-    x1, x2 = g1.points, g2.points
-    n1, n2 = g1.count, g2.count
-    raw = np.zeros((n1, n2, n1, n2), dtype=np.complex128)
-    for d1 in range(-(n1 - 1), n1):
-        nu1 = d1 * g1.step
-        s1 = rq1 * np.abs(mu) + rp1 * abs(nu1)
-        Y1 = s1[:, None] * u[None, :]
-        E1 = _phase_column_weights(s1, u)  # (m, k)
-        i1 = np.arange(max(0, d1), n1 + min(0, d1))
-        j1 = i1 - d1
-        b1 = 0.5 * (x1[i1] + x1[j1])
-        P1 = np.exp(-1j * np.outer(b1, mu)) * wmu[None, :]
-        for d2 in range(-(n2 - 1), n2):
-            nu2 = d2 * g2.step
-            s2 = rq2 * np.abs(mu) + rp2 * abs(nu2)
-            Y2 = s2[:, None] * u[None, :]
-            E2 = _phase_column_weights(s2, u)
-            w4 = source(
-                Y1[:, :, None, None],
-                Y2[None, None, :, :],
-                mu[:, None, None, None],
-                mu[None, None, :, None],
-                nu1,
-                nu2,
-            )
-            C2 = np.einsum("akbl,ak,bl->ab", w4, E1, E2, optimize=True)
-            i2 = np.arange(max(0, d2), n2 + min(0, d2))
-            j2 = i2 - d2
-            b2 = 0.5 * (x2[i2] + x2[j2])
-            P2 = np.exp(-1j * np.outer(b2, mu)) * wmu[None, :]
+    m, k = mu.size, u.size
+    axes = []  # per axis, per signed nu = d*step: (nu, Y, E, P, i, j)
+    for g, extent in zip(grids, extents):
+        ds = range(-(g.count - 1), g.count)
+        terms = [None] * len(ds)
+        for ns, Y, E in _columns([d * g.step for d in ds], mu, u, extent):
+            for n in ns:
+                d = ds[n]
+                i = np.arange(max(0, d), g.count + min(0, d))  # pairs (i, j): x_i - x_j = nu
+                P = np.exp(-1j * np.outer(0.5 * (g.points[i] + g.points[i - d]), mu)) * wmu
+                terms[n] = (d * g.step, Y, E, P, i, i - d)
+        axes.append(terms)
+    raw = np.zeros(tuple(g.count for g in grids) * 2, dtype=np.complex128)
+    for nu1, Y1, E1, P1, i1, j1 in axes[0]:
+        E1ri = E1.view(np.float64).reshape(m, k, 2).transpose(0, 2, 1)  # [Re E1; Im E1], a view
+        for nu2, Y2, E2, P2, i2, j2 in axes[1]:
+            w4 = source(Y1[:, :, None, None], Y2[None, None, :, :],
+                        mu[:, None, None, None], mu[None, None, :, None], nu1, nu2)
+            # C2[a, b] = Sum_kl w4[a, k, b, l] E1[a, k] E2[b, l]: the k sum as one
+            # real batched GEMM over the source block, then the l sum on its result
+            U = np.matmul(E1ri, w4.reshape(m, k, m * k))
+            C2 = np.einsum("abl,bl->ab", (U[:, 0] + 1j * U[:, 1]).reshape(m, m, k), E2)
             block = (P1 @ C2 @ P2.T) / (2.0 * np.pi) ** 2
             raw[i1[:, None], i2[None, :], j1[:, None], j2[None, :]] = block
     return DensityMatrixNd.from_raw(grids, raw)

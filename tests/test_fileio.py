@@ -429,14 +429,19 @@ def _plane_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("line, col, rewrite, equal", [
-    (7, 0, lambda t: repr(float(t)), True),  # -0.90000000000000002 -> -0.9
-    (4, 1, lambda t: t + ".0", True),  # 1 -> 1.0
-    (3, 1, lambda t: "5e-1", True),  # 0.5 -> 5e-1
-    (8, 0, lambda t: t + "000000000", True),  # past 25 bytes
-    (9, 1, lambda t: "abc", False),
-], ids=["shortest-repr", "trailing-zero", "exponent", "padded", "non-numeric"])
-def test_read_non_canonical_coordinate(tmp_path, line, col, rewrite, equal):
+MISMATCH = "coordinates do not match"
+
+
+@pytest.mark.parametrize("line, col, rewrite, equal, error", [
+    (7, 0, lambda t: repr(float(t)), True, MISMATCH),  # -0.90000000000000002 -> -0.9
+    (4, 1, lambda t: t + ".0", True, MISMATCH),  # 1 -> 1.0
+    (3, 1, lambda t: "5e-1", True, MISMATCH),  # 0.5 -> 5e-1
+    (8, 0, lambda t: t + "000000000", True, MISMATCH),  # past 25 bytes
+    (9, 1, lambda t: "abc", False, MISMATCH),
+    # the S25 comparison strips trailing NULs, so the file scan must refuse them
+    (11, 0, lambda t: t + "\0\0", False, "NUL byte"),
+], ids=["shortest-repr", "trailing-zero", "exponent", "padded", "non-numeric", "nul"])
+def test_read_non_canonical_coordinate(tmp_path, line, col, rewrite, equal, error):
     path = _plane_file(tmp_path)
     lines = path.read_text().splitlines()
     parts = lines[line - 1].split()
@@ -447,8 +452,7 @@ def test_read_non_canonical_coordinate(tmp_path, line, col, rewrite, equal):
     parts[col] = new
     lines[line - 1] = " ".join(parts)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ManifestError,
-                       match=rf"plane\.txt:{line}: coordinates do not match"):
+    with pytest.raises(ManifestError, match=rf"plane\.txt:{line}: {error}"):
         read_file(path)
 
 

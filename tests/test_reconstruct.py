@@ -9,9 +9,11 @@ import math
 import numpy as np
 import pytest
 
+from wavetomo import reconstruct
 from wavetomo.analytic import (
     GcfParams,
     analytic_plane_set,
+    gaussian2_tomogram,
     gcf_fresnel_source,
     gcf_psi,
     gcf_sampled,
@@ -29,6 +31,7 @@ from wavetomo.grid import SampledWavefunction, UniformGrid1D
 from wavetomo.oracles import _psi_slice
 from wavetomo.reconstruct import (
     DensityMatrix,
+    DensityMatrixNd,
     InversionConfig,
     PsiAutocorrelation,
     WignerFunction,
@@ -41,6 +44,8 @@ from wavetomo.reconstruct import (
     reconstruct_psi,
     reconstruct_wigner,
     wigner_from_planes,
+    _phase_column_weights,
+    _quad_nodes,
 )
 from wavetomo.tomography import (
     FresnelTomogram,
@@ -375,6 +380,91 @@ def test_nd_zero_source_and_unsupported_size():
     assert np.max(np.abs(z.values)) == 0.0
     with pytest.raises(UnsupportedSizeError):
         reconstruct_density_matrix_nd(zero6, (g, g, g), SMALL_CFG)
+
+
+ENTANGLED_A = np.array([[1.0, 0.6], [0.6, 1.5]])
+
+
+def _four_fold_reference(source, grids, cfg, extents):
+    # the per-(nu1, nu2) loop with one 4-index einsum that the batched
+    # contraction replaced; kept as the reference it must reproduce
+    mu, wmu, u = _quad_nodes(cfg)
+    wmu = wmu * raised_cosine_taper(mu, cfg.mu_window, cfg.taper_fraction)
+    (g1, g2), ((rq1, rp1), (rq2, rp2)) = grids, extents
+    n1, n2 = g1.count, g2.count
+    raw = np.zeros((n1, n2, n1, n2), dtype=np.complex128)
+    for d1 in range(-(n1 - 1), n1):
+        nu1 = d1 * g1.step
+        s1 = rq1 * np.abs(mu) + rp1 * abs(nu1)
+        Y1, E1 = s1[:, None] * u[None, :], _phase_column_weights(s1, u)
+        i1 = np.arange(max(0, d1), n1 + min(0, d1))
+        j1 = i1 - d1
+        P1 = np.exp(-1j * np.outer(0.5 * (g1.points[i1] + g1.points[j1]), mu)) * wmu
+        for d2 in range(-(n2 - 1), n2):
+            nu2 = d2 * g2.step
+            s2 = rq2 * np.abs(mu) + rp2 * abs(nu2)
+            Y2, E2 = s2[:, None] * u[None, :], _phase_column_weights(s2, u)
+            w4 = source(Y1[:, :, None, None], Y2[None, None, :, :],
+                        mu[:, None, None, None], mu[None, None, :, None], nu1, nu2)
+            C2 = np.einsum("akbl,ak,bl->ab", w4, E1, E2, optimize=True)
+            i2 = np.arange(max(0, d2), n2 + min(0, d2))
+            j2 = i2 - d2
+            P2 = np.exp(-1j * np.outer(0.5 * (g2.points[i2] + g2.points[j2]), mu)) * wmu
+            raw[i1[:, None], i2[None, :], j1[:, None], j2[None, :]] = (
+                P1 @ C2 @ P2.T / (2.0 * np.pi) ** 2)
+    return DensityMatrixNd.from_raw(grids, raw).values
+
+
+def test_nd_contraction_matches_four_fold_sum():
+    # entangled source, unequal axes: an axis swap anywhere in the contraction
+    # changes the result far beyond the tolerance
+    def source(X1, X2, mu1, mu2, nu1, nu2):
+        return gaussian2_tomogram(ENTANGLED_A, X1, X2, mu1, mu2, nu1, nu2)
+
+    grids = (UniformGrid1D.symmetric(1.0, 3), UniformGrid1D.symmetric(0.6, 3))
+    extents = ((3.5, 4.0), (4.5, 3.0))
+    cfg = InversionConfig(mu_window=12.0, samples_per_axis=16)
+    got = reconstruct_density_matrix_nd(source, grids, cfg, extents).values
+    want = _four_fold_reference(source, grids, cfg, extents)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert np.max(np.abs(want)) > 0.05
+
+
+# ---------------------------------------------------------------------------
+# work counts of the source-callable builders
+
+
+@pytest.mark.parametrize("cfg", [InversionConfig(), SMALL_CFG], ids=["default", "small"])
+def test_quad_nodes_are_mirror_images(cfg):
+    # rows at +-nu then see bitwise equal column scales and share their weights
+    mu, _, u = _quad_nodes(cfg)
+    assert np.array_equal(mu[::-1], -mu)
+    assert np.array_equal(u[::-1], -u)
+
+
+def test_column_weights_computed_once_per_abs_nu(monkeypatch):
+    calls = []
+
+    def counted(s, u):
+        calls.append(s.size)
+        return _phase_column_weights(s, u)
+
+    monkeypatch.setattr(reconstruct, "_phase_column_weights", counted)
+    src = gcf_source(GcfParams(1.0, 0.5))
+    reconstruct_density_matrix(src, UniformGrid1D.symmetric(1.0, 7), SMALL_CFG)
+    assert len(calls) == 7  # n points: |nu| = 0 .. 6 steps
+    calls.clear()
+    g = UniformGrid1D.symmetric(1.0, 5)
+    reconstruct_wigner(src, g, g, SMALL_CFG)
+    assert len(calls) == SMALL_CFG.samples_per_axis // 2  # the nu rows are the mu nodes
+    calls.clear()
+
+    def zero6(X1, X2, mu1, mu2, nu1, nu2):
+        return np.zeros(np.broadcast_shapes(np.shape(X1), np.shape(X2)))
+
+    grids = (UniformGrid1D.symmetric(1.0, 3), UniformGrid1D.symmetric(1.0, 4))
+    reconstruct_density_matrix_nd(zero6, grids, SMALL_CFG)
+    assert len(calls) == 3 + 4
 
 
 # ---------------------------------------------------------------------------
