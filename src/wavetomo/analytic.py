@@ -252,20 +252,13 @@ def gaussian2_tomogram(A, X1, X2, mu1, mu2, nu1, nu2):
     return np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))
 
 
-def analytic_plane_set(
-    p: GcfParams,
-    nu_values: Sequence[float],
-    nu_floor: float | None = None,
-) -> list[TomogramPlane]:
+def analytic_plane_set(p: GcfParams, nu_values: Sequence[float]) -> list[TomogramPlane]:
     """Closed-form tomogram planes on the same adapted grids the numeric
     builder would choose; exact forward data for exercising the inverse maps."""
     m = gcf_moments(p)
-    nonzero = [abs(v) for v in nu_values if abs(v) > 1e-8]
-    if nu_floor is None:
-        nu_floor = 0.5 * min(nonzero) if nonzero else 0.1
     planes = []
     for nu in nu_values:
-        gx, gmu = plane_grids_for_slice(float(nu), m, nu_floor)
+        gx, gmu = plane_grids_for_slice(float(nu), m)
         planes.append(gcf_plane_analytic(p, gx, gmu, float(nu)))
     return planes
 

@@ -48,7 +48,6 @@ from .reconstruct import (
     wigner_from_planes,
 )
 from .tomography import (
-    EPS_NU,
     NdWavefunction,
     OpticalTomogram,
     TomogramPlane,
@@ -241,26 +240,27 @@ def _cmd_tomogram(args) -> int:
         nus = list(np.linspace(lo, hi, n))
     if len(nus) > 1 and "{index}" not in out and "{nu}" not in out:
         raise UsageError("multi-plane output needs an {index} or {nu} placeholder in --output")
+    paths = [_format_pattern(out, i, nu) for i, nu in enumerate(nus)]
+    first = {}
+    for path, nu in zip(paths, nus):
+        if first.setdefault(path, nu) != nu:
+            raise UsageError(f"planes nu={float(first[path])!r} and nu={float(nu)!r} both "
+                             f"write {path}; use {{index}} in --output")
 
     explicit_x = eff("x_min", None) is not None or eff("x_max", None) is not None
     explicit_mu = eff("mu_min", None) is not None or eff("mu_max", None) is not None
     moments = wavefunction_moments(psi)
-    nonzero = [abs(v) for v in nus if abs(v) > EPS_NU]
-    nu_floor = 0.5 * min(nonzero) if nonzero else 0.1
-    written = []
-    for i, nu in enumerate(nus):
+    for nu, path in zip(nus, paths):
         if explicit_x or explicit_mu:
             gx = _grid_from(eff, "x", -8.0, 8.0, 257)
             gmu = _grid_from(eff, "mu", -10.0, 10.0, 128)
         else:
-            gx, gmu = plane_grids_for_slice(nu, moments, nu_floor)
+            gx, gmu = plane_grids_for_slice(nu, moments)
         plane = symplectic_tomogram_plane(psi, gx, gmu, nu)
         effective = {"kind": kind, "nu": nu, "x": [gx.start, gx.end, gx.count],
                      "mu": [gmu.start, gmu.end, gmu.count]}
-        path = _format_pattern(out, i, nu)
         fileio.write_file(path, plane, meta, _provenance(args, effective))
-        written.append(path)
-    for name in written:
+    for name in paths:
         print(name)
     return 0
 

@@ -23,6 +23,7 @@ once per |nu| and shared by the rows at +-nu; each row costs one source call.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -61,6 +62,8 @@ ANCHOR_FLOOR = 1e-12
 ANCHOR_RATIO = 1e-3
 # points of rho(x, x) searched for that maximum
 DIAGONAL_SAMPLES = 401
+# plane columns with at least this in-window mass must span one X step (std)
+RESOLVED_MASS = 1e-3
 
 
 def _check_hermitian(mat: np.ndarray) -> None:
@@ -265,19 +268,40 @@ def _table_from_planes(ordered: Sequence[TomogramPlane], taper_fraction: float) 
 
     Each plane's own X grid does the X integral by the trapezoid rule and its
     own mu span carries the taper; nu weights are the local plane spacing,
-    tapered over the nu range.
+    tapered over the nu range. The same weights give each column's X mean and
+    std from the plane's own data; a RuntimeWarning names the narrowest
+    column when one with in-window mass >= RESOLVED_MASS is narrower than
+    its plane's X step.
     """
     nus = np.array([p.nu for p in ordered])
     nu_half = max(abs(nus[0]), abs(nus[-1]))
     w_nus = raised_cosine_taper(nus, nu_half, taper_fraction) * np.gradient(nus)
-    rows = []
+    rows, coarse = [], []
     for plane, w_nu in zip(ordered, w_nus):
         gx, gmu = plane.grid_x, plane.grid_mu
-        C = (np.exp(1j * gx.points) * trapezoid_weights(gx.count, gx.step)) @ plane.values
+        x, wx = gx.points, trapezoid_weights(gx.count, gx.step)
+        C = (np.exp(1j * x) * wx) @ plane.values
+        mass, m1, m2 = (wx * np.stack([np.ones_like(x), x, x * x])) @ plane.values
+        held = mass >= RESOLVED_MASS
+        if held.any():
+            mean = m1[held] / mass[held]
+            ratio = np.sqrt(np.maximum(m2[held] / mass[held] - mean**2, 0.0)) / gx.step
+            k = int(np.argmin(ratio))
+            # the measured std carries the trapezoid rule's own error (1e-7
+            # relative at std = step), so compare at the printed two decimals
+            if round(float(ratio[k]), 2) < 1.0:
+                coarse.append((float(ratio[k]), plane.nu, float(gmu.points[held][k])))
         center = 0.5 * (gmu.start + gmu.end)
         taper = raised_cosine_taper(gmu.points - center, 0.5 * gmu.width, taper_fraction)
         wmu = trapezoid_weights(gmu.count, gmu.step) * taper
         rows.append(_Row(plane.nu, float(w_nu), gmu.points, C * wmu))
+    if coarse:
+        ratio, nu, mu = min(coarse)
+        warnings.warn(
+            f"plane nu={nu:g}: the column at mu={mu:g} has an X std of {ratio:.2f} X steps; "
+            f"{len(coarse)} of {len(ordered)} planes hold a column narrower than their X "
+            "step, whose e^{iX} sum aliases: refine those X grids",
+            RuntimeWarning, stacklevel=3)
     return rows
 
 

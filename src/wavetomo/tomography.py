@@ -425,17 +425,19 @@ def wavefunction_moments(psi: SampledWavefunction) -> Moments:
 def plane_grids_for_slice(
     nu: float,
     moments: Moments,
-    nu_floor: float,
     max_x_count: int = 8192,
 ) -> tuple[UniformGrid1D, UniformGrid1D]:
     """(X, mu) grids adapted to one nu so a plane supports accurate slices.
 
-    The mu window tracks the characteristic-function support (center shifted
-    by -nu*cov/var_q for chirped states); the X step resolves the narrowest
-    column on the plane, whose 1/e half-width shrinks like
-    |nu|*sqrt(2*det/var_q), and the X window covers the widest column that
-    still carries weight. A product grid with a single global X step cannot
-    avoid over-resolving the wide columns, hence the count cap.
+    At fixed nu the plane is a set of X-marginals, one per mu node; the
+    column at mu has 1/e half-width sqrt(2*(var_q*(mu - mu_c)^2 + nu^2*det/var_q)),
+    narrowest at mu_c = -nu*cov/var_q. The mu nodes are an even count centred
+    on mu_c, so they sit at mu_c +- (k + 1/2)*step_mu and none lands on the
+    narrowest column (at nu = 0 that column is the degenerate mu = 0 delta).
+    The X step resolves the narrowest column on the grid, the one half a mu
+    step off mu_c, and the X window covers the widest column that still
+    carries weight. A product grid with a single global X step cannot avoid
+    over-resolving the wide columns, hence the count cap.
     """
     sq = math.sqrt(moments.var_q)
     sp = math.sqrt(moments.var_p)
@@ -443,17 +445,11 @@ def plane_grids_for_slice(
     mu_c = -nu * moments.cov / moments.var_q
     mu_half = 6.5 / sq + 2.0
     step_mu = min(1.0 / (3.0 * sq), 2.0 / (1.0 + 0.5 * abs(nu)))
-    n_mu = 2 * math.ceil(mu_half / step_mu) + 1
-    start_mu = mu_c - step_mu * (n_mu // 2)
-    # dodge an exact mu=0 node on the delta-limit plane, where it is degenerate
-    if abs(nu) <= EPS_NU:
-        k0 = round(-start_mu / step_mu)
-        if 0 <= k0 < n_mu and abs(start_mu + k0 * step_mu) <= 1e-6 * step_mu:
-            start_mu += 0.5 * step_mu
-    grid_mu = UniformGrid1D(start_mu, step_mu, n_mu)
+    n_mu = 2 * math.ceil(mu_half / step_mu)
+    grid_mu = UniformGrid1D(mu_c - step_mu * (n_mu - 1) / 2.0, step_mu, n_mu)
 
-    nu_eff = max(abs(nu), nu_floor)
-    w_min = nu_eff * math.sqrt(2.0 * det / moments.var_q)
+    # 1/e half-width of the narrowest column on the grid, half a mu step off mu_c
+    w_min = math.sqrt(2.0 * (moments.var_q * (0.5 * step_mu) ** 2 + nu**2 * det / moments.var_q))
     # columns with weight >= ~1e-4 sit within 4.3/sq of the center
     w_eff = math.sqrt(2.0) * ((abs(mu_c) + 4.3 / sq) * sq + abs(nu) * sp)
     # the window-edge column is weightless but a window that cuts its flanks

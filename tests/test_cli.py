@@ -8,6 +8,7 @@ The expensive plane sweeps are built once per module in shared fixtures.
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from wavetomo.analytic import (
 from wavetomo.cli import main
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
 from wavetomo.oracles import golden_dir
+from wavetomo.reconstruct import reconstruct_psi
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
@@ -204,6 +206,20 @@ def test_tomogram_multi_plane_sweep(tmp_path, monkeypatch):
                "--output", "fixed.txt") == 2
 
 
+def test_tomogram_colliding_output_names(tmp_path, monkeypatch, capsys):
+    # {nu} formats with %g: 1, 1.0000005 and 1.000001 all name p_1.txt
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    capsys.readouterr()
+    assert run("tomogram", "--input", "g_psi.txt",
+               "--nu-min", "1", "--nu-max", "1.000001", "--nu-count", "3",
+               "--output", "p_{nu}.txt") == 2
+    captured = capsys.readouterr()
+    assert "nu=1.0 and nu=1.0000005 both write p_1.txt" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "p_1.txt").exists()
+
+
 def test_tomogram_fresnel_zero_frequency_row(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
@@ -313,6 +329,26 @@ def test_reconstruct_psi_round_trip(chirped_planes, monkeypatch, capsys):
         rec.values, gcf_psi(GcfParams(1.0, 1.0), rec.grid.points),
         rec.grid.step)
     assert dev_closed <= 1e-3
+
+
+def test_reference_sweep_grids(chirped_planes):
+    # every column the sweep holds spans at least 2 X steps (std from the
+    # plane's own data), so reading it back gives no under-resolution warning
+    planes = [fileio.read_file(chirped_planes / f"pl_{i}.txt")[1] for i in range(61)]
+    assert sum(pl.values.size for pl in planes) == 536590
+    assert max(pl.grid_x.count for pl in planes) == 677
+    p = GcfParams(1.0, 1.0)
+    for pl in planes:
+        want = gcf_plane_analytic(p, pl.grid_x, pl.grid_mu, pl.nu).values
+        assert np.max(np.abs(pl.values - want)) <= 4e-4
+        x = pl.grid_x.points
+        mass, m1, m2 = np.stack([np.ones_like(x), x, x * x]) @ pl.values * pl.grid_x.step
+        held = mass >= 1e-3
+        std = np.sqrt(m2[held] / mass[held] - (m1[held] / mass[held]) ** 2)
+        assert np.min(std) >= 2.0 * pl.grid_x.step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        reconstruct_psi(planes)
 
 
 def test_reconstruct_accepts_shell_expanded_paths(chirped_planes, monkeypatch):

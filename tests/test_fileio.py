@@ -457,7 +457,8 @@ def test_read_non_canonical_coordinate(tmp_path, line, col, rewrite, equal, erro
 
 
 def test_read_peak_memory_is_about_the_file_size(tmp_path):
-    # the size of the reference sweep's nu=0 plane: 2253 X by 47 mu points
+    # 2253 X by 47 mu points: over three times the X count of the reference
+    # sweep's largest plane (677 by 46)
     gx, gmu = UniformGrid1D.symmetric(11.0, 2253), UniformGrid1D.symmetric(1.0, 47)
     vals = np.abs(np.random.default_rng(3).normal(size=(2253, 47)))
     path = tmp_path / "plane.txt"

@@ -5,6 +5,7 @@ direct-quadrature oracles in the analytic module. Quadrature tolerances were
 measured with margin before being frozen; none are aspirational.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,18 @@ def test_psi_slice_anchor_plane():
     assert ac[1] == pytest.approx(SQRT_2_OVER_PI, abs=1e-6)
 
 
+def test_under_resolved_plane_column_warns():
+    # the autocorrelation-slice row's planes: at 1601 X points on +-40 the nu = 0
+    # plane's mu = +-0.05 columns span 0.46 X steps; at 3201 points, one step
+    gx = UniformGrid1D.symmetric(40.0, 1601)
+    with pytest.warns(RuntimeWarning, match=r"plane nu=0: the column at mu=-0.05 has "
+                                            r"an X std of 0\.46 X steps; 1 of 3 planes"):
+        _psi_slice(GcfParams(1.0, 1.0), 0.5, gx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _psi_slice(GcfParams(1.0, 1.0), 0.5, UniformGrid1D.symmetric(40.0, 3201))
+
+
 # ---------------------------------------------------------------------------
 # reconstruct_psi
 
@@ -183,7 +196,7 @@ def test_reconstruct_psi_excited_state_raises():
     psi = SampledWavefunction.normalized(g, g.points * np.exp(-(g.points**2) / 2.0))
     moments = wavefunction_moments(psi)
     planes = [
-        symplectic_tomogram_plane(psi, *plane_grids_for_slice(nu, moments, 0.05), nu)
+        symplectic_tomogram_plane(psi, *plane_grids_for_slice(nu, moments), nu)
         for nu in np.linspace(-3.0, 3.0, 61)
     ]
     with pytest.raises(NodeAtOriginError):

@@ -8,8 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wavetomo.analytic import GcfParams, gcf_psi, gcf_sampled
+from wavetomo.analytic import GcfParams, gcf_moments, gcf_psi, gcf_sampled, gcf_width
 from wavetomo.errors import (
     DegeneratePointError,
     DomainLookupError,
@@ -164,12 +166,12 @@ def test_optical_momentum_direction_against_fft(psi_plain):
 
 @pytest.mark.parametrize("nu", [0.1, -0.1, 3.0])
 def test_plane_chirp_z_matches_scalar_oracle(nu):
-    # +-0.1 are the sweep's narrowest chirp planes (n_x = 1163, n_mu = 47 for the
+    # +-0.1 are the sweep's narrowest chirp planes (n_x = 599, n_mu = 46 for the
     # 1025-sample state of a 61-plane +-3 sweep); nu = 3 is its widest plane
     psi = gcf_sampled(GcfParams(1.0, 1.0), count=1025)
-    gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi), 0.05)
+    gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi))
     if abs(nu) == 0.1:
-        assert (gx.count, gmu.count) == (1163, 47)
+        assert (gx.count, gmu.count) == (599, 46)
     plane = symplectic_tomogram_plane(psi, gx, gmu, nu)
     worst = 0.0
     for i in range(0, gx.count, 7):
@@ -177,6 +179,28 @@ def test_plane_chirp_z_matches_scalar_oracle(nu):
             point = symplectic_tomogram(psi, gx.point(i), gmu.point(j), nu)
             worst = max(worst, abs(plane.values[i, j] - point))
     assert worst <= 1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(sigma=st.floats(0.5, 2.0), alpha=st.floats(-3.0, 3.0),
+       nu=st.floats(-3.0, 3.0) | st.just(0.0))
+def test_plane_grids_straddle_the_narrowest_column(sigma, alpha, nu):
+    # the mu nodes sit at mu_c +- (k + 1/2) step_mu, so none is on the narrowest
+    # column (the mu = 0 delta at nu = 0), and the X step resolves every column
+    # on the grid in three steps unless the 0.7 cap or the count cap binds
+    p = GcfParams(sigma, alpha)
+    m = gcf_moments(p)
+    gx, gmu = plane_grids_for_slice(nu, m)
+    mu_c = -nu * m.cov / m.var_q
+    mu = gmu.points
+    assert gmu.count % 2 == 0
+    scale = abs(mu_c) + gmu.width
+    assert np.max(np.abs(mu - mu_c + (mu - mu_c)[::-1])) <= 1e-12 * scale
+    assert np.min(np.abs(mu - mu_c)) >= 0.49 * gmu.step
+    if nu == 0.0:
+        assert 0.0 not in mu
+    narrowest = min(gcf_width(p, float(v), nu) for v in mu)
+    assert 3.0 * gx.step <= narrowest * (1.0 + 1e-12) or gx.step == 0.7 or gx.count == 8193
 
 
 def test_fresnel_chirp_z_rows_match_scalar_oracle():
