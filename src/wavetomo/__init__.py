@@ -1,8 +1,8 @@
 """Tomographic representations of complex wavefunctions.
 
 Forward maps: symplectic tomogram w(X, mu, nu), its optical ((mu, nu) on the
-unit circle) and Fresnel (mu = 1) families, for 1D states and product states
-up to three axes. Inverse maps: the wavefunction, the density matrix and the
+unit circle) and Fresnel (mu = 1) families, for 1D states and N-axis states
+of up to three axes. Inverse maps: the wavefunction, the density matrix and the
 Wigner function as linear read-outs of one table of the tomographic
 characteristic function, built from plane sweeps or source callables. The
 chirped-Gaussian model state is built in as the analytic anchor for every
@@ -20,7 +20,6 @@ from .errors import (
     WavetomoError,
 )
 from .grid import (
-    ComplexField1D,
     SampledWavefunction,
     UniformGrid1D,
     trapezoid_integrate,
@@ -34,11 +33,9 @@ from .tomography import (
     TomogramPlane,
     fresnel_tomogram,
     fresnel_tomogram_nd,
-    optical_from_fresnel,
     optical_tomogram,
     optical_tomogram_map,
     plane_grids_for_slice,
-    symplectic_from_fresnel,
     symplectic_tomogram,
     symplectic_tomogram_nd,
     symplectic_tomogram_plane,
@@ -92,14 +89,13 @@ __all__ = [
     "MissingAnchorError", "NodeAtOriginError", "SingularFrequencyError",
     "UnsupportedSizeError",
     # grids and fields
-    "UniformGrid1D", "ComplexField1D", "SampledWavefunction",
+    "UniformGrid1D", "SampledWavefunction",
     "trapezoid_integrate",
     # forward maps
     "EPS_NU", "TomogramPlane", "FresnelTomogram",
     "OpticalTomogram", "NdWavefunction", "Moments",
     "symplectic_tomogram", "symplectic_tomogram_plane", "fresnel_tomogram",
-    "optical_tomogram", "optical_tomogram_map", "symplectic_from_fresnel",
-    "optical_from_fresnel",
+    "optical_tomogram", "optical_tomogram_map",
     "symplectic_tomogram_nd", "fresnel_tomogram_nd", "wavefunction_moments",
     "plane_grids_for_slice",
     # inverse maps

@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedSizeError,
     WavetomoError,
 )
-from .grid import ComplexField1D, SampledWavefunction, UniformGrid1D
+from .grid import SampledWavefunction, UniformGrid1D
 from .reconstruct import (
     InversionConfig,
     density_matrix_from_planes,
@@ -48,13 +48,12 @@ from .reconstruct import (
     wigner_from_planes,
 )
 from .tomography import (
-    NdWavefunction,
     OpticalTomogram,
     TomogramPlane,
     fresnel_tomogram,
     optical_tomogram_map,
     plane_grids_for_slice,
-    symplectic_tomogram_nd,
+    symplectic_tomogram,
     symplectic_tomogram_plane,
     wavefunction_moments,
 )
@@ -113,9 +112,16 @@ def _eff(args, cfg: dict, name: str, default):
     return default
 
 
+def _finite(flag: str, value) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise UsageError(f"{flag} must be finite, got {v!r}")
+    return v
+
+
 def _grid_from(eff, axis: str, dmin: float, dmax: float, dcount: int) -> UniformGrid1D:
-    lo = float(eff(f"{axis}_min", dmin))
-    hi = float(eff(f"{axis}_max", dmax))
+    lo = _finite(f"--{axis}-min", eff(f"{axis}_min", dmin))
+    hi = _finite(f"--{axis}-max", eff(f"{axis}_max", dmax))
     n = int(eff(f"{axis}_count", dcount))
     if not (hi > lo) or n < 2:
         raise UsageError(f"--{axis}-min/--{axis}-max/--{axis}-count must satisfy max > min, count >= 2")
@@ -215,7 +221,7 @@ def _cmd_tomogram(args) -> int:
         theta = eff("theta", None)
         if theta is not None:
             # one requested angle plus its conjugate quadrature
-            gt = UniformGrid1D(float(theta), math.pi / 2.0, 2)
+            gt = UniformGrid1D(_finite("--theta", theta), math.pi / 2.0, 2)
         else:
             gt = _grid_from(eff, "theta", 0.0, math.pi, 65)
         effective = {"kind": kind, "x": [gx.start, gx.end, gx.count],
@@ -228,13 +234,13 @@ def _cmd_tomogram(args) -> int:
     # symplectic planes
     nu_single = eff("nu", None)
     if nu_single is not None:
-        nus = [float(nu_single)]
+        nus = [_finite("--nu", nu_single)]
     else:
         lo, hi = eff("nu_min", None), eff("nu_max", None)
         n = eff("nu_count", None)
         if lo is None or hi is None or n is None:
             raise UsageError("symplectic needs --nu or --nu-min/--nu-max/--nu-count")
-        lo, hi, n = float(lo), float(hi), int(n)
+        lo, hi, n = _finite("--nu-min", lo), _finite("--nu-max", hi), int(n)
         if not (hi > lo) or n < 2:
             raise UsageError("--nu-min/--nu-max/--nu-count must satisfy max > min, count >= 2")
         nus = list(np.linspace(lo, hi, n))
@@ -281,6 +287,8 @@ def _parse_point(text: str, n: int):
             raise UsageError(f"non-numeric component in --point group {g!r}")
         if len(vals) != n:
             raise UsageError(f"--point group {g!r} has {len(vals)} components, expected {n}")
+        if not all(map(math.isfinite, vals)):
+            raise UsageError(f"--point group {g!r} has a non-finite component")
         out.append(vals)
     return out
 
@@ -289,19 +297,10 @@ def _cmd_tomogram_nd(args) -> int:
     files = args.input or []
     if not 1 <= len(files) <= 3:
         raise UsageError("give 1 to 3 --input wavefunction files (one per axis)")
-    factors = []
-    for path in files:
-        _, psi = _read_wavefunction(path)
-        factors.append(psi)
-    n = len(factors)
-    Xs, mus, nus = _parse_point(args.point, n)
-    values = factors[0].values
-    for f in factors[1:]:
-        values = np.multiply.outer(values, f.values)
-    grids = tuple(f.grid for f in factors)
-    sep = tuple(ComplexField1D(f.grid, f.values) for f in factors) if n == 3 else None
-    psi_nd = NdWavefunction(grids, values, sep)
-    w = symplectic_tomogram_nd(psi_nd, Xs, mus, nus)
+    factors = [_read_wavefunction(path)[1] for path in files]
+    Xs, mus, nus = _parse_point(args.point, len(factors))
+    # the product state's tomogram is the product of its factors' tomograms
+    w = math.prod(map(symplectic_tomogram, factors, Xs, mus, nus))
     print(format(w, ".17g"))
     return 0
 

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "UniformGrid1D",
-    "ComplexField1D",
     "SampledWavefunction",
     "trapezoid_integrate",
 ]
@@ -75,17 +74,6 @@ def _frozen_array(values, shape: tuple[int, ...], dtype) -> np.ndarray:
         raise ValueError("values must be finite")
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True)
-class ComplexField1D:
-    grid: UniformGrid1D
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", _frozen_array(self.values, (self.grid.count,), np.complex128)
-        )
 
 
 class SampledWavefunction:

@@ -52,6 +52,7 @@ __all__ = [
     "reconstruct_density_matrix_fresnel",
     "reconstruct_density_matrix_nd",
     "reconstruct_wigner",
+    "fresnel_as_symplectic_source",
     "density_matrix_from_planes",
     "wigner_from_planes",
 ]

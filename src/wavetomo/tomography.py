@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import DegeneratePointError, DomainLookupError, UnsupportedSizeError
 from .grid import (
-    ComplexField1D,
     SampledWavefunction,
     UniformGrid1D,
     _frozen_array,
@@ -47,8 +46,6 @@ __all__ = [
     "fresnel_tomogram",
     "optical_tomogram",
     "optical_tomogram_map",
-    "symplectic_from_fresnel",
-    "optical_from_fresnel",
     "symplectic_tomogram_nd",
     "fresnel_tomogram_nd",
     "wavefunction_moments",
@@ -254,46 +251,16 @@ def _bilinear(gx: UniformGrid1D, gy: UniformGrid1D, values: np.ndarray, x, y) ->
     return v00 * (1 - tx) * (1 - ty) + v10 * tx * (1 - ty) + v01 * (1 - tx) * ty + v11 * tx * ty
 
 
-def symplectic_from_fresnel(wf: FresnelTomogram, X: float, mu: float, nu: float) -> float:
-    """Rebuild a symplectic tomogram value from Fresnel data.
-
-    Uses w(X, mu, nu) = (1/|mu|) w_F(X/mu, nu/mu) with bilinear interpolation
-    on the sampled (X, nu) domain; lookups that leave the domain raise
-    DomainLookupError carrying the rescaled point.
-    """
-    if abs(mu) <= EPS_NU:
-        raise DegeneratePointError(f"mu = {mu} is below threshold; rescaling is singular")
-    return float(_bilinear(wf.grid_x, wf.grid_nu, wf.values, X / mu, nu / mu)) / abs(mu)
-
-
-def optical_from_fresnel(wf: FresnelTomogram, X: float, theta: float) -> float:
-    """Optical tomogram from Fresnel data via the (cos t, sin t) rescaling.
-
-    Degenerate when |cos t| is below threshold: the rescaled arguments
-    (X / cos t, tan t) leave every bounded domain.
-    """
-    c = math.cos(theta)
-    if abs(c) <= EPS_NU:
-        raise DegeneratePointError(f"cos(theta) = {c} is below threshold")
-    return symplectic_from_fresnel(wf, X, c, math.sin(theta))
-
-
 # ---------------------------------------------------------------------------
 # N-dimensional fields
 
 
 @dataclass(frozen=True)
 class NdWavefunction:
-    """Wavefunction on an N-axis product grid, N in {1, 2, 3}.
-
-    separable_factors, when given, are per-axis 1D samples whose outer
-    product must reproduce `values` (checked to 1e-10); the N=3 transforms
-    are supported only through them.
-    """
+    """Wavefunction on an N-axis product grid, N in {1, 2, 3}."""
 
     grids: tuple[UniformGrid1D, ...]
     values: np.ndarray
-    separable_factors: tuple[ComplexField1D, ...] | None = None
 
     def __post_init__(self) -> None:
         n = len(self.grids)
@@ -302,14 +269,6 @@ class NdWavefunction:
         vals = _frozen_array(self.values, tuple(g.count for g in self.grids), np.complex128)
         # no norm gate here: unnormalized tensors (even all-zero) are legal
         # inputs to the forward transforms
-        if self.separable_factors is not None:
-            if len(self.separable_factors) != n:
-                raise ValueError("need one separable factor per axis")
-            outer = self.separable_factors[0].values
-            for f in self.separable_factors[1:]:
-                outer = np.multiply.outer(outer, f.values)
-            if np.max(np.abs(outer - vals)) > 1e-10:
-                raise ValueError("separable_factors outer product does not match values")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -330,8 +289,23 @@ def _interp_slice(grids, values, axis: int, position: float):
     return lo * (1.0 - t) + hi * t
 
 
-def _nd_point(grids, values, Xs, mus, nus) -> float:
-    grids = list(grids)
+def symplectic_tomogram_nd(
+    psi: NdWavefunction, Xs: Sequence[float], mus: Sequence[float], nus: Sequence[float]
+) -> float:
+    """Product-kernel symplectic tomogram of an N-axis wavefunction.
+
+    The amplitude contracts the dense tensor with one chirped kernel per
+    axis. An axis with |nu_k| <= EPS_NU is first collapsed by linear
+    interpolation of psi at X_k/mu_k: exact where that falls on a node,
+    otherwise off by O(step^2) (6.6e-4 relative on the entangled two-mode
+    Gaussian with a 301-point grid over +-8, against 1.8e-12 with every nu
+    nonzero). For a product state the value is the product of the 1D
+    symplectic_tomogram values, which needs no tensor at all.
+    """
+    grids = list(psi.grids)
+    if not (len(Xs) == len(mus) == len(nus) == len(grids)):
+        raise ValueError(f"expected {len(grids)} components per argument")
+    values = psi.values
     factor = 1.0
     axis = 0
     Xs, mus, nus = list(Xs), list(mus), list(nus)
@@ -355,29 +329,6 @@ def _nd_point(grids, values, Xs, mus, nus) -> float:
         amp = np.tensordot(k, amp, axes=(0, 0))
         factor /= 2.0 * np.pi * abs(nu)
     return factor * float(np.abs(amp) ** 2)
-
-
-def symplectic_tomogram_nd(
-    psi: NdWavefunction, Xs: Sequence[float], mus: Sequence[float], nus: Sequence[float]
-) -> float:
-    """Product-kernel symplectic tomogram of an N-axis wavefunction.
-
-    N in {1, 2} integrates the full tensor; N = 3 requires separable_factors
-    and multiplies per-axis 1D tomograms.
-    """
-    n = psi.ndim
-    if not (len(Xs) == len(mus) == len(nus) == n):
-        raise ValueError(f"expected {n} components per argument")
-    if n <= 2:
-        return _nd_point(psi.grids, psi.values, Xs, mus, nus)
-    if psi.separable_factors is None:
-        raise UnsupportedSizeError("N=3 tomograms require separable_factors")
-    out = 1.0
-    for g, f, X, mu, nu in zip(psi.grids, psi.separable_factors, Xs, mus, nus):
-        part = SampledWavefunction.normalized(g, f.values)
-        scale2 = float(trapezoid_integrate(np.abs(f.values) ** 2, g.step).real)
-        out *= scale2 * symplectic_tomogram(part, X, mu, nu)
-    return out
 
 
 def fresnel_tomogram_nd(

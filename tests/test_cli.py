@@ -8,6 +8,7 @@ The expensive plane sweeps are built once per module in shared fixtures.
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from wavetomo.cli import main
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
 from wavetomo.oracles import golden_dir
 from wavetomo.reconstruct import reconstruct_psi
+from wavetomo.tomography import symplectic_tomogram
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
@@ -220,6 +222,32 @@ def test_tomogram_colliding_output_names(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "p_1.txt").exists()
 
 
+@pytest.mark.parametrize("flags, config, flag", [
+    (("--nu", "inf"), None, "--nu"),
+    (("--nu", "nan"), None, "--nu"),
+    (("--nu-min", "nan", "--nu-max", "1", "--nu-count", "3"), None, "--nu-min"),
+    (("--nu-min", "-1", "--nu-max", "inf", "--nu-count", "3"), None, "--nu-max"),
+    ((), {"nu": -math.inf}, "--nu"),
+    (("--nu-max", "1", "--nu-count", "3"), {"nu_min": math.nan}, "--nu-min"),
+    (("--kind", "fresnel", "--nu-max", "inf"), None, "--nu-max"),
+    (("--kind", "optical", "--theta", "nan"), None, "--theta"),
+], ids=["nu-inf", "nu-nan", "nu-min-nan", "nu-max-inf", "config-nu", "config-nu-min",
+        "fresnel-nu-max", "optical-theta"])
+def test_tomogram_non_finite_flag_is_usage_error(tmp_path, monkeypatch, capsys,
+                                               flags, config, flag):
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))  # Infinity / NaN literals
+        flags += ("--config", "cfg.json")
+    capsys.readouterr()
+    assert run("tomogram", "--input", "g_psi.txt", *flags, "--output", "p_{index}.txt") == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} must be finite" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.glob("p_*")) == []
+
+
 def test_tomogram_fresnel_zero_frequency_row(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
@@ -307,6 +335,55 @@ def test_tomogram_nd_errors(tmp_path, monkeypatch, capsys):
     assert run("tomogram-nd", "--input", "g_psi.txt", "--point", "0;1") == 2
     assert run("tomogram-nd", "--input", "g_psi.txt", "--point", "0,0;1;1") == 2
     assert run("tomogram-nd", "--input", "g_psi.txt", "--point", "x;1;1") == 2
+
+
+@pytest.mark.parametrize("point", ["nan;1;1", "0;inf;1", "0,0;1,1;1,-inf"])
+def test_tomogram_nd_non_finite_point(tmp_path, monkeypatch, capsys, point):
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    capsys.readouterr()
+    n = point.split(";")[0].count(",") + 1
+    assert run("tomogram-nd", *["--input", "g_psi.txt"] * n, "--point", point) == 2
+    captured = capsys.readouterr()
+    assert "--point" in captured.err and "non-finite" in captured.err
+    assert captured.out == ""
+
+
+def _three_factor_files(count="1025"):
+    names = []
+    for name, sigma, alpha in (("a", "1", "0"), ("b", "0.7", "1.3"), ("c", "1.3", "-0.5")):
+        assert run("gcf", "--sigma", sigma, "--alpha", alpha, "--x-count", count,
+                   "--output", name) == 0
+        names += ["--input", f"{name}_psi.txt"]
+    return names
+
+
+def test_tomogram_nd_multiplies_factor_tomograms(tmp_path, monkeypatch, capsys):
+    # one axis at nu = 0 takes the 1D limit |psi(X/mu)|^2 / |mu| of its factor
+    monkeypatch.chdir(tmp_path)
+    inputs = _three_factor_files()
+    capsys.readouterr()
+    Xs, mus, nus = (0.3, -0.2, 0.5), (0.8, 1.1, -0.6), (0.6, 0.0, 0.9)
+    point = ";".join(",".join(map(str, v)) for v in (Xs, mus, nus))
+    assert run("tomogram-nd", *inputs, "--point", point) == 0
+    got = float(capsys.readouterr().out)
+    w = [symplectic_tomogram(fileio.read_file(f"{name}_psi.txt")[1], X, mu, nu)
+         for name, X, mu, nu in zip("abc", Xs, mus, nus)]
+    assert got == w[0] * w[1] * w[2]
+
+
+def test_tomogram_nd_three_inputs_peak_memory(tmp_path, monkeypatch, capsys):
+    # the factors are never multiplied out: a 129^3 tensor alone is 34 MB
+    monkeypatch.chdir(tmp_path)
+    inputs = _three_factor_files("129")
+    tracemalloc.start()
+    try:
+        rc = run("tomogram-nd", *inputs, "--point", "0,0,0;1,1,1;1,1,1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -11,22 +11,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavetomo.analytic import GcfParams, gcf_moments, gcf_psi, gcf_sampled, gcf_width
+from wavetomo.analytic import (
+    GcfParams,
+    gaussian2_psi,
+    gaussian2_tomogram,
+    gcf_moments,
+    gcf_psi,
+    gcf_sampled,
+    gcf_width,
+)
 from wavetomo.errors import (
     DegeneratePointError,
     DomainLookupError,
     UnsupportedSizeError,
 )
-from wavetomo.grid import ComplexField1D, SampledWavefunction, UniformGrid1D
+from wavetomo.grid import SampledWavefunction, UniformGrid1D
+from wavetomo.reconstruct import fresnel_as_symplectic_source
 from wavetomo.tomography import (
     NdWavefunction,
     fresnel_tomogram,
     fresnel_tomogram_nd,
-    optical_from_fresnel,
     optical_tomogram,
     optical_tomogram_map,
     plane_grids_for_slice,
-    symplectic_from_fresnel,
     symplectic_tomogram,
     symplectic_tomogram_nd,
     symplectic_tomogram_plane,
@@ -234,39 +241,39 @@ def _fresnel_map(psi, half_x=8.0, nx=481, half_nu=2.0, nnu=161):
 def test_from_fresnel_identity_and_interpolation(psi_plain):
     wf = _fresnel_map(psi_plain)
     gx, gnu = wf.grid_x, wf.grid_nu
+    source = fresnel_as_symplectic_source(wf)
     # mu = 1 hits grid nodes exactly
-    assert symplectic_from_fresnel(wf, gx.point(60), 1.0, gnu.point(10)) == pytest.approx(
+    assert float(source(gx.point(60), 1.0, gnu.point(10))) == pytest.approx(
         wf.values[60, 10], abs=1e-12
     )
     direct = symplectic_tomogram(psi_plain, 1.0, 2.0, 0.5)
-    assert symplectic_from_fresnel(wf, 1.0, 2.0, 0.5) == pytest.approx(direct, abs=1e-4)
+    assert float(source(1.0, 2.0, 0.5)) == pytest.approx(direct, abs=1e-4)
 
 
 def test_from_fresnel_scaling(psi_plain):
-    wf = _fresnel_map(psi_plain)
-    base = symplectic_from_fresnel(wf, 0.6, 1.1, 0.4)
+    source = fresnel_as_symplectic_source(_fresnel_map(psi_plain))
+    base = float(source(0.6, 1.1, 0.4))
     for lam in (0.5, 1.5):
-        scaled = symplectic_from_fresnel(wf, lam * 0.6, lam * 1.1, lam * 0.4)
+        scaled = float(source(lam * 0.6, lam * 1.1, lam * 0.4))
         assert abs(scaled - base / abs(lam)) <= 1e-4  # interpolation-limited
 
 
 def test_from_fresnel_domain_error(psi_plain):
-    wf = _fresnel_map(psi_plain)
+    source = fresnel_as_symplectic_source(_fresnel_map(psi_plain))
     with pytest.raises(DomainLookupError):
-        symplectic_from_fresnel(wf, 0.5, 0.1, 1.9)  # nu/mu = 19, far outside
-    with pytest.raises(DegeneratePointError):
-        symplectic_from_fresnel(wf, 0.5, 0.0, 0.5)
+        source(0.5, 0.1, 1.9)  # nu/mu = 19, far outside
 
 
 def test_optical_from_fresnel(psi_plain):
-    wf = _fresnel_map(psi_plain)
-    direct = optical_tomogram(psi_plain, 0.3, math.pi / 4.0)
-    assert optical_from_fresnel(wf, 0.3, math.pi / 4.0) == pytest.approx(direct, abs=1e-4)
-    assert optical_from_fresnel(wf, 0.4, 0.0) == pytest.approx(
+    source = fresnel_as_symplectic_source(_fresnel_map(psi_plain))
+    theta = math.pi / 4.0
+    direct = optical_tomogram(psi_plain, 0.3, theta)
+    assert float(source(0.3, math.cos(theta), math.sin(theta))) == pytest.approx(
+        direct, abs=1e-4
+    )
+    assert float(source(0.4, 1.0, 0.0)) == pytest.approx(
         float(psi_plain.abs2_at(0.4)), abs=1e-10
     )
-    with pytest.raises(DegeneratePointError):
-        optical_from_fresnel(wf, 0.1, math.pi / 2.0)
 
 
 # N-axis transforms
@@ -276,7 +283,7 @@ def _nd_product(p1, p2, count=257, half=6.0):
     g = UniformGrid1D.symmetric(half, count)
     f1 = gcf_psi(p1, g.points)
     f2 = gcf_psi(p2, g.points)
-    return NdWavefunction((g, g), np.outer(f1, f2), separable_factors=None), g, f1, f2
+    return NdWavefunction((g, g), np.outer(f1, f2)), g, f1, f2
 
 
 def test_nd_separable_equals_product(psi_plain, psi_chirped):
@@ -331,9 +338,7 @@ def test_nd_zero_state_and_sizes():
     zero2 = NdWavefunction((g, g), np.zeros((33, 33), dtype=complex))
     assert symplectic_tomogram_nd(zero2, (0.1, 0.1), (1.0, 1.0), (0.5, 0.5)) == 0.0
     zero3 = NdWavefunction((g, g, g), np.zeros((33, 33, 33), dtype=complex))
-    with pytest.raises(UnsupportedSizeError):
-        # general (factorless) 3-axis tensors are outside the supported set
-        symplectic_tomogram_nd(zero3, (0.0,) * 3, (1.0,) * 3, (1.0,) * 3)
+    assert symplectic_tomogram_nd(zero3, (0.0,) * 3, (1.0,) * 3, (1.0,) * 3) == 0.0
     with pytest.raises(UnsupportedSizeError):
         NdWavefunction((g,) * 4, np.zeros((33,) * 4, dtype=complex))
 
@@ -342,11 +347,22 @@ def test_nd_three_axis_separable():
     p = GcfParams(1.0, 0.0)
     g = UniformGrid1D.symmetric(6.0, 129)
     f = gcf_psi(p, g.points)
-    tensor = np.einsum("i,j,k->ijk", f, f, f)
-    fac = ComplexField1D(g, f)
-    psi3 = NdWavefunction((g, g, g), tensor, separable_factors=(fac, fac, fac))
+    psi3 = NdWavefunction((g, g, g), np.einsum("i,j,k->ijk", f, f, f))
     got = symplectic_tomogram_nd(psi3, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
     assert got == pytest.approx(W_0_1_1**3, abs=1e-6)
+
+
+@pytest.mark.parametrize("count, tol", [(201, 1e-12), (301, 1e-3)])
+def test_nd_zero_nu_axis_interpolates_psi(count, tol):
+    # an axis at nu = 0 reads psi at X/mu by linear interpolation: exact on a
+    # node (X/mu = 0.4 is one on 201 points over +-8), O(step^2) between
+    # nodes (on 301 points it sits half a step off; measured 6.6e-4)
+    A = np.array([[1.0, 0.6], [0.6, 1.5]])
+    g = UniformGrid1D.symmetric(8.0, count)
+    psi = NdWavefunction((g, g), gaussian2_psi(A, g.points[:, None], g.points[None, :]))
+    point = ((0.0, 0.4), (0.0, 1.0), (1.0, 0.0))
+    want = float(gaussian2_tomogram(A, *point[0], *point[1], *point[2]))
+    assert abs(symplectic_tomogram_nd(psi, *point) - want) <= tol * want
 
 
 def test_moments_match_closed_forms():
