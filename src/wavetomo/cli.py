@@ -70,6 +70,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads a token that starts with '-' as a flag unless it is a
+        # plain negative number ('-1e-1', '-inf' and '-0.4;1' are not, on some
+        # Pythons), so such a value after a one-value flag becomes --flag=value
+        flags, out = self._option_string_actions, []
+        for a in sys.argv[1:] if args is None else args:
+            prev = flags.get(out[-1]) if out else None
+            if prev is not None and prev.nargs is None and a.startswith("-") and a not in flags:
+                out[-1] += "=" + a
+            else:
+                out.append(a)
+        return super().parse_known_args(out, namespace)
+
 
 # ---------------------------------------------------------------------------
 # flag plumbing
@@ -105,11 +118,18 @@ def _load_config(args) -> dict:
 
 def _eff(args, cfg: dict, name: str, default):
     v = getattr(args, name, None)
-    if v is not None:
-        return v
-    if name in cfg:
-        return cfg[name]
-    return default
+    return v if v is not None else cfg.get(name, default)
+
+
+def _grid_dests(*axes: str) -> tuple[str, ...]:
+    return tuple(f"{ax}_{end}" for ax in axes for end in ("min", "max", "count"))
+
+
+def _unread(args, why: str, *dests: str) -> None:
+    # command-line flags only: one --config file may serve several kinds
+    given = [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d) is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)} not read {why}")
 
 
 def _finite(flag: str, value) -> float:
@@ -199,8 +219,13 @@ def _cmd_tomogram(args) -> int:
     eff = lambda n, d: _eff(args, cfg, n, d)
     if not args.input:
         raise UsageError("--input is required")
-    params, psi = _read_wavefunction(args.input)
     kind = args.kind
+    _unread(args, f"by --kind {kind}", *{
+        "symplectic": ("theta", *_grid_dests("theta")),
+        "fresnel": ("nu", "theta", *_grid_dests("mu", "theta")),
+        "optical": ("nu", *_grid_dests("nu", "mu")),
+    }[kind])
+    params, psi = _read_wavefunction(args.input)
     out = eff("output", None)
     if not out:
         raise UsageError("--output is required")
@@ -211,29 +236,28 @@ def _cmd_tomogram(args) -> int:
         gn = _grid_from(eff, "nu", -2.0, 2.0, 41)
         effective = {"kind": kind, "x": [gx.start, gx.end, gx.count],
                      "nu": [gn.start, gn.end, gn.count]}
-        wf = fresnel_tomogram(psi, gx, gn)
-        fileio.write_file(out, wf, meta, _provenance(args, effective))
-        print(out)
-        return 0
-
-    if kind == "optical":
+        data = fresnel_tomogram(psi, gx, gn)
+    elif kind == "optical":
         gx = _grid_from(eff, "x", -6.0, 6.0, 121)
         theta = eff("theta", None)
         if theta is not None:
+            _unread(args, "alongside --theta", *_grid_dests("theta"))
             # one requested angle plus its conjugate quadrature
             gt = UniformGrid1D(_finite("--theta", theta), math.pi / 2.0, 2)
         else:
             gt = _grid_from(eff, "theta", 0.0, math.pi, 65)
         effective = {"kind": kind, "x": [gx.start, gx.end, gx.count],
                      "theta": [gt.start, gt.end, gt.count]}
-        fileio.write_file(out, optical_tomogram_map(psi, gx, gt), meta,
-                          _provenance(args, effective))
+        data = optical_tomogram_map(psi, gx, gt)
+    if kind != "symplectic":
+        fileio.write_file(out, data, meta, _provenance(args, effective))
         print(out)
         return 0
 
     # symplectic planes
     nu_single = eff("nu", None)
     if nu_single is not None:
+        _unread(args, "alongside --nu", *_grid_dests("nu"))
         nus = [_finite("--nu", nu_single)]
     else:
         lo, hi = eff("nu_min", None), eff("nu_max", None)
@@ -253,11 +277,11 @@ def _cmd_tomogram(args) -> int:
             raise UsageError(f"planes nu={float(first[path])!r} and nu={float(nu)!r} both "
                              f"write {path}; use {{index}} in --output")
 
-    explicit_x = eff("x_min", None) is not None or eff("x_max", None) is not None
-    explicit_mu = eff("mu_min", None) is not None or eff("mu_max", None) is not None
+    # any x or mu grid setting selects both explicit grids
+    explicit = any(eff(d, None) is not None for d in _grid_dests("x", "mu"))
     moments = wavefunction_moments(psi)
     for nu, path in zip(nus, paths):
-        if explicit_x or explicit_mu:
+        if explicit:
             gx = _grid_from(eff, "x", -8.0, 8.0, 257)
             gmu = _grid_from(eff, "mu", -10.0, 10.0, 128)
         else:
@@ -344,6 +368,8 @@ def _cmd_reconstruct(args) -> int:
     out = eff("output", None)
     if not out:
         raise UsageError("--output is required")
+    if args.target != "wigner":
+        _unread(args, f"by --target {args.target}", *_grid_dests("q", "p"))
     inv = InversionConfig(taper_fraction=float(eff("taper", 0.2)))
     planes = _read_planes(args.input)
     effective = {"target": args.target, "taper": inv.taper_fraction, "inputs": len(planes)}
@@ -403,10 +429,8 @@ def build_parser() -> _Parser:
     g.add_argument("--sigma", type=float)
     g.add_argument("--alpha", type=float)
     g.add_argument("--x-count", type=int, dest="x_count")
-    for ax in ("xp", "nup"):
-        g.add_argument(f"--{ax}-min", type=float, dest=f"{ax}_min")
-        g.add_argument(f"--{ax}-max", type=float, dest=f"{ax}_max")
-        g.add_argument(f"--{ax}-count", type=int, dest=f"{ax}_count")
+    for d in _grid_dests("xp", "nup"):
+        g.add_argument("--" + d.replace("_", "-"), type=int if d.endswith("count") else float)
     g.add_argument("--width-map", action="store_const", const=True, dest="width_map")
     g.add_argument("--output")
     _add_config_flag(g)
@@ -418,10 +442,8 @@ def build_parser() -> _Parser:
                    default="symplectic")
     t.add_argument("--nu", type=float)
     t.add_argument("--theta", type=float)
-    for ax in ("x", "mu", "nu", "theta"):
-        t.add_argument(f"--{ax}-min", type=float, dest=f"{ax}_min")
-        t.add_argument(f"--{ax}-max", type=float, dest=f"{ax}_max")
-        t.add_argument(f"--{ax}-count", type=int, dest=f"{ax}_count")
+    for d in _grid_dests("x", "mu", "nu", "theta"):
+        t.add_argument("--" + d.replace("_", "-"), type=int if d.endswith("count") else float)
     t.add_argument("--output")
     _add_config_flag(t)
     t.set_defaults(func=_cmd_tomogram)
@@ -436,10 +458,8 @@ def build_parser() -> _Parser:
     r.add_argument("--input", action="extend", nargs="+")
     r.add_argument("--target", choices=("psi", "rho", "wigner"), required=True)
     r.add_argument("--taper", type=float)
-    for ax in ("q", "p"):
-        r.add_argument(f"--{ax}-min", type=float, dest=f"{ax}_min")
-        r.add_argument(f"--{ax}-max", type=float, dest=f"{ax}_max")
-        r.add_argument(f"--{ax}-count", type=int, dest=f"{ax}_count")
+    for d in _grid_dests("q", "p"):
+        r.add_argument("--" + d.replace("_", "-"), type=int if d.endswith("count") else float)
     r.add_argument("--output")
     _add_config_flag(r)
     r.set_defaults(func=_cmd_reconstruct)

@@ -1,28 +1,32 @@
 """Inverse maps: tomogram back to wavefunction, density matrix and Wigner function.
 
 Every inversion goes through one table of the tomographic characteristic
-function C(mu, nu) = Int w(X, mu, nu) e^{iX} dX. The table is a list of
-fixed-nu rows; each row holds its mu nodes, C times the mu weight (trapezoid
-rule and raised-cosine taper) and a nu weight. psi, rho and W are linear
-read-outs of it:
+function C(mu, nu) = Int w(X, mu, nu) e^{iX} dX. The table is a stream of
+fixed-nu rows, nu = (nu_1, ..., nu_N); each row holds C on the N-fold product
+of its mu nodes times their weights (trapezoid rule and raised-cosine taper)
+and a nu weight. psi, rho and W are linear read-outs of it:
 
-    rho(x, x') = (1/2pi) Sum_mu C(mu, x - x') w_mu e^{-i mu (x + x')/2}
+    rho(x, x') = (1/2pi)^N Sum_mu C(mu, x - x') w_mu Prod_k e^{-i mu_k (x_k + x'_k)/2}
     psi(x)     = rho(x, 0) / sqrt(rho(0, 0))     (pure states, up to a phase)
     W(q, p)    = (1/4pi^2) Sum_nu w_nu Sum_mu C(mu, nu) w_mu e^{-i (mu q + nu p)}
 
-Two builders fill the table. From a plane sweep, each plane is one row: its
-own X grid does the X integral and its own mu span carries the taper. From
-a source callable w(X, mu, nu), the integrands decay only through
-oscillation along mu, so the mu axis is truncated at `mu_window` with the
-taper on its outer `taper_fraction`. Column integrals over X then use
-abscissas scaled per column (X = s*u with s = r_q*|mu| + r_p*|nu|): a fixed
-absolute X grid cannot resolve the near-delta columns at small |mu|+|nu|
-while covering the wide ones at the window edge with a fixed point budget.
-s depends on |nu| only, so the abscissas and column weights are computed
-once per |nu| and shared by the rows at +-nu; each row costs one source call.
+Two builders fill the table. From a plane sweep, each plane is one N = 1 row:
+its own X grid does the X integral and its own mu span carries the taper.
+From a source callable w(X_1..X_N, mu_1..mu_N, nu_1..nu_N), the integrands
+decay only through oscillation along mu, so each mu axis is truncated at
+`mu_window` with the taper on its outer `taper_fraction`. Column integrals
+over X then use abscissas scaled per column (X = s*u with s = r_q*|mu| +
+r_p*|nu|): a fixed absolute X grid cannot resolve the near-delta columns at
+small |mu|+|nu| while covering the wide ones at the window edge with a fixed
+point budget. s depends on |nu| only, so the abscissas and column weights are
+computed once per |nu| of each axis and shared by the rows at +-nu; each row
+costs one source call.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -65,12 +69,22 @@ ANCHOR_RATIO = 1e-3
 DIAGONAL_SAMPLES = 401
 # plane columns with at least this in-window mass must span one X step (std)
 RESOLVED_MASS = 1e-3
+# half-width of the source columns' abscissas u: the column at (mu, nu) spans
+# |X| <= X_WINDOW*s, ~10 column stds at the default extents (it only rescales them)
+X_WINDOW = 2.5
 
 
 def _check_hermitian(mat: np.ndarray) -> None:
     defect = float(np.max(np.abs(mat - mat.conj().T)))
     if defect > HERMITICITY_TOL:
         raise ValueError(f"hermiticity defect {defect} exceeds {HERMITICITY_TOL}")
+
+
+def _hermitian_part(raw, n: int) -> tuple[np.ndarray, float]:
+    """(raw + raw^H)/2 in raw's shape, raw read as n x n, and the asymmetry it removed."""
+    mat = np.asarray(raw, dtype=np.complex128).reshape(n, n)
+    adj = mat.conj().T
+    return (0.5 * (mat + adj)).reshape(np.shape(raw)), float(np.max(np.abs(mat - adj)))
 
 
 @dataclass(frozen=True)
@@ -94,9 +108,7 @@ class DensityMatrix:
 
     @staticmethod
     def from_raw(grid: UniformGrid1D, raw) -> "DensityMatrix":
-        raw = np.asarray(raw, dtype=np.complex128)
-        asym = float(np.max(np.abs(raw - raw.conj().T)))
-        return DensityMatrix(grid, 0.5 * (raw + raw.conj().T), asym)
+        return DensityMatrix(grid, *_hermitian_part(raw, grid.count))
 
     @property
     def trace_times_step(self) -> float:
@@ -123,12 +135,7 @@ class DensityMatrixNd:
     @staticmethod
     def from_raw(grids, raw) -> "DensityMatrixNd":
         grids = tuple(grids)
-        raw = np.asarray(raw, dtype=np.complex128)
-        n = int(np.prod([g.count for g in grids]))
-        mat = raw.reshape(n, n)
-        asym = float(np.max(np.abs(mat - mat.conj().T)))
-        sym = (0.5 * (mat + mat.conj().T)).reshape(raw.shape)
-        return DensityMatrixNd(grids, sym, asym)
+        return DensityMatrixNd(grids, *_hermitian_part(raw, math.prod(g.count for g in grids)))
 
 
 @dataclass(frozen=True)
@@ -177,17 +184,12 @@ class InversionConfig:
 
     mu_window: half-width M of the mu integration window [-M, M].
     taper_fraction: outer fraction of the window under a raised-cosine taper.
-    X_window: half-width of the column abscissas in scaled units (the column
-        at (mu, nu) integrates X over [-X_window*s, X_window*s] with
-        s = r_q*|mu| + r_p*|nu|); 2.5 covers ~10 column standard deviations
-        at the default extents.
     samples_per_axis: points per quadrature axis; must be even so the mu
         nodes straddle zero without touching it.
     """
 
     mu_window: float = 40.0
     taper_fraction: float = 0.2
-    X_window: float = 2.5
     samples_per_axis: int = 128
 
     def __post_init__(self) -> None:
@@ -195,8 +197,6 @@ class InversionConfig:
             raise ValueError(f"mu_window must be positive, got {self.mu_window}")
         if not (0.0 <= self.taper_fraction < 1.0):
             raise ValueError(f"taper_fraction must lie in [0, 1), got {self.taper_fraction}")
-        if not (self.X_window > 0 and np.isfinite(self.X_window)):
-            raise ValueError(f"X_window must be positive, got {self.X_window}")
         if self.samples_per_axis < 8 or self.samples_per_axis % 2:
             raise ValueError(
                 f"samples_per_axis must be even and at least 8, got {self.samples_per_axis}"
@@ -220,46 +220,64 @@ def raised_cosine_taper(x, half_width: float, fraction: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Row:
-    """One fixed-nu row of the characteristic table.
+    """One fixed-nu row of the characteristic table, nu = (nu_1, ..., nu_N).
 
-    c holds C(mu, nu) at the mu nodes times their weight (trapezoid rule and
-    taper); w_nu is the row's weight in sums over nu.
+    c holds C(mu, nu) on the N-fold product of the mu nodes times their
+    weights (trapezoid rule and taper); w_nu is the row's weight in sums
+    over nu. Plane rows are the N = 1 case.
     """
 
-    nu: float
+    nu: tuple[float, ...]
     w_nu: float
     mu: np.ndarray
     c: np.ndarray
 
     def rho(self, x, xp):
-        """rho(x, x') at pairs with x - x' = nu; x and xp broadcast."""
-        b = 0.5 * (np.asarray(x) + xp)
-        return np.exp(-1j * np.multiply.outer(b, self.mu)) @ self.c / (2.0 * np.pi)
+        """rho at pairs with x_k - x'_k = nu_k; x and xp hold one entry per axis,
+        whose two broadcast to that axis's pair dimensions of the result."""
+        out = self.c
+        for xk, xpk in reversed(list(zip(x, xp))):  # the last mu axis; its pairs go in front
+            b = 0.5 * (np.asarray(xk) + xpk)
+            out = np.inner(np.exp(-1j * np.multiply.outer(b, self.mu)), out)
+        return out / (2.0 * np.pi) ** len(self.nu)
 
 
-def _rho_on_grid(rows: Sequence[_Row], grid: UniformGrid1D) -> DensityMatrix:
-    """Density matrix on grid; rows[k] must hold nu = (k - count + 1) * grid.step."""
-    x = grid.points
-    n = grid.count
-    raw = np.zeros((n, n), dtype=np.complex128)
-    for d, row in zip(range(-(n - 1), n), rows):
-        i = np.arange(max(0, d), n + min(0, d))
-        j = i - d
-        raw[i, j] = row.rho(x[i], x[j])
-    return DensityMatrix.from_raw(grid, raw)
+def _pair_nus(grid: UniformGrid1D) -> np.ndarray:
+    """The differences x - x' of the grid's point pairs, ascending."""
+    return grid.step * np.arange(-(grid.count - 1), grid.count)
 
 
-def _wigner(rows: Sequence[_Row], grid_q: UniformGrid1D, grid_p: UniformGrid1D) -> WignerFunction:
-    """W(q, p) = (1/4pi^2) Sum_rows w_nu (Sum_mu c e^{-i mu q}) e^{-i nu p}."""
+def _on_axis(x: np.ndarray, a: int, n_axes: int) -> np.ndarray:
+    """x's dimensions as block a of n_axes, to broadcast one array per axis."""
+    return x.reshape((1,) * (x.ndim * a) + x.shape + (1,) * (x.ndim * (n_axes - 1 - a)))
+
+
+def _rho_on_pairs(rows, grids: Sequence[UniformGrid1D]) -> np.ndarray:
+    """Raw rho[i_1..i_N, j_1..j_N] on the product of grids; each row fills the
+    pairs with x_k - x'_k = nu_k, so rows at every nu of _pair_nus fill it all."""
+    n_axes = len(grids)
+    raw = np.zeros(tuple(g.count for g in grids) * 2, dtype=np.complex128)
+    points = [g.points for g in grids]
+    for row in rows:
+        ds = [round(nu / g.step) for g, nu in zip(grids, row.nu)]
+        i = [np.arange(max(0, d), g.count + min(0, d)) for g, d in zip(grids, ds)]
+        j = [ik - d for ik, d in zip(i, ds)]
+        block = row.rho([x[ik] for x, ik in zip(points, i)], [x[jk] for x, jk in zip(points, j)])
+        raw[tuple(_on_axis(ix, a % n_axes, n_axes) for a, ix in enumerate(i + j))] = block
+    return raw
+
+
+def _wigner(rows, grid_q: UniformGrid1D, grid_p: UniformGrid1D) -> WignerFunction:
+    """W(q, p) = (1/4pi^2) Sum_rows w_nu (Sum_mu c e^{-i mu q}) e^{-i nu p}, one-axis rows."""
     q, p = grid_q.points, grid_p.points
+    rows = list(rows)
     cols, mu = [], None
     for r in rows:
         if r.mu is not mu:  # rows built from a source share one mu array
             mu, Eq = r.mu, np.exp(-1j * np.outer(q, r.mu))
         cols.append(Eq @ r.c)
     inner = np.stack(cols, axis=1)
-    nu = np.array([r.nu for r in rows])
-    w_nu = np.array([r.w_nu for r in rows])
+    nu, w_nu = np.array([(r.nu[0], r.w_nu) for r in rows]).T
     W = inner @ (w_nu[:, None] * np.exp(-1j * np.outer(nu, p))) / (4.0 * np.pi**2)
     return WignerFunction(grid_q, grid_p, W.real, float(np.max(np.abs(W.imag))))
 
@@ -295,7 +313,7 @@ def _table_from_planes(ordered: Sequence[TomogramPlane], taper_fraction: float) 
         center = 0.5 * (gmu.start + gmu.end)
         taper = raised_cosine_taper(gmu.points - center, 0.5 * gmu.width, taper_fraction)
         wmu = trapezoid_weights(gmu.count, gmu.step) * taper
-        rows.append(_Row(plane.nu, float(w_nu), gmu.points, C * wmu))
+        rows.append(_Row((float(plane.nu),), float(w_nu), gmu.points, C * wmu))
     if coarse:
         ratio, nu, mu = min(coarse)
         warnings.warn(
@@ -306,7 +324,8 @@ def _table_from_planes(ordered: Sequence[TomogramPlane], taper_fraction: float) 
     return rows
 
 
-Source = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+# w(X_1..X_N, mu_1..mu_N, nu_1..nu_N), N = 1 being w(X, mu, nu), in the X and mu broadcast shape
+Source = Callable[..., np.ndarray]
 
 
 def _quad_nodes(cfg: InversionConfig):
@@ -314,7 +333,7 @@ def _quad_nodes(cfg: InversionConfig):
     both are exact mirror images (x[::-1] == -x), so rows at +-nu share columns."""
     m = cfg.samples_per_axis
     h = np.linspace(-1.0, 1.0, m)[m // 2 :]  # the positive half; even m: no node at 0
-    mu, u = (np.concatenate([-w * h[::-1], w * h]) for w in (cfg.mu_window, cfg.X_window))
+    mu, u = (np.concatenate([-w * h[::-1], w * h]) for w in (cfg.mu_window, X_WINDOW))
     return mu, trapezoid_weights(m, mu[1] - mu[0]), u
 
 
@@ -365,37 +384,50 @@ def _phase_column_weights(s: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _columns(nus, mu: np.ndarray, u: np.ndarray, extent):
-    """Yield (ns, Y, E) once per distinct |nu|: the indices ns of the nus with
-    that |nu|, the abscissas Y = s*u and the weights of _phase_column_weights
-    (s depends on |nu| only, so the rows at +-nu share them)."""
+    """Yield (n, Y, E) for every index n of nus, grouped by |nu|: the abscissas
+    Y = s*u and the weights E of _phase_column_weights depend on |nu| only,
+    so each group computes them once for the rows at +-nu."""
     rq, rp = extent
     groups: dict[float, list[int]] = {}
     for n, nu in enumerate(nus):
         groups.setdefault(abs(float(nu)), []).append(n)
     for a, ns in groups.items():
         s = rq * np.abs(mu) + rp * a
-        yield ns, s[:, None] * u[None, :], _phase_column_weights(s, u)
+        Y, E = s[:, None] * u[None, :], _phase_column_weights(s, u)
+        yield from ((n, Y, E) for n in ns)
 
 
-def _table_from_source(
-    source: Source, nus: np.ndarray, cfg: InversionConfig, extent, radial: bool
-) -> list[_Row]:
-    """Rows at the uniform nus, from column integrals on cfg's mu nodes.
+def _table_from_source(source: Source, nus, cfg: InversionConfig, extents, radial: bool):
+    """Rows over the product of the per-axis uniform nu lists, one source call each.
 
-    The taper acts on |mu|, or on hypot(mu, nu) when `radial` (a window over
-    the whole (mu, nu) plane); nu weights are the trapezoid rule over nus.
+    The first axis's columns stream one |nu| at a time; the other axes' are
+    kept. The first u sum is one real batched GEMM over the source block, and
+    each further axis's works on its result. The taper acts on |mu_k|, or on
+    hypot(mu_k, nu_k) when `radial` (a window over the whole (mu, nu) plane).
     """
     mu, wmu, u = _quad_nodes(cfg)
-    w_nus = trapezoid_weights(len(nus), nus[1] - nus[0])
-    rows = [None] * len(nus)
-    for ns, Y, E in _columns(nus, mu, u, extent):
-        for n in ns:
-            nu = float(nus[n])
-            r = np.hypot(mu, nu) if radial else mu
-            taper = raised_cosine_taper(r, cfg.mu_window, cfg.taper_fraction)
-            C = (source(Y, mu[:, None], nu) * E).sum(axis=1)
-            rows[n] = _Row(nu, float(w_nus[n]), mu, C * (wmu * taper))
-    return rows
+    m, k, n_axes = mu.size, u.size, len(nus)
+    window = (cfg.mu_window, cfg.taper_fraction)
+
+    def axis(a):  # (nu, w_nu, Y, mu, E, w_mu) per nu of axis a, Y and mu placed for the source
+        w_nus = trapezoid_weights(len(nus[a]), nus[a][1] - nus[a][0])
+        M = _on_axis(mu[:, None], a, n_axes)
+        for n, Y, E in _columns(nus[a], mu, u, extents[a]):
+            nu = float(nus[a][n])
+            taper = raised_cosine_taper(np.hypot(mu, nu) if radial else mu, *window)
+            yield nu, float(w_nus[n]), _on_axis(Y, a, n_axes), M, E, wmu * taper
+
+    kept = [list(axis(a)) for a in range(1, n_axes)]
+    for first in axis(0):
+        E0 = first[4].view(np.float64).reshape(m, k, 2).transpose(0, 2, 1)  # [Re E; Im E], a view
+        for rest in itertools.product(*kept):
+            nu, w_nu, Y, M, E, w_mu = zip(first, *rest)
+            U = np.matmul(E0, source(*Y, *M, *nu).reshape(m, k, -1))
+            C = U[:, 0] + 1j * U[:, 1]
+            for a in range(1, n_axes):  # C[p, b, l, r] -> Sum_l E_a[b, l] C[p, b, l, r]
+                C = np.matmul(E[a][:, None, :], C.reshape(m**a, m, k, -1))
+            c = C.reshape((m,) * n_axes) * functools.reduce(np.multiply.outer, w_mu)
+            yield _Row(nu, math.prod(w_nu), mu, c)
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +471,10 @@ def reconstruct_psi(
     """
     ordered, grid_nu, anchor_idx = _plane_nu_axis(planes)
     table = _table_from_planes(ordered, cfg.taper_fraction)
-    column = np.array([row.rho(row.nu, 0.0) for row in table])
+    column = np.array([row.rho(row.nu, (0.0,)) for row in table])
     s0 = column[anchor_idx]
     x = np.linspace(-1.0, 1.0, DIAGONAL_SAMPLES) * np.pi / ordered[anchor_idx].grid_mu.step
-    peak = float(np.max(table[anchor_idx].rho(x, x).real))
+    peak = float(np.max(table[anchor_idx].rho((x,), (x,)).real))
     if s0.real <= ANCHOR_RATIO * peak:
         raise NodeAtOriginError(
             f"rho(0,0) = {s0.real:.3e} against max rho(x,x) = {peak:.3e} is consistent "
@@ -488,7 +520,8 @@ def density_matrix_from_planes(
             f"the grid needs planes out to |nu| = {(n - 1) * step:g}; "
             "extend the sweep or shrink the grid"
         )
-    return _rho_on_grid(_table_from_planes(ordered[lo:hi], cfg.taper_fraction), grid)
+    rows = _table_from_planes(ordered[lo:hi], cfg.taper_fraction)
+    return DensityMatrix.from_raw(grid, _rho_on_pairs(rows, (grid,)))
 
 
 def wigner_from_planes(
@@ -527,8 +560,8 @@ def reconstruct_density_matrix(
     state's position/momentum live radius (~4 standard deviations) and sets
     the per-column scale of the X abscissas.
     """
-    nus = grid.step * np.arange(-(grid.count - 1), grid.count)
-    return _rho_on_grid(_table_from_source(source, nus, cfg, extent, radial=False), grid)
+    rows = _table_from_source(source, [_pair_nus(grid)], cfg, [extent], radial=False)
+    return DensityMatrix.from_raw(grid, _rho_on_pairs(rows, (grid,)))
 
 
 def fresnel_as_symplectic_source(fresnel) -> Source:
@@ -581,61 +614,26 @@ def reconstruct_wigner(
     axes with a radial raised-cosine taper.
     """
     mu = _quad_nodes(cfg)[0]
-    return _wigner(_table_from_source(source, mu, cfg, extent, radial=True), grid_q, grid_p)
-
-
-SourceNd = Callable[..., np.ndarray]
+    return _wigner(_table_from_source(source, [mu], cfg, [extent], radial=True), grid_q, grid_p)
 
 
 def reconstruct_density_matrix_nd(
-    source: SourceNd,
+    source: Source,
     grids: Sequence[UniformGrid1D],
     cfg: InversionConfig = InversionConfig(),
     extents: Sequence[tuple[float, float]] | None = None,
 ) -> DensityMatrixNd:
-    """Product-kernel density-matrix inversion for N-axis tomogram sources.
+    """Product-kernel density-matrix inversion for tomogram sources of 1 or 2 axes.
 
-    N=1 delegates to the 1D path; N=2 runs the full 4-fold quadrature
-    rho(X1, X2, X1', X2') = (1/2pi)^2 Int w(Y1, Y2, mu1, mu2, nu1, nu2)
-    * prod_k exp(i*(Y_k - mu_k*(X_k + X_k')/2)) with nu_k = X_k - X_k'.
-    `source(X1, X2, mu1, mu2, nu1, nu2)` must broadcast. The cost is one
-    source call per (nu1, nu2) pair on the m^2 k^2 block of (mu, u) nodes;
-    column weights are computed once per |nu_k| and shared across +-nu_k.
-    N >= 3 is not supported (separable states factor into 1D instead).
+    rho(X, X') = (1/2pi)^N Int w(Y_1..Y_N, mu_1..mu_N, nu_1..nu_N)
+    * prod_k exp(i*(Y_k - mu_k*(X_k + X_k')/2)) with nu_k = X_k - X_k', on the
+    rows and read-out of reconstruct_density_matrix. `source(X1, X2, mu1, mu2,
+    nu1, nu2)` must broadcast; each (nu1, nu2) row is one call on the (m k)^2
+    block of (mu, u) nodes. N >= 3 is not supported (separable states factor).
     """
     grids = tuple(grids)
-    n_axes = len(grids)
-    if extents is None:
-        extents = [(4.0, 4.0)] * n_axes
-    if n_axes == 1:
-        dm = reconstruct_density_matrix(source, grids[0], cfg, extents[0])
-        return DensityMatrixNd((grids[0],), dm.values, dm.asymmetry)
-    if n_axes != 2:
-        raise UnsupportedSizeError(f"general reconstruction supports N<=2, got {n_axes}")
-    mu, wmu, u = _quad_nodes(cfg)
-    wmu = wmu * raised_cosine_taper(mu, cfg.mu_window, cfg.taper_fraction)
-    m, k = mu.size, u.size
-    axes = []  # per axis, per signed nu = d*step: (nu, Y, E, P, i, j)
-    for g, extent in zip(grids, extents):
-        ds = range(-(g.count - 1), g.count)
-        terms = [None] * len(ds)
-        for ns, Y, E in _columns([d * g.step for d in ds], mu, u, extent):
-            for n in ns:
-                d = ds[n]
-                i = np.arange(max(0, d), g.count + min(0, d))  # pairs (i, j): x_i - x_j = nu
-                P = np.exp(-1j * np.outer(0.5 * (g.points[i] + g.points[i - d]), mu)) * wmu
-                terms[n] = (d * g.step, Y, E, P, i, i - d)
-        axes.append(terms)
-    raw = np.zeros(tuple(g.count for g in grids) * 2, dtype=np.complex128)
-    for nu1, Y1, E1, P1, i1, j1 in axes[0]:
-        E1ri = E1.view(np.float64).reshape(m, k, 2).transpose(0, 2, 1)  # [Re E1; Im E1], a view
-        for nu2, Y2, E2, P2, i2, j2 in axes[1]:
-            w4 = source(Y1[:, :, None, None], Y2[None, None, :, :],
-                        mu[:, None, None, None], mu[None, None, :, None], nu1, nu2)
-            # C2[a, b] = Sum_kl w4[a, k, b, l] E1[a, k] E2[b, l]: the k sum as one
-            # real batched GEMM over the source block, then the l sum on its result
-            U = np.matmul(E1ri, w4.reshape(m, k, m * k))
-            C2 = np.einsum("abl,bl->ab", (U[:, 0] + 1j * U[:, 1]).reshape(m, m, k), E2)
-            block = (P1 @ C2 @ P2.T) / (2.0 * np.pi) ** 2
-            raw[i1[:, None], i2[None, :], j1[:, None], j2[None, :]] = block
-    return DensityMatrixNd.from_raw(grids, raw)
+    if not 1 <= len(grids) <= 2:
+        raise UnsupportedSizeError(f"general reconstruction supports N<=2, got {len(grids)}")
+    extents = extents or [(4.0, 4.0)] * len(grids)
+    rows = _table_from_source(source, list(map(_pair_nus, grids)), cfg, extents, radial=False)
+    return DensityMatrixNd.from_raw(grids, _rho_on_pairs(rows, grids))

@@ -276,58 +276,38 @@ class NdWavefunction:
         return len(self.grids)
 
 
-def _interp_slice(grids, values, axis: int, position: float):
-    """Linear interpolation of the complex tensor along one axis; zero outside."""
-    g = grids[axis]
-    f = (position - g.start) / g.step
-    if f < 0.0 or f > g.count - 1:
-        return np.zeros(tuple(gr.count for k, gr in enumerate(grids) if k != axis), np.complex128)
-    i = min(int(np.floor(f)), g.count - 2)
-    t = f - i
-    lo = np.take(values, i, axis=axis)
-    hi = np.take(values, i + 1, axis=axis)
-    return lo * (1.0 - t) + hi * t
-
-
 def symplectic_tomogram_nd(
     psi: NdWavefunction, Xs: Sequence[float], mus: Sequence[float], nus: Sequence[float]
 ) -> float:
     """Product-kernel symplectic tomogram of an N-axis wavefunction.
 
-    The amplitude contracts the dense tensor with one chirped kernel per
-    axis. An axis with |nu_k| <= EPS_NU is first collapsed by linear
-    interpolation of psi at X_k/mu_k: exact where that falls on a node,
-    otherwise off by O(step^2) (6.6e-4 relative on the entangled two-mode
-    Gaussian with a 301-point grid over +-8, against 1.8e-12 with every nu
-    nonzero). For a product state the value is the product of the 1D
-    symplectic_tomogram values, which needs no tensor at all.
+    One loop over the axes, last first, contracts psi with each axis's
+    chirped kernel; an axis with |nu_k| <= EPS_NU instead takes the linear
+    interpolation of psi at X_k/mu_k (zero off the grid): exact on a node,
+    O(step^2) between (6.6e-4 relative on the entangled two-mode Gaussian on
+    301 points over +-8, against 1.8e-12 with every nu nonzero). A product
+    state's value is the product of its factors' symplectic_tomogram values.
     """
-    grids = list(psi.grids)
-    if not (len(Xs) == len(mus) == len(nus) == len(grids)):
-        raise ValueError(f"expected {len(grids)} components per argument")
-    values = psi.values
-    factor = 1.0
-    axis = 0
-    Xs, mus, nus = list(Xs), list(mus), list(nus)
-    while axis < len(grids):
-        if abs(nus[axis]) <= EPS_NU:
-            if abs(mus[axis]) <= EPS_NU:
-                raise DegeneratePointError(
-                    f"axis {axis}: (mu, nu) = ({mus[axis]}, {nus[axis]}) is degenerate"
-                )
-            values = _interp_slice(grids, values, axis, Xs[axis] / mus[axis])
-            factor /= abs(mus[axis])
-            del grids[axis], Xs[axis], mus[axis], nus[axis]
+    if not (len(Xs) == len(mus) == len(nus) == psi.ndim):
+        raise ValueError(f"expected {psi.ndim} components per argument")
+    amp, factor = psi.values, 1.0
+    for axis in reversed(range(psi.ndim)):  # each step removes the last axis of amp
+        g, X, mu, nu = psi.grids[axis], Xs[axis], mus[axis], nus[axis]
+        if abs(nu) <= EPS_NU:
+            if abs(mu) <= EPS_NU:
+                raise DegeneratePointError(f"axis {axis}: (mu, nu) = ({mu}, {nu}) is degenerate")
+            f = (X / mu - g.start) / g.step
+            if 0.0 <= f <= g.count - 1:
+                i = min(int(f), g.count - 2)
+                amp = amp[..., i] * (1.0 - (f - i)) + amp[..., i + 1] * (f - i)
+            else:
+                amp = np.zeros(amp.shape[:-1], np.complex128)
+            factor /= abs(mu)
         else:
-            axis += 1
-    if not grids:  # every axis collapsed; the remaining "integral" is the point value
-        return factor * float(np.abs(values) ** 2)
-    amp = values
-    for g, X, mu, nu in zip(grids, Xs, mus, nus):
-        y = g.points
-        k = np.exp(1j * (mu * y * y / (2.0 * nu) - X * y / nu)) * trapezoid_weights(y.size, g.step)
-        amp = np.tensordot(k, amp, axes=(0, 0))
-        factor /= 2.0 * np.pi * abs(nu)
+            y = g.points
+            k = np.exp(1j * (mu * y * y / (2.0 * nu) - X * y / nu)) * trapezoid_weights(y.size, g.step)
+            amp = amp @ k
+            factor /= 2.0 * np.pi * abs(nu)
     return factor * float(np.abs(amp) ** 2)
 
 

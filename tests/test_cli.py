@@ -8,6 +8,8 @@ The expensive plane sweeps are built once per module in shared fixtures.
 import json
 import math
 import os
+import re
+import shlex
 import tracemalloc
 import warnings
 
@@ -246,6 +248,64 @@ def test_tomogram_non_finite_flag_is_usage_error(tmp_path, monkeypatch, capsys,
     assert f"error: {flag} must be finite" in captured.err
     assert captured.out == ""
     assert list(tmp_path.glob("p_*")) == []
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (("tomogram", "--input", "g_psi.txt", "--kind", "fresnel", "--mu-min", "-1",
+      "--theta-count", "5", "--output", "o.txt"), "--mu-min, --theta-count"),
+    (("tomogram", "--input", "g_psi.txt", "--kind", "optical", "--nu-count", "5",
+      "--mu-max", "3", "--output", "o.txt"), "--nu-count, --mu-max"),
+    (("tomogram", "--input", "g_psi.txt", "--kind", "optical", "--theta", "0.7",
+      "--theta-count", "9", "--output", "o.txt"), "--theta-count"),
+    (("tomogram", "--input", "g_psi.txt", "--nu", "0.5", "--nu-min", "-1", "--nu-max", "1",
+      "--nu-count", "3", "--output", "o_{index}.txt"), "--nu-min, --nu-max, --nu-count"),
+    (("tomogram", "--input", "g_psi.txt", "--nu", "0.5", "--theta", "0.3",
+      "--output", "o.txt"), "--theta"),
+    (("reconstruct", "--input", "g_fresnel.txt", "--target", "rho", "--q-count", "5",
+      "--p-max", "9", "--output", "o.txt"), "--q-count, --p-max"),
+], ids=["fresnel-mu-theta", "optical-nu-mu", "theta-and-grid", "nu-and-grid",
+        "symplectic-theta", "rho-wigner-grid"])
+def test_unread_flag_is_usage_error(tmp_path, monkeypatch, capsys, argv, flags):
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    capsys.readouterr()
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flags} not read" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.glob("o*")) == []
+
+
+def test_tomogram_grid_count_selects_explicit_grids(tmp_path, monkeypatch):
+    # a count alone selects the explicit grids, with the default spans
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    assert run("tomogram", "--input", "g_psi.txt", "--nu", "0.5", "--x-count", "41",
+               "--mu-count", "7", "--output", "p.txt") == 0
+    _, plane = fileio.read_file(tmp_path / "p.txt")
+    assert (plane.grid_x.start, plane.grid_x.count) == (-8.0, 41)
+    assert (plane.grid_mu.start, plane.grid_mu.count) == (-10.0, 7)
+
+
+def test_negative_values_read_after_their_flag(tmp_path, monkeypatch, capsys):
+    # values that start with '-' but are not plain negative numbers
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    _, psi = fileio.read_file(tmp_path / "g_psi.txt")
+    capsys.readouterr()
+    assert run("tomogram-nd", "--input", "g_psi.txt", "--point", "-0.4;1.2;-0.9") == 0
+    assert float(capsys.readouterr().out) == symplectic_tomogram(psi, -0.4, 1.2, -0.9)
+    assert run("tomogram", "--input", "g_psi.txt", "--nu-min", "-1e-1", "--nu-max", "1e-1",
+               "--nu-count", "3", "--output", "s_{index}.txt") == 0
+    assert fileio.read_file(tmp_path / "s_0.txt")[0].params["nu"] == -0.1
+    assert run("tomogram", "--input", "g_psi.txt", "--nu", "1", "--x-min", "-4e0",
+               "--output", "x.txt") == 0
+    assert fileio.read_file(tmp_path / "x.txt")[1].grid_x.start == -4.0
+    capsys.readouterr()
+    assert run("tomogram", "--input", "g_psi.txt", "--kind", "fresnel", "--nu-min", "-inf",
+               "--output", "fr.txt") == 2
+    assert "error: --nu-min must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "fr.txt").exists()
 
 
 def test_tomogram_fresnel_zero_frequency_row(tmp_path, monkeypatch):
@@ -636,3 +696,24 @@ def test_validate_missing_goldens_fails(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert any(l.startswith("FAIL golden-files: missing golden_") for l in lines)
     assert lines[-1].startswith("FAILED: 1 failure(s)")
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def _readme_command_lines():
+    text = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.sub(r"\\\n\s*", "", section)  # join continued lines
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("    wavetomo ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # every example of README "Command line", in order, exits 0
+    lines = _readme_command_lines()
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert run(*argv) == 0, (argv, capsys.readouterr().err)

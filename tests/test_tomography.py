@@ -365,6 +365,17 @@ def test_nd_zero_nu_axis_interpolates_psi(count, tol):
     assert abs(symplectic_tomogram_nd(psi, *point) - want) <= tol * want
 
 
+@pytest.mark.parametrize("degenerate", [0, 1, 2], ids=["axis0", "axis1", "axis2"])
+def test_nd_degenerate_axis_raises_past_a_zero_collapse(degenerate):
+    # the nu = 0 collapse of every other axis reads psi at X/mu = 50, off the
+    # grid, which zeroes the amplitude; the degenerate axis must still raise
+    g = UniformGrid1D.symmetric(4.0, 33)
+    psi = NdWavefunction((g, g, g), np.ones((33, 33, 33), dtype=complex))
+    mus = [0.0 if k == degenerate else 0.1 for k in range(3)]
+    with pytest.raises(DegeneratePointError, match=f"axis {degenerate}"):
+        symplectic_tomogram_nd(psi, (5.0,) * 3, mus, (0.0,) * 3)
+
+
 def test_moments_match_closed_forms():
     p = GcfParams(1.0, 1.0)
     m = wavefunction_moments(gcf_sampled(p, count=4097))
