@@ -66,6 +66,11 @@ class UsageError(WavetomoError):
 
 
 class _Parser(argparse.ArgumentParser):
+    # an abbreviated flag is unknown, so the value join below sees every flag
+    # that argparse matches; subparsers are built by this class too
+    def __init__(self, **kw):
+        super().__init__(allow_abbrev=False, **kw)
+
     # raise instead of exiting so main() owns the exit code
     def error(self, message):
         raise UsageError(message)

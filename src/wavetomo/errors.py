@@ -22,9 +22,12 @@ class DegeneratePointError(WavetomoError, ValueError):
 
 
 class DomainLookupError(WavetomoError, ValueError):
-    """A rescaled lookup left the sampled domain.
+    """A sampled Fresnel map lacks data that the density-matrix inversion needs.
 
-    Carries the offending point so callers can report or enlarge the grid.
+    Either its X' window cuts a column (the edge samples hold more than a
+    fixed fraction of the column's peak), or a ray nu/mu of the inversion
+    falls outside its nu' range. Carries that nu' as ``point``, a 1-tuple,
+    so callers can report it or enlarge the map.
     """
 
     def __init__(self, message: str, point: tuple[float, ...]):

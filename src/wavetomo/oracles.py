@@ -21,7 +21,8 @@ from .analytic import (GcfParams, analytic_plane_set, gaussian2_psi, gaussian2_t
                        gcf_autocorrelation, gcf_fresnel_analytic, gcf_plane_analytic, gcf_psi,
                        gcf_sampled, gcf_tomogram_analytic, gcf_tomogram_ft_analytic)
 from .grid import UniformGrid1D
-from .reconstruct import InversionConfig, reconstruct_density_matrix_nd, reconstruct_psi
+from .reconstruct import (InversionConfig, reconstruct_density_matrix_fresnel,
+                          reconstruct_density_matrix_nd, reconstruct_psi)
 from .tomography import (NdWavefunction, fresnel_tomogram, optical_tomogram,
                          symplectic_tomogram, symplectic_tomogram_nd, symplectic_tomogram_plane)
 
@@ -167,6 +168,22 @@ def _entangled_two_mode(gdir: Path):
         f"max dev {err:.2e} (tol 2e-2)")
 
 
+def _fresnel_map_rho(gdir: Path):
+    # a sampled map of the lib-inversion benchmark's shape, integrated on its own X' grid;
+    # resampling it at 64 abscissas per column instead gave 1.0e-2 to 4.0e-2 here
+    gx, gn = UniformGrid1D.symmetric(42.0, 3201), UniformGrid1D.symmetric(3.2, 281)
+    g9, worst = UniformGrid1D.symmetric(1.0, 9), 0.0
+    for s, a in ((1.0, 0.0), (1.0, 0.5), (1.0, 1.0), (0.8, 0.5), (1.2, 1.0)):
+        p = GcfParams(s, a)
+        rho = reconstruct_density_matrix_fresnel(
+            gcf_fresnel_analytic(p, gx, gn), g9, InversionConfig(samples_per_axis=64))
+        psi = gcf_psi(p, g9.points)
+        worst = max(worst, float(np.max(np.abs(rho.values - np.outer(psi, psi.conj())))))
+    return worst <= 7e-4, (
+        f"rho from a 3201 x 281 Fresnel map (X' +-42, nu' +-3.2) on 9 points over +-1, "
+        f"64 samples, five states: max dev from psi psi* {worst:.2e} (tol 7e-4)")
+
+
 def _homogeneity(gdir: Path):
     # w(lX, lmu, lnu) = w / |l|
     worst = 0.0
@@ -263,6 +280,7 @@ ORACLES = (
     ("golden-round-trip", "full", _golden_round_trip),
     ("end-to-end-psi", "full", _end_to_end_psi),
     ("entangled-two-mode", "full", _entangled_two_mode),
+    ("fresnel-map-rho", "full", _fresnel_map_rho),
     ("tomogram-closed-form", "fast", _tomogram_closed_form),
     ("width-form-resolution", "fast", _width_form_resolution),
     ("plane-transform-closed-form", "fast", _plane_transform_closed_form),

@@ -10,9 +10,11 @@ and a nu weight. psi, rho and W are linear read-outs of it:
     psi(x)     = rho(x, 0) / sqrt(rho(0, 0))     (pure states, up to a phase)
     W(q, p)    = (1/4pi^2) Sum_nu w_nu Sum_mu C(mu, nu) w_mu e^{-i (mu q + nu p)}
 
-Two builders fill the table. From a plane sweep, each plane is one N = 1 row:
-its own X grid does the X integral and its own mu span carries the taper.
-From a source callable w(X_1..X_N, mu_1..mu_N, nu_1..nu_N), the integrands
+Three builders fill the table. From a plane sweep, each plane is one N = 1
+row: its own X grid does the X integral and its own mu span carries the
+taper. From a sampled Fresnel map, each column at nu' gives C along the ray
+(mu, nu) = mu (1, nu') on the map's own X' grid, and a row at nu takes it at
+nu' = nu/mu. From a source callable w(X_1..X_N, mu_1..mu_N, nu_1..nu_N), the integrands
 decay only through oscillation along mu, so each mu axis is truncated at
 `mu_window` with the taper on its outer `taper_fraction`. Column integrals
 over X then use abscissas scaled per column (X = s*u with s = r_q*|mu| +
@@ -33,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MissingAnchorError, NodeAtOriginError, UnsupportedSizeError
+from .errors import DomainLookupError, MissingAnchorError, NodeAtOriginError, UnsupportedSizeError
 from .grid import (
     SampledWavefunction,
     UniformGrid1D,
@@ -41,7 +43,7 @@ from .grid import (
     trapezoid_integrate,
     trapezoid_weights,
 )
-from .tomography import FresnelTomogram, TomogramPlane, _bilinear
+from .tomography import FresnelTomogram, TomogramPlane
 
 __all__ = [
     "DensityMatrix",
@@ -69,6 +71,8 @@ ANCHOR_RATIO = 1e-3
 DIAGONAL_SAMPLES = 401
 # plane columns with at least this in-window mass must span one X step (std)
 RESOLVED_MASS = 1e-3
+# a Fresnel map's X' window cuts a column whose edge samples exceed this fraction of its peak
+EDGE_FRACTION = 1e-2
 # half-width of the source columns' abscissas u: the column at (mu, nu) spans
 # |X| <= X_WINDOW*s, ~10 column stds at the default extents (it only rescales them)
 X_WINDOW = 2.5
@@ -430,6 +434,52 @@ def _table_from_source(source: Source, nus, cfg: InversionConfig, extents, radia
             yield _Row(nu, math.prod(w_nu), mu, c)
 
 
+def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConfig) -> list[_Row]:
+    """One-axis rows at the offsets nus from a sampled Fresnel map, on its own X' grid.
+
+    w(X, mu, nu) = w_F(X/mu, nu/mu)/|mu| gives C(mu, nu) = F(mu, nu/mu) with
+    F(mu, nu') = Int w_F(X', nu') e^{i mu X'} dX', the map's column at nu'
+    integrated by the trapezoid rule: one real GEMM at the positive mu nodes,
+    mirrored by F(-mu) = F(mu)* (w_F is real). Each row interpolates F
+    linearly in nu' at nu/mu. A column whose edge samples exceed
+    EDGE_FRACTION of its peak, or a ray nu/mu outside the nu' range, raises
+    DomainLookupError naming that nu'. The sum on X' step h equals
+    Sum_k F(mu + 2pi k/h), so an X' step of pi/mu_window or more, which
+    folds F from inside the mu window onto it, raises ValueError.
+    """
+    gx, gn, vals = wf.grid_x, wf.grid_nu, wf.values
+    cut = np.maximum(vals[0], vals[-1]) > EDGE_FRACTION * vals.max(axis=0)
+    if cut.any():
+        nup = float(gn.points[np.argmax(cut)])
+        raise DomainLookupError(
+            f"the X' window [{gx.start:g}, {gx.end:g}] cuts the Fresnel column at nu'={nup:g}: "
+            f"its edge holds over {EDGE_FRACTION:g} of its peak; widen the map in X'", (nup,))
+    mu, wmu, _ = _quad_nodes(cfg)
+    rays = np.divide.outer(nus, mu)  # the nu' = nu/mu each row reads at each mu node
+    tol = 1e-9 * gn.step
+    outside = (rays < gn.start - tol) | (rays > gn.end + tol)
+    if outside.any():
+        r, m = np.unravel_index(np.argmax(outside), rays.shape)
+        nup = float(rays[r, m])
+        raise DomainLookupError(
+            f"the row nu={nus[r]:g} needs nu'=nu/mu={nup:g} at mu={mu[m]:g}, outside the "
+            f"Fresnel map's nu' range [{gn.start:g}, {gn.end:g}]", (nup,))
+    if cfg.mu_window * gx.step >= math.pi:
+        raise ValueError(
+            f"the Fresnel map's X' step {gx.step:g} aliases the mu window: mu_window="
+            f"{cfg.mu_window:g} needs a step below pi/mu_window = {math.pi / cfg.mu_window:g}")
+    half = mu.size // 2
+    arg = np.outer(mu[half:], gx.points)
+    U = np.concatenate([np.cos(arg), np.sin(arg)]) * trapezoid_weights(gx.count, gx.step) @ vals
+    F = U[:half] + 1j * U[half:]
+    F = np.concatenate([F[::-1].conj(), F])  # F[m, j] = F(mu_m, nu'_j); the nodes are mirrors
+    nu_primes = gn.points
+    C = np.stack([np.interp(r, nu_primes, Fm) for r, Fm in zip(rays.T, F)], axis=1)
+    c = C * (wmu * raised_cosine_taper(mu, cfg.mu_window, cfg.taper_fraction))
+    w_nus = trapezoid_weights(len(nus), nus[1] - nus[0])
+    return [_Row((float(nu),), float(w), mu, row) for nu, w, row in zip(nus, w_nus, c)]
+
+
 # ---------------------------------------------------------------------------
 # Plane-set-backed inversion (no off-grid lookups; used by the CLI)
 
@@ -448,9 +498,13 @@ def _plane_nu_axis(planes: Sequence[TomogramPlane]) -> tuple[list[TomogramPlane]
     step = float(np.mean(steps))
     if step <= 0 or np.max(np.abs(steps - step)) > 1e-9 * max(1.0, abs(step)):
         raise ValueError("plane nu values must form a uniform grid")
-    if abs(nus[0] + nus[-1]) > 1e-9:
-        raise ValueError("plane nu grid must be symmetric about zero")
+    _check_symmetric(ordered)
     return ordered, UniformGrid1D(float(nus[0]), step, int(nus.size)), anchor
+
+
+def _check_symmetric(ordered: Sequence[TomogramPlane]) -> None:
+    if abs(ordered[0].nu + ordered[-1].nu) > 1e-9:
+        raise ValueError("plane nu grid must be symmetric about zero")
 
 
 def reconstruct_psi(
@@ -508,9 +562,8 @@ def density_matrix_from_planes(
     step = grid_nu.step
     if grid is None:
         half = (grid_nu.count - 1) // 2
-        count = half + 1 if half + 1 >= 2 else 2
-        start = -step * (count // 2)
-        grid = UniformGrid1D(start, step, count)
+        count = half + 1  # _plane_nu_axis holds >= 3 planes, so count >= 2
+        grid = UniformGrid1D(-step * (count // 2), step, count)
     elif abs(grid.step - step) > 1e-9 * step:
         raise ValueError("output grid step must equal the plane nu spacing")
     n = grid.count
@@ -534,11 +587,14 @@ def wigner_from_planes(
 
     Iterated quadrature: each plane integrates its own (X, mu) grid, the
     plane spacing integrates nu. The taper acts on each plane's mu span and
-    on the outer nu range.
+    on the outer nu range. The nu range must be symmetric about zero (a
+    one-sided sweep misses half of the nu integral); a nu = 0 plane is not
+    needed.
     """
     ordered = sorted(planes, key=lambda p: p.nu)
     if len(ordered) < 3:
         raise ValueError("need at least 3 planes")
+    _check_symmetric(ordered)
     return _wigner(_table_from_planes(ordered, cfg.taper_fraction), grid_q, grid_p)
 
 
@@ -565,22 +621,12 @@ def reconstruct_density_matrix(
 
 
 def fresnel_as_symplectic_source(fresnel) -> Source:
-    """Adapt Fresnel data to the symplectic source signature via rescaling.
-
-    w(X, mu, nu) = (1/|mu|) w_F(X/mu, nu/mu); callers guarantee mu != 0.
-    `fresnel` is either a callable (X', nu') -> values or a FresnelTomogram
-    (bilinear interpolation, domain errors for out-of-grid lookups).
-    """
-    if isinstance(fresnel, FresnelTomogram):
-
-        def lookup(xp, nup):
-            return _bilinear(fresnel.grid_x, fresnel.grid_nu, fresnel.values, xp, nup)
-
-    else:
-        lookup = fresnel
+    """Adapt a Fresnel callable (X', nu') -> values to the symplectic source
+    signature by the rescaling w(X, mu, nu) = (1/|mu|) w_F(X/mu, nu/mu);
+    callers guarantee mu != 0."""
 
     def source(X, mu, nu):
-        return lookup(X / mu, nu / mu) / np.abs(mu)
+        return fresnel(X / mu, nu / mu) / np.abs(mu)
 
     return source
 
@@ -593,9 +639,17 @@ def reconstruct_density_matrix_fresnel(
 ) -> DensityMatrix:
     """Density matrix from Fresnel data through the rescaling identity.
 
-    Runs the same quadrature as :func:`reconstruct_density_matrix` (the mu
-    nodes never touch zero), only the lookup path differs.
+    A FresnelTomogram is integrated on its own X' grid, with no resampling
+    (_table_from_fresnel); it must hold every ray nu/mu the grid's offsets
+    make with cfg's mu nodes, columns whose X' window holds their tails, and
+    an X' step below pi/cfg.mu_window.
+    A callable (X', nu') -> values goes through fresnel_as_symplectic_source
+    into the quadrature of :func:`reconstruct_density_matrix`; `extent`
+    applies to callables only. The mu nodes never touch zero.
     """
+    if isinstance(fresnel, FresnelTomogram):
+        rows = _table_from_fresnel(fresnel, _pair_nus(grid), cfg)
+        return DensityMatrix.from_raw(grid, _rho_on_pairs(rows, (grid,)))
     return reconstruct_density_matrix(fresnel_as_symplectic_source(fresnel), grid, cfg, extent)
 
 

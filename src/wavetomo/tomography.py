@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegeneratePointError, DomainLookupError, UnsupportedSizeError
+from .errors import DegeneratePointError, UnsupportedSizeError
 from .grid import (
     SampledWavefunction,
     UniformGrid1D,
@@ -56,6 +56,8 @@ __all__ = [
 EPS_NU = 1e-8
 
 NEGATIVITY_TOL = -1e-10
+# cap on a plane's X points from plane_grids_for_slice
+MAX_X_COUNT = 8192
 
 
 def _tomogram_values(values, grid_a: UniformGrid1D, grid_b: UniformGrid1D) -> np.ndarray:
@@ -226,31 +228,6 @@ def optical_tomogram_map(
     return OpticalTomogram(grid_x, grid_theta, vals)
 
 
-def _bilinear(gx: UniformGrid1D, gy: UniformGrid1D, values: np.ndarray, x, y) -> np.ndarray:
-    """Bilinear interpolation of values at the points (x, y), broadcast together.
-
-    Raises DomainLookupError carrying the first point outside the grid.
-    """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
-    # fractional indices; tolerate a hair of roundoff at the far edges
-    fx = (x - gx.start) / gx.step
-    fy = (y - gy.start) / gy.step
-    edge = 1e-9
-    inside = (fx >= -edge) & (fx <= gx.count - 1 + edge)
-    inside &= (fy >= -edge) & (fy <= gy.count - 1 + edge)
-    if not inside.all():
-        k = int(np.argmin(inside.ravel()))
-        point = (float(x.ravel()[k]), float(y.ravel()[k]))
-        raise DomainLookupError("lookup outside the sampled tomogram domain", point)
-    i = np.clip(np.floor(fx), 0, gx.count - 2).astype(np.intp)
-    j = np.clip(np.floor(fy), 0, gy.count - 2).astype(np.intp)
-    tx = np.clip(fx - i, 0.0, 1.0)
-    ty = np.clip(fy - j, 0.0, 1.0)
-    v00, v01 = values[i, j], values[i, j + 1]
-    v10, v11 = values[i + 1, j], values[i + 1, j + 1]
-    return v00 * (1 - tx) * (1 - ty) + v10 * tx * (1 - ty) + v01 * (1 - tx) * ty + v11 * tx * ty
-
-
 # ---------------------------------------------------------------------------
 # N-dimensional fields
 
@@ -353,11 +330,7 @@ def wavefunction_moments(psi: SampledWavefunction) -> Moments:
     return Moments(mq, mp, var_q, var_p, cov)
 
 
-def plane_grids_for_slice(
-    nu: float,
-    moments: Moments,
-    max_x_count: int = 8192,
-) -> tuple[UniformGrid1D, UniformGrid1D]:
+def plane_grids_for_slice(nu: float, moments: Moments) -> tuple[UniformGrid1D, UniformGrid1D]:
     """(X, mu) grids adapted to one nu so a plane supports accurate slices.
 
     At fixed nu the plane is a set of X-marginals, one per mu node; the
@@ -368,7 +341,7 @@ def plane_grids_for_slice(
     The X step resolves the narrowest column on the grid, the one half a mu
     step off mu_c, and the X window covers the widest column that still
     carries weight. A product grid with a single global X step cannot avoid
-    over-resolving the wide columns, hence the count cap.
+    over-resolving the wide columns, hence the count cap MAX_X_COUNT.
     """
     sq = math.sqrt(moments.var_q)
     sp = math.sqrt(moments.var_p)
@@ -390,8 +363,8 @@ def plane_grids_for_slice(
     x_half = max(2.6 * w_eff + 3.0, 2.5 * w_edge)
     step_x = min(w_min / 3.0, 0.7)
     n_x = 2 * math.ceil(x_half / step_x) + 1
-    if n_x > max_x_count:
-        n_x = max_x_count | 1
+    if n_x > MAX_X_COUNT:
+        n_x = MAX_X_COUNT | 1
         step_x = 2.0 * x_half / (n_x - 1)
     grid_x = UniformGrid1D(-step_x * (n_x // 2), step_x, n_x)
     return grid_x, grid_mu

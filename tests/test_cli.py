@@ -308,6 +308,18 @@ def test_negative_values_read_after_their_flag(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "fr.txt").exists()
 
 
+@pytest.mark.parametrize("flag", [["--x-mi", "-4e0"], ["--x-mi=-4e0"]])
+def test_abbreviated_flag_is_usage_error(tmp_path, monkeypatch, capsys, flag):
+    # an abbreviation would slip past the join of values that start with '-'
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    capsys.readouterr()
+    assert run("tomogram", "--input", "g_psi.txt", "--nu", "1", *flag,
+               "--output", "x.txt") == 2
+    assert "unrecognized arguments: --x-mi" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_tomogram_fresnel_zero_frequency_row(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
@@ -589,6 +601,19 @@ def test_reconstruct_missing_anchor_plane(tmp_path, monkeypatch, capsys):
     assert "nu=0" in capsys.readouterr().err
 
 
+def test_reconstruct_wigner_refuses_one_sided_sweep(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    assert run("tomogram", "--input", "g_psi.txt",
+               "--nu-min", "0", "--nu-max", "0.5", "--nu-count", "3",
+               "--output", "half_{index}.txt") == 0
+    capsys.readouterr()
+    assert run("reconstruct", "--input", "half_*.txt", "--target", "wigner",
+               "--output", "wig.txt") == 2
+    assert "symmetric about zero" in capsys.readouterr().err
+    assert not (tmp_path / "wig.txt").exists()
+
+
 def test_reconstruct_usage_errors(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run("reconstruct", "--target", "psi", "--output", "r.txt") == 2
@@ -681,7 +706,7 @@ def test_validate_full_regenerates_goldens_byte_for_byte(tmp_path, monkeypatch, 
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[-1].startswith("ok:")
     checks = [l for l in lines if l.startswith(("PASS", "FAIL"))]
-    assert len(checks) == 16
+    assert len(checks) == 17
     assert all(l.startswith("PASS") for l in checks)
     bundled = sorted(golden_dir().glob("golden_*.txt"))
     assert len(bundled) == 10

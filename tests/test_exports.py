@@ -19,7 +19,14 @@ def test_all_names_resolve(name):
 
 
 def test_package_exports_the_library_lists():
-    union = {"__version__"}
+    # what `from wavetomo import *` hands a user: each library module's public
+    # names, bound to that module's own objects, plus __version__
+    got = {}
+    exec("from wavetomo import *", got)
+    del got["__builtins__"]
+    want = {"__version__": wavetomo.__version__}
     for m in LIBRARY:
-        union |= set(importlib.import_module(f"wavetomo.{m}").__all__)
-    assert set(wavetomo.__all__) == union
+        module = importlib.import_module(f"wavetomo.{m}")
+        want.update((n, getattr(module, n)) for n in module.__all__)
+    assert sorted(got) == sorted(want)
+    assert [n for n in want if got[n] is not want[n]] == []

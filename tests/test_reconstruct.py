@@ -15,6 +15,7 @@ from wavetomo.analytic import (
     GcfParams,
     analytic_plane_set,
     gaussian2_tomogram,
+    gcf_fresnel_analytic,
     gcf_fresnel_source,
     gcf_psi,
     gcf_sampled,
@@ -37,7 +38,6 @@ from wavetomo.reconstruct import (
     PsiAutocorrelation,
     WignerFunction,
     density_matrix_from_planes,
-    fresnel_as_symplectic_source,
     raised_cosine_taper,
     reconstruct_density_matrix,
     reconstruct_density_matrix_fresnel,
@@ -291,35 +291,47 @@ def test_fresnel_grid_backed_source_domain_error():
         reconstruct_density_matrix_fresnel(wf, UniformGrid1D.symmetric(2.0, 17))
 
 
-def _bilinear_reference(wf, x, y):
-    # one point at a time: the loop the array lookup replaced
-    gx, gy, v = wf.grid_x, wf.grid_nu, wf.values
-    fx = (x - gx.start) / gx.step
-    fy = (y - gy.start) / gy.step
-    i = min(int(np.clip(np.floor(fx), 0, gx.count - 2)), gx.count - 2)
-    j = min(int(np.clip(np.floor(fy), 0, gy.count - 2)), gy.count - 2)
-    tx = np.clip(fx - i, 0.0, 1.0)
-    ty = np.clip(fy - j, 0.0, 1.0)
-    return float(
-        v[i, j] * (1 - tx) * (1 - ty) + v[i + 1, j] * tx * (1 - ty)
-        + v[i, j + 1] * (1 - tx) * ty + v[i + 1, j + 1] * tx * ty
-    )
+def test_fresnel_map_refuses_a_narrow_x_window():
+    # the lib-inversion benchmark's map narrowed to X' +-3 cuts its wide columns (edge/peak
+    # 0.74 at nu' = -3.2), and inverted anyway gives rho 9.2e-2 off; +-12 (edge/peak 7e-3) is fine
+    p, g9 = GcfParams(1.0, 0.5), UniformGrid1D.symmetric(1.0, 9)
+    cfg, gn = InversionConfig(samples_per_axis=64), UniformGrid1D.symmetric(3.2, 281)
+    with pytest.raises(DomainLookupError, match="cuts the Fresnel column") as err:
+        reconstruct_density_matrix_fresnel(
+            gcf_fresnel_analytic(p, UniformGrid1D.symmetric(3.0, 229), gn), g9, cfg)
+    assert err.value.point == (-3.2,)  # the first column cut
+    rho = reconstruct_density_matrix_fresnel(
+        gcf_fresnel_analytic(p, UniformGrid1D.symmetric(12.0, 915), gn), g9, cfg)
+    psi = gcf_psi(p, g9.points)
+    assert np.max(np.abs(rho.values - np.outer(psi, psi.conj()))) <= 3e-4
 
 
-def test_fresnel_grid_backed_source_matches_pointwise_lookup():
-    g = UniformGrid1D.symmetric(2.0, 33)
-    gn = UniformGrid1D.symmetric(0.5, 9)
-    X, NU = np.meshgrid(g.points, gn.points, indexing="ij")
-    wf = FresnelTomogram(g, gn, gcf_tomogram_analytic(GcfParams(1.0, 1.0), X, 1.0, NU))
-    source = fresnel_as_symplectic_source(wf)
-    rng = np.random.default_rng(0)
-    mu = rng.uniform(0.8, 2.0, 50) * rng.choice([-1.0, 1.0], 50)
-    Xs = rng.uniform(-1.5, 1.5, 50)
-    want = [_bilinear_reference(wf, x / m, 0.3 / m) / abs(m) for x, m in zip(Xs, mu)]
-    assert np.array_equal(source(Xs, mu, 0.3), want)
-    with pytest.raises(DomainLookupError) as err:
-        source(np.array([0.1, 0.2, 0.3]), np.array([1.0, 0.1, 0.05]), 0.3)
-    assert err.value.point == pytest.approx((2.0, 3.0))  # the first point outside
+def test_fresnel_map_refuses_a_ray_outside_its_nu_range():
+    # rho on 9 points over +-1 pairs offsets up to |nu| = 2, whose rays nu/mu reach
+    # 2/0.63 = 3.2 at the smallest mu node; a map over nu' +-1.6 lacks the outer ones
+    p, g9 = GcfParams(1.0, 0.5), UniformGrid1D.symmetric(1.0, 9)
+    cfg = InversionConfig(samples_per_axis=64)
+    wf = gcf_fresnel_analytic(
+        p, UniformGrid1D.symmetric(12.0, 915), UniformGrid1D.symmetric(1.6, 141))
+    with pytest.raises(DomainLookupError, match="outside the Fresnel map's nu' range") as err:
+        reconstruct_density_matrix_fresnel(wf, g9, cfg)
+    # the first: row nu = -2 at the widest negative mu node whose ray passes 1.6
+    mu = _quad_nodes(cfg)[0]
+    assert err.value.point == pytest.approx((2.0 / np.max(np.abs(mu[np.abs(mu) < 1.25])),))
+
+
+def test_fresnel_map_refuses_an_aliasing_x_step():
+    # on X' step h the trapezoid sum adds F(mu - 2pi/h): step 0.2 against mu_window 40
+    # would give rho 1.5 off; step 0.05, under pi/40, gives 1.5e-4
+    p, g5 = GcfParams(1.0, 0.0), UniformGrid1D.symmetric(0.5, 5)
+    cfg, gn = InversionConfig(samples_per_axis=64), UniformGrid1D.symmetric(1.6, 141)
+    with pytest.raises(ValueError, match="aliases the mu window"):
+        reconstruct_density_matrix_fresnel(
+            gcf_fresnel_analytic(p, UniformGrid1D.symmetric(8.0, 81), gn), g5, cfg)
+    rho = reconstruct_density_matrix_fresnel(
+        gcf_fresnel_analytic(p, UniformGrid1D.symmetric(8.0, 321), gn), g5, cfg)
+    psi = gcf_psi(p, g5.points)
+    assert np.max(np.abs(rho.values - np.outer(psi, psi.conj()))) <= 3e-4
 
 
 # ---------------------------------------------------------------------------
@@ -515,3 +527,15 @@ def test_wigner_from_planes():
     assert W.imag_residue <= 1e-6
     with pytest.raises(ValueError):
         wigner_from_planes(planes[:2], gq, gp)
+
+
+def test_wigner_from_planes_needs_a_symmetric_sweep():
+    # a one-sided sweep misses half of the nu integral: W would be 0.154 off
+    p = GcfParams(1.0, 0.0)
+    gq = gp = UniformGrid1D.symmetric(3.0, 33)
+    one_sided = analytic_plane_set(p, list(np.linspace(0.0, 3.0, 31)))
+    with pytest.raises(ValueError, match="symmetric about zero"):
+        wigner_from_planes(one_sided, gq, gp)
+    # no nu = 0 plane is needed
+    W = wigner_from_planes(analytic_plane_set(p, list(np.linspace(-3.0, 3.0, 96))), gq, gp)
+    assert W.values[16, 16] == pytest.approx(1.0 / math.pi, abs=5e-3)

@@ -20,13 +20,8 @@ from wavetomo.analytic import (
     gcf_sampled,
     gcf_width,
 )
-from wavetomo.errors import (
-    DegeneratePointError,
-    DomainLookupError,
-    UnsupportedSizeError,
-)
+from wavetomo.errors import DegeneratePointError, UnsupportedSizeError
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
-from wavetomo.reconstruct import fresnel_as_symplectic_source
 from wavetomo.tomography import (
     NdWavefunction,
     fresnel_tomogram,
@@ -230,50 +225,6 @@ def test_optical_map_matches_scalar_oracle(psi_chirped):
     for j in range(gt.count):
         want = [optical_tomogram(psi_chirped, gx.point(i), gt.point(j)) for i in range(gx.count)]
         assert np.max(np.abs(ot.values[:, j] - want)) <= 1e-12
-
-
-def _fresnel_map(psi, half_x=8.0, nx=481, half_nu=2.0, nnu=161):
-    gx = UniformGrid1D.symmetric(half_x, nx)
-    gnu = UniformGrid1D.symmetric(half_nu, nnu)
-    return fresnel_tomogram(psi, gx, gnu)
-
-
-def test_from_fresnel_identity_and_interpolation(psi_plain):
-    wf = _fresnel_map(psi_plain)
-    gx, gnu = wf.grid_x, wf.grid_nu
-    source = fresnel_as_symplectic_source(wf)
-    # mu = 1 hits grid nodes exactly
-    assert float(source(gx.point(60), 1.0, gnu.point(10))) == pytest.approx(
-        wf.values[60, 10], abs=1e-12
-    )
-    direct = symplectic_tomogram(psi_plain, 1.0, 2.0, 0.5)
-    assert float(source(1.0, 2.0, 0.5)) == pytest.approx(direct, abs=1e-4)
-
-
-def test_from_fresnel_scaling(psi_plain):
-    source = fresnel_as_symplectic_source(_fresnel_map(psi_plain))
-    base = float(source(0.6, 1.1, 0.4))
-    for lam in (0.5, 1.5):
-        scaled = float(source(lam * 0.6, lam * 1.1, lam * 0.4))
-        assert abs(scaled - base / abs(lam)) <= 1e-4  # interpolation-limited
-
-
-def test_from_fresnel_domain_error(psi_plain):
-    source = fresnel_as_symplectic_source(_fresnel_map(psi_plain))
-    with pytest.raises(DomainLookupError):
-        source(0.5, 0.1, 1.9)  # nu/mu = 19, far outside
-
-
-def test_optical_from_fresnel(psi_plain):
-    source = fresnel_as_symplectic_source(_fresnel_map(psi_plain))
-    theta = math.pi / 4.0
-    direct = optical_tomogram(psi_plain, 0.3, theta)
-    assert float(source(0.3, math.cos(theta), math.sin(theta))) == pytest.approx(
-        direct, abs=1e-4
-    )
-    assert float(source(0.4, 1.0, 0.0)) == pytest.approx(
-        float(psi_plain.abs2_at(0.4)), abs=1e-10
-    )
 
 
 # N-axis transforms
