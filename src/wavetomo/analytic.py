@@ -10,6 +10,11 @@ The two-mode Gaussian psi(x) ~ exp(-x^T A x / 2), entangled when A is not
 diagonal, gives the N = 2 paths a target that no product of one-mode states
 meets (gaussian2_psi, gaussian2_tomogram).
 
+The first excited Hermite-Gauss (Fock n = 1) state in the same units (the
+ground state is sigma = sqrt(2)) is odd, has a node at 0 and a negative
+Wigner function, W(0, 0) = -1/pi (fock1_psi, fock1_tomogram, fock1_wigner;
+Mancini, Man'ko and Tombesi, Phys. Lett. A 213, 1 (1996)).
+
 wigner_direct and density_matrix_direct are the slow, assumption-free oracles
 for arbitrary sampled states.
 """
@@ -48,6 +53,9 @@ __all__ = [
     "gcf_fresnel_source",
     "gaussian2_psi",
     "gaussian2_tomogram",
+    "fock1_psi",
+    "fock1_tomogram",
+    "fock1_wigner",
     "analytic_plane_set",
     "wigner_direct",
     "density_matrix_direct",
@@ -250,6 +258,28 @@ def gaussian2_tomogram(A, X1, X2, mu1, mu2, nu1, nu2):
         raise DegeneratePointError("tomogram undefined where a mode has mu = nu = 0")
     quad = (s22 * X1**2 - 2.0 * s12 * X1 * X2 + s11 * X2**2) / det
     return np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(det))
+
+
+def fock1_psi(x):
+    """psi_1(x) = sqrt(2) pi^(-1/4) x e^{-x^2/2}. Broadcasts."""
+    x = np.asarray(x, dtype=np.float64)
+    return math.sqrt(2.0) * np.pi**-0.25 * x * np.exp(-0.5 * x**2)
+
+
+def fock1_tomogram(X, mu, nu):
+    """Symplectic tomogram of fock1_psi: 2 X^2 e^{-X^2/s^2} / (sqrt(pi) s^3),
+    s^2 = mu^2 + nu^2. Undefined at mu = nu = 0. Broadcasts."""
+    s2 = np.asarray(mu, dtype=np.float64) ** 2 + np.asarray(nu, dtype=np.float64) ** 2
+    if np.any(s2 <= 0.0):
+        raise DegeneratePointError("tomogram undefined where mu and nu both vanish")
+    X = np.asarray(X, dtype=np.float64)
+    return 2.0 * X**2 * np.exp(-(X**2) / s2) / (math.sqrt(math.pi) * s2**1.5)
+
+
+def fock1_wigner(q, pm):
+    """Wigner function of fock1_psi: (2 (q^2 + p^2) - 1) e^{-(q^2 + p^2)} / pi. Broadcasts."""
+    r2 = np.asarray(q, dtype=np.float64) ** 2 + np.asarray(pm, dtype=np.float64) ** 2
+    return (2.0 * r2 - 1.0) * np.exp(-r2) / np.pi
 
 
 def analytic_plane_set(p: GcfParams, nu_values: Sequence[float]) -> list[TomogramPlane]:

@@ -17,12 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .analytic import (GcfParams, analytic_plane_set, gaussian2_psi, gaussian2_tomogram,
-                       gcf_autocorrelation, gcf_fresnel_analytic, gcf_plane_analytic, gcf_psi,
-                       gcf_sampled, gcf_tomogram_analytic, gcf_tomogram_ft_analytic)
+from .analytic import (GcfParams, analytic_plane_set, fock1_psi, fock1_tomogram, fock1_wigner,
+                       gaussian2_psi, gaussian2_tomogram, gcf_autocorrelation,
+                       gcf_fresnel_analytic, gcf_plane_analytic, gcf_psi, gcf_sampled,
+                       gcf_tomogram_analytic, gcf_tomogram_ft_analytic)
 from .grid import UniformGrid1D
-from .reconstruct import (InversionConfig, reconstruct_density_matrix_fresnel,
-                          reconstruct_density_matrix_nd, reconstruct_psi)
+from .reconstruct import (InversionConfig, reconstruct_density_matrix,
+                          reconstruct_density_matrix_fresnel, reconstruct_density_matrix_nd,
+                          reconstruct_psi, reconstruct_wigner)
 from .tomography import (NdWavefunction, fresnel_tomogram, optical_tomogram,
                          symplectic_tomogram, symplectic_tomogram_nd, symplectic_tomogram_plane)
 
@@ -184,6 +186,21 @@ def _fresnel_map_rho(gdir: Path):
         f"64 samples, five states: max dev from psi psi* {worst:.2e} (tol 7e-4)")
 
 
+def _fock1_inversion(gdir: Path):
+    # an odd state with a node at 0 and a negative W: the source inversions' mirrored
+    # rows must hold beyond the Gaussians; mu window 20 (at 40, W(0, 0) is 4.7e-3 off)
+    cfg = InversionConfig(mu_window=20.0)
+    g, gq = UniformGrid1D.symmetric(2.0, 33), UniformGrid1D.symmetric(3.0, 25)
+    rho = reconstruct_density_matrix(fock1_tomogram, g, cfg)
+    psi = fock1_psi(g.points)
+    err = float(np.max(np.abs(rho.values - np.outer(psi, psi))))
+    w00 = float(reconstruct_wigner(fock1_tomogram, gq, gq, cfg).values[12, 12])
+    dev = abs(w00 - float(fock1_wigner(0.0, 0.0)))
+    return err <= 5e-5 and dev <= 4e-5, (
+        f"Hermite-Gauss n = 1 source, mu window 20: rho on 33 points over +-2 vs psi_1 psi_1*: "
+        f"max dev {err:.2e} (tol 5e-5); W(0, 0) = {w00:.6f} vs -1/pi: dev {dev:.2e} (tol 4e-5)")
+
+
 def _homogeneity(gdir: Path):
     # w(lX, lmu, lnu) = w / |l|
     worst = 0.0
@@ -281,6 +298,7 @@ ORACLES = (
     ("end-to-end-psi", "full", _end_to_end_psi),
     ("entangled-two-mode", "full", _entangled_two_mode),
     ("fresnel-map-rho", "full", _fresnel_map_rho),
+    ("fock1-inversion", "full", _fock1_inversion),
     ("tomogram-closed-form", "fast", _tomogram_closed_form),
     ("width-form-resolution", "fast", _width_form_resolution),
     ("plane-transform-closed-form", "fast", _plane_transform_closed_form),

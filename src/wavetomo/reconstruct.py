@@ -21,8 +21,10 @@ over X then use abscissas scaled per column (X = s*u with s = r_q*|mu| +
 r_p*|nu|): a fixed absolute X grid cannot resolve the near-delta columns at
 small |mu|+|nu| while covering the wide ones at the window edge with a fixed
 point budget. s depends on |nu| only, so the abscissas and column weights are
-computed once per |nu| of each axis and shared by the rows at +-nu; each row
-costs one source call.
+computed once per |nu| of each axis and shared by the rows at +-nu. Every
+tomogram is homogeneous, w(lX, l mu, l nu) = w/|l|, so w(-X, -mu, -nu) =
+w(X, mu, nu) and C(-mu, -nu) = C(mu, nu)*: each mirror pair of rows costs one
+source call, the row at -nu being the conjugate mirror of the row at +nu.
 """
 from __future__ import annotations
 
@@ -328,7 +330,9 @@ def _table_from_planes(ordered: Sequence[TomogramPlane], taper_fraction: float) 
     return rows
 
 
-# w(X_1..X_N, mu_1..mu_N, nu_1..nu_N), N = 1 being w(X, mu, nu), in the X and mu broadcast shape
+# w(X_1..X_N, mu_1..mu_N, nu_1..nu_N), N = 1 being w(X, mu, nu), in the X and mu broadcast
+# shape; like every tomogram it must meet w(-X, -mu, -nu) = w(X, mu, nu), which the
+# inversions use to read the rows at -nu from those at +nu
 Source = Callable[..., np.ndarray]
 
 
@@ -390,19 +394,30 @@ def _phase_column_weights(s: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _columns(nus, mu: np.ndarray, u: np.ndarray, extent):
     """Yield (n, Y, E) for every index n of nus, grouped by |nu|: the abscissas
     Y = s*u and the weights E of _phase_column_weights depend on |nu| only,
-    so each group computes them once for the rows at +-nu."""
+    so each group computes them once for the rows at +-nu. s is even in mu
+    and E's rows depend on s alone, so E comes from the mu > 0 nodes, mirrored."""
     rq, rp = extent
+    half = mu.size // 2
     groups: dict[float, list[int]] = {}
     for n, nu in enumerate(nus):
         groups.setdefault(abs(float(nu)), []).append(n)
     for a, ns in groups.items():
         s = rq * np.abs(mu) + rp * a
-        Y, E = s[:, None] * u[None, :], _phase_column_weights(s, u)
+        E = _phase_column_weights(s[half:], u)
+        Y, E = s[:, None] * u[None, :], np.concatenate([E[::-1], E])
         yield from ((n, Y, E) for n in ns)
 
 
 def _table_from_source(source: Source, nus, cfg: InversionConfig, extents, radial: bool):
-    """Rows over the product of the per-axis uniform nu lists, one source call each.
+    """Rows over the product of the per-axis nu lists, symmetric about 0, one
+    source call per mirror pair of rows.
+
+    Only rows with nu lexicographically >= 0 call the source; each with
+    nu != 0 also yields its mirror at -nu, C(-mu, -nu) = C(mu, nu)* by
+    w(-X, -mu, -nu) = w(X, mu, nu). The mirror is exact on these nodes: mu
+    and u are mirror images, s is even, conj(E at -u) = E at u, and the
+    tapers and nu weights are even. The nu = 0 row is computed, so a source
+    that breaks the symmetry still shows in rho's asymmetry.
 
     The first axis's columns stream one |nu| at a time; the other axes' are
     kept. The first u sum is one real batched GEMM over the source block, and
@@ -426,12 +441,17 @@ def _table_from_source(source: Source, nus, cfg: InversionConfig, extents, radia
         E0 = first[4].view(np.float64).reshape(m, k, 2).transpose(0, 2, 1)  # [Re E; Im E], a view
         for rest in itertools.product(*kept):
             nu, w_nu, Y, M, E, w_mu = zip(first, *rest)
+            if nu < (0.0,) * n_axes:  # the mirror of a row >= 0
+                continue
             U = np.matmul(E0, source(*Y, *M, *nu).reshape(m, k, -1))
             C = U[:, 0] + 1j * U[:, 1]
             for a in range(1, n_axes):  # C[p, b, l, r] -> Sum_l E_a[b, l] C[p, b, l, r]
                 C = np.matmul(E[a][:, None, :], C.reshape(m**a, m, k, -1))
             c = C.reshape((m,) * n_axes) * functools.reduce(np.multiply.outer, w_mu)
-            yield _Row(nu, math.prod(w_nu), mu, c)
+            row = _Row(nu, math.prod(w_nu), mu, c)
+            yield row
+            if any(nu):
+                yield _Row(tuple(-v for v in nu), row.w_nu, mu, np.flip(c).conj())
 
 
 def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConfig) -> list[_Row]:
@@ -440,10 +460,11 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
     w(X, mu, nu) = w_F(X/mu, nu/mu)/|mu| gives C(mu, nu) = F(mu, nu/mu) with
     F(mu, nu') = Int w_F(X', nu') e^{i mu X'} dX', the map's column at nu'
     integrated by the trapezoid rule: one real GEMM at the positive mu nodes,
-    mirrored by F(-mu) = F(mu)* (w_F is real). Each row interpolates F
-    linearly in nu' at nu/mu. A column whose edge samples exceed
-    EDGE_FRACTION of its peak, or a ray nu/mu outside the nu' range, raises
-    DomainLookupError naming that nu'. The sum on X' step h equals
+    mirrored by F(-mu) = F(mu)* (w_F is real), over only the columns that
+    bracket some ray nu/mu. Each row interpolates F linearly in nu' at nu/mu.
+    A column whose edge samples exceed EDGE_FRACTION of its peak, or a ray
+    nu/mu outside the nu' range, raises DomainLookupError naming that nu'
+    (every column is checked). The sum on X' step h equals
     Sum_k F(mu + 2pi k/h), so an X' step of pi/mu_window or more, which
     folds F from inside the mu window onto it, raises ValueError.
     """
@@ -468,12 +489,16 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
         raise ValueError(
             f"the Fresnel map's X' step {gx.step:g} aliases the mu window: mu_window="
             f"{cfg.mu_window:g} needs a step below pi/mu_window = {math.pi / cfg.mu_window:g}")
+    # the knots bracketing some ray: interpolating over them alone reads the same pairs
+    j = np.clip(np.searchsorted(gn.points, rays, side="right") - 1, 0, gn.count - 2)
+    cols = np.union1d(j, j + 1)
     half = mu.size // 2
     arg = np.outer(mu[half:], gx.points)
-    U = np.concatenate([np.cos(arg), np.sin(arg)]) * trapezoid_weights(gx.count, gx.step) @ vals
+    wx = trapezoid_weights(gx.count, gx.step)
+    U = np.concatenate([np.cos(arg), np.sin(arg)]) * wx @ vals[:, cols]
     F = U[:half] + 1j * U[half:]
-    F = np.concatenate([F[::-1].conj(), F])  # F[m, j] = F(mu_m, nu'_j); the nodes are mirrors
-    nu_primes = gn.points
+    F = np.concatenate([F[::-1].conj(), F])  # F(mu_m, nu'_cols[i]); the nodes are mirrors
+    nu_primes = gn.points[cols]
     C = np.stack([np.interp(r, nu_primes, Fm) for r, Fm in zip(rays.T, F)], axis=1)
     c = C * (wmu * raised_cosine_taper(mu, cfg.mu_window, cfg.taper_fraction))
     w_nus = trapezoid_weights(len(nus), nus[1] - nus[0])
@@ -614,7 +639,9 @@ def reconstruct_density_matrix(
     over the windowed, tapered mu domain. `source(X, mu, nu)` must accept
     broadcastable arrays for X and mu. `extent` = (r_q, r_p) approximates the
     state's position/momentum live radius (~4 standard deviations) and sets
-    the per-column scale of the X abscissas.
+    the per-column scale of the X abscissas. The source must meet
+    w(-X, -mu, -nu) = w(X, mu, nu), as every tomogram does: it is called
+    only at nu >= 0, and the rows at -nu are the conjugate mirrors of those.
     """
     rows = _table_from_source(source, [_pair_nus(grid)], cfg, [extent], radial=False)
     return DensityMatrix.from_raw(grid, _rho_on_pairs(rows, (grid,)))
@@ -665,7 +692,9 @@ def reconstruct_wigner(
     W(q, p) = (1/(2pi)^2) Iiint w(X, mu, nu) exp(i*(X - mu*q - nu*p)) dX dmu dnu.
     The X integral per (mu, nu) node is the tomographic characteristic
     function, which decays fast; the (mu, nu) window reuses mu_window on both
-    axes with a radial raised-cosine taper.
+    axes with a radial raised-cosine taper. The source must meet
+    w(-X, -mu, -nu) = w(X, mu, nu), as every tomogram does: it is called only
+    at nu > 0, and the rows at -nu are the conjugate mirrors of those.
     """
     mu = _quad_nodes(cfg)[0]
     return _wigner(_table_from_source(source, [mu], cfg, [extent], radial=True), grid_q, grid_p)
@@ -682,8 +711,10 @@ def reconstruct_density_matrix_nd(
     rho(X, X') = (1/2pi)^N Int w(Y_1..Y_N, mu_1..mu_N, nu_1..nu_N)
     * prod_k exp(i*(Y_k - mu_k*(X_k + X_k')/2)) with nu_k = X_k - X_k', on the
     rows and read-out of reconstruct_density_matrix. `source(X1, X2, mu1, mu2,
-    nu1, nu2)` must broadcast; each (nu1, nu2) row is one call on the (m k)^2
-    block of (mu, u) nodes. N >= 3 is not supported (separable states factor).
+    nu1, nu2)` must broadcast and meet w(-X, -mu, -nu) = w(X, mu, nu), as every
+    tomogram does; each mirror pair of rows at +-(nu1, nu2) is one call on the
+    (m k)^2 block of (mu, u) nodes, at the pair's lexicographically
+    nonnegative member. N >= 3 is not supported (separable states factor).
     """
     grids = tuple(grids)
     if not 1 <= len(grids) <= 2:

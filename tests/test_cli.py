@@ -706,7 +706,7 @@ def test_validate_full_regenerates_goldens_byte_for_byte(tmp_path, monkeypatch, 
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[-1].startswith("ok:")
     checks = [l for l in lines if l.startswith(("PASS", "FAIL"))]
-    assert len(checks) == 17
+    assert len(checks) == 18
     assert all(l.startswith("PASS") for l in checks)
     bundled = sorted(golden_dir().glob("golden_*.txt"))
     assert len(bundled) == 10

@@ -29,7 +29,7 @@ from wavetomo.errors import (
     NodeAtOriginError,
     UnsupportedSizeError,
 )
-from wavetomo.grid import SampledWavefunction, UniformGrid1D
+from wavetomo.grid import SampledWavefunction, UniformGrid1D, trapezoid_weights
 from wavetomo.oracles import _psi_slice
 from wavetomo.reconstruct import (
     DensityMatrix,
@@ -45,6 +45,7 @@ from wavetomo.reconstruct import (
     reconstruct_psi,
     reconstruct_wigner,
     wigner_from_planes,
+    _pair_nus,
     _phase_column_weights,
     _quad_nodes,
 )
@@ -320,6 +321,22 @@ def test_fresnel_map_refuses_a_ray_outside_its_nu_range():
     assert err.value.point == pytest.approx((2.0 / np.max(np.abs(mu[np.abs(mu) < 1.25])),))
 
 
+def test_fresnel_rows_equal_interpolation_over_every_column():
+    # the GEMM runs only over the nu' columns that bracket some ray nu/mu (67 of 281
+    # here); each row must still read the same two knots as over the whole map
+    cfg, gn = InversionConfig(samples_per_axis=64), UniformGrid1D.symmetric(3.2, 281)
+    wf = gcf_fresnel_analytic(GcfParams(1.0, 0.5), UniformGrid1D.symmetric(12.0, 915), gn)
+    nus = _pair_nus(UniformGrid1D.symmetric(0.5, 9))
+    got = np.array([row.c for row in reconstruct._table_from_fresnel(wf, nus, cfg)])
+    mu, wmu, _ = _quad_nodes(cfg)
+    gx = wf.grid_x
+    F = np.exp(1j * np.outer(mu, gx.points)) * trapezoid_weights(gx.count, gx.step) @ wf.values
+    C = np.stack([np.interp(nus / m, gn.points, Fm) for m, Fm in zip(mu, F)], axis=1)
+    want = C * wmu * raised_cosine_taper(mu, cfg.mu_window, cfg.taper_fraction)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.max(np.abs(want)) > 0.1
+
+
 def test_fresnel_map_refuses_an_aliasing_x_step():
     # on X' step h the trapezoid sum adds F(mu - 2pi/h): step 0.2 against mu_window 40
     # would give rho 1.5 off; step 0.05, under pi/40, gives 1.5e-4
@@ -442,9 +459,11 @@ def _four_fold_reference(source, grids, cfg, extents):
 def test_nd_contraction_matches_four_fold_sum(counts):
     # entangled source, unequal axes: an axis swap anywhere in the contraction
     # changes the result far beyond the tolerance; unequal counts also give
-    # the two axes different pair blocks
+    # the two axes different pair blocks. Displaced, so C(mu, nu) is complex
+    # and the mirrored rows must be conjugated
     def source(X1, X2, mu1, mu2, nu1, nu2):
-        return gaussian2_tomogram(ENTANGLED_A, X1, X2, mu1, mu2, nu1, nu2)
+        return gaussian2_tomogram(ENTANGLED_A, X1 - 0.3 * mu1 - 0.2 * nu1,
+                                  X2 + 0.25 * mu2 - 0.1 * nu2, mu1, mu2, nu1, nu2)
 
     grids = (UniformGrid1D.symmetric(1.0, counts[0]), UniformGrid1D.symmetric(0.6, counts[1]))
     extents = ((3.5, 4.0), (4.5, 3.0))
@@ -461,10 +480,97 @@ def test_nd_contraction_matches_four_fold_sum(counts):
 
 @pytest.mark.parametrize("cfg", [InversionConfig(), SMALL_CFG], ids=["default", "small"])
 def test_quad_nodes_are_mirror_images(cfg):
-    # rows at +-nu then see bitwise equal column scales and share their weights
+    # rows at +-nu then see bitwise equal column scales and share their weights,
+    # and the row at -nu is the conjugate mirror of the row at +nu
     mu, _, u = _quad_nodes(cfg)
     assert np.array_equal(mu[::-1], -mu)
     assert np.array_equal(u[::-1], -u)
+    for g in (UniformGrid1D.symmetric(1.0, 7), UniformGrid1D.symmetric(0.6, 4),
+              UniformGrid1D(-0.3, 0.1, 33)):
+        nus = _pair_nus(g)
+        assert np.array_equal(nus[::-1], -nus)
+
+
+def _counted(source):
+    nus = []
+
+    def counted(*args):
+        nus.append(tuple(float(v) for v in args[2 * len(args) // 3:]))
+        return source(*args)
+
+    return counted, nus
+
+
+def test_source_called_once_per_mirror_pair_of_rows():
+    # only rows with nu lexicographically >= 0 call the source
+    src, nus = _counted(gcf_source(GcfParams(1.0, 0.5)))
+    reconstruct_density_matrix(src, UniformGrid1D.symmetric(1.0, 7), SMALL_CFG)
+    assert len(nus) == 7  # n of the 2n - 1 rows
+    g = UniformGrid1D.symmetric(1.0, 5)
+    nus.clear()
+    reconstruct_wigner(src, g, g, SMALL_CFG)
+    assert len(nus) == SMALL_CFG.samples_per_axis // 2  # the nu rows are the mu nodes
+    assert min(nus) > (0.0,)
+    src, nus = _counted(_product_source(GcfParams(1.0, 0.5)))
+    reconstruct_density_matrix_nd(
+        src, (UniformGrid1D.symmetric(1.0, 3), UniformGrid1D.symmetric(1.0, 4)), SMALL_CFG)
+    assert len(nus) == (5 * 7 + 1) // 2
+    assert len(set(nus)) == len(nus) and min(nus) == (0.0, 0.0)
+
+
+def _full_rows(source, nus, cfg, extent, radial):
+    # every row of the one-axis table from the source, with column weights
+    # computed at every mu node: the reference the mirrored half table must reproduce
+    mu, wmu, u = _quad_nodes(cfg)
+    rows = []
+    for nu in nus:
+        s = extent[0] * np.abs(mu) + extent[1] * abs(nu)
+        w = source(s[:, None] * u[None, :], mu[:, None], nu)
+        taper = raised_cosine_taper(np.hypot(mu, nu) if radial else mu, cfg.mu_window,
+                                    cfg.taper_fraction)
+        rows.append(np.sum(_phase_column_weights(s, u) * w, axis=1) * wmu * taper)
+    return mu, np.array(rows)
+
+
+def test_half_table_matches_every_row_from_the_source():
+    # the state displaced to (q, p) = (0.4, -0.3): a centred one has real C(mu, nu),
+    # which would hide a mirror row that is not conjugated
+    p, cfg, extent = GcfParams(0.9, 0.7), SMALL_CFG, (3.5, 4.5)
+
+    def src(X, mu, nu):
+        return gcf_tomogram_analytic(p, X - 0.4 * mu + 0.3 * nu, mu, nu)
+
+    g = UniformGrid1D.symmetric(1.0, 7)
+    x, n = g.points, g.count
+    mu, rows = _full_rows(src, _pair_nus(g), cfg, extent, radial=False)
+    raw = np.zeros((n, n), dtype=np.complex128)
+    for d, c in zip(range(-(n - 1), n), rows):
+        i = np.arange(max(0, d), n + min(0, d))
+        raw[i, i - d] = np.exp(-1j * np.outer(0.5 * (x[i] + x[i - d]), mu)) @ c / (2.0 * np.pi)
+    want = DensityMatrix.from_raw(g, raw)
+    got = reconstruct_density_matrix(src, g, cfg, extent)
+    assert np.max(np.abs(got.values - want.values)) <= 1e-13
+    assert got.asymmetry == pytest.approx(want.asymmetry, abs=1e-13)
+    gq, gp = UniformGrid1D.symmetric(2.0, 9), UniformGrid1D.symmetric(3.0, 11)
+    mu, rows = _full_rows(src, mu, cfg, extent, radial=True)  # the nu rows are the mu nodes
+    w_nu = trapezoid_weights(mu.size, mu[1] - mu[0])
+    W = (np.exp(-1j * np.outer(gq.points, mu)) @ rows.T
+         @ (w_nu[:, None] * np.exp(-1j * np.outer(mu, gp.points))) / (4.0 * np.pi**2))
+    got = reconstruct_wigner(src, gq, gp, cfg, extent)
+    assert np.max(np.abs(got.values - W.real)) <= 1e-13
+    assert np.max(np.abs(W)) > 0.1
+
+
+def test_asymmetry_reports_a_source_without_point_symmetry():
+    # w(-X, -mu, -nu) != w(X, mu, nu): the nu = 0 row, computed from the source,
+    # puts an imaginary part on rho's diagonal that the mirrored rows cannot hide
+    p, g = GcfParams(1.0, 0.0), UniformGrid1D.symmetric(1.0, 7)
+
+    def skewed(X, mu, nu):
+        return gcf_tomogram_analytic(p, X, mu, nu) * (1.0 + 0.1 * np.tanh(mu))
+
+    assert reconstruct_density_matrix(skewed, g, SMALL_CFG).asymmetry > 1e-6
+    assert reconstruct_density_matrix(gcf_source(p), g, SMALL_CFG).asymmetry <= 1e-14
 
 
 def test_column_weights_computed_once_per_abs_nu(monkeypatch):
