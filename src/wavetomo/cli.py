@@ -328,8 +328,14 @@ def _cmd_tomogram_nd(args) -> int:
         raise UsageError("give 1 to 3 --input wavefunction files (one per axis)")
     factors = [_read_wavefunction(path)[1] for path in files]
     Xs, mus, nus = _parse_point(args.point, len(factors))
-    # the product state's tomogram is the product of its factors' tomograms
-    w = math.prod(map(symplectic_tomogram, factors, Xs, mus, nus))
+    # the product state's tomogram is the product of its factors' tomograms;
+    # a degenerate factor is named by its axis, as symplectic_tomogram_nd does
+    w = 1.0
+    for axis, point in enumerate(zip(factors, Xs, mus, nus)):
+        try:
+            w *= symplectic_tomogram(*point)
+        except DegeneratePointError as e:
+            raise DegeneratePointError(f"axis {axis}: {e}") from None
     print(format(w, ".17g"))
     return 0
 

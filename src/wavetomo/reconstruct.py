@@ -572,33 +572,19 @@ def reconstruct_psi(
 
 
 def density_matrix_from_planes(
-    planes: Sequence[TomogramPlane],
-    cfg: InversionConfig = InversionConfig(),
-    grid: UniformGrid1D | None = None,
+    planes: Sequence[TomogramPlane], cfg: InversionConfig = InversionConfig()
 ) -> DensityMatrix:
     """Density matrix using plane nodes themselves as quadrature nodes.
 
     The planes' nu grid supplies every X - X' difference, so the output grid
-    step equals the plane spacing and no interpolation happens anywhere. Each
-    plane's own (X, mu) grid does the inner integrals; cfg's taper masks the
-    mu nodes.
+    step equals the plane spacing and no interpolation happens anywhere: the
+    odd symmetric sweep of 2h + 1 planes gives h + 1 points. Each plane's own
+    (X, mu) grid does the inner integrals; cfg's taper masks the mu nodes.
     """
-    ordered, grid_nu, anchor_idx = _plane_nu_axis(planes)
-    step = grid_nu.step
-    if grid is None:
-        half = (grid_nu.count - 1) // 2
-        count = half + 1  # _plane_nu_axis holds >= 3 planes, so count >= 2
-        grid = UniformGrid1D(-step * (count // 2), step, count)
-    elif abs(grid.step - step) > 1e-9 * step:
-        raise ValueError("output grid step must equal the plane nu spacing")
-    n = grid.count
-    lo, hi = anchor_idx - (n - 1), anchor_idx + n
-    if lo < 0 or hi > grid_nu.count:
-        raise ValueError(
-            f"the grid needs planes out to |nu| = {(n - 1) * step:g}; "
-            "extend the sweep or shrink the grid"
-        )
-    rows = _table_from_planes(ordered[lo:hi], cfg.taper_fraction)
+    ordered, grid_nu, _ = _plane_nu_axis(planes)
+    count = (grid_nu.count - 1) // 2 + 1  # _plane_nu_axis holds >= 3 planes, so count >= 2
+    grid = UniformGrid1D(-grid_nu.step * (count // 2), grid_nu.step, count)
+    rows = _table_from_planes(ordered, cfg.taper_fraction)
     return DensityMatrix.from_raw(grid, _rho_on_pairs(rows, (grid,)))
 
 

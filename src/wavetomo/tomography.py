@@ -13,6 +13,11 @@ connecting them. All quadratures are composite trapezoid sums on the
 wavefunction's own grid; the caller is responsible for sampling psi finely
 enough for the oscillatory kernel (roughly step < 2*pi / ((|mu|*y_max + |X|)/|nu|)).
 
+Every point value is one loop over the axes, `symplectic_tomogram_nd`
+(`symplectic_tomogram` is its one-axis call). An axis at nu = 0 takes the
+limit |psi(X/mu)|^2 / |mu| by linear interpolation of |psi|^2, as the maps'
+nu = 0 columns do, so a product state's tomogram is its factors' product.
+
 Every gridded map (plane, Fresnel, optical) is one call to `_chirp_z_abs2`:
 with X and y both on uniform grids the sum over y is a chirp-z transform,
 one FFT convolution costing O((n_x + n_y) log) per row.
@@ -113,20 +118,8 @@ class OpticalTomogram:
 
 
 def symplectic_tomogram(psi: SampledWavefunction, X: float, mu: float, nu: float) -> float:
-    """Symplectic tomogram of psi at a single (X, mu, nu).
-
-    For |nu| <= EPS_NU the analytic limit |psi(X/mu)|^2 / |mu| is used
-    (linear interpolation); if |mu| is also below threshold the point is
-    degenerate and an error is raised.
-    """
-    if abs(nu) <= EPS_NU:
-        if abs(mu) <= EPS_NU:
-            raise DegeneratePointError(f"(mu, nu) = ({mu}, {nu}) is degenerate")
-        return float(psi.abs2_at(X / mu)) / abs(mu)
-    y = psi.grid.points
-    phase = np.exp(1j * (mu * y * y / (2.0 * nu) - X * y / nu))
-    integral = trapezoid_integrate(psi.values * phase, psi.grid.step)
-    return float(abs(integral) ** 2 / (2.0 * np.pi * abs(nu)))
+    """Symplectic tomogram of psi at one (X, mu, nu): the one-axis symplectic_tomogram_nd."""
+    return symplectic_tomogram_nd(NdWavefunction((psi.grid,), psi.values), (X,), (mu,), (nu,))
 
 
 def _chirp_z_abs2(
@@ -259,33 +252,39 @@ def symplectic_tomogram_nd(
     """Product-kernel symplectic tomogram of an N-axis wavefunction.
 
     One loop over the axes, last first, contracts psi with each axis's
-    chirped kernel; an axis with |nu_k| <= EPS_NU instead takes the linear
-    interpolation of psi at X_k/mu_k (zero off the grid): exact on a node,
-    O(step^2) between (6.6e-4 relative on the entangled two-mode Gaussian on
-    301 points over +-8, against 1.8e-12 with every nu nonzero). A product
-    state's value is the product of its factors' symplectic_tomogram values.
+    chirped kernel. An axis with |nu_k| <= EPS_NU instead keeps the two nodes
+    that bracket X_k/mu_k, and |amp|^2 is contracted with their linear
+    interpolation weights (zero off the grid) after the loop: tensor-product
+    linear interpolation of |psi|^2, exact on a node, O(step^2) between
+    (5.1e-4 relative on the entangled two-mode Gaussian on 301 points over
+    +-8, against 1.8e-12 with every nu nonzero). A product state's value is
+    the product of its factors' symplectic_tomogram values, nu_k = 0 or not.
+    A degenerate axis (mu_k and nu_k both below threshold) raises.
     """
     if not (len(Xs) == len(mus) == len(nus) == psi.ndim):
         raise ValueError(f"expected {psi.ndim} components per argument")
-    amp, factor = psi.values, 1.0
-    for axis in reversed(range(psi.ndim)):  # each step removes the last axis of amp
+    amp, factor, pairs = psi.values, 1.0, []
+    for axis in reversed(range(psi.ndim)):  # each step consumes the last axis of amp
         g, X, mu, nu = psi.grids[axis], Xs[axis], mus[axis], nus[axis]
         if abs(nu) <= EPS_NU:
             if abs(mu) <= EPS_NU:
-                raise DegeneratePointError(f"axis {axis}: (mu, nu) = ({mu}, {nu}) is degenerate")
+                where = f"axis {axis}: " if psi.ndim > 1 else ""
+                raise DegeneratePointError(f"{where}(mu, nu) = ({mu}, {nu}) is degenerate")
             f = (X / mu - g.start) / g.step
-            if 0.0 <= f <= g.count - 1:
-                i = min(int(f), g.count - 2)
-                amp = amp[..., i] * (1.0 - (f - i)) + amp[..., i + 1] * (f - i)
-            else:
-                amp = np.zeros(amp.shape[:-1], np.complex128)
+            inside = 0.0 <= f <= g.count - 1
+            i = min(int(f), g.count - 2) if inside else 0
+            pairs.append([1.0 - (f - i), f - i] if inside else [0.0, 0.0])
+            amp = np.moveaxis(amp[..., i : i + 2], -1, 0)  # the bracket waits at the front
             factor /= abs(mu)
         else:
             y = g.points
             k = np.exp(1j * (mu * y * y / (2.0 * nu) - X * y / nu)) * trapezoid_weights(y.size, g.step)
             amp = amp @ k
             factor /= 2.0 * np.pi * abs(nu)
-    return factor * float(np.abs(amp) ** 2)
+    dens = amp.real**2 + amp.imag**2  # one axis per bracket, the first bracketed last
+    for weights in pairs:
+        dens = dens @ weights
+    return factor * float(dens)
 
 
 def fresnel_tomogram_nd(

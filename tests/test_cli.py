@@ -28,7 +28,7 @@ from wavetomo.cli import main
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
 from wavetomo.oracles import golden_dir
 from wavetomo.reconstruct import reconstruct_psi
-from wavetomo.tomography import symplectic_tomogram
+from wavetomo.tomography import NdWavefunction, symplectic_tomogram, symplectic_tomogram_nd
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
@@ -402,7 +402,10 @@ def test_tomogram_nd_errors(tmp_path, monkeypatch, capsys):
     rc = run("tomogram-nd", "--input", "g_psi.txt", "--input", "g_psi.txt",
              "--point", "0,0;1,0;1,0")
     assert rc == 4
-    assert "degenerate" in capsys.readouterr().err
+    # the degenerate factor is the second one: named as symplectic_tomogram_nd
+    # names that axis of the tensor
+    err = capsys.readouterr().err
+    assert err == "degenerate request: axis 1: (mu, nu) = (0.0, 0.0) is degenerate\n"
     assert run("tomogram-nd", "--point", "0;1;1") == 2
     assert run("tomogram-nd", "--input", "g_psi.txt", "--point", "0;1") == 2
     assert run("tomogram-nd", "--input", "g_psi.txt", "--point", "0,0;1;1") == 2
@@ -442,6 +445,14 @@ def test_tomogram_nd_multiplies_factor_tomograms(tmp_path, monkeypatch, capsys):
     w = [symplectic_tomogram(fileio.read_file(f"{name}_psi.txt")[1], X, mu, nu)
          for name, X, mu, nu in zip("abc", Xs, mus, nus)]
     assert got == w[0] * w[1] * w[2]
+    # library and CLI agree at a nu = 0 axis: two factors against their dense tensor
+    point = ";".join(",".join(map(str, v[:2])) for v in (Xs, mus, nus))
+    assert run("tomogram-nd", *inputs[:4], "--point", point) == 0
+    got = float(capsys.readouterr().out)
+    a, b = (fileio.read_file(f"{name}_psi.txt")[1] for name in "ab")
+    tensor = NdWavefunction((a.grid, b.grid), np.outer(a.values, b.values))
+    assert got == pytest.approx(symplectic_tomogram_nd(tensor, Xs[:2], mus[:2], nus[:2]),
+                                rel=1e-12)
 
 
 def test_tomogram_nd_three_inputs_peak_memory(tmp_path, monkeypatch, capsys):

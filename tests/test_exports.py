@@ -1,7 +1,10 @@
-"""Public names: every `__all__` entry resolves, and the package exports
-exactly the union of its library modules' lists."""
+"""Public names: every `__all__` entry resolves, the package exports exactly
+the union of its library modules' lists, and every wavetomo name the
+benchmark harness reads exists."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +33,47 @@ def test_package_exports_the_library_lists():
         want.update((n, getattr(module, n)) for n in module.__all__)
     assert sorted(got) == sorted(want)
     assert [n for n in want if got[n] is not want[n]] == []
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_reads():
+    """(file, module, name) for each `from wavetomo... import name` in perfbench
+    and each `alias.name` where `import wavetomo.module as alias`.
+
+    launch.PATCHES names its targets as strings and reports a missing one as
+    untraced, so it is not read here.
+    """
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), path.name)
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "wavetomo":
+                yield from ((path.name, node.module, a.name) for a in node.names)
+            elif isinstance(node, ast.Import):
+                aliases.update((a.asname, a.name) for a in node.names
+                               if a.asname and a.name.startswith("wavetomo."))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+                yield path.name, aliases[node.value.id], node.attr
+
+
+def _resolves(module_name, name):
+    # a name may be a submodule that the package does not import itself
+    if hasattr(importlib.import_module(module_name), name):
+        return True
+    try:
+        importlib.import_module(f"{module_name}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_perfbench_names_resolve():
+    reads = set(_perfbench_reads())
+    # names read only on a traced run, or only by the harness
+    assert {("libworker.py", "wavetomo.reconstruct", "fresnel_as_symplectic_source"),
+            ("launch.py", "wavetomo.tomography", "EPS_NU"),
+            ("checks.py", "wavetomo", "fileio")} <= reads
+    assert sorted(r for r in reads if not _resolves(*r[1:])) == []

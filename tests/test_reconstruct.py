@@ -611,16 +611,6 @@ def test_density_matrix_from_planes():
     assert np.max(np.abs(dm.values - np.outer(psi, psi.conj()))) <= 1e-3
 
 
-def test_density_matrix_from_planes_grid_constraints():
-    p = GcfParams(1.0, 0.0)
-    planes = analytic_plane_set(p, list(np.linspace(-1.0, 1.0, 33)))
-    with pytest.raises(ValueError):
-        density_matrix_from_planes(planes, grid=UniformGrid1D.symmetric(0.5, 11))
-    # grid asking for nu differences beyond the sweep
-    with pytest.raises(ValueError):
-        density_matrix_from_planes(planes, grid=UniformGrid1D(-1.25, 0.0625, 41))
-
-
 def test_wigner_from_planes():
     p = GcfParams(1.0, 0.0)
     planes = analytic_plane_set(p, list(np.linspace(-3.0, 3.0, 97)))

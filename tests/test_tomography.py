@@ -237,6 +237,20 @@ def _nd_product(p1, p2, count=257, half=6.0):
     return NdWavefunction((g, g), np.outer(f1, f2)), g, f1, f2
 
 
+def _normalized_factors(params, count):
+    g = UniformGrid1D.symmetric(6.0, count)
+    return [gcf_sampled(GcfParams(*p), g) for p in params]
+
+
+def _assert_tensor_is_product(factors, Xs, mus, nus):
+    tensor = factors[0].values
+    for f in factors[1:]:
+        tensor = np.multiply.outer(tensor, f.values)
+    psi = NdWavefunction(tuple(f.grid for f in factors), tensor)
+    want = math.prod(map(symplectic_tomogram, factors, Xs, mus, nus))
+    assert symplectic_tomogram_nd(psi, Xs, mus, nus) == pytest.approx(want, rel=1e-12)
+
+
 def test_nd_separable_equals_product(psi_plain, psi_chirped):
     p1, p2 = GcfParams(1.0, 0.0), GcfParams(1.0, 1.0)
     psi2, g, _, _ = _nd_product(p1, p2)
@@ -245,6 +259,12 @@ def test_nd_separable_equals_product(psi_plain, psi_chirped):
     w1 = symplectic_tomogram(gcf_sampled(p1, g), 0.3, 0.8, 0.6)
     w2 = symplectic_tomogram(gcf_sampled(p2, g), -0.2, 1.1, 0.9)
     assert got == pytest.approx(w1 * w2, abs=1e-10)
+    # a nu = 0 axis reads |psi|^2 between the nodes bracketing X/mu, in 1D and
+    # N-axis alike, so a product tensor equals the product of its factors off
+    # a node too
+    factors = _normalized_factors([(1.0, 0.0), (0.7, 1.3)], 257)
+    for nus in ((0.6, 0.0), (0.0, 0.0)):
+        _assert_tensor_is_product(factors, (0.35, -0.2), (0.8, 1.1), nus)
 
 
 def test_nd_homogeneity():
@@ -301,13 +321,17 @@ def test_nd_three_axis_separable():
     psi3 = NdWavefunction((g, g, g), np.einsum("i,j,k->ijk", f, f, f))
     got = symplectic_tomogram_nd(psi3, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
     assert got == pytest.approx(W_0_1_1**3, abs=1e-6)
+    # two nu = 0 axes off a node
+    factors = _normalized_factors([(1.0, 0.0), (0.7, 1.3), (1.3, -0.5)], 129)
+    _assert_tensor_is_product(factors, (0.35, -0.2, 0.5), (0.8, 1.1, -0.6), (0.0, 0.0, 0.9))
 
 
 @pytest.mark.parametrize("count, tol", [(201, 1e-12), (301, 1e-3)])
 def test_nd_zero_nu_axis_interpolates_psi(count, tol):
-    # an axis at nu = 0 reads psi at X/mu by linear interpolation: exact on a
-    # node (X/mu = 0.4 is one on 201 points over +-8), O(step^2) between
-    # nodes (on 301 points it sits half a step off; measured 6.6e-4)
+    # an axis at nu = 0 reads |psi|^2 at X/mu by linear interpolation of the
+    # squared amplitude: exact on a node (X/mu = 0.4 is one on 201 points over
+    # +-8; measured 9.6e-15), O(step^2) between nodes (on 301 points it sits
+    # half a step off; measured 5.1e-4)
     A = np.array([[1.0, 0.6], [0.6, 1.5]])
     g = UniformGrid1D.symmetric(8.0, count)
     psi = NdWavefunction((g, g), gaussian2_psi(A, g.points[:, None], g.points[None, :]))
