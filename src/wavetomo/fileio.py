@@ -12,10 +12,11 @@ A coordinate must be the canonical text of its manifest grid point: the
 grid point written with "%.17g", as the writer prints it. Any other
 spelling of the same number ("1.0" for "1", "5e-1" for "0.5") is refused.
 The writer formats each grid point once and only the value columns per
-cell; the reader streams the data block from the open file into one
-structured array, compares the coordinate columns as bytes and parses only
-the value columns as floats. It also refuses non-finite values and any NUL
-byte in the file.
+cell, and writes one chunk of whole rows (whole blocks in 2D) of about 8192
+values at a time, so its memory does not grow with the file; the reader
+streams the data block from the open file into one structured array,
+compares the coordinate columns as bytes and parses only the value columns
+as floats. It also refuses non-finite values and any NUL byte in the file.
 
 One table, ``_KINDS``, says how each payload type is stored; the writer and
 the reader are both driven by it.
@@ -47,6 +48,7 @@ __all__ = [
 FORMAT_VERSION = "1"
 
 MAGIC = "#MANIFEST "
+_CHUNK = 8192  # values per write_file chunk: a chunk's text is held, not the file's
 
 
 def _tag(v: float) -> str:
@@ -182,20 +184,19 @@ def write_file(path, payload, params=None, provenance="") -> Manifest:
     m = Manifest(k.kind, tuple(getattr(payload, g) for g in k.grids), p, provenance)
     v = payload.values.ravel()
     vals = v.view(np.float64) if np.iscomplexobj(v) else v  # re, im in column order
-    # coordinates are formatted once per grid point, values once per cell
     *outer, inner = (_canonical(getattr(payload, a)) for a in k.axes)
     cells = " %.17g" * (vals.size // v.size) + "\n"
-    rows = [c + cells for c in inner]
-    if outer:
-        # 2D: one block per first coordinate a, each row led by a; consecutive
-        # blocks are separated by a blank line
-        tails = [" " + r for r in rows]
-        text = "\n".join(a + a.join(tails) for a in outer[0])
-    else:
-        text = "".join(rows)
+    # a unit a is a row (1D) or a block of rows each led by a (2D, a blank line
+    # between blocks); grid points are formatted once, values once per cell
+    units, tails, sep = (outer[0], [" " + c + cells for c in inner], "\n") if outer else (
+        inner, [cells], "")
+    per = vals.size // len(units)
+    step = max(1, _CHUNK // per)
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{m.to_line()}\n# columns: {k.columns}\n")
-        f.write(text % tuple(vals.tolist()))
+        for s in range(0, len(units), step):
+            text = sep * (s > 0) + sep.join(a + a.join(tails) for a in units[s : s + step])
+            f.write(text % tuple(vals[s * per : (s + step) * per].tolist()))
     return m
 
 

@@ -20,7 +20,8 @@ nu = 0 columns do, so a product state's tomogram is its factors' product.
 
 Every gridded map (plane, Fresnel, optical) is one call to `_chirp_z_abs2`:
 with X and y both on uniform grids the sum over y is a chirp-z transform,
-one FFT convolution costing O((n_x + n_y) log) per row.
+one FFT convolution of 5-smooth length costing O((n_x + n_y) log) per row,
+run in blocks of rows whose buffers (about 1 MB) do not grow with the map.
 """
 from __future__ import annotations
 
@@ -63,6 +64,7 @@ EPS_NU = 1e-8
 NEGATIVITY_TOL = -1e-10
 # cap on a plane's X points from plane_grids_for_slice
 MAX_X_COUNT = 8192
+_BLOCK_BYTES = 1 << 20  # complex buffer of one _chirp_z_abs2 row block, and of its chirps
 
 
 def _tomogram_values(values, grid_a: UniformGrid1D, grid_b: UniformGrid1D) -> np.ndarray:
@@ -122,35 +124,48 @@ def symplectic_tomogram(psi: SampledWavefunction, X: float, mu: float, nu: float
     return symplectic_tomogram_nd(NdWavefunction((psi.grid,), psi.values), (X,), (mu,), (nu,))
 
 
-def _chirp_z_abs2(
-    rows: np.ndarray, grid_y: UniformGrid1D, grid_x: UniformGrid1D, nu
-) -> np.ndarray:
-    """|Sum_j rows[r, j] exp(-i X_k y_j / nu_r)|^2 for X_k on grid_x, shape (n_x, n_rows).
+def _fft_size(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n: a length numpy's FFT transforms fast."""
+    odd = (3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length()))
+    return min(p << ((n - 1) // p).bit_length() for p in odd)
 
-    nu is one value for every row or one per row. With k and j counted from
-    the grid centres, X_k y_j / nu = (terms in k alone) + xc*y_j/nu + c*k*j,
-    c = dX*dy/nu, and Bluestein's k*j = (k^2 + j^2 - (k-j)^2)/2 makes the sum
-    one convolution with the chirp exp(i*c*m^2/2), done by FFT; the factors
-    of unit modulus in k drop out of |.|^2.
+
+def _chirp_z_abs2(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu, nu) -> np.ndarray:
+    """|Sum_j weighted[j] exp(i*mu_r*y_j^2/(2*nu_r) - i*X_k*y_j/nu_r)|^2 for X_k on
+    grid_x, shape (n_x, n_rows); nu is one value for every row or one per row.
+
+    With k and j counted from the grid centres, X_k y_j / nu = (terms in k
+    alone) + xc*y_j/nu + c*k*j, c = dX*dy/nu, and Bluestein's k*j = (k^2 + j^2
+    - (k-j)^2)/2 makes the sum one convolution with the chirp exp(i*c*m^2/2),
+    done by FFT at a 5-smooth length; the factors of unit modulus in k drop
+    out of |.|^2. Each row's phase mu*y^2/(2*nu) - xc*y/nu - c*j^2/2 is
+    exponentiated once, into the FFT buffer of its block of rows (about
+    _BLOCK_BYTES); one nu for all rows makes one chirp FFT for every block.
     """
-    n_rows, n_y = rows.shape
-    n_x = grid_x.count
+    n_x, n_y = grid_x.count, grid_y.count
     kc, jc = n_x // 2, n_y // 2
-    nu = np.reshape(np.asarray(nu, dtype=np.float64), (-1, 1))
-    c = grid_x.step * grid_y.step / nu
-    size = 1 << (n_x + n_y - 2).bit_length()  # >= n_x + n_y - 1, so no lag wraps
-    j = np.arange(n_y) - jc
-    buf = np.zeros((n_rows, size), np.complex128)
-    buf[:, :n_y] = rows * np.exp(-1j * (grid_x.point(kc) * grid_y.points / nu + c * (j * j) / 2))
+    size = _fft_size(n_x + n_y - 1)  # no lag wraps
+    j, y = np.arange(n_y) - jc, grid_y.points
     lag = np.arange(size)
     m = np.where(lag < n_x, lag, lag - size) - (kc - jc)  # (k - kc) - (j - jc), exact integers
-    chirp = np.exp(1j * (c * (m * m) / 2))
-    np.fft.fft(chirp, axis=1, out=chirp)
-    np.fft.fft(buf, axis=1, out=buf)
-    buf *= chirp
-    np.fft.ifft(buf, axis=1, out=buf)
-    amp = buf[:, :n_x]
-    return (amp.real**2 + amp.imag**2).T
+    # a row's phase is (mu*y^2/2 - shift)/nu, and its chirp's phase cm2/nu
+    shift = grid_x.point(kc) * y + grid_x.step * grid_y.step * (j * j) / 2
+    cm2 = grid_x.step * grid_y.step * (m * m) / 2
+    nu = np.reshape(np.asarray(nu, dtype=np.float64), (-1, 1))
+    out = np.empty((n_x, len(mu)))
+    block = max(1, _BLOCK_BYTES // (16 * size))
+    for s in range(0, len(mu), block):
+        mu_b, nu_b = mu[s : s + block, None], nu[s : s + block] if len(nu) > 1 else nu
+        if s == 0 or len(nu) > 1:
+            chirp = np.fft.fft(np.exp(1j * (cm2 / nu_b)), axis=1)
+        buf = np.zeros((len(mu_b), size), np.complex128)
+        np.exp(1j * ((mu_b * (y * y / 2) - shift) / nu_b), out=buf[:, :n_y])
+        buf[:, :n_y] *= weighted
+        np.fft.fft(buf, axis=1, out=buf)
+        buf *= chirp
+        np.fft.ifft(buf, axis=1, out=buf)
+        out[:, s : s + block] = (buf.real[:, :n_x] ** 2 + buf.imag[:, :n_x] ** 2).T
+    return out
 
 
 def _tomogram_columns(psi: SampledWavefunction, grid_x: UniformGrid1D, mu, nu) -> np.ndarray:
@@ -171,11 +186,10 @@ def _tomogram_columns(psi: SampledWavefunction, grid_x: UniformGrid1D, mu, nu) -
     live = ~flat
     if live.any():
         nu_live = nu if np.ndim(nu) == 0 else nu_r[live]
-        y = psi.grid.points
-        weighted = psi.values * trapezoid_weights(y.size, psi.grid.step)
-        rows = weighted * np.exp(1j * (mu[live] / (2.0 * nu_r[live]))[:, None] * (y * y))
-        amp2 = _chirp_z_abs2(rows, psi.grid, grid_x, nu_live)
-        out[:, live] = amp2 / (2.0 * np.pi * np.abs(nu_r[live]))
+        weighted = psi.values * trapezoid_weights(psi.grid.count, psi.grid.step)
+        amp2 = _chirp_z_abs2(weighted, psi.grid, grid_x, mu[live], nu_live)
+        amp2 /= 2.0 * np.pi * np.abs(nu_r[live])
+        out[:, live] = amp2
     return out
 
 

@@ -20,11 +20,16 @@ from wavetomo.analytic import (
     gcf_width,
 )
 from wavetomo.errors import ManifestError
-from wavetomo.fileio import _KINDS, Manifest, WidthMap, read_file, write_file
+from wavetomo.fileio import _CHUNK, _KINDS, Manifest, WidthMap, read_file, write_file
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
 from wavetomo.oracles import golden_dir
 from wavetomo.reconstruct import DensityMatrix, PsiAutocorrelation, WignerFunction
-from wavetomo.tomography import FresnelTomogram, OpticalTomogram, TomogramPlane
+from wavetomo.tomography import (
+    FresnelTomogram,
+    OpticalTomogram,
+    TomogramPlane,
+    fresnel_tomogram,
+)
 
 P = GcfParams(1.0, 1.0)
 
@@ -239,6 +244,47 @@ def test_writer_matches_per_cell_formatting(kind, data, tmp_path):
     header, columns, body = path.read_text(encoding="utf-8").split("\n", 2)
     assert columns == f"# columns: {kind.columns}"
     assert body == _old_rendering(payload, kind)
+
+
+def _seam_payload(name):
+    # values of many magnitudes, so rows differ in length
+    rng = np.random.default_rng(11)
+    z = lambda *s: rng.normal(size=s) * 10.0 ** rng.integers(-100, 100, size=s)
+    if name == "wavefunction":
+        g = UniformGrid1D(-7.3, 0.0013, 10001)
+        return SampledWavefunction.normalized(g, z(g.count) + 1j * z(g.count))
+    if name == "plane":
+        ga, gb = UniformGrid1D.symmetric(8.0, 401), UniformGrid1D(-1.1, 0.37, 47)
+        return TomogramPlane(0.3, ga, gb, np.abs(z(ga.count, gb.count)))
+    g = UniformGrid1D.symmetric(3.0, 150)
+    return DensityMatrix.from_raw(g, z(g.count, g.count) + 1j * z(g.count, g.count))
+
+
+@pytest.mark.parametrize("name", ["wavefunction", "plane", "density_matrix"])
+def test_writer_chunk_seams_match_per_cell_formatting(name, tmp_path):
+    payload = _seam_payload(name)
+    kind = next(k for k in _KINDS if type(payload) is k.payload)
+    units = getattr(payload, kind.axes[0]).count
+    per = payload.values.view(np.float64).size // units  # values per row (1D) or block (2D)
+    assert -(-units // max(1, _CHUNK // per)) >= 3  # the file spans three chunks or more
+    path = tmp_path / "w.txt"
+    write_file(path, payload)
+    body = path.read_text(encoding="utf-8").split("\n", 2)[2]
+    assert body == _old_rendering(payload, kind)
+
+
+def test_write_peak_memory_is_below_half_the_file_size(tmp_path):
+    # cli-forward's Fresnel map, 481 X by 161 nu: a 4.3 MB file
+    psi = gcf_sampled(GcfParams(1.0, 2.0), count=1025)
+    wf = fresnel_tomogram(psi, UniformGrid1D.symmetric(8.0, 481), UniformGrid1D.symmetric(2.0, 161))
+    path = tmp_path / "fresnel.txt"
+    tracemalloc.start()
+    try:
+        write_file(path, wf, {"sigma": 1.0, "alpha": 2.0}, "tomogram --kind fresnel")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
 
 
 def test_golden_files_rewrite_byte_for_byte(tmp_path):

@@ -5,6 +5,7 @@ Expected constants marked "pinned" were fixed by brute-force quadrature at
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,10 @@ from wavetomo.analytic import (
 from wavetomo.errors import DegeneratePointError, UnsupportedSizeError
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
 from wavetomo.tomography import (
+    _BLOCK_BYTES,
+    EPS_NU,
     NdWavefunction,
+    _fft_size,
     fresnel_tomogram,
     fresnel_tomogram_nd,
     optical_tomogram,
@@ -215,6 +219,73 @@ def test_fresnel_chirp_z_rows_match_scalar_oracle():
         nu = gnu.point(j)
         want = [symplectic_tomogram(psi, gx.point(i), 1.0, nu) for i in range(gx.count)]
         assert np.max(np.abs(wf.values[:, j] - want)) <= 1e-12
+
+
+# cli-forward's Fresnel map: its 1025-point state onto 481 X by 161 nu points
+FORWARD_FRESNEL = (UniformGrid1D.symmetric(8.0, 481), UniformGrid1D.symmetric(2.0, 161))
+
+
+def _block_edges(n_x, n_y, nu):
+    """Per row block of _chirp_z_abs2: the map columns of its first and last row."""
+    live = np.flatnonzero(np.abs(nu) > EPS_NU)
+    block = max(1, _BLOCK_BYTES // (16 * _fft_size(n_x + n_y - 1)))
+    return [(live[s], live[min(s + block, live.size) - 1]) for s in range(0, live.size, block)]
+
+
+@pytest.fixture(scope="module")
+def psi_forward():
+    return gcf_sampled(GcfParams(1.0, 2.0), count=1025)
+
+
+def test_fresnel_block_seams_match_scalar_oracle(psi_forward):
+    gx, gnu = FORWARD_FRESNEL
+    wf = fresnel_tomogram(psi_forward, gx, gnu)
+    edges = _block_edges(gx.count, psi_forward.grid.count, gnu.points)
+    assert len(edges) >= 3 and edges[-1][1] - edges[-1][0] < edges[0][1] - edges[0][0]
+    for j in sorted({j for edge in edges for j in edge}):
+        nu = gnu.point(j)
+        want = [symplectic_tomogram(psi_forward, gx.point(i), 1.0, nu) for i in range(gx.count)]
+        assert np.max(np.abs(wf.values[:, j] - want)) <= 1e-12, j
+
+
+def test_optical_last_partial_block_matches_scalar_oracle(psi_forward):
+    # cli-forward's optical map: 241 X by 129 theta over [0, pi]
+    gx, gt = UniformGrid1D.symmetric(6.0, 241), UniformGrid1D(0.0, math.pi / 128.0, 129)
+    ot = optical_tomogram_map(psi_forward, gx, gt)
+    edges = _block_edges(gx.count, psi_forward.grid.count, np.sin(gt.points))
+    first, last = edges[-1]
+    assert len(edges) >= 2 and last - first < edges[0][1] - edges[0][0]
+    for j in range(first, last + 1):
+        want = [optical_tomogram(psi_forward, gx.point(i), gt.point(j)) for i in range(gx.count)]
+        assert np.max(np.abs(ot.values[:, j] - want)) <= 1e-12, j
+
+
+def test_fft_size_is_the_smallest_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    want, m = [], 1
+    for n in range(1, 4097):
+        m = max(m, n)
+        while not smooth(m):
+            m += 1
+        want.append(m)
+    assert [_fft_size(n) for n in range(1, 4097)] == want
+    assert [_fft_size(n) for n in (1175, 1265, 1505)] == [1200, 1280, 1536]
+
+
+def test_fresnel_peak_memory_does_not_grow_with_the_map(psi_forward):
+    # the map itself is 0.62 MB; row blocks keep the kernel's buffers near 1 MB each
+    tracemalloc.start()
+    try:
+        fresnel_tomogram(psi_forward, *FORWARD_FRESNEL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_optical_map_matches_scalar_oracle(psi_chirped):
