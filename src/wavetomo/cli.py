@@ -7,11 +7,12 @@ Subcommands:
   reconstruct  invert tomogram plane files to psi, the density matrix, or Wigner
   validate     run the oracle table of wavetomo.oracles, which the tests also run
 
-Exit codes: 0 success; 1 validation-suite failure; 2 usage error; 3 file
-parse error; 4 degenerate point or vanishing anchor value; 5 missing nu=0
-anchor plane. gcf, tomogram and reconstruct take --config; precedence is
-flags > --config JSON > defaults, and a JSON key must be a flag's dest
-(``x_count`` for ``--x-count``), or the run exits 2. The effective
+Exit codes: 0 success; 1 validation-suite failure; 2 usage error or an
+output file that cannot be written; 3 file parse error; 4 degenerate point
+or vanishing anchor value; 5 missing nu=0 anchor plane. gcf, tomogram and
+reconstruct take --config; precedence is flags > --config JSON > defaults.
+A JSON key must be a flag's dest (``x_count`` for ``--x-count``) and its
+value is parsed as that flag's value, or the run exits 2. The effective
 settings are echoed into each output file's provenance.
 ``NO_COLOR`` (or a non-tty stdout) disables the PASS/FAIL coloring.
 """
@@ -37,7 +38,6 @@ from .errors import (
     MissingAnchorError,
     NodeAtOriginError,
     SingularFrequencyError,
-    UnsupportedSizeError,
     WavetomoError,
 )
 from .grid import SampledWavefunction, UniformGrid1D
@@ -65,6 +65,19 @@ class UsageError(WavetomoError):
     """Bad flag combination or inputs of the wrong kind."""
 
 
+# exit code and stderr line of each failure; the first row that matches wins,
+# so the ValueError row follows the package errors that subclass ValueError
+_EXITS = (
+    (ManifestError, 3, "parse error: {e}"),
+    ((DegeneratePointError, NodeAtOriginError, DomainLookupError, SingularFrequencyError),
+     4, "degenerate request: {e}"),
+    (MissingAnchorError, 5, "missing anchor: {e}"),
+    ((UsageError, ValueError), 2, "error: {e}"),
+    # reads wrap their OSErrors, so one that reaches main is a write
+    (OSError, 2, "error: cannot write {e.filename}: {e.strerror}"),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     # an abbreviated flag is unknown, so the value join below sees every flag
     # that argparse matches; subparsers are built by this class too
@@ -90,11 +103,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# flag plumbing
+# settings
 
 
-def _add_config_flag(p: _Parser) -> None:
+def _grid_dests(*axes: str) -> tuple[str, ...]:
+    return tuple(f"{ax}_{end}" for ax in axes for end in ("min", "max", "count"))
+
+
+# the grid axes each command or tomogram kind reads, with their default
+# (min, max, count); a symplectic sweep has no default nu grid
+_GRIDS = {
+    "gcf": {"xp": (-6.0, 6.0, 121), "nup": (-3.0, 3.0, 61)},
+    "symplectic": {"x": (-8.0, 8.0, 257), "nu": None, "mu": (-10.0, 10.0, 128)},
+    "fresnel": {"x": (-8.0, 8.0, 161), "nu": (-2.0, 2.0, 41)},
+    "optical": {"x": (-6.0, 6.0, 121), "theta": (0.0, math.pi, 65)},
+    "wigner": {"q": (-4.0, 4.0, 81), "p": (-4.0, 4.0, 81)},
+}
+# the axis whose one value (--nu, --theta) a kind reads in place of its grid
+_ONE_VALUE = {"symplectic": "nu", "optical": "theta"}
+_TOMOGRAM_SETTINGS = ("nu", "theta", *_grid_dests("x", "nu", "mu", "theta"))
+
+
+def _add_settings(p: _Parser, *dests: str) -> None:
+    for d in dests:
+        p.add_argument("--" + d.replace("_", "-"), type=int if d.endswith("count") else float)
+
+
+def _add_output_and_config(p: _Parser) -> None:
+    p.add_argument("--output")
     p.add_argument("--config", help="JSON file of default flag values (flags win)")
+    p.set_defaults(_parser=p)  # its flags spell each --config value for the second parse
 
 
 def _load_config(args) -> dict:
@@ -121,41 +159,55 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _eff(args, cfg: dict, name: str, default):
-    v = getattr(args, name, None)
-    return v if v is not None else cfg.get(name, default)
-
-
-def _grid_dests(*axes: str) -> tuple[str, ...]:
-    return tuple(f"{ax}_{end}" for ax in axes for end in ("min", "max", "count"))
+def _config_argv(args) -> list[str]:
+    """Each config value the command line left unset, spelled as its flag."""
+    out = []
+    for key, v in _load_config(args).items():
+        flag = "--" + key.replace("_", "-")
+        if getattr(args, key) is not None:
+            continue
+        if isinstance(v, bool) and args._parser._option_string_actions[flag].nargs == 0:
+            out += [flag] if v else []
+        elif isinstance(v, (str, int, float)) and not isinstance(v, bool):
+            out.append(f"{flag}={v}")
+        else:
+            raise UsageError(f"config key {key!r}: {json.dumps(v)} is not a value of {flag}")
+    return out
 
 
 def _unread(args, why: str, *dests: str) -> None:
     # command-line flags only: one --config file may serve several kinds
-    given = [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d) is not None]
+    given = [f"--{d.replace('_', '-')}" for d in dests if d in args._given]
     if given:
         raise UsageError(f"{', '.join(given)} not read {why}")
 
 
-def _finite(flag: str, value) -> float:
-    v = float(value)
+def _finite(flag: str, v: float) -> float:
     if not math.isfinite(v):
         raise UsageError(f"{flag} must be finite, got {v!r}")
     return v
 
 
-def _grid_from(eff, axis: str, dmin: float, dmax: float, dcount: int) -> UniformGrid1D:
-    lo = _finite(f"--{axis}-min", eff(f"{axis}_min", dmin))
-    hi = _finite(f"--{axis}-max", eff(f"{axis}_max", dmax))
-    n = int(eff(f"{axis}_count", dcount))
+def _span(args, axis: str, default) -> tuple[float, float, int]:
+    """The (min, max, count) flags of one axis, each unset one from `default`."""
+    lo, hi, n = (d if v is None else v
+                 for v, d in zip((getattr(args, d) for d in _grid_dests(axis)), default))
+    lo, hi = _finite(f"--{axis}-min", lo), _finite(f"--{axis}-max", hi)
     if not (hi > lo) or n < 2:
         raise UsageError(f"--{axis}-min/--{axis}-max/--{axis}-count must satisfy max > min, count >= 2")
-    return UniformGrid1D(lo, (hi - lo) / (n - 1), n)
+    return lo, hi, n
 
 
-def _provenance(args, effective: dict) -> str:
-    cmd = "wavetomo " + " ".join(getattr(args, "_argv", []))
-    return f"{cmd} | effective: {json.dumps(effective, sort_keys=True)}"
+def _grids(args, key: str, skip: str | None = None) -> dict[str, UniformGrid1D]:
+    """The grids of _GRIDS[key], each axis that has a default but `skip`."""
+    spans = {a: _span(args, a, d) for a, d in _GRIDS[key].items() if d and a != skip}
+    return {a: UniformGrid1D(lo, (hi - lo) / (n - 1), n) for a, (lo, hi, n) in spans.items()}
+
+
+def _provenance(args, grids: dict, **effective) -> str:
+    """The command line and the effective settings, a grid as [min, max, count]."""
+    effective.update((a, [g.start, g.end, g.count]) for a, g in grids.items())
+    return f"wavetomo {' '.join(args._argv)} | effective: {json.dumps(effective, sort_keys=True)}"
 
 
 def _diag(**kv) -> None:
@@ -168,39 +220,28 @@ def _diag(**kv) -> None:
 
 
 def _cmd_gcf(args) -> int:
-    cfg = _load_config(args)
-    eff = lambda n, d: _eff(args, cfg, n, d)
-    sigma = float(eff("sigma", None) or 0.0)
+    sigma = args.sigma or 0.0
     if sigma <= 0:
         raise UsageError("--sigma must be given and positive")
-    alpha = float(eff("alpha", 0.0))
+    alpha = 0.0 if args.alpha is None else args.alpha
     p = GcfParams(sigma, alpha)
-    x_count = int(eff("x_count", 1025))
-    gx = _grid_from(eff, "xp", -6.0, 6.0, 121)
-    gn = _grid_from(eff, "nup", -3.0, 3.0, 61)
-    prefix = eff("output", f"gcf_s{fileio._tag(sigma)}_a{fileio._tag(alpha)}")
-    effective = {
-        "sigma": sigma, "alpha": alpha, "x_count": x_count,
-        "xp": [gx.start, gx.end, gx.count], "nup": [gn.start, gn.end, gn.count],
-    }
-    prov = _provenance(args, effective)
+    x_count = 1025 if args.x_count is None else args.x_count
+    grids = _grids(args, "gcf")
+    prefix = args.output
+    if prefix is None:
+        prefix = f"gcf_s{fileio._tag(sigma)}_a{fileio._tag(alpha)}"
+    prov = _provenance(args, grids, sigma=sigma, alpha=alpha, x_count=x_count)
     meta = {"sigma": sigma, "alpha": alpha}
 
-    psi = gcf_sampled(p, count=x_count)
-    fileio.write_file(f"{prefix}_psi.txt", psi, meta, prov)
-    written = [f"{prefix}_psi.txt"]
-
     # the (X', nu') map at mu = 1: the two-argument face every 3D surface plot shows
-    wf = gcf_fresnel_analytic(p, gx, gn)
-    fileio.write_file(f"{prefix}_fresnel.txt", wf, meta, prov)
-    written.append(f"{prefix}_fresnel.txt")
-
-    if eff("width_map", False):
-        widths = np.array([gcf_width(p, 1.0, nu) for nu in gn.points])
-        fileio.write_file(f"{prefix}_width.txt", fileio.WidthMap(gn, widths), meta, prov)
-        written.append(f"{prefix}_width.txt")
-    for name in written:
-        print(name)
+    payloads = {"psi": gcf_sampled(p, count=x_count),
+                "fresnel": gcf_fresnel_analytic(p, *grids.values())}
+    if args.width_map:
+        gn = grids["nup"]
+        payloads["width"] = fileio.WidthMap(gn, [gcf_width(p, 1.0, nu) for nu in gn.points])
+    for name, payload in payloads.items():
+        fileio.write_file(f"{prefix}_{name}.txt", payload, meta, prov)
+    print(*(f"{prefix}_{name}.txt" for name in payloads), sep="\n")
     return 0
 
 
@@ -215,67 +256,43 @@ def _read_wavefunction(path) -> tuple[dict, SampledWavefunction]:
     return manifest.params, payload
 
 
-def _format_pattern(pattern: str, index: int, nu: float) -> str:
-    return pattern.replace("{index}", str(index)).replace("{nu}", "%g" % nu)
-
-
 def _cmd_tomogram(args) -> int:
-    cfg = _load_config(args)
-    eff = lambda n, d: _eff(args, cfg, n, d)
     if not args.input:
         raise UsageError("--input is required")
-    kind = args.kind
-    _unread(args, f"by --kind {kind}", *{
-        "symplectic": ("theta", *_grid_dests("theta")),
-        "fresnel": ("nu", "theta", *_grid_dests("mu", "theta")),
-        "optical": ("nu", *_grid_dests("nu", "mu")),
-    }[kind])
+    kind = args.kind or "symplectic"  # not an argparse default, so --config can set it
+    one = _ONE_VALUE.get(kind)
+    single = getattr(args, one) if one else None
+    reads = {one, *_grid_dests(*_GRIDS[kind])}
+    _unread(args, f"by --kind {kind}", *(d for d in _TOMOGRAM_SETTINGS if d not in reads))
+    if single is not None:
+        _unread(args, f"alongside --{one}", *_grid_dests(one))
     params, psi = _read_wavefunction(args.input)
-    out = eff("output", None)
+    out = args.output
     if not out:
         raise UsageError("--output is required")
     meta = {k: params[k] for k in ("sigma", "alpha") if k in params}
 
-    if kind == "fresnel":
-        gx = _grid_from(eff, "x", -8.0, 8.0, 161)
-        gn = _grid_from(eff, "nu", -2.0, 2.0, 41)
-        effective = {"kind": kind, "x": [gx.start, gx.end, gx.count],
-                     "nu": [gn.start, gn.end, gn.count]}
-        data = fresnel_tomogram(psi, gx, gn)
-    elif kind == "optical":
-        gx = _grid_from(eff, "x", -6.0, 6.0, 121)
-        theta = eff("theta", None)
-        if theta is not None:
-            _unread(args, "alongside --theta", *_grid_dests("theta"))
-            # one requested angle plus its conjugate quadrature
-            gt = UniformGrid1D(_finite("--theta", theta), math.pi / 2.0, 2)
-        else:
-            gt = _grid_from(eff, "theta", 0.0, math.pi, 65)
-        effective = {"kind": kind, "x": [gx.start, gx.end, gx.count],
-                     "theta": [gt.start, gt.end, gt.count]}
-        data = optical_tomogram_map(psi, gx, gt)
     if kind != "symplectic":
-        fileio.write_file(out, data, meta, _provenance(args, effective))
+        grids = _grids(args, kind, skip=one if single is not None else None)
+        if single is not None:
+            # one requested angle plus its conjugate quadrature
+            grids["theta"] = UniformGrid1D(_finite("--theta", single), math.pi / 2.0, 2)
+        forward = fresnel_tomogram if kind == "fresnel" else optical_tomogram_map
+        data = forward(psi, *grids.values())
+        fileio.write_file(out, data, meta, _provenance(args, grids, kind=kind))
         print(out)
         return 0
 
     # symplectic planes
-    nu_single = eff("nu", None)
-    if nu_single is not None:
-        _unread(args, "alongside --nu", *_grid_dests("nu"))
-        nus = [_finite("--nu", nu_single)]
+    if single is not None:
+        nus = [_finite("--nu", single)]
+    elif None in (args.nu_min, args.nu_max, args.nu_count):
+        raise UsageError("symplectic needs --nu or --nu-min/--nu-max/--nu-count")
     else:
-        lo, hi = eff("nu_min", None), eff("nu_max", None)
-        n = eff("nu_count", None)
-        if lo is None or hi is None or n is None:
-            raise UsageError("symplectic needs --nu or --nu-min/--nu-max/--nu-count")
-        lo, hi, n = _finite("--nu-min", lo), _finite("--nu-max", hi), int(n)
-        if not (hi > lo) or n < 2:
-            raise UsageError("--nu-min/--nu-max/--nu-count must satisfy max > min, count >= 2")
-        nus = list(np.linspace(lo, hi, n))
+        nus = list(np.linspace(*_span(args, "nu", (None,) * 3)))
     if len(nus) > 1 and "{index}" not in out and "{nu}" not in out:
         raise UsageError("multi-plane output needs an {index} or {nu} placeholder in --output")
-    paths = [_format_pattern(out, i, nu) for i, nu in enumerate(nus)]
+    paths = [out.replace("{index}", str(i)).replace("{nu}", "%g" % nu) for i, nu in enumerate(nus)]
     first = {}
     for path, nu in zip(paths, nus):
         if first.setdefault(path, nu) != nu:
@@ -283,20 +300,14 @@ def _cmd_tomogram(args) -> int:
                              f"write {path}; use {{index}} in --output")
 
     # any x or mu grid setting selects both explicit grids
-    explicit = any(eff(d, None) is not None for d in _grid_dests("x", "mu"))
+    explicit = any(getattr(args, d) is not None for d in _grid_dests("x", "mu"))
+    fixed = _grids(args, kind) if explicit else None
     moments = wavefunction_moments(psi)
     for nu, path in zip(nus, paths):
-        if explicit:
-            gx = _grid_from(eff, "x", -8.0, 8.0, 257)
-            gmu = _grid_from(eff, "mu", -10.0, 10.0, 128)
-        else:
-            gx, gmu = plane_grids_for_slice(nu, moments)
-        plane = symplectic_tomogram_plane(psi, gx, gmu, nu)
-        effective = {"kind": kind, "nu": nu, "x": [gx.start, gx.end, gx.count],
-                     "mu": [gmu.start, gmu.end, gmu.count]}
-        fileio.write_file(path, plane, meta, _provenance(args, effective))
-    for name in paths:
-        print(name)
+        grids = fixed or dict(zip(("x", "mu"), plane_grids_for_slice(nu, moments)))
+        plane = symplectic_tomogram_plane(psi, *grids.values(), nu)
+        fileio.write_file(path, plane, meta, _provenance(args, grids, kind=kind, nu=nu))
+    print(*paths, sep="\n")
     return 0
 
 
@@ -372,19 +383,16 @@ def _read_planes(paths) -> list[TomogramPlane]:
 
 
 def _cmd_reconstruct(args) -> int:
-    cfg = _load_config(args)
-    eff = lambda n, d: _eff(args, cfg, n, d)
     if not args.input:
         raise UsageError("at least one --input tomogram plane file is required")
-    out = eff("output", None)
+    out = args.output
     if not out:
         raise UsageError("--output is required")
     if args.target != "wigner":
-        _unread(args, f"by --target {args.target}", *_grid_dests("q", "p"))
-    inv = InversionConfig(taper_fraction=float(eff("taper", 0.2)))
+        _unread(args, f"by --target {args.target}", *_grid_dests(*_GRIDS["wigner"]))
+    inv = InversionConfig(taper_fraction=0.2 if args.taper is None else args.taper)
     planes = _read_planes(args.input)
-    effective = {"target": args.target, "taper": inv.taper_fraction, "inputs": len(planes)}
-    prov = _provenance(args, effective)
+    prov = _provenance(args, {}, target=args.target, taper=inv.taper_fraction, inputs=len(planes))
 
     if args.target == "psi":
         rec = reconstruct_psi(planes, inv)
@@ -395,9 +403,7 @@ def _cmd_reconstruct(args) -> int:
         fileio.write_file(out, dm, {}, prov)
         _diag(asymmetry=dm.asymmetry, trace_step=dm.trace_times_step)
     else:
-        gq = _grid_from(eff, "q", -4.0, 4.0, 81)
-        gp = _grid_from(eff, "p", -4.0, 4.0, 81)
-        w = wigner_from_planes(planes, gq, gp, inv)
+        w = wigner_from_planes(planes, *_grids(args, "wigner").values(), inv)
         fileio.write_file(out, w, {}, prov)
         _diag(imag_residue=w.imag_residue, normalization=w.normalization())
     print(out)
@@ -437,26 +443,17 @@ def build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gcf", help="write the chirped-Gaussian datasets")
-    g.add_argument("--sigma", type=float)
-    g.add_argument("--alpha", type=float)
-    g.add_argument("--x-count", type=int, dest="x_count")
-    for d in _grid_dests("xp", "nup"):
-        g.add_argument("--" + d.replace("_", "-"), type=int if d.endswith("count") else float)
+    _add_settings(g, "sigma", "alpha", "x_count", *_grid_dests(*_GRIDS["gcf"]))
     g.add_argument("--width-map", action="store_const", const=True, dest="width_map")
-    g.add_argument("--output")
-    _add_config_flag(g)
+    _add_output_and_config(g)
     g.set_defaults(func=_cmd_gcf)
 
     t = sub.add_parser("tomogram", help="tomogram of a wavefunction file")
     t.add_argument("--input", required=True)
     t.add_argument("--kind", choices=("symplectic", "fresnel", "optical"),
-                   default="symplectic")
-    t.add_argument("--nu", type=float)
-    t.add_argument("--theta", type=float)
-    for d in _grid_dests("x", "mu", "nu", "theta"):
-        t.add_argument("--" + d.replace("_", "-"), type=int if d.endswith("count") else float)
-    t.add_argument("--output")
-    _add_config_flag(t)
+                   help="default: symplectic")
+    _add_settings(t, *_TOMOGRAM_SETTINGS)
+    _add_output_and_config(t)
     t.set_defaults(func=_cmd_tomogram)
 
     n = sub.add_parser("tomogram-nd", help="product-state tomogram at one point")
@@ -468,11 +465,8 @@ def build_parser() -> _Parser:
     r = sub.add_parser("reconstruct", help="invert tomogram planes")
     r.add_argument("--input", action="extend", nargs="+")
     r.add_argument("--target", choices=("psi", "rho", "wigner"), required=True)
-    r.add_argument("--taper", type=float)
-    for d in _grid_dests("q", "p"):
-        r.add_argument("--" + d.replace("_", "-"), type=int if d.endswith("count") else float)
-    r.add_argument("--output")
-    _add_config_flag(r)
+    _add_settings(r, "taper", *_grid_dests(*_GRIDS["wigner"]))
+    _add_output_and_config(r)
     r.set_defaults(func=_cmd_reconstruct)
 
     v = sub.add_parser("validate", help="run the oracle suite")
@@ -487,30 +481,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        given = {k for k, v in vars(args).items() if v is not None}
+        # parse again with each --config value the command line left unset as
+        # its flag, so a config value meets the flag's type and refusals
+        args = parser.parse_args(argv + _config_argv(args))
+        args._argv, args._given = argv, given
+        return args.func(args)
     except SystemExit as e:  # --help
         return 0 if e.code in (None, 0) else 2
-    args._argv = argv
-    try:
-        return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ManifestError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 3
-    except (DegeneratePointError, NodeAtOriginError, DomainLookupError,
-            SingularFrequencyError) as e:
-        print(f"degenerate request: {e}", file=sys.stderr)
-        return 4
-    except MissingAnchorError as e:
-        print(f"missing anchor: {e}", file=sys.stderr)
-        return 5
-    except (UnsupportedSizeError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:
+        for types, code, line in _EXITS:
+            if isinstance(e, types):
+                print(line.format(e=e), file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

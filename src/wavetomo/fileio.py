@@ -16,7 +16,8 @@ cell, and writes one chunk of whole rows (whole blocks in 2D) of about 8192
 values at a time, so its memory does not grow with the file; the reader
 streams the data block from the open file into one structured array,
 compares the coordinate columns as bytes and parses only the value columns
-as floats. It also refuses non-finite values and any NUL byte in the file.
+as floats. It also refuses non-finite values, any NUL byte in the file and
+a manifest whose version is not FORMAT_VERSION.
 
 One table, ``_KINDS``, says how each payload type is stored; the writer and
 the reader are both driven by it.
@@ -273,6 +274,9 @@ def read_file(path):
             if not head:
                 raise ManifestError(f"{path} is empty")
             manifest = Manifest.from_line(head.rstrip("\n"))
+            if manifest.version != FORMAT_VERSION:
+                raise ManifestError(f"{path}: format version {manifest.version!r} is not "
+                                    f"{FORMAT_VERSION!r}, the one this reader reads")
             variant = manifest.params.get("variant")
             k = next(r for r in _KINDS
                      if r.kind == manifest.kind and r.variant in (None, variant))

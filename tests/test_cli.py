@@ -28,7 +28,13 @@ from wavetomo.cli import main
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
 from wavetomo.oracles import golden_dir
 from wavetomo.reconstruct import reconstruct_psi
-from wavetomo.tomography import NdWavefunction, symplectic_tomogram, symplectic_tomogram_nd
+from wavetomo.tomography import (
+    FresnelTomogram,
+    NdWavefunction,
+    OpticalTomogram,
+    symplectic_tomogram,
+    symplectic_tomogram_nd,
+)
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
@@ -675,6 +681,71 @@ def test_config_unknown_key_is_usage_error(chirped_planes, tmp_path, capsys, key
     assert f"'{key}'" in err
     assert "'taper'" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, name", [
+    (("gcf", "--output", "h"), {"sigma": True}, "'sigma'"),
+    (("tomogram", "--input", "g_psi.txt", "--output", "h_{index}.txt"),
+     {"nu_count": 3.9, "nu_min": -1, "nu_max": 1}, "--nu-count"),
+    (("gcf", "--sigma", "1", "--output", "h"), {"width_map": "no"}, "--width-map"),
+    (("gcf", "--sigma", "1", "--output", "h"), {"alpha": None}, "'alpha'"),
+    (("gcf", "--output", "h"), {"sigma": [1]}, "'sigma'"),
+], ids=["bool-for-float", "float-for-int", "string-for-switch", "null", "list"])
+def test_config_value_is_parsed_as_its_flag(tmp_path, monkeypatch, capsys, argv, config, name):
+    # a config value meets its flag's type: nothing is coerced, nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run(*argv, "--config", "cfg.json") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and name in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.glob("h*")) == []
+
+
+def test_config_sets_kind_and_the_flag_wins(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    (tmp_path / "cfg.json").write_text(json.dumps({"kind": "fresnel"}))
+    assert run("tomogram", "--input", "g_psi.txt", "--config", "cfg.json",
+               "--output", "fr.txt") == 0
+    assert isinstance(fileio.read_file(tmp_path / "fr.txt")[1], FresnelTomogram)
+    assert run("tomogram", "--input", "g_psi.txt", "--config", "cfg.json", "--kind", "optical",
+               "--output", "op.txt") == 0
+    assert isinstance(fileio.read_file(tmp_path / "op.txt")[1], OpticalTomogram)
+
+
+def test_one_config_serves_several_kinds(tmp_path, monkeypatch):
+    # settings a kind does not read are refused on the command line only
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"nu_min": -1, "nu_max": 1, "nu_count": 3, "theta_count": 9, "x_count": 41}))
+    assert run("tomogram", "--input", "g_psi.txt", "--config", "cfg.json",
+               "--output", "s_{index}.txt") == 0
+    assert run("tomogram", "--input", "g_psi.txt", "--config", "cfg.json", "--kind", "optical",
+               "--output", "op.txt") == 0
+    _, plane = fileio.read_file(tmp_path / "s_2.txt")
+    _, optical = fileio.read_file(tmp_path / "op.txt")
+    assert (plane.nu, plane.grid_x.count, optical.grid_theta.count) == (1.0, 41, 9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("gcf", "--sigma", "1", "--output", "missing/g"),
+    ("tomogram", "--input", "g_psi.txt", "--nu", "1", "--output", "missing/p.txt"),
+    ("reconstruct", "--input", "g_fresnel.txt", "--target", "psi", "--output", "missing/r.txt"),
+], ids=["gcf", "tomogram", "reconstruct"])
+def test_unwritable_output_is_usage_error(chirped_planes, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    argv = [str(chirped_planes / "pl_*.txt") if a == "g_fresnel.txt" else a for a in argv]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write missing/")
+    assert "No such file or directory" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -77,3 +77,16 @@ def test_perfbench_names_resolve():
             ("launch.py", "wavetomo.tomography", "EPS_NU"),
             ("checks.py", "wavetomo", "fileio")} <= reads
     assert sorted(r for r in reads if not _resolves(*r[1:])) == []
+
+
+def test_perfbench_patch_targets_resolve():
+    # launch.PATCHES wraps (module, name) pairs and counts a missing one as
+    # untraced, so a name the CLI no longer binds at module level would leave
+    # its traced layer at 0 without an error; the two stale targets are known
+    tree = ast.parse((PERFBENCH / "launch.py").read_text(), "launch.py")
+    patches = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["PATCHES"])
+    targets = [(row.elts[0].value, row.elts[1].value) for row in patches.elts]
+    assert ("wavetomo.cli", "symplectic_tomogram_plane") in targets
+    assert sorted(f"{m}.{n}" for m, n in targets if not _resolves(m, n)) == [
+        "wavetomo.cli.optical_tomogram", "wavetomo.reconstruct.dft2_at"]

@@ -409,6 +409,17 @@ def test_read_plane_without_nu_param(tmp_path):
         read_file(path)
 
 
+def test_read_refuses_other_format_versions(tmp_path):
+    gx = UniformGrid1D.symmetric(1.0, 3)
+    path = tmp_path / "plane.txt"
+    write_file(path, TomogramPlane(0.4, gx, gx, np.ones((3, 3))))
+    text = path.read_text()
+    assert '"version":"1"' in text
+    path.write_text(text.replace('"version":"1"', '"version":"7"', 1))
+    with pytest.raises(ManifestError, match=r"plane\.txt: format version '7'"):
+        read_file(path)
+
+
 def test_read_wraps_payload_validation(tmp_path):
     path = _psi_file(tmp_path)
     lines = path.read_text().splitlines()
