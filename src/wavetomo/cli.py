@@ -7,12 +7,13 @@ Subcommands:
   reconstruct  invert tomogram plane files to psi, the density matrix, or Wigner
   validate     run the oracle table of wavetomo.oracles, which the tests also run
 
-Exit codes: 0 success; 1 validation-suite failure; 2 usage error or an
-output file that cannot be written; 3 file parse error; 4 degenerate point
-or vanishing anchor value; 5 missing nu=0 anchor plane. gcf, tomogram and
-reconstruct take --config; precedence is flags > --config JSON > defaults.
-A JSON key must be a flag's dest (``x_count`` for ``--x-count``) and its
-value is parsed as that flag's value, or the run exits 2. The effective
+Exit codes: 0 success; 1 validation-suite failure, or a standard output
+closed early (nothing is printed then); 2 usage error or an output file that
+cannot be written; 3 file parse error; 4 degenerate point or vanishing
+anchor value; 5 missing nu=0 anchor plane. gcf, tomogram and reconstruct
+take --config; precedence is flags > --config JSON > defaults. A JSON key
+must be a flag's dest (``x_count`` for ``--x-count``) and its value is
+parsed as that flag's value, or the run exits 2 naming the file. The effective
 settings are echoed into each output file's provenance.
 ``NO_COLOR`` (or a non-tty stdout) disables the PASS/FAIL coloring.
 """
@@ -73,7 +74,8 @@ _EXITS = (
      4, "degenerate request: {e}"),
     (MissingAnchorError, 5, "missing anchor: {e}"),
     ((UsageError, ValueError), 2, "error: {e}"),
-    # reads wrap their OSErrors, so one that reaches main is a write
+    # reads wrap their OSErrors, so one that reaches main is a write; main
+    # handles a BrokenPipeError from a closed stdout before this table
     (OSError, 2, "error: cannot write {e.filename}: {e.strerror}"),
 )
 
@@ -145,9 +147,9 @@ def _load_config(args) -> dict:
     except OSError as e:
         raise UsageError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
-        raise ManifestError(f"config JSON is malformed: {e}")
+        raise ManifestError(f"{path}: config JSON is malformed: {e}")
     if not isinstance(cfg, dict):
-        raise ManifestError("config JSON must be an object of flag: value pairs")
+        raise ManifestError(f"{path}: config JSON must be an object of flag: value pairs")
     # a key is valid when it names one of this subcommand's flags
     known = {k for k in vars(args) if not k.startswith("_")} - {"func", "command", "config"}
     unknown = sorted(set(cfg) - known)
@@ -484,11 +486,21 @@ def main(argv=None) -> int:
         given = {k for k, v in vars(args).items() if v is not None}
         # parse again with each --config value the command line left unset as
         # its flag, so a config value meets the flag's type and refusals
-        args = parser.parse_args(argv + _config_argv(args))
+        try:
+            args = parser.parse_args(argv + _config_argv(args))
+        except UsageError as e:
+            raise UsageError(f"{e} (in --config {args.config})") from None
         args._argv, args._given = argv, given
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return code
     except SystemExit as e:  # --help
         return 0 if e.code in (None, 0) else 2
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: the reader left early; devnull takes the
+        # flush at exit, so no second error and no traceback is printed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as e:
         for types, code, line in _EXITS:
             if isinstance(e, types):

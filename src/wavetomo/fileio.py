@@ -17,7 +17,7 @@ values at a time, so its memory does not grow with the file; the reader
 streams the data block from the open file into one structured array,
 compares the coordinate columns as bytes and parses only the value columns
 as floats. It also refuses non-finite values, any NUL byte in the file and
-a manifest whose version is not FORMAT_VERSION.
+a manifest whose version is missing or not FORMAT_VERSION.
 
 One table, ``_KINDS``, says how each payload type is stored; the writer and
 the reader are both driven by it.
@@ -156,7 +156,7 @@ class Manifest:
                 grids=grids,
                 params=dict(doc.get("params", {})),
                 provenance=str(doc.get("provenance", "")),
-                version=str(doc.get("version", FORMAT_VERSION)),
+                version=str(doc["version"]),  # no default: an unversioned file is refused
             )
         except ManifestError:
             raise

@@ -21,12 +21,14 @@ from .analytic import (GcfParams, analytic_plane_set, fock1_psi, fock1_tomogram,
                        gaussian2_psi, gaussian2_tomogram, gcf_autocorrelation,
                        gcf_fresnel_analytic, gcf_plane_analytic, gcf_psi, gcf_sampled,
                        gcf_tomogram_analytic, gcf_tomogram_ft_analytic)
-from .grid import UniformGrid1D
-from .reconstruct import (InversionConfig, reconstruct_density_matrix,
-                          reconstruct_density_matrix_fresnel, reconstruct_density_matrix_nd,
-                          reconstruct_psi, reconstruct_wigner)
+from .grid import SampledWavefunction, UniformGrid1D
+from .reconstruct import (InversionConfig, density_matrix_from_planes,
+                          reconstruct_density_matrix, reconstruct_density_matrix_fresnel,
+                          reconstruct_density_matrix_nd, reconstruct_psi, reconstruct_wigner,
+                          wigner_from_planes)
 from .tomography import (NdWavefunction, fresnel_tomogram, optical_tomogram,
-                         symplectic_tomogram, symplectic_tomogram_nd, symplectic_tomogram_plane)
+                         plane_grids_for_slice, symplectic_tomogram, symplectic_tomogram_nd,
+                         symplectic_tomogram_plane, wavefunction_moments)
 
 __all__ = ["ORACLES", "golden_dir", "golden_name"]
 
@@ -201,6 +203,25 @@ def _fock1_inversion(gdir: Path):
         f"max dev {err:.2e} (tol 5e-5); W(0, 0) = {w00:.6f} vs -1/pi: dev {dev:.2e} (tol 4e-5)")
 
 
+def _fock1_planes(gdir: Path):
+    # the plane path (adaptive grids, chirp-z planes, plane table) on a state that is
+    # not Gaussian, though plane_grids_for_slice sizes its grids from moments alone
+    g, gq = UniformGrid1D.symmetric(8.0, 1025), UniformGrid1D.symmetric(3.0, 25)
+    psi = SampledWavefunction.normalized(g, fock1_psi(g.points))
+    moments = wavefunction_moments(psi)
+    planes = [symplectic_tomogram_plane(psi, *plane_grids_for_slice(nu, moments), nu)
+              for nu in np.linspace(-5.0, 5.0, 61).tolist()]
+    dm = density_matrix_from_planes(planes)
+    x = dm.grid.points
+    err = float(np.max(np.abs(dm.values - np.outer(fock1_psi(x), fock1_psi(x)))))
+    w = wigner_from_planes(planes, gq, gq)
+    dev = float(np.max(np.abs(w.values - fock1_wigner(gq.points[:, None], gq.points[None, :]))))
+    return err <= 2e-4 and dev <= 1.2e-2, (
+        f"Hermite-Gauss n = 1 on 1025 points over +-8, 61 planes over +-5: rho on their "
+        f"{x.size} points vs psi_1 psi_1*: max dev {err:.2e} (tol 2e-4); W on 25 x 25 over "
+        f"+-3 vs the closed form: max dev {dev:.2e} (tol 1.2e-2)")
+
+
 def _homogeneity(gdir: Path):
     # w(lX, lmu, lnu) = w / |l|
     worst = 0.0
@@ -299,6 +320,7 @@ ORACLES = (
     ("entangled-two-mode", "full", _entangled_two_mode),
     ("fresnel-map-rho", "full", _fresnel_map_rho),
     ("fock1-inversion", "full", _fock1_inversion),
+    ("fock1-planes", "full", _fock1_planes),
     ("tomogram-closed-form", "fast", _tomogram_closed_form),
     ("width-form-resolution", "fast", _width_form_resolution),
     ("plane-transform-closed-form", "fast", _plane_transform_closed_form),

@@ -64,6 +64,10 @@ EPS_NU = 1e-8
 NEGATIVITY_TOL = -1e-10
 # cap on a plane's X points from plane_grids_for_slice
 MAX_X_COUNT = 8192
+# A trapezoid sum on X step h of e^{iX} times a Gaussian column of 1/e half-width w aliases
+# by exp(-((2*pi/h - 1)*w/2)^2) (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)), at most 2^-53
+# once (2*pi/h - 1)*w/2 >= sqrt(53 ln 2) = 6.0611; 6.07 covers the O(step^2) error of the moments.
+_ALIAS_A = 6.07
 _BLOCK_BYTES = 1 << 20  # complex buffer of one _chirp_z_abs2 row block, and of its chirps
 
 
@@ -188,8 +192,7 @@ def _tomogram_columns(psi: SampledWavefunction, grid_x: UniformGrid1D, mu, nu) -
         nu_live = nu if np.ndim(nu) == 0 else nu_r[live]
         weighted = psi.values * trapezoid_weights(psi.grid.count, psi.grid.step)
         amp2 = _chirp_z_abs2(weighted, psi.grid, grid_x, mu[live], nu_live)
-        amp2 /= 2.0 * np.pi * np.abs(nu_r[live])
-        out[:, live] = amp2
+        out[:, live] = np.divide(amp2, 2.0 * np.pi * np.abs(nu_r[live]), out=amp2)
     return out
 
 
@@ -251,8 +254,7 @@ class NdWavefunction:
         if n not in (1, 2, 3):
             raise UnsupportedSizeError(f"supported dimensions are 1..3, got {n}")
         vals = _frozen_array(self.values, tuple(g.count for g in self.grids), np.complex128)
-        # no norm gate here: unnormalized tensors (even all-zero) are legal
-        # inputs to the forward transforms
+        # no norm gate: unnormalized tensors (even all-zero) are legal forward inputs
         object.__setattr__(self, "values", vals)
 
     @property
@@ -351,10 +353,10 @@ def plane_grids_for_slice(nu: float, moments: Moments) -> tuple[UniformGrid1D, U
     narrowest at mu_c = -nu*cov/var_q. The mu nodes are an even count centred
     on mu_c, so they sit at mu_c +- (k + 1/2)*step_mu and none lands on the
     narrowest column (at nu = 0 that column is the degenerate mu = 0 delta).
-    The X step resolves the narrowest column on the grid, the one half a mu
-    step off mu_c, and the X window covers the widest column that still
-    carries weight. A product grid with a single global X step cannot avoid
-    over-resolving the wide columns, hence the count cap MAX_X_COUNT.
+    The X step is the longest at which the sum the inversion takes over that
+    column, the one half a mu step off mu_c (half-width w_min), aliases by at
+    most float64 epsilon: 2*pi/(1 + 2*_ALIAS_A/w_min). The X window covers the
+    widest column that still carries weight; the count cap is MAX_X_COUNT.
     """
     sq = math.sqrt(moments.var_q)
     sp = math.sqrt(moments.var_p)
@@ -365,16 +367,14 @@ def plane_grids_for_slice(nu: float, moments: Moments) -> tuple[UniformGrid1D, U
     n_mu = 2 * math.ceil(mu_half / step_mu)
     grid_mu = UniformGrid1D(mu_c - step_mu * (n_mu - 1) / 2.0, step_mu, n_mu)
 
-    # 1/e half-width of the narrowest column on the grid, half a mu step off mu_c
     w_min = math.sqrt(2.0 * (moments.var_q * (0.5 * step_mu) ** 2 + nu**2 * det / moments.var_q))
     # columns with weight >= ~1e-4 sit within 4.3/sq of the center
     w_eff = math.sqrt(2.0) * ((abs(mu_c) + 4.3 / sq) * sq + abs(nu) * sp)
-    # the window-edge column is weightless but a window that cuts its flanks
-    # leaves slowly-decaying boundary junk in e^{iX}-weighted sums, so the
-    # X half-width must cover the widest in-window column too
+    # a window that cuts the flanks of the weightless window-edge column leaves slowly
+    # decaying junk in e^{iX}-weighted sums, so the X window covers that column too
     w_edge = math.sqrt(2.0) * ((abs(mu_c) + mu_half) * sq + abs(nu) * sp)
     x_half = max(2.6 * w_eff + 3.0, 2.5 * w_edge)
-    step_x = min(w_min / 3.0, 0.7)
+    step_x = 2.0 * math.pi / (1.0 + 2.0 * _ALIAS_A / w_min)
     n_x = 2 * math.ceil(x_half / step_x) + 1
     if n_x > MAX_X_COUNT:
         n_x = MAX_X_COUNT | 1

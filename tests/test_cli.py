@@ -10,6 +10,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -498,11 +500,12 @@ def test_reconstruct_psi_round_trip(chirped_planes, monkeypatch, capsys):
 
 
 def test_reference_sweep_grids(chirped_planes):
-    # every column the sweep holds spans at least 2 X steps (std from the
-    # plane's own data), so reading it back gives no under-resolution warning
+    # the trapezoid sum of e^{iX} over every column the sweep holds aliases by
+    # exp(-((2*pi/step - 1)*std/sqrt(2))^2) <= 2^-53 (std from the plane's own
+    # data), and reading the planes back gives no under-resolution warning
     planes = [fileio.read_file(chirped_planes / f"pl_{i}.txt")[1] for i in range(61)]
-    assert sum(pl.values.size for pl in planes) == 536590
-    assert max(pl.grid_x.count for pl in planes) == 677
+    assert sum(pl.values.size for pl in planes) == 342654
+    assert max(pl.grid_x.count for pl in planes) == 445
     p = GcfParams(1.0, 1.0)
     for pl in planes:
         want = gcf_plane_analytic(p, pl.grid_x, pl.grid_mu, pl.nu).values
@@ -511,7 +514,8 @@ def test_reference_sweep_grids(chirped_planes):
         mass, m1, m2 = np.stack([np.ones_like(x), x, x * x]) @ pl.values * pl.grid_x.step
         held = mass >= 1e-3
         std = np.sqrt(m2[held] / mass[held] - (m1[held] / mass[held]) ** 2)
-        assert np.min(std) >= 2.0 * pl.grid_x.step
+        alias_exponent = ((2.0 * np.pi / pl.grid_x.step - 1.0) * std / np.sqrt(2.0)) ** 2
+        assert np.min(alias_exponent) >= 53.0 * np.log(2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         reconstruct_psi(planes)
@@ -661,11 +665,12 @@ def test_config_precedence(tmp_path, monkeypatch):
     assert "--config" in man.provenance
 
 
-def test_config_error_codes(tmp_path, monkeypatch):
+def test_config_error_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run("gcf", "--sigma", "1", "--config", str(bad)) == 3
+    assert f"{bad}: config JSON is malformed" in capsys.readouterr().err
     assert run("gcf", "--sigma", "1", "--config", "absent.json") == 2
 
 
@@ -701,6 +706,20 @@ def test_config_value_is_parsed_as_its_flag(tmp_path, monkeypatch, capsys, argv,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and name in captured.err
     assert captured.out == ""
+    assert list(tmp_path.glob("h*")) == []
+
+
+def test_config_value_refusal_names_the_file(tmp_path, monkeypatch, capsys):
+    # --nu-count is not on the command line, so the refusal must say where it came from
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    (tmp_path / "sweep.json").write_text(json.dumps({"nu_count": 3.9}))
+    capsys.readouterr()
+    assert run("tomogram", "--input", "g_psi.txt", "--nu-min", "-1", "--nu-max", "1",
+               "--config", "sweep.json", "--output", "h_{index}.txt") == 2
+    err = capsys.readouterr().err
+    assert "argument --nu-count: invalid int value: '3.9'" in err
+    assert "--config sweep.json" in err
     assert list(tmp_path.glob("h*")) == []
 
 
@@ -762,6 +781,24 @@ def test_config_flag_refused_where_unread(tmp_path, monkeypatch, capsys, argv):
     assert "--config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_1_without_a_message(tmp_path, unbuffered):
+    # the reader of the pipe is gone before gcf prints its file names
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fileio.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavetomo.cli", "gcf", "--sigma", "1", "--output", "g"],
+            cwd=tmp_path, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+    assert (tmp_path / "g_psi.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -788,7 +825,7 @@ def test_validate_full_regenerates_goldens_byte_for_byte(tmp_path, monkeypatch, 
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[-1].startswith("ok:")
     checks = [l for l in lines if l.startswith(("PASS", "FAIL"))]
-    assert len(checks) == 18
+    assert len(checks) == 19
     assert all(l.startswith("PASS") for l in checks)
     bundled = sorted(golden_dir().glob("golden_*.txt"))
     assert len(bundled) == 10

@@ -420,6 +420,17 @@ def test_read_refuses_other_format_versions(tmp_path):
         read_file(path)
 
 
+def test_read_refuses_a_manifest_without_version(tmp_path):
+    gx = UniformGrid1D.symmetric(1.0, 3)
+    path = tmp_path / "plane.txt"
+    write_file(path, TomogramPlane(0.4, gx, gx, np.ones((3, 3))))
+    text = path.read_text()
+    path.write_text(text.replace(',"version":"1"', "", 1))
+    assert '"version"' not in path.read_text()
+    with pytest.raises(ManifestError, match="version"):
+        read_file(path)
+
+
 def test_read_wraps_payload_validation(tmp_path):
     path = _psi_file(tmp_path)
     lines = path.read_text().splitlines()
@@ -514,8 +525,8 @@ def test_read_non_canonical_coordinate(tmp_path, line, col, rewrite, equal, erro
 
 
 def test_read_peak_memory_is_about_the_file_size(tmp_path):
-    # 2253 X by 47 mu points: over three times the X count of the reference
-    # sweep's largest plane (677 by 46)
+    # 2253 X by 47 mu points: over five times the X count of the reference
+    # sweep's largest plane (445 by 46)
     gx, gmu = UniformGrid1D.symmetric(11.0, 2253), UniformGrid1D.symmetric(1.0, 47)
     vals = np.abs(np.random.default_rng(3).normal(size=(2253, 47)))
     path = tmp_path / "plane.txt"

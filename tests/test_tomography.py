@@ -172,12 +172,12 @@ def test_optical_momentum_direction_against_fft(psi_plain):
 
 @pytest.mark.parametrize("nu", [0.1, -0.1, 3.0])
 def test_plane_chirp_z_matches_scalar_oracle(nu):
-    # +-0.1 are the sweep's narrowest chirp planes (n_x = 599, n_mu = 46 for the
+    # +-0.1 are the sweep's narrowest chirp planes (n_x = 395, n_mu = 46 for the
     # 1025-sample state of a 61-plane +-3 sweep); nu = 3 is its widest plane
     psi = gcf_sampled(GcfParams(1.0, 1.0), count=1025)
     gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi))
     if abs(nu) == 0.1:
-        assert (gx.count, gmu.count) == (599, 46)
+        assert (gx.count, gmu.count) == (395, 46)
     plane = symplectic_tomogram_plane(psi, gx, gmu, nu)
     worst = 0.0
     for i in range(0, gx.count, 7):
@@ -192,8 +192,9 @@ def test_plane_chirp_z_matches_scalar_oracle(nu):
        nu=st.floats(-3.0, 3.0) | st.just(0.0))
 def test_plane_grids_straddle_the_narrowest_column(sigma, alpha, nu):
     # the mu nodes sit at mu_c +- (k + 1/2) step_mu, so none is on the narrowest
-    # column (the mu = 0 delta at nu = 0), and the X step resolves every column
-    # on the grid in three steps unless the 0.7 cap or the count cap binds
+    # column (the mu = 0 delta at nu = 0), and the trapezoid sum of e^{iX} over
+    # the narrowest column on the grid aliases by at most exp(-((2*pi/step - 1)
+    # * width/2)^2) <= 2^-53 (Trefethen & Weideman) unless the count cap binds
     p = GcfParams(sigma, alpha)
     m = gcf_moments(p)
     gx, gmu = plane_grids_for_slice(nu, m)
@@ -206,7 +207,8 @@ def test_plane_grids_straddle_the_narrowest_column(sigma, alpha, nu):
     if nu == 0.0:
         assert 0.0 not in mu
     narrowest = min(gcf_width(p, float(v), nu) for v in mu)
-    assert 3.0 * gx.step <= narrowest * (1.0 + 1e-12) or gx.step == 0.7 or gx.count == 8193
+    alias_exponent = ((2.0 * np.pi / gx.step - 1.0) * narrowest / 2.0) ** 2
+    assert alias_exponent >= 53.0 * np.log(2.0) or gx.count == 8193
 
 
 def test_fresnel_chirp_z_rows_match_scalar_oracle():
