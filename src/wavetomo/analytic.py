@@ -15,8 +15,9 @@ ground state is sigma = sqrt(2)) is odd, has a node at 0 and a negative
 Wigner function, W(0, 0) = -1/pi (fock1_psi, fock1_tomogram, fock1_wigner;
 Mancini, Man'ko and Tombesi, Phys. Lett. A 213, 1 (1996)).
 
-wigner_direct and density_matrix_direct are the slow, assumption-free oracles
-for arbitrary sampled states.
+gcf_source and gcf_fresnel_source hand the closed form to the source
+inversions as callables; wigner_direct is the slow, assumption-free Wigner
+oracle for arbitrary sampled states.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ import numpy as np
 
 from .errors import DegeneratePointError, SingularFrequencyError
 from .grid import SampledWavefunction, UniformGrid1D
-from .reconstruct import DensityMatrix
 from .tomography import (
     FresnelTomogram,
     Moments,
@@ -39,7 +39,6 @@ from .tomography import (
 __all__ = [
     "GcfParams",
     "gcf_psi",
-    "gcf_grid",
     "gcf_sampled",
     "gcf_moments",
     "gcf_width",
@@ -58,7 +57,6 @@ __all__ = [
     "fock1_wigner",
     "analytic_plane_set",
     "wigner_direct",
-    "density_matrix_direct",
 ]
 
 
@@ -84,16 +82,12 @@ def gcf_psi(p: GcfParams, x):
     return out if out.ndim else complex(out)
 
 
-def gcf_grid(p: GcfParams, count: int = 1025) -> UniformGrid1D:
-    """Default sampling window: 8 times the 1/e half-width of |psi|^2."""
-    return UniformGrid1D.symmetric(8.0 * p.sigma / math.sqrt(2.0), count)
-
-
 def gcf_sampled(
     p: GcfParams, grid: UniformGrid1D | None = None, count: int = 1025
 ) -> SampledWavefunction:
+    """psi on `grid`; by default `count` points over 8 times the 1/e half-width of |psi|^2."""
     if grid is None:
-        grid = gcf_grid(p, count)
+        grid = UniformGrid1D.symmetric(8.0 * p.sigma / math.sqrt(2.0), count)
     return SampledWavefunction(grid, gcf_psi(p, grid.points))
 
 
@@ -309,7 +303,3 @@ def wigner_direct(psi: SampledWavefunction, q: float, p: float) -> float:
     val = np.trapezoid(f * np.exp(-1j * p * u), dx=du) / (2.0 * np.pi)
     return float(val.real)
 
-
-def density_matrix_direct(psi: SampledWavefunction) -> DensityMatrix:
-    """Outer-product density matrix psi_i * conj(psi_j) on psi's own grid."""
-    return DensityMatrix(psi.grid, np.outer(psi.values, np.conj(psi.values)))

@@ -392,7 +392,7 @@ def _cmd_reconstruct(args) -> int:
         raise UsageError("--output is required")
     if args.target != "wigner":
         _unread(args, f"by --target {args.target}", *_grid_dests(*_GRIDS["wigner"]))
-    inv = InversionConfig(taper_fraction=0.2 if args.taper is None else args.taper)
+    inv = InversionConfig() if args.taper is None else InversionConfig(taper_fraction=args.taper)
     planes = _read_planes(args.input)
     prov = _provenance(args, {}, target=args.target, taper=inv.taper_fraction, inputs=len(planes))
 

@@ -36,7 +36,7 @@ class DomainLookupError(WavetomoError, ValueError):
 
 
 class MissingAnchorError(WavetomoError, ValueError):
-    """psi reconstruction anchors on the nu=0 plane; none was supplied."""
+    """The psi and rho plane read-outs anchor on the nu=0 plane; none was supplied."""
 
 
 class NodeAtOriginError(WavetomoError, ValueError):

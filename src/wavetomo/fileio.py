@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ManifestError
 from .grid import SampledWavefunction, UniformGrid1D, _frozen_array
-from .reconstruct import DensityMatrix, PsiAutocorrelation, WignerFunction
+from .reconstruct import DensityMatrix, WignerFunction
 from .tomography import FresnelTomogram, OpticalTomogram, TomogramPlane
 
 __all__ = [
@@ -98,7 +98,6 @@ class _Kind:
 # or equals params.variant, so the optical row precedes the plain plane row
 _KINDS = (
     _Kind("wavefunction", SampledWavefunction, ("grid",), "x re im"),
-    _Kind("autocorrelation", PsiAutocorrelation, ("grid_nu",), "nu re im"),
     _Kind("width_map", WidthMap, ("grid",), "nu width"),
     _Kind("tomogram_plane", OpticalTomogram, ("grid_x", "grid_theta"), "X theta w",
           variant="optical"),

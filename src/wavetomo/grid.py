@@ -1,6 +1,8 @@
-"""Uniform grids, sampled fields and the trapezoid rule.
+"""Uniform grids, sampled wavefunctions and trapezoid weights.
 
-Conventions used throughout the package:
+Every dataset type stores its samples through `_frozen_array`; an integral
+of uniform samples is `np.trapezoid(values, dx=step)`. Conventions used
+throughout the package:
 
 * grids are uniform, ascending, described by (start, step, count);
 * 2D values are row-major, ``values[i, j]`` belonging to
@@ -15,7 +17,6 @@ import numpy as np
 __all__ = [
     "UniformGrid1D",
     "SampledWavefunction",
-    "trapezoid_integrate",
 ]
 
 NORM_TOL = 1e-6
@@ -87,7 +88,7 @@ class SampledWavefunction:
 
     def __init__(self, grid: UniformGrid1D, values) -> None:
         vals = _frozen_array(values, (grid.count,), np.complex128)
-        norm2 = float(trapezoid_integrate(np.abs(vals) ** 2, grid.step).real)
+        norm2 = float(np.trapezoid(np.abs(vals) ** 2, dx=grid.step))
         if abs(norm2 - 1.0) > NORM_TOL:
             raise ValueError(
                 f"wavefunction squared norm {norm2!r} deviates from 1 by more than {NORM_TOL}"
@@ -97,14 +98,11 @@ class SampledWavefunction:
 
     @staticmethod
     def normalized(grid: UniformGrid1D, values) -> "SampledWavefunction":
-        vals = np.asarray(values, dtype=np.complex128)
-        norm2 = float(trapezoid_integrate(np.abs(vals) ** 2, grid.step).real)
+        vals = _frozen_array(values, (grid.count,), np.complex128)
+        norm2 = float(np.trapezoid(np.abs(vals) ** 2, dx=grid.step))
         if norm2 <= 0.0:
             raise ValueError("cannot normalize identically-zero samples")
         return SampledWavefunction(grid, vals / np.sqrt(norm2))
-
-    def norm_squared(self) -> float:
-        return float(trapezoid_integrate(np.abs(self.values) ** 2, self.grid.step).real)
 
     def interp_at(self, x) -> np.ndarray:
         """Linear interpolation of the complex samples; zero outside the grid."""
@@ -127,24 +125,3 @@ def trapezoid_weights(n: int, step: float) -> np.ndarray:
     w[-1] *= 0.5
     return w
 
-
-def trapezoid_integrate(values, step: float):
-    """Composite trapezoid integral of uniformly sampled values.
-
-    Parameters
-    ----------
-    values : array_like
-        At least two samples; real or complex.
-    step : float
-        Positive grid spacing.
-
-    Returns
-    -------
-    float or complex
-    """
-    arr = np.asarray(values)
-    if arr.ndim != 1 or arr.shape[0] < 2:
-        raise ValueError("trapezoid_integrate needs a 1D array of at least 2 samples")
-    if not (step > 0.0 and np.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    return np.trapezoid(arr, dx=step)

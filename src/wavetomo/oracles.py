@@ -59,7 +59,7 @@ def _psi_slice(p: GcfParams, nu: float, grid_x: UniformGrid1D) -> np.ndarray:
     """psi(nu') conj(psi(0)), the plane transform at (1, -nu'/2), for nu' = -nu, 0, nu:
     the characteristic table of closed-form planes on (grid_x, SLICE_MU), no taper."""
     planes = [gcf_plane_analytic(p, grid_x, SLICE_MU, v) for v in (-nu, 0.0, nu)]
-    return reconstruct_psi(planes, InversionConfig(taper_fraction=0.0)).autocorrelation.values
+    return reconstruct_psi(planes, InversionConfig(taper_fraction=0.0)).autocorrelation
 
 
 def _golden_regeneration(gdir: Path):

@@ -14,7 +14,8 @@ Three builders fill the table. From a plane sweep, each plane is one N = 1
 row: its own X grid does the X integral and its own mu span carries the
 taper. From a sampled Fresnel map, each column at nu' gives C along the ray
 (mu, nu) = mu (1, nu') on the map's own X' grid, and a row at nu takes it at
-nu' = nu/mu. From a source callable w(X_1..X_N, mu_1..mu_N, nu_1..nu_N), the integrands
+nu' = nu/mu. From a source callable w(X_1..X_N, mu_1..mu_N, nu_1..nu_N) (a
+Fresnel callable becomes one through fresnel_as_symplectic_source), the integrands
 decay only through oscillation along mu, so each mu axis is truncated at
 `mu_window` with the taper on its outer `taper_fraction`. Column integrals
 over X then use abscissas scaled per column (X = s*u with s = r_q*|mu| +
@@ -38,20 +39,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainLookupError, MissingAnchorError, NodeAtOriginError, UnsupportedSizeError
-from .grid import (
-    SampledWavefunction,
-    UniformGrid1D,
-    _frozen_array,
-    trapezoid_integrate,
-    trapezoid_weights,
-)
+from .grid import SampledWavefunction, UniformGrid1D, _frozen_array, trapezoid_weights
 from .tomography import FresnelTomogram, TomogramPlane
 
 __all__ = [
     "DensityMatrix",
     "DensityMatrixNd",
     "WignerFunction",
-    "PsiAutocorrelation",
     "PsiReconstruction",
     "InversionConfig",
     "raised_cosine_taper",
@@ -164,21 +158,12 @@ class WignerFunction:
 
 
 @dataclass(frozen=True)
-class PsiAutocorrelation:
-    """Samples of psi(nu) * conj(psi(0)) on a uniform nu grid."""
-
-    grid_nu: UniformGrid1D
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        shape = (self.grid_nu.count,)
-        object.__setattr__(self, "values", _frozen_array(self.values, shape, np.complex128))
-
-
-@dataclass(frozen=True)
 class PsiReconstruction:
+    """psi, and the raw column rho(nu, 0) = psi(nu) conj(psi(0)) it is scaled from,
+    a complex array on psi.grid."""
+
     psi: SampledWavefunction
-    autocorrelation: PsiAutocorrelation
+    autocorrelation: np.ndarray
     prenorm_l2: float
     anchor: float
     anchor_imag: float
@@ -509,27 +494,31 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
 # Plane-set-backed inversion (no off-grid lookups; used by the CLI)
 
 
-def _plane_nu_axis(planes: Sequence[TomogramPlane]) -> tuple[list[TomogramPlane], UniformGrid1D, int]:
+def _sweep(planes: Sequence[TomogramPlane]) -> list[TomogramPlane]:
+    """The planes in ascending nu; every plane read-out needs at least 3 of
+    them over a nu range symmetric about zero."""
     ordered = sorted(planes, key=lambda p: p.nu)
-    nus = np.array([p.nu for p in ordered])
-    if nus.size < 3:
-        raise MissingAnchorError("need at least 3 planes for a symmetric nu sweep")
-    anchor = int(np.argmin(np.abs(nus)))
-    if abs(nus[anchor]) > ANCHOR_FLOOR:
+    if len(ordered) < 3:
+        raise ValueError(f"need at least 3 planes for a symmetric nu sweep, got {len(ordered)}")
+    if abs(ordered[0].nu + ordered[-1].nu) > 1e-9:
+        raise ValueError("plane nu grid must be symmetric about zero")
+    return ordered
+
+
+def _plane_nu_axis(planes: Sequence[TomogramPlane]) -> tuple[list[TomogramPlane], UniformGrid1D, int]:
+    """The sweep in ascending nu, its nu grid, which must be uniform, and the
+    index of its nu = 0 plane, which psi and rho anchor on."""
+    if not any(abs(p.nu) <= ANCHOR_FLOOR for p in planes):
         raise MissingAnchorError(
-            "psi reconstruction anchors on the nu=0 plane; include a plane at exactly nu=0"
+            "the psi and rho read-outs anchor on the nu=0 plane; include a plane at exactly nu=0"
         )
+    ordered = _sweep(planes)
+    nus = np.array([p.nu for p in ordered])
     steps = np.diff(nus)
     step = float(np.mean(steps))
     if step <= 0 or np.max(np.abs(steps - step)) > 1e-9 * max(1.0, abs(step)):
         raise ValueError("plane nu values must form a uniform grid")
-    _check_symmetric(ordered)
-    return ordered, UniformGrid1D(float(nus[0]), step, int(nus.size)), anchor
-
-
-def _check_symmetric(ordered: Sequence[TomogramPlane]) -> None:
-    if abs(ordered[0].nu + ordered[-1].nu) > 1e-9:
-        raise ValueError("plane nu grid must be symmetric about zero")
+    return ordered, UniformGrid1D(float(nus[0]), step, int(nus.size)), int(np.argmin(np.abs(nus)))
 
 
 def reconstruct_psi(
@@ -560,11 +549,11 @@ def reconstruct_psi(
             "with psi(0)=0; the scale is undefined"
         )
     raw = column / np.sqrt(s0.real)
-    prenorm = float(np.sqrt(trapezoid_integrate(np.abs(raw) ** 2, grid_nu.step).real))
+    prenorm = float(np.sqrt(np.trapezoid(np.abs(raw) ** 2, dx=grid_nu.step)))
     psi = SampledWavefunction(grid_nu, raw / prenorm)
     return PsiReconstruction(
         psi=psi,
-        autocorrelation=PsiAutocorrelation(grid_nu, column),
+        autocorrelation=column,
         prenorm_l2=prenorm,
         anchor=float(s0.real),
         anchor_imag=float(s0.imag),
@@ -602,11 +591,7 @@ def wigner_from_planes(
     one-sided sweep misses half of the nu integral); a nu = 0 plane is not
     needed.
     """
-    ordered = sorted(planes, key=lambda p: p.nu)
-    if len(ordered) < 3:
-        raise ValueError("need at least 3 planes")
-    _check_symmetric(ordered)
-    return _wigner(_table_from_planes(ordered, cfg.taper_fraction), grid_q, grid_p)
+    return _wigner(_table_from_planes(_sweep(planes), cfg.taper_fraction), grid_q, grid_p)
 
 
 # ---------------------------------------------------------------------------
@@ -645,25 +630,21 @@ def fresnel_as_symplectic_source(fresnel) -> Source:
 
 
 def reconstruct_density_matrix_fresnel(
-    fresnel,
+    fresnel: FresnelTomogram,
     grid: UniformGrid1D,
     cfg: InversionConfig = InversionConfig(),
-    extent: tuple[float, float] = (4.0, 4.0),
 ) -> DensityMatrix:
-    """Density matrix from Fresnel data through the rescaling identity.
+    """Density matrix from a sampled Fresnel map through the rescaling identity.
 
-    A FresnelTomogram is integrated on its own X' grid, with no resampling
+    The map is integrated on its own X' grid, with no resampling
     (_table_from_fresnel); it must hold every ray nu/mu the grid's offsets
     make with cfg's mu nodes, columns whose X' window holds their tails, and
-    an X' step below pi/cfg.mu_window.
-    A callable (X', nu') -> values goes through fresnel_as_symplectic_source
-    into the quadrature of :func:`reconstruct_density_matrix`; `extent`
-    applies to callables only. The mu nodes never touch zero.
+    an X' step below pi/cfg.mu_window. The mu nodes never touch zero. A
+    Fresnel callable (X', nu') -> values inverts as
+    reconstruct_density_matrix(fresnel_as_symplectic_source(f), grid, cfg, extent).
     """
-    if isinstance(fresnel, FresnelTomogram):
-        rows = _table_from_fresnel(fresnel, _pair_nus(grid), cfg)
-        return DensityMatrix.from_raw(grid, _rho_on_pairs(rows, (grid,)))
-    return reconstruct_density_matrix(fresnel_as_symplectic_source(fresnel), grid, cfg, extent)
+    rows = _table_from_fresnel(fresnel, _pair_nus(grid), cfg)
+    return DensityMatrix.from_raw(grid, _rho_on_pairs(rows, (grid,)))
 
 
 def reconstruct_wigner(

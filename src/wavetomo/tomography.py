@@ -36,7 +36,6 @@ from .grid import (
     SampledWavefunction,
     UniformGrid1D,
     _frozen_array,
-    trapezoid_integrate,
     trapezoid_weights,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "optical_tomogram",
     "optical_tomogram_map",
     "symplectic_tomogram_nd",
-    "fresnel_tomogram_nd",
     "wavefunction_moments",
     "plane_grids_for_slice",
 ]
@@ -275,7 +273,8 @@ def symplectic_tomogram_nd(
     (5.1e-4 relative on the entangled two-mode Gaussian on 301 points over
     +-8, against 1.8e-12 with every nu nonzero). A product state's value is
     the product of its factors' symplectic_tomogram values, nu_k = 0 or not.
-    A degenerate axis (mu_k and nu_k both below threshold) raises.
+    A degenerate axis (mu_k and nu_k both below threshold) raises. At
+    mu = (1, ..., 1) this is the N-axis Fresnel tomogram.
     """
     if not (len(Xs) == len(mus) == len(nus) == psi.ndim):
         raise ValueError(f"expected {psi.ndim} components per argument")
@@ -301,13 +300,6 @@ def symplectic_tomogram_nd(
     for weights in pairs:
         dens = dens @ weights
     return factor * float(dens)
-
-
-def fresnel_tomogram_nd(
-    psi: NdWavefunction, Xs: Sequence[float], nus: Sequence[float]
-) -> float:
-    """N-axis Fresnel tomogram; equals the symplectic transform at mu = (1, ..., 1)."""
-    return symplectic_tomogram_nd(psi, Xs, [1.0] * psi.ndim, nus)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +328,12 @@ def wavefunction_moments(psi: SampledWavefunction) -> Moments:
     x = psi.grid.points
     step = psi.grid.step
     prob = np.abs(psi.values) ** 2
-    mq = float(trapezoid_integrate(prob * x, step).real)
-    var_q = float(trapezoid_integrate(prob * (x - mq) ** 2, step).real)
+    mq = float(np.trapezoid(prob * x, dx=step))
+    var_q = float(np.trapezoid(prob * (x - mq) ** 2, dx=step))
     dpsi = np.gradient(psi.values, step)
-    mp = float(trapezoid_integrate(np.conj(psi.values) * dpsi, step).imag)
-    var_p = float(trapezoid_integrate(np.abs(dpsi) ** 2, step).real) - mp**2
-    cov = float(trapezoid_integrate(np.conj(psi.values) * x * dpsi, step).imag) - mq * mp
+    mp = float(np.trapezoid(np.conj(psi.values) * dpsi, dx=step).imag)
+    var_p = float(np.trapezoid(np.abs(dpsi) ** 2, dx=step)) - mp**2
+    cov = float(np.trapezoid(np.conj(psi.values) * x * dpsi, dx=step).imag) - mq * mp
     return Moments(mq, mp, var_q, var_p, cov)
 
 

@@ -13,7 +13,6 @@ import pytest
 from wavetomo.analytic import (
     GcfParams,
     analytic_plane_set,
-    density_matrix_direct,
     fock1_psi,
     fock1_tomogram,
     fock1_wigner,
@@ -71,7 +70,7 @@ def test_psi_array_input():
 @pytest.mark.parametrize("sigma,alpha", [(1.0, 0.0), (0.5, 3.0), (2.0, 1.0)])
 def test_psi_normalization_default_grid(sigma, alpha):
     psi = gcf_sampled(GcfParams(sigma, alpha))
-    assert abs(psi.norm_squared() - 1.0) <= 1e-10
+    assert abs(np.trapezoid(np.abs(psi.values) ** 2, dx=psi.grid.step) - 1.0) <= 1e-10
 
 
 def test_tomogram_pinned_position_and_momentum():
@@ -198,18 +197,6 @@ def test_wigner_direct_nonnegative_for_chirped_state():
         q = rng.uniform(-2.0, 2.0)
         pm = rng.uniform(-4.0, 4.0)
         assert wigner_direct(psi, q, pm) >= -1e-10
-
-
-def test_density_matrix_direct_contract():
-    psi = gcf_sampled(GcfParams(1.0, 1.0))
-    rho = density_matrix_direct(psi)
-    diag = np.diagonal(rho.values)
-    # z*conj(z) vs abs(z)**2 agree to the last ulp, not bitwise
-    assert np.allclose(diag.real, np.abs(psi.values) ** 2, rtol=1e-12, atol=0.0)
-    assert np.max(np.abs(diag.imag)) <= 1e-15
-    assert np.max(np.abs(rho.values - rho.values.conj().T)) <= 1e-16
-    trace = float(np.trace(rho.values).real) * psi.grid.step
-    assert trace == pytest.approx(1.0, abs=1e-10)
 
 
 def test_plane_and_fresnel_wrappers_match_pointwise():

@@ -622,6 +622,22 @@ def test_reconstruct_missing_anchor_plane(tmp_path, monkeypatch, capsys):
     assert "nu=0" in capsys.readouterr().err
 
 
+def test_reconstruct_two_planes_is_usage_error(tmp_path, monkeypatch, capsys):
+    # the sweep holds its nu = 0 anchor; two planes are too few for any
+    # read-out, which every target reports alike, not as a missing anchor
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    assert run("tomogram", "--input", "g_psi.txt",
+               "--nu-min", "0", "--nu-max", "0.1", "--nu-count", "2",
+               "--output", "two_{index}.txt") == 0
+    for target in ("psi", "rho", "wigner"):
+        capsys.readouterr()
+        assert run("reconstruct", "--input", "two_*.txt", "--target", target,
+                   "--output", "rec.txt") == 2
+        assert "need at least 3 planes" in capsys.readouterr().err
+        assert not (tmp_path / "rec.txt").exists()
+
+
 def test_reconstruct_wigner_refuses_one_sided_sweep(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0

@@ -1,6 +1,6 @@
 """Public names: every `__all__` entry resolves, the package exports exactly
-the union of its library modules' lists, and every wavetomo name the
-benchmark harness reads exists."""
+the union of its library modules' lists, every public name has a caller in
+the program, and every wavetomo name the benchmark harness reads exists."""
 
 import ast
 import importlib
@@ -90,3 +90,32 @@ def test_perfbench_patch_targets_resolve():
     assert ("wavetomo.cli", "symplectic_tomogram_plane") in targets
     assert sorted(f"{m}.{n}" for m, n in targets if not _resolves(m, n)) == [
         "wavetomo.cli.optical_tomogram", "wavetomo.reconstruct.dft2_at"]
+
+
+SRC = Path(wavetomo.__file__).resolve().parent
+# closed-form sources and the direct Wigner oracle, which the tests feed to the inversions
+CALLED_BY_TESTS_ONLY = {"gcf_source", "gcf_fresnel_source", "wigner_direct"}
+
+
+def _program_reads():
+    """Each name the package and the benchmark harness load as a name or an
+    attribute, or import by name."""
+    reads = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reads.update(a.name for a in node.names)
+    return reads
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that no program path reads is API kept for no one: delete it
+    # rather than let it drift untested
+    public = {n for m in LIBRARY + ["fileio"]
+              for n in importlib.import_module(f"wavetomo.{m}").__all__}
+    assert CALLED_BY_TESTS_ONLY <= public
+    assert sorted(public - _program_reads() - CALLED_BY_TESTS_ONLY) == []

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from wavetomo.analytic import (
     GcfParams,
-    gcf_autocorrelation,
     gcf_plane_analytic,
     gcf_psi,
     gcf_sampled,
@@ -23,7 +22,7 @@ from wavetomo.errors import ManifestError
 from wavetomo.fileio import _CHUNK, _KINDS, Manifest, WidthMap, read_file, write_file
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
 from wavetomo.oracles import golden_dir
-from wavetomo.reconstruct import DensityMatrix, PsiAutocorrelation, WignerFunction
+from wavetomo.reconstruct import DensityMatrix, WignerFunction
 from wavetomo.tomography import (
     FresnelTomogram,
     OpticalTomogram,
@@ -48,15 +47,6 @@ def test_wavefunction_round_trip(tmp_path):
     assert _grids_equal(payload.grid, psi.grid)
     assert np.array_equal(payload.values, psi.values)
     assert m.to_line() == m2.to_line()
-
-
-def test_autocorrelation_round_trip(tmp_path):
-    g = UniformGrid1D.symmetric(3.0, 41)
-    ac = PsiAutocorrelation(g, gcf_autocorrelation(P, g.points))
-    path = tmp_path / "ac.txt"
-    write_file(path, ac)
-    _, payload = read_file(path)
-    assert np.array_equal(payload.values, ac.values)
 
 
 def test_width_map_round_trip(tmp_path):
@@ -182,8 +172,6 @@ def _draw_density_matrix(data):
 ABS = st.floats(0.0, 1e6)
 DRAW_PAYLOAD = {
     SampledWavefunction: _draw_wavefunction,
-    PsiAutocorrelation: lambda d: PsiAutocorrelation(
-        g := _draw_grid(d), _draw_complex(d, (g.count,))),
     WidthMap: lambda d: WidthMap(g := _draw_grid(d), _draw_values(d, (g.count,))),
     OpticalTomogram: lambda d: _draw_pair(d, OpticalTomogram),
     TomogramPlane: lambda d: _draw_pair(

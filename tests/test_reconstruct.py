@@ -35,9 +35,9 @@ from wavetomo.reconstruct import (
     DensityMatrix,
     DensityMatrixNd,
     InversionConfig,
-    PsiAutocorrelation,
     WignerFunction,
     density_matrix_from_planes,
+    fresnel_as_symplectic_source,
     raised_cosine_taper,
     reconstruct_density_matrix,
     reconstruct_density_matrix_fresnel,
@@ -84,12 +84,6 @@ def test_wigner_function_shape_checked():
     g = UniformGrid1D.symmetric(1.0, 3)
     with pytest.raises(ValueError):
         WignerFunction(g, g, np.zeros((3, 4)))
-
-
-def test_autocorrelation_length_checked():
-    g = UniformGrid1D.symmetric(1.0, 5)
-    with pytest.raises(ValueError):
-        PsiAutocorrelation(g, np.zeros(4, dtype=complex))
 
 
 def test_inversion_config_validation():
@@ -207,12 +201,14 @@ def test_psi_autocorrelation_is_rho_column():
     # column, which symmetrization moves by at most half the asymmetry
     for a in (0.0, 1.0):
         planes = analytic_plane_set(GcfParams(1.0, a), list(np.linspace(-3.0, 3.0, 61)))
-        auto = reconstruct_psi(planes).autocorrelation
+        rec = reconstruct_psi(planes)
+        auto, g = rec.autocorrelation, rec.psi.grid
+        assert auto.shape == (g.count,)
         dm = density_matrix_from_planes(planes)
-        k = np.rint((dm.grid.points - auto.grid_nu.start) / auto.grid_nu.step).astype(int)
+        k = np.rint((dm.grid.points - g.start) / g.step).astype(int)
         c = int(np.argmin(np.abs(dm.grid.points)))
         assert dm.grid.points[c] == 0.0
-        dev = np.max(np.abs(auto.values[k] - dm.values[:, c]))
+        dev = np.max(np.abs(auto[k] - dm.values[:, c]))
         assert dev <= 0.5 * dm.asymmetry + 1e-12
 
 
@@ -277,7 +273,8 @@ def test_density_matrix_zero_source():
 
 def test_fresnel_path_equivalence(rho_gaussian):
     grid, rho = rho_gaussian
-    rho_f = reconstruct_density_matrix_fresnel(gcf_fresnel_source(GcfParams(1.0, 0.0)), grid)
+    fresnel = fresnel_as_symplectic_source(gcf_fresnel_source(GcfParams(1.0, 0.0)))
+    rho_f = reconstruct_density_matrix(fresnel, grid)
     assert np.max(np.abs(rho_f.values - rho.values)) <= 1e-6
     assert rho_f.trace_times_step == pytest.approx(1.0, abs=1e-2)
 

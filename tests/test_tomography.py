@@ -29,7 +29,6 @@ from wavetomo.tomography import (
     NdWavefunction,
     _fft_size,
     fresnel_tomogram,
-    fresnel_tomogram_nd,
     optical_tomogram,
     optical_tomogram_map,
     plane_grids_for_slice,
@@ -359,9 +358,11 @@ def test_nd_fresnel_relation():
     nus = (0.9, 0.5)
     Xs = (0.4, -0.3)
     sym = symplectic_tomogram_nd(psi2, Xs, mus, nus)
-    fres = fresnel_tomogram_nd(
+    # the N-axis Fresnel tomogram is the symplectic one at mu = (1, 1)
+    fres = symplectic_tomogram_nd(
         psi2,
         tuple(x / m for x, m in zip(Xs, mus)),
+        (1.0, 1.0),
         tuple(n / m for n, m in zip(nus, mus)),
     )
     assert sym == pytest.approx(fres / abs(mus[0] * mus[1]), rel=1e-8)
@@ -370,7 +371,7 @@ def test_nd_fresnel_relation():
 def test_nd_fresnel_product_point():
     p = GcfParams(1.0, 0.0)
     psi2, g, _, _ = _nd_product(p, p)
-    got = fresnel_tomogram_nd(psi2, (0.0, 0.0), (1.0, 1.0))
+    got = symplectic_tomogram_nd(psi2, (0.0, 0.0), (1.0, 1.0), (1.0, 1.0))
     one_d = fresnel_tomogram(
         gcf_sampled(p, g), UniformGrid1D(0.0, 1.0, 2), UniformGrid1D(1.0, 1.0, 2)
     ).values[0, 0]
