@@ -24,8 +24,12 @@ small |mu|+|nu| while covering the wide ones at the window edge with a fixed
 point budget. s depends on |nu| only, so the abscissas and column weights are
 computed once per |nu| of each axis and shared by the rows at +-nu. Every
 tomogram is homogeneous, w(lX, l mu, l nu) = w/|l|, so w(-X, -mu, -nu) =
-w(X, mu, nu) and C(-mu, -nu) = C(mu, nu)*: each mirror pair of rows costs one
-source call, the row at -nu being the conjugate mirror of the row at +nu.
+w(X, mu, nu) and C(-mu, -nu) = C(mu, nu)*: each mirror pair of rows is
+computed from the source once, the row at -nu being the conjugate mirror of
+the row at +nu. The source is called on blocks of mu nodes of at most
+tomography._BLOCK_BYTES, as the forward kernel's row blocks are, and the
+sampled Fresnel map's columns are summed in blocks of the same size, so no
+inversion's working memory grows with the quadrature.
 """
 from __future__ import annotations
 
@@ -40,7 +44,7 @@ import numpy as np
 
 from .errors import DomainLookupError, MissingAnchorError, NodeAtOriginError, UnsupportedSizeError
 from .grid import SampledWavefunction, UniformGrid1D, _frozen_array, trapezoid_weights
-from .tomography import FresnelTomogram, TomogramPlane
+from .tomography import _BLOCK_BYTES, FresnelTomogram, TomogramPlane
 
 __all__ = [
     "DensityMatrix",
@@ -316,8 +320,10 @@ def _table_from_planes(ordered: Sequence[TomogramPlane], taper_fraction: float) 
 
 
 # w(X_1..X_N, mu_1..mu_N, nu_1..nu_N), N = 1 being w(X, mu, nu), in the X and mu broadcast
-# shape; like every tomogram it must meet w(-X, -mu, -nu) = w(X, mu, nu), which the
-# inversions use to read the rows at -nu from those at +nu
+# shape. The inversions call it on blocks of mu nodes (at most _BLOCK_BYTES // 8 values a
+# call), so it must be elementwise in its broadcast arguments. Like every tomogram it must
+# meet w(-X, -mu, -nu) = w(X, mu, nu), which the inversions use to read the rows at -nu
+# from those at +nu
 Source = Callable[..., np.ndarray]
 
 
@@ -393,9 +399,26 @@ def _columns(nus, mu: np.ndarray, u: np.ndarray, extent):
         yield from ((n, Y, E) for n in ns)
 
 
+def _node_blocks(m: int, k: int, n_axes: int) -> list[tuple[slice, ...]]:
+    """Blocks of the N-fold product of m mu nodes, one slice of nodes per axis,
+    covering each node tuple once. A block's source call takes k abscissas per
+    node on every axis and returns at most _BLOCK_BYTES // 8 values (never
+    fewer than one node tuple's k^N): axis 0 is split first, and a later axis
+    only once one node of each axis before it fills the block."""
+    budget = _BLOCK_BYTES // 8
+    sizes = [1] * n_axes
+    for a in range(n_axes):
+        slab = k ** (a + 1) * (m * k) ** (n_axes - 1 - a)  # one node on axes <= a, all after
+        if slab <= budget:
+            sizes[a:] = [min(m, budget // slab)] + [m] * (n_axes - 1 - a)
+            break
+    return list(itertools.product(*([slice(s, min(s + b, m)) for s in range(0, m, b)]
+                                    for b in sizes)))
+
+
 def _table_from_source(source: Source, nus, cfg: InversionConfig, extents, radial: bool):
-    """Rows over the product of the per-axis nu lists, symmetric about 0, one
-    source call per mirror pair of rows.
+    """Rows over the product of the per-axis nu lists, symmetric about 0; each
+    mirror pair of rows is computed from the source once.
 
     Only rows with nu lexicographically >= 0 call the source; each with
     nu != 0 also yields its mirror at -nu, C(-mu, -nu) = C(mu, nu)* by
@@ -405,34 +428,46 @@ def _table_from_source(source: Source, nus, cfg: InversionConfig, extents, radia
     that breaks the symmetry still shows in rho's asymmetry.
 
     The first axis's columns stream one |nu| at a time; the other axes' are
-    kept. The first u sum is one real batched GEMM over the source block, and
-    each further axis's works on its result. The taper acts on |mu_k|, or on
-    hypot(mu_k, nu_k) when `radial` (a window over the whole (mu, nu) plane).
+    kept. A row calls the source on the node blocks of _node_blocks, so a
+    source must be elementwise in its broadcast arguments. Each block is
+    reduced to its tile of the row's c before the next call: the first u sum
+    is one real batched GEMM over the block, and each further axis's works on
+    its result. A row thus holds one block and its m^N c, whatever k^N is.
+    The taper acts on |mu_k|, or on hypot(mu_k, nu_k) when `radial` (a
+    window over the whole (mu, nu) plane).
     """
     mu, wmu, u = _quad_nodes(cfg)
     m, k, n_axes = mu.size, u.size, len(nus)
     window = (cfg.mu_window, cfg.taper_fraction)
 
-    def axis(a):  # (nu, w_nu, Y, mu, E, w_mu) per nu of axis a, Y and mu placed for the source
+    def axis(a):  # (nu, w_nu, Y, E, w_mu) per nu of axis a
         w_nus = trapezoid_weights(len(nus[a]), nus[a][1] - nus[a][0])
-        M = _on_axis(mu[:, None], a, n_axes)
         for n, Y, E in _columns(nus[a], mu, u, extents[a]):
             nu = float(nus[a][n])
             taper = raised_cosine_taper(np.hypot(mu, nu) if radial else mu, *window)
-            yield nu, float(w_nus[n]), _on_axis(Y, a, n_axes), M, E, wmu * taper
+            yield nu, float(w_nus[n]), Y, E, wmu * taper
 
+    blocks = _node_blocks(m, k, n_axes)
     kept = [list(axis(a)) for a in range(1, n_axes)]
     for first in axis(0):
-        E0 = first[4].view(np.float64).reshape(m, k, 2).transpose(0, 2, 1)  # [Re E; Im E], a view
+        E0 = first[3].view(np.float64).reshape(m, k, 2)  # [Re E, Im E] at each u, a view
         for rest in itertools.product(*kept):
-            nu, w_nu, Y, M, E, w_mu = zip(first, *rest)
+            nu, w_nu, Y, E, w_mu = zip(first, *rest)
             if nu < (0.0,) * n_axes:  # the mirror of a row >= 0
                 continue
-            U = np.matmul(E0, source(*Y, *M, *nu).reshape(m, k, -1))
-            C = U[:, 0] + 1j * U[:, 1]
-            for a in range(1, n_axes):  # C[p, b, l, r] -> Sum_l E_a[b, l] C[p, b, l, r]
-                C = np.matmul(E[a][:, None, :], C.reshape(m**a, m, k, -1))
-            c = C.reshape((m,) * n_axes) * functools.reduce(np.multiply.outer, w_mu)
+            c = np.empty((m,) * n_axes, dtype=np.complex128)
+            for blk in blocks:  # each block's u sums give its tile of c before the next call
+                b = [s.stop - s.start for s in blk]
+                w = source(*(_on_axis(y[s], a, n_axes) for a, (y, s) in enumerate(zip(Y, blk))),
+                           *(_on_axis(mu[s, None], a, n_axes) for a, s in enumerate(blk)), *nu)
+                # [Re C, Im C] pairs in a real GEMM, read as complex C[p, r, 1]
+                C = np.matmul(w.reshape(b[0], k, -1).transpose(0, 2, 1), E0[blk[0]])
+                C = C.view(np.complex128)
+                del w  # one block at a time
+                for a in range(1, n_axes):  # C[p, b, l, r] -> Sum_l E_a[b, l] C[p, b, l, r]
+                    C = np.matmul(E[a][blk[a], None, :], C.reshape(math.prod(b[:a]), b[a], k, -1))
+                c[blk] = C.reshape(b)
+            c *= functools.reduce(np.multiply.outer, w_mu)
             row = _Row(nu, math.prod(w_nu), mu, c)
             yield row
             if any(nu):
@@ -444,9 +479,10 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
 
     w(X, mu, nu) = w_F(X/mu, nu/mu)/|mu| gives C(mu, nu) = F(mu, nu/mu) with
     F(mu, nu') = Int w_F(X', nu') e^{i mu X'} dX', the map's column at nu'
-    integrated by the trapezoid rule: one real GEMM at the positive mu nodes,
+    integrated by the trapezoid rule: a real GEMM at the positive mu nodes,
     mirrored by F(-mu) = F(mu)* (w_F is real), over only the columns that
-    bracket some ray nu/mu. Each row interpolates F linearly in nu' at nu/mu.
+    bracket some ray nu/mu, copied out of the map in blocks of _BLOCK_BYTES.
+    Each row interpolates F linearly in nu' at nu/mu.
     A column whose edge samples exceed EDGE_FRACTION of its peak, or a ray
     nu/mu outside the nu' range, raises DomainLookupError naming that nu'
     (every column is checked). The sum on X' step h equals
@@ -478,9 +514,15 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
     j = np.clip(np.searchsorted(gn.points, rays, side="right") - 1, 0, gn.count - 2)
     cols = np.union1d(j, j + 1)
     half = mu.size // 2
-    arg = np.outer(mu[half:], gx.points)
-    wx = trapezoid_weights(gx.count, gx.step)
-    U = np.concatenate([np.cos(arg), np.sin(arg)]) * wx @ vals[:, cols]
+    T = np.empty((2 * half, gx.count))  # [cos; sin](mu X') times the X' weights, mu > 0
+    np.multiply.outer(mu[half:], gx.points, out=T[:half])
+    np.sin(T[:half], out=T[half:])
+    np.cos(T[:half], out=T[:half])
+    T *= trapezoid_weights(gx.count, gx.step)
+    U = np.empty((2 * half, cols.size))
+    step = max(1, _BLOCK_BYTES // (8 * gx.count))  # the columns copied out of the map at a time
+    for s in range(0, cols.size, step):
+        U[:, s : s + step] = T @ vals[:, cols[s : s + step]]
     F = U[:half] + 1j * U[half:]
     F = np.concatenate([F[::-1].conj(), F])  # F(mu_m, nu'_cols[i]); the nodes are mirrors
     nu_primes = gn.points[cols]
@@ -608,7 +650,8 @@ def reconstruct_density_matrix(
 
     rho(X, X') = (1/2pi) Iint w(Y, mu, X - X') exp(i*(Y - mu*(X + X')/2)) dmu dY
     over the windowed, tapered mu domain. `source(X, mu, nu)` must accept
-    broadcastable arrays for X and mu. `extent` = (r_q, r_p) approximates the
+    broadcastable arrays for X and mu and be elementwise in them: it is called
+    on blocks of mu nodes. `extent` = (r_q, r_p) approximates the
     state's position/momentum live radius (~4 standard deviations) and sets
     the per-column scale of the X abscissas. The source must meet
     w(-X, -mu, -nu) = w(X, mu, nu), as every tomogram does: it is called
@@ -678,10 +721,15 @@ def reconstruct_density_matrix_nd(
     rho(X, X') = (1/2pi)^N Int w(Y_1..Y_N, mu_1..mu_N, nu_1..nu_N)
     * prod_k exp(i*(Y_k - mu_k*(X_k + X_k')/2)) with nu_k = X_k - X_k', on the
     rows and read-out of reconstruct_density_matrix. `source(X1, X2, mu1, mu2,
-    nu1, nu2)` must broadcast and meet w(-X, -mu, -nu) = w(X, mu, nu), as every
-    tomogram does; each mirror pair of rows at +-(nu1, nu2) is one call on the
-    (m k)^2 block of (mu, u) nodes, at the pair's lexicographically
-    nonnegative member. N >= 3 is not supported (separable states factor).
+    nu1, nu2)` must broadcast, be elementwise in its broadcast arguments and
+    meet w(-X, -mu, -nu) = w(X, mu, nu), as every tomogram does. Each mirror
+    pair of rows at +-(nu1, nu2) is computed at the pair's lexicographically
+    nonnegative member, by calls on blocks of (mu1, mu2) nodes that each return
+    at most tomography._BLOCK_BYTES // 8 values of the row's (m k)^N: blocks of
+    mu1 nodes, and of mu2 nodes too once one mu1 node's m k^2 values exceed
+    that. Each block is reduced to its tile of the row before the next call, so
+    the memory is one block plus the m^N row, however large m is. N >= 3 is not
+    supported (separable states factor).
     """
     grids = tuple(grids)
     if not 1 <= len(grids) <= 2:

@@ -5,6 +5,7 @@ direct-quadrature oracles in the analytic module. Quadrature tolerances were
 measured with margin before being frozen; none are aspirational.
 """
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,6 +51,7 @@ from wavetomo.reconstruct import (
     _quad_nodes,
 )
 from wavetomo.tomography import (
+    _BLOCK_BYTES,
     FresnelTomogram,
     TomogramPlane,
     plane_grids_for_slice,
@@ -489,30 +491,85 @@ def test_quad_nodes_are_mirror_images(cfg):
 
 
 def _counted(source):
-    nus = []
+    calls = []  # (nu, values returned) per call
 
     def counted(*args):
-        nus.append(tuple(float(v) for v in args[2 * len(args) // 3:]))
-        return source(*args)
+        out = source(*args)
+        calls.append((tuple(float(v) for v in args[2 * len(args) // 3:]), out.size))
+        return out
 
-    return counted, nus
+    return counted, calls
+
+
+def _values_per_row(calls):
+    rows = {}
+    for nu, size in calls:
+        rows[nu] = rows.get(nu, 0) + size
+    return rows
 
 
 def test_source_called_once_per_mirror_pair_of_rows():
-    # only rows with nu lexicographically >= 0 call the source
-    src, nus = _counted(gcf_source(GcfParams(1.0, 0.5)))
+    # only rows with nu lexicographically >= 0 call the source, and the calls
+    # of one row cover its nodes once
+    src, calls = _counted(gcf_source(GcfParams(1.0, 0.5)))
     reconstruct_density_matrix(src, UniformGrid1D.symmetric(1.0, 7), SMALL_CFG)
-    assert len(nus) == 7  # n of the 2n - 1 rows
+    assert len(calls) == 7  # n of the 2n - 1 rows
     g = UniformGrid1D.symmetric(1.0, 5)
-    nus.clear()
+    calls.clear()
     reconstruct_wigner(src, g, g, SMALL_CFG)
-    assert len(nus) == SMALL_CFG.samples_per_axis // 2  # the nu rows are the mu nodes
-    assert min(nus) > (0.0,)
-    src, nus = _counted(_product_source(GcfParams(1.0, 0.5)))
+    assert len(calls) == SMALL_CFG.samples_per_axis // 2  # the nu rows are the mu nodes
+    assert min(calls)[0] > (0.0,)
+    src, calls = _counted(_product_source(GcfParams(1.0, 0.5)))
     reconstruct_density_matrix_nd(
         src, (UniformGrid1D.symmetric(1.0, 3), UniformGrid1D.symmetric(1.0, 4)), SMALL_CFG)
-    assert len(nus) == (5 * 7 + 1) // 2
-    assert len(set(nus)) == len(nus) and min(nus) == (0.0, 0.0)
+    rows = _values_per_row(calls)
+    assert len(rows) == (5 * 7 + 1) // 2 and min(rows) == (0.0, 0.0)
+    assert set(rows.values()) == {SMALL_CFG.samples_per_axis**4}  # (m k)^2 nodes, k = m
+
+
+@pytest.mark.parametrize("n_axes, m", [(1, 128), (2, 32), (2, 64)])
+def test_source_calls_stay_within_one_block(n_axes, m):
+    # whatever the quadrature size, no call returns more than the forward
+    # kernel's block; at m = 64 one mu_1 node's m k^2 values exceed it, so the
+    # calls split the mu_2 nodes as well
+    cfg = InversionConfig(mu_window=12.0, samples_per_axis=m) if n_axes == 2 else InversionConfig()
+    g = UniformGrid1D.symmetric(1.0, 2)
+    if n_axes == 1:
+        src, calls = _counted(gcf_source(GcfParams(1.0, 0.5)))
+        reconstruct_density_matrix(src, g, cfg)
+    else:
+        src, calls = _counted(_product_source(GcfParams(1.0, 0.5)))
+        reconstruct_density_matrix_nd(src, (g, g), cfg)
+    assert max(size for _, size in calls) <= _BLOCK_BYTES // 8
+    assert set(_values_per_row(calls).values()) == {(m * m) ** n_axes}
+
+
+def _traced_peak(call) -> int:
+    call()  # a first call's lazy numpy imports stay resident; they are not working memory
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_two_mode_inversion_peak_memory_is_one_block():
+    # one row at m = k = 64 spans (m k)^2 = 16.8M values (134 MB); a row holds
+    # one block and its m^2 c instead
+    g = UniformGrid1D.symmetric(1.0, 2)
+    cfg = InversionConfig(mu_window=12.0, samples_per_axis=64)
+    source = _product_source(GcfParams(1.0, 0.5))
+    assert _traced_peak(lambda: reconstruct_density_matrix_nd(source, (g, g), cfg)) < 4 * 2**20
+
+
+def test_fresnel_inversion_peak_memory_is_below_half_the_map():
+    # lib-inversion's map, 3201 X' by 281 nu': 7.2 MB
+    wf = gcf_fresnel_analytic(GcfParams(1.0, 0.5), UniformGrid1D.symmetric(42.0, 3201),
+                              UniformGrid1D.symmetric(3.2, 281))
+    g9, cfg = UniformGrid1D.symmetric(1.0, 9), InversionConfig(samples_per_axis=64)
+    peak = _traced_peak(lambda: reconstruct_density_matrix_fresnel(wf, g9, cfg))
+    assert peak < wf.values.nbytes / 2
 
 
 def _full_rows(source, nus, cfg, extent, radial):
