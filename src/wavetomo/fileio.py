@@ -19,6 +19,21 @@ compares the coordinate columns as bytes and parses only the value columns
 as floats. It also refuses non-finite values, any NUL byte in the file and
 a manifest whose version is missing or not FORMAT_VERSION.
 
+Parse cache: beside each text file it writes, write_file leaves an entry
+``.wavetomo-cache/<name>.npy`` in the same directory. The entry is the
+blake2b-256 digest of the text's bytes followed by the payload values as a
+``.npy`` array. read_file takes the digest in the pass that looks for NUL
+bytes and uses the entry's values in place of the text parse only when its
+digest, shape and dtype match; every other file (goldens, edited or foreign
+text, stale or damaged entries) is parsed as text. The writer formatted
+exactly those values into exactly those bytes, so a hit reads what the parse
+would read, and the payload constructors still check it. An entry is used
+only when the manifest line read is the first line of the hashed bytes, so
+the manifest and the entry's values belong to one text.
+The reader never writes; deleting the cache is always safe; a directory the
+writer cannot write to, or an output that is not a regular file, gets no
+entry, and the text is written all the same. Entries outlive their text.
+
 One table, ``_KINDS``, says how each payload type is stored; the writer and
 the reader are both driven by it.
 """
@@ -26,12 +41,21 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import mmap
+import os
+import stat
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+try:  # hashlib.blake2b is this builtin; importing hashlib also loads OpenSSL, 3.5 MB of RSS
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from .errors import ManifestError
 from .grid import SampledWavefunction, UniformGrid1D, _frozen_array
@@ -50,6 +74,7 @@ FORMAT_VERSION = "1"
 
 MAGIC = "#MANIFEST "
 _CHUNK = 8192  # values per write_file chunk: a chunk's text is held, not the file's
+_CACHE = ".wavetomo-cache"  # the parse cache directory beside the text files
 
 
 def _tag(v: float) -> str:
@@ -172,7 +197,11 @@ def write_file(path, payload, params=None, provenance="") -> Manifest:
     """Write any dataset payload; returns the manifest written.
 
     `params` go into the manifest beside the payload's own scalar fields
-    (plane nu, density-matrix asymmetry, Wigner imaginary residue).
+    (plane nu, density-matrix asymmetry, Wigner imaginary residue). The
+    text is followed by its parse-cache entry, the digest of the bytes
+    written and the payload values, in ``.wavetomo-cache/`` beside it; when
+    that directory cannot be written, or path is not a regular file, there
+    is no entry, and the text write still succeeds.
     """
     k = next((r for r in _KINDS if type(payload) is r.payload), None)
     if k is None:
@@ -192,12 +221,62 @@ def write_file(path, payload, params=None, provenance="") -> Manifest:
         inner, [cells], "")
     per = vals.size // len(units)
     step = max(1, _CHUNK // per)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{m.to_line()}\n# columns: {k.columns}\n")
+    digest = blake2b(digest_size=32)
+    with open(path, "wb") as f:
+        def put(text: str) -> None:
+            data = text.encode("utf-8")
+            digest.update(data)
+            f.write(data)
+
+        put(f"{m.to_line()}\n# columns: {k.columns}\n")
         for s in range(0, len(units), step):
             text = sep * (s > 0) + sep.join(a + a.join(tails) for a in units[s : s + step])
-            f.write(text % tuple(vals[s * per : (s + step) * per].tolist()))
+            put(text % tuple(vals[s * per : (s + step) * per].tolist()))
+    _store_entry(Path(path), digest.digest(), payload.values)
     return m
+
+
+def _entry(path: Path) -> Path:
+    """The parse-cache entry of the text file at path."""
+    return path.parent / _CACHE / (path.name + ".npy")
+
+
+def _store_entry(path: Path, digest: bytes, values: np.ndarray) -> None:
+    """Write path's entry, the text digest then values as .npy, through a
+    temporary file and os.replace; on OSError leave no entry. Only a regular
+    file gets one: not a device, a pipe or a link (/dev/null, /dev/stdout)."""
+    entry = _entry(path)
+    try:
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            return
+        entry.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=entry.parent, prefix=entry.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(digest)
+                np.save(f, values, allow_pickle=False)
+            os.replace(tmp, entry)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError:
+        pass
+
+
+def _cached_values(path: Path, digest: bytes, shape: tuple, dtype) -> np.ndarray | None:
+    """path's entry values if the entry carries this text digest and holds a
+    C-order array of this shape and dtype; None for any other entry or none."""
+    fmt, n = np.lib.format, math.prod(shape)
+    try:
+        with open(_entry(path), "rb") as f:
+            if f.read(len(digest)) != digest or fmt.read_magic(f) != (1, 0):
+                return None
+            if fmt.read_array_header_1_0(f) != (shape, False, np.dtype(dtype)):
+                return None
+            values = np.fromfile(f, dtype=dtype, count=n)
+    except (OSError, ValueError):
+        return None
+    return values.reshape(shape) if values.size == n else None
 
 
 def _data_lines(path):
@@ -216,19 +295,27 @@ def _line_of(path, row: int) -> int:
     return next(itertools.islice(_data_lines(path), int(row), None))[0]
 
 
-def _refuse_nul(path) -> None:
-    """Raise naming the line of the first NUL byte in the file, if any. The
-    byte comparison of coordinates strips trailing NULs, so a token followed
-    by NULs would otherwise pass for its canonical text; one mapped
-    memchr-speed scan keeps the check off the per-line path."""
-    with open(path, "rb") as f:
-        if f.seek(0, 2) == 0:
-            return  # nothing to map; the manifest check reports the empty file
-        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-            at = mm.find(b"\0")
-            if at >= 0:
-                line = mm[:at].count(b"\n") + 1
-                raise ManifestError(f"{path}:{line}: NUL byte")
+def _scan(f, path) -> tuple[bytes, bytes]:
+    """(first line, blake2b-256 digest) of the bytes of the open file f; raise
+    naming the line of the first NUL byte in the file, if any. The byte
+    comparison of coordinates strips trailing NULs, so a token followed by
+    NULs would otherwise pass for its canonical text; one mapped pass makes
+    the memchr-speed scan and the digest, off the per-line path. The digest
+    is taken of the returned copy of the first line and the mapped rest, so
+    a manifest read from that line belongs to the hashed bytes."""
+    size = os.fstat(f.fileno()).st_size
+    if size == 0:
+        return b"", b""  # nothing to map; the manifest check reports the empty file
+    with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+        at = mm.find(b"\0")
+        if at >= 0:
+            line = mm[:at].count(b"\n") + 1
+            raise ManifestError(f"{path}:{line}: NUL byte")
+        head = mm[: mm.find(b"\n") + 1 or size]
+        digest = blake2b(head, digest_size=32)
+        with memoryview(mm) as rest:
+            digest.update(rest[len(head):])
+        return head, digest.digest()
 
 
 def _parse(f, path, n_coords: int, n_values: int) -> np.ndarray:
@@ -263,12 +350,16 @@ def read_file(path):
     problems, NUL bytes, coordinates that are not the canonical text of
     their manifest grid points and non-finite values raise ManifestError; domain
     validation failures of the payload constructors are wrapped into
-    ManifestError as well.
+    ManifestError as well. When the file's parse-cache entry carries the
+    digest of its bytes (the text is as write_file wrote it) and the
+    manifest line is of those bytes, the entry's values replace the parse of
+    the data block; the manifest is read and checked either way, and the
+    reader never writes.
     """
     path = Path(path)
     try:
-        _refuse_nul(path)
         with open(path, encoding="utf-8") as f:
+            head_bytes, digest = _scan(f, path)
             head = f.readline()
             if not head:
                 raise ManifestError(f"{path} is empty")
@@ -281,12 +372,34 @@ def read_file(path):
                      if r.kind == manifest.kind and r.variant in (None, variant))
             grids = dict(zip(k.grids, manifest.grids))
             axes = [grids[a] for a in k.axes]
-            data = _parse(f, path, len(axes), len(k.columns.split()) - len(axes))
+            shape = tuple(g.count for g in axes)
+            n_values = len(k.columns.split()) - len(axes)
+            values = None
+            if head.encode("utf-8") == head_bytes:  # the manifest is of the hashed bytes
+                values = _cached_values(path, digest, shape,
+                                        np.complex128 if n_values == 2 else np.float64)
+            if values is None:
+                values = _text_values(f, path, axes, n_values)
     except (OSError, UnicodeDecodeError) as e:
         raise ManifestError(f"cannot read {path}: {e}") from None
 
+    missing = [name for name in k.scalars if name not in manifest.params]
+    if missing:
+        raise ManifestError(f"{path}: {k.kind} manifest lacks params.{missing[0]}")
+    try:
+        scalars = {name: float(manifest.params[name]) for name in k.scalars}
+        return manifest, k.payload(**grids, values=values, **scalars)
+    except (TypeError, ValueError) as e:
+        raise ManifestError(f"{path}: payload failed validation: {e}") from None
+
+
+def _text_values(f, path, axes, n_values: int) -> np.ndarray:
+    """The values of the rest of the open file, shaped by the axes' counts
+    (complex from two value columns), after checking the row count, the
+    coordinate text against the canonical grid points and finiteness."""
+    data = _parse(f, path, len(axes), n_values)
     shape = tuple(g.count for g in axes)
-    n_rows = int(np.prod(shape))
+    n_rows = math.prod(shape)
     if len(data) < n_rows:
         raise ManifestError(f"{path}: expected {n_rows} data rows, found {len(data)}")
     if len(data) > n_rows:
@@ -308,14 +421,6 @@ def read_file(path):
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise ManifestError(f"{path}:{_line_of(path, bad[0])}: non-finite value")
-    if values.shape[1] == 2:
+    if n_values == 2:
         values = np.ascontiguousarray(values).view(np.complex128)
-
-    missing = [name for name in k.scalars if name not in manifest.params]
-    if missing:
-        raise ManifestError(f"{path}: {k.kind} manifest lacks params.{missing[0]}")
-    try:
-        scalars = {name: float(manifest.params[name]) for name in k.scalars}
-        return manifest, k.payload(**grids, values=values.reshape(shape), **scalars)
-    except (TypeError, ValueError) as e:
-        raise ManifestError(f"{path}: payload failed validation: {e}") from None
+    return values.reshape(shape)

@@ -1,7 +1,8 @@
-"""Dataset file format: manifests, round trips, parse failures.
+"""Dataset file format: manifests, round trips, parse failures, parse cache.
 
 Every kind must survive write-then-read bit exactly; 17-significant-digit
-decimal serialization guarantees that for 64-bit floats.
+decimal serialization guarantees that for 64-bit floats. A read through the
+parse cache must give the same payload as the text parse.
 """
 import math
 import tracemalloc
@@ -18,6 +19,7 @@ from wavetomo.analytic import (
     gcf_sampled,
     gcf_width,
 )
+from wavetomo import fileio
 from wavetomo.errors import ManifestError
 from wavetomo.fileio import _CHUNK, _KINDS, Manifest, WidthMap, read_file, write_file
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
@@ -192,15 +194,22 @@ def test_every_kind_has_a_payload_strategy():
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_round_trip_property(kind, data, tmp_path):
-    # write -> read is bit exact; write -> read -> write is byte identical
+    # write -> read is bit exact through the parse cache and through the text
+    # parse alike; write -> read -> write is byte identical
     payload = DRAW_PAYLOAD[kind.payload](data)
     first, second = tmp_path / "first.txt", tmp_path / "second.txt"
     write_file(first, payload, {"tag": "prop"}, "property test")
     m, back = read_file(first)
-    assert type(back) is type(payload)
-    assert back.values.dtype == payload.values.dtype
-    assert back.values.shape == payload.values.shape
-    assert back.values.tobytes() == payload.values.tobytes()
+    fileio._entry(first).unlink()
+    m_text, parsed = read_file(first)
+    assert m_text == m
+    for read in (back, parsed):
+        assert type(read) is type(payload)
+        assert read.values.dtype == payload.values.dtype
+        assert read.values.shape == payload.values.shape
+        assert read.values.tobytes() == payload.values.tobytes()
+    for name in kind.scalars:
+        assert getattr(back, name) == getattr(parsed, name) == getattr(payload, name)
     write_file(second, back, m.params, m.provenance)
     assert second.read_bytes() == first.read_bytes()
 
@@ -527,3 +536,118 @@ def test_read_peak_memory_is_about_the_file_size(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(plane.values, vals)
     assert peak < 2 * path.stat().st_size
+
+
+# ---------------------------------------------------------------------------
+# parse cache
+
+
+def _listing(d):
+    return sorted((str(p.relative_to(d)), p.stat().st_size) for p in d.rglob("*"))
+
+
+def test_written_file_reads_from_its_entry_without_parsing(tmp_path, monkeypatch):
+    path = _plane_file(tmp_path)
+    assert [p.name for p in (tmp_path / ".wavetomo-cache").iterdir()] == ["plane.txt.npy"]
+    monkeypatch.setattr(fileio, "_parse", lambda *a: pytest.fail("the text was parsed"))
+    _, plane = read_file(path)
+    assert plane.nu == 0.4 and np.array_equal(plane.values, np.ones((21, 3)))
+
+
+def test_same_length_value_edit_reads_the_edited_value(tmp_path):
+    path = _psi_file(tmp_path)
+    _, psi = read_file(path)
+    lines = path.read_text().splitlines()
+    parts = lines[20].split()  # the 19th data row: x re im
+    digit = parts[1][-1]
+    parts[1] = parts[1][:-1] + ("1" if digit != "1" else "2")
+    lines[20] = " ".join(parts)
+    text = "\n".join(lines) + "\n"
+    assert len(text) == path.stat().st_size
+    path.write_text(text)
+    _, edited = read_file(path)
+    assert edited.values[18].real == float(parts[1]) != psi.values[18].real
+    assert np.array_equal(np.delete(edited.values, 18), np.delete(psi.values, 18))
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "wrong-shape", "wrong-dtype"])
+def test_damaged_entry_falls_back_to_the_text_parse(tmp_path, damage):
+    path = _plane_file(tmp_path)
+    entry = fileio._entry(path)
+    good = entry.read_bytes()
+    digest = good[:32]
+
+    def npy(a):
+        with open(entry, "wb") as f:
+            f.write(digest)
+            np.save(f, a, allow_pickle=False)
+
+    if damage == "truncated":
+        entry.write_bytes(good[: len(good) - 100])
+    elif damage == "garbage":
+        entry.write_bytes(bytes(range(256)) * 4)
+    elif damage == "wrong-shape":
+        npy(np.full((3, 21), 2.0))
+    else:
+        npy(np.full((21, 3), 2.0, dtype=np.float32))
+    _, plane = read_file(path)
+    assert np.array_equal(plane.values, np.ones((21, 3)))
+
+
+def test_read_leaves_the_directory_unchanged(tmp_path):
+    path = _plane_file(tmp_path)
+    before = _listing(tmp_path)
+    read_file(path)
+    assert _listing(tmp_path) == before
+    for entry in (tmp_path / ".wavetomo-cache").iterdir():
+        entry.unlink()
+    (tmp_path / ".wavetomo-cache").rmdir()
+    read_file(path)
+    assert _listing(tmp_path) == [("plane.txt", path.stat().st_size)]
+
+
+def test_blocked_cache_directory_still_writes_the_text(tmp_path):
+    free, blocked = tmp_path / "free", tmp_path / "blocked"
+    free.mkdir()
+    blocked.mkdir()
+    (blocked / ".wavetomo-cache").write_bytes(b"not a directory")
+    psi = gcf_sampled(P, UniformGrid1D.symmetric(5.0, 33))
+    write_file(free / "psi.txt", psi)
+    write_file(blocked / "psi.txt", psi)
+    assert (blocked / "psi.txt").read_bytes() == (free / "psi.txt").read_bytes()
+    assert (blocked / ".wavetomo-cache").read_bytes() == b"not a directory"
+    _, back = read_file(blocked / "psi.txt")
+    assert np.array_equal(back.values, psi.values)
+
+
+def test_manifest_and_values_come_from_the_same_bytes(tmp_path, monkeypatch):
+    # the text is rewritten in place after its digest is taken while the old
+    # entry is still there: the old entry's values must not pair with the new manifest
+    path = _plane_file(tmp_path)
+    other = tmp_path / "other"
+    other.mkdir()
+    gx, gmu = UniformGrid1D(-1.0, 0.1, 21), UniformGrid1D(0.5, 0.5, 3)
+    write_file(other / "plane.txt", TomogramPlane(0.7, gx, gmu, np.full((21, 3), 2.0)))
+    scan = fileio._scan
+
+    def scan_then_rewrite(f, p):
+        out = scan(f, p)
+        path.write_bytes((other / "plane.txt").read_bytes())
+        return out
+
+    monkeypatch.setattr(fileio, "_scan", scan_then_rewrite)
+    _, plane = read_file(path)
+    assert plane.nu == 0.7 and np.array_equal(plane.values, np.full((21, 3), 2.0))
+
+
+def test_only_a_regular_file_gets_an_entry(tmp_path):
+    target = tmp_path / "target"
+    target.mkdir()
+    link = tmp_path / "link.txt"
+    link.symlink_to(target / "psi.txt")
+    psi = gcf_sampled(P, UniformGrid1D.symmetric(5.0, 33))
+    write_file(link, psi)
+    assert not (tmp_path / ".wavetomo-cache").exists()
+    assert not (target / ".wavetomo-cache").exists()
+    _, back = read_file(link)
+    assert np.array_equal(back.values, psi.values)
