@@ -22,6 +22,9 @@ Every gridded map (plane, Fresnel, optical) is one call to `_chirp_z_abs2`:
 with X and y both on uniform grids the sum over y is a chirp-z transform,
 one FFT convolution of 5-smooth length costing O((n_x + n_y) log) per row,
 run in blocks of rows whose buffers (about 1 MB) do not grow with the map.
+A Fresnel or optical row is one complex exp per y sample; a plane's rows share
+nu on a uniform mu grid, so n of them are products of about 2*sqrt(n) rows of
+exps: anchor rows at every K-th mu and step rows exp(i*t*dmu*y^2/(2*nu)), t < K.
 """
 from __future__ import annotations
 
@@ -66,7 +69,7 @@ MAX_X_COUNT = 8192
 # by exp(-((2*pi/h - 1)*w/2)^2) (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)), at most 2^-53
 # once (2*pi/h - 1)*w/2 >= sqrt(53 ln 2) = 6.0611; 6.07 covers the O(step^2) error of the moments.
 _ALIAS_A = 6.07
-_BLOCK_BYTES = 1 << 20  # complex buffer of one _chirp_z_abs2 row block, and of its chirps
+_BLOCK_BYTES = 1 << 20  # complex buffer of one _chirp_z_abs2 row block, its chirps, its step rows
 
 
 def _tomogram_values(values, grid_a: UniformGrid1D, grid_b: UniformGrid1D) -> np.ndarray:
@@ -134,15 +137,18 @@ def _fft_size(n: int) -> int:
 
 def _chirp_z_abs2(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu, nu) -> np.ndarray:
     """|Sum_j weighted[j] exp(i*mu_r*y_j^2/(2*nu_r) - i*X_k*y_j/nu_r)|^2 for X_k on
-    grid_x, shape (n_x, n_rows); nu is one value for every row or one per row.
+    grid_x, shape (n_x, n_rows); nu is one value for every row or one per row, and
+    mu one value per row or, with one nu, the rows' UniformGrid1D.
 
     With k and j counted from the grid centres, X_k y_j / nu = (terms in k
     alone) + xc*y_j/nu + c*k*j, c = dX*dy/nu, and Bluestein's k*j = (k^2 + j^2
     - (k-j)^2)/2 makes the sum one convolution with the chirp exp(i*c*m^2/2),
     done by FFT at a 5-smooth length; the factors of unit modulus in k drop
-    out of |.|^2. Each row's phase mu*y^2/(2*nu) - xc*y/nu - c*j^2/2 is
-    exponentiated once, into the FFT buffer of its block of rows (about
-    _BLOCK_BYTES); one nu for all rows makes one chirp FFT for every block.
+    out of |.|^2. Rows run in blocks of about _BLOCK_BYTES of FFT buffer; one nu
+    for all rows makes one chirp FFT for every block. Row qK + t of a block is its
+    anchor q, exp(i*(mu*y^2/2 - xc*y - c*j^2/2)/nu)*weighted at mu_qK, times step row
+    t, exp(i*t*dmu*y^2/(2*nu)): K = ceil(sqrt(n)) for a block of n rows on a uniform
+    mu grid at one nu (about 2*sqrt(n) rows of exps), else K = 1 (every row an exp).
     """
     n_x, n_y = grid_x.count, grid_y.count
     kc, jc = n_x // 2, n_y // 2
@@ -150,19 +156,24 @@ def _chirp_z_abs2(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu, nu
     j, y = np.arange(n_y) - jc, grid_y.points
     lag = np.arange(size)
     m = np.where(lag < n_x, lag, lag - size) - (kc - jc)  # (k - kc) - (j - jc), exact integers
-    # a row's phase is (mu*y^2/2 - shift)/nu, and its chirp's phase cm2/nu
-    shift = grid_x.point(kc) * y + grid_x.step * grid_y.step * (j * j) / 2
+    # a row's phase is (mu*y2 - shift)/nu, and its chirp's phase cm2/nu
+    y2, shift = y * y / 2, grid_x.point(kc) * y + grid_x.step * grid_y.step * (j * j) / 2
     cm2 = grid_x.step * grid_y.step * (m * m) / 2
     nu = np.reshape(np.asarray(nu, dtype=np.float64), (-1, 1))
+    mu, d_mu = (mu.points, mu.step) if isinstance(mu, UniformGrid1D) else (mu, 0.0)
     out = np.empty((n_x, len(mu)))
     block = max(1, _BLOCK_BYTES // (16 * size))
     for s in range(0, len(mu), block):
         mu_b, nu_b = mu[s : s + block, None], nu[s : s + block] if len(nu) > 1 else nu
         if s == 0 or len(nu) > 1:
             chirp = np.fft.fft(np.exp(1j * (cm2 / nu_b)), axis=1)
+        k = math.isqrt(len(mu_b) - 1) + 1 if d_mu and len(nu) == 1 else 1  # rows per anchor
         buf = np.zeros((len(mu_b), size), np.complex128)
-        np.exp(1j * ((mu_b * (y * y / 2) - shift) / nu_b), out=buf[:, :n_y])
-        buf[:, :n_y] *= weighted
+        np.exp(1j * ((mu_b[::k] * y2 - shift) / nu_b[::k]), out=buf[::k, :n_y])  # anchors
+        buf[::k, :n_y] *= weighted
+        steps = np.exp(1j * (np.arange(1, k)[:, None] * (d_mu * y2 / nu_b[0])))
+        for t, step in enumerate(steps, 1):  # row qK + t from anchor qK < n - t
+            np.multiply(buf[: len(buf) - t : k, :n_y], step, out=buf[t::k, :n_y])
         np.fft.fft(buf, axis=1, out=buf)
         buf *= chirp
         np.fft.ifft(buf, axis=1, out=buf)
@@ -171,12 +182,15 @@ def _chirp_z_abs2(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu, nu
 
 
 def _tomogram_columns(psi: SampledWavefunction, grid_x: UniformGrid1D, mu, nu) -> np.ndarray:
-    """w(X, mu_r, nu_r) for X on grid_x, one column per mu_r; nu is one value or one per column.
+    """w(X, mu_r, nu_r) for X on grid_x, one column per mu_r; nu is one value or one per
+    column, and mu one value per column or, with one nu, the columns' UniformGrid1D.
 
     Columns at |nu| <= EPS_NU take the limit |psi(X/mu)|^2 / |mu|; the rest
-    are one chirp-z call, with one shared chirp when nu is a single value.
+    are one chirp-z call, with one shared chirp when nu is a single value, and
+    rows from anchor and step tables when mu is a grid too.
     """
-    mu = np.asarray(mu, dtype=np.float64)
+    rows = mu if isinstance(mu, UniformGrid1D) else np.asarray(mu, dtype=np.float64)
+    mu = rows.points if isinstance(rows, UniformGrid1D) else rows
     nu_r = np.broadcast_to(np.asarray(nu, dtype=np.float64), mu.shape)
     flat = np.abs(nu_r) <= EPS_NU
     if np.min(np.abs(mu[flat]), initial=np.inf) <= EPS_NU:
@@ -189,7 +203,7 @@ def _tomogram_columns(psi: SampledWavefunction, grid_x: UniformGrid1D, mu, nu) -
     if live.any():
         nu_live = nu if np.ndim(nu) == 0 else nu_r[live]
         weighted = psi.values * trapezoid_weights(psi.grid.count, psi.grid.step)
-        amp2 = _chirp_z_abs2(weighted, psi.grid, grid_x, mu[live], nu_live)
+        amp2 = _chirp_z_abs2(weighted, psi.grid, grid_x, rows if live.all() else mu[live], nu_live)
         out[:, live] = np.divide(amp2, 2.0 * np.pi * np.abs(nu_r[live]), out=amp2)
     return out
 
@@ -202,10 +216,11 @@ def symplectic_tomogram_plane(
 ) -> TomogramPlane:
     """Tomogram over a full (X, mu) product grid at fixed nu.
 
-    The mu columns share one nu, so the plane is one chirp-z call with one
-    chirp FFT; building planes for many nu values stays affordable.
+    The mu columns share one nu and a uniform step, so the plane is one
+    chirp-z call with one chirp FFT, whose rows are products of a few anchor
+    rows and step rows: about 2*sqrt(n_mu) rows of complex exps, not n_mu.
     """
-    return TomogramPlane(nu, grid_x, grid_mu, _tomogram_columns(psi, grid_x, grid_mu.points, nu))
+    return TomogramPlane(nu, grid_x, grid_mu, _tomogram_columns(psi, grid_x, grid_mu, nu))
 
 
 def fresnel_tomogram(

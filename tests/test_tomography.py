@@ -22,12 +22,14 @@ from wavetomo.analytic import (
     gcf_width,
 )
 from wavetomo.errors import DegeneratePointError, UnsupportedSizeError
+from wavetomo import tomography
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
 from wavetomo.tomography import (
     _BLOCK_BYTES,
     EPS_NU,
     NdWavefunction,
     _fft_size,
+    _tomogram_columns,
     fresnel_tomogram,
     optical_tomogram,
     optical_tomogram_map,
@@ -259,6 +261,87 @@ def test_optical_last_partial_block_matches_scalar_oracle(psi_forward):
     for j in range(first, last + 1):
         want = [optical_tomogram(psi_forward, gx.point(i), gt.point(j)) for i in range(gx.count)]
         assert np.max(np.abs(ot.values[:, j] - want)) <= 1e-12, j
+
+
+# Plane rows from anchor and step tables, against the one-exp-per-row path and the oracle
+
+
+@pytest.fixture(scope="module")
+def psi_sweep():
+    # the reference sweep's state: sigma = 1, alpha = 1 on 1025 points
+    return gcf_sampled(GcfParams(1.0, 1.0), count=1025)
+
+
+def test_sweep_planes_equal_their_one_nu_per_column_maps(psi_sweep):
+    # every non-flat plane of the 61-plane +-3 sweep against the same columns with nu given
+    # per column, which builds each row from its own exp (no step rows)
+    moments = wavefunction_moments(psi_sweep)
+    nus = [nu for nu in np.linspace(-3.0, 3.0, 61).tolist() if abs(nu) > EPS_NU]
+    assert len(nus) == 60
+    for nu in nus:
+        gx, gmu = plane_grids_for_slice(nu, moments)
+        plane = symplectic_tomogram_plane(psi_sweep, gx, gmu, nu).values
+        per_row = _tomogram_columns(psi_sweep, gx, gmu.points, np.full(gmu.count, nu))
+        assert np.max(np.abs(plane - per_row)) <= 1e-13 * np.max(per_row), nu
+
+
+@pytest.mark.parametrize("nu", [0.1, -0.1, 3.0])
+@pytest.mark.parametrize("n_mu", [2, 3, 5, 50])
+def test_explicit_grid_planes_match_scalar_oracle(psi_sweep, n_mu, nu):
+    # one mu grid crosses 0 (and holds mu = 0 at odd counts), one lies off it; a block
+    # of n rows takes ceil(sqrt(n)) rows per anchor, so 50 ends in a partial group
+    gx = UniformGrid1D.symmetric(6.0, 41)
+    for gmu in (UniformGrid1D.symmetric(2.0, n_mu), UniformGrid1D(0.4, 1.7 / n_mu, n_mu)):
+        plane = symplectic_tomogram_plane(psi_sweep, gx, gmu, nu)
+        want = [[symplectic_tomogram(psi_sweep, gx.point(i), gmu.point(j), nu)
+                 for j in range(n_mu)] for i in range(gx.count)]
+        assert np.max(np.abs(plane.values - want)) <= 1e-12, gmu
+
+
+def test_plane_block_seam_matches_scalar_oracle(psi_sweep):
+    # the nu = 0.1 reference plane: 395 X by 46 mu at FFT length 1440 runs as row blocks
+    # of 45 and 1, so its last column is the only row of a second block
+    nu = 0.1
+    gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi_sweep))
+    assert _fft_size(gx.count + psi_sweep.grid.count - 1) == 1440
+    edges = _block_edges(gx.count, psi_sweep.grid.count, np.full(gmu.count, nu))
+    assert edges == [(0, 44), (45, 45)]
+    plane = symplectic_tomogram_plane(psi_sweep, gx, gmu, nu)
+    for j in (44, 45):
+        want = [symplectic_tomogram(psi_sweep, gx.point(i), gmu.point(j), nu)
+                for i in range(gx.count)]
+        assert np.max(np.abs(plane.values[:, j] - want)) <= 1e-12, j
+
+
+class _CountingNumpy:
+    """numpy, with the values that np.exp returns counted."""
+
+    def __init__(self):
+        self.exps = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        out = np.exp(*args, **kwargs)
+        self.exps += np.size(out)
+        return out
+
+
+def test_plane_rows_take_about_sqrt_n_rows_of_exps(psi_sweep, monkeypatch):
+    # the nu = 0.1 reference plane's 46 rows: blocks of 45 (7 anchor and 6 step rows of exps
+    # at 7 rows per anchor) and 1 (one anchor), plus the one chirp both blocks share; one
+    # exp per row would be 46 * n_y
+    nu = 0.1
+    gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi_sweep))
+    n_y, size = psi_sweep.grid.count, _fft_size(gx.count + psi_sweep.grid.count - 1)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(tomography, "np", counting)
+    symplectic_tomogram_plane(psi_sweep, gx, gmu, nu)
+    assert gmu.count == 46 and counting.exps <= 16 * n_y + size
+    counting.exps = 0
+    _tomogram_columns(psi_sweep, gx, gmu.points, np.full(gmu.count, nu))
+    assert counting.exps == 46 * (n_y + size)  # a row and a chirp per column
 
 
 def test_fft_size_is_the_smallest_5_smooth_length():
