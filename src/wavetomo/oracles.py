@@ -195,7 +195,7 @@ def _fresnel_map_rho(gdir: Path):
 
 def _fock1_inversion(gdir: Path):
     # an odd state with a node at 0 and a negative W: the source inversions' mirrored
-    # rows must hold beyond the Gaussians; mu window 20 (at 40, W(0, 0) is 4.7e-3 off)
+    # rows must hold beyond the Gaussians; mu window 20, the one its tolerances were frozen at
     cfg = InversionConfig(mu_window=20.0)
     g, gq = UniformGrid1D.symmetric(2.0, 33), UniformGrid1D.symmetric(3.0, 25)
     rho = reconstruct_density_matrix(fock1_tomogram, g, cfg)

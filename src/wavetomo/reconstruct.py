@@ -14,22 +14,15 @@ Three builders fill the table. From a plane sweep, each plane is one N = 1
 row: its own X grid does the X integral and its own mu span carries the
 taper. From a sampled Fresnel map, each column at nu' gives C along the ray
 (mu, nu) = mu (1, nu') on the map's own X' grid, and a row at nu takes it at
-nu' = nu/mu. From a source callable w(X_1..X_N, mu_1..mu_N, nu_1..nu_N) (a
-Fresnel callable becomes one through fresnel_as_symplectic_source), the integrands
-decay only through oscillation along mu, so each mu axis is truncated at
-`mu_window` with the taper on its outer `taper_fraction`. Column integrals
-over X then use abscissas scaled per column (X = s*u with s = r_q*|mu| +
-r_p*|nu|): a fixed absolute X grid cannot resolve the near-delta columns at
-small |mu|+|nu| while covering the wide ones at the window edge with a fixed
-point budget. s depends on |nu| only, so the abscissas and column weights are
-computed once per |nu| of each axis and shared by the rows at +-nu. Every
-tomogram is homogeneous, w(lX, l mu, l nu) = w/|l|, so w(-X, -mu, -nu) =
-w(X, mu, nu) and C(-mu, -nu) = C(mu, nu)*: each mirror pair of rows is
-computed from the source once, the row at -nu being the conjugate mirror of
-the row at +nu. The source is called on blocks of mu nodes of at most
-tomography._BLOCK_BYTES, as the forward kernel's row blocks are, and the
-sampled Fresnel map's columns are summed in blocks of the same size, so no
-inversion's working memory grows with the quadrature.
+nu' = nu/mu. From a source callable w(X_1..X_N, mu_1..mu_N, nu_1..nu_N), each
+mu axis is truncated at `mu_window` with the taper on its outer
+`taper_fraction`, and the source sizes its own X columns: its X marginals on
+the rays (mu, nu) = (1, 0) and (1, +-1) give its moments, and each column is
+sampled about its mean on a window of its std, by the plain trapezoid rule at
+the one sample count the widest column needs. As w(-X, -mu, -nu) = w(X, mu, nu),
+C(-mu, -nu) = C(mu, nu)* and each mirror pair of rows is computed from the
+source once. Sources and Fresnel maps are read in blocks of at most
+tomography._BLOCK_BYTES, so no inversion's memory grows with the quadrature.
 """
 from __future__ import annotations
 
@@ -44,7 +37,8 @@ import numpy as np
 
 from .errors import DomainLookupError, MissingAnchorError, NodeAtOriginError, UnsupportedSizeError
 from .grid import SampledWavefunction, UniformGrid1D, _frozen_array, trapezoid_weights
-from .tomography import _BLOCK_BYTES, FresnelTomogram, TomogramPlane
+from .tomography import (_ALIAS_A, _BLOCK_BYTES, MAX_X_COUNT, FresnelTomogram, Moments,
+                         TomogramPlane, _alias_step)
 
 __all__ = [
     "DensityMatrix",
@@ -73,9 +67,10 @@ DIAGONAL_SAMPLES = 401
 RESOLVED_MASS = 1e-3
 # a Fresnel map's X' window cuts a column whose edge samples exceed this fraction of its peak
 EDGE_FRACTION = 1e-2
-# half-width of the source columns' abscissas u: the column at (mu, nu) spans
-# |X| <= X_WINDOW*s, ~10 column stds at the default extents (it only rescales them)
-X_WINDOW = 2.5
+# _probe's X grids: edge samples to PROBE_EDGE of the peak, PROBE_STEPS steps a std, PROBE_GRIDS
+PROBE_EDGE = 1e-12
+PROBE_STEPS = 4.0
+PROBE_GRIDS = 24
 
 
 def _check_hermitian(mat: np.ndarray) -> None:
@@ -130,11 +125,7 @@ class DensityMatrixNd:
     def __post_init__(self) -> None:
         shape = tuple(g.count for g in self.grids) * 2
         object.__setattr__(self, "values", _frozen_array(self.values, shape, np.complex128))
-        _check_hermitian(self.as_matrix())
-
-    def as_matrix(self) -> np.ndarray:
-        n = int(np.prod([g.count for g in self.grids]))
-        return self.values.reshape(n, n)
+        _check_hermitian(self.values.reshape(math.prod(g.count for g in self.grids), -1))
 
     @staticmethod
     def from_raw(grids, raw) -> "DensityMatrixNd":
@@ -154,8 +145,7 @@ class WignerFunction:
         object.__setattr__(self, "values", _frozen_array(self.values, shape, np.float64))
 
     def normalization(self) -> float:
-        col = np.trapezoid(self.values, dx=self.grid_p.step, axis=1)
-        return float(np.trapezoid(col, dx=self.grid_q.step))
+        return float(np.trapezoid(self.marginal_q(), dx=self.grid_q.step))
 
     def marginal_q(self) -> np.ndarray:
         return np.trapezoid(self.values, dx=self.grid_p.step, axis=1)
@@ -179,8 +169,8 @@ class InversionConfig:
 
     mu_window: half-width M of the mu integration window [-M, M].
     taper_fraction: outer fraction of the window under a raised-cosine taper.
-    samples_per_axis: points per quadrature axis; must be even so the mu
-        nodes straddle zero without touching it.
+    samples_per_axis: mu nodes per axis, and only those (a source sets its own
+        X samples); even, so they straddle zero without touching it.
     """
 
     mu_window: float = 40.0
@@ -215,11 +205,9 @@ def raised_cosine_taper(x, half_width: float, fraction: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Row:
-    """One fixed-nu row of the characteristic table, nu = (nu_1, ..., nu_N).
-
-    c holds C(mu, nu) on the N-fold product of the mu nodes times their
-    weights (trapezoid rule and taper); w_nu is the row's weight in sums
-    over nu. Plane rows are the N = 1 case.
+    """One fixed-nu row of the characteristic table, nu = (nu_1, ..., nu_N): c
+    holds C(mu, nu) on the N-fold product of the mu nodes times their weights
+    (trapezoid rule and taper), w_nu is the row's weight in sums over nu.
     """
 
     nu: tuple[float, ...]
@@ -278,14 +266,11 @@ def _wigner(rows, grid_q: UniformGrid1D, grid_p: UniformGrid1D) -> WignerFunctio
 
 
 def _table_from_planes(ordered: Sequence[TomogramPlane], taper_fraction: float) -> list[_Row]:
-    """One row per plane, in the given (ascending nu) order.
-
-    Each plane's own X grid does the X integral by the trapezoid rule and its
-    own mu span carries the taper; nu weights are the local plane spacing,
-    tapered over the nu range. The same weights give each column's X mean and
-    std from the plane's own data; a RuntimeWarning names the narrowest
-    column when one with in-window mass >= RESOLVED_MASS is narrower than
-    its plane's X step.
+    """One row per plane, in the given (ascending nu) order; nu weights are the
+    local plane spacing, tapered over the nu range. The trapezoid weights of
+    each plane's X grid also give each column's X mean and std; a
+    RuntimeWarning names the narrowest column when one with in-window mass
+    >= RESOLVED_MASS is narrower than its plane's X step.
     """
     nus = np.array([p.nu for p in ordered])
     nu_half = max(abs(nus[0]), abs(nus[-1]))
@@ -319,84 +304,115 @@ def _table_from_planes(ordered: Sequence[TomogramPlane], taper_fraction: float) 
     return rows
 
 
-# w(X_1..X_N, mu_1..mu_N, nu_1..nu_N), N = 1 being w(X, mu, nu), in the X and mu broadcast
-# shape. The inversions call it on blocks of mu nodes (at most _BLOCK_BYTES // 8 values a
-# call), so it must be elementwise in its broadcast arguments. Like every tomogram it must
-# meet w(-X, -mu, -nu) = w(X, mu, nu), which the inversions use to read the rows at -nu
-# from those at +nu
+# w(X_1..X_N, mu_1..mu_N, nu_1..nu_N) in the X and mu broadcast shape, elementwise (it is called
+# on blocks of at most _BLOCK_BYTES // 8 values), with w(-X, -mu, -nu) = w(X, mu, nu)
 Source = Callable[..., np.ndarray]
 
 
 def _quad_nodes(cfg: InversionConfig):
-    """mu nodes with their trapezoid weights, and the scaled X abscissas u;
-    both are exact mirror images (x[::-1] == -x), so rows at +-nu share columns."""
-    m = cfg.samples_per_axis
+    """mu nodes, exact mirror images (mu[::-1] == -mu), and their trapezoid weights."""
+    m, w = cfg.samples_per_axis, cfg.mu_window
     h = np.linspace(-1.0, 1.0, m)[m // 2 :]  # the positive half; even m: no node at 0
-    mu, u = (np.concatenate([-w * h[::-1], w * h]) for w in (cfg.mu_window, X_WINDOW))
-    return mu, trapezoid_weights(m, mu[1] - mu[0]), u
+    mu = np.concatenate([-w * h[::-1], w * h])
+    return mu, trapezoid_weights(m, mu[1] - mu[0])
 
 
-def _phase_column_weights(s: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Weights turning f(s_m * u_k) samples into Int f(Y) e^{iY} dY per column.
-
-    Columns whose Y step resolves the unit-frequency phase (step <= 1.3,
-    comfortably under the pi aliasing limit) get the plain end-halved rule,
-    which is spectrally accurate for smooth decaying data. Wider columns
-    switch to quadratic panels integrated exactly against the phase; a plain
-    trapezoid-times-phase rule would alias their oscillation and turn
-    negligible integrals into order one.
+def _probe(source: Source, mus, nus) -> list[tuple[float, float]]:
+    """Mean and variance of each axis's X marginal of the source on the rays
+    (mus[a], nus[a]), by the trapezoid rule on one X grid per axis, from [-8, 8]
+    in steps of 1/16 on. A source with no mass on any grid (a zero source) reads
+    as the vacuum. The source is called on at most _BLOCK_BYTES // 8 values.
     """
-    m, k = s.size, u.size
-    h = np.abs(s) * (u[1] - u[0])  # per-column step in Y units
-    filon = h > 1.3
-    t = np.where(filon, h, 1.0)  # dummy 1.0 keeps the formulas finite
-    sin_t, cos_t = np.sin(t), np.cos(t)
-    I0 = 2.0 * sin_t / t
-    I1 = 2j * (sin_t - t * cos_t) / t**2
-    I2 = 2.0 * ((t**2 - 2.0) * sin_t + 2.0 * t * cos_t) / t**3
-    w0 = 0.5 * (I2 - I1)
-    w1 = I0 - I2
-    w2 = 0.5 * (I2 + I1)
-    eL = np.exp(1j * t)
-    eR = np.exp(-1j * t)
-
-    two_p = ((k - 1) // 2) * 2  # panel-covered node span: 0 .. two_p
-    fw = np.zeros((m, k), dtype=np.complex128)
-    fw[:, 0:two_p:2] += (w0 * eL)[:, None]
-    fw[:, 2 : two_p + 1 : 2] += (w2 * eR)[:, None]
-    fw[:, 1:two_p:2] = w1[:, None]
-    if two_p < k - 1:  # odd interval count: close with one exact-phase linear cell
-        z = 1j * t
-        ez = np.exp(z)
-        A = (ez - 1.0 - z) / z**2
-        B = (ez * (z - 1.0) + 1.0) / z**2
-        fw[:, k - 2] += A
-        fw[:, k - 1] += B * eR
-
-    W = np.where(filon[:, None], fw, trapezoid_weights(k, 1.0))
-    Y = s[:, None] * u[None, :]
-    R = h[:, None] * W * np.exp(1j * Y)
-    # average with the right-anchored mirror assembly: keeps the accuracy
-    # order and makes conj(weight at -u) = weight at u hold exactly, so
-    # rho(i,j) and conj(rho(j,i)) see identical quadrature
-    return 0.5 * (R + np.conj(R[:, ::-1]))
+    n_axes, half, count = len(mus), 8.0, 257
+    for grid in range(PROBE_GRIDS):
+        x = np.linspace(-half, half, count)
+        step, wx = x[1] - x[0], trapezoid_weights(count, x[1] - x[0])
+        marg = np.zeros((n_axes, count))
+        rows = max(1, _BLOCK_BYTES // 8 // count ** (n_axes - 1))
+        for s in range(0, count, rows):
+            blk = slice(s, s + rows)
+            X, W = [x[blk]] + [x] * (n_axes - 1), [wx[blk]] + [wx] * (n_axes - 1)
+            w = source(*(_on_axis(X[a], a, n_axes) for a in range(n_axes)), *mus, *nus)
+            for a in range(n_axes):  # Sum over the other axes, with their X weights
+                others = itertools.chain(*((W[b], [b]) for b in range(n_axes) if b != a))
+                marg[a, blk if a == 0 else slice(None)] += np.einsum(w, range(n_axes), *others, [a])
+        mass = marg @ wx
+        mean = marg @ (wx * x) / np.where(mass, mass, 1.0)
+        var = (x - mean[:, None]) ** 2 * marg @ wx / np.where(mass, mass, 1.0)
+        edges, peak = abs(marg[:, [0, -1]]).max(axis=1), abs(marg).max(axis=1)
+        # a grid without mass widens too (a state far off 0), up to the last grid
+        wide = bool(np.any(edges > PROBE_EDGE * peak)) or not mass.any() and grid < PROBE_GRIDS - 1
+        sd = math.sqrt(np.min(var, where=mass != 0, initial=np.inf))  # the narrowest marginal's
+        coarse = PROBE_STEPS * step * (1 + wide) > sd  # at the next grid's window
+        if not (wide or coarse):
+            return [(float(c), float(v)) if z else (0.0, 0.5 * (m * m + n * n))
+                    for m, n, z, c, v in zip(mus, nus, mass, mean, var)]
+        count, half = 2 * count - 1 if coarse else count, half * (1 + wide)
+        if count > MAX_X_COUNT:
+            break
+    raise ValueError(f"the source's X marginals on the rays (mu, nu) = {list(zip(mus, nus))} "
+                     f"do not settle on {PROBE_GRIDS} grids of at most {MAX_X_COUNT} points")
 
 
-def _columns(nus, mu: np.ndarray, u: np.ndarray, extent):
-    """Yield (n, Y, E) for every index n of nus, grouped by |nu|: the abscissas
-    Y = s*u and the weights E of _phase_column_weights depend on |nu| only,
-    so each group computes them once for the rows at +-nu. s is even in mu
-    and E's rows depend on s alone, so E comes from the mu > 0 nodes, mirrored."""
-    rq, rp = extent
-    half = mu.size // 2
+def _column_sd(m: Moments, mu, nu):
+    """A bound on the column (mu, nu)'s X std that is even in mu and nu: |cov| for cov."""
+    return np.sqrt(mu * mu * m.var_q + 2.0 * np.abs(mu * nu * m.cov) + nu * nu * m.var_p)
+
+
+def _windows(source: Source, nus, cfg: InversionConfig, radial: bool):
+    """Each axis's Moments, from its X marginals on the rays (1, 0) and (1, +-1)
+    with the other axes at (1, 0) (never at mu = 0, where
+    fresnel_as_symplectic_source divides by mu), and the abscissas u of every
+    column: u = j/(k - 1) for odd |j| < k, the even k at which the widest
+    column with taper weight is sampled at its _alias_step. A k over
+    MAX_X_COUNT raises UnsupportedSizeError naming that column.
+    """
+    n_axes, mu, window = len(nus), _quad_nodes(cfg)[0], (cfg.mu_window, cfg.taper_fraction)
+    ones, moments, widest = [1.0] * n_axes, [], (0.0, 0.0, 0.0)
+    for a, (mq, vq) in enumerate(_probe(source, ones, [0.0] * n_axes)):
+        rays = ([sign if b == a else 0.0 for b in range(n_axes)] for sign in (1.0, -1.0))
+        (mp, vp), (mm, vm) = (_probe(source, ones, nus_a)[a] for nus_a in rays)
+        moments.append(Moments(mq, (mp - mm) / 2, vq, max((vp + vm) / 2 - vq, 0.0), (vp - vm) / 4))
+        MU, NU = np.meshgrid(mu[mu.size // 2 :], np.abs(nus[a]))  # sd and the taper are even
+        taper = raised_cosine_taper(np.hypot(MU, NU) if radial else MU, *window)
+        sd = np.where(taper > 0, _column_sd(moments[a], MU, NU), 0.0)
+        i = np.argmax(sd)
+        widest = max(widest, (sd.flat[i], MU.flat[i], NU.flat[i]))
+    sd, mu_w, nu_w = widest
+    k = 2 * math.ceil(_ALIAS_A * sd / _alias_step(math.sqrt(2.0) * sd) + 0.5)
+    if k > MAX_X_COUNT:
+        raise UnsupportedSizeError(
+            f"the column (mu, nu) = ({mu_w:g}, {nu_w:g}) has an X std of {sd:g}: sampling it "
+            f"takes {k} X points, over MAX_X_COUNT = {MAX_X_COUNT}; narrow mu_window")
+    return moments, np.arange(1 - k, k, 2) / (k - 1)
+
+
+def _column_weights(sd: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Trapezoid weights turning samples of f at Y = centre + _ALIAS_A*sd*u
+    into Int f(Y) e^{i(Y - centre)} dY, one row per column std in sd."""
+    s = _ALIAS_A * sd[:, None]
+    return s * (u[1] - u[0]) * trapezoid_weights(u.size, 1.0) * np.exp(1j * s * u)
+
+
+def _columns(nus: np.ndarray, u: np.ndarray, m: Moments, cfg: InversionConfig, radial: bool):
+    """Yield (nu, w_nu, Y, E, w_mu) for every nu of one axis, grouped by |nu|:
+    the abscissas Y = mu<q> + nu<p> + _ALIAS_A*sd*u, the weights E of
+    _column_weights, and the mu weights times the taper and the centring phase
+    e^{i(mu<q> + nu<p>)}. sd is even in nu and in mu, so each group computes E
+    once for the rows at +-nu, from the mu > 0 nodes, mirrored."""
+    (mu, wmu), window = _quad_nodes(cfg), (cfg.mu_window, cfg.taper_fraction)
+    half, w_nus = mu.size // 2, trapezoid_weights(len(nus), nus[1] - nus[0])
     groups: dict[float, list[int]] = {}
     for n, nu in enumerate(nus):
         groups.setdefault(abs(float(nu)), []).append(n)
     for a, ns in groups.items():
-        s = rq * np.abs(mu) + rp * a
-        E = _phase_column_weights(s[half:], u)
-        Y, E = s[:, None] * u[None, :], np.concatenate([E[::-1], E])
-        yield from ((n, Y, E) for n in ns)
+        sd = _column_sd(m, mu[half:], a)
+        E, s = _column_weights(sd, u), _ALIAS_A * np.concatenate([sd[::-1], sd])
+        E = np.concatenate([E[::-1], E])
+        for nu, w_nu in zip(nus[ns].tolist(), w_nus[ns].tolist()):
+            centre = mu * m.mean_q + nu * m.mean_p
+            w_mu = wmu * raised_cosine_taper(np.hypot(mu, nu) if radial else mu, *window)
+            yield nu, w_nu, centre[:, None] + s[:, None] * u, E, w_mu * np.exp(1j * centre)
 
 
 def _node_blocks(m: int, k: int, n_axes: int) -> list[tuple[slice, ...]]:
@@ -416,40 +432,24 @@ def _node_blocks(m: int, k: int, n_axes: int) -> list[tuple[slice, ...]]:
                                     for b in sizes)))
 
 
-def _table_from_source(source: Source, nus, cfg: InversionConfig, extents, radial: bool):
-    """Rows over the product of the per-axis nu lists, symmetric about 0; each
-    mirror pair of rows is computed from the source once.
+def _table_from_source(source: Source, nus, cfg: InversionConfig, radial: bool):
+    """Rows over the product of the per-axis nu lists (symmetric about 0), after
+    _windows, so a state the rule cannot sample raises before any row.
 
     Only rows with nu lexicographically >= 0 call the source; each with
-    nu != 0 also yields its mirror at -nu, C(-mu, -nu) = C(mu, nu)* by
-    w(-X, -mu, -nu) = w(X, mu, nu). The mirror is exact on these nodes: mu
-    and u are mirror images, s is even, conj(E at -u) = E at u, and the
-    tapers and nu weights are even. The nu = 0 row is computed, so a source
-    that breaks the symmetry still shows in rho's asymmetry.
-
-    The first axis's columns stream one |nu| at a time; the other axes' are
-    kept. A row calls the source on the node blocks of _node_blocks, so a
-    source must be elementwise in its broadcast arguments. Each block is
-    reduced to its tile of the row's c before the next call: the first u sum
-    is one real batched GEMM over the block, and each further axis's works on
-    its result. A row thus holds one block and its m^N c, whatever k^N is.
-    The taper acts on |mu_k|, or on hypot(mu_k, nu_k) when `radial` (a
-    window over the whole (mu, nu) plane).
+    nu != 0 also yields its conjugate mirror at -nu, exact on these mirror
+    nodes and even weights. The nu = 0 row is computed, so a source that
+    breaks the symmetry shows in rho's asymmetry. A row reduces each block of
+    _node_blocks to its tile of c before the next call, so it holds one block
+    and its m^N c, whatever k^N is. The taper acts on |mu_k|, or on
+    hypot(mu_k, nu_k) when `radial`.
     """
-    mu, wmu, u = _quad_nodes(cfg)
+    moments, u = _windows(source, nus, cfg, radial)
+    mu = _quad_nodes(cfg)[0]
     m, k, n_axes = mu.size, u.size, len(nus)
-    window = (cfg.mu_window, cfg.taper_fraction)
-
-    def axis(a):  # (nu, w_nu, Y, E, w_mu) per nu of axis a
-        w_nus = trapezoid_weights(len(nus[a]), nus[a][1] - nus[a][0])
-        for n, Y, E in _columns(nus[a], mu, u, extents[a]):
-            nu = float(nus[a][n])
-            taper = raised_cosine_taper(np.hypot(mu, nu) if radial else mu, *window)
-            yield nu, float(w_nus[n]), Y, E, wmu * taper
-
-    blocks = _node_blocks(m, k, n_axes)
-    kept = [list(axis(a)) for a in range(1, n_axes)]
-    for first in axis(0):
+    columns = [_columns(nus_a, u, m_a, cfg, radial) for nus_a, m_a in zip(nus, moments)]
+    blocks, kept = _node_blocks(m, k, n_axes), [list(c) for c in columns[1:]]
+    for first in columns[0]:
         E0 = first[3].view(np.float64).reshape(m, k, 2)  # [Re E, Im E] at each u, a view
         for rest in itertools.product(*kept):
             nu, w_nu, Y, E, w_mu = zip(first, *rest)
@@ -482,10 +482,9 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
     integrated by the trapezoid rule: a real GEMM at the positive mu nodes,
     mirrored by F(-mu) = F(mu)* (w_F is real), over only the columns that
     bracket some ray nu/mu, copied out of the map in blocks of _BLOCK_BYTES.
-    Each row interpolates F linearly in nu' at nu/mu.
-    A column whose edge samples exceed EDGE_FRACTION of its peak, or a ray
-    nu/mu outside the nu' range, raises DomainLookupError naming that nu'
-    (every column is checked). The sum on X' step h equals
+    Each row interpolates F linearly in nu' at nu/mu. A column whose edge
+    samples exceed EDGE_FRACTION of its peak, or a ray nu/mu outside the nu'
+    range, raises DomainLookupError naming that nu'. The sum on X' step h is
     Sum_k F(mu + 2pi k/h), so an X' step of pi/mu_window or more, which
     folds F from inside the mu window onto it, raises ValueError.
     """
@@ -496,7 +495,7 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
         raise DomainLookupError(
             f"the X' window [{gx.start:g}, {gx.end:g}] cuts the Fresnel column at nu'={nup:g}: "
             f"its edge holds over {EDGE_FRACTION:g} of its peak; widen the map in X'", (nup,))
-    mu, wmu, _ = _quad_nodes(cfg)
+    mu, wmu = _quad_nodes(cfg)
     rays = np.divide.outer(nus, mu)  # the nu' = nu/mu each row reads at each mu node
     tol = 1e-9 * gn.step
     outside = (rays < gn.start - tol) | (rays > gn.end + tol)
@@ -569,15 +568,12 @@ def reconstruct_psi(
     """Wavefunction from a symmetric sweep of fixed-nu planes.
 
     The nu grid must be uniform, symmetric, and contain nu=0 exactly. psi is
-    the x' = 0 column of the density matrix, rho(nu, 0) = psi(nu) conj(psi(0)),
-    on the plane nu grid, scaled by the anchor rho(0, 0) = |psi(0)|^2.
-    Tomograms are blind to one global phase; this pins psi(0) real positive.
-    A state with psi(0) = 0 has no usable anchor and raises
-    NodeAtOriginError: rho(0, 0) is compared with max rho(x, x), read from
-    the nu=0 row over its whole unaliased window |x| <= pi/step_mu, so a
-    sweep narrower than the state cannot hide the state's peak. cfg's taper
-    masks the mu nodes. The result is renormalized to unit L2 norm (the
-    pre-normalization norm is reported).
+    rho(nu, 0) = psi(nu) conj(psi(0)) on the plane nu grid, scaled by the anchor
+    rho(0, 0) = |psi(0)|^2 (psi(0) real positive pins the global phase), then
+    to unit L2 norm (prenorm_l2 is the norm before). psi(0) = 0 raises
+    NodeAtOriginError: rho(0, 0) is compared with max rho(x, x) over the nu=0
+    row's whole unaliased window |x| <= pi/step_mu, which no sweep narrower
+    than the state can hide. cfg's taper masks the mu nodes.
     """
     ordered, grid_nu, anchor_idx = _plane_nu_axis(planes)
     table = _table_from_planes(ordered, cfg.taper_fraction)
@@ -608,9 +604,9 @@ def density_matrix_from_planes(
     """Density matrix using plane nodes themselves as quadrature nodes.
 
     The planes' nu grid supplies every X - X' difference, so the output grid
-    step equals the plane spacing and no interpolation happens anywhere: the
-    odd symmetric sweep of 2h + 1 planes gives h + 1 points. Each plane's own
-    (X, mu) grid does the inner integrals; cfg's taper masks the mu nodes.
+    step is the plane spacing and nothing is interpolated: the odd symmetric
+    sweep of 2h + 1 planes gives h + 1 points. Each plane's own (X, mu) grid
+    does the inner integrals; cfg's taper masks the mu nodes.
     """
     ordered, grid_nu, _ = _plane_nu_axis(planes)
     count = (grid_nu.count - 1) // 2 + 1  # _plane_nu_axis holds >= 3 planes, so count >= 2
@@ -627,11 +623,10 @@ def wigner_from_planes(
 ) -> WignerFunction:
     """Wigner function from a plane sweep; plane nodes are the quadrature nodes.
 
-    Iterated quadrature: each plane integrates its own (X, mu) grid, the
-    plane spacing integrates nu. The taper acts on each plane's mu span and
-    on the outer nu range. The nu range must be symmetric about zero (a
-    one-sided sweep misses half of the nu integral); a nu = 0 plane is not
-    needed.
+    Each plane integrates its own (X, mu) grid and the plane spacing
+    integrates nu; the taper acts on each plane's mu span and on the outer nu
+    range. The nu range must be symmetric about zero (a one-sided sweep misses
+    half of the nu integral); a nu = 0 plane is not needed.
     """
     return _wigner(_table_from_planes(_sweep(planes), cfg.taper_fraction), grid_q, grid_p)
 
@@ -644,20 +639,18 @@ def reconstruct_density_matrix(
     source: Source,
     grid: UniformGrid1D,
     cfg: InversionConfig = InversionConfig(),
-    extent: tuple[float, float] = (4.0, 4.0),
 ) -> DensityMatrix:
     """Density matrix by direct inversion of a symplectic tomogram source.
 
     rho(X, X') = (1/2pi) Iint w(Y, mu, X - X') exp(i*(Y - mu*(X + X')/2)) dmu dY
     over the windowed, tapered mu domain. `source(X, mu, nu)` must accept
-    broadcastable arrays for X and mu and be elementwise in them: it is called
-    on blocks of mu nodes. `extent` = (r_q, r_p) approximates the
-    state's position/momentum live radius (~4 standard deviations) and sets
-    the per-column scale of the X abscissas. The source must meet
-    w(-X, -mu, -nu) = w(X, mu, nu), as every tomogram does: it is called
-    only at nu >= 0, and the rows at -nu are the conjugate mirrors of those.
+    broadcastable arrays for X and mu, be elementwise in them and meet
+    w(-X, -mu, -nu) = w(X, mu, nu), as every tomogram does. Its X marginals at
+    mu = 1, nu = 0 and +-1 size every column's X samples (_windows): a state
+    that would need over MAX_X_COUNT raises UnsupportedSizeError, and one
+    whose marginals do not settle ValueError.
     """
-    rows = _table_from_source(source, [_pair_nus(grid)], cfg, [extent], radial=False)
+    rows = _table_from_source(source, [_pair_nus(grid)], cfg, radial=False)
     return DensityMatrix.from_raw(grid, _rho_on_pairs(rows, (grid,)))
 
 
@@ -677,14 +670,10 @@ def reconstruct_density_matrix_fresnel(
     grid: UniformGrid1D,
     cfg: InversionConfig = InversionConfig(),
 ) -> DensityMatrix:
-    """Density matrix from a sampled Fresnel map through the rescaling identity.
-
-    The map is integrated on its own X' grid, with no resampling
-    (_table_from_fresnel); it must hold every ray nu/mu the grid's offsets
-    make with cfg's mu nodes, columns whose X' window holds their tails, and
-    an X' step below pi/cfg.mu_window. The mu nodes never touch zero. A
-    Fresnel callable (X', nu') -> values inverts as
-    reconstruct_density_matrix(fresnel_as_symplectic_source(f), grid, cfg, extent).
+    """Density matrix from a sampled Fresnel map through the rescaling identity,
+    on the map's own X' grid, under the conditions of _table_from_fresnel. A
+    Fresnel callable f(X', nu') inverts as
+    reconstruct_density_matrix(fresnel_as_symplectic_source(f), grid, cfg).
     """
     rows = _table_from_fresnel(fresnel, _pair_nus(grid), cfg)
     return DensityMatrix.from_raw(grid, _rho_on_pairs(rows, (grid,)))
@@ -695,45 +684,36 @@ def reconstruct_wigner(
     grid_q: UniformGrid1D,
     grid_p: UniformGrid1D,
     cfg: InversionConfig = InversionConfig(),
-    extent: tuple[float, float] = (4.0, 4.0),
 ) -> WignerFunction:
     """Wigner function by the triple-integral inversion of a tomogram source.
 
     W(q, p) = (1/(2pi)^2) Iiint w(X, mu, nu) exp(i*(X - mu*q - nu*p)) dX dmu dnu.
     The X integral per (mu, nu) node is the tomographic characteristic
     function, which decays fast; the (mu, nu) window reuses mu_window on both
-    axes with a radial raised-cosine taper. The source must meet
-    w(-X, -mu, -nu) = w(X, mu, nu), as every tomogram does: it is called only
-    at nu > 0, and the rows at -nu are the conjugate mirrors of those.
+    axes with a radial raised-cosine taper. The source is as in
+    reconstruct_density_matrix.
     """
     mu = _quad_nodes(cfg)[0]
-    return _wigner(_table_from_source(source, [mu], cfg, [extent], radial=True), grid_q, grid_p)
+    return _wigner(_table_from_source(source, [mu], cfg, radial=True), grid_q, grid_p)
 
 
 def reconstruct_density_matrix_nd(
     source: Source,
     grids: Sequence[UniformGrid1D],
     cfg: InversionConfig = InversionConfig(),
-    extents: Sequence[tuple[float, float]] | None = None,
 ) -> DensityMatrixNd:
     """Product-kernel density-matrix inversion for tomogram sources of 1 or 2 axes.
 
     rho(X, X') = (1/2pi)^N Int w(Y_1..Y_N, mu_1..mu_N, nu_1..nu_N)
     * prod_k exp(i*(Y_k - mu_k*(X_k + X_k')/2)) with nu_k = X_k - X_k', on the
-    rows and read-out of reconstruct_density_matrix. `source(X1, X2, mu1, mu2,
-    nu1, nu2)` must broadcast, be elementwise in its broadcast arguments and
-    meet w(-X, -mu, -nu) = w(X, mu, nu), as every tomogram does. Each mirror
-    pair of rows at +-(nu1, nu2) is computed at the pair's lexicographically
-    nonnegative member, by calls on blocks of (mu1, mu2) nodes that each return
-    at most tomography._BLOCK_BYTES // 8 values of the row's (m k)^N: blocks of
-    mu1 nodes, and of mu2 nodes too once one mu1 node's m k^2 values exceed
-    that. Each block is reduced to its tile of the row before the next call, so
-    the memory is one block plus the m^N row, however large m is. N >= 3 is not
-    supported (separable states factor).
+    rows and read-out of reconstruct_density_matrix, whose conditions
+    `source(X1, X2, mu1, mu2, nu1, nu2)` meets; each axis is probed with the
+    other at (mu, nu) = (1, 0). The memory is one source call's block plus
+    the m^N row, however large m is. N >= 3 is not supported (separable
+    states factor).
     """
     grids = tuple(grids)
     if not 1 <= len(grids) <= 2:
         raise UnsupportedSizeError(f"general reconstruction supports N<=2, got {len(grids)}")
-    extents = extents or [(4.0, 4.0)] * len(grids)
-    rows = _table_from_source(source, list(map(_pair_nus, grids)), cfg, extents, radial=False)
+    rows = _table_from_source(source, list(map(_pair_nus, grids)), cfg, radial=False)
     return DensityMatrixNd.from_raw(grids, _rho_on_pairs(rows, grids))

@@ -72,6 +72,11 @@ _ALIAS_A = 6.07
 _BLOCK_BYTES = 1 << 20  # complex buffer of one _chirp_z_abs2 row block, its chirps, its step rows
 
 
+def _alias_step(w: float) -> float:
+    """The longest X step at which that sum over a column of 1/e half-width w aliases by 2^-53."""
+    return 2.0 * math.pi / (1.0 + 2.0 * _ALIAS_A / w)
+
+
 def _tomogram_values(values, grid_a: UniformGrid1D, grid_b: UniformGrid1D) -> np.ndarray:
     """Frozen samples on the (grid_a, grid_b) product grid; a tomogram is nonnegative."""
     vals = _frozen_array(values, (grid_a.count, grid_b.count), np.float64)
@@ -362,7 +367,7 @@ def plane_grids_for_slice(nu: float, moments: Moments) -> tuple[UniformGrid1D, U
     narrowest column (at nu = 0 that column is the degenerate mu = 0 delta).
     The X step is the longest at which the sum the inversion takes over that
     column, the one half a mu step off mu_c (half-width w_min), aliases by at
-    most float64 epsilon: 2*pi/(1 + 2*_ALIAS_A/w_min). The X window covers the
+    most float64 epsilon, _alias_step(w_min). The X window covers the
     widest column that still carries weight; the count cap is MAX_X_COUNT.
     """
     sq = math.sqrt(moments.var_q)
@@ -381,7 +386,7 @@ def plane_grids_for_slice(nu: float, moments: Moments) -> tuple[UniformGrid1D, U
     # decaying junk in e^{iX}-weighted sums, so the X window covers that column too
     w_edge = math.sqrt(2.0) * ((abs(mu_c) + mu_half) * sq + abs(nu) * sp)
     x_half = max(2.6 * w_eff + 3.0, 2.5 * w_edge)
-    step_x = 2.0 * math.pi / (1.0 + 2.0 * _ALIAS_A / w_min)
+    step_x = _alias_step(w_min)
     n_x = 2 * math.ceil(x_half / step_x) + 1
     if n_x > MAX_X_COUNT:
         n_x = MAX_X_COUNT | 1

@@ -15,6 +15,7 @@ from wavetomo import reconstruct
 from wavetomo.analytic import (
     GcfParams,
     analytic_plane_set,
+    fock1_tomogram,
     gaussian2_tomogram,
     gcf_fresnel_analytic,
     gcf_fresnel_source,
@@ -22,6 +23,7 @@ from wavetomo.analytic import (
     gcf_sampled,
     gcf_source,
     gcf_tomogram_analytic,
+    gcf_wigner_analytic,
     wigner_direct,
 )
 from wavetomo.errors import (
@@ -46,12 +48,15 @@ from wavetomo.reconstruct import (
     reconstruct_psi,
     reconstruct_wigner,
     wigner_from_planes,
+    _column_weights,
     _pair_nus,
-    _phase_column_weights,
     _quad_nodes,
+    _windows,
 )
 from wavetomo.tomography import (
+    _ALIAS_A,
     _BLOCK_BYTES,
+    MAX_X_COUNT,
     FresnelTomogram,
     TomogramPlane,
     plane_grids_for_slice,
@@ -327,7 +332,7 @@ def test_fresnel_rows_equal_interpolation_over_every_column():
     wf = gcf_fresnel_analytic(GcfParams(1.0, 0.5), UniformGrid1D.symmetric(12.0, 915), gn)
     nus = _pair_nus(UniformGrid1D.symmetric(0.5, 9))
     got = np.array([row.c for row in reconstruct._table_from_fresnel(wf, nus, cfg)])
-    mu, wmu, _ = _quad_nodes(cfg)
+    mu, wmu = _quad_nodes(cfg)
     gx = wf.grid_x
     F = np.exp(1j * np.outer(mu, gx.points)) * trapezoid_weights(gx.count, gx.step) @ wf.values
     C = np.stack([np.interp(nus / m, gn.points, Fm) for m, Fm in zip(mu, F)], axis=1)
@@ -424,25 +429,33 @@ def test_nd_zero_source_and_unsupported_size():
 ENTANGLED_A = np.array([[1.0, 0.6], [0.6, 1.5]])
 
 
-def _four_fold_reference(source, grids, cfg, extents):
+def _trapezoid_columns(m, u, mu, nu):
+    # the abscissas Y = mu<q> + nu<p> + _ALIAS_A sd u of each column (mu, nu), sd^2 =
+    # mu^2 var_q + 2|mu nu||cov| + nu^2 var_p, and their trapezoid weights times e^{iY}
+    sd = np.sqrt(mu**2 * m.var_q + 2.0 * np.abs(mu * nu * m.cov) + nu**2 * m.var_p)
+    Y = (mu * m.mean_q + nu * m.mean_p)[:, None] + _ALIAS_A * np.outer(sd, u)
+    steps = _ALIAS_A * sd * (u[1] - u[0])
+    return Y, np.array([trapezoid_weights(u.size, h) for h in steps]) * np.exp(1j * Y)
+
+
+def _four_fold_reference(source, grids, cfg):
     # the per-(nu1, nu2) loop with one 4-index einsum that the batched
     # contraction replaced; kept as the reference it must reproduce
-    mu, wmu, u = _quad_nodes(cfg)
+    mu, wmu = _quad_nodes(cfg)
     wmu = wmu * raised_cosine_taper(mu, cfg.mu_window, cfg.taper_fraction)
-    (g1, g2), ((rq1, rp1), (rq2, rp2)) = grids, extents
+    (m1, m2), u = _windows(source, [_pair_nus(g) for g in grids], cfg, radial=False)
+    g1, g2 = grids
     n1, n2 = g1.count, g2.count
     raw = np.zeros((n1, n2, n1, n2), dtype=np.complex128)
     for d1 in range(-(n1 - 1), n1):
         nu1 = d1 * g1.step
-        s1 = rq1 * np.abs(mu) + rp1 * abs(nu1)
-        Y1, E1 = s1[:, None] * u[None, :], _phase_column_weights(s1, u)
+        Y1, E1 = _trapezoid_columns(m1, u, mu, nu1)
         i1 = np.arange(max(0, d1), n1 + min(0, d1))
         j1 = i1 - d1
         P1 = np.exp(-1j * np.outer(0.5 * (g1.points[i1] + g1.points[j1]), mu)) * wmu
         for d2 in range(-(n2 - 1), n2):
             nu2 = d2 * g2.step
-            s2 = rq2 * np.abs(mu) + rp2 * abs(nu2)
-            Y2, E2 = s2[:, None] * u[None, :], _phase_column_weights(s2, u)
+            Y2, E2 = _trapezoid_columns(m2, u, mu, nu2)
             w4 = source(Y1[:, :, None, None], Y2[None, None, :, :],
                         mu[:, None, None, None], mu[None, None, :, None], nu1, nu2)
             C2 = np.einsum("akbl,ak,bl->ab", w4, E1, E2, optimize=True)
@@ -465,10 +478,9 @@ def test_nd_contraction_matches_four_fold_sum(counts):
                                   X2 + 0.25 * mu2 - 0.1 * nu2, mu1, mu2, nu1, nu2)
 
     grids = (UniformGrid1D.symmetric(1.0, counts[0]), UniformGrid1D.symmetric(0.6, counts[1]))
-    extents = ((3.5, 4.0), (4.5, 3.0))
     cfg = InversionConfig(mu_window=12.0, samples_per_axis=16)
-    got = reconstruct_density_matrix_nd(source, grids, cfg, extents).values
-    want = _four_fold_reference(source, grids, cfg, extents)
+    got = reconstruct_density_matrix_nd(source, grids, cfg).values
+    want = _four_fold_reference(source, grids, cfg)
     assert np.max(np.abs(got - want)) <= 1e-13
     assert np.max(np.abs(want)) > 0.05
 
@@ -481,7 +493,8 @@ def test_nd_contraction_matches_four_fold_sum(counts):
 def test_quad_nodes_are_mirror_images(cfg):
     # rows at +-nu then see bitwise equal column scales and share their weights,
     # and the row at -nu is the conjugate mirror of the row at +nu
-    mu, _, u = _quad_nodes(cfg)
+    mu, _ = _quad_nodes(cfg)
+    u = _windows(gcf_source(GcfParams(1.0, 0.5)), [mu], cfg, radial=True)[1]
     assert np.array_equal(mu[::-1], -mu)
     assert np.array_equal(u[::-1], -u)
     for g in (UniformGrid1D.symmetric(1.0, 7), UniformGrid1D.symmetric(0.6, 4),
@@ -491,14 +504,17 @@ def test_quad_nodes_are_mirror_images(cfg):
 
 
 def _counted(source):
-    calls = []  # (nu, values returned) per call
+    calls, probes = [], []  # (nu, values returned) per row call and per probe call
 
     def counted(*args):
         out = source(*args)
-        calls.append((tuple(float(v) for v in args[2 * len(args) // 3:]), out.size))
+        n = len(args) // 3
+        # a probe passes scalar mu = 1; a row passes arrays of mu nodes
+        probe = all(np.ndim(mu) == 0 for mu in args[n : 2 * n])
+        (probes if probe else calls).append((tuple(float(v) for v in args[2 * n :]), out.size))
         return out
 
-    return counted, calls
+    return counted, calls, probes
 
 
 def _values_per_row(calls):
@@ -508,40 +524,53 @@ def _values_per_row(calls):
     return rows
 
 
+def _x_count(source, grids, cfg):
+    return _windows(source, [_pair_nus(g) for g in grids], cfg, radial=False)[1].size
+
+
 def test_source_called_once_per_mirror_pair_of_rows():
     # only rows with nu lexicographically >= 0 call the source, and the calls
     # of one row cover its nodes once
-    src, calls = _counted(gcf_source(GcfParams(1.0, 0.5)))
+    # (the probes, at mu = 1 and nu = 0, +-1, are counted apart: the rays at nu = 0
+    # and at +-1 on each axis, one call or more each as their X grids grow)
+    src, calls, probes = _counted(gcf_source(GcfParams(1.0, 0.5)))
     reconstruct_density_matrix(src, UniformGrid1D.symmetric(1.0, 7), SMALL_CFG)
     assert len(calls) == 7  # n of the 2n - 1 rows
+    assert set(_values_per_row(probes)) == {(-1.0,), (0.0,), (1.0,)}
     g = UniformGrid1D.symmetric(1.0, 5)
     calls.clear()
     reconstruct_wigner(src, g, g, SMALL_CFG)
     assert len(calls) == SMALL_CFG.samples_per_axis // 2  # the nu rows are the mu nodes
     assert min(calls)[0] > (0.0,)
-    src, calls = _counted(_product_source(GcfParams(1.0, 0.5)))
-    reconstruct_density_matrix_nd(
-        src, (UniformGrid1D.symmetric(1.0, 3), UniformGrid1D.symmetric(1.0, 4)), SMALL_CFG)
+    src, calls, probes = _counted(_product_source(GcfParams(1.0, 0.5)))
+    grids = (UniformGrid1D.symmetric(1.0, 3), UniformGrid1D.symmetric(1.0, 4))
+    reconstruct_density_matrix_nd(src, grids, SMALL_CFG)
     rows = _values_per_row(calls)
     assert len(rows) == (5 * 7 + 1) // 2 and min(rows) == (0.0, 0.0)
-    assert set(rows.values()) == {SMALL_CFG.samples_per_axis**4}  # (m k)^2 nodes, k = m
+    k = _x_count(src, grids, SMALL_CFG)
+    assert set(rows.values()) == {(SMALL_CFG.samples_per_axis * k) ** 2}  # (m k)^2 nodes
+    assert set(_values_per_row(probes)) == {(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0),
+                                            (0.0, -1.0)}
 
 
 @pytest.mark.parametrize("n_axes, m", [(1, 128), (2, 32), (2, 64)])
 def test_source_calls_stay_within_one_block(n_axes, m):
     # whatever the quadrature size, no call returns more than the forward
-    # kernel's block; at m = 64 one mu_1 node's m k^2 values exceed it, so the
+    # kernel's block, the probes' calls included; at m = 64 (and the k = 56 the
+    # default mu window takes) one mu_1 node's m k^2 values exceed it, so the
     # calls split the mu_2 nodes as well
-    cfg = InversionConfig(mu_window=12.0, samples_per_axis=m) if n_axes == 2 else InversionConfig()
-    g = UniformGrid1D.symmetric(1.0, 2)
+    cfg = InversionConfig(samples_per_axis=m)
+    grids = (UniformGrid1D.symmetric(1.0, 2),) * n_axes
     if n_axes == 1:
-        src, calls = _counted(gcf_source(GcfParams(1.0, 0.5)))
-        reconstruct_density_matrix(src, g, cfg)
+        src, calls, probes = _counted(gcf_source(GcfParams(1.0, 0.5)))
+        reconstruct_density_matrix(src, grids[0], cfg)
     else:
-        src, calls = _counted(_product_source(GcfParams(1.0, 0.5)))
-        reconstruct_density_matrix_nd(src, (g, g), cfg)
-    assert max(size for _, size in calls) <= _BLOCK_BYTES // 8
-    assert set(_values_per_row(calls).values()) == {(m * m) ** n_axes}
+        src, calls, probes = _counted(_product_source(GcfParams(1.0, 0.5)))
+        reconstruct_density_matrix_nd(src, grids, cfg)
+    assert probes and max(size for _, size in calls + probes) <= _BLOCK_BYTES // 8
+    k = _x_count(src, grids, cfg)
+    assert n_axes == 1 or (m * k * k > _BLOCK_BYTES // 8) == (m == 64)
+    assert set(_values_per_row(calls).values()) == {(m * k) ** n_axes}
 
 
 def _traced_peak(call) -> int:
@@ -555,7 +584,7 @@ def _traced_peak(call) -> int:
 
 
 def test_two_mode_inversion_peak_memory_is_one_block():
-    # one row at m = k = 64 spans (m k)^2 = 16.8M values (134 MB); a row holds
+    # one row at m = 64, k = 32 spans (m k)^2 = 4.2M values (34 MB); a row holds
     # one block and its m^2 c instead
     g = UniformGrid1D.symmetric(1.0, 2)
     cfg = InversionConfig(mu_window=12.0, samples_per_axis=64)
@@ -572,45 +601,45 @@ def test_fresnel_inversion_peak_memory_is_below_half_the_map():
     assert peak < wf.values.nbytes / 2
 
 
-def _full_rows(source, nus, cfg, extent, radial):
+def _full_rows(source, nus, cfg, radial):
     # every row of the one-axis table from the source, with column weights
     # computed at every mu node: the reference the mirrored half table must reproduce
-    mu, wmu, u = _quad_nodes(cfg)
+    mu, wmu = _quad_nodes(cfg)
+    (m,), u = _windows(source, [nus], cfg, radial)
     rows = []
     for nu in nus:
-        s = extent[0] * np.abs(mu) + extent[1] * abs(nu)
-        w = source(s[:, None] * u[None, :], mu[:, None], nu)
+        Y, E = _trapezoid_columns(m, u, mu, nu)
         taper = raised_cosine_taper(np.hypot(mu, nu) if radial else mu, cfg.mu_window,
                                     cfg.taper_fraction)
-        rows.append(np.sum(_phase_column_weights(s, u) * w, axis=1) * wmu * taper)
+        rows.append(np.sum(E * source(Y, mu[:, None], nu), axis=1) * wmu * taper)
     return mu, np.array(rows)
 
 
 def test_half_table_matches_every_row_from_the_source():
     # the state displaced to (q, p) = (0.4, -0.3): a centred one has real C(mu, nu),
     # which would hide a mirror row that is not conjugated
-    p, cfg, extent = GcfParams(0.9, 0.7), SMALL_CFG, (3.5, 4.5)
+    p, cfg = GcfParams(0.9, 0.7), SMALL_CFG
 
     def src(X, mu, nu):
         return gcf_tomogram_analytic(p, X - 0.4 * mu + 0.3 * nu, mu, nu)
 
     g = UniformGrid1D.symmetric(1.0, 7)
     x, n = g.points, g.count
-    mu, rows = _full_rows(src, _pair_nus(g), cfg, extent, radial=False)
+    mu, rows = _full_rows(src, _pair_nus(g), cfg, radial=False)
     raw = np.zeros((n, n), dtype=np.complex128)
     for d, c in zip(range(-(n - 1), n), rows):
         i = np.arange(max(0, d), n + min(0, d))
         raw[i, i - d] = np.exp(-1j * np.outer(0.5 * (x[i] + x[i - d]), mu)) @ c / (2.0 * np.pi)
     want = DensityMatrix.from_raw(g, raw)
-    got = reconstruct_density_matrix(src, g, cfg, extent)
+    got = reconstruct_density_matrix(src, g, cfg)
     assert np.max(np.abs(got.values - want.values)) <= 1e-13
     assert got.asymmetry == pytest.approx(want.asymmetry, abs=1e-13)
     gq, gp = UniformGrid1D.symmetric(2.0, 9), UniformGrid1D.symmetric(3.0, 11)
-    mu, rows = _full_rows(src, mu, cfg, extent, radial=True)  # the nu rows are the mu nodes
+    mu, rows = _full_rows(src, mu, cfg, radial=True)  # the nu rows are the mu nodes
     w_nu = trapezoid_weights(mu.size, mu[1] - mu[0])
     W = (np.exp(-1j * np.outer(gq.points, mu)) @ rows.T
          @ (w_nu[:, None] * np.exp(-1j * np.outer(mu, gp.points))) / (4.0 * np.pi**2))
-    got = reconstruct_wigner(src, gq, gp, cfg, extent)
+    got = reconstruct_wigner(src, gq, gp, cfg)
     assert np.max(np.abs(got.values - W.real)) <= 1e-13
     assert np.max(np.abs(W)) > 0.1
 
@@ -630,11 +659,11 @@ def test_asymmetry_reports_a_source_without_point_symmetry():
 def test_column_weights_computed_once_per_abs_nu(monkeypatch):
     calls = []
 
-    def counted(s, u):
-        calls.append(s.size)
-        return _phase_column_weights(s, u)
+    def counted(sd, u):
+        calls.append(sd.size)
+        return _column_weights(sd, u)
 
-    monkeypatch.setattr(reconstruct, "_phase_column_weights", counted)
+    monkeypatch.setattr(reconstruct, "_column_weights", counted)
     src = gcf_source(GcfParams(1.0, 0.5))
     reconstruct_density_matrix(src, UniformGrid1D.symmetric(1.0, 7), SMALL_CFG)
     assert len(calls) == 7  # n points: |nu| = 0 .. 6 steps
@@ -650,6 +679,70 @@ def test_column_weights_computed_once_per_abs_nu(monkeypatch):
     grids = (UniformGrid1D.symmetric(1.0, 3), UniformGrid1D.symmetric(1.0, 4))
     reconstruct_density_matrix_nd(zero6, grids, SMALL_CFG)
     assert len(calls) == 3 + 4
+
+
+# ---------------------------------------------------------------------------
+# X windows sized from the source's own moments
+
+
+def test_default_wigner_of_fock1_at_the_origin():
+    # 128 X samples per column at the default mu window of 40 read W(0, 0) 4.7e-3 off
+    gq = UniformGrid1D.symmetric(3.0, 25)
+    assert reconstruct_wigner(fock1_tomogram, gq, gq).values[12, 12] == pytest.approx(
+        -1.0 / math.pi, abs=1e-5)
+
+
+def test_default_wigner_of_a_narrow_ground_state():
+    # sigma = 0.5: its widest weighted column has an X std of 40; at a fixed k of 128 X
+    # samples that column aliases and W is 1.64 off, so k must follow the state
+    p, g = GcfParams(0.5, 0.0), UniformGrid1D.symmetric(3.0, 41)
+    W = reconstruct_wigner(gcf_source(p), g, g)
+    want = gcf_wigner_analytic(p, g.points[:, None], g.points[None, :])
+    assert np.max(np.abs(W.values - want)) <= 2e-3
+
+
+@pytest.mark.parametrize("q0", [2.0, 30.0])
+def test_displaced_state_needs_no_caller_input(q0):
+    # the chirped Gaussian displaced to (q, p) = (q0, -1.5): the probes find its centre,
+    # at q0 = 30 after widening past grids that hold none of its mass
+    p, g = GcfParams(0.9, 0.7), UniformGrid1D(q0 - 2.0, 0.25, 17)
+
+    def src(X, mu, nu):
+        return gcf_tomogram_analytic(p, X - q0 * mu + 1.5 * nu, mu, nu)
+
+    psi = np.exp(-1.5j * g.points) * gcf_psi(p, g.points - q0)
+    rho = reconstruct_density_matrix(src, g)
+    assert np.max(np.abs(rho.values - np.outer(psi, psi.conj()))) <= 1e-8
+
+
+def test_zero_mass_probes_invert_to_exactly_zero():
+    g = UniformGrid1D.symmetric(1.0, 5)
+    src, calls, probes = _counted(lambda X, mu, nu: np.zeros(np.broadcast_shapes(
+        np.shape(X), np.shape(mu))))
+    assert np.max(np.abs(reconstruct_wigner(src, g, g, SMALL_CFG).values)) == 0.0
+    assert probes and calls
+
+
+def test_a_state_too_wide_to_sample_raises_before_any_row():
+    # sd_q = 150: the column at |mu| ~ 40 has an X std of 6e3, which needs ~1.2e4 X samples
+    src, calls, probes = _counted(gcf_source(GcfParams(300.0, 0.0)))
+    with pytest.raises(UnsupportedSizeError, match=r"column \(mu, nu\) = \(-?39.\d*, \S+\) has "
+                       rf"an X std of \d+.*over MAX_X_COUNT = {MAX_X_COUNT}"):
+        reconstruct_density_matrix(src, UniformGrid1D.symmetric(1.0, 5))
+    assert probes and not calls
+
+
+def test_a_probe_that_does_not_settle_raises_before_any_row():
+    # a Cauchy marginal's tails never fall to PROBE_EDGE of its peak on a grid that fits
+    def cauchy(X, mu, nu):
+        s = np.hypot(mu, nu)
+        return s / (np.pi * (s * s + np.asarray(X) ** 2))
+
+    src, calls, probes = _counted(cauchy)
+    with pytest.raises(ValueError, match="do not settle"):
+        reconstruct_density_matrix(src, UniformGrid1D.symmetric(1.0, 5))
+    assert probes and not calls
+    assert max(size for _, size in probes) <= MAX_X_COUNT
 
 
 # ---------------------------------------------------------------------------
