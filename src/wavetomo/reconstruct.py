@@ -218,10 +218,16 @@ class _Row:
     def rho(self, x, xp):
         """rho at pairs with x_k - x'_k = nu_k; x and xp hold one entry per axis,
         whose two broadcast to that axis's pair dimensions of the result."""
+        return self.contract(
+            [np.exp(-1j * np.multiply.outer(0.5 * (np.asarray(xk) + xpk), self.mu))
+             for xk, xpk in zip(x, xp)])
+
+    def contract(self, phases):
+        """(1/2pi)^N Sum_mu c Prod_k phases[k][..., mu_k]: rho from e^{-i b mu} on each
+        axis's pair midpoints b, whose dimensions go in front in axis order."""
         out = self.c
-        for xk, xpk in reversed(list(zip(x, xp))):  # the last mu axis; its pairs go in front
-            b = 0.5 * (np.asarray(xk) + xpk)
-            out = np.inner(np.exp(-1j * np.multiply.outer(b, self.mu)), out)
+        for e in reversed(phases):  # the last mu axis; its pairs go in front
+            out = np.inner(e, out)
         return out / (2.0 * np.pi) ** len(self.nu)
 
 
@@ -235,17 +241,38 @@ def _on_axis(x: np.ndarray, a: int, n_axes: int) -> np.ndarray:
     return x.reshape((1,) * (x.ndim * a) + x.shape + (1,) * (x.ndim * (n_axes - 1 - a)))
 
 
+def _midpoints(x: np.ndarray) -> np.ndarray:
+    """(x_i + x_j)/2 at i + j = 0, 1, ..., 2n - 2: the points and their neighbours' means."""
+    a = np.arange(2 * x.size - 1)
+    return 0.5 * (x[a // 2] + x[(a + 1) // 2])
+
+
 def _rho_on_pairs(rows, grids: Sequence[UniformGrid1D]) -> np.ndarray:
     """Raw rho[i_1..i_N, j_1..j_N] on the product of grids; each row fills the
-    pairs with x_k - x'_k = nu_k, so rows at every nu of _pair_nus fill it all."""
+    pairs with x_k - x'_k = nu_k, so rows at every nu of _pair_nus fill it all.
+
+    Rows that share one mu array (a source's or a Fresnel map's) read their
+    phases from one table per axis: e^{-i b mu} at the 2n - 1 midpoints b =
+    (x_i + x_j)/2, one per i + j, of which the diagonal i - j = d takes every
+    other one. Rows with their own mu (a plane sweep's) take their own phases.
+    """
     n_axes = len(grids)
     raw = np.zeros(tuple(g.count for g in grids) * 2, dtype=np.complex128)
     points = [g.points for g in grids]
+    mu = tables = None
     for row in rows:
         ds = [round(nu / g.step) for g, nu in zip(grids, row.nu)]
         i = [np.arange(max(0, d), g.count + min(0, d)) for g, d in zip(grids, ds)]
         j = [ik - d for ik, d in zip(i, ds)]
-        block = row.rho([x[ik] for x, ik in zip(points, i)], [x[jk] for x, jk in zip(points, j)])
+        if row.mu is not mu:
+            mu, tables = row.mu, None
+        elif tables is None:  # a second row on the same mu: tabulate
+            tables = [np.exp(-1j * np.multiply.outer(_midpoints(x), mu)) for x in points]
+        if tables is None:
+            block = row.rho([x[ik] for x, ik in zip(points, i)],
+                            [x[jk] for x, jk in zip(points, j)])
+        else:  # i + j runs from |d| to 2n - 2 - |d| in steps of 2
+            block = row.contract([t[abs(d) : t.shape[0] - abs(d) : 2] for t, d in zip(tables, ds)])
         raw[tuple(_on_axis(ix, a % n_axes, n_axes) for a, ix in enumerate(i + j))] = block
     return raw
 

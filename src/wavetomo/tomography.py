@@ -18,13 +18,16 @@ Every point value is one loop over the axes, `symplectic_tomogram_nd`
 limit |psi(X/mu)|^2 / |mu| by linear interpolation of |psi|^2, as the maps'
 nu = 0 columns do, so a product state's tomogram is its factors' product.
 
-Every gridded map (plane, Fresnel, optical) is one call to `_chirp_z_abs2`:
+Every gridded map (plane, Fresnel, optical) is one call to `_chirp_z_columns`:
 with X and y both on uniform grids the sum over y is a chirp-z transform,
 one FFT convolution of 5-smooth length costing O((n_x + n_y) log) per row,
-run in blocks of rows whose buffers (about 1 MB) do not grow with the map.
-A Fresnel or optical row is one complex exp per y sample; a plane's rows share
-nu on a uniform mu grid, so n of them are products of about 2*sqrt(n) rows of
-exps: anchor rows at every K-th mu and step rows exp(i*t*dmu*y^2/(2*nu)), t < K.
+run in blocks of rows whose FFT rows, chirps and phase scratch together stay
+within _BLOCK_BYTES, and written straight into the map: at cli-forward's sizes
+the 481 x 161 Fresnel map (0.62 MB) peaks at 2.2 MB under tracemalloc and the
+241 x 129 optical map at 1.7 MB. A Fresnel or optical row is one complex exp
+per y sample; a plane's rows share nu on a uniform mu grid, so n of them are
+products of about 2*sqrt(n) rows of exps: anchor rows at every K-th mu and
+step rows exp(i*t*dmu*y^2/(2*nu)), t < K.
 """
 from __future__ import annotations
 
@@ -69,7 +72,7 @@ MAX_X_COUNT = 8192
 # by exp(-((2*pi/h - 1)*w/2)^2) (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)), at most 2^-53
 # once (2*pi/h - 1)*w/2 >= sqrt(53 ln 2) = 6.0611; 6.07 covers the O(step^2) error of the moments.
 _ALIAS_A = 6.07
-_BLOCK_BYTES = 1 << 20  # complex buffer of one _chirp_z_abs2 row block, its chirps, its step rows
+_BLOCK_BYTES = 1 << 20  # all buffers of a _chirp_z_columns row block: FFT rows, chirps, phases
 
 
 def _alias_step(w: float) -> float:
@@ -140,20 +143,50 @@ def _fft_size(n: int) -> int:
     return min(p << ((n - 1) // p).bit_length() for p in odd)
 
 
-def _chirp_z_abs2(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu, nu) -> np.ndarray:
-    """|Sum_j weighted[j] exp(i*mu_r*y_j^2/(2*nu_r) - i*X_k*y_j/nu_r)|^2 for X_k on
-    grid_x, shape (n_x, n_rows); nu is one value for every row or one per row, and
-    mu one value per row or, with one nu, the rows' UniformGrid1D.
+def _rows_per_anchor(n: int) -> int:
+    """K = ceil(sqrt(n)): a block of n plane rows builds row qK + t from anchor q and step t."""
+    return math.isqrt(n - 1) + 1
+
+
+def _anchors(n: int) -> int:
+    """The anchor rows of a block of n plane rows, ceil(n/K)."""
+    return -(-n // _rows_per_anchor(n))
+
+
+def _block_rows(size: int, shared_chirp: bool) -> int:
+    """Rows per _chirp_z_columns block at FFT length size, with all the block holds
+    within _BLOCK_BYTES: per row an FFT row (16*size bytes) and either its own chirp
+    (16*size) and float phase row (8*size) or, when the rows share one chirp, that
+    chirp and a phase row per anchor."""
+    if not shared_chirp:
+        return max(1, _BLOCK_BYTES // (40 * size))
+    rows = _BLOCK_BYTES // (16 * size) - 1
+    while rows > 1 and (16 * (rows + 1) + 8 * _anchors(rows)) * size > _BLOCK_BYTES:
+        rows -= 1
+    return max(1, rows)
+
+
+def _exp_i(phase, out) -> np.ndarray:
+    """out = exp(1j*phase), bit for bit, with no temporary of phase's size."""
+    np.multiply(phase, 1j, out=out)
+    return np.exp(out, out=out)
+
+
+def _chirp_z_columns(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu, nu, out, cols):
+    """Write |Sum_j weighted[j] exp(i*mu_r*y_j^2/(2*nu_r) - i*X_k*y_j/nu_r)|^2 / (2*pi*|nu_r|)
+    for X_k on grid_x into out[:, cols[r]]; mu and nu hold one value per row r, or mu is
+    the rows' UniformGrid1D and nu their one value.
 
     With k and j counted from the grid centres, X_k y_j / nu = (terms in k
     alone) + xc*y_j/nu + c*k*j, c = dX*dy/nu, and Bluestein's k*j = (k^2 + j^2
     - (k-j)^2)/2 makes the sum one convolution with the chirp exp(i*c*m^2/2),
     done by FFT at a 5-smooth length; the factors of unit modulus in k drop
-    out of |.|^2. Rows run in blocks of about _BLOCK_BYTES of FFT buffer; one nu
-    for all rows makes one chirp FFT for every block. Row qK + t of a block is its
-    anchor q, exp(i*(mu*y^2/2 - xc*y - c*j^2/2)/nu)*weighted at mu_qK, times step row
-    t, exp(i*t*dmu*y^2/(2*nu)): K = ceil(sqrt(n)) for a block of n rows on a uniform
-    mu grid at one nu (about 2*sqrt(n) rows of exps), else K = 1 (every row an exp).
+    out of |.|^2. Rows run in blocks of _block_rows, whose FFT rows, chirps and
+    float phase scratch are allocated once; every exp is taken in place from the
+    scratch. A mu grid shares one chirp FFT for every block, and row qK + t of a
+    block is its anchor q, exp(i*(mu*y^2/2 - xc*y - c*j^2/2)/nu)*weighted at mu_qK,
+    times step row t, exp(i*t*dmu*y^2/(2*nu)), K = _rows_per_anchor(n) for a block
+    of n rows (about 2*sqrt(n) rows of exps); otherwise every row is an exp.
     """
     n_x, n_y = grid_x.count, grid_y.count
     kc, jc = n_x // 2, n_y // 2
@@ -164,26 +197,42 @@ def _chirp_z_abs2(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu, nu
     # a row's phase is (mu*y2 - shift)/nu, and its chirp's phase cm2/nu
     y2, shift = y * y / 2, grid_x.point(kc) * y + grid_x.step * grid_y.step * (j * j) / 2
     cm2 = grid_x.step * grid_y.step * (m * m) / 2
+    shared = isinstance(mu, UniformGrid1D)
+    mu, d_mu = (mu.points, mu.step) if shared else (mu, 0.0)
     nu = np.reshape(np.asarray(nu, dtype=np.float64), (-1, 1))
-    mu, d_mu = (mu.points, mu.step) if isinstance(mu, UniformGrid1D) else (mu, 0.0)
-    out = np.empty((n_x, len(mu)))
-    block = max(1, _BLOCK_BYTES // (16 * size))
-    for s in range(0, len(mu), block):
-        mu_b, nu_b = mu[s : s + block, None], nu[s : s + block] if len(nu) > 1 else nu
-        if s == 0 or len(nu) > 1:
-            chirp = np.fft.fft(np.exp(1j * (cm2 / nu_b)), axis=1)
-        k = math.isqrt(len(mu_b) - 1) + 1 if d_mu and len(nu) == 1 else 1  # rows per anchor
-        buf = np.zeros((len(mu_b), size), np.complex128)
-        np.exp(1j * ((mu_b[::k] * y2 - shift) / nu_b[::k]), out=buf[::k, :n_y])  # anchors
-        buf[::k, :n_y] *= weighted
-        steps = np.exp(1j * (np.arange(1, k)[:, None] * (d_mu * y2 / nu_b[0])))
-        for t, step in enumerate(steps, 1):  # row qK + t from anchor qK < n - t
-            np.multiply(buf[: len(buf) - t : k, :n_y], step, out=buf[t::k, :n_y])
-        np.fft.fft(buf, axis=1, out=buf)
-        buf *= chirp
-        np.fft.ifft(buf, axis=1, out=buf)
-        out[:, s : s + block] = (buf.real[:, :n_x] ** 2 + buf.imag[:, :n_x] ** 2).T
-    return out
+    n = min(_block_rows(size, shared), len(mu))
+    buf = np.empty((n, size), np.complex128)
+    chirp = np.empty((1 if shared else n, size), np.complex128)
+    phase = np.empty((_anchors(n) if shared else n, size))
+    for s in range(0, len(mu), n):
+        mu_b, nu_b = mu[s : s + n, None], nu if shared else nu[s : s + n]
+        rows, k = len(mu_b), _rows_per_anchor(len(mu_b)) if shared else 1
+        b, c = buf[:rows], chirp if shared else chirp[:rows]
+        if s == 0 or not shared:
+            _exp_i(np.divide(cm2, nu_b, out=phase[: len(c)]), c)
+            np.fft.fft(c, axis=1, out=c)
+        anchors = phase[: len(b[::k]), :n_y]
+        np.multiply(mu_b[::k], y2, out=anchors)
+        anchors -= shift
+        anchors /= nu_b[::k]
+        _exp_i(anchors, b[::k, :n_y])
+        b[::k, :n_y] *= weighted
+        if k > 1:  # step row t, built in row t, makes row qK + t from anchor qK < rows - t
+            step_phase = np.multiply(d_mu, y2, out=phase[0, :n_y])
+            step_phase /= nu_b[0]
+            for t in range(1, k):
+                step = _exp_i(np.multiply(step_phase, t, out=b[t, :n_y]), b[t, :n_y])
+                np.multiply(b[k : rows - t : k, :n_y], step, out=b[k + t :: k, :n_y])
+                np.multiply(b[0, :n_y], step, out=step)
+        b[:, n_y:] = 0.0
+        np.fft.fft(b, axis=1, out=b)
+        b *= c
+        np.fft.ifft(b, axis=1, out=b)
+        w, im = b.real[:, :n_x], b.imag[:, :n_x]
+        np.square(w, out=w)
+        w += np.square(im, out=im)
+        w /= 2.0 * np.pi * np.abs(nu_b)
+        out[:, cols[s : s + rows]] = w.T
 
 
 def _tomogram_columns(psi: SampledWavefunction, grid_x: UniformGrid1D, mu, nu) -> np.ndarray:
@@ -191,8 +240,8 @@ def _tomogram_columns(psi: SampledWavefunction, grid_x: UniformGrid1D, mu, nu) -
     column, and mu one value per column or, with one nu, the columns' UniformGrid1D.
 
     Columns at |nu| <= EPS_NU take the limit |psi(X/mu)|^2 / |mu|; the rest
-    are one chirp-z call, with one shared chirp when nu is a single value, and
-    rows from anchor and step tables when mu is a grid too.
+    are one chirp-z call, which writes them in place: with one shared chirp
+    and rows from anchor and step tables when mu is a grid.
     """
     rows = mu if isinstance(mu, UniformGrid1D) else np.asarray(mu, dtype=np.float64)
     mu = rows.points if isinstance(rows, UniformGrid1D) else rows
@@ -204,12 +253,13 @@ def _tomogram_columns(psi: SampledWavefunction, grid_x: UniformGrid1D, mu, nu) -
         )
     out = np.empty((grid_x.count, mu.size))
     out[:, flat] = psi.abs2_at(grid_x.points[:, None] / mu[flat]) / np.abs(mu[flat])
-    live = ~flat
-    if live.any():
-        nu_live = nu if np.ndim(nu) == 0 else nu_r[live]
+    live = np.flatnonzero(~flat)
+    if live.size:
         weighted = psi.values * trapezoid_weights(psi.grid.count, psi.grid.step)
-        amp2 = _chirp_z_abs2(weighted, psi.grid, grid_x, rows if live.all() else mu[live], nu_live)
-        out[:, live] = np.divide(amp2, 2.0 * np.pi * np.abs(nu_r[live]), out=amp2)
+        if isinstance(rows, UniformGrid1D):  # one nu, and it is live
+            _chirp_z_columns(weighted, psi.grid, grid_x, rows, nu, out, live)
+        else:
+            _chirp_z_columns(weighted, psi.grid, grid_x, mu[live], nu_r[live], out, live)
     return out
 
 

@@ -477,6 +477,45 @@ def test_tomogram_nd_three_inputs_peak_memory(tmp_path, monkeypatch, capsys):
     assert peak < 2_000_000
 
 
+# a child's peak resident set, printed as its last line: empty where /proc is absent
+_PRINT_VMHWM = """
+try:
+    lines = open("/proc/self/status").read().splitlines()
+except OSError:
+    lines = []
+print(*[line for line in lines if line.startswith("VmHWM:")])
+"""
+
+
+def _child_vmhwm_kb(cwd, code, *argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fileio.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code + _PRINT_VMHWM, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    fields = proc.stdout.splitlines()[-1].split()
+    if fields[:1] != ["VmHWM:"]:
+        pytest.skip("no VmHWM line in /proc/self/status")
+    return int(fields[1])
+
+
+def test_fresnel_child_peak_rss_over_a_bare_import(tmp_path, monkeypatch):
+    # cli-forward's Fresnel map, 481 X by 161 nu from a 1025-point state: the child's whole
+    # peak over one that only imports the CLI, which cancels the interpreter's and numpy's
+    # own baseline: 3.5 MB on Linux x86-64 with numpy 2.4; row blocks sized by their FFT
+    # rows alone, with temporaries for every exp, take 6.9 MB
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "2", "--x-count", "1025", "--output", "g") == 0
+    bare = _child_vmhwm_kb(tmp_path, "import wavetomo.cli\n")
+    fresnel = _child_vmhwm_kb(
+        tmp_path, "import sys\nfrom wavetomo.cli import main\nassert main(sys.argv[1:]) == 0\n",
+        "tomogram", "--kind", "fresnel", "--input", "g_psi.txt", "--x-count", "481",
+        "--nu-count", "161", "--output", "fresnel.txt")
+    assert (tmp_path / "fresnel.txt").exists()
+    assert fresnel - bare < 5500
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 

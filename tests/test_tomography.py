@@ -25,9 +25,9 @@ from wavetomo.errors import DegeneratePointError, UnsupportedSizeError
 from wavetomo import tomography
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
 from wavetomo.tomography import (
-    _BLOCK_BYTES,
     EPS_NU,
     NdWavefunction,
+    _block_rows,
     _fft_size,
     _tomogram_columns,
     fresnel_tomogram,
@@ -228,10 +228,10 @@ def test_fresnel_chirp_z_rows_match_scalar_oracle():
 FORWARD_FRESNEL = (UniformGrid1D.symmetric(8.0, 481), UniformGrid1D.symmetric(2.0, 161))
 
 
-def _block_edges(n_x, n_y, nu):
-    """Per row block of _chirp_z_abs2: the map columns of its first and last row."""
+def _block_edges(n_x, n_y, nu, shared_chirp=False):
+    """Per row block of _chirp_z_columns: the map columns of its first and last row."""
     live = np.flatnonzero(np.abs(nu) > EPS_NU)
-    block = max(1, _BLOCK_BYTES // (16 * _fft_size(n_x + n_y - 1)))
+    block = _block_rows(_fft_size(n_x + n_y - 1), shared_chirp)
     return [(live[s], live[min(s + block, live.size) - 1]) for s in range(0, live.size, block)]
 
 
@@ -252,9 +252,8 @@ def test_fresnel_block_seams_match_scalar_oracle(psi_forward):
 
 
 def test_optical_last_partial_block_matches_scalar_oracle(psi_forward):
-    # cli-forward's optical map: 241 X by 129 theta over [0, pi]
-    gx, gt = UniformGrid1D.symmetric(6.0, 241), UniformGrid1D(0.0, math.pi / 128.0, 129)
-    ot = optical_tomogram_map(psi_forward, gx, gt)
+    ot = _cli_forward_optical(psi_forward)
+    gx, gt = ot.grid_x, ot.grid_theta
     edges = _block_edges(gx.count, psi_forward.grid.count, np.sin(gt.points))
     first, last = edges[-1]
     assert len(edges) >= 2 and last - first < edges[0][1] - edges[0][0]
@@ -300,14 +299,14 @@ def test_explicit_grid_planes_match_scalar_oracle(psi_sweep, n_mu, nu):
 
 def test_plane_block_seam_matches_scalar_oracle(psi_sweep):
     # the nu = 0.1 reference plane: 395 X by 46 mu at FFT length 1440 runs as row blocks
-    # of 45 and 1, so its last column is the only row of a second block
+    # of 41 and 5, the second with its own anchor and step rows
     nu = 0.1
     gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi_sweep))
     assert _fft_size(gx.count + psi_sweep.grid.count - 1) == 1440
-    edges = _block_edges(gx.count, psi_sweep.grid.count, np.full(gmu.count, nu))
-    assert edges == [(0, 44), (45, 45)]
+    edges = _block_edges(gx.count, psi_sweep.grid.count, np.full(gmu.count, nu), True)
+    assert edges == [(0, 40), (41, 45)]
     plane = symplectic_tomogram_plane(psi_sweep, gx, gmu, nu)
-    for j in (44, 45):
+    for j in (40, 41, 42, 45):
         want = [symplectic_tomogram(psi_sweep, gx.point(i), gmu.point(j), nu)
                 for i in range(gx.count)]
         assert np.max(np.abs(plane.values[:, j] - want)) <= 1e-12, j
@@ -329,9 +328,9 @@ class _CountingNumpy:
 
 
 def test_plane_rows_take_about_sqrt_n_rows_of_exps(psi_sweep, monkeypatch):
-    # the nu = 0.1 reference plane's 46 rows: blocks of 45 (7 anchor and 6 step rows of exps
-    # at 7 rows per anchor) and 1 (one anchor), plus the one chirp both blocks share; one
-    # exp per row would be 46 * n_y
+    # the nu = 0.1 reference plane's 46 rows: blocks of 41 (6 anchor and 6 step rows of exps
+    # at 7 rows per anchor) and 5 (2 anchor and 2 step rows at 3 per anchor), plus the one
+    # chirp both blocks share; one exp per row would be 46 * n_y
     nu = 0.1
     gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi_sweep))
     n_y, size = psi_sweep.grid.count, _fft_size(gx.count + psi_sweep.grid.count - 1)
@@ -361,15 +360,40 @@ def test_fft_size_is_the_smallest_5_smooth_length():
     assert [_fft_size(n) for n in (1175, 1265, 1505)] == [1200, 1280, 1536]
 
 
-def test_fresnel_peak_memory_does_not_grow_with_the_map(psi_forward):
-    # the map itself is 0.62 MB; row blocks keep the kernel's buffers near 1 MB each
+def _cli_forward_optical(psi):
+    # cli-forward's optical map: 241 X by 129 theta over [0, pi]
+    return optical_tomogram_map(
+        psi, UniformGrid1D.symmetric(6.0, 241), UniformGrid1D(0.0, math.pi / 128.0, 129))
+
+
+def _peak_bytes(make):
     tracemalloc.start()
     try:
-        fresnel_tomogram(psi_forward, *FORWARD_FRESNEL)
-        peak = tracemalloc.get_traced_memory()[1]
+        make()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+
+
+# A row block holds about 1 MB of FFT rows, chirps and phases, and a map is written once
+# into its output before the dataset's frozen copy: peaks of about 2.2, 1.7 and 1.6 MB
+
+
+def test_fresnel_peak_memory_does_not_grow_with_the_map(psi_forward):
+    # the map itself is 0.62 MB
+    assert _peak_bytes(lambda: fresnel_tomogram(psi_forward, *FORWARD_FRESNEL)) < 3e6
+
+
+def test_optical_peak_memory_does_not_grow_with_the_map(psi_forward):
+    # the map itself is 0.25 MB
+    assert _peak_bytes(lambda: _cli_forward_optical(psi_forward)) < 3e6
+
+
+def test_plane_peak_memory_does_not_grow_with_the_plane(psi_sweep):
+    # the nu = 0.1 reference plane, 395 X by 46 mu, is itself 0.15 MB
+    nu = 0.1
+    gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi_sweep))
+    assert _peak_bytes(lambda: symplectic_tomogram_plane(psi_sweep, gx, gmu, nu)) < 3e6
 
 
 def test_optical_map_matches_scalar_oracle(psi_chirped):
