@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneratePointError, SingularFrequencyError
-from .grid import SampledWavefunction, UniformGrid1D
+from .grid import SampledWavefunction, UniformGrid1D, _Owned
 from .tomography import (
     FresnelTomogram,
     Moments,
@@ -104,10 +104,9 @@ def gcf_moments(p: GcfParams) -> Moments:
 
 
 def _omega_sq(p: GcfParams, mu, nu):
-    mu_shift = np.asarray(mu, dtype=np.float64) + 2.0 * p.alpha * np.asarray(nu, dtype=np.float64)
-    return (4.0 * np.asarray(nu, dtype=np.float64) ** 2 + p.sigma**4 * mu_shift**2) / (
-        2.0 * p.sigma**2
-    )
+    nu = np.asarray(nu, dtype=np.float64)
+    mu_shift = np.asarray(mu, dtype=np.float64) + 2.0 * p.alpha * nu
+    return (4.0 * nu**2 + p.sigma**4 * mu_shift**2) / (2.0 * p.sigma**2)
 
 
 def gcf_width(p: GcfParams, mu: float, nu: float) -> float:
@@ -127,12 +126,14 @@ def gcf_tomogram_analytic(p: GcfParams, X, mu, nu):
     any line direction. Scalars or broadcastable arrays.
     """
     w2 = _omega_sq(p, mu, nu)
-    if np.any(w2 <= 0.0):
+    if (w2 <= 0.0).any():
         raise DegeneratePointError(
             "tomogram undefined where both nu and the chirp-shifted mu vanish"
         )
     X = np.asarray(X, dtype=np.float64)
-    out = np.exp(-(X**2) / w2) / np.sqrt(np.pi * w2)
+    out = np.asarray(np.divide(-(X**2), w2))  # the one array of the result's size
+    np.exp(out, out=out)
+    out /= np.sqrt(np.pi * w2)
     return out if out.ndim else float(out)
 
 
@@ -142,7 +143,7 @@ def gcf_plane_analytic(
     vals = gcf_tomogram_analytic(
         p, grid_x.points[:, None], grid_mu.points[None, :], float(nu)
     )
-    return TomogramPlane(float(nu), grid_x, grid_mu, vals)
+    return TomogramPlane(float(nu), grid_x, grid_mu, _Owned(vals))
 
 
 def gcf_fresnel_analytic(
@@ -151,7 +152,7 @@ def gcf_fresnel_analytic(
     vals = gcf_tomogram_analytic(
         p, grid_x.points[:, None], 1.0, grid_nu.points[None, :]
     )
-    return FresnelTomogram(grid_x, grid_nu, vals)
+    return FresnelTomogram(grid_x, grid_nu, _Owned(vals))
 
 
 def gcf_autocorrelation(p: GcfParams, nu):

@@ -58,7 +58,7 @@ except ImportError:
     from hashlib import blake2b
 
 from .errors import ManifestError
-from .grid import SampledWavefunction, UniformGrid1D, _frozen_array
+from .grid import SampledWavefunction, UniformGrid1D, _frozen_array, _Owned
 from .reconstruct import DensityMatrix, WignerFunction
 from .tomography import FresnelTomogram, OpticalTomogram, TomogramPlane
 
@@ -263,20 +263,23 @@ def _store_entry(path: Path, digest: bytes, values: np.ndarray) -> None:
         pass
 
 
-def _cached_values(path: Path, digest: bytes, shape: tuple, dtype) -> np.ndarray | None:
-    """path's entry values if the entry carries this text digest and holds a
-    C-order array of this shape and dtype; None for any other entry or none."""
-    fmt, n = np.lib.format, math.prod(shape)
+def _cached_values(path: Path, digest: bytes, shape: tuple, dtype) -> _Owned | None:
+    """path's entry values, read into the one array the payload keeps, if the
+    entry carries this text digest and holds a C-order array of this shape
+    and dtype; None for any other entry or none."""
+    fmt = np.lib.format
     try:
         with open(_entry(path), "rb") as f:
             if f.read(len(digest)) != digest or fmt.read_magic(f) != (1, 0):
                 return None
             if fmt.read_array_header_1_0(f) != (shape, False, np.dtype(dtype)):
                 return None
-            values = np.fromfile(f, dtype=dtype, count=n)
+            values = np.empty(shape, dtype)
+            if f.readinto(values) != values.nbytes:
+                return None
     except (OSError, ValueError):
         return None
-    return values.reshape(shape) if values.size == n else None
+    return _Owned(values)
 
 
 def _data_lines(path):

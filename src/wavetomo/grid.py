@@ -1,8 +1,9 @@
 """Uniform grids, sampled wavefunctions and trapezoid weights.
 
-Every dataset type stores its samples through `_frozen_array`; an integral
-of uniform samples is `np.trapezoid(values, dx=step)`. Conventions used
-throughout the package:
+Every dataset type stores a read-only copy of its samples through
+`_frozen_array`, or the array itself when the package hands over one it has
+just built for that dataset (`_Owned`); an integral of uniform samples is
+`np.trapezoid(values, dx=step)`. Conventions used throughout the package:
 
 * grids are uniform, ascending, described by (start, step, count);
 * 2D values are row-major, ``values[i, j]`` belonging to
@@ -62,13 +63,26 @@ class UniformGrid1D:
         return UniformGrid1D(-half_width, step, count)
 
 
+class _Owned:
+    """An array the package has just allocated for one dataset and no longer
+    uses: _frozen_array may keep it instead of a copy."""
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 def _frozen_array(values, shape: tuple[int, ...], dtype) -> np.ndarray:
     """Private read-only copy of finite `values` with the given shape and dtype.
 
     Every dataset type stores its samples through this, so a constructed
     dataset can neither hold NaN/inf nor be changed through a caller's array.
+    An _Owned array that owns its data (base None) and has the dtype is
+    frozen in place; any other is copied, a view or another dtype included.
     """
-    arr = np.array(values, dtype=dtype)
+    owned = isinstance(values, _Owned)
+    arr = values.array if owned else values
+    if not (owned and arr.base is None and arr.dtype == dtype):
+        arr = np.array(arr, dtype=dtype)
     if arr.shape != shape:
         raise ValueError(f"values shape {arr.shape} does not match grid shape {shape}")
     if not np.all(np.isfinite(arr)):
@@ -102,7 +116,7 @@ class SampledWavefunction:
         norm2 = float(np.trapezoid(np.abs(vals) ** 2, dx=grid.step))
         if norm2 <= 0.0:
             raise ValueError("cannot normalize identically-zero samples")
-        return SampledWavefunction(grid, vals / np.sqrt(norm2))
+        return SampledWavefunction(grid, _Owned(vals / np.sqrt(norm2)))
 
     def interp_at(self, x) -> np.ndarray:
         """Linear interpolation of the complex samples; zero outside the grid."""

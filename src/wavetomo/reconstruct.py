@@ -21,8 +21,10 @@ the rays (mu, nu) = (1, 0) and (1, +-1) give its moments, and each column is
 sampled about its mean on a window of its std, by the plain trapezoid rule at
 the one sample count the widest column needs. As w(-X, -mu, -nu) = w(X, mu, nu),
 C(-mu, -nu) = C(mu, nu)* and each mirror pair of rows is computed from the
-source once. Sources and Fresnel maps are read in blocks of at most
-tomography._BLOCK_BYTES, so no inversion's memory grows with the quadrature.
+source once, at the mu nodes with nonzero weight only. Sources are called,
+and a Fresnel map's [cos; sin](mu X') is built, in blocks of at most
+tomography._BLOCK_BYTES, and a map is read in place: no inversion's memory
+grows with the quadrature.
 """
 from __future__ import annotations
 
@@ -442,21 +444,24 @@ def _columns(nus: np.ndarray, u: np.ndarray, m: Moments, cfg: InversionConfig, r
             yield nu, w_nu, centre[:, None] + s[:, None] * u, E, w_mu * np.exp(1j * centre)
 
 
-def _node_blocks(m: int, k: int, n_axes: int) -> list[tuple[slice, ...]]:
-    """Blocks of the N-fold product of m mu nodes, one slice of nodes per axis,
-    covering each node tuple once. A block's source call takes k abscissas per
-    node on every axis and returns at most _BLOCK_BYTES // 8 values (never
-    fewer than one node tuple's k^N): axis 0 is split first, and a later axis
-    only once one node of each axis before it fills the block."""
-    budget = _BLOCK_BYTES // 8
-    sizes = [1] * n_axes
+def _node_blocks(spans: Sequence[range], k: int) -> list[tuple[slice, ...]]:
+    """Blocks of the product of the spans of mu nodes, one slice of nodes per
+    axis, covering each node tuple once (none if a span is empty). A block's
+    source call takes k abscissas per node on every axis and returns at most
+    _BLOCK_BYTES // 8 values (never fewer than one node tuple's k^N): axis 0
+    is split first, and a later axis only once one node of each axis before
+    it fills the block."""
+    if not all(spans):
+        return []
+    budget, n_axes, sizes = _BLOCK_BYTES // 8, len(spans), [len(r) for r in spans]
     for a in range(n_axes):
-        slab = k ** (a + 1) * (m * k) ** (n_axes - 1 - a)  # one node on axes <= a, all after
+        slab = k ** n_axes * math.prod(sizes[a + 1 :])  # one node on axes <= a, all after
         if slab <= budget:
-            sizes[a:] = [min(m, budget // slab)] + [m] * (n_axes - 1 - a)
+            sizes[a] = min(sizes[a], budget // slab)
             break
-    return list(itertools.product(*([slice(s, min(s + b, m)) for s in range(0, m, b)]
-                                    for b in sizes)))
+        sizes[a] = 1
+    return list(itertools.product(*([slice(s, min(s + b, r.stop)) for s in r[::b]]
+                                    for r, b in zip(spans, sizes))))
 
 
 def _table_from_source(source: Source, nus, cfg: InversionConfig, radial: bool):
@@ -469,21 +474,24 @@ def _table_from_source(source: Source, nus, cfg: InversionConfig, radial: bool):
     breaks the symmetry shows in rho's asymmetry. A row reduces each block of
     _node_blocks to its tile of c before the next call, so it holds one block
     and its m^N c, whatever k^N is. The taper acts on |mu_k|, or on
-    hypot(mu_k, nu_k) when `radial`.
+    hypot(mu_k, nu_k) when `radial`; a row calls the source only on the span
+    of nodes with nonzero weight on each axis, and its c is 0 outside it.
     """
     moments, u = _windows(source, nus, cfg, radial)
     mu = _quad_nodes(cfg)[0]
     m, k, n_axes = mu.size, u.size, len(nus)
     columns = [_columns(nus_a, u, m_a, cfg, radial) for nus_a, m_a in zip(nus, moments)]
-    blocks, kept = _node_blocks(m, k, n_axes), [list(c) for c in columns[1:]]
+    kept = [list(c) for c in columns[1:]]
     for first in columns[0]:
         E0 = first[3].view(np.float64).reshape(m, k, 2)  # [Re E, Im E] at each u, a view
         for rest in itertools.product(*kept):
             nu, w_nu, Y, E, w_mu = zip(first, *rest)
             if nu < (0.0,) * n_axes:  # the mirror of a row >= 0
                 continue
-            c = np.empty((m,) * n_axes, dtype=np.complex128)
-            for blk in blocks:  # each block's u sums give its tile of c before the next call
+            c = np.zeros((m,) * n_axes, dtype=np.complex128)
+            spans = [range(i[0], i[-1] + 1) if i.size else range(0)
+                     for i in map(np.flatnonzero, w_mu)]
+            for blk in _node_blocks(spans, k):  # each block's u sums give its tile of c
                 b = [s.stop - s.start for s in blk]
                 w = source(*(_on_axis(y[s], a, n_axes) for a, (y, s) in enumerate(zip(Y, blk))),
                            *(_on_axis(mu[s, None], a, n_axes) for a, s in enumerate(blk)), *nu)
@@ -507,8 +515,9 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
     w(X, mu, nu) = w_F(X/mu, nu/mu)/|mu| gives C(mu, nu) = F(mu, nu/mu) with
     F(mu, nu') = Int w_F(X', nu') e^{i mu X'} dX', the map's column at nu'
     integrated by the trapezoid rule: a real GEMM at the positive mu nodes,
-    mirrored by F(-mu) = F(mu)* (w_F is real), over only the columns that
-    bracket some ray nu/mu, copied out of the map in blocks of _BLOCK_BYTES.
+    mirrored by F(-mu) = F(mu)* (w_F is real), of the map's view from the
+    first to the last column that brackets some ray nu/mu, for blocks of mu
+    nodes whose [cos; sin](mu X') take at most _BLOCK_BYTES.
     Each row interpolates F linearly in nu' at nu/mu. A column whose edge
     samples exceed EDGE_FRACTION of its peak, or a ray nu/mu outside the nu'
     range, raises DomainLookupError naming that nu'. The sum on X' step h is
@@ -539,17 +548,19 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
     # the knots bracketing some ray: interpolating over them alone reads the same pairs
     j = np.clip(np.searchsorted(gn.points, rays, side="right") - 1, 0, gn.count - 2)
     cols = np.union1d(j, j + 1)
-    half = mu.size // 2
-    T = np.empty((2 * half, gx.count))  # [cos; sin](mu X') times the X' weights, mu > 0
-    np.multiply.outer(mu[half:], gx.points, out=T[:half])
-    np.sin(T[:half], out=T[half:])
-    np.cos(T[:half], out=T[:half])
-    T *= trapezoid_weights(gx.count, gx.step)
-    U = np.empty((2 * half, cols.size))
-    step = max(1, _BLOCK_BYTES // (8 * gx.count))  # the columns copied out of the map at a time
-    for s in range(0, cols.size, step):
-        U[:, s : s + step] = T @ vals[:, cols[s : s + step]]
-    F = U[:half] + 1j * U[half:]
+    span = vals[:, cols[0] : cols[-1] + 1]  # a view: no column is copied out of the map
+    x, wx, half = gx.points, trapezoid_weights(gx.count, gx.step), mu.size // 2
+    F = np.empty((half, cols.size), dtype=np.complex128)
+    step = min(half, max(1, _BLOCK_BYTES // (16 * gx.count)))  # mu nodes per block
+    T = np.empty((2, step, gx.count))  # [cos; sin](mu X') times the X' weights, mu > 0
+    for s in range(0, half, step):
+        t = T[:, : min(step, half - s)]
+        np.multiply.outer(mu[half + s : half + s + step], x, out=t[0])
+        np.sin(t[0], out=t[1])
+        np.cos(t[0], out=t[0])
+        t *= wx
+        U = (t @ span)[..., cols - cols[0]]
+        F[s : s + step] = U[0] + 1j * U[1]
     F = np.concatenate([F[::-1].conj(), F])  # F(mu_m, nu'_cols[i]); the nodes are mirrors
     nu_primes = gn.points[cols]
     C = np.stack([np.interp(r, nu_primes, Fm) for r, Fm in zip(rays.T, F)], axis=1)

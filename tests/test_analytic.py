@@ -6,6 +6,7 @@ behind the width-formula reading).
 """
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,40 @@ def test_plane_and_fresnel_wrappers_match_pointwise():
     assert fres.values[3, 2] == pytest.approx(
         gcf_tomogram_analytic(p, 0.0, 1.0, 0.0), rel=1e-14
     )
+
+
+def test_tomogram_takes_the_closed_forms_operations_bit_for_bit():
+    # the result is built in one array, by the operations of
+    # exp(-X^2/omega^2) / sqrt(pi omega^2) in that order, over broadcast shapes and scalars
+    p, rng = GcfParams(0.7, 0.5), np.random.default_rng(5)
+    for shapes in [((), (), ()), ((4, 1), (1, 3), ()), ((5,), (), (5,)), ((), (2, 3), (1, 3)),
+                   ((2, 1, 3), (4, 1), ()), ((3,), (3,), (3,))]:
+        X, mu, nu = (rng.normal(size=s) if s else float(rng.normal()) for s in shapes)
+        x, m, n = (np.asarray(v, dtype=np.float64) for v in (X, mu, nu))
+        w2 = (4.0 * n**2 + p.sigma**4 * (m + 2.0 * p.alpha * n) ** 2) / (2.0 * p.sigma**2)
+        want = np.exp(-(x**2) / w2) / np.sqrt(np.pi * w2)
+        got = gcf_tomogram_analytic(p, X, mu, nu)
+        assert type(got) is (np.ndarray if want.ndim else float)
+        assert np.shape(got) == want.shape and np.asarray(got).tobytes() == want.tobytes()
+
+
+def test_fresnel_map_is_built_in_the_array_it_keeps():
+    # lib-inversion's map, 3201 X' by 281 nu' (7.2 MB): the payload keeps the one
+    # array the closed form fills; two map-sized temporaries and a copy into the
+    # payload traced 2.1 maps
+    p = GcfParams(1.0, 0.5)
+    gx, gnu = UniformGrid1D.symmetric(42.0, 3201), UniformGrid1D.symmetric(3.2, 281)
+    gcf_fresnel_analytic(p, gx, gnu)  # a first call's lazy imports are not working memory
+    tracemalloc.start()
+    try:
+        wf = gcf_fresnel_analytic(p, gx, gnu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * wf.values.nbytes
+    assert not wf.values.flags.writeable
+    want = gcf_tomogram_analytic(p, gx.points[:, None], 1.0, gnu.points[None, :])
+    assert wf.values.tobytes() == want.tobytes()
 
 
 def test_analytic_plane_set_grids_and_values():

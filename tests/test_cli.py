@@ -516,6 +516,30 @@ def test_fresnel_child_peak_rss_over_a_bare_import(tmp_path, monkeypatch):
     assert fresnel - bare < 5500
 
 
+_FRESNEL_IMPORTS = """
+from wavetomo.analytic import GcfParams, gcf_fresnel_analytic
+from wavetomo.grid import UniformGrid1D
+from wavetomo.reconstruct import InversionConfig, reconstruct_density_matrix_fresnel
+"""
+
+
+def test_fresnel_map_inversion_child_peak_rss_over_a_bare_import(tmp_path):
+    # lib-inversion's map, 3201 X' by 281 nu' (7.2 MB) from the closed form, inverted
+    # to rho on 9 points at 64 samples: the child's whole peak over one that only
+    # imports the same modules: 10.3 MB on Linux x86-64 with numpy 2.4; a map built
+    # through two map-sized temporaries and copied into its payload, then inverted
+    # through one whole [cos; sin] matrix, takes 16.8 MB
+    bare = _child_vmhwm_kb(tmp_path, _FRESNEL_IMPORTS)
+    inverted = _child_vmhwm_kb(tmp_path, _FRESNEL_IMPORTS + """
+wf = gcf_fresnel_analytic(GcfParams(1.0, 0.5), UniformGrid1D.symmetric(42.0, 3201),
+                          UniformGrid1D.symmetric(3.2, 281))
+rho = reconstruct_density_matrix_fresnel(wf, UniformGrid1D.symmetric(1.0, 9),
+                                         InversionConfig(samples_per_axis=64))
+assert abs(rho.trace_times_step - 1.0) < 0.5
+""")
+    assert inverted - bare < 13500
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 

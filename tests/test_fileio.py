@@ -189,6 +189,31 @@ def test_every_kind_has_a_payload_strategy():
     assert {k.payload for k in _KINDS} == set(DRAW_PAYLOAD)
 
 
+_G3 = UniformGrid1D.symmetric(1.0, 3)
+# each payload type from a caller's values array of the dtype it stores
+FROM_CALLER = {
+    SampledWavefunction: (lambda v: SampledWavefunction(_G3, v), np.full(3, 0.5**0.5, complex)),
+    WidthMap: (lambda v: WidthMap(_G3, v), np.ones(3)),
+    OpticalTomogram: (lambda v: OpticalTomogram(_G3, _G3, v), np.ones((3, 3))),
+    TomogramPlane: (lambda v: TomogramPlane(0.5, _G3, _G3, v), np.ones((3, 3))),
+    FresnelTomogram: (lambda v: FresnelTomogram(_G3, _G3, v), np.ones((3, 3))),
+    DensityMatrix: (lambda v: DensityMatrix(_G3, v), np.eye(3, dtype=complex)),
+    WignerFunction: (lambda v: WignerFunction(_G3, _G3, v), -np.ones((3, 3))),
+}
+
+
+@pytest.mark.parametrize("kind", _KINDS, ids=lambda k: k.payload.__name__)
+def test_payload_copies_the_callers_array(kind):
+    # a caller's array is never frozen or kept: it stays writeable, and a later
+    # write to it does not show in the payload
+    make, values = FROM_CALLER[kind.payload]
+    payload = make(values)
+    kept = payload.values.copy()
+    assert values.flags.writeable and not payload.values.flags.writeable
+    values[...] = 7.0
+    assert payload.values.tobytes() == kept.tobytes()
+
+
 @pytest.mark.parametrize("kind", _KINDS, ids=lambda k: k.payload.__name__)
 @settings(derandomize=True, database=None, max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -552,6 +577,22 @@ def test_written_file_reads_from_its_entry_without_parsing(tmp_path, monkeypatch
     monkeypatch.setattr(fileio, "_parse", lambda *a: pytest.fail("the text was parsed"))
     _, plane = read_file(path)
     assert plane.nu == 0.4 and np.array_equal(plane.values, np.ones((21, 3)))
+
+
+def test_entry_values_are_read_into_the_array_the_payload_keeps(tmp_path):
+    # 2253 X by 47 mu points (0.85 MB): a copy into the payload would trace 2 arrays
+    gx, gmu = UniformGrid1D.symmetric(11.0, 2253), UniformGrid1D.symmetric(1.0, 47)
+    path = tmp_path / "plane.txt"
+    write_file(path, TomogramPlane(0.0, gx, gmu, np.ones((2253, 47))))
+    read_file(path)  # a first call's lazy imports are not working memory
+    tracemalloc.start()
+    try:
+        _, plane = read_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(plane.values, np.ones((2253, 47)))
+    assert peak < 1.25 * plane.values.nbytes
 
 
 def test_same_length_value_edit_reads_the_edited_value(tmp_path):

@@ -6,8 +6,11 @@ import pytest
 from wavetomo.grid import (
     SampledWavefunction,
     UniformGrid1D,
+    _frozen_array,
+    _Owned,
     trapezoid_weights,
 )
+from wavetomo.tomography import TomogramPlane
 from wavetomo.oracles import _plane_transform
 
 
@@ -86,3 +89,36 @@ def test_interp_at_zero_outside():
     assert psi.interp_at(mid) == pytest.approx(expect, abs=1e-12)
     assert psi.interp_at(100.0) == 0.0
     assert psi.abs2_at(-100.0) == 0.0
+
+
+def test_handed_over_array_is_frozen_in_place():
+    # an array the package allocated for one dataset is kept, read-only, not copied
+    a = np.ones((2, 3))
+    kept = _frozen_array(_Owned(a), (2, 3), np.float64)
+    assert kept is a and not a.flags.writeable
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.ones((2, 4))[:, :3],  # a view: its base owns the data
+    lambda: np.ones((3, 2)).T,  # a transposed view
+    lambda: np.ones((2, 3), dtype=np.float32),  # another dtype
+    lambda: np.ones((2, 3), dtype=np.int64),
+])
+def test_handed_over_view_or_other_dtype_is_copied(make):
+    a = make()
+    owner = a if a.base is None else a.base
+    kept = _frozen_array(_Owned(a), (2, 3), np.float64)
+    assert kept.dtype == np.float64 and not np.shares_memory(kept, owner)
+    assert owner.flags.writeable and not kept.flags.writeable
+
+
+def test_handed_over_array_is_still_checked():
+    with pytest.raises(ValueError, match="does not match grid shape"):
+        _frozen_array(_Owned(np.ones(6)), (2, 3), np.float64)
+    with pytest.raises(ValueError, match="finite"):
+        _frozen_array(_Owned(np.full((2, 3), np.nan)), (2, 3), np.float64)
+    g = UniformGrid1D.symmetric(1.0, 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        TomogramPlane(0.0, g, g, _Owned(-np.ones((3, 3))))
+    with pytest.raises(ValueError, match="squared norm"):
+        SampledWavefunction(g, _Owned(np.ones(3, dtype=np.complex128)))

@@ -530,25 +530,32 @@ def _x_count(source, grids, cfg):
 
 def test_source_called_once_per_mirror_pair_of_rows():
     # only rows with nu lexicographically >= 0 call the source, and the calls
-    # of one row cover its nodes once
+    # of one row cover its nodes of nonzero taper weight once: not the
+    # +-mu_window end nodes, nor (radial taper) those with hypot(mu, nu) >= mu_window
     # (the probes, at mu = 1 and nu = 0, +-1, are counted apart: the rays at nu = 0
     # and at +-1 on each axis, one call or more each as their X grids grow)
     src, calls, probes = _counted(gcf_source(GcfParams(1.0, 0.5)))
-    reconstruct_density_matrix(src, UniformGrid1D.symmetric(1.0, 7), SMALL_CFG)
+    g7 = UniformGrid1D.symmetric(1.0, 7)
+    reconstruct_density_matrix(src, g7, SMALL_CFG)
     assert len(calls) == 7  # n of the 2n - 1 rows
+    m, k = SMALL_CFG.samples_per_axis, _x_count(src, [g7], SMALL_CFG)
+    assert set(_values_per_row(calls).values()) == {(m - 2) * k}
     assert set(_values_per_row(probes)) == {(-1.0,), (0.0,), (1.0,)}
     g = UniformGrid1D.symmetric(1.0, 5)
     calls.clear()
     reconstruct_wigner(src, g, g, SMALL_CFG)
-    assert len(calls) == SMALL_CFG.samples_per_axis // 2  # the nu rows are the mu nodes
-    assert min(calls)[0] > (0.0,)
+    mu = _quad_nodes(SMALL_CFG)[0]  # the nu rows are the mu nodes
+    k = _windows(src, [mu], SMALL_CFG, radial=True)[1].size
+    inside = {(nu,): k * int(np.sum(np.hypot(mu, nu) < SMALL_CFG.mu_window))
+              for nu in mu[mu.size // 2 : -1].tolist()}  # the last node has no weight
+    assert _values_per_row(calls) == inside and len(calls) == m // 2 - 1
     src, calls, probes = _counted(_product_source(GcfParams(1.0, 0.5)))
     grids = (UniformGrid1D.symmetric(1.0, 3), UniformGrid1D.symmetric(1.0, 4))
     reconstruct_density_matrix_nd(src, grids, SMALL_CFG)
     rows = _values_per_row(calls)
     assert len(rows) == (5 * 7 + 1) // 2 and min(rows) == (0.0, 0.0)
     k = _x_count(src, grids, SMALL_CFG)
-    assert set(rows.values()) == {(SMALL_CFG.samples_per_axis * k) ** 2}  # (m k)^2 nodes
+    assert set(rows.values()) == {((m - 2) * k) ** 2}  # ((m - 2) k)^2 nodes
     assert set(_values_per_row(probes)) == {(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0),
                                             (0.0, -1.0)}
 
@@ -557,8 +564,9 @@ def test_source_called_once_per_mirror_pair_of_rows():
 def test_source_calls_stay_within_one_block(n_axes, m):
     # whatever the quadrature size, no call returns more than the forward
     # kernel's block, the probes' calls included; at m = 64 (and the k = 56 the
-    # default mu window takes) one mu_1 node's m k^2 values exceed it, so the
-    # calls split the mu_2 nodes as well
+    # default mu window takes) one mu_1 node's (m - 2) k^2 values exceed it, so
+    # the calls split the mu_2 nodes as well; the m - 2 nodes inside the window
+    # ends are the ones with taper weight
     cfg = InversionConfig(samples_per_axis=m)
     grids = (UniformGrid1D.symmetric(1.0, 2),) * n_axes
     if n_axes == 1:
@@ -569,8 +577,8 @@ def test_source_calls_stay_within_one_block(n_axes, m):
         reconstruct_density_matrix_nd(src, grids, cfg)
     assert probes and max(size for _, size in calls + probes) <= _BLOCK_BYTES // 8
     k = _x_count(src, grids, cfg)
-    assert n_axes == 1 or (m * k * k > _BLOCK_BYTES // 8) == (m == 64)
-    assert set(_values_per_row(calls).values()) == {(m * k) ** n_axes}
+    assert n_axes == 1 or ((m - 2) * k * k > _BLOCK_BYTES // 8) == (m == 64)
+    assert set(_values_per_row(calls).values()) == {((m - 2) * k) ** n_axes}
 
 
 def _traced_peak(call) -> int:
@@ -592,13 +600,16 @@ def test_two_mode_inversion_peak_memory_is_one_block():
     assert _traced_peak(lambda: reconstruct_density_matrix_nd(source, (g, g), cfg)) < 4 * 2**20
 
 
-def test_fresnel_inversion_peak_memory_is_below_half_the_map():
-    # lib-inversion's map, 3201 X' by 281 nu': 7.2 MB
+def test_fresnel_inversion_peak_memory_is_two_blocks():
+    # lib-inversion's map, 3201 X' by 281 nu': 7.2 MB, read through one view; the
+    # [cos; sin](mu X') matrix is built for blocks of mu nodes of at most _BLOCK_BYTES
+    # (whole, it is 1.6 MB at these 64 samples and 3.3 MB at the default 128)
     wf = gcf_fresnel_analytic(GcfParams(1.0, 0.5), UniformGrid1D.symmetric(42.0, 3201),
                               UniformGrid1D.symmetric(3.2, 281))
-    g9, cfg = UniformGrid1D.symmetric(1.0, 9), InversionConfig(samples_per_axis=64)
-    peak = _traced_peak(lambda: reconstruct_density_matrix_fresnel(wf, g9, cfg))
-    assert peak < wf.values.nbytes / 2
+    for g, cfg in ((UniformGrid1D.symmetric(1.0, 9), InversionConfig(samples_per_axis=64)),
+                   (UniformGrid1D.symmetric(0.5, 3), InversionConfig())):
+        peak = _traced_peak(lambda: reconstruct_density_matrix_fresnel(wf, g, cfg))
+        assert peak < 2 * _BLOCK_BYTES
 
 
 def _full_rows(source, nus, cfg, radial):
