@@ -126,11 +126,6 @@ class SampledWavefunction:
         im = np.interp(x, pts, self.values.imag, left=0.0, right=0.0)
         return re + 1j * im
 
-    def abs2_at(self, x) -> np.ndarray:
-        """Linear interpolation of |psi|^2; zero outside the grid."""
-        x = np.asarray(x, dtype=np.float64)
-        return np.interp(x, self.grid.points, np.abs(self.values) ** 2, left=0.0, right=0.0)
-
 
 def trapezoid_weights(n: int, step: float) -> np.ndarray:
     """Composite trapezoid weights for n uniform samples: `step`, halved at both ends."""

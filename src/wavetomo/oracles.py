@@ -27,7 +27,7 @@ from .reconstruct import (InversionConfig, density_matrix_from_planes,
                           reconstruct_density_matrix, reconstruct_density_matrix_fresnel,
                           reconstruct_density_matrix_nd, reconstruct_psi, reconstruct_wigner,
                           wigner_from_planes)
-from .tomography import (NdWavefunction, fresnel_tomogram, optical_tomogram,
+from .tomography import (NdWavefunction, fresnel_tomogram, optical_tomogram, optical_tomogram_map,
                          plane_grids_for_slice, symplectic_tomogram, symplectic_tomogram_nd,
                          symplectic_tomogram_plane, wavefunction_moments)
 
@@ -175,6 +175,31 @@ def _entangled_two_mode(gdir: Path):
         f"closed form vs symplectic_tomogram_nd at three points: max rel dev {dev:.2e} "
         f"(tol 4e-12); reconstruct_density_matrix_nd on 3x3 over +-1 vs psi psi*: "
         f"max dev {err:.2e} (tol 2e-2)")
+
+
+def _flat_limit(gdir: Path):
+    # every nu = 0 value reads psi's band-limited interpolant: on cli-forward's grids the
+    # Fresnel nu' = 0 row and the optical theta = 0, pi rows (cos t = 1, -1), then the
+    # reference sweep's nu = 0 plane, then nu = 0 axes of the entangled state off a node
+    p, cos_t = GcfParams(1.0, 2.0), np.array([1.0, -1.0])
+    gx, g6 = UniformGrid1D.symmetric(8.0, 481), UniformGrid1D.symmetric(6.0, 241)
+    fr = fresnel_tomogram(gcf_sampled(p), gx, UniformGrid1D.symmetric(2.0, 161)).values[:, 80]
+    op = optical_tomogram_map(gcf_sampled(p), g6, UniformGrid1D(0.0, math.pi, 2)).values
+    devs = [fr - gcf_tomogram_analytic(p, gx.points, 1.0, 0.0),
+            op - gcf_tomogram_analytic(p, g6.points[:, None], cos_t, 0.0)]
+    p, psi = GcfParams(1.0, 1.0), gcf_sampled(GcfParams(1.0, 1.0))
+    pl = symplectic_tomogram_plane(psi, *plane_grids_for_slice(0.0, wavefunction_moments(psi)), 0.0)
+    devs.append(pl.values - gcf_plane_analytic(p, pl.grid_x, pl.grid_mu, 0.0).values)
+    A, g = np.array([[1.0, 0.6], [0.6, 1.5]]), UniformGrid1D.symmetric(8.0, 301)
+    nd = NdWavefunction((g, g), gaussian2_psi(A, g.points[:, None], g.points[None, :]))
+    devs.append([symplectic_tomogram_nd(nd, X, mu, nu) / gaussian2_tomogram(A, *X, *mu, *nu) - 1.0
+                 for X, mu, nu in (((0.0, 0.4), (0.0, 1.0), (1.0, 0.0)),
+                                   ((0.3, -0.5), (0.8, 1.3), (0.0, 0.0)))])
+    fr, op, sweep, rel = (float(np.max(np.abs(d))) for d in devs)
+    return max(fr, op, sweep, rel) <= 1e-12, (
+        f"max dev from the closed forms (tol 1e-12 each): Fresnel nu' = 0 row {fr:.2e}, optical "
+        f"theta = 0, pi rows {op:.2e}, sweep nu = 0 plane {sweep:.2e}; entangled state on 301^2 "
+        f"points, X/mu off a node: max rel dev {rel:.2e}")
 
 
 def _fresnel_map_rho(gdir: Path):
@@ -327,6 +352,7 @@ ORACLES = (
     ("fock1-inversion", "full", _fock1_inversion),
     ("fock1-planes", "full", _fock1_planes),
     ("tomogram-closed-form", "fast", _tomogram_closed_form),
+    ("flat-limit", "fast", _flat_limit),
     ("width-form-resolution", "fast", _width_form_resolution),
     ("plane-transform-closed-form", "fast", _plane_transform_closed_form),
     ("autocorrelation-slice", "fast", _autocorrelation_slice),

@@ -336,12 +336,12 @@ def test_tomogram_fresnel_zero_frequency_row(tmp_path, monkeypatch):
     _, fr = fileio.read_file(tmp_path / "fr.txt")
     _, psi = fileio.read_file(tmp_path / "g_psi.txt")
     assert (fr.grid_x.count, fr.grid_nu.count) == (161, 41)
+    # the nu' = 0 row is the position density, read from psi's band-limited
+    # interpolant, and 0 past psi's grid (+-5.66) on the +-8 X window
     row = fr.values[:, 20]
-    assert np.max(np.abs(row - psi.abs2_at(fr.grid_x.points))) <= 1e-15
-    # X = 0 lies on both grids, so the position density carries over exactly
-    assert row[80] == np.abs(psi.values[512]) ** 2
     closed = np.abs(gcf_psi(GcfParams(1.0, 0.0), fr.grid_x.points)) ** 2
-    assert np.max(np.abs(row - closed)) <= 1e-4
+    assert np.max(np.abs(row - closed)) <= 1e-12
+    assert np.all(row[np.abs(fr.grid_x.points) > psi.grid.end] == 0.0)
 
 
 def test_tomogram_optical_axis_angles(tmp_path, monkeypatch):
@@ -353,7 +353,8 @@ def test_tomogram_optical_axis_angles(tmp_path, monkeypatch):
     _, psi = fileio.read_file(tmp_path / "g_psi.txt")
     assert np.allclose(op.grid_theta.points, [0.0, math.pi / 2.0])
     col = op.values[:, 0]
-    assert np.max(np.abs(col - psi.abs2_at(op.grid_x.points))) <= 1e-15
+    closed = gcf_tomogram_analytic(GcfParams(1.0, 0.0), op.grid_x.points, 1.0, 0.0)
+    assert np.max(np.abs(col - closed)) <= 1e-12
     # the quarter-turn column is the momentum density; its center value for
     # the unchirped unit-width state is sqrt(2/pi)/2
     assert op.values[60, 1] == pytest.approx(0.5 * SQRT_2_OVER_PI, abs=1e-12)
@@ -890,12 +891,13 @@ def test_validate_fast_passes(monkeypatch, capsys):
     lines = out.strip().splitlines()
     assert lines[-1].startswith("ok:")
     checks = [l for l in lines if l.startswith(("PASS", "FAIL"))]
-    assert len(checks) == 12
+    assert len(checks) == 13
     assert all(l.startswith("PASS") for l in checks)
     names = {l.split()[1].rstrip(":") for l in checks}
     # the printed-formula disambiguations must be part of the fast level
     assert "width-form-resolution" in names
     assert "optical-fresnel-bridge" in names
+    assert "flat-limit" in names
 
 
 def test_validate_full_regenerates_goldens_byte_for_byte(tmp_path, monkeypatch, capsys):
@@ -904,7 +906,7 @@ def test_validate_full_regenerates_goldens_byte_for_byte(tmp_path, monkeypatch, 
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[-1].startswith("ok:")
     checks = [l for l in lines if l.startswith(("PASS", "FAIL"))]
-    assert len(checks) == 19
+    assert len(checks) == 20
     assert all(l.startswith("PASS") for l in checks)
     bundled = sorted(golden_dir().glob("golden_*.txt"))
     assert len(bundled) == 10

@@ -88,7 +88,6 @@ def test_interp_at_zero_outside():
     expect = 0.5 * (psi.values[10] + psi.values[11])
     assert psi.interp_at(mid) == pytest.approx(expect, abs=1e-12)
     assert psi.interp_at(100.0) == 0.0
-    assert psi.abs2_at(-100.0) == 0.0
 
 
 def test_handed_over_array_is_frozen_in_place():

@@ -19,6 +19,7 @@ from wavetomo.analytic import (
     gcf_moments,
     gcf_psi,
     gcf_sampled,
+    gcf_tomogram_analytic,
     gcf_width,
 )
 from wavetomo.errors import DegeneratePointError, UnsupportedSizeError
@@ -133,8 +134,8 @@ def test_fresnel_delta_row(psi_plain):
     gx = UniformGrid1D.symmetric(4.0, 33)
     gnu = UniformGrid1D(0.0, 0.5, 3)  # includes nu = 0
     wf = fresnel_tomogram(psi_plain, gx, gnu)
-    dens = psi_plain.abs2_at(gx.points)
-    assert np.max(np.abs(wf.values[:, 0] - dens)) <= 1e-10
+    dens = np.abs(gcf_psi(GcfParams(1.0, 0.0), gx.points)) ** 2
+    assert np.max(np.abs(wf.values[:, 0] - dens)) <= 1e-12
     assert wf.values[16, 0] == pytest.approx(SQRT_2_OVER_PI, abs=1e-9)
 
 
@@ -147,13 +148,44 @@ def test_fresnel_rows_normalized(psi_chirped):
 
 
 def test_optical_limits_and_consistency(psi_plain):
-    assert optical_tomogram(psi_plain, 0.4, 0.0) == pytest.approx(
-        float(psi_plain.abs2_at(0.4)), abs=1e-10
-    )
+    for theta in (0.0, math.pi):  # |psi(X/cos t)|^2 / |cos t|, X/cos t off a node
+        want = gcf_tomogram_analytic(GcfParams(1.0, 0.0), 0.4, math.cos(theta), 0.0)
+        assert optical_tomogram(psi_plain, 0.4, theta) == pytest.approx(want, abs=1e-12)
     for theta in (0.3, 1.0, 2.5):
         got = optical_tomogram(psi_plain, 0.4, theta)
         want = symplectic_tomogram(psi_plain, 0.4, math.cos(theta), math.sin(theta))
         assert abs(got - want) <= 1e-10
+
+
+def test_zero_nu_map_columns_equal_points_off_a_node():
+    # a map's nu = 0 columns and a point's nu = 0 axis read one interpolant; on
+    # 257 points X/mu falls between nodes, and the Fresnel map mixes nu = 0 and
+    # live columns
+    psi = gcf_sampled(GcfParams(1.0, 1.0), count=257)
+    gx = UniformGrid1D.symmetric(6.0, 61)
+    plane = symplectic_tomogram_plane(psi, gx, UniformGrid1D(0.35, 0.3, 5), 0.0)
+    fr = fresnel_tomogram(psi, gx, UniformGrid1D(-0.5, 0.25, 5))
+    worst = 0.0
+    for i, X in enumerate(gx.points):
+        for j, mu in enumerate(plane.grid_mu.points):
+            worst = max(worst, abs(plane.values[i, j] - symplectic_tomogram(psi, X, mu, 0.0)))
+        worst = max(worst, abs(fr.values[i, 2] - symplectic_tomogram(psi, X, 1.0, 0.0)))
+    assert worst <= 1e-13
+
+
+def test_zero_nu_plane_reads_zero_past_psis_grid():
+    # psi's interpolant has period 257 steps = 11.4 here, so an X window 16 times
+    # mu = 0.5 wide would wrap back onto the state's peak; past psi's grid the
+    # plane reads exactly 0, and the closed form everywhere
+    p = GcfParams(1.0, 1.0)
+    psi = gcf_sampled(p, count=257)
+    gx, gmu = UniformGrid1D.symmetric(8.0, 161), UniformGrid1D(0.5, 0.25, 4)
+    plane = symplectic_tomogram_plane(psi, gx, gmu, 0.0)
+    x = gx.points[:, None] / gmu.points[None, :]
+    off = (x < psi.grid.start) | (x > psi.grid.end)
+    assert off.sum() > 100 and np.all(plane.values[off] == 0.0)
+    want = gcf_tomogram_analytic(p, gx.points[:, None], gmu.points[None, :], 0.0)
+    assert np.max(np.abs(plane.values - want)) <= 1e-12
 
 
 def test_optical_momentum_direction_against_fft(psi_plain):
@@ -507,18 +539,20 @@ def test_nd_three_axis_separable():
     _assert_tensor_is_product(factors, (0.35, -0.2, 0.5), (0.8, 1.1, -0.6), (0.0, 0.0, 0.9))
 
 
-@pytest.mark.parametrize("count, tol", [(201, 1e-12), (301, 1e-3)])
-def test_nd_zero_nu_axis_interpolates_psi(count, tol):
-    # an axis at nu = 0 reads |psi|^2 at X/mu by linear interpolation of the
-    # squared amplitude: exact on a node (X/mu = 0.4 is one on 201 points over
-    # +-8; measured 9.6e-15), O(step^2) between nodes (on 301 points it sits
-    # half a step off; measured 5.1e-4)
+@pytest.mark.parametrize("count", [201, 301])
+def test_nd_zero_nu_axis_interpolates_psi(count):
+    # an axis at nu = 0 reads psi at X/mu from its band-limited interpolant, as
+    # accurate on a node (X/mu = 0.4 is one on 201 points over +-8) as half a
+    # step off (on 301 points): measured at most 1.0e-14 relative at each point,
+    # where linear interpolation of |psi|^2 read 3.7e-4 to 2.6e-3 off a node
     A = np.array([[1.0, 0.6], [0.6, 1.5]])
     g = UniformGrid1D.symmetric(8.0, count)
     psi = NdWavefunction((g, g), gaussian2_psi(A, g.points[:, None], g.points[None, :]))
-    point = ((0.0, 0.4), (0.0, 1.0), (1.0, 0.0))
-    want = float(gaussian2_tomogram(A, *point[0], *point[1], *point[2]))
-    assert abs(symplectic_tomogram_nd(psi, *point) - want) <= tol * want
+    for point in (((0.0, 0.4), (0.0, 1.0), (1.0, 0.0)),
+                  ((0.3, -0.5), (0.8, 1.3), (0.0, 0.0)),
+                  ((0.35, 0.2), (0.7, -1.1), (0.0, 0.9))):
+        want = float(gaussian2_tomogram(A, *point[0], *point[1], *point[2]))
+        assert abs(symplectic_tomogram_nd(psi, *point) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("degenerate", [0, 1, 2], ids=["axis0", "axis1", "axis2"])
