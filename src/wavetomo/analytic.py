@@ -15,9 +15,9 @@ ground state is sigma = sqrt(2)) is odd, has a node at 0 and a negative
 Wigner function, W(0, 0) = -1/pi (fock1_psi, fock1_tomogram, fock1_wigner;
 Mancini, Man'ko and Tombesi, Phys. Lett. A 213, 1 (1996)).
 
-gcf_source and gcf_fresnel_source hand the closed form to the source
-inversions as callables; wigner_direct is the slow, assumption-free Wigner
-oracle for arbitrary sampled states.
+gcf_tomogram_analytic vectorizes, so it serves the source inversions as a
+callable (bound to its parameters with functools.partial); wigner_direct is
+the slow, assumption-free Wigner oracle for arbitrary sampled states.
 """
 from __future__ import annotations
 
@@ -45,11 +45,8 @@ __all__ = [
     "gcf_tomogram_analytic",
     "gcf_plane_analytic",
     "gcf_fresnel_analytic",
-    "gcf_autocorrelation",
     "gcf_tomogram_ft_analytic",
     "gcf_wigner_analytic",
-    "gcf_source",
-    "gcf_fresnel_source",
     "gaussian2_psi",
     "gaussian2_tomogram",
     "fock1_psi",
@@ -155,15 +152,6 @@ def gcf_fresnel_analytic(
     return FresnelTomogram(grid_x, grid_nu, _Owned(vals))
 
 
-def gcf_autocorrelation(p: GcfParams, nu):
-    """psi(nu) * conj(psi(0)) = sqrt(2/(pi sigma^2)) exp(-nu^2/sigma^2 + i alpha nu^2)."""
-    nu = np.asarray(nu, dtype=np.float64)
-    out = np.sqrt(2.0 / (np.pi * p.sigma**2)) * np.exp(
-        -(nu**2) / p.sigma**2 + 1j * p.alpha * nu**2
-    )
-    return out if out.ndim else complex(out)
-
-
 def gcf_tomogram_ft_analytic(p: GcfParams, omega_x, omega_mu, nu):
     """2D Fourier transform of the fixed-nu tomogram plane, in closed form.
 
@@ -201,24 +189,6 @@ def gcf_wigner_analytic(p: GcfParams, q, pm):
     quad = inv_qq * q**2 + 2.0 * inv_qp * q * pm + inv_pp * pm**2
     out = np.exp(-0.5 * quad) / np.pi
     return out if out.ndim else float(out)
-
-
-def gcf_source(p: GcfParams):
-    """Vectorized (X, mu, nu) -> w callable for the inversion quadratures."""
-
-    def source(X, mu, nu):
-        return gcf_tomogram_analytic(p, X, mu, nu)
-
-    return source
-
-
-def gcf_fresnel_source(p: GcfParams):
-    """Vectorized (X', nu') -> w_F callable (the mu = 1 line of the tomogram)."""
-
-    def source(Xp, nup):
-        return gcf_tomogram_analytic(p, Xp, 1.0, nup)
-
-    return source
 
 
 def gaussian2_psi(A, x1, x2):

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import fileio
 from .analytic import (GcfParams, analytic_plane_set, fock1_psi, fock1_tomogram, fock1_wigner,
-                       gaussian2_psi, gaussian2_tomogram, gcf_autocorrelation,
-                       gcf_fresnel_analytic, gcf_plane_analytic, gcf_psi, gcf_sampled,
-                       gcf_tomogram_analytic, gcf_tomogram_ft_analytic)
+                       gaussian2_psi, gaussian2_tomogram, gcf_fresnel_analytic,
+                       gcf_plane_analytic, gcf_psi, gcf_sampled, gcf_tomogram_analytic,
+                       gcf_tomogram_ft_analytic)
 from .grid import SampledWavefunction, UniformGrid1D
 from .reconstruct import (InversionConfig, density_matrix_from_planes,
                           reconstruct_density_matrix, reconstruct_density_matrix_fresnel,
@@ -145,7 +145,7 @@ def _autocorrelation_slice(gdir: Path):
             # the table warns of them; this check reads the nu = 0.5 row only
             warnings.filterwarnings("ignore", "plane nu=0:", RuntimeWarning)
             s = complex(_psi_slice(p, nu, gx)[2])
-        dev = max(dev, abs(s - complex(gcf_autocorrelation(p, nu))))
+        dev = max(dev, abs(s - gcf_psi(p, nu) * np.conj(gcf_psi(p, 0.0))))
         phase = max(phase, abs(cmath.phase(s) - a * nu**2))
     return dev <= 1e-6 and phase <= 1e-3, (
         f"slice at (1, -nu/2) from the characteristic table, chirps 1 and 2: "

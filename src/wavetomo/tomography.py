@@ -25,9 +25,9 @@ run in blocks of rows whose FFT rows, chirps and phase scratch together stay
 within _BLOCK_BYTES, and written straight into the map: at cli-forward's sizes
 the 481 x 161 Fresnel map (0.62 MB) peaks at 2.2 MB under tracemalloc and the
 241 x 129 optical map at 1.7 MB. A Fresnel or optical row is one complex exp
-per y sample; a plane's rows share nu on a uniform mu grid, so n of them are
-products of about 2*sqrt(n) rows of exps: anchor rows at every K-th mu and
-step rows exp(i*t*dmu*y^2/(2*nu)), t < K.
+per y sample; a plane's rows share nu on a uniform mu grid, so they form a
+geometric progression, each block's first row times the powers of the step row
+exp(i*dmu*y^2/(2*nu)): two rows of exps per block.
 """
 from __future__ import annotations
 
@@ -70,7 +70,8 @@ NEGATIVITY_TOL = -1e-10
 MAX_X_COUNT = 8192
 # A trapezoid sum on X step h of e^{iX} times a Gaussian column of 1/e half-width w aliases
 # by exp(-((2*pi/h - 1)*w/2)^2) (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)), at most 2^-53
-# once (2*pi/h - 1)*w/2 >= sqrt(53 ln 2) = 6.0611; 6.07 covers the O(step^2) error of the moments.
+# once (2*pi/h - 1)*w/2 >= sqrt(53 ln 2) = 6.0611; 6.07, as at that value a plane's narrowest
+# column at nu = 0 would sit on the bound itself, on the wrong side of it by rounding.
 _ALIAS_A = 6.07
 _BLOCK_BYTES = 1 << 20  # all buffers of a _chirp_z_columns row block: FFT rows, chirps, phases
 
@@ -143,27 +144,13 @@ def _fft_size(n: int) -> int:
     return min(p << ((n - 1) // p).bit_length() for p in odd)
 
 
-def _rows_per_anchor(n: int) -> int:
-    """K = ceil(sqrt(n)): a block of n plane rows builds row qK + t from anchor q and step t."""
-    return math.isqrt(n - 1) + 1
-
-
-def _anchors(n: int) -> int:
-    """The anchor rows of a block of n plane rows, ceil(n/K)."""
-    return -(-n // _rows_per_anchor(n))
-
-
 def _block_rows(size: int, shared_chirp: bool) -> int:
-    """Rows per _chirp_z_columns block at FFT length size, with all the block holds
-    within _BLOCK_BYTES: per row an FFT row (16*size bytes) and either its own chirp
-    (16*size) and float phase row (8*size) or, when the rows share one chirp, that
-    chirp and a phase row per anchor."""
-    if not shared_chirp:
-        return max(1, _BLOCK_BYTES // (40 * size))
-    rows = _BLOCK_BYTES // (16 * size) - 1
-    while rows > 1 and (16 * (rows + 1) + 8 * _anchors(rows)) * size > _BLOCK_BYTES:
-        rows -= 1
-    return max(1, rows)
+    """Rows per _chirp_z_columns block at FFT length size within _BLOCK_BYTES: an FFT
+    row (16*size bytes) per row, and per row a chirp (16*size) and float phase row
+    (8*size) or, when the rows share one chirp, that chirp and one phase row."""
+    if shared_chirp:
+        return max(1, (_BLOCK_BYTES // size - 24) // 16)
+    return max(1, _BLOCK_BYTES // (40 * size))
 
 
 def _exp_i(phase, out) -> np.ndarray:
@@ -183,10 +170,10 @@ def _chirp_z_columns(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu,
     done by FFT at a 5-smooth length; the factors of unit modulus in k drop
     out of |.|^2. Rows run in blocks of _block_rows, whose FFT rows, chirps and
     float phase scratch are allocated once; every exp is taken in place from the
-    scratch. A mu grid shares one chirp FFT for every block, and row qK + t of a
-    block is its anchor q, exp(i*(mu*y^2/2 - xc*y - c*j^2/2)/nu)*weighted at mu_qK,
-    times step row t, exp(i*t*dmu*y^2/(2*nu)), K = _rows_per_anchor(n) for a block
-    of n rows (about 2*sqrt(n) rows of exps); otherwise every row is an exp.
+    scratch. A row is exp(i*(mu*y^2/2 - xc*y - c*j^2/2)/nu)*weighted, one exp each,
+    except on a mu grid: there every block shares one chirp FFT, and its row r is
+    its row 0 times the step row exp(i*dmu*y^2/(2*nu)) to the power r, one cumprod
+    down the block, so a block takes two rows of exps and restarts the product.
     """
     n_x, n_y = grid_x.count, grid_y.count
     kc, jc = n_x // 2, n_y // 2
@@ -203,27 +190,24 @@ def _chirp_z_columns(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu,
     n = min(_block_rows(size, shared), len(mu))
     buf = np.empty((n, size), np.complex128)
     chirp = np.empty((1 if shared else n, size), np.complex128)
-    phase = np.empty((_anchors(n) if shared else n, size))
+    phase = np.empty((1 if shared else n, size))
     for s in range(0, len(mu), n):
         mu_b, nu_b = mu[s : s + n, None], nu if shared else nu[s : s + n]
-        rows, k = len(mu_b), _rows_per_anchor(len(mu_b)) if shared else 1
-        b, c = buf[:rows], chirp if shared else chirp[:rows]
+        b, c = buf[: len(mu_b)], chirp if shared else chirp[: len(mu_b)]
+        own = 1 if shared else len(b)  # rows built from their own exp
         if s == 0 or not shared:
             _exp_i(np.divide(cm2, nu_b, out=phase[: len(c)]), c)
             np.fft.fft(c, axis=1, out=c)
-        anchors = phase[: len(b[::k]), :n_y]
-        np.multiply(mu_b[::k], y2, out=anchors)
-        anchors -= shift
-        anchors /= nu_b[::k]
-        _exp_i(anchors, b[::k, :n_y])
-        b[::k, :n_y] *= weighted
-        if k > 1:  # step row t, built in row t, makes row qK + t from anchor qK < rows - t
+        head = np.multiply(mu_b[:own], y2, out=phase[:own, :n_y])
+        head -= shift
+        head /= nu_b[:own]
+        _exp_i(head, b[:own, :n_y])
+        b[:own, :n_y] *= weighted
+        if len(b) > own:  # row r is row 0 times the r-th power of the step row
             step_phase = np.multiply(d_mu, y2, out=phase[0, :n_y])
             step_phase /= nu_b[0]
-            for t in range(1, k):
-                step = _exp_i(np.multiply(step_phase, t, out=b[t, :n_y]), b[t, :n_y])
-                np.multiply(b[k : rows - t : k, :n_y], step, out=b[k + t :: k, :n_y])
-                np.multiply(b[0, :n_y], step, out=step)
+            b[2:, :n_y] = _exp_i(step_phase, b[1, :n_y])  # rows apart: no temporary
+            np.cumprod(b[:, :n_y], axis=0, out=b[:, :n_y])
         b[:, n_y:] = 0.0
         np.fft.fft(b, axis=1, out=b)
         b *= c
@@ -232,7 +216,7 @@ def _chirp_z_columns(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu,
         np.square(w, out=w)
         w += np.square(im, out=im)
         w /= 2.0 * np.pi * np.abs(nu_b)
-        out[:, cols[s : s + rows]] = w.T
+        out[:, cols[s : s + n]] = w.T
 
 
 def _momenta(grid: UniformGrid1D) -> np.ndarray:
@@ -247,7 +231,7 @@ def _tomogram_columns(psi: SampledWavefunction, grid_x: UniformGrid1D, mu, nu) -
 
     Columns at |nu| <= EPS_NU are one chirp-z call by _momenta's rule, over sqrt(2*pi)*c
     on the p grid at mu_r = 0, nu_r = -mu; the rest one more, which writes them in place:
-    with one shared chirp and rows from anchor and step tables when mu is a grid.
+    with one shared chirp and rows as a running product when mu is a grid.
     """
     rows = mu if isinstance(mu, UniformGrid1D) else np.asarray(mu, dtype=np.float64)
     mu = rows.points if isinstance(rows, UniformGrid1D) else rows
@@ -283,8 +267,8 @@ def symplectic_tomogram_plane(
     """Tomogram over a full (X, mu) product grid at fixed nu.
 
     The mu columns share one nu and a uniform step, so the plane is one
-    chirp-z call with one chirp FFT, whose rows are products of a few anchor
-    rows and step rows: about 2*sqrt(n_mu) rows of complex exps, not n_mu.
+    chirp-z call with one chirp FFT, whose rows are a running product of one
+    step row: two rows of complex exps per row block, not n_mu.
     """
     return TomogramPlane(nu, grid_x, grid_mu, _tomogram_columns(psi, grid_x, grid_mu, nu))
 
@@ -392,15 +376,15 @@ class Moments:
 def wavefunction_moments(psi: SampledWavefunction) -> Moments:
     """First and second position/momentum moments via quadrature.
 
-    Momentum moments come from the finite-difference derivative, good to
-    O(step^2); that is plenty for sizing windows, which is what this feeds.
+    Momentum moments take psi' from psi's spectrum, the derivative of the
+    band-limited interpolant that the nu = 0 rule reads (_momenta).
     """
     x = psi.grid.points
     step = psi.grid.step
     prob = np.abs(psi.values) ** 2
     mq = float(np.trapezoid(prob * x, dx=step))
     var_q = float(np.trapezoid(prob * (x - mq) ** 2, dx=step))
-    dpsi = np.gradient(psi.values, step)
+    dpsi = np.fft.ifft(1j * _momenta(psi.grid) * np.fft.fft(psi.values))
     mp = float(np.trapezoid(np.conj(psi.values) * dpsi, dx=step).imag)
     var_p = float(np.trapezoid(np.abs(dpsi) ** 2, dx=step)) - mp**2
     cov = float(np.trapezoid(np.conj(psi.values) * x * dpsi, dx=step).imag) - mq * mp
@@ -418,7 +402,8 @@ def plane_grids_for_slice(nu: float, moments: Moments) -> tuple[UniformGrid1D, U
     The X step is the longest at which the sum the inversion takes over that
     column, the one half a mu step off mu_c (half-width w_min), aliases by at
     most float64 epsilon, _alias_step(w_min). The X window covers the
-    widest column that still carries weight; the count cap is MAX_X_COUNT.
+    widest column that still carries weight; a plane that would need over
+    MAX_X_COUNT X points raises UnsupportedSizeError naming nu.
     """
     sq = math.sqrt(moments.var_q)
     sp = math.sqrt(moments.var_p)
@@ -439,7 +424,7 @@ def plane_grids_for_slice(nu: float, moments: Moments) -> tuple[UniformGrid1D, U
     step_x = _alias_step(w_min)
     n_x = 2 * math.ceil(x_half / step_x) + 1
     if n_x > MAX_X_COUNT:
-        n_x = MAX_X_COUNT | 1
-        step_x = 2.0 * x_half / (n_x - 1)
+        raise UnsupportedSizeError(f"the plane at nu = {nu:g} takes {n_x} X points to sample "
+                                   f"its narrowest column, over MAX_X_COUNT = {MAX_X_COUNT}")
     grid_x = UniformGrid1D(-step_x * (n_x // 2), step_x, n_x)
     return grid_x, grid_mu

@@ -11,6 +11,7 @@ fast and full, so they are not repeated here.
 import math
 import shutil
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,10 +19,8 @@ import pytest
 from wavetomo.analytic import (
     GcfParams,
     analytic_plane_set,
-    gcf_fresnel_source,
     gcf_psi,
     gcf_sampled,
-    gcf_source,
     gcf_tomogram_analytic,
 )
 from wavetomo.cli import main as cli_main
@@ -103,9 +102,9 @@ def test_criterion_3_density_matrix_inversion_and_window_convergence():
     worst_outer = worst_delta = 0.0
     for a in (0.0, 1.0):
         p = GcfParams(1.0, a)
-        rho40 = reconstruct_density_matrix(gcf_source(p), grid)
+        rho40 = reconstruct_density_matrix(partial(gcf_tomogram_analytic, p), grid)
         rho20 = reconstruct_density_matrix(
-            gcf_source(p), grid, InversionConfig(mu_window=20.0)
+            partial(gcf_tomogram_analytic, p), grid, InversionConfig(mu_window=20.0)
         )
         psi = gcf_psi(p, grid.points)
         worst_outer = max(
@@ -125,8 +124,9 @@ def test_criterion_3_density_matrix_inversion_and_window_convergence():
 def test_criterion_4_propagation_path_and_separable_product():
     p = GcfParams(1.0, 0.0)
     grid = UniformGrid1D.symmetric(2.0, 33)
-    rho_s = reconstruct_density_matrix(gcf_source(p), grid)
-    rho_f = reconstruct_density_matrix(fresnel_as_symplectic_source(gcf_fresnel_source(p)), grid)
+    rho_s = reconstruct_density_matrix(partial(gcf_tomogram_analytic, p), grid)
+    fresnel = fresnel_as_symplectic_source(lambda X, nu: gcf_tomogram_analytic(p, X, 1.0, nu))
+    rho_f = reconstruct_density_matrix(fresnel, grid)
     path_dev = float(np.max(np.abs(rho_f.values - rho_s.values)))
 
     small = InversionConfig(mu_window=12.0, taper_fraction=0.2, samples_per_axis=32)
@@ -138,7 +138,7 @@ def test_criterion_4_propagation_path_and_separable_product():
         )
 
     rho2 = reconstruct_density_matrix_nd(product_source, (g2, g2), small)
-    rho1 = reconstruct_density_matrix(gcf_source(p), g2, small)
+    rho1 = reconstruct_density_matrix(partial(gcf_tomogram_analytic, p), g2, small)
     tensor = np.einsum("ik,jl->ijkl", rho1.values, rho1.values)
     sep_dev = float(np.max(np.abs(rho2.values - tensor)))
     _report(
@@ -152,7 +152,7 @@ def test_criterion_4_propagation_path_and_separable_product():
 def test_criterion_5_wigner_reconstruction():
     p = GcfParams(math.sqrt(2.0), 0.0)
     g = UniformGrid1D.symmetric(3.0, 25)
-    W = reconstruct_wigner(gcf_source(p), g, g)
+    W = reconstruct_wigner(partial(gcf_tomogram_analytic, p), g, g)
     peak_dev = abs(W.values[12, 12] - 1.0 / math.pi)
     marg_dev = float(np.max(np.abs(W.marginal_q() - np.abs(gcf_psi(p, g.points)) ** 2)))
     norm_dev = abs(W.normalization() - 1.0)

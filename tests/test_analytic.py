@@ -7,6 +7,7 @@ behind the width-formula reading).
 import cmath
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,14 +18,11 @@ from wavetomo.analytic import (
     fock1_psi,
     fock1_tomogram,
     fock1_wigner,
-    gcf_autocorrelation,
     gcf_fresnel_analytic,
-    gcf_fresnel_source,
     gcf_moments,
     gcf_plane_analytic,
     gcf_psi,
     gcf_sampled,
-    gcf_source,
     gcf_tomogram_analytic,
     gcf_tomogram_ft_analytic,
     gcf_width,
@@ -147,7 +145,7 @@ def test_ft_slice_is_autocorrelation():
     p = GcfParams(1.0, 1.0)
     for nu in (0.25, 0.5, 1.0):
         got = gcf_tomogram_ft_analytic(p, 1.0, -0.5 * nu, nu)
-        assert got == pytest.approx(gcf_autocorrelation(p, nu), rel=1e-12)
+        assert got == pytest.approx(gcf_psi(p, nu) * np.conj(gcf_psi(p, 0.0)), rel=1e-12)
     assert gcf_tomogram_ft_analytic(p, 1.0, -0.25, 0.5) == pytest.approx(
         SLICE_HALF, rel=1e-12
     )
@@ -275,14 +273,13 @@ def test_moments_closed_forms_and_purity():
 
 
 def test_source_callables_vectorize():
+    # the closed form bound to its parameters is a source for the inversions
     p = GcfParams(1.0, 0.5)
-    src = gcf_source(p)
-    X = np.array([0.0, 0.5])
-    got = src(X, 1.0, 0.7)
-    assert got.shape == (2,)
-    assert got[1] == pytest.approx(gcf_tomogram_analytic(p, 0.5, 1.0, 0.7))
-    fsrc = gcf_fresnel_source(p)
-    assert fsrc(0.3, 0.9) == pytest.approx(gcf_tomogram_analytic(p, 0.3, 1.0, 0.9))
+    src = partial(gcf_tomogram_analytic, p)
+    got = src(np.array([0.0, 0.5]), 1.0, np.array([[0.7], [-0.2]]))
+    assert got.shape == (2, 2)
+    assert got[0, 1] == pytest.approx(gcf_tomogram_analytic(p, 0.5, 1.0, 0.7), rel=1e-14)
+    assert got[1, 0] == pytest.approx(gcf_tomogram_analytic(p, 0.0, 1.0, -0.2), rel=1e-14)
 
 
 def test_fock1_closed_forms_match_the_forward_map_and_direct_wigner():

@@ -218,6 +218,18 @@ def test_tomogram_multi_plane_sweep(tmp_path, monkeypatch):
                "--output", "fixed.txt") == 2
 
 
+def test_tomogram_refuses_a_plane_past_the_x_count_cap(tmp_path, monkeypatch, capsys):
+    # sigma = 0.01 at nu = 0 would take 12,587 X points; the plane is refused, not coarsened
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "0.01", "--alpha", "0", "--output", "g") == 0
+    capsys.readouterr()
+    assert run("tomogram", "--input", "g_psi.txt", "--nu", "0", "--output", "p.txt") == 2
+    captured = capsys.readouterr()
+    assert "error: the plane at nu = 0 takes" in captured.err
+    assert "MAX_X_COUNT = 8192" in captured.err
+    assert captured.out == "" and not (tmp_path / "p.txt").exists()
+
+
 def test_tomogram_colliding_output_names(tmp_path, monkeypatch, capsys):
     # {nu} formats with %g: 1, 1.0000005 and 1.000001 all name p_1.txt
     monkeypatch.chdir(tmp_path)

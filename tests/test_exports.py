@@ -93,8 +93,8 @@ def test_perfbench_patch_targets_resolve():
 
 
 SRC = Path(wavetomo.__file__).resolve().parent
-# closed-form sources and the direct Wigner oracle, which the tests feed to the inversions
-CALLED_BY_TESTS_ONLY = {"gcf_source", "gcf_fresnel_source", "wigner_direct"}
+# the direct Wigner oracle, which the tests compare the inversions with
+CALLED_BY_TESTS_ONLY = {"wigner_direct"}
 
 
 def _program_reads():

@@ -7,6 +7,7 @@ measured with margin before being frozen; none are aspirational.
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,10 +19,8 @@ from wavetomo.analytic import (
     fock1_tomogram,
     gaussian2_tomogram,
     gcf_fresnel_analytic,
-    gcf_fresnel_source,
     gcf_psi,
     gcf_sampled,
-    gcf_source,
     gcf_tomogram_analytic,
     gcf_wigner_analytic,
     wigner_direct,
@@ -247,7 +246,7 @@ def test_odd_state_anchor_vanishes():
 @pytest.fixture(scope="module")
 def rho_gaussian():
     grid = UniformGrid1D.symmetric(2.0, 33)
-    rho = reconstruct_density_matrix(gcf_source(GcfParams(1.0, 0.0)), grid)
+    rho = reconstruct_density_matrix(partial(gcf_tomogram_analytic, GcfParams(1.0, 0.0)), grid)
     return grid, rho
 
 
@@ -263,7 +262,7 @@ def test_density_matrix_vs_outer_product(rho_gaussian):
 def test_density_matrix_window_doubling_regression(rho_gaussian):
     grid, rho40 = rho_gaussian
     rho20 = reconstruct_density_matrix(
-        gcf_source(GcfParams(1.0, 0.0)), grid, InversionConfig(mu_window=20.0)
+        partial(gcf_tomogram_analytic, GcfParams(1.0, 0.0)), grid, InversionConfig(mu_window=20.0)
     )
     assert np.max(np.abs(rho40.values - rho20.values)) < 5e-3
 
@@ -280,7 +279,8 @@ def test_density_matrix_zero_source():
 
 def test_fresnel_path_equivalence(rho_gaussian):
     grid, rho = rho_gaussian
-    fresnel = fresnel_as_symplectic_source(gcf_fresnel_source(GcfParams(1.0, 0.0)))
+    p = GcfParams(1.0, 0.0)
+    fresnel = fresnel_as_symplectic_source(lambda X, nu: gcf_tomogram_analytic(p, X, 1.0, nu))
     rho_f = reconstruct_density_matrix(fresnel, grid)
     assert np.max(np.abs(rho_f.values - rho.values)) <= 1e-6
     assert rho_f.trace_times_step == pytest.approx(1.0, abs=1e-2)
@@ -361,7 +361,7 @@ def test_fresnel_map_refuses_an_aliasing_x_step():
 
 def test_wigner_peak_and_residue():
     g = UniformGrid1D.symmetric(3.0, 25)
-    W = reconstruct_wigner(gcf_source(GcfParams(math.sqrt(2.0), 0.0)), g, g)
+    W = reconstruct_wigner(partial(gcf_tomogram_analytic, GcfParams(math.sqrt(2.0), 0.0)), g, g)
     assert W.values[12, 12] == pytest.approx(1.0 / math.pi, abs=5e-3)
     assert W.imag_residue <= 1e-6
 
@@ -370,7 +370,7 @@ def test_wigner_grid_vs_direct_oracle():
     p = GcfParams(1.0, 1.0)
     gq = UniformGrid1D.symmetric(3.0, 25)
     gp = UniformGrid1D.symmetric(5.0, 41)
-    W = reconstruct_wigner(gcf_source(p), gq, gp)
+    W = reconstruct_wigner(partial(gcf_tomogram_analytic, p), gq, gp)
     psi = gcf_sampled(p)
     direct = np.array(
         [[wigner_direct(psi, q, pm) for pm in gp.points] for q in gq.points]
@@ -399,8 +399,8 @@ SMALL_CFG = InversionConfig(mu_window=12.0, taper_fraction=0.2, samples_per_axis
 def test_nd_n1_delegates_to_1d():
     p = GcfParams(1.0, 0.0)
     g = UniformGrid1D.symmetric(1.0, 5)
-    nd = reconstruct_density_matrix_nd(gcf_source(p), (g,), SMALL_CFG)
-    d1 = reconstruct_density_matrix(gcf_source(p), g, SMALL_CFG)
+    nd = reconstruct_density_matrix_nd(partial(gcf_tomogram_analytic, p), (g,), SMALL_CFG)
+    d1 = reconstruct_density_matrix(partial(gcf_tomogram_analytic, p), g, SMALL_CFG)
     assert np.array_equal(nd.values, d1.values)
 
 
@@ -408,7 +408,7 @@ def test_nd_separable_equals_tensor_product():
     p = GcfParams(1.0, 0.0)
     g = UniformGrid1D.symmetric(1.0, 5)
     rho2 = reconstruct_density_matrix_nd(_product_source(p), (g, g), SMALL_CFG)
-    rho1 = reconstruct_density_matrix(gcf_source(p), g, SMALL_CFG)
+    rho1 = reconstruct_density_matrix(partial(gcf_tomogram_analytic, p), g, SMALL_CFG)
     tensor = np.einsum("ik,jl->ijkl", rho1.values, rho1.values)
     assert np.max(np.abs(rho2.values - tensor)) <= 1e-4
     assert rho2.asymmetry <= 1e-3
@@ -494,7 +494,7 @@ def test_quad_nodes_are_mirror_images(cfg):
     # rows at +-nu then see bitwise equal column scales and share their weights,
     # and the row at -nu is the conjugate mirror of the row at +nu
     mu, _ = _quad_nodes(cfg)
-    u = _windows(gcf_source(GcfParams(1.0, 0.5)), [mu], cfg, radial=True)[1]
+    u = _windows(partial(gcf_tomogram_analytic, GcfParams(1.0, 0.5)), [mu], cfg, radial=True)[1]
     assert np.array_equal(mu[::-1], -mu)
     assert np.array_equal(u[::-1], -u)
     for g in (UniformGrid1D.symmetric(1.0, 7), UniformGrid1D.symmetric(0.6, 4),
@@ -534,7 +534,7 @@ def test_source_called_once_per_mirror_pair_of_rows():
     # +-mu_window end nodes, nor (radial taper) those with hypot(mu, nu) >= mu_window
     # (the probes, at mu = 1 and nu = 0, +-1, are counted apart: the rays at nu = 0
     # and at +-1 on each axis, one call or more each as their X grids grow)
-    src, calls, probes = _counted(gcf_source(GcfParams(1.0, 0.5)))
+    src, calls, probes = _counted(partial(gcf_tomogram_analytic, GcfParams(1.0, 0.5)))
     g7 = UniformGrid1D.symmetric(1.0, 7)
     reconstruct_density_matrix(src, g7, SMALL_CFG)
     assert len(calls) == 7  # n of the 2n - 1 rows
@@ -570,7 +570,7 @@ def test_source_calls_stay_within_one_block(n_axes, m):
     cfg = InversionConfig(samples_per_axis=m)
     grids = (UniformGrid1D.symmetric(1.0, 2),) * n_axes
     if n_axes == 1:
-        src, calls, probes = _counted(gcf_source(GcfParams(1.0, 0.5)))
+        src, calls, probes = _counted(partial(gcf_tomogram_analytic, GcfParams(1.0, 0.5)))
         reconstruct_density_matrix(src, grids[0], cfg)
     else:
         src, calls, probes = _counted(_product_source(GcfParams(1.0, 0.5)))
@@ -664,7 +664,8 @@ def test_asymmetry_reports_a_source_without_point_symmetry():
         return gcf_tomogram_analytic(p, X, mu, nu) * (1.0 + 0.1 * np.tanh(mu))
 
     assert reconstruct_density_matrix(skewed, g, SMALL_CFG).asymmetry > 1e-6
-    assert reconstruct_density_matrix(gcf_source(p), g, SMALL_CFG).asymmetry <= 1e-14
+    rho = reconstruct_density_matrix(partial(gcf_tomogram_analytic, p), g, SMALL_CFG)
+    assert rho.asymmetry <= 1e-14
 
 
 def test_column_weights_computed_once_per_abs_nu(monkeypatch):
@@ -675,7 +676,7 @@ def test_column_weights_computed_once_per_abs_nu(monkeypatch):
         return _column_weights(sd, u)
 
     monkeypatch.setattr(reconstruct, "_column_weights", counted)
-    src = gcf_source(GcfParams(1.0, 0.5))
+    src = partial(gcf_tomogram_analytic, GcfParams(1.0, 0.5))
     reconstruct_density_matrix(src, UniformGrid1D.symmetric(1.0, 7), SMALL_CFG)
     assert len(calls) == 7  # n points: |nu| = 0 .. 6 steps
     calls.clear()
@@ -707,7 +708,7 @@ def test_default_wigner_of_a_narrow_ground_state():
     # sigma = 0.5: its widest weighted column has an X std of 40; at a fixed k of 128 X
     # samples that column aliases and W is 1.64 off, so k must follow the state
     p, g = GcfParams(0.5, 0.0), UniformGrid1D.symmetric(3.0, 41)
-    W = reconstruct_wigner(gcf_source(p), g, g)
+    W = reconstruct_wigner(partial(gcf_tomogram_analytic, p), g, g)
     want = gcf_wigner_analytic(p, g.points[:, None], g.points[None, :])
     assert np.max(np.abs(W.values - want)) <= 2e-3
 
@@ -736,7 +737,7 @@ def test_zero_mass_probes_invert_to_exactly_zero():
 
 def test_a_state_too_wide_to_sample_raises_before_any_row():
     # sd_q = 150: the column at |mu| ~ 40 has an X std of 6e3, which needs ~1.2e4 X samples
-    src, calls, probes = _counted(gcf_source(GcfParams(300.0, 0.0)))
+    src, calls, probes = _counted(partial(gcf_tomogram_analytic, GcfParams(300.0, 0.0)))
     with pytest.raises(UnsupportedSizeError, match=r"column \(mu, nu\) = \(-?39.\d*, \S+\) has "
                        rf"an X std of \d+.*over MAX_X_COUNT = {MAX_X_COUNT}"):
         reconstruct_density_matrix(src, UniformGrid1D.symmetric(1.0, 5))

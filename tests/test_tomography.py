@@ -241,7 +241,13 @@ def test_plane_grids_straddle_the_narrowest_column(sigma, alpha, nu):
         assert 0.0 not in mu
     narrowest = min(gcf_width(p, float(v), nu) for v in mu)
     alias_exponent = ((2.0 * np.pi / gx.step - 1.0) * narrowest / 2.0) ** 2
-    assert alias_exponent >= 53.0 * np.log(2.0) or gx.count == 8193
+    assert alias_exponent >= 53.0 * np.log(2.0)
+
+
+def test_plane_grids_refuse_past_the_x_count_cap():
+    # sigma = 0.01 at nu = 0: the narrowest column takes 12,587 X points at the alias step
+    with pytest.raises(UnsupportedSizeError, match=r"nu = 0 takes 12587 X points.*MAX_X_COUNT"):
+        plane_grids_for_slice(0.0, gcf_moments(GcfParams(0.01, 0.0)))
 
 
 def test_fresnel_chirp_z_rows_match_scalar_oracle():
@@ -294,7 +300,7 @@ def test_optical_last_partial_block_matches_scalar_oracle(psi_forward):
         assert np.max(np.abs(ot.values[:, j] - want)) <= 1e-12, j
 
 
-# Plane rows from anchor and step tables, against the one-exp-per-row path and the oracle
+# Plane rows as a running product of one step row, against the one-exp-per-row path and the oracle
 
 
 @pytest.fixture(scope="module")
@@ -305,7 +311,7 @@ def psi_sweep():
 
 def test_sweep_planes_equal_their_one_nu_per_column_maps(psi_sweep):
     # every non-flat plane of the 61-plane +-3 sweep against the same columns with nu given
-    # per column, which builds each row from its own exp (no step rows)
+    # per column, which builds each row from its own exp (no running product)
     moments = wavefunction_moments(psi_sweep)
     nus = [nu for nu in np.linspace(-3.0, 3.0, 61).tolist() if abs(nu) > EPS_NU]
     assert len(nus) == 60
@@ -319,8 +325,8 @@ def test_sweep_planes_equal_their_one_nu_per_column_maps(psi_sweep):
 @pytest.mark.parametrize("nu", [0.1, -0.1, 3.0])
 @pytest.mark.parametrize("n_mu", [2, 3, 5, 50])
 def test_explicit_grid_planes_match_scalar_oracle(psi_sweep, n_mu, nu):
-    # one mu grid crosses 0 (and holds mu = 0 at odd counts), one lies off it; a block
-    # of n rows takes ceil(sqrt(n)) rows per anchor, so 50 ends in a partial group
+    # one mu grid crosses 0 (and holds mu = 0 at odd counts), one lies off it; every count
+    # runs as one block, rows 1 .. n - 1 from row 0 by the running product of the step row
     gx = UniformGrid1D.symmetric(6.0, 41)
     for gmu in (UniformGrid1D.symmetric(2.0, n_mu), UniformGrid1D(0.4, 1.7 / n_mu, n_mu)):
         plane = symplectic_tomogram_plane(psi_sweep, gx, gmu, nu)
@@ -331,14 +337,14 @@ def test_explicit_grid_planes_match_scalar_oracle(psi_sweep, n_mu, nu):
 
 def test_plane_block_seam_matches_scalar_oracle(psi_sweep):
     # the nu = 0.1 reference plane: 395 X by 46 mu at FFT length 1440 runs as row blocks
-    # of 41 and 5, the second with its own anchor and step rows
+    # of 44 and 2, the second restarting the running product from its own exp
     nu = 0.1
     gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi_sweep))
     assert _fft_size(gx.count + psi_sweep.grid.count - 1) == 1440
     edges = _block_edges(gx.count, psi_sweep.grid.count, np.full(gmu.count, nu), True)
-    assert edges == [(0, 40), (41, 45)]
+    assert edges == [(0, 43), (44, 45)]
     plane = symplectic_tomogram_plane(psi_sweep, gx, gmu, nu)
-    for j in (40, 41, 42, 45):
+    for j in (42, 43, 44, 45):
         want = [symplectic_tomogram(psi_sweep, gx.point(i), gmu.point(j), nu)
                 for i in range(gx.count)]
         assert np.max(np.abs(plane.values[:, j] - want)) <= 1e-12, j
@@ -359,17 +365,31 @@ class _CountingNumpy:
         return out
 
 
-def test_plane_rows_take_about_sqrt_n_rows_of_exps(psi_sweep, monkeypatch):
-    # the nu = 0.1 reference plane's 46 rows: blocks of 41 (6 anchor and 6 step rows of exps
-    # at 7 rows per anchor) and 5 (2 anchor and 2 step rows at 3 per anchor), plus the one
-    # chirp both blocks share; one exp per row would be 46 * n_y
+@pytest.mark.parametrize("n_x", [41, 15])
+def test_long_plane_blocks_match_scalar_oracle(n_x):
+    # a 129-point psi at FFT lengths 180 and 144 runs blocks of 362 and 453 rows, so the
+    # running product over 400 mu columns reaches 361 and 399 steps from its row 0
+    psi = gcf_sampled(GcfParams(1.0, 1.0), count=129)
+    gx, gmu, nu = UniformGrid1D.symmetric(6.0, n_x), UniformGrid1D.symmetric(4.0, 400), 0.5
+    size = _fft_size(n_x + psi.grid.count - 1)
+    assert _block_rows(size, True) == {41: 362, 15: 453}[n_x]
+    plane = symplectic_tomogram_plane(psi, gx, gmu, nu)
+    want = [[symplectic_tomogram(psi, gx.point(i), gmu.point(j), nu) for j in range(gmu.count)]
+            for i in range(gx.count)]
+    assert np.max(np.abs(plane.values - want)) <= 1e-12
+
+
+def test_plane_rows_take_two_rows_of_exps_per_block(psi_sweep, monkeypatch):
+    # the nu = 0.1 reference plane's 46 rows: blocks of 44 and 2, each with its row 0 and
+    # its step row of exps, plus the one chirp both blocks share; one exp per row would
+    # be 46 * n_y
     nu = 0.1
     gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi_sweep))
     n_y, size = psi_sweep.grid.count, _fft_size(gx.count + psi_sweep.grid.count - 1)
     counting = _CountingNumpy()
     monkeypatch.setattr(tomography, "np", counting)
     symplectic_tomogram_plane(psi_sweep, gx, gmu, nu)
-    assert gmu.count == 46 and counting.exps <= 16 * n_y + size
+    assert gmu.count == 46 and counting.exps == 4 * n_y + size == 5540
     counting.exps = 0
     _tomogram_columns(psi_sweep, gx, gmu.points, np.full(gmu.count, nu))
     assert counting.exps == 46 * (n_y + size)  # a row and a chirp per column
