@@ -10,15 +10,27 @@ chirped-Gaussian model state is built in as the analytic anchor for every
 numerical path, and a text file format plus CLI expose the whole pipeline.
 """
 
-from . import analytic, errors, grid, reconstruct, tomography
-from .analytic import *  # noqa: F401,F403
-from .errors import *  # noqa: F401,F403
-from .grid import *  # noqa: F401,F403
-from .reconstruct import *  # noqa: F401,F403
-from .tomography import *  # noqa: F401,F403
+import importlib
 
 __version__ = "0.1.0"
 
-# each library module lists its public names once; the package exports their union
-__all__ = ["__version__"] + [
-    n for m in (errors, grid, tomography, reconstruct, analytic) for n in m.__all__]
+# the library modules, each listing its public names once in its __all__; the
+# package exports their union, and loads a module only when one of its names,
+# or the union, is first read (PEP 562), so `import wavetomo.cli` does not
+# load the inversion code
+_LIBRARY = ("errors", "grid", "tomography", "reconstruct", "analytic")
+_SUBMODULES = _LIBRARY + ("fileio", "oracles", "cli")
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name == "__all__":
+        globals()[name] = ["__version__"] + [n for m in _LIBRARY for n in __getattr__(m).__all__]
+        return globals()[name]
+    # a public name: load the library modules in turn until one exports it
+    for mod in () if name.startswith("_") else map(__getattr__, _LIBRARY):
+        if name in mod.__all__:
+            globals()[name] = value = getattr(mod, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,17 +21,18 @@ from __future__ import annotations
 
 import argparse
 import glob
+import importlib
 import json
 import math
 import os
 import sys
 import time
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import fileio
-from .analytic import GcfParams, gcf_fresnel_analytic, gcf_sampled, gcf_width
 from .errors import (
     DegeneratePointError,
     DomainLookupError,
@@ -42,12 +43,6 @@ from .errors import (
     WavetomoError,
 )
 from .grid import SampledWavefunction, UniformGrid1D
-from .reconstruct import (
-    InversionConfig,
-    density_matrix_from_planes,
-    reconstruct_psi,
-    wigner_from_planes,
-)
 from .tomography import (
     OpticalTomogram,
     TomogramPlane,
@@ -60,6 +55,31 @@ from .tomography import (
 )
 
 __all__ = ["main"]
+
+# the names of the library modules that only some subcommands run: a handler
+# binds its module's names here before it calls them, so each process imports
+# only what its subcommand runs, and a lookup from outside binds them too
+_LAZY = {
+    "analytic": ("GcfParams", "gcf_fresnel_analytic", "gcf_sampled", "gcf_width"),
+    "reconstruct": ("InversionConfig", "density_matrix_from_planes", "reconstruct_psi",
+                    "wigner_from_planes"),
+}
+
+
+def _bind(module: str) -> None:
+    """Import `module` and bind each of its _LAZY names here that is not
+    bound yet, so a wrapper set in its place (a tracer's) stays."""
+    mod = importlib.import_module(f".{module}", __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(WavetomoError):
@@ -222,6 +242,7 @@ def _diag(**kv) -> None:
 
 
 def _cmd_gcf(args) -> int:
+    _bind("analytic")
     sigma = args.sigma or 0.0
     if sigma <= 0:
         raise UsageError("--sigma must be given and positive")
@@ -371,17 +392,18 @@ def _expand_inputs(paths) -> list[str]:
     return out
 
 
-def _read_planes(paths) -> list[TomogramPlane]:
-    planes = []
-    for path in _expand_inputs(paths):
+def _read_planes(paths) -> Iterator[TomogramPlane]:
+    """Each path's plane, read when the read-out asks for the next one and
+    dropped here once handed over, so the sweep is held one plane at a time."""
+    for path in paths:
         manifest, payload = fileio.read_file(path)
         if not isinstance(payload, TomogramPlane):
             raise UsageError(
                 f"{path}: expected symplectic tomogram planes, got kind {manifest.kind!r}"
                 + (" (optical variant)" if isinstance(payload, OpticalTomogram) else "")
             )
-        planes.append(payload)
-    return planes
+        yield payload
+        del payload
 
 
 def _cmd_reconstruct(args) -> int:
@@ -392,9 +414,11 @@ def _cmd_reconstruct(args) -> int:
         raise UsageError("--output is required")
     if args.target != "wigner":
         _unread(args, f"by --target {args.target}", *_grid_dests(*_GRIDS["wigner"]))
+    _bind("reconstruct")
     inv = InversionConfig() if args.taper is None else InversionConfig(taper_fraction=args.taper)
-    planes = _read_planes(args.input)
-    prov = _provenance(args, {}, target=args.target, taper=inv.taper_fraction, inputs=len(planes))
+    paths = _expand_inputs(args.input)
+    planes = _read_planes(paths)
+    prov = _provenance(args, {}, target=args.target, taper=inv.taper_fraction, inputs=len(paths))
 
     if args.target == "psi":
         rec = reconstruct_psi(planes, inv)

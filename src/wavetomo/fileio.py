@@ -58,8 +58,8 @@ except ImportError:
     from hashlib import blake2b
 
 from .errors import ManifestError
-from .grid import SampledWavefunction, UniformGrid1D, _frozen_array, _Owned
-from .reconstruct import DensityMatrix, WignerFunction
+from .grid import (DensityMatrix, SampledWavefunction, UniformGrid1D, WignerFunction,
+                   _frozen_array, _Owned)
 from .tomography import FresnelTomogram, OpticalTomogram, TomogramPlane
 
 __all__ = [

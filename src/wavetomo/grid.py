@@ -1,4 +1,6 @@
-"""Uniform grids, sampled wavefunctions and trapezoid weights.
+"""Uniform grids, sampled wavefunctions, trapezoid weights and the datasets
+the inversions return (density matrices and Wigner functions), which live
+here so that reading a file never loads the inversion code.
 
 Every dataset type stores a read-only copy of its samples through
 `_frozen_array`, or the array itself when the package hands over one it has
@@ -11,6 +13,7 @@ just built for that dataset (`_Owned`); an integral of uniform samples is
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +21,13 @@ import numpy as np
 __all__ = [
     "UniformGrid1D",
     "SampledWavefunction",
+    "DensityMatrix",
+    "DensityMatrixNd",
+    "WignerFunction",
 ]
 
 NORM_TOL = 1e-6
+HERMITICITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -134,3 +141,80 @@ def trapezoid_weights(n: int, step: float) -> np.ndarray:
     w[-1] *= 0.5
     return w
 
+
+def _check_hermitian(mat: np.ndarray) -> None:
+    defect = float(np.max(np.abs(mat - mat.conj().T)))
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"hermiticity defect {defect} exceeds {HERMITICITY_TOL}")
+
+
+def _hermitian_part(raw, n: int) -> tuple[np.ndarray, float]:
+    """(raw + raw^H)/2 in raw's shape, raw read as n x n, and the asymmetry it removed."""
+    mat = np.asarray(raw, dtype=np.complex128).reshape(n, n)
+    adj = mat.conj().T
+    return (0.5 * (mat + adj)).reshape(np.shape(raw)), float(np.max(np.abs(mat - adj)))
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Position-representation density matrix on a uniform grid.
+
+    Constructed values must already be Hermitian to 1e-8; use ``from_raw``
+    to symmetrize quadrature output and keep the pre-symmetrization
+    asymmetry as a diagnostic.
+    """
+
+    grid: UniformGrid1D
+    values: np.ndarray
+    asymmetry: float = 0.0
+
+    def __post_init__(self) -> None:
+        n = self.grid.count
+        vals = _frozen_array(self.values, (n, n), np.complex128)
+        _check_hermitian(vals)
+        object.__setattr__(self, "values", vals)
+
+    @staticmethod
+    def from_raw(grid: UniformGrid1D, raw) -> "DensityMatrix":
+        return DensityMatrix(grid, *_hermitian_part(raw, grid.count))
+
+    @property
+    def trace_times_step(self) -> float:
+        return float(np.real(np.trace(self.values)) * self.grid.step)
+
+
+@dataclass(frozen=True)
+class DensityMatrixNd:
+    """N-axis density matrix; values[i1..iN, j1..jN] with one index pair per axis."""
+
+    grids: tuple[UniformGrid1D, ...]
+    values: np.ndarray
+    asymmetry: float = 0.0
+
+    def __post_init__(self) -> None:
+        shape = tuple(g.count for g in self.grids) * 2
+        object.__setattr__(self, "values", _frozen_array(self.values, shape, np.complex128))
+        _check_hermitian(self.values.reshape(math.prod(g.count for g in self.grids), -1))
+
+    @staticmethod
+    def from_raw(grids, raw) -> "DensityMatrixNd":
+        grids = tuple(grids)
+        return DensityMatrixNd(grids, *_hermitian_part(raw, math.prod(g.count for g in grids)))
+
+
+@dataclass(frozen=True)
+class WignerFunction:
+    grid_q: UniformGrid1D
+    grid_p: UniformGrid1D
+    values: np.ndarray
+    imag_residue: float = 0.0
+
+    def __post_init__(self) -> None:
+        shape = (self.grid_q.count, self.grid_p.count)
+        object.__setattr__(self, "values", _frozen_array(self.values, shape, np.float64))
+
+    def normalization(self) -> float:
+        return float(np.trapezoid(self.marginal_q(), dx=self.grid_q.step))
+
+    def marginal_q(self) -> np.ndarray:
+        return np.trapezoid(self.values, dx=self.grid_p.step, axis=1)

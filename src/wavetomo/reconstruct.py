@@ -33,19 +33,17 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainLookupError, MissingAnchorError, NodeAtOriginError, UnsupportedSizeError
-from .grid import SampledWavefunction, UniformGrid1D, _frozen_array, trapezoid_weights
+from .grid import (DensityMatrix, DensityMatrixNd, SampledWavefunction, UniformGrid1D,
+                   WignerFunction, trapezoid_weights)
 from .tomography import (_ALIAS_A, _BLOCK_BYTES, MAX_X_COUNT, FresnelTomogram, Moments,
                          TomogramPlane, _alias_step)
 
 __all__ = [
-    "DensityMatrix",
-    "DensityMatrixNd",
-    "WignerFunction",
     "PsiReconstruction",
     "InversionConfig",
     "raised_cosine_taper",
@@ -59,7 +57,6 @@ __all__ = [
     "wigner_from_planes",
 ]
 
-HERMITICITY_TOL = 1e-8
 ANCHOR_FLOOR = 1e-12
 # psi(0) counts as a node when rho(0,0) is at most this fraction of max rho(x,x)
 ANCHOR_RATIO = 1e-3
@@ -73,84 +70,6 @@ EDGE_FRACTION = 1e-2
 PROBE_EDGE = 1e-12
 PROBE_STEPS = 4.0
 PROBE_GRIDS = 24
-
-
-def _check_hermitian(mat: np.ndarray) -> None:
-    defect = float(np.max(np.abs(mat - mat.conj().T)))
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"hermiticity defect {defect} exceeds {HERMITICITY_TOL}")
-
-
-def _hermitian_part(raw, n: int) -> tuple[np.ndarray, float]:
-    """(raw + raw^H)/2 in raw's shape, raw read as n x n, and the asymmetry it removed."""
-    mat = np.asarray(raw, dtype=np.complex128).reshape(n, n)
-    adj = mat.conj().T
-    return (0.5 * (mat + adj)).reshape(np.shape(raw)), float(np.max(np.abs(mat - adj)))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Position-representation density matrix on a uniform grid.
-
-    Constructed values must already be Hermitian to 1e-8; use ``from_raw``
-    to symmetrize quadrature output and keep the pre-symmetrization
-    asymmetry as a diagnostic.
-    """
-
-    grid: UniformGrid1D
-    values: np.ndarray
-    asymmetry: float = 0.0
-
-    def __post_init__(self) -> None:
-        n = self.grid.count
-        vals = _frozen_array(self.values, (n, n), np.complex128)
-        _check_hermitian(vals)
-        object.__setattr__(self, "values", vals)
-
-    @staticmethod
-    def from_raw(grid: UniformGrid1D, raw) -> "DensityMatrix":
-        return DensityMatrix(grid, *_hermitian_part(raw, grid.count))
-
-    @property
-    def trace_times_step(self) -> float:
-        return float(np.real(np.trace(self.values)) * self.grid.step)
-
-
-@dataclass(frozen=True)
-class DensityMatrixNd:
-    """N-axis density matrix; values[i1..iN, j1..jN] with one index pair per axis."""
-
-    grids: tuple[UniformGrid1D, ...]
-    values: np.ndarray
-    asymmetry: float = 0.0
-
-    def __post_init__(self) -> None:
-        shape = tuple(g.count for g in self.grids) * 2
-        object.__setattr__(self, "values", _frozen_array(self.values, shape, np.complex128))
-        _check_hermitian(self.values.reshape(math.prod(g.count for g in self.grids), -1))
-
-    @staticmethod
-    def from_raw(grids, raw) -> "DensityMatrixNd":
-        grids = tuple(grids)
-        return DensityMatrixNd(grids, *_hermitian_part(raw, math.prod(g.count for g in grids)))
-
-
-@dataclass(frozen=True)
-class WignerFunction:
-    grid_q: UniformGrid1D
-    grid_p: UniformGrid1D
-    values: np.ndarray
-    imag_residue: float = 0.0
-
-    def __post_init__(self) -> None:
-        shape = (self.grid_q.count, self.grid_p.count)
-        object.__setattr__(self, "values", _frozen_array(self.values, shape, np.float64))
-
-    def normalization(self) -> float:
-        return float(np.trapezoid(self.marginal_q(), dx=self.grid_q.step))
-
-    def marginal_q(self) -> np.ndarray:
-        return np.trapezoid(self.values, dx=self.grid_p.step, axis=1)
 
 
 @dataclass(frozen=True)
@@ -294,18 +213,18 @@ def _wigner(rows, grid_q: UniformGrid1D, grid_p: UniformGrid1D) -> WignerFunctio
     return WignerFunction(grid_q, grid_p, W.real, float(np.max(np.abs(W.imag))))
 
 
-def _table_from_planes(ordered: Sequence[TomogramPlane], taper_fraction: float) -> list[_Row]:
-    """One row per plane, in the given (ascending nu) order; nu weights are the
-    local plane spacing, tapered over the nu range. The trapezoid weights of
-    each plane's X grid also give each column's X mean and std; a
-    RuntimeWarning names the narrowest column when one with in-window mass
-    >= RESOLVED_MASS is narrower than its plane's X step.
+def _table_from_planes(planes: Iterable[TomogramPlane], taper_fraction: float, axis):
+    """One row per plane, in ascending nu, and what axis(nus) returns: it
+    checks the ascending nus before any warning. Each plane is read once, as
+    it arrives, and only its row and its narrowest column are kept, so a
+    sweep is held one plane at a time. The nu weights are the local plane
+    spacing, tapered over the nu range. The trapezoid weights of each plane's
+    X grid also give each column's X mean and std; a RuntimeWarning names the
+    narrowest column when one with in-window mass >= RESOLVED_MASS is
+    narrower than its plane's X step.
     """
-    nus = np.array([p.nu for p in ordered])
-    nu_half = max(abs(nus[0]), abs(nus[-1]))
-    w_nus = raised_cosine_taper(nus, nu_half, taper_fraction) * np.gradient(nus)
-    rows, coarse = [], []
-    for plane, w_nu in zip(ordered, w_nus):
+    got, coarse = [], []
+    for plane in planes:
         gx, gmu = plane.grid_x, plane.grid_mu
         x, wx = gx.points, trapezoid_weights(gx.count, gx.step)
         C = (np.exp(1j * x) * wx) @ plane.values
@@ -322,15 +241,21 @@ def _table_from_planes(ordered: Sequence[TomogramPlane], taper_fraction: float) 
         center = 0.5 * (gmu.start + gmu.end)
         taper = raised_cosine_taper(gmu.points - center, 0.5 * gmu.width, taper_fraction)
         wmu = trapezoid_weights(gmu.count, gmu.step) * taper
-        rows.append(_Row((float(plane.nu),), float(w_nu), gmu.points, C * wmu))
+        got.append((float(plane.nu), gmu.points, C * wmu))
+        del plane  # freed before the next plane is read
+    got.sort(key=lambda r: r[0])
+    nus = np.array([nu for nu, _, _ in got])
+    checked = axis(nus)
+    nu_half = max(abs(nus[0]), abs(nus[-1]))
+    w_nus = raised_cosine_taper(nus, nu_half, taper_fraction) * np.gradient(nus)
     if coarse:
         ratio, nu, mu = min(coarse)
         warnings.warn(
             f"plane nu={nu:g}: the column at mu={mu:g} has an X std of {ratio:.2f} X steps; "
-            f"{len(coarse)} of {len(ordered)} planes hold a column narrower than their X "
+            f"{len(coarse)} of {len(got)} planes hold a column narrower than their X "
             "step, whose e^{iX} sum aliases: refine those X grids",
             RuntimeWarning, stacklevel=3)
-    return rows
+    return [_Row((nu,), float(w_nu), mu, c) for (nu, mu, c), w_nu in zip(got, w_nus)], checked
 
 
 # w(X_1..X_N, mu_1..mu_N, nu_1..nu_N) in the X and mu broadcast shape, elementwise (it is called
@@ -573,35 +498,32 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
 # Plane-set-backed inversion (no off-grid lookups; used by the CLI)
 
 
-def _sweep(planes: Sequence[TomogramPlane]) -> list[TomogramPlane]:
-    """The planes in ascending nu; every plane read-out needs at least 3 of
-    them over a nu range symmetric about zero."""
-    ordered = sorted(planes, key=lambda p: p.nu)
-    if len(ordered) < 3:
-        raise ValueError(f"need at least 3 planes for a symmetric nu sweep, got {len(ordered)}")
-    if abs(ordered[0].nu + ordered[-1].nu) > 1e-9:
+def _sweep(nus: np.ndarray) -> None:
+    """Every plane read-out needs at least 3 planes over a nu range symmetric
+    about zero; nus holds their nu in ascending order."""
+    if nus.size < 3:
+        raise ValueError(f"need at least 3 planes for a symmetric nu sweep, got {nus.size}")
+    if abs(nus[0] + nus[-1]) > 1e-9:
         raise ValueError("plane nu grid must be symmetric about zero")
-    return ordered
 
 
-def _plane_nu_axis(planes: Sequence[TomogramPlane]) -> tuple[list[TomogramPlane], UniformGrid1D, int]:
-    """The sweep in ascending nu, its nu grid, which must be uniform, and the
-    index of its nu = 0 plane, which psi and rho anchor on."""
-    if not any(abs(p.nu) <= ANCHOR_FLOOR for p in planes):
+def _plane_nu_axis(nus: np.ndarray) -> tuple[UniformGrid1D, int]:
+    """The sweep's nu grid, which must be uniform, from its ascending nus, and
+    the index of its nu = 0 plane, which psi and rho anchor on."""
+    if not np.any(np.abs(nus) <= ANCHOR_FLOOR):
         raise MissingAnchorError(
             "the psi and rho read-outs anchor on the nu=0 plane; include a plane at exactly nu=0"
         )
-    ordered = _sweep(planes)
-    nus = np.array([p.nu for p in ordered])
+    _sweep(nus)
     steps = np.diff(nus)
     step = float(np.mean(steps))
     if step <= 0 or np.max(np.abs(steps - step)) > 1e-9 * max(1.0, abs(step)):
         raise ValueError("plane nu values must form a uniform grid")
-    return ordered, UniformGrid1D(float(nus[0]), step, int(nus.size)), int(np.argmin(np.abs(nus)))
+    return UniformGrid1D(float(nus[0]), step, int(nus.size)), int(np.argmin(np.abs(nus)))
 
 
 def reconstruct_psi(
-    planes: Sequence[TomogramPlane], cfg: InversionConfig = InversionConfig()
+    planes: Iterable[TomogramPlane], cfg: InversionConfig = InversionConfig()
 ) -> PsiReconstruction:
     """Wavefunction from a symmetric sweep of fixed-nu planes.
 
@@ -611,13 +533,14 @@ def reconstruct_psi(
     to unit L2 norm (prenorm_l2 is the norm before). psi(0) = 0 raises
     NodeAtOriginError: rho(0, 0) is compared with max rho(x, x) over the nu=0
     row's whole unaliased window |x| <= pi/step_mu, which no sweep narrower
-    than the state can hide. cfg's taper masks the mu nodes.
+    than the state can hide. cfg's taper masks the mu nodes. `planes` may be
+    any iterable, in any order; it is read once and one plane is held at a time.
     """
-    ordered, grid_nu, anchor_idx = _plane_nu_axis(planes)
-    table = _table_from_planes(ordered, cfg.taper_fraction)
+    table, (grid_nu, anchor_idx) = _table_from_planes(planes, cfg.taper_fraction, _plane_nu_axis)
     column = np.array([row.rho(row.nu, (0.0,)) for row in table])
     s0 = column[anchor_idx]
-    x = np.linspace(-1.0, 1.0, DIAGONAL_SAMPLES) * np.pi / ordered[anchor_idx].grid_mu.step
+    mu = table[anchor_idx].mu
+    x = np.linspace(-1.0, 1.0, DIAGONAL_SAMPLES) * np.pi / (mu[1] - mu[0])
     peak = float(np.max(table[anchor_idx].rho((x,), (x,)).real))
     if s0.real <= ANCHOR_RATIO * peak:
         raise NodeAtOriginError(
@@ -637,24 +560,24 @@ def reconstruct_psi(
 
 
 def density_matrix_from_planes(
-    planes: Sequence[TomogramPlane], cfg: InversionConfig = InversionConfig()
+    planes: Iterable[TomogramPlane], cfg: InversionConfig = InversionConfig()
 ) -> DensityMatrix:
     """Density matrix using plane nodes themselves as quadrature nodes.
 
     The planes' nu grid supplies every X - X' difference, so the output grid
     step is the plane spacing and nothing is interpolated: the odd symmetric
     sweep of 2h + 1 planes gives h + 1 points. Each plane's own (X, mu) grid
-    does the inner integrals; cfg's taper masks the mu nodes.
+    does the inner integrals; cfg's taper masks the mu nodes. `planes` may be
+    any iterable, in any order; it is read once and one plane is held at a time.
     """
-    ordered, grid_nu, _ = _plane_nu_axis(planes)
+    rows, (grid_nu, _) = _table_from_planes(planes, cfg.taper_fraction, _plane_nu_axis)
     count = (grid_nu.count - 1) // 2 + 1  # _plane_nu_axis holds >= 3 planes, so count >= 2
     grid = UniformGrid1D(-grid_nu.step * (count // 2), grid_nu.step, count)
-    rows = _table_from_planes(ordered, cfg.taper_fraction)
     return DensityMatrix.from_raw(grid, _rho_on_pairs(rows, (grid,)))
 
 
 def wigner_from_planes(
-    planes: Sequence[TomogramPlane],
+    planes: Iterable[TomogramPlane],
     grid_q: UniformGrid1D,
     grid_p: UniformGrid1D,
     cfg: InversionConfig = InversionConfig(),
@@ -664,9 +587,11 @@ def wigner_from_planes(
     Each plane integrates its own (X, mu) grid and the plane spacing
     integrates nu; the taper acts on each plane's mu span and on the outer nu
     range. The nu range must be symmetric about zero (a one-sided sweep misses
-    half of the nu integral); a nu = 0 plane is not needed.
+    half of the nu integral); a nu = 0 plane is not needed. `planes` may be
+    any iterable, in any order; it is read once and one plane is held at a time.
     """
-    return _wigner(_table_from_planes(_sweep(planes), cfg.taper_fraction), grid_q, grid_p)
+    rows = _table_from_planes(planes, cfg.taper_fraction, _sweep)[0]
+    return _wigner(rows, grid_q, grid_p)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from wavetomo.analytic import (
 from wavetomo.cli import main
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
 from wavetomo.oracles import golden_dir
-from wavetomo.reconstruct import reconstruct_psi
+from wavetomo.reconstruct import reconstruct_psi, wigner_from_planes
 from wavetomo.tomography import (
     FresnelTomogram,
     NdWavefunction,
@@ -553,6 +554,39 @@ assert abs(rho.trace_times_step - 1.0) < 0.5
     assert inverted - bare < 13500
 
 
+# the wavetomo modules (and hashlib, whose import loads OpenSSL: 3.5 MB of RSS) that
+# `import wavetomo.cli` loads, and those main(argv) adds, printed as the last line
+_PRINT_LOADS = """
+import json, sys
+def loaded():
+    return {m for m in sys.modules if m.split(".")[0] == "wavetomo" or m in ("hashlib", "_hashlib")}
+from wavetomo.cli import main
+before = loaded()
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(before), sorted(loaded() - before)]))
+"""
+
+
+def test_each_subcommand_loads_only_its_own_modules(tmp_path):
+    # every subcommand reads and writes files of the forward maps' kinds; gcf adds the
+    # closed forms and reconstruct the inversions, and none loads the oracle table
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fileio.__file__)))
+    cli = ["wavetomo", "wavetomo.cli", "wavetomo.errors", "wavetomo.fileio", "wavetomo.grid",
+           "wavetomo.tomography"]
+    for argv, added in [
+        (["gcf", "--sigma", "1", "--output", "g"], ["wavetomo.analytic"]),
+        (["tomogram", "--input", "g_psi.txt", "--nu-min", "-1", "--nu-max", "1",
+          "--nu-count", "5", "--output", "pl_{index}.txt"], []),
+        (["reconstruct", "--input", "pl_*.txt", "--target", "rho", "--output", "rho.txt"],
+         ["wavetomo.reconstruct"]),
+    ]:
+        proc = subprocess.run([sys.executable, "-c", _PRINT_LOADS, *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, cli, added], argv[0]
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 
@@ -573,6 +607,39 @@ def test_reconstruct_psi_round_trip(chirped_planes, monkeypatch, capsys):
         rec.values, gcf_psi(GcfParams(1.0, 1.0), rec.grid.points),
         rec.grid.step)
     assert dev_closed <= 1e-3
+
+
+def test_wigner_from_planes_holds_one_reference_plane_at_a_time(chirped_planes):
+    # the reference sweep holds 2.7 MB of values; read from its files one plane
+    # at a time, the read-out's default 81 x 81 Wigner function takes 0.6 MB
+    paths = sorted(chirped_planes.glob("pl_*.txt"))
+    values = sum(fileio.read_file(path)[1].values.nbytes for path in paths)
+    grid = UniformGrid1D.symmetric(4.0, 81)
+    tracemalloc.start()
+    try:
+        wigner_from_planes((fileio.read_file(path)[1] for path in paths), grid, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values / 4
+
+
+def test_reconstruct_reads_each_plane_after_freeing_the_last(chirped_planes, monkeypatch):
+    read, planes = fileio.read_file, []
+
+    def read_after_release(path):
+        assert not planes or planes[-1]() is None, f"the plane before {path} is still held"
+        manifest, payload = read(path)
+        planes.append(weakref.ref(payload))
+        return manifest, payload
+
+    monkeypatch.setattr(fileio, "read_file", read_after_release)
+    monkeypatch.chdir(chirped_planes)
+    for target in ("psi", "rho", "wigner"):
+        planes.clear()
+        assert run("reconstruct", "--input", "pl_*.txt", "--target", target,
+                   "--output", f"streamed_{target}.txt") == 0
+        assert len(planes) == 61
 
 
 def test_reference_sweep_grids(chirped_planes):

@@ -92,6 +92,40 @@ def test_perfbench_patch_targets_resolve():
         "wavetomo.cli.optical_tomogram", "wavetomo.reconstruct.dft2_at"]
 
 
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_perfbench_patch_points_catch_the_cli_calls(tmp_path, monkeypatch):
+    # a traced run wraps each wavetomo.cli target of launch.PATCHES before main()
+    # runs; every handler must call through that name, the lazily bound ones too
+    from wavetomo import cli
+    tree = ast.parse((PERFBENCH / "launch.py").read_text(), "launch.py")
+    patches = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["PATCHES"])
+    names = [row.elts[1].value for row in patches.elts
+             if row.elts[0].value == "wavetomo.cli" and _resolves("wavetomo.cli", row.elts[1].value)]
+    assert {"symplectic_tomogram_plane", "fresnel_tomogram", "reconstruct_psi",
+            "density_matrix_from_planes", "wigner_from_planes"} <= set(names)
+    calls = []
+    for name in names:
+        monkeypatch.setattr(cli, name, _counting(calls, name, getattr(cli, name)))
+    monkeypatch.chdir(tmp_path)
+    sweep = ["--input", "pl_*.txt", "--output", "out.txt", "--target"]
+    for argv in (["gcf", "--sigma", "1", "--output", "g"],
+                 ["tomogram", "--input", "g_psi.txt", "--nu-min", "-1", "--nu-max", "1",
+                  "--nu-count", "5", "--output", "pl_{index}.txt"],
+                 ["tomogram", "--kind", "fresnel", "--input", "g_psi.txt", "--x-count", "81",
+                  "--nu-count", "21", "--output", "fresnel.txt"],
+                 ["reconstruct", *sweep, "psi"], ["reconstruct", *sweep, "rho"],
+                 ["reconstruct", *sweep, "wigner", "--q-count", "9", "--p-count", "9"]):
+        assert cli.main(argv) == 0, argv
+    assert sorted(set(calls)) == sorted(names)
+
+
 SRC = Path(wavetomo.__file__).resolve().parent
 # the direct Wigner oracle, which the tests compare the inversions with
 CALLED_BY_TESTS_ONLY = {"wigner_direct"}

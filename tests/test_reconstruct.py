@@ -5,8 +5,10 @@ direct-quadrature oracles in the analytic module. Quadrature tolerances were
 measured with margin before being frozen; none are aspirational.
 """
 import math
+import random
 import tracemalloc
 import warnings
+import weakref
 from functools import partial
 
 import numpy as np
@@ -794,3 +796,44 @@ def test_wigner_from_planes_needs_a_symmetric_sweep():
     # no nu = 0 plane is needed
     W = wigner_from_planes(analytic_plane_set(p, list(np.linspace(-3.0, 3.0, 96))), gq, gp)
     assert W.values[16, 16] == pytest.approx(1.0 / math.pi, abs=5e-3)
+
+
+def _readout_bytes(planes):
+    """Every output field of the three plane read-outs, as bytes or floats."""
+    gq, gp = UniformGrid1D.symmetric(3.0, 17), UniformGrid1D.symmetric(4.0, 19)
+    rec = reconstruct_psi(planes[0])
+    dm = density_matrix_from_planes(planes[1])
+    W = wigner_from_planes(planes[2], gq, gp)
+    return (rec.psi.grid, rec.psi.values.tobytes(), rec.autocorrelation.tobytes(),
+            rec.prenorm_l2, rec.anchor, rec.anchor_imag, dm.grid, dm.values.tobytes(),
+            dm.asymmetry, W.values.tobytes(), W.imag_residue)
+
+
+def test_plane_readouts_take_any_iterable_bit_for_bit():
+    # a list, a generator in ascending nu and one in shuffled order read out the same bytes
+    p, nus = GcfParams(1.0, 0.5), list(np.linspace(-2.0, 2.0, 33))
+    planes = analytic_plane_set(p, nus)
+    shuffled = random.Random(0).sample(planes, len(planes))
+    want = _readout_bytes([planes] * 3)
+    assert _readout_bytes([(pl for pl in planes) for _ in range(3)]) == want
+    assert _readout_bytes([iter(shuffled) for _ in range(3)]) == want
+
+
+def _released_one_by_one(p, nus):
+    """Each nu's closed-form plane, built only once the consumer has freed the last."""
+    ref = None
+    for nu in nus:
+        assert ref is None or ref() is None, "the previous plane is still held"
+        plane = analytic_plane_set(p, [nu])[0]
+        ref = weakref.ref(plane)
+        yield plane
+        del plane
+    assert ref is None or ref() is None, "the last plane is still held"
+
+
+def test_plane_readouts_hold_one_plane_at_a_time():
+    p, nus = GcfParams(1.0, 0.5), list(np.linspace(-2.0, 2.0, 9))
+    g = UniformGrid1D.symmetric(2.0, 9)
+    reconstruct_psi(_released_one_by_one(p, nus))
+    density_matrix_from_planes(_released_one_by_one(p, nus))
+    wigner_from_planes(_released_one_by_one(p, nus), g, g)
