@@ -22,13 +22,12 @@ the slow, assumption-free Wigner oracle for arbitrary sampled states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegeneratePointError, SingularFrequencyError
-from .grid import SampledWavefunction, UniformGrid1D, _Owned
+from .grid import SampledWavefunction, UniformGrid1D, _Owned, _Record
 from .tomography import (
     FresnelTomogram,
     Moments,
@@ -57,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GcfParams:
+class GcfParams(_Record):
     """Width and chirp of the Gaussian model state."""
 
     sigma: float

@@ -47,7 +47,6 @@ import os
 import stat
 import tempfile
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +58,7 @@ except ImportError:
 
 from .errors import ManifestError
 from .grid import (DensityMatrix, SampledWavefunction, UniformGrid1D, WignerFunction,
-                   _frozen_array, _Owned)
+                   _frozen_array, _Owned, _Record)
 from .tomography import FresnelTomogram, OpticalTomogram, TomogramPlane
 
 __all__ = [
@@ -82,8 +81,7 @@ def _tag(v: float) -> str:
     return ("%g" % v).replace(".", "p").replace("-", "m")
 
 
-@dataclass(frozen=True)
-class WidthMap:
+class WidthMap(_Record):
     """Profile 1/e half-width along one parameter line; CLI convenience output."""
 
     grid: UniformGrid1D
@@ -95,8 +93,7 @@ class WidthMap:
         )
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(_Record):
     """How one payload type is stored.
 
     axes names the payload's grid attribute behind each coordinate column
@@ -133,15 +130,16 @@ _KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(_Record):
     kind: str
     grids: tuple[UniformGrid1D, ...]
-    params: dict = field(default_factory=dict)
+    params: dict | None = None  # None: a new empty dict
     provenance: str = ""
     version: str = FORMAT_VERSION
 
     def __post_init__(self) -> None:
+        if self.params is None:
+            object.__setattr__(self, "params", {})
         need = {k.kind: len(k.grids) for k in _KINDS}.get(self.kind)
         if need is None:
             raise ManifestError(f"unknown kind {self.kind!r}")

@@ -2,7 +2,10 @@
 the inversions return (density matrices and Wigner functions), which live
 here so that reading a file never loads the inversion code.
 
-Every dataset type stores a read-only copy of its samples through
+Every record type derives from `_Record`, an immutable record with the
+fields, defaults, ``__post_init__``, equality, hashing and repr of a frozen
+dataclass, built without the ``exec`` calls that `dataclasses` makes at
+import. Every dataset type stores a read-only copy of its samples through
 `_frozen_array`, or the array itself when the package hands over one it has
 just built for that dataset (`_Owned`); an integral of uniform samples is
 `np.trapezoid(values, dx=step)`. Conventions used throughout the package:
@@ -14,7 +17,6 @@ just built for that dataset (`_Owned`); an integral of uniform samples is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +32,67 @@ NORM_TOL = 1e-6
 HERMITICITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class UniformGrid1D:
+class _Record:
+    """Immutable record: the part of a frozen dataclass the package uses.
+
+    A subclass's annotations name its fields, in order; a class attribute of
+    a field's name is its default. The constructor takes the fields by
+    position or keyword, then runs __post_init__, which may replace a field
+    through object.__setattr__. Assigning or deleting an attribute raises
+    AttributeError, and equality, hashing and repr go by the fields' values,
+    as a frozen dataclass's do.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)  # the class's own, never a base's
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        name, fields, d = type(self).__name__, self._fields, self.__dict__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        d.update(zip(fields, args))
+        for f, value in kwargs.items():
+            if f not in fields or f in d:
+                raise TypeError(f"{name}() got an unexpected or repeated argument {f!r}")
+            d[f] = value
+        for f in fields:
+            if f not in d:
+                if f not in self._defaults:
+                    raise TypeError(f"{name}() missing required argument {f!r}")
+                d[f] = self._defaults[f]
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({args})"
+
+
+class UniformGrid1D(_Record):
     """Uniform 1D grid; point(k) = start + k*step for k in range(count)."""
 
     start: float
@@ -155,8 +216,7 @@ def _hermitian_part(raw, n: int) -> tuple[np.ndarray, float]:
     return (0.5 * (mat + adj)).reshape(np.shape(raw)), float(np.max(np.abs(mat - adj)))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(_Record):
     """Position-representation density matrix on a uniform grid.
 
     Constructed values must already be Hermitian to 1e-8; use ``from_raw``
@@ -183,8 +243,7 @@ class DensityMatrix:
         return float(np.real(np.trace(self.values)) * self.grid.step)
 
 
-@dataclass(frozen=True)
-class DensityMatrixNd:
+class DensityMatrixNd(_Record):
     """N-axis density matrix; values[i1..iN, j1..jN] with one index pair per axis."""
 
     grids: tuple[UniformGrid1D, ...]
@@ -202,8 +261,7 @@ class DensityMatrixNd:
         return DensityMatrixNd(grids, *_hermitian_part(raw, math.prod(g.count for g in grids)))
 
 
-@dataclass(frozen=True)
-class WignerFunction:
+class WignerFunction(_Record):
     grid_q: UniformGrid1D
     grid_p: UniformGrid1D
     values: np.ndarray

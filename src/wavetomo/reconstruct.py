@@ -32,14 +32,13 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainLookupError, MissingAnchorError, NodeAtOriginError, UnsupportedSizeError
 from .grid import (DensityMatrix, DensityMatrixNd, SampledWavefunction, UniformGrid1D,
-                   WignerFunction, trapezoid_weights)
+                   WignerFunction, _Record, trapezoid_weights)
 from .tomography import (_ALIAS_A, _BLOCK_BYTES, MAX_X_COUNT, FresnelTomogram, Moments,
                          TomogramPlane, _alias_step)
 
@@ -72,8 +71,7 @@ PROBE_STEPS = 4.0
 PROBE_GRIDS = 24
 
 
-@dataclass(frozen=True)
-class PsiReconstruction:
+class PsiReconstruction(_Record):
     """psi, and the raw column rho(nu, 0) = psi(nu) conj(psi(0)) it is scaled from,
     a complex array on psi.grid."""
 
@@ -84,8 +82,7 @@ class PsiReconstruction:
     anchor_imag: float
 
 
-@dataclass(frozen=True)
-class InversionConfig:
+class InversionConfig(_Record):
     """Quadrature window for the direct inverse maps.
 
     mu_window: half-width M of the mu integration window [-M, M].
@@ -124,8 +121,7 @@ def raised_cosine_taper(x, half_width: float, fraction: float) -> np.ndarray:
 # The characteristic table and its read-outs
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(_Record):
     """One fixed-nu row of the characteristic table, nu = (nu_1, ..., nu_N): c
     holds C(mu, nu) on the N-fold product of the mu nodes times their weights
     (trapezoid rule and taper), w_nu is the row's weight in sums over nu.
@@ -440,9 +436,9 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
     w(X, mu, nu) = w_F(X/mu, nu/mu)/|mu| gives C(mu, nu) = F(mu, nu/mu) with
     F(mu, nu') = Int w_F(X', nu') e^{i mu X'} dX', the map's column at nu'
     integrated by the trapezoid rule: a real GEMM at the positive mu nodes,
-    mirrored by F(-mu) = F(mu)* (w_F is real), of the map's view from the
-    first to the last column that brackets some ray nu/mu, for blocks of mu
-    nodes whose [cos; sin](mu X') take at most _BLOCK_BYTES.
+    mirrored by F(-mu) = F(mu)* (w_F is real), of the map's views of the runs
+    of adjacent columns that bracket some ray nu/mu, for blocks of mu nodes
+    whose [cos; sin](mu X') take at most _BLOCK_BYTES.
     Each row interpolates F linearly in nu' at nu/mu. A column whose edge
     samples exceed EDGE_FRACTION of its peak, or a ray nu/mu outside the nu'
     range, raises DomainLookupError naming that nu'. The sum on X' step h is
@@ -470,10 +466,13 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
         raise ValueError(
             f"the Fresnel map's X' step {gx.step:g} aliases the mu window: mu_window="
             f"{cfg.mu_window:g} needs a step below pi/mu_window = {math.pi / cfg.mu_window:g}")
-    # the knots bracketing some ray: interpolating over them alone reads the same pairs
+    # the knots bracketing some ray: interpolating over them alone reads the same
+    # pairs; each run [a, b) of adjacent ones is one GEMM on a view of the map, so
+    # no column is copied out of it
     j = np.clip(np.searchsorted(gn.points, rays, side="right") - 1, 0, gn.count - 2)
     cols = np.union1d(j, j + 1)
-    span = vals[:, cols[0] : cols[-1] + 1]  # a view: no column is copied out of the map
+    cuts = np.flatnonzero(np.diff(cols) > 1) + 1
+    runs = list(zip([0, *cuts], [*cuts, cols.size]))
     x, wx, half = gx.points, trapezoid_weights(gx.count, gx.step), mu.size // 2
     F = np.empty((half, cols.size), dtype=np.complex128)
     step = min(half, max(1, _BLOCK_BYTES // (16 * gx.count)))  # mu nodes per block
@@ -484,8 +483,9 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
         np.sin(t[0], out=t[1])
         np.cos(t[0], out=t[0])
         t *= wx
-        U = (t @ span)[..., cols - cols[0]]
-        F[s : s + step] = U[0] + 1j * U[1]
+        for a, b in runs:
+            U = t @ vals[:, cols[a] : cols[a] + b - a]
+            F[s : s + step, a:b] = U[0] + 1j * U[1]
     F = np.concatenate([F[::-1].conj(), F])  # F(mu_m, nu'_cols[i]); the nodes are mirrors
     nu_primes = gn.points[cols]
     C = np.stack([np.interp(r, nu_primes, Fm) for r, Fm in zip(rays.T, F)], axis=1)

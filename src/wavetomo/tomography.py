@@ -32,7 +32,6 @@ exp(i*dmu*y^2/(2*nu)): two rows of exps per block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +41,7 @@ from .grid import (
     SampledWavefunction,
     UniformGrid1D,
     _frozen_array,
+    _Record,
     trapezoid_weights,
 )
 
@@ -89,8 +89,7 @@ def _tomogram_values(values, grid_a: UniformGrid1D, grid_b: UniformGrid1D) -> np
     return vals
 
 
-@dataclass(frozen=True)
-class TomogramPlane:
+class TomogramPlane(_Record):
     """Tomogram samples on a product (X, mu) grid at one fixed nu."""
 
     nu: float
@@ -104,8 +103,7 @@ class TomogramPlane:
         object.__setattr__(self, "values", _tomogram_values(self.values, self.grid_x, self.grid_mu))
 
 
-@dataclass(frozen=True)
-class FresnelTomogram:
+class FresnelTomogram(_Record):
     """Fresnel tomogram samples over a product (X, nu) grid.
 
     values[i, j] belongs to (grid_x.point(i), grid_nu.point(j)).
@@ -119,8 +117,7 @@ class FresnelTomogram:
         object.__setattr__(self, "values", _tomogram_values(self.values, self.grid_x, self.grid_nu))
 
 
-@dataclass(frozen=True)
-class OpticalTomogram:
+class OpticalTomogram(_Record):
     """Homodyne-style tomogram samples over a product (X, theta) grid."""
 
     grid_x: UniformGrid1D
@@ -305,8 +302,7 @@ def optical_tomogram_map(
 # N-dimensional fields
 
 
-@dataclass(frozen=True)
-class NdWavefunction:
+class NdWavefunction(_Record):
     """Wavefunction on an N-axis product grid, N in {1, 2, 3}."""
 
     grids: tuple[UniformGrid1D, ...]
@@ -360,8 +356,7 @@ def symplectic_tomogram_nd(
 # Moments and plane-grid policy for reconstruction pipelines
 
 
-@dataclass(frozen=True)
-class Moments:
+class Moments(_Record):
     mean_q: float
     mean_p: float
     var_q: float

@@ -587,6 +587,39 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path):
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, cli, added], argv[0]
 
 
+# the size of the collector's permanent generation after the library runs, after
+# one main() and after a second one, printed as the last line
+_PRINT_FREEZES = """
+import gc, json
+from functools import partial
+import wavetomo, wavetomo.reconstruct, wavetomo.analytic, wavetomo.fileio, wavetomo.oracles
+from wavetomo.analytic import GcfParams, gcf_tomogram_analytic
+from wavetomo.grid import UniformGrid1D
+from wavetomo.reconstruct import InversionConfig, reconstruct_density_matrix
+rho = reconstruct_density_matrix(partial(gcf_tomogram_analytic, GcfParams(1.0, 0.5)),
+                                 UniformGrid1D.symmetric(1.0, 5), InversionConfig(samples_per_axis=16))
+library = gc.get_freeze_count()
+from wavetomo.cli import main
+assert main(["gcf", "--sigma", "1", "--output", "g"]) == 0
+first = gc.get_freeze_count()
+kept = [{"n": [n]} for n in range(10000)]  # 20,000 objects the collector tracks
+assert main(["gcf", "--sigma", "1", "--output", "h"]) == 0
+print(json.dumps([library, first, gc.get_freeze_count()]))
+"""
+
+
+def test_the_cli_freezes_its_import_heap_once_and_the_library_never(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fileio.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _PRINT_FREEZES], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    library, first, second = json.loads(proc.stdout.splitlines()[-1])
+    assert library == 0
+    assert first > 10000  # numpy's and the package's import-time objects
+    assert second <= first  # the second main() froze nothing new: not the 20,000 kept
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 

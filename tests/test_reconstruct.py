@@ -328,11 +328,13 @@ def test_fresnel_map_refuses_a_ray_outside_its_nu_range():
 
 
 def test_fresnel_rows_equal_interpolation_over_every_column():
-    # the GEMM runs only over the nu' columns that bracket some ray nu/mu (67 of 281
-    # here); each row must still read the same two knots as over the whole map
+    # the GEMMs run only over the nu' columns that bracket some ray nu/mu (67 of 281
+    # here, in 17 runs of adjacent ones); each row must still read the same two knots
+    # as over the whole map, and rho differ from the whole map's by rounding alone
     cfg, gn = InversionConfig(samples_per_axis=64), UniformGrid1D.symmetric(3.2, 281)
     wf = gcf_fresnel_analytic(GcfParams(1.0, 0.5), UniformGrid1D.symmetric(12.0, 915), gn)
-    nus = _pair_nus(UniformGrid1D.symmetric(0.5, 9))
+    g9 = UniformGrid1D.symmetric(0.5, 9)
+    nus = _pair_nus(g9)
     got = np.array([row.c for row in reconstruct._table_from_fresnel(wf, nus, cfg)])
     mu, wmu = _quad_nodes(cfg)
     gx = wf.grid_x
@@ -341,6 +343,11 @@ def test_fresnel_rows_equal_interpolation_over_every_column():
     want = C * wmu * raised_cosine_taper(mu, cfg.mu_window, cfg.taper_fraction)
     assert np.max(np.abs(got - want)) <= 1e-14
     assert np.max(np.abs(want)) > 0.1
+    rows = [reconstruct._Row((nu,), w, mu, c)
+            for nu, w, c in zip(nus, trapezoid_weights(nus.size, g9.step), want)]
+    rho = DensityMatrix.from_raw(g9, reconstruct._rho_on_pairs(rows, (g9,))).values
+    got_rho = reconstruct_density_matrix_fresnel(wf, g9, cfg).values
+    assert np.max(np.abs(got_rho - rho)) <= 1e-15 * np.max(np.abs(rho))
 
 
 def test_fresnel_map_refuses_an_aliasing_x_step():
