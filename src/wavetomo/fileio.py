@@ -12,23 +12,24 @@ A coordinate must be the canonical text of its manifest grid point: the
 grid point written with "%.17g", as the writer prints it. Any other
 spelling of the same number ("1.0" for "1", "5e-1" for "0.5") is refused.
 The writer formats each grid point once and only the value columns per
-cell, and writes one chunk of whole rows (whole blocks in 2D) of about 8192
-values at a time, so its memory does not grow with the file; the reader
-streams the data block from the open file into one structured array,
-compares the coordinate columns as bytes and parses only the value columns
-as floats. It also refuses non-finite values, any NUL byte in the file and
-a manifest whose version is missing or not FORMAT_VERSION.
+cell, and writes one chunk of whole rows (whole blocks in 2D) of about 1024
+values, at most about 60 kB of text, at a time, so its memory does not grow
+with the file; the reader streams the data block from the open file into one
+structured array, compares the coordinate columns as bytes and parses only
+the value columns as floats. It also refuses non-finite values, any NUL byte
+in the file and a manifest whose version is missing or not FORMAT_VERSION.
 
 Parse cache: beside each text file it writes, write_file leaves an entry
 ``.wavetomo-cache/<name>.npy`` in the same directory. The entry is the
 blake2b-256 digest of the text's bytes followed by the payload values as a
 ``.npy`` array. read_file takes the digest in the pass that looks for NUL
-bytes and uses the entry's values in place of the text parse only when its
-digest, shape and dtype match; every other file (goldens, edited or foreign
-text, stale or damaged entries) is parsed as text. The writer formatted
+bytes, over blocks of 64 KiB read from the open file, and uses the entry's
+values in place of the text parse only when its digest, shape and dtype
+match; every other file (goldens, edited or foreign text, stale or damaged
+entries) is parsed as text. The writer formatted
 exactly those values into exactly those bytes, so a hit reads what the parse
 would read, and the payload constructors still check it. An entry is used
-only when the manifest line read is the first line of the hashed bytes, so
+only when the manifest line read is the first line of the hashed blocks, so
 the manifest and the entry's values belong to one text.
 The reader never writes; deleting the cache is always safe; a directory the
 writer cannot write to, or an output that is not a regular file, gets no
@@ -42,7 +43,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import mmap
 import os
 import stat
 import tempfile
@@ -72,7 +72,8 @@ __all__ = [
 FORMAT_VERSION = "1"
 
 MAGIC = "#MANIFEST "
-_CHUNK = 8192  # values per write_file chunk: a chunk's text is held, not the file's
+_CHUNK = 1024  # values per write_file chunk: a chunk's text is held, not the file's
+_SCAN_BYTES = 1 << 16  # bytes per block of read_file's NUL scan and digest
 _CACHE = ".wavetomo-cache"  # the parse cache directory beside the text files
 
 
@@ -297,26 +298,27 @@ def _line_of(path, row: int) -> int:
 
 
 def _scan(f, path) -> tuple[bytes, bytes]:
-    """(first line, blake2b-256 digest) of the bytes of the open file f; raise
-    naming the line of the first NUL byte in the file, if any. The byte
-    comparison of coordinates strips trailing NULs, so a token followed by
-    NULs would otherwise pass for its canonical text; one mapped pass makes
-    the memchr-speed scan and the digest, off the per-line path. The digest
-    is taken of the returned copy of the first line and the mapped rest, so
-    a manifest read from that line belongs to the hashed bytes."""
-    size = os.fstat(f.fileno()).st_size
-    if size == 0:
-        return b"", b""  # nothing to map; the manifest check reports the empty file
-    with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-        at = mm.find(b"\0")
+    """(first line, blake2b-256 digest) of the bytes of the text file f, open at
+    its start; raise naming the line of the first NUL byte in the file, if any.
+    The byte comparison of coordinates strips trailing NULs, so a token followed
+    by NULs would otherwise pass for its canonical text. One pass over blocks of
+    _SCAN_BYTES makes the memchr-speed scan and the digest, off the per-line path;
+    the first line is cut from those blocks, so a manifest read from it belongs
+    to the hashed bytes. f is left at its start."""
+    raw, digest = f.buffer, blake2b(digest_size=32)
+    head, seen = [], 0  # the first line's pieces; the bytes before this block
+    while block := raw.read(_SCAN_BYTES):
+        at = block.find(b"\0")
         if at >= 0:
-            line = mm[:at].count(b"\n") + 1
+            raw.seek(0)
+            line = raw.read(seen + at).count(b"\n") + 1
             raise ManifestError(f"{path}:{line}: NUL byte")
-        head = mm[: mm.find(b"\n") + 1 or size]
-        digest = blake2b(head, digest_size=32)
-        with memoryview(mm) as rest:
-            digest.update(rest[len(head):])
-        return head, digest.digest()
+        digest.update(block)
+        if not (head and head[-1].endswith(b"\n")):  # the first line is still open
+            head.append(block[: block.find(b"\n") + 1 or len(block)])
+        seen += len(block)
+    f.seek(0)
+    return b"".join(head), digest.digest()
 
 
 def _parse(f, path, n_coords: int, n_values: int) -> np.ndarray:

@@ -23,7 +23,7 @@ the one sample count the widest column needs. As w(-X, -mu, -nu) = w(X, mu, nu),
 C(-mu, -nu) = C(mu, nu)* and each mirror pair of rows is computed from the
 source once, at the mu nodes with nonzero weight only. Sources are called,
 and a Fresnel map's [cos; sin](mu X') is built, in blocks of at most
-tomography._BLOCK_BYTES, and a map is read in place: no inversion's memory
+_BLOCK_BYTES (1 MiB), and a map is read in place: no inversion's memory
 grows with the quadrature.
 """
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import DomainLookupError, MissingAnchorError, NodeAtOriginError, UnsupportedSizeError
 from .grid import (DensityMatrix, DensityMatrixNd, SampledWavefunction, UniformGrid1D,
                    WignerFunction, _Record, trapezoid_weights)
-from .tomography import (_ALIAS_A, _BLOCK_BYTES, MAX_X_COUNT, FresnelTomogram, Moments,
+from .tomography import (_ALIAS_A, MAX_X_COUNT, FresnelTomogram, Moments,
                          TomogramPlane, _alias_step)
 
 __all__ = [
@@ -69,6 +69,9 @@ EDGE_FRACTION = 1e-2
 PROBE_EDGE = 1e-12
 PROBE_STEPS = 4.0
 PROBE_GRIDS = 24
+# 8 bytes per value of one source call or probe, and the most one Fresnel-map lookup builds:
+# a source call costs about 60 us whatever its size, so blocks are large
+_BLOCK_BYTES = 1 << 20
 
 
 class PsiReconstruction(_Record):
@@ -309,13 +312,25 @@ def _column_sd(m: Moments, mu, nu):
     return np.sqrt(mu * mu * m.var_q + 2.0 * np.abs(mu * nu * m.cov) + nu * nu * m.var_p)
 
 
+def _sample_count(sd: float) -> int:
+    """The even count of u at which a column of X std sd is sampled at its _alias_step."""
+    return 2 * math.ceil(_ALIAS_A * sd / _alias_step(math.sqrt(2.0) * sd) + 0.5)
+
+
 def _windows(source: Source, nus, cfg: InversionConfig, radial: bool):
     """Each axis's Moments, from its X marginals on the rays (1, 0) and (1, +-1)
     with the other axes at (1, 0) (never at mu = 0, where
     fresnel_as_symplectic_source divides by mu), and the abscissas u of every
-    column: u = j/(k - 1) for odd |j| < k, the even k at which the widest
-    column with taper weight is sampled at its _alias_step. A k over
-    MAX_X_COUNT raises UnsupportedSizeError naming that column.
+    column: u = j/(k - 1) for odd |j| < k, k = _sample_count of the widest
+    column with taper weight. A k over MAX_X_COUNT raises UnsupportedSizeError
+    naming that column.
+
+    A column's window, Y = centre + _ALIAS_A*sd*u, spans +-6.07 standard
+    deviations; _ALIAS_A was derived for the step rule, where it counts 1/e
+    half-widths (sqrt(2)*sd). The window cuts a Gaussian column at about 1.3e-9
+    of its mass, so its integral is accurate to a few 1e-9, not to 2^-53:
+    |C - e^{-sd^2/2}| is 2.6e-9, 2.6e-9 and 1.8e-9 at sd = 0.5, 1 and 3, and
+    1.6e-9, 1.6e-9 and 1.3e-9 at twice k, so the window, not the step, sets it.
     """
     n_axes, mu, window = len(nus), _quad_nodes(cfg)[0], (cfg.mu_window, cfg.taper_fraction)
     ones, moments, widest = [1.0] * n_axes, [], (0.0, 0.0, 0.0)
@@ -329,7 +344,7 @@ def _windows(source: Source, nus, cfg: InversionConfig, radial: bool):
         i = np.argmax(sd)
         widest = max(widest, (sd.flat[i], MU.flat[i], NU.flat[i]))
     sd, mu_w, nu_w = widest
-    k = 2 * math.ceil(_ALIAS_A * sd / _alias_step(math.sqrt(2.0) * sd) + 0.5)
+    k = _sample_count(sd)
     if k > MAX_X_COUNT:
         raise UnsupportedSizeError(
             f"the column (mu, nu) = ({mu_w:g}, {nu_w:g}) has an X std of {sd:g}: sampling it "

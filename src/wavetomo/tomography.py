@@ -22,12 +22,20 @@ Every gridded map (plane, Fresnel, optical) is one call to `_chirp_z_columns`:
 with X and y both on uniform grids the sum over y is a chirp-z transform,
 one FFT convolution of 5-smooth length costing O((n_x + n_y) log) per row,
 run in blocks of rows whose FFT rows, chirps and phase scratch together stay
-within _BLOCK_BYTES, and written straight into the map: at cli-forward's sizes
-the 481 x 161 Fresnel map (0.62 MB) peaks at 2.2 MB under tracemalloc and the
-241 x 129 optical map at 1.7 MB. A Fresnel or optical row is one complex exp
-per y sample; a plane's rows share nu on a uniform mu grid, so they form a
-geometric progression, each block's first row times the powers of the step row
-exp(i*dmu*y^2/(2*nu)): two rows of exps per block.
+within _KERNEL_BYTES (256 KiB), and written straight into the map: at
+cli-forward's sizes the 481 x 161 Fresnel map (0.62 MB) peaks at 1.3 MB under
+tracemalloc, the map and its dataset's frozen copy, and the 241 x 129 optical
+map at 0.9 MB. A Fresnel or optical row is one complex exp per y sample; a
+plane's rows share nu on a uniform mu grid, so they form a geometric
+progression, the plane's first row times the powers of the step row
+exp(i*dmu*y^2/(2*nu)), one running product carried from block to block: two
+rows of exps per plane.
+
+The kernel's budget is its own. reconstruct._BLOCK_BYTES (1 MiB) bounds a
+source call, a Fresnel-map lookup or a probe: a source call has a fixed cost of
+about 60 us, and a two-axis inversion makes over a thousand of them, while a
+block of FFT rows has no per-call cost worth counting, so it is sized for
+memory alone.
 """
 from __future__ import annotations
 
@@ -73,7 +81,7 @@ MAX_X_COUNT = 8192
 # once (2*pi/h - 1)*w/2 >= sqrt(53 ln 2) = 6.0611; 6.07, as at that value a plane's narrowest
 # column at nu = 0 would sit on the bound itself, on the wrong side of it by rounding.
 _ALIAS_A = 6.07
-_BLOCK_BYTES = 1 << 20  # all buffers of a _chirp_z_columns row block: FFT rows, chirps, phases
+_KERNEL_BYTES = 1 << 18  # all buffers of a _chirp_z_columns row block: FFT rows, chirps, phases
 
 
 def _alias_step(w: float) -> float:
@@ -142,12 +150,13 @@ def _fft_size(n: int) -> int:
 
 
 def _block_rows(size: int, shared_chirp: bool) -> int:
-    """Rows per _chirp_z_columns block at FFT length size within _BLOCK_BYTES: an FFT
+    """Rows per _chirp_z_columns block at FFT length size within _KERNEL_BYTES: an FFT
     row (16*size bytes) per row, and per row a chirp (16*size) and float phase row
-    (8*size) or, when the rows share one chirp, that chirp and one phase row."""
+    (8*size) or, when the rows share one chirp, that chirp, one phase row, and the step,
+    carried and spare rows of their running product (16*size each at most)."""
     if shared_chirp:
-        return max(1, (_BLOCK_BYTES // size - 24) // 16)
-    return max(1, _BLOCK_BYTES // (40 * size))
+        return max(1, (_KERNEL_BYTES // size - 72) // 16)
+    return max(1, _KERNEL_BYTES // (40 * size))
 
 
 def _exp_i(phase, out) -> np.ndarray:
@@ -168,9 +177,13 @@ def _chirp_z_columns(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu,
     out of |.|^2. Rows run in blocks of _block_rows, whose FFT rows, chirps and
     float phase scratch are allocated once; every exp is taken in place from the
     scratch. A row is exp(i*(mu*y^2/2 - xc*y - c*j^2/2)/nu)*weighted, one exp each,
-    except on a mu grid: there every block shares one chirp FFT, and its row r is
-    its row 0 times the step row exp(i*dmu*y^2/(2*nu)) to the power r, one cumprod
-    down the block, so a block takes two rows of exps and restarts the product.
+    except on a mu grid: there every block shares one chirp FFT, and row r is row
+    0 times the step row exp(i*dmu*y^2/(2*nu)) to the power r, one cumprod down
+    each block that runs on from the last row of the block before, so a plane
+    takes two rows of exps at any block size. Each cumprod also fills a spare row
+    past its block: numpy multiplies a lone product in a vectorised loop that
+    rounds otherwise, and two or more keep every row on the loop of a long
+    cumprod, so the plane's bits do not depend on the block size.
     """
     n_x, n_y = grid_x.count, grid_y.count
     kc, jc = n_x // 2, n_y // 2
@@ -185,26 +198,30 @@ def _chirp_z_columns(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu,
     mu, d_mu = (mu.points, mu.step) if shared else (mu, 0.0)
     nu = np.reshape(np.asarray(nu, dtype=np.float64), (-1, 1))
     n = min(_block_rows(size, shared), len(mu))
-    buf = np.empty((n, size), np.complex128)
+    # on a mu grid, buf's row 0 carries the product between blocks and a spare row follows them
+    buf = np.empty((n + 2 * shared, size), np.complex128)
     chirp = np.empty((1 if shared else n, size), np.complex128)
     phase = np.empty((1 if shared else n, size))
     for s in range(0, len(mu), n):
         mu_b, nu_b = mu[s : s + n, None], nu if shared else nu[s : s + n]
-        b, c = buf[: len(mu_b)], chirp if shared else chirp[: len(mu_b)]
-        own = 1 if shared else len(b)  # rows built from their own exp
-        if s == 0 or not shared:
+        b, c = buf[shared : shared + len(mu_b)], chirp if shared else chirp[: len(mu_b)]
+        if s == 0 or not shared:  # every row from its own exp, or a grid's first row
             _exp_i(np.divide(cm2, nu_b, out=phase[: len(c)]), c)
             np.fft.fft(c, axis=1, out=c)
-        head = np.multiply(mu_b[:own], y2, out=phase[:own, :n_y])
-        head -= shift
-        head /= nu_b[:own]
-        _exp_i(head, b[:own, :n_y])
-        b[:own, :n_y] *= weighted
-        if len(b) > own:  # row r is row 0 times the r-th power of the step row
-            step_phase = np.multiply(d_mu, y2, out=phase[0, :n_y])
-            step_phase /= nu_b[0]
-            b[2:, :n_y] = _exp_i(step_phase, b[1, :n_y])  # rows apart: no temporary
-            np.cumprod(b[:, :n_y], axis=0, out=b[:, :n_y])
+            head = np.multiply(mu_b[: len(c)], y2, out=phase[: len(c), :n_y])
+            head -= shift
+            head /= nu_b
+            _exp_i(head, b[: len(c), :n_y])
+            b[: len(c), :n_y] *= weighted
+        if shared and len(mu) > 1:  # each row is the row before it times the step row
+            if s == 0:
+                step_phase = np.multiply(d_mu, y2, out=phase[0, :n_y])
+                step_phase /= nu[0]
+                step = _exp_i(step_phase, np.empty(n_y, np.complex128))
+            run = buf[int(s == 0) : len(b) + 2, :n_y]  # from the block's row 0 or the carried row
+            run[1:] = step
+            np.cumprod(run, axis=0, out=run)
+            buf[0, :n_y] = b[-1, :n_y]
         b[:, n_y:] = 0.0
         np.fft.fft(b, axis=1, out=b)
         b *= c
@@ -265,7 +282,7 @@ def symplectic_tomogram_plane(
 
     The mu columns share one nu and a uniform step, so the plane is one
     chirp-z call with one chirp FFT, whose rows are a running product of one
-    step row: two rows of complex exps per row block, not n_mu.
+    step row: two rows of complex exps, not n_mu.
     """
     return TomogramPlane(nu, grid_x, grid_mu, _tomogram_columns(psi, grid_x, grid_mu, nu))
 

@@ -19,7 +19,7 @@ import weakref
 import numpy as np
 import pytest
 
-from wavetomo import fileio
+from wavetomo import fileio, tomography
 from wavetomo.analytic import (
     GcfParams,
     gcf_plane_analytic,
@@ -1035,12 +1035,41 @@ def test_validate_missing_goldens_fails(tmp_path, monkeypatch, capsys):
     assert lines[-1].startswith("FAILED: 1 failure(s)")
 
 
+def test_tiny_buffers_write_the_bytes_of_the_defaults(tmp_path, monkeypatch):
+    # 3 values per writer chunk, 7-byte scan blocks and one kernel row per block: every file
+    # and parse-cache entry of a 5-plane sweep, its psi read-out, a Fresnel map and an
+    # optical map is the defaults' byte for byte
+    def outputs(d):
+        d.mkdir()
+        monkeypatch.chdir(d)
+        for argv in (
+            ["gcf", "--sigma", "1", "--alpha", "2", "--x-count", "257", "--output", "g"],
+            ["tomogram", "--input", "g_psi.txt", "--nu-min", "-1", "--nu-max", "1",
+             "--nu-count", "5", "--output", "pl_{index}.txt"],
+            ["reconstruct", "--input", "pl_*.txt", "--target", "psi", "--output", "psi.txt"],
+            ["tomogram", "--kind", "fresnel", "--input", "g_psi.txt", "--x-count", "81",
+             "--nu-count", "21", "--output", "fresnel.txt"],
+            ["tomogram", "--kind", "optical", "--input", "g_psi.txt", "--x-count", "61",
+             "--theta-count", "17", "--output", "optical.txt"],
+        ):
+            assert run(*argv) == 0, argv
+        return {str(p.relative_to(d)): p.read_bytes() for p in d.rglob("*") if p.is_file()}
+
+    want = outputs(tmp_path / "defaults")
+    monkeypatch.setattr(fileio, "_CHUNK", 3)
+    monkeypatch.setattr(fileio, "_SCAN_BYTES", 7)
+    monkeypatch.setattr(tomography, "_KERNEL_BYTES", 1)
+    got = outputs(tmp_path / "tiny")
+    assert len(want) == 2 * 10 and got == want
+
+
 # ---------------------------------------------------------------------------
 # README
 
 
 def _readme_command_lines():
-    text = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as f:
+        text = f.read()
     section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     block = re.sub(r"\\\n\s*", "", section)  # join continued lines
     return [shlex.split(line)[1:] for line in block.splitlines()

@@ -4,6 +4,7 @@ Every kind must survive write-then-read bit exactly; 17-significant-digit
 decimal serialization guarantees that for 64-bit floats. A read through the
 parse cache must give the same payload as the text parse.
 """
+import hashlib
 import math
 import tracemalloc
 
@@ -307,6 +308,20 @@ def test_write_peak_memory_is_below_half_the_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 2
+
+
+def test_write_peak_memory_is_one_chunk_of_text(tmp_path):
+    # the same map: above the map itself, the writer holds one chunk of 1024 values (about
+    # 55 kB of text) in its template, values, str and bytes, not a share of the file
+    psi = gcf_sampled(GcfParams(1.0, 2.0), count=1025)
+    wf = fresnel_tomogram(psi, UniformGrid1D.symmetric(8.0, 481), UniformGrid1D.symmetric(2.0, 161))
+    tracemalloc.start()
+    try:
+        write_file(tmp_path / "fresnel.txt", wf, {"sigma": 1.0, "alpha": 2.0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 def test_golden_files_rewrite_byte_for_byte(tmp_path):
@@ -692,3 +707,67 @@ def test_only_a_regular_file_gets_an_entry(tmp_path):
     assert not (target / ".wavetomo-cache").exists()
     _, back = read_file(link)
     assert np.array_equal(back.values, psi.values)
+
+
+# ---------------------------------------------------------------------------
+# the streamed scan: one pass over blocks of _SCAN_BYTES for NUL bytes, the digest
+# and the first line
+
+
+def _scanned(path):
+    """_scan's (first line, digest) of path, and the line the open file reads next."""
+    with open(path, encoding="utf-8") as f:
+        head, digest = fileio._scan(f, path)
+        return head, digest, f.readline()
+
+
+def test_nul_several_blocks_in_is_refused_naming_its_line(tmp_path):
+    path = tmp_path / "psi.txt"
+    write_file(path, gcf_sampled(P, UniformGrid1D.symmetric(8.0, 5001)))
+    text = path.read_bytes()
+    at = text.index(b"\n", 4 * fileio._SCAN_BYTES) + 5  # a digit in the fifth block
+    line = text[:at].count(b"\n") + 1
+    assert at // fileio._SCAN_BYTES == 4 and line > 3000
+    path.write_bytes(text[:at] + b"\0" + text[at + 1 :])
+    with pytest.raises(ManifestError, match=rf"psi\.txt:{line}: NUL byte"):
+        read_file(path)
+
+
+def test_first_line_longer_than_a_block_reads_from_its_entry(tmp_path, monkeypatch):
+    path = tmp_path / "psi.txt"
+    psi = gcf_sampled(P, UniformGrid1D.symmetric(5.0, 33))
+    note = "x" * (3 * fileio._SCAN_BYTES)
+    write_file(path, psi, provenance=note)
+    head, _, line = _scanned(path)
+    assert len(head) > 3 * fileio._SCAN_BYTES and head == line.encode("utf-8")
+    # the entry is read only when that line is the first line of the hashed bytes
+    monkeypatch.setattr(fileio, "_parse", lambda *a: pytest.fail("the text was parsed"))
+    manifest, back = read_file(path)
+    assert manifest.provenance == note and np.array_equal(back.values, psi.values)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("text", [b"", b"#MANIFEST {} and no newline" * 9, b"a\n\nb\n", None],
+                         ids=["empty", "no-newline", "short-lines", "written"])
+def test_scan_takes_the_first_line_and_the_digest_of_every_byte(tmp_path, monkeypatch,
+                                                                 block, text):
+    path = tmp_path / "f.txt"
+    if text is None:
+        write_file(path, gcf_sampled(P, UniformGrid1D.symmetric(5.0, 33)))
+        text = path.read_bytes()
+    else:
+        path.write_bytes(text)
+    if block:
+        monkeypatch.setattr(fileio, "_SCAN_BYTES", block)
+    head, digest, line = _scanned(path)
+    assert head == text[: text.find(b"\n") + 1 or len(text)]
+    assert digest == hashlib.blake2b(text, digest_size=32).digest()
+    assert line.encode("utf-8") == head  # the file is left at its start
+
+
+def test_manifest_without_a_newline_reads_as_a_file_without_rows(tmp_path):
+    path = tmp_path / "psi.txt"
+    write_file(path, gcf_sampled(P, UniformGrid1D.symmetric(5.0, 33)))
+    path.write_bytes(path.read_bytes().split(b"\n", 1)[0])
+    with pytest.raises(ManifestError, match=r"expected 33 data rows, found 0"):
+        read_file(path)

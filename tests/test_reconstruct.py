@@ -49,14 +49,15 @@ from wavetomo.reconstruct import (
     reconstruct_psi,
     reconstruct_wigner,
     wigner_from_planes,
+    _BLOCK_BYTES,
     _column_weights,
     _pair_nus,
     _quad_nodes,
+    _sample_count,
     _windows,
 )
 from wavetomo.tomography import (
     _ALIAS_A,
-    _BLOCK_BYTES,
     MAX_X_COUNT,
     FresnelTomogram,
     TomogramPlane,
@@ -675,6 +676,18 @@ def test_asymmetry_reports_a_source_without_point_symmetry():
     assert reconstruct_density_matrix(skewed, g, SMALL_CFG).asymmetry > 1e-6
     rho = reconstruct_density_matrix(partial(gcf_tomogram_analytic, p), g, SMALL_CFG)
     assert rho.asymmetry <= 1e-14
+
+
+@pytest.mark.parametrize("sd", [0.5, 1.0, 3.0])
+def test_a_gaussian_column_integrates_within_its_window_cut(sd):
+    # one column of X std sd on its window of +-_ALIAS_A = 6.07 std at its _sample_count:
+    # the window cuts about 1.3e-9 of the Gaussian's mass, and C is off by 1.8e-9 to 2.6e-9
+    k = _sample_count(sd)
+    u = np.arange(1 - k, k, 2) / (k - 1)
+    Y = _ALIAS_A * sd * u
+    column = np.exp(-0.5 * (Y / sd) ** 2) / (math.sqrt(2.0 * math.pi) * sd)
+    C = column @ _column_weights(np.array([sd]), u)[0]
+    assert abs(C - math.exp(-0.5 * sd * sd)) < 5e-9
 
 
 def test_column_weights_computed_once_per_abs_nu(monkeypatch):

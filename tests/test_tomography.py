@@ -281,9 +281,10 @@ def psi_forward():
 def test_fresnel_block_seams_match_scalar_oracle(psi_forward):
     gx, gnu = FORWARD_FRESNEL
     wf = fresnel_tomogram(psi_forward, gx, gnu)
+    # 160 rows off nu = 0 in 40 blocks of 4: the first two and the last two blocks' edges
     edges = _block_edges(gx.count, psi_forward.grid.count, gnu.points)
-    assert len(edges) >= 3 and edges[-1][1] - edges[-1][0] < edges[0][1] - edges[0][0]
-    for j in sorted({j for edge in edges for j in edge}):
+    assert len(edges) >= 3
+    for j in sorted({j for edge in edges[:2] + edges[-2:] for j in edge}):
         nu = gnu.point(j)
         want = [symplectic_tomogram(psi_forward, gx.point(i), 1.0, nu) for i in range(gx.count)]
         assert np.max(np.abs(wf.values[:, j] - want)) <= 1e-12, j
@@ -337,17 +338,29 @@ def test_explicit_grid_planes_match_scalar_oracle(psi_sweep, n_mu, nu):
 
 def test_plane_block_seam_matches_scalar_oracle(psi_sweep):
     # the nu = 0.1 reference plane: 395 X by 46 mu at FFT length 1440 runs as row blocks
-    # of 44 and 2, the second restarting the running product from its own exp
+    # of 6, the last of 4, each running on the product carried from the block before
     nu = 0.1
     gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi_sweep))
     assert _fft_size(gx.count + psi_sweep.grid.count - 1) == 1440
     edges = _block_edges(gx.count, psi_sweep.grid.count, np.full(gmu.count, nu), True)
-    assert edges == [(0, 43), (44, 45)]
+    assert edges[:2] == [(0, 5), (6, 11)] and edges[-1] == (42, 45)
     plane = symplectic_tomogram_plane(psi_sweep, gx, gmu, nu)
-    for j in (42, 43, 44, 45):
+    for j in (5, 6, 41, 42, 45):
         want = [symplectic_tomogram(psi_sweep, gx.point(i), gmu.point(j), nu)
                 for i in range(gx.count)]
         assert np.max(np.abs(plane.values[:, j] - want)) <= 1e-12, j
+
+
+@pytest.mark.parametrize("nu", [0.1, -0.4, 3.0])
+def test_plane_bits_do_not_depend_on_the_block_size(psi_sweep, monkeypatch, nu):
+    # blocks of one row (each cumprod a lone product past the carried row), the default
+    # and one block for the whole plane give the same bits
+    gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi_sweep))
+    planes = []
+    for budget in (1, tomography._KERNEL_BYTES, 1 << 40):
+        monkeypatch.setattr(tomography, "_KERNEL_BYTES", budget)
+        planes.append(symplectic_tomogram_plane(psi_sweep, gx, gmu, nu).values)
+    assert all(np.array_equal(p, planes[-1]) for p in planes[:-1])
 
 
 class _CountingNumpy:
@@ -367,29 +380,31 @@ class _CountingNumpy:
 
 @pytest.mark.parametrize("n_x", [41, 15])
 def test_long_plane_blocks_match_scalar_oracle(n_x):
-    # a 129-point psi at FFT lengths 180 and 144 runs blocks of 362 and 453 rows, so the
-    # running product over 400 mu columns reaches 361 and 399 steps from its row 0
+    # a 129-point psi at FFT lengths 180 and 144 runs blocks of 86 and 109 rows, and the
+    # running product over 400 mu columns carries across them, 399 steps from its row 0
     psi = gcf_sampled(GcfParams(1.0, 1.0), count=129)
     gx, gmu, nu = UniformGrid1D.symmetric(6.0, n_x), UniformGrid1D.symmetric(4.0, 400), 0.5
     size = _fft_size(n_x + psi.grid.count - 1)
-    assert _block_rows(size, True) == {41: 362, 15: 453}[n_x]
+    assert _block_rows(size, True) == {41: 86, 15: 109}[n_x]
     plane = symplectic_tomogram_plane(psi, gx, gmu, nu)
     want = [[symplectic_tomogram(psi, gx.point(i), gmu.point(j), nu) for j in range(gmu.count)]
             for i in range(gx.count)]
     assert np.max(np.abs(plane.values - want)) <= 1e-12
 
 
-def test_plane_rows_take_two_rows_of_exps_per_block(psi_sweep, monkeypatch):
-    # the nu = 0.1 reference plane's 46 rows: blocks of 44 and 2, each with its row 0 and
-    # its step row of exps, plus the one chirp both blocks share; one exp per row would
-    # be 46 * n_y
+@pytest.mark.parametrize("budget", [tomography._KERNEL_BYTES, 1])
+def test_plane_rows_take_two_rows_of_exps_per_plane(psi_sweep, monkeypatch, budget):
+    # the nu = 0.1 reference plane's 46 rows, in blocks of 6 or of 1: its row 0 and its
+    # step row of exps, plus the one chirp every block shares; one exp per row would be
+    # 46 * n_y
     nu = 0.1
     gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi_sweep))
     n_y, size = psi_sweep.grid.count, _fft_size(gx.count + psi_sweep.grid.count - 1)
     counting = _CountingNumpy()
     monkeypatch.setattr(tomography, "np", counting)
+    monkeypatch.setattr(tomography, "_KERNEL_BYTES", budget)
     symplectic_tomogram_plane(psi_sweep, gx, gmu, nu)
-    assert gmu.count == 46 and counting.exps == 4 * n_y + size == 5540
+    assert gmu.count == 46 and counting.exps == 2 * n_y + size == 3490
     counting.exps = 0
     _tomogram_columns(psi_sweep, gx, gmu.points, np.full(gmu.count, nu))
     assert counting.exps == 46 * (n_y + size)  # a row and a chirp per column
@@ -427,25 +442,26 @@ def _peak_bytes(make):
         tracemalloc.stop()
 
 
-# A row block holds about 1 MB of FFT rows, chirps and phases, and a map is written once
-# into its output before the dataset's frozen copy: peaks of about 2.2, 1.7 and 1.6 MB
+# A row block holds at most 256 KiB of FFT rows, chirps and phases, and a map is written
+# once into its output before the dataset's frozen copy: peaks of about 1.3, 0.9 and 0.6 MB
+# (2.2, 1.7 and 1.5 MB with 1 MiB blocks)
 
 
 def test_fresnel_peak_memory_does_not_grow_with_the_map(psi_forward):
     # the map itself is 0.62 MB
-    assert _peak_bytes(lambda: fresnel_tomogram(psi_forward, *FORWARD_FRESNEL)) < 3e6
+    assert _peak_bytes(lambda: fresnel_tomogram(psi_forward, *FORWARD_FRESNEL)) < 1.6e6
 
 
 def test_optical_peak_memory_does_not_grow_with_the_map(psi_forward):
     # the map itself is 0.25 MB
-    assert _peak_bytes(lambda: _cli_forward_optical(psi_forward)) < 3e6
+    assert _peak_bytes(lambda: _cli_forward_optical(psi_forward)) < 1.3e6
 
 
 def test_plane_peak_memory_does_not_grow_with_the_plane(psi_sweep):
     # the nu = 0.1 reference plane, 395 X by 46 mu, is itself 0.15 MB
     nu = 0.1
     gx, gmu = plane_grids_for_slice(nu, wavefunction_moments(psi_sweep))
-    assert _peak_bytes(lambda: symplectic_tomogram_plane(psi_sweep, gx, gmu, nu)) < 3e6
+    assert _peak_bytes(lambda: symplectic_tomogram_plane(psi_sweep, gx, gmu, nu)) < 1e6
 
 
 def test_optical_map_matches_scalar_oracle(psi_chirped):
