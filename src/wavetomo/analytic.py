@@ -17,7 +17,8 @@ Mancini, Man'ko and Tombesi, Phys. Lett. A 213, 1 (1996)).
 
 gcf_tomogram_analytic vectorizes, so it serves the source inversions as a
 callable (bound to its parameters with functools.partial); wigner_direct is
-the slow, assumption-free Wigner oracle for arbitrary sampled states.
+the exact Wigner function of any sampled state, read off its samples by the
+one rule the forward maps use, tomography._spectrum.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .tomography import (
     FresnelTomogram,
     Moments,
     TomogramPlane,
+    _spectrum,
     plane_grids_for_slice,
 )
 
@@ -257,18 +259,19 @@ def analytic_plane_set(p: GcfParams, nu_values: Sequence[float]) -> list[Tomogra
 
 
 def wigner_direct(psi: SampledWavefunction, q: float, p: float) -> float:
-    """(1/2pi) Int psi(q + u/2) conj(psi(q - u/2)) e^{-ipu} du by quadrature.
+    """W(q, p) = (1/pi) Int psi(q + s) conj(psi(q - s)) e^{-2ips} ds, exactly, of psi's
+    band-limited interpolant (tomography._spectrum; zero off psi's grid).
 
-    Off-grid psi values are linearly interpolated (zero outside the grid).
-    The u step resolves both the sampling of psi and the e^{-ipu} phase.
+    The spectrum, zero-padded to 2n and shifted by q, is inverse-FFT'd onto q + j*h/2;
+    the sum over s = j*h/2 is then exact for |p| < pi/h.
     """
-    g = psi.grid
-    step = min(g.step, np.pi / (3.0 * (1.0 + abs(p))))
-    half = g.width  # integrand support: both shifted points inside the grid
-    n = 2 * math.ceil(half / step) + 1
-    u = np.linspace(-half, half, n)
-    du = u[1] - u[0]
-    f = psi.interp_at(q + 0.5 * u) * np.conj(psi.interp_at(q - 0.5 * u))
-    val = np.trapezoid(f * np.exp(-1j * p * u), dx=du) / (2.0 * np.pi)
+    g, n = psi.grid, psi.grid.count
+    k, c = _spectrum(psi.values, g)
+    c *= np.exp(1j * q * k)
+    pos = (n + 1) // 2  # bins of nonnegative momentum; the rest go to the end
+    half = 2.0 * np.fft.ifft(np.concatenate((c[:pos], np.zeros(n), c[pos:])))
+    j = np.arange(-2 * (n - 1), 2 * n - 1)
+    x = q + 0.5 * g.step * j
+    f = np.where((g.start <= x) & (x <= g.end), half[j % (2 * n)], 0.0)
+    val = (f * np.conj(f[::-1])) @ np.exp(-1j * p * g.step * j) * (g.step / (2.0 * np.pi))
     return float(val.real)
-

@@ -380,10 +380,11 @@ def _cmd_tomogram_nd(args) -> int:
 
 
 def _expand_inputs(paths) -> list[str]:
-    """Expand glob patterns so quoted wildcards work on any shell."""
+    """Expand glob patterns so quoted wildcards work on any shell; a path that names
+    a file is read as it is, though it holds *, ? or [."""
     out: list[str] = []
     for path in paths:
-        if any(c in path for c in "*?["):
+        if any(c in path for c in "*?[") and not os.path.isfile(path):
             hits = sorted(glob.glob(path))
             if not hits:
                 raise UsageError(f"no files match {path!r}")

@@ -186,14 +186,6 @@ class SampledWavefunction:
             raise ValueError("cannot normalize identically-zero samples")
         return SampledWavefunction(grid, _Owned(vals / np.sqrt(norm2)))
 
-    def interp_at(self, x) -> np.ndarray:
-        """Linear interpolation of the complex samples; zero outside the grid."""
-        x = np.asarray(x, dtype=np.float64)
-        pts = self.grid.points
-        re = np.interp(x, pts, self.values.real, left=0.0, right=0.0)
-        im = np.interp(x, pts, self.values.imag, left=0.0, right=0.0)
-        return re + 1j * im
-
 
 def trapezoid_weights(n: int, step: float) -> np.ndarray:
     """Composite trapezoid weights for n uniform samples: `step`, halved at both ends."""

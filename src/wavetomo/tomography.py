@@ -16,7 +16,8 @@ enough for the oscillatory kernel (roughly step < 2*pi / ((|mu|*y_max + |X|)/|nu
 Every point value is one loop over the axes, `symplectic_tomogram_nd`
 (`symplectic_tomogram` is its one-axis call). Maps and points read the nu = 0
 limit |psi(X/mu)|^2 / |mu| from one rule, psi's band-limited interpolant (zero
-off its grid, `_momenta`), so a product state's tomogram is its factors'.
+off its grid, `_spectrum`), so a product state's tomogram is its factors'.
+`analytic.wigner_direct` reads the same interpolant.
 
 Every gridded map (plane, Fresnel, optical) is one call to `_chirp_z_columns`:
 with X and y both on uniform grids the sum over y is a chirp-z transform,
@@ -70,7 +71,7 @@ __all__ = [
     "plane_grids_for_slice",
 ]
 
-# Below this, |nu| (or |sin t|, |mu|) counts as zero and the nu = 0 rule (_momenta) applies.
+# Below this, |nu| (or |sin t|, |mu|) counts as zero and the nu = 0 rule (_spectrum) applies.
 EPS_NU = 1e-8
 
 NEGATIVITY_TOL = -1e-10
@@ -234,16 +235,23 @@ def _chirp_z_columns(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu,
 
 
 def _momenta(grid: UniformGrid1D) -> np.ndarray:
-    """p = 2*pi*fftfreq(n, h) of the one nu = 0 rule: psi(x) is psi's band-limited
-    interpolant Sum_k c_k exp(i*p_k*x) on its grid and 0 off it, c = fft(psi)*exp(-i*p*x0)/n."""
+    """p = 2*pi*fftfreq(n, h), the Nyquist bin at -pi/h: the momenta of _spectrum."""
     return 2.0 * np.pi * np.fft.fftfreq(grid.count, grid.step)
+
+
+def _spectrum(values, grid: UniformGrid1D) -> tuple[np.ndarray, np.ndarray]:
+    """(p, c), c = fft(psi)*exp(-i*p*x0) along values' last axis: the one rule that reads
+    psi off its samples. psi(x) is its band-limited interpolant Sum_k c_k exp(i*p_k*x)/n
+    on its grid [x0, x1] and 0 off it."""
+    p = _momenta(grid)
+    return p, np.fft.fft(values) * np.exp(-1j * grid.start * p)
 
 
 def _tomogram_columns(psi: SampledWavefunction, grid_x: UniformGrid1D, mu, nu) -> np.ndarray:
     """w(X, mu_r, nu_r) for X on grid_x, one column per mu_r; nu is one value or one per
     column, and mu one value per column or, with one nu, the columns' UniformGrid1D.
 
-    Columns at |nu| <= EPS_NU are one chirp-z call by _momenta's rule, over sqrt(2*pi)*c
+    Columns at |nu| <= EPS_NU are one chirp-z call by _spectrum's rule, over sqrt(2*pi)*c
     on the p grid at mu_r = 0, nu_r = -mu; the rest one more, which writes them in place:
     with one shared chirp and rows as a running product when mu is a grid.
     """
@@ -258,8 +266,8 @@ def _tomogram_columns(psi: SampledWavefunction, grid_x: UniformGrid1D, mu, nu) -
     out = np.empty((grid_x.count, mu.size))
     g, cols, live = psi.grid, np.flatnonzero(flat), np.flatnonzero(~flat)
     if cols.size:
-        p = _momenta(g)
-        c = np.fft.fftshift(np.fft.fft(psi.values) * np.exp(-1j * g.start * p))
+        p, c = _spectrum(psi.values, g)
+        c = np.fft.fftshift(c)
         c *= math.sqrt(2.0 * math.pi) / g.count
         grid_p = UniformGrid1D(p.min(), p[1], g.count)
         _chirp_z_columns(c, grid_p, grid_x, np.zeros(cols.size), -mu[cols], out, cols)
@@ -344,7 +352,7 @@ def symplectic_tomogram_nd(
     """Product-kernel symplectic tomogram of an N-axis wavefunction.
 
     One loop over the axes, last first, contracts psi with each axis's kernel:
-    the chirped one, or at |nu_k| <= EPS_NU that of _momenta's interpolant at
+    the chirped one, or at |nu_k| <= EPS_NU that of _spectrum's interpolant at
     X_k/mu_k (zero off the grid) with factor 1/|mu_k|, so a product state's value
     is its factors' product. A degenerate axis (mu_k and nu_k both below
     threshold) raises. At mu = (1, ..., 1) this is the N-axis Fresnel tomogram.
@@ -358,8 +366,8 @@ def symplectic_tomogram_nd(
             if abs(mu) <= EPS_NU:
                 where = f"axis {axis}: " if psi.ndim > 1 else ""
                 raise DegeneratePointError(f"{where}(mu, nu) = ({mu}, {nu}) is degenerate")
-            k = np.fft.fft(np.exp(1j * (X / mu - g.start) * _momenta(g))) / g.count
-            k *= g.start <= X / mu <= g.end
+            p, amp = _spectrum(amp, g)
+            k = np.exp(1j * (X / mu) * p) * ((g.start <= X / mu <= g.end) / g.count)
             factor /= abs(mu)
         else:
             y = g.points
@@ -389,7 +397,7 @@ def wavefunction_moments(psi: SampledWavefunction) -> Moments:
     """First and second position/momentum moments via quadrature.
 
     Momentum moments take psi' from psi's spectrum, the derivative of the
-    band-limited interpolant that the nu = 0 rule reads (_momenta).
+    band-limited interpolant that the nu = 0 rule reads (_spectrum).
     """
     x = psi.grid.points
     step = psi.grid.step

@@ -5,13 +5,16 @@ oracle (direct quadrature, closed forms, or the tensor-product construction);
 the printed line records the measured number next to the tolerance so a
 failure is diagnosable from the log alone. The checks `wavetomo validate`
 runs are rows of `wavetomo.oracles.ORACLES`; `test_oracle` runs every row,
-fast and full, so they are not repeated here.
+fast and full, so they are not repeated here. `test_oracle` also runs
+`TIER1_ROWS`, checks of the program that `validate` leaves to the tests.
 """
 
+import itertools
 import math
-import shutil
+import tempfile
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +22,25 @@ import pytest
 from wavetomo.analytic import (
     GcfParams,
     analytic_plane_set,
+    fock1_psi,
+    gaussian2_psi,
+    gcf_fresnel_analytic,
     gcf_psi,
     gcf_sampled,
     gcf_tomogram_analytic,
 )
 from wavetomo.cli import main as cli_main
-from wavetomo.grid import UniformGrid1D
-from wavetomo.oracles import ORACLES, golden_dir
+from wavetomo.fileio import read_file, write_file
+from wavetomo.grid import SampledWavefunction, UniformGrid1D
+from wavetomo.oracles import (
+    GOLDEN_COMBOS,
+    GOLDEN_GRID_NU,
+    GOLDEN_GRID_X,
+    GOLDEN_PROVENANCE,
+    ORACLES,
+    golden_dir,
+    golden_name,
+)
 from wavetomo.reconstruct import (
     InversionConfig,
     fresnel_as_symplectic_source,
@@ -34,7 +49,14 @@ from wavetomo.reconstruct import (
     reconstruct_psi,
     reconstruct_wigner,
 )
-from wavetomo.tomography import symplectic_tomogram
+from wavetomo.tomography import (
+    NdWavefunction,
+    fresnel_tomogram,
+    optical_tomogram_map,
+    symplectic_tomogram,
+    symplectic_tomogram_nd,
+    symplectic_tomogram_plane,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -178,10 +200,131 @@ def test_criterion_8_validate_fast_budget(monkeypatch, capsys):
     )
 
 
-@pytest.mark.parametrize("name,level,check", ORACLES, ids=[row[0] for row in ORACLES])
-def test_oracle(name, level, check, tmp_path):
-    # a copy, so the full rows regenerate goldens outside the package tree
-    gdir = tmp_path / "golden"
-    shutil.copytree(golden_dir(), gdir)
-    ok, detail = check(gdir)
+# Rows `validate` does not run, under the names they had in its table: each measures
+# the program itself, where `forward-identities`, `golden-files` and the closed-form
+# tests of tests/test_analytic.py measure the same identity another way.
+
+
+def _states():
+    g = UniformGrid1D.symmetric(8.0, 4097)
+    return (gcf_sampled(GcfParams(1.0, 1.0), count=4097),
+            gcf_sampled(GcfParams(0.5, 2.0), count=4097),
+            SampledWavefunction.normalized(g, fock1_psi(g.points)))
+
+
+def _golden_regeneration(gdir):
+    # the ten closed-form maps, written, then read back through write_file's parse-cache
+    # entry and, from a copy of their bytes that has none, through the text parser
+    differ = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out, text = Path(tmp, "out"), Path(tmp, "text")
+        out.mkdir()
+        text.mkdir()
+        for s, a in GOLDEN_COMBOS:
+            want = gcf_fresnel_analytic(GcfParams(s, a), GOLDEN_GRID_X, GOLDEN_GRID_NU)
+            name = golden_name(s, a)
+            write_file(out / name, want, {"sigma": s, "alpha": a}, GOLDEN_PROVENANCE)
+            (text / name).write_bytes((out / name).read_bytes())
+            for path in (out / name, text / name):
+                got = read_file(path)[1]
+                if (got.grid_x, got.grid_nu) != (want.grid_x, want.grid_nu) or not np.array_equal(
+                        got.values, want.values):
+                    differ.append(f"{path.parent.name}/{name}")
+    return not differ, (f"read back unequal: {', '.join(differ)}" if differ else
+                        f"{len(GOLDEN_COMBOS)} maps written and read back, through their cache "
+                        f"entries and through the text, equal the closed form bit for bit")
+
+
+def _golden_round_trip(gdir):
+    # every shipped golden, parsed in place (the reader writes nothing), is its closed form
+    listing = sorted(p.name for p in gdir.iterdir())
+    differ = []
+    for s, a in GOLDEN_COMBOS:
+        wf = read_file(gdir / golden_name(s, a))[1]
+        want = gcf_fresnel_analytic(GcfParams(s, a), GOLDEN_GRID_X, GOLDEN_GRID_NU)
+        if (wf.grid_x, wf.grid_nu) != (want.grid_x, want.grid_nu) or not np.array_equal(
+                wf.values, want.values):
+            differ.append(golden_name(s, a))
+    kept = sorted(p.name for p in gdir.iterdir()) == listing
+    return not differ and kept, (
+        f"{len(GOLDEN_COMBOS) - len(differ)} of {len(GOLDEN_COMBOS)} read-backs equal the "
+        f"generator bit for bit; directory listing {'unchanged' if kept else 'changed'}")
+
+
+def _homogeneity(gdir):
+    # w(lX, lmu, lnu) = w / |l|^N on the N = 2 path, its chirped and its flat (nu = 0) axes
+    A, g = np.array([[1.0, 0.6], [0.6, 1.5]]), UniformGrid1D.symmetric(8.0, 301)
+    psi = NdWavefunction((g, g), gaussian2_psi(A, g.points[:, None], g.points[None, :]))
+    worst = 0.0
+    for X, mu, nu in (((0.3, -0.5), (0.8, -0.4), (0.6, 1.2)),
+                      ((0.0, 0.4), (0.0, 1.0), (1.0, 0.0)),
+                      ((0.3, -0.5), (0.8, 1.3), (0.0, 0.0))):
+        base = symplectic_tomogram_nd(psi, X, mu, nu)
+        for lam in (-2.0, 0.5, 3.0):
+            scaled = symplectic_tomogram_nd(psi, *([lam * v for v in t] for t in (X, mu, nu)))
+            worst = max(worst, abs(scaled - base / lam**2) / base)
+    return worst <= 1e-8, (
+        f"entangled state on 301^2 points, three points (two with nu = 0 axes): "
+        f"max rel dev {worst:.2e} (tol 1e-8) over scale factors -2, 0.5, 3")
+
+
+def _nonnegativity(gdir):
+    gx, gn, gt = (UniformGrid1D.symmetric(6.0, 121), UniformGrid1D.symmetric(2.0, 41),
+                  UniformGrid1D(0.0, math.pi / 40, 40))
+    low = min(float(min(fresnel_tomogram(psi, gx, gn).values.min(),
+                        optical_tomogram_map(psi, gx, gt).values.min()))
+              for psi in _states())
+    return low >= -1e-10, (f"min Fresnel and optical map value over three states {low:.2e} "
+                           f"(floor -1e-10)")
+
+
+def _fresnel_is_mu1_line(gdir):
+    # the Fresnel map's columns are the mu = 1 rows of the planes at the same nu'
+    gx, gn = UniformGrid1D.symmetric(4.0, 17), UniformGrid1D.symmetric(1.5, 7)
+    gmu = UniformGrid1D(0.5, 0.5, 3)  # its middle node is mu = 1 exactly
+    dev = 0.0
+    for psi in _states():
+        wf = fresnel_tomogram(psi, gx, gn)
+        for j, nu in enumerate(gn.points.tolist()):
+            row = symplectic_tomogram_plane(psi, gx, gmu, nu).values[:, 1]
+            dev = max(dev, float(np.max(np.abs(row - wf.values[:, j]))))
+    return dev <= 1e-10, f"max dev from the planes' mu = 1 rows {dev:.2e} (tol 1e-10)"
+
+
+def _chirp_shift(gdir):
+    # the sampled alpha state's values equal the alpha = 0 state's at mu + 2*alpha*nu
+    pa, p0 = (gcf_sampled(GcfParams(1.0, a), count=4097) for a in (2.0, 0.0))
+    dev = max(abs(symplectic_tomogram(pa, X, mu, nu)
+                  - symplectic_tomogram(p0, X, mu + 4.0 * nu, nu))
+              for X, mu, nu in itertools.product((-1.0, 0.5), (0.3, 1.2), (0.4, 1.5)))
+    return dev <= 1e-12, f"max dev {dev:.2e} (tol 1e-12)"
+
+
+def _chirp_peak_shrink(gdir):
+    # the sampled states' peak strictly falls with chirp at width 1; the drop softens
+    # at width 0.5
+    h1, h05 = ([symplectic_tomogram(gcf_sampled(GcfParams(s, a), count=4097), 0.0, 1.0, 0.5)
+                for a in (0.0, 0.5, 1.0, 2.0, 3.0)] for s in (1.0, 0.5))
+    mono = all(b < a for a, b in zip(h1, h1[1:]))
+    rel_1, rel_05 = ((h[1] - h[-1]) / h[1] for h in (h1, h05))  # chirp 0.5 -> 3
+    return mono and rel_05 < rel_1, (
+        f"strictly decreasing over chirps 0..3 at width 1; relative drop {rel_1:.4f} "
+        f"at width 1 vs {rel_05:.4f} at width 0.5 (must be smaller)")
+
+
+TIER1_ROWS = (
+    ("golden-regeneration", "tier-1", _golden_regeneration),
+    ("golden-round-trip", "tier-1", _golden_round_trip),
+    ("homogeneity", "tier-1", _homogeneity),
+    ("nonnegativity", "tier-1", _nonnegativity),
+    ("fresnel-is-mu1-line", "tier-1", _fresnel_is_mu1_line),
+    ("chirp-shift", "tier-1", _chirp_shift),
+    ("chirp-peak-shrink", "tier-1", _chirp_peak_shrink),
+)
+
+
+@pytest.mark.parametrize("name,level,check", (*ORACLES, *TIER1_ROWS),
+                         ids=[row[0] for row in (*ORACLES, *TIER1_ROWS)])
+def test_oracle(name, level, check):
+    ok, detail = check(golden_dir())  # no row writes to the golden directory
     _report(f"oracle {name} ({level})", ok, detail)

@@ -26,6 +26,7 @@ from wavetomo.analytic import (
     gcf_tomogram_analytic,
     gcf_tomogram_ft_analytic,
     gcf_width,
+    gcf_wigner_analytic,
     wigner_direct,
 )
 from wavetomo.errors import DegeneratePointError, SingularFrequencyError
@@ -121,11 +122,20 @@ def test_width_matches_gaussian_fit_of_profile():
 
 
 def test_peak_shrinks_with_chirp():
-    peaks = [
-        gcf_tomogram_analytic(GcfParams(1.0, a), 0.0, 1.0, 0.5)
-        for a in (0.0, 0.5, 1.0, 2.0, 3.0)
-    ]
+    # the peak strictly falls with chirp at width 1; the drop softens at width 0.5
+    peaks, narrow = ([gcf_tomogram_analytic(GcfParams(s, a), 0.0, 1.0, 0.5)
+                      for a in (0.0, 0.5, 1.0, 2.0, 3.0)] for s in (1.0, 0.5))
     assert all(b < a for a, b in zip(peaks, peaks[1:]))
+    drop, drop_narrow = ((h[1] - h[-1]) / h[1] for h in (peaks, narrow))  # chirp 0.5 -> 3
+    assert drop_narrow < drop
+
+
+def test_profile_normalization():
+    gx = UniformGrid1D.symmetric(12.0, 1201)
+    for s, a in ((1.0, 1.0), (0.5, 0.5)):
+        for mu, nu in ((1.0, 0.5), (0.2, 1.5)):
+            prof = gcf_tomogram_analytic(GcfParams(s, a), gx.points, mu, nu)
+            assert float(np.trapezoid(prof, dx=gx.step)) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_lattice_analytic_vs_numerical_tomogram():
@@ -166,18 +176,31 @@ def test_ft_singular_frequency_raises():
 
 def test_wigner_direct_peak():
     psi = gcf_sampled(GcfParams(math.sqrt(2.0), 0.0))
-    assert wigner_direct(psi, 0.0, 0.0) == pytest.approx(1.0 / math.pi, abs=1e-5)
+    assert wigner_direct(psi, 0.0, 0.0) == pytest.approx(1.0 / math.pi, abs=1e-12)
+
+
+@pytest.mark.parametrize("count", [256, 257, 1024, 1025])
+def test_wigner_direct_is_the_exact_w_of_psis_interpolant(count):
+    # measured 2.5e-16 at most, at the centre and off it
+    p, g = GcfParams(1.0, 1.0), UniformGrid1D.symmetric(8.0, count)
+    psi, fock = gcf_sampled(p, count=count), SampledWavefunction.normalized(g, fock1_psi(g.points))
+    points = ((0.0, 0.0), (0.7, -0.4), (-1.1, 1.3), (1.9, 0.6), (-2.5, -1.7))
+    for q, pm in points:
+        assert wigner_direct(psi, q, pm) == pytest.approx(gcf_wigner_analytic(p, q, pm), abs=1e-12)
+        assert wigner_direct(fock, q, pm) == pytest.approx(fock1_wigner(q, pm), abs=1e-12)
+    # psi is zero off its grid, so W is too, at any p
+    assert wigner_direct(psi, psi.grid.end + 0.01, 0.3) == 0.0
+    assert wigner_direct(fock, -100.0, 0.0) == 0.0
 
 
 def test_wigner_direct_momentum_marginal():
     p = GcfParams(math.sqrt(2.0), 0.0)
-    # interpolation error is O(step^2); the dense sampling buys the 1e-6
-    psi = gcf_sampled(p, count=8193)
+    psi = gcf_sampled(p)
     q = 0.6
     ps = np.linspace(-6.0, 6.0, 241)
     vals = np.array([wigner_direct(psi, q, pm) for pm in ps])
     marg = np.trapezoid(vals, ps)
-    assert marg == pytest.approx(abs(gcf_psi(p, q)) ** 2, abs=1e-6)
+    assert marg == pytest.approx(abs(gcf_psi(p, q)) ** 2, abs=1e-12)  # measured 3.3e-16
 
 
 def test_wigner_direct_normalization():
@@ -185,7 +208,7 @@ def test_wigner_direct_normalization():
     qs = np.linspace(-6.0, 6.0, 61)
     W = np.array([[wigner_direct(psi, q, pm) for pm in qs] for q in qs])
     total = np.trapezoid(np.trapezoid(W, qs, axis=1), qs)
-    assert total == pytest.approx(1.0, abs=1e-4)
+    assert total == pytest.approx(1.0, abs=1e-12)  # measured 2.2e-16
     assert W.min() >= -1e-10
 
 
@@ -290,8 +313,8 @@ def test_fock1_closed_forms_match_the_forward_map_and_direct_wigner():
                 for X in (-1.3, 0.0, 0.4, 2.1) for mu in (-0.8, 0.0, 1.5) for nu in (0.3, -1.2))
     assert worst <= 1e-12  # measured 4.0e-14
     assert fock1_wigner(0.0, 0.0) == pytest.approx(-1.0 / math.pi, rel=1e-15)
-    # wigner_direct interpolates psi linearly: measured 3.6e-6 at the origin
+    # wigner_direct is the exact W of psi's interpolant: measured 1.7e-16 at most
     for q, pm in ((0.0, 0.0), (0.7, -0.4), (-1.1, 1.3)):
-        assert wigner_direct(psi, q, pm) == pytest.approx(fock1_wigner(q, pm), abs=1e-5)
+        assert wigner_direct(psi, q, pm) == pytest.approx(fock1_wigner(q, pm), abs=1e-12)
     with pytest.raises(DegeneratePointError):
         fock1_tomogram(0.5, 0.0, 0.0)

@@ -81,15 +81,6 @@ def test_normalized_rescales():
             SampledWavefunction.normalized(g, bad)
 
 
-def test_interp_at_zero_outside():
-    g = UniformGrid1D.symmetric(8.0, 257)
-    psi = SampledWavefunction.normalized(g, np.exp(-g.points**2) * np.exp(1j * g.points))
-    mid = 0.5 * (g.point(10) + g.point(11))
-    expect = 0.5 * (psi.values[10] + psi.values[11])
-    assert psi.interp_at(mid) == pytest.approx(expect, abs=1e-12)
-    assert psi.interp_at(100.0) == 0.0
-
-
 def test_handed_over_array_is_frozen_in_place():
     # an array the package allocated for one dataset is kept, read-only, not copied
     a = np.ones((2, 3))
