@@ -28,7 +28,6 @@ import math
 import os
 import sys
 import time
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -445,14 +444,13 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_validate(args) -> int:
     from . import oracles  # the other subcommands never load the oracle table
 
-    gdir = Path(args.golden_dir) if args.golden_dir else oracles.golden_dir()
     color = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
     tags = ("\x1b[31mFAIL\x1b[0m", "\x1b[32mPASS\x1b[0m") if color else ("FAIL", "PASS")
     failures = 0
     t0 = time.monotonic()
     for name, level, check in oracles.ORACLES:
         if level == "fast" or args.level == "full":
-            ok, detail = check(gdir)
+            ok, detail = check()
             failures += not ok
             print(f"{tags[bool(ok)]} {name}: {detail}")
     dt = time.monotonic() - t0
@@ -499,7 +497,6 @@ def build_parser() -> _Parser:
 
     v = sub.add_parser("validate", help="run the oracle suite")
     v.add_argument("--level", choices=("fast", "full"), default="fast")
-    v.add_argument("--golden-dir", dest="golden_dir")
     v.set_defaults(func=_cmd_validate)
     return top
 

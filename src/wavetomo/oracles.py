@@ -1,9 +1,9 @@
 """The oracle table that `wavetomo validate` and the acceptance tests both run.
 
 ``ORACLES`` holds rows ``(name, level, check)`` in print order; level is
-"fast" or "full". ``check(gdir)`` measures against an independent oracle
-(quadrature, a closed form, or the golden files in ``gdir``, which no row
-writes to) and returns ``(ok, detail)``, the detail naming each measured
+"fast" or "full". ``check()`` measures against an independent oracle
+(quadrature, a closed form, or the golden files in ``golden_dir()``, which no
+row writes to) and returns ``(ok, detail)``, the detail naming each measured
 number and its frozen tolerance (RESOLUTIONS.md).
 """
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _psi_slice(p: GcfParams, nu: float, grid_x: UniformGrid1D) -> np.ndarray:
     return reconstruct_psi(planes, InversionConfig(taper_fraction=0.0)).autocorrelation
 
 
-def _end_to_end_psi(gdir: Path):
+def _end_to_end_psi():
     p = GcfParams(1.0, 1.0)
     rec = reconstruct_psi(analytic_plane_set(p, [float(v) for v in np.linspace(-4.0, 4.0, 129)]))
     target = gcf_psi(p, rec.psi.grid.points)
@@ -72,7 +72,7 @@ def _end_to_end_psi(gdir: Path):
     return err <= 1e-3, f"relative L2 error {err:.2e} (tol 1e-3) on a 129-plane sweep"
 
 
-def _tomogram_closed_form(gdir: Path):
+def _tomogram_closed_form():
     worst = 0.0
     for s, a in ((1.0, 0.0), (1.0, 1.0), (0.5, 3.0)):
         p = GcfParams(s, a)
@@ -83,7 +83,7 @@ def _tomogram_closed_form(gdir: Path):
     return worst <= 1e-6, f"max dev vs quadrature {worst:.2e} (tol 1e-6)"
 
 
-def _width_form_resolution(gdir: Path):
+def _width_form_resolution():
     # which printed width reading matches a numeric profile (they differ off sigma = 1)
     p = GcfParams(0.5, 0.0)
     mu, nu, x_probe = 1.0, 0.5, 0.4
@@ -98,7 +98,7 @@ def _width_form_resolution(gdir: Path):
         f"(tol 1e-6), quadratic-sigma alternative {quadratic:.8f} deviates {alt:.2e} (over 1e-2)")
 
 
-def _plane_transform_closed_form(gdir: Path):
+def _plane_transform_closed_form():
     # closed-form planes are fair input (tomogram-closed-form ties them to quadrature);
     # the window holds the slow mu decay at omega_X = 0.5 and the wide edge columns
     p = GcfParams(1.0, 1.0)
@@ -115,7 +115,7 @@ def _plane_transform_closed_form(gdir: Path):
     return worst <= 1e-6, f"max dev {worst:.2e} (tol 1e-6) over nu 0.5, 0.8 x 12 frequencies"
 
 
-def _autocorrelation_slice(gdir: Path):
+def _autocorrelation_slice():
     nu = 0.5
     gx = UniformGrid1D.symmetric(40.0, 1601)
     dev = phase = 0.0
@@ -133,7 +133,7 @@ def _autocorrelation_slice(gdir: Path):
         f"value dev {dev:.2e} (tol 1e-6), chirp phase dev {phase:.2e} (tol 1e-3)")
 
 
-def _entangled_two_mode(gdir: Path):
+def _entangled_two_mode():
     # psi ~ exp(-x^T A x / 2) with off-diagonal A: no product state, and the
     # axis-swapped state differs by 4.9e-2 on the rho grid, so a swap of the
     # two axes anywhere in the N = 2 path fails the rho tolerance
@@ -158,7 +158,7 @@ def _entangled_two_mode(gdir: Path):
         f"max dev {err:.2e} (tol 2e-2)")
 
 
-def _flat_limit(gdir: Path):
+def _flat_limit():
     # every nu = 0 value reads psi's band-limited interpolant: on cli-forward's grids the
     # Fresnel nu' = 0 row and the optical theta = 0, pi rows (cos t = 1, -1), then the
     # reference sweep's nu = 0 plane, then nu = 0 axes of the entangled state off a node
@@ -183,7 +183,7 @@ def _flat_limit(gdir: Path):
         f"points, X/mu off a node: max rel dev {rel:.2e}")
 
 
-def _fresnel_map_rho(gdir: Path):
+def _fresnel_map_rho():
     # a sampled map of the lib-inversion benchmark's shape, integrated on its own X' grid;
     # resampling it at 64 abscissas per column instead gave 1.0e-2 to 4.0e-2 here
     gx, gn = UniformGrid1D.symmetric(42.0, 3201), UniformGrid1D.symmetric(3.2, 281)
@@ -199,7 +199,7 @@ def _fresnel_map_rho(gdir: Path):
         f"64 samples, five states: max dev from psi psi* {worst:.2e} (tol 7e-4)")
 
 
-def _fock1_inversion(gdir: Path):
+def _fock1_inversion():
     # an odd state with a node at 0 and a negative W: the source inversions' mirrored
     # rows must hold beyond the Gaussians; mu window 20, the one its tolerances were frozen at
     cfg = InversionConfig(mu_window=20.0)
@@ -214,7 +214,7 @@ def _fock1_inversion(gdir: Path):
         f"max dev {err:.2e} (tol 5e-5); W(0, 0) = {w00:.6f} vs -1/pi: dev {dev:.2e} (tol 4e-5)")
 
 
-def _fock1_planes(gdir: Path):
+def _fock1_planes():
     # the plane path (adaptive grids, chirp-z planes, plane table) on a state that is
     # not Gaussian, though plane_grids_for_slice sizes its grids from moments alone
     g, gq = UniformGrid1D.symmetric(8.0, 1025), UniformGrid1D.symmetric(3.0, 25)
@@ -233,7 +233,7 @@ def _fock1_planes(gdir: Path):
         f"+-3 vs the closed form: max dev {dev:.2e} (tol 1.2e-2)")
 
 
-def _optical_fresnel_bridge(gdir: Path):
+def _optical_fresnel_bridge():
     # which optical/Fresnel bridge holds
     p = GcfParams(1.0, 1.0)
     psi = gcf_sampled(p, count=4097)
@@ -250,7 +250,7 @@ def _optical_fresnel_bridge(gdir: Path):
         f"(X/sin, cot)/|sin| alternative deviates {dev_alt:.2e} (over 1e-2)")
 
 
-def _forward_identities(gdir: Path):
+def _forward_identities():
     # identities between package outputs, over two chirped Gaussians and Fock n = 1:
     # homogeneity w(lX, lmu, lnu) = w / |l|, a nonnegative plane, and the Fresnel map as
     # the mu = 1 line of the point values (its nu' = 0 column by the flat rule)
@@ -276,9 +276,9 @@ def _forward_identities(gdir: Path):
         f"(floor -1e-10); Fresnel map vs the mu = 1 line max dev {line:.2e} (tol 1e-10)")
 
 
-def _golden_files(gdir: Path):
+def _golden_files():
     # each closed-form map, written anew into a scratch directory, has the shipped bytes
-    names = [golden_name(s, a) for s, a in GOLDEN_COMBOS]
+    gdir, names = golden_dir(), [golden_name(s, a) for s, a in GOLDEN_COMBOS]
     missing = [n for n in names if not (gdir / n).is_file()]
     if missing:
         return False, f"missing {', '.join(missing)}"

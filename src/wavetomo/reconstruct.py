@@ -11,20 +11,21 @@ and a nu weight. psi, rho and W are linear read-outs of it:
     W(q, p)    = (1/4pi^2) Sum_nu w_nu Sum_mu C(mu, nu) w_mu e^{-i (mu q + nu p)}
 
 Three builders fill the table. From a plane sweep, each plane is one N = 1
-row: its own X grid does the X integral and its own mu span carries the
-taper. From a sampled Fresnel map, each column at nu' gives C along the ray
-(mu, nu) = mu (1, nu') on the map's own X' grid, and a row at nu takes it at
-nu' = nu/mu. From a source callable w(X_1..X_N, mu_1..mu_N, nu_1..nu_N), each
-mu axis is truncated at `mu_window` with the taper on its outer
-`taper_fraction`, and the source sizes its own X columns: its X marginals on
-the rays (mu, nu) = (1, 0) and (1, +-1) give its moments, and each column is
-sampled about its mean on a window of its std, by the plain trapezoid rule at
-the one sample count the widest column needs. As w(-X, -mu, -nu) = w(X, mu, nu),
-C(-mu, -nu) = C(mu, nu)* and each mirror pair of rows is computed from the
-source once, at the mu nodes with nonzero weight only. Sources are called,
-and a Fresnel map's [cos; sin](mu X') is built, in blocks of at most
-_BLOCK_BYTES (1 MiB), and a map is read in place: no inversion's memory
-grows with the quadrature.
+row: one real matmul of the rows [cos X, sin X, 1, X, X^2] on its own X grid
+gives C and the column moments, and its mu span carries the taper. From a
+sampled Fresnel map, each column at nu' gives C along the ray (mu, nu) =
+mu (1, nu') on the map's own X' grid, and a row at nu takes it at nu' = nu/mu.
+From a source callable w(X_1..X_N, mu_1..mu_N, nu_1..nu_N), each mu axis is
+truncated at `mu_window` with the taper on its outer `taper_fraction`, and the
+source sizes its own X columns: its X marginals with every axis on the ray
+(mu, nu) = (1, 0), (1, 1) or (1, -1), three probes, give its moments, and each
+column is sampled about its mean on a window of its std, by the plain
+trapezoid rule at the one sample count the widest column needs. As
+w(-X, -mu, -nu) = w(X, mu, nu), C(-mu, -nu) = C(mu, nu)* and each mirror pair
+of rows is computed from the source once, at the mu nodes with nonzero weight
+only. Sources are called, and a Fresnel map's [cos; sin](mu X') is built, in
+blocks of at most _BLOCK_BYTES (1 MiB), and a map is read in place: no
+inversion's memory grows with the quadrature.
 """
 from __future__ import annotations
 
@@ -215,19 +216,20 @@ def _wigner(rows, grid_q: UniformGrid1D, grid_p: UniformGrid1D) -> WignerFunctio
 def _table_from_planes(planes: Iterable[TomogramPlane], taper_fraction: float, axis):
     """One row per plane, in ascending nu, and what axis(nus) returns: it
     checks the ascending nus before any warning. Each plane is read once, as
-    it arrives, and only its row and its narrowest column are kept, so a
+    it arrives, by one real matmul of the weighted rows [cos X, sin X, 1, X, X^2]
+    of its X grid, and only its row and its narrowest column are kept, so a
     sweep is held one plane at a time. The nu weights are the local plane
-    spacing, tapered over the nu range. The trapezoid weights of each plane's
-    X grid also give each column's X mean and std; a RuntimeWarning names the
-    narrowest column when one with in-window mass >= RESOLVED_MASS is
-    narrower than its plane's X step.
+    spacing, tapered over the nu range. The rows 1, X and X^2 give each column's
+    X mean and std; a RuntimeWarning names the narrowest column when one with
+    in-window mass >= RESOLVED_MASS is narrower than its plane's X step.
     """
     got, coarse = [], []
     for plane in planes:
         gx, gmu = plane.grid_x, plane.grid_mu
-        x, wx = gx.points, trapezoid_weights(gx.count, gx.step)
-        C = (np.exp(1j * x) * wx) @ plane.values
-        mass, m1, m2 = (wx * np.stack([np.ones_like(x), x, x * x])) @ plane.values
+        x = gx.points
+        rows = np.stack([np.cos(x), np.sin(x), np.ones_like(x), x, x * x])
+        rows *= trapezoid_weights(gx.count, gx.step)
+        re, im, mass, m1, m2 = rows @ plane.values  # C, and each column's moments
         held = mass >= RESOLVED_MASS
         if held.any():
             mean = m1[held] / mass[held]
@@ -240,7 +242,7 @@ def _table_from_planes(planes: Iterable[TomogramPlane], taper_fraction: float, a
         center = 0.5 * (gmu.start + gmu.end)
         taper = raised_cosine_taper(gmu.points - center, 0.5 * gmu.width, taper_fraction)
         wmu = trapezoid_weights(gmu.count, gmu.step) * taper
-        got.append((float(plane.nu), gmu.points, C * wmu))
+        got.append((float(plane.nu), gmu.points, (re + 1j * im) * wmu))
         del plane  # freed before the next plane is read
     got.sort(key=lambda r: r[0])
     nus = np.array([nu for nu, _, _ in got])
@@ -270,13 +272,13 @@ def _quad_nodes(cfg: InversionConfig):
     return mu, trapezoid_weights(m, mu[1] - mu[0])
 
 
-def _probe(source: Source, mus, nus) -> list[tuple[float, float]]:
-    """Mean and variance of each axis's X marginal of the source on the rays
-    (mus[a], nus[a]), by the trapezoid rule on one X grid per axis, from [-8, 8]
+def _probe(source: Source, n_axes: int, nu: float) -> list[tuple[float, float]]:
+    """Mean and variance of each axis's X marginal of the source with every axis
+    on the ray (1, nu), by the trapezoid rule on one X grid per axis, from [-8, 8]
     in steps of 1/16 on. A source with no mass on any grid (a zero source) reads
     as the vacuum. The source is called on at most _BLOCK_BYTES // 8 values.
     """
-    n_axes, half, count = len(mus), 8.0, 257
+    half, count, rays = 8.0, 257, [1.0] * n_axes + [nu] * n_axes
     for grid in range(PROBE_GRIDS):
         x = np.linspace(-half, half, count)
         step, wx = x[1] - x[0], trapezoid_weights(count, x[1] - x[0])
@@ -285,7 +287,7 @@ def _probe(source: Source, mus, nus) -> list[tuple[float, float]]:
         for s in range(0, count, rows):
             blk = slice(s, s + rows)
             X, W = [x[blk]] + [x] * (n_axes - 1), [wx[blk]] + [wx] * (n_axes - 1)
-            w = source(*(_on_axis(X[a], a, n_axes) for a in range(n_axes)), *mus, *nus)
+            w = source(*(_on_axis(X[a], a, n_axes) for a in range(n_axes)), *rays)
             for a in range(n_axes):  # Sum over the other axes, with their X weights
                 others = itertools.chain(*((W[b], [b]) for b in range(n_axes) if b != a))
                 marg[a, blk if a == 0 else slice(None)] += np.einsum(w, range(n_axes), *others, [a])
@@ -298,12 +300,12 @@ def _probe(source: Source, mus, nus) -> list[tuple[float, float]]:
         sd = math.sqrt(np.min(var, where=mass != 0, initial=np.inf))  # the narrowest marginal's
         coarse = PROBE_STEPS * step * (1 + wide) > sd  # at the next grid's window
         if not (wide or coarse):
-            return [(float(c), float(v)) if z else (0.0, 0.5 * (m * m + n * n))
-                    for m, n, z, c, v in zip(mus, nus, mass, mean, var)]
+            return [(float(c), float(v)) if z else (0.0, 0.5 * (1.0 + nu * nu))
+                    for z, c, v in zip(mass, mean, var)]
         count, half = 2 * count - 1 if coarse else count, half * (1 + wide)
         if count > MAX_X_COUNT:
             break
-    raise ValueError(f"the source's X marginals on the rays (mu, nu) = {list(zip(mus, nus))} "
+    raise ValueError(f"the source's X marginals on the ray (mu, nu) = (1, {nu:g}) on every axis "
                      f"do not settle on {PROBE_GRIDS} grids of at most {MAX_X_COUNT} points")
 
 
@@ -318,12 +320,12 @@ def _sample_count(sd: float) -> int:
 
 
 def _windows(source: Source, nus, cfg: InversionConfig, radial: bool):
-    """Each axis's Moments, from its X marginals on the rays (1, 0) and (1, +-1)
-    with the other axes at (1, 0) (never at mu = 0, where
-    fresnel_as_symplectic_source divides by mu), and the abscissas u of every
-    column: u = j/(k - 1) for odd |j| < k, k = _sample_count of the widest
-    column with taper weight. A k over MAX_X_COUNT raises UnsupportedSizeError
-    naming that column.
+    """Each axis's Moments, from its X marginals with every axis on the ray (1, 0),
+    (1, 1) or (1, -1): an axis's marginal is its reduced state's, whatever the other
+    axes' rays, so three probes serve any N (none at mu = 0, where
+    fresnel_as_symplectic_source divides by mu). And the abscissas u of every
+    column: u = j/(k - 1) for odd |j| < k, k = _sample_count of the widest column
+    with taper weight; a k over MAX_X_COUNT raises UnsupportedSizeError naming it.
 
     A column's window, Y = centre + _ALIAS_A*sd*u, spans +-6.07 standard
     deviations; _ALIAS_A was derived for the step rule, where it counts 1/e
@@ -333,10 +335,9 @@ def _windows(source: Source, nus, cfg: InversionConfig, radial: bool):
     1.6e-9, 1.6e-9 and 1.3e-9 at twice k, so the window, not the step, sets it.
     """
     n_axes, mu, window = len(nus), _quad_nodes(cfg)[0], (cfg.mu_window, cfg.taper_fraction)
-    ones, moments, widest = [1.0] * n_axes, [], (0.0, 0.0, 0.0)
-    for a, (mq, vq) in enumerate(_probe(source, ones, [0.0] * n_axes)):
-        rays = ([sign if b == a else 0.0 for b in range(n_axes)] for sign in (1.0, -1.0))
-        (mp, vp), (mm, vm) = (_probe(source, ones, nus_a)[a] for nus_a in rays)
+    moments, widest = [], (0.0, 0.0, 0.0)
+    probes = zip(*(_probe(source, n_axes, nu) for nu in (0.0, 1.0, -1.0)))
+    for a, ((mq, vq), (mp, vp), (mm, vm)) in enumerate(probes):
         moments.append(Moments(mq, (mp - mm) / 2, vq, max((vp + vm) / 2 - vq, 0.0), (vp - vm) / 4))
         MU, NU = np.meshgrid(mu[mu.size // 2 :], np.abs(nus[a]))  # sd and the taper are even
         taper = raised_cosine_taper(np.hypot(MU, NU) if radial else MU, *window)
@@ -685,10 +686,9 @@ def reconstruct_density_matrix_nd(
     rho(X, X') = (1/2pi)^N Int w(Y_1..Y_N, mu_1..mu_N, nu_1..nu_N)
     * prod_k exp(i*(Y_k - mu_k*(X_k + X_k')/2)) with nu_k = X_k - X_k', on the
     rows and read-out of reconstruct_density_matrix, whose conditions
-    `source(X1, X2, mu1, mu2, nu1, nu2)` meets; each axis is probed with the
-    other at (mu, nu) = (1, 0). The memory is one source call's block plus
-    the m^N row, however large m is. N >= 3 is not supported (separable
-    states factor).
+    `source(X1, X2, mu1, mu2, nu1, nu2)` meets, its two axes probed at once. The
+    memory is one source call's block plus the m^N row, however large m is.
+    N >= 3 is not supported (separable states factor).
     """
     grids = tuple(grids)
     if not 1 <= len(grids) <= 2:

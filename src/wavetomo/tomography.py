@@ -14,10 +14,10 @@ wavefunction's own grid; the caller is responsible for sampling psi finely
 enough for the oscillatory kernel (roughly step < 2*pi / ((|mu|*y_max + |X|)/|nu|)).
 
 Every point value is one loop over the axes, `symplectic_tomogram_nd`
-(`symplectic_tomogram` is its one-axis call). Maps and points read the nu = 0
-limit |psi(X/mu)|^2 / |mu| from one rule, psi's band-limited interpolant (zero
-off its grid, `_spectrum`), so a product state's tomogram is its factors'.
-`analytic.wigner_direct` reads the same interpolant.
+(`symplectic_tomogram` is its one-axis call), one kernel vector per axis. Maps
+and points read the nu = 0 limit |psi(X/mu)|^2 / |mu| from one rule, psi's
+band-limited interpolant (zero off its grid, `_spectrum`), so a product state's
+tomogram is its factors'. `analytic.wigner_direct` reads the same interpolant.
 
 Every gridded map (plane, Fresnel, optical) is one call to `_chirp_z_columns`:
 with X and y both on uniform grids the sum over y is a chirp-z transform,
@@ -90,15 +90,18 @@ def _alias_step(w: float) -> float:
     return 2.0 * math.pi / (1.0 + 2.0 * _ALIAS_A / w)
 
 
-def _tomogram_values(values, grid_a: UniformGrid1D, grid_b: UniformGrid1D) -> np.ndarray:
-    """Frozen samples on the (grid_a, grid_b) product grid; a tomogram is nonnegative."""
-    vals = _frozen_array(values, (grid_a.count, grid_b.count), np.float64)
-    if vals.min(initial=0.0) < NEGATIVITY_TOL:
-        raise ValueError(f"tomogram values must be nonnegative, min {vals.min()}")
-    return vals
+class _Tomogram(_Record):
+    """Nonnegative samples `values` on the product of the two grid fields before it."""
+
+    def __post_init__(self) -> None:
+        grid_a, grid_b = (getattr(self, f) for f in self._fields[-3:-1])
+        vals = _frozen_array(self.values, (grid_a.count, grid_b.count), np.float64)
+        if vals.min(initial=0.0) < NEGATIVITY_TOL:
+            raise ValueError(f"tomogram values must be nonnegative, min {vals.min()}")
+        object.__setattr__(self, "values", vals)
 
 
-class TomogramPlane(_Record):
+class TomogramPlane(_Tomogram):
     """Tomogram samples on a product (X, mu) grid at one fixed nu."""
 
     nu: float
@@ -109,10 +112,10 @@ class TomogramPlane(_Record):
     def __post_init__(self) -> None:
         if not np.isfinite(self.nu):
             raise ValueError("nu must be finite")
-        object.__setattr__(self, "values", _tomogram_values(self.values, self.grid_x, self.grid_mu))
+        super().__post_init__()
 
 
-class FresnelTomogram(_Record):
+class FresnelTomogram(_Tomogram):
     """Fresnel tomogram samples over a product (X, nu) grid.
 
     values[i, j] belongs to (grid_x.point(i), grid_nu.point(j)).
@@ -122,21 +125,13 @@ class FresnelTomogram(_Record):
     grid_nu: UniformGrid1D
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _tomogram_values(self.values, self.grid_x, self.grid_nu))
 
-
-class OpticalTomogram(_Record):
+class OpticalTomogram(_Tomogram):
     """Homodyne-style tomogram samples over a product (X, theta) grid."""
 
     grid_x: UniformGrid1D
     grid_theta: UniformGrid1D
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", _tomogram_values(self.values, self.grid_x, self.grid_theta)
-        )
 
 
 def symplectic_tomogram(psi: SampledWavefunction, X: float, mu: float, nu: float) -> float:
@@ -351,11 +346,12 @@ def symplectic_tomogram_nd(
 ) -> float:
     """Product-kernel symplectic tomogram of an N-axis wavefunction.
 
-    One loop over the axes, last first, contracts psi with each axis's kernel:
-    the chirped one, or at |nu_k| <= EPS_NU that of _spectrum's interpolant at
-    X_k/mu_k (zero off the grid) with factor 1/|mu_k|, so a product state's value
-    is its factors' product. A degenerate axis (mu_k and nu_k both below
-    threshold) raises. At mu = (1, ..., 1) this is the N-axis Fresnel tomogram.
+    One loop over the axes, last first, contracts psi with one kernel vector per
+    axis: the chirped one, or at |nu_k| <= EPS_NU the weights fft(exp(i*p*(X_k/mu_k
+    - x0)))/n (p = _momenta) that _spectrum's interpolant puts on the axis's samples
+    at X_k/mu_k (zero off the grid), with factor 1/|mu_k|: one 1-D FFT. A product
+    state's value is its factors' product. A degenerate axis (mu_k and nu_k both
+    below threshold) raises. At mu = (1, ..., 1) this is the N-axis Fresnel tomogram.
     """
     if not (len(Xs) == len(mus) == len(nus) == psi.ndim):
         raise ValueError(f"expected {psi.ndim} components per argument")
@@ -366,8 +362,8 @@ def symplectic_tomogram_nd(
             if abs(mu) <= EPS_NU:
                 where = f"axis {axis}: " if psi.ndim > 1 else ""
                 raise DegeneratePointError(f"{where}(mu, nu) = ({mu}, {nu}) is degenerate")
-            p, amp = _spectrum(amp, g)
-            k = np.exp(1j * (X / mu) * p) * ((g.start <= X / mu <= g.end) / g.count)
+            k = np.fft.fft(np.exp(1j * _momenta(g) * (X / mu - g.start)))
+            k *= (g.start <= X / mu <= g.end) / g.count
             factor /= abs(mu)
         else:
             y = g.points

@@ -212,7 +212,7 @@ def _states():
             SampledWavefunction.normalized(g, fock1_psi(g.points)))
 
 
-def _golden_regeneration(gdir):
+def _golden_regeneration():
     # the ten closed-form maps, written, then read back through write_file's parse-cache
     # entry and, from a copy of their bytes that has none, through the text parser
     differ = []
@@ -235,8 +235,9 @@ def _golden_regeneration(gdir):
                         f"entries and through the text, equal the closed form bit for bit")
 
 
-def _golden_round_trip(gdir):
+def _golden_round_trip():
     # every shipped golden, parsed in place (the reader writes nothing), is its closed form
+    gdir = golden_dir()
     listing = sorted(p.name for p in gdir.iterdir())
     differ = []
     for s, a in GOLDEN_COMBOS:
@@ -251,7 +252,7 @@ def _golden_round_trip(gdir):
         f"generator bit for bit; directory listing {'unchanged' if kept else 'changed'}")
 
 
-def _homogeneity(gdir):
+def _homogeneity():
     # w(lX, lmu, lnu) = w / |l|^N on the N = 2 path, its chirped and its flat (nu = 0) axes
     A, g = np.array([[1.0, 0.6], [0.6, 1.5]]), UniformGrid1D.symmetric(8.0, 301)
     psi = NdWavefunction((g, g), gaussian2_psi(A, g.points[:, None], g.points[None, :]))
@@ -268,7 +269,7 @@ def _homogeneity(gdir):
         f"max rel dev {worst:.2e} (tol 1e-8) over scale factors -2, 0.5, 3")
 
 
-def _nonnegativity(gdir):
+def _nonnegativity():
     gx, gn, gt = (UniformGrid1D.symmetric(6.0, 121), UniformGrid1D.symmetric(2.0, 41),
                   UniformGrid1D(0.0, math.pi / 40, 40))
     low = min(float(min(fresnel_tomogram(psi, gx, gn).values.min(),
@@ -278,7 +279,7 @@ def _nonnegativity(gdir):
                            f"(floor -1e-10)")
 
 
-def _fresnel_is_mu1_line(gdir):
+def _fresnel_is_mu1_line():
     # the Fresnel map's columns are the mu = 1 rows of the planes at the same nu'
     gx, gn = UniformGrid1D.symmetric(4.0, 17), UniformGrid1D.symmetric(1.5, 7)
     gmu = UniformGrid1D(0.5, 0.5, 3)  # its middle node is mu = 1 exactly
@@ -291,7 +292,7 @@ def _fresnel_is_mu1_line(gdir):
     return dev <= 1e-10, f"max dev from the planes' mu = 1 rows {dev:.2e} (tol 1e-10)"
 
 
-def _chirp_shift(gdir):
+def _chirp_shift():
     # the sampled alpha state's values equal the alpha = 0 state's at mu + 2*alpha*nu
     pa, p0 = (gcf_sampled(GcfParams(1.0, a), count=4097) for a in (2.0, 0.0))
     dev = max(abs(symplectic_tomogram(pa, X, mu, nu)
@@ -300,7 +301,7 @@ def _chirp_shift(gdir):
     return dev <= 1e-12, f"max dev {dev:.2e} (tol 1e-12)"
 
 
-def _chirp_peak_shrink(gdir):
+def _chirp_peak_shrink():
     # the sampled states' peak strictly falls with chirp at width 1; the drop softens
     # at width 0.5
     h1, h05 = ([symplectic_tomogram(gcf_sampled(GcfParams(s, a), count=4097), 0.0, 1.0, 0.5)
@@ -326,5 +327,5 @@ TIER1_ROWS = (
 @pytest.mark.parametrize("name,level,check", (*ORACLES, *TIER1_ROWS),
                          ids=[row[0] for row in (*ORACLES, *TIER1_ROWS)])
 def test_oracle(name, level, check):
-    ok, detail = check(golden_dir())  # no row writes to the golden directory
+    ok, detail = check()  # no row writes to the golden directory
     _report(f"oracle {name} ({level})", ok, detail)

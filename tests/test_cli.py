@@ -20,7 +20,7 @@ import weakref
 import numpy as np
 import pytest
 
-from wavetomo import fileio, tomography
+from wavetomo import fileio, oracles, tomography
 from wavetomo.analytic import (
     GcfParams,
     gcf_plane_analytic,
@@ -1039,15 +1039,22 @@ def _listing(d):
     return {str(p.relative_to(d)): p.read_bytes() if p.is_file() else None for p in d.rglob("*")}
 
 
+def _golden_copy(tmp_path, monkeypatch):
+    """A copy of the golden directory, which the oracle table then reads."""
+    gdir = tmp_path / "golden"
+    shutil.copytree(golden_dir(), gdir)
+    monkeypatch.setattr(oracles, "golden_dir", lambda: gdir)
+    return gdir
+
+
 def test_validate_full_regenerates_goldens_byte_for_byte(tmp_path, monkeypatch, capsys):
     # every map is regenerated into a scratch directory and compared there: the golden
     # directory keeps its listing and bytes, and gets no parse cache
     monkeypatch.setenv("NO_COLOR", "1")
-    gdir = tmp_path / "golden"
-    shutil.copytree(golden_dir(), gdir)
+    gdir = _golden_copy(tmp_path, monkeypatch)
     before = _listing(gdir)
     assert len(before) == 10
-    assert run("validate", "--level", "full", "--golden-dir", str(gdir)) == 0
+    assert run("validate", "--level", "full") == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[-1].startswith("ok:")
     checks = [l for l in lines if l.startswith(("PASS", "FAIL"))]
@@ -1060,8 +1067,7 @@ def test_validate_full_regenerates_goldens_byte_for_byte(tmp_path, monkeypatch, 
 def test_validate_names_a_golden_file_with_one_digit_changed(tmp_path, monkeypatch, capsys):
     # the last digit of one value: within 1e-12 of the closed form, but not its bytes
     monkeypatch.setenv("NO_COLOR", "1")
-    gdir = tmp_path / "golden"
-    shutil.copytree(golden_dir(), gdir)
+    gdir = _golden_copy(tmp_path, monkeypatch)
     path = gdir / "golden_s1_a2.txt"
     text = path.read_text()
     head, row, tail = text.partition("\n0 0 ")
@@ -1069,7 +1075,7 @@ def test_validate_names_a_golden_file_with_one_digit_changed(tmp_path, monkeypat
     edited = value[:-1] + ("1" if value[-1] != "1" else "2")
     path.write_text(head + edited + tail[tail.index("\n"):])
     before = _listing(gdir)
-    assert run("validate", "--level", "full", "--golden-dir", str(gdir)) == 1
+    assert run("validate", "--level", "full") == 1
     lines = capsys.readouterr().out.strip().splitlines()
     fails = [l for l in lines if l.startswith("FAIL ")]
     assert len(fails) == 1 and fails[0].startswith("FAIL golden-files: golden_s1_a2.txt differ")
@@ -1079,7 +1085,10 @@ def test_validate_names_a_golden_file_with_one_digit_changed(tmp_path, monkeypat
 
 def test_validate_missing_goldens_fails(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("NO_COLOR", "1")
-    assert run("validate", "--golden-dir", str(tmp_path)) == 1
+    assert run("validate", "--golden-dir", str(tmp_path)) == 2  # no such flag
+    capsys.readouterr()
+    monkeypatch.setattr(oracles, "golden_dir", lambda: tmp_path)
+    assert run("validate") == 1
     lines = capsys.readouterr().out.strip().splitlines()
     assert any(l.startswith("FAIL golden-files: missing golden_") for l in lines)
     assert lines[-1].startswith("FAILED: 1 failure(s)")

@@ -542,8 +542,8 @@ def test_source_called_once_per_mirror_pair_of_rows():
     # only rows with nu lexicographically >= 0 call the source, and the calls
     # of one row cover its nodes of nonzero taper weight once: not the
     # +-mu_window end nodes, nor (radial taper) those with hypot(mu, nu) >= mu_window
-    # (the probes, at mu = 1 and nu = 0, +-1, are counted apart: the rays at nu = 0
-    # and at +-1 on each axis, one call or more each as their X grids grow)
+    # (the probes, at mu = 1 and nu = 0, +-1, are counted apart: every axis on the
+    # ray at nu = 0, +1 or -1 at once, one call or more each as their X grids grow)
     src, calls, probes = _counted(partial(gcf_tomogram_analytic, GcfParams(1.0, 0.5)))
     g7 = UniformGrid1D.symmetric(1.0, 7)
     reconstruct_density_matrix(src, g7, SMALL_CFG)
@@ -566,8 +566,56 @@ def test_source_called_once_per_mirror_pair_of_rows():
     assert len(rows) == (5 * 7 + 1) // 2 and min(rows) == (0.0, 0.0)
     k = _x_count(src, grids, SMALL_CFG)
     assert set(rows.values()) == {((m - 2) * k) ** 2}  # ((m - 2) k)^2 nodes
-    assert set(_values_per_row(probes)) == {(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0),
-                                            (0.0, -1.0)}
+    assert set(_values_per_row(probes)) == {(0.0, 0.0), (1.0, 1.0), (-1.0, -1.0)}
+
+
+@pytest.mark.parametrize("n_axes", [1, 2])
+def test_windows_probe_three_ray_sets_for_any_n(monkeypatch, n_axes):
+    calls, probe = [], reconstruct._probe
+
+    def counted(source, n, nu):
+        calls.append((n, nu))
+        return probe(source, n, nu)
+
+    monkeypatch.setattr(reconstruct, "_probe", counted)
+    src = (partial(gcf_tomogram_analytic, GcfParams(1.0, 0.5)) if n_axes == 1
+           else _product_source(GcfParams(1.0, 0.5)))
+    _x_count(src, (UniformGrid1D.symmetric(1.0, 3),) * n_axes, SMALL_CFG)
+    assert calls == [(n_axes, 0.0), (n_axes, 1.0), (n_axes, -1.0)]
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0, 0.0, 0.0), (0.3, 0.2, -0.25, 0.1)],
+                         ids=["centred", "displaced"])
+def test_windows_moments_equal_the_per_axis_ray_probes(shift):
+    # an axis's X marginal is its reduced state's, whatever the other axis's ray: the
+    # moments from both axes on one ray equal those of each axis on its own rays with
+    # the other held at (mu, nu) = (1, 0), and the reduced states' closed forms
+    # (covariances A^-1/2 and A/2, means the shift). The probes on one ray widen their
+    # X grid for either axis's marginal, so where they differ from the per-axis probes
+    # by more than 1e-12 (the centred var_p of axis 0, 6.9e-12) they are the nearer
+    # to the closed form
+    q1, p1, q2, p2 = shift
+    inv = np.linalg.inv(ENTANGLED_A)
+
+    def source(X1, X2, mu1, mu2, nu1, nu2):
+        return gaussian2_tomogram(ENTANGLED_A, X1 - q1 * mu1 - p1 * nu1,
+                                  X2 - q2 * mu2 - p2 * nu2, mu1, mu2, nu1, nu2)
+
+    grids = (UniformGrid1D.symmetric(1.0, 3), UniformGrid1D.symmetric(1.0, 4))
+    got = _windows(source, [_pair_nus(g) for g in grids], SMALL_CFG, radial=False)[0]
+    for a, m in enumerate(got):
+        def held(X1, X2, mu1, mu2, nu1, nu2, a=a):
+            return source(X1, X2, mu1 if a == 0 else 1.0, mu2 if a == 1 else 1.0,
+                          nu1 if a == 0 else 0.0, nu2 if a == 1 else 0.0)
+
+        (mq, vq), (mp, vp), (mm, vm) = (reconstruct._probe(held, 2, nu)[a]
+                                        for nu in (0.0, 1.0, -1.0))
+        want = (mq, (mp - mm) / 2, vq, (vp + vm) / 2 - vq, (vp - vm) / 4)
+        have = (m.mean_q, m.mean_p, m.var_q, m.var_p, m.cov)
+        exact = (shift[2 * a], shift[2 * a + 1], inv[a, a] / 2, ENTANGLED_A[a, a] / 2, 0.0)
+        assert max(abs(h - e) for h, e in zip(have, exact)) <= 1e-12
+        assert all(abs(h - w) <= 1e-12 or abs(h - e) < abs(w - e)
+                   for h, w, e in zip(have, want, exact))
 
 
 @pytest.mark.parametrize("n_axes, m", [(1, 128), (2, 32), (2, 64)])
@@ -620,6 +668,19 @@ def test_fresnel_inversion_peak_memory_is_two_blocks():
                    (UniformGrid1D.symmetric(0.5, 3), InversionConfig())):
         peak = _traced_peak(lambda: reconstruct_density_matrix_fresnel(wf, g, cfg))
         assert peak < 2 * _BLOCK_BYTES
+
+
+def test_plane_table_holds_no_complex_copy_of_a_plane():
+    # the reference sweep (sigma = 1, alpha = 1, 61 planes over nu = +-3): one real
+    # matmul per plane gives C and its column moments; a complex copy of the largest
+    # plane, 445 x 46, would take 328 KB on its own
+    psi = gcf_sampled(GcfParams(1.0, 1.0))
+    m = wavefunction_moments(psi)
+    planes = [symplectic_tomogram_plane(psi, *plane_grids_for_slice(nu, m), nu)
+              for nu in np.linspace(-3.0, 3.0, 61).tolist()]
+    assert max(pl.values.size for pl in planes) == 445 * 46
+    table = partial(reconstruct._table_from_planes, planes, 0.2, reconstruct._sweep)
+    assert _traced_peak(table) <= 150_000
 
 
 def _full_rows(source, nus, cfg, radial):

@@ -591,6 +591,25 @@ def test_nd_zero_nu_axis_interpolates_psi(count):
         assert abs(symplectic_tomogram_nd(psi, *point) - want) <= 1e-12 * want
 
 
+def test_nd_flat_last_axis_takes_only_one_axis_ffts(monkeypatch):
+    # a flat axis is one kernel vector, as a chirped axis is: on the entangled 301^2
+    # state, a flat last axis (the first contracted) must not FFT the whole tensor
+    A = np.array([[1.0, 0.6], [0.6, 1.5]])
+    g = UniformGrid1D.symmetric(8.0, 301)
+    psi = NdWavefunction((g, g), gaussian2_psi(A, g.points[:, None], g.points[None, :]))
+    shapes, fft = [], np.fft.fft
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    for point in (((0.2, 0.7), (0.6, 1.1), (0.6, 0.0)), ((0.3, -0.5), (0.8, 1.3), (0.0, 0.0))):
+        want = float(gaussian2_tomogram(A, *point[0], *point[1], *point[2]))
+        assert abs(symplectic_tomogram_nd(psi, *point) - want) <= 1e-12 * want
+    assert shapes and all(shape == (301,) for shape in shapes)
+
+
 @pytest.mark.parametrize("degenerate", [0, 1, 2], ids=["axis0", "axis1", "axis2"])
 def test_nd_degenerate_axis_raises_past_a_zero_collapse(degenerate):
     # the nu = 0 collapse of every other axis reads psi at X/mu = 50, off the
