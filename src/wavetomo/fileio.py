@@ -20,17 +20,18 @@ the value columns as floats. It also refuses non-finite values, any NUL byte
 in the file and a manifest whose version is missing or not FORMAT_VERSION.
 
 Parse cache: beside each text file it writes, write_file leaves an entry
-``.wavetomo-cache/<name>.npy`` in the same directory. The entry is the
-blake2b-256 digest of the text's bytes followed by the payload values as a
-``.npy`` array. read_file takes the digest in the pass that looks for NUL
-bytes, over blocks of 64 KiB read from the open file, and uses the entry's
-values in place of the text parse only when its digest, shape and dtype
-match; every other file (goldens, edited or foreign text, stale or damaged
-entries) is parsed as text. The writer formatted
-exactly those values into exactly those bytes, so a hit reads what the parse
-would read, and the payload constructors still check it. An entry is used
-only when the manifest line read is the first line of the hashed blocks, so
-the manifest and the entry's values belong to one text.
+``.wavetomo-cache/<name>.npy`` in the same directory (the name of an older
+.npy layout). The entry is the text's own bytes, then the payload values'
+raw C-order bytes, whose dtype and shape the manifest gives: the text's
+size plus 8 bytes per real value, 16 per complex. Each encoded chunk goes
+to the text and to the entry, so the copy is the writer's own bytes, never
+read back from the text. read_file compares each 64 KiB block of its NUL
+scan with the entry's next bytes, and reads the values from the entry in
+place of the text parse only when every byte of the text equals the copy,
+the entry holds exactly the text's size plus the values' bytes, and the
+manifest line read is the first line of the compared blocks. Every other
+file (goldens, edited or foreign text, stale, damaged or older entries)
+is parsed as text, and the payload constructors check a hit as well.
 The reader never writes; deleting the cache is always safe; a directory the
 writer cannot write to, or an output that is not a regular file, gets no
 entry, and the text is written all the same. Entries outlive their text.
@@ -51,11 +52,6 @@ from pathlib import Path
 
 import numpy as np
 
-try:  # hashlib.blake2b is this builtin; importing hashlib also loads OpenSSL, 3.5 MB of RSS
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
-
 from .errors import ManifestError
 from .grid import (DensityMatrix, SampledWavefunction, UniformGrid1D, WignerFunction,
                    _frozen_array, _Owned, _Record)
@@ -73,7 +69,7 @@ FORMAT_VERSION = "1"
 
 MAGIC = "#MANIFEST "
 _CHUNK = 1024  # values per write_file chunk: a chunk's text is held, not the file's
-_SCAN_BYTES = 1 << 16  # bytes per block of read_file's NUL scan and digest
+_SCAN_BYTES = 1 << 16  # bytes per block of read_file's NUL scan and entry comparison
 _CACHE = ".wavetomo-cache"  # the parse cache directory beside the text files
 
 
@@ -197,10 +193,10 @@ def write_file(path, payload, params=None, provenance="") -> Manifest:
 
     `params` go into the manifest beside the payload's own scalar fields
     (plane nu, density-matrix asymmetry, Wigner imaginary residue). The
-    text is followed by its parse-cache entry, the digest of the bytes
-    written and the payload values, in ``.wavetomo-cache/`` beside it; when
-    that directory cannot be written, or path is not a regular file, there
-    is no entry, and the text write still succeeds.
+    text's parse-cache entry, a copy of the bytes written and then the
+    payload values, is made in ``.wavetomo-cache/`` beside it as the text is
+    written; when that directory cannot be written, or path is not a regular
+    file, there is no entry, and the text write still succeeds.
     """
     k = next((r for r in _KINDS if type(payload) is r.payload), None)
     if k is None:
@@ -220,18 +216,26 @@ def write_file(path, payload, params=None, provenance="") -> Manifest:
         inner, [cells], "")
     per = vals.size // len(units)
     step = max(1, _CHUNK // per)
-    digest = blake2b(digest_size=32)
-    with open(path, "wb") as f:
-        def put(text: str) -> None:
-            data = text.encode("utf-8")
-            digest.update(data)
-            f.write(data)
+    copy = None
+    try:
+        with open(path, "wb") as f:
+            copy = _EntryCopy(Path(path))
 
-        put(f"{m.to_line()}\n# columns: {k.columns}\n")
-        for s in range(0, len(units), step):
-            text = sep * (s > 0) + sep.join(a + a.join(tails) for a in units[s : s + step])
-            put(text % tuple(vals[s * per : (s + step) * per].tolist()))
-    _store_entry(Path(path), digest.digest(), payload.values)
+            def put(text: str) -> None:
+                data = text.encode("utf-8")
+                f.write(data)
+                copy.write(data)
+
+            put(f"{m.to_line()}\n# columns: {k.columns}\n")
+            for s in range(0, len(units), step):
+                text = sep * (s > 0) + sep.join(a + a.join(tails) for a in units[s : s + step])
+                put(text % tuple(vals[s * per : (s + step) * per].tolist()))
+            copy.write(np.ascontiguousarray(payload.values))
+    except BaseException:
+        if copy:
+            copy.close(keep=False)
+        raise
+    copy.close()
     return m
 
 
@@ -240,45 +244,46 @@ def _entry(path: Path) -> Path:
     return path.parent / _CACHE / (path.name + ".npy")
 
 
-def _store_entry(path: Path, digest: bytes, values: np.ndarray) -> None:
-    """Write path's entry, the text digest then values as .npy, through a
-    temporary file and os.replace; on OSError leave no entry. Only a regular
-    file gets one: not a device, a pipe or a link (/dev/null, /dev/stdout)."""
-    entry = _entry(path)
-    try:
-        if not stat.S_ISREG(os.lstat(path).st_mode):
-            return
-        entry.parent.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=entry.parent, prefix=entry.name, suffix=".tmp")
+class _EntryCopy:
+    """The entry of the text file at path, made while write_file writes it: what
+    write() is given goes to a temporary file, which close() os.replaces into
+    place. Only a regular file gets one: not a device, a pipe or a link
+    (/dev/null, /dev/stdout). On OSError, or close(keep=False), no entry is
+    left, and the text is written all the same."""
+
+    def __init__(self, path: Path) -> None:
+        self.entry, self.f = _entry(path), None
         try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(digest)
-                np.save(f, values, allow_pickle=False)
-            os.replace(tmp, entry)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError:
-        pass
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                self.entry.parent.mkdir(exist_ok=True)
+                fd, self.tmp = tempfile.mkstemp(dir=self.entry.parent,
+                                                prefix=self.entry.name, suffix=".tmp")
+                self.f = open(fd, "wb")
+        except OSError:
+            pass
 
+    def write(self, data) -> None:
+        try:
+            if self.f:
+                self.f.write(data)
+        except OSError:
+            self.close(keep=False)
 
-def _cached_values(path: Path, digest: bytes, shape: tuple, dtype) -> _Owned | None:
-    """path's entry values, read into the one array the payload keeps, if the
-    entry carries this text digest and holds a C-order array of this shape
-    and dtype; None for any other entry or none."""
-    fmt = np.lib.format
-    try:
-        with open(_entry(path), "rb") as f:
-            if f.read(len(digest)) != digest or fmt.read_magic(f) != (1, 0):
-                return None
-            if fmt.read_array_header_1_0(f) != (shape, False, np.dtype(dtype)):
-                return None
-            values = np.empty(shape, dtype)
-            if f.readinto(values) != values.nbytes:
-                return None
-    except (OSError, ValueError):
-        return None
-    return _Owned(values)
+    def close(self, keep: bool = True) -> None:
+        f, self.f = self.f, None
+        if not f:
+            return
+        try:
+            f.close()
+            if keep:
+                os.replace(self.tmp, self.entry)
+                return
+        except OSError:
+            pass
+        try:
+            os.unlink(self.tmp)
+        except OSError:
+            pass
 
 
 def _data_lines(path):
@@ -297,15 +302,16 @@ def _line_of(path, row: int) -> int:
     return next(itertools.islice(_data_lines(path), int(row), None))[0]
 
 
-def _scan(f, path) -> tuple[bytes, bytes]:
-    """(first line, blake2b-256 digest) of the bytes of the text file f, open at
-    its start; raise naming the line of the first NUL byte in the file, if any.
-    The byte comparison of coordinates strips trailing NULs, so a token followed
-    by NULs would otherwise pass for its canonical text. One pass over blocks of
-    _SCAN_BYTES makes the memchr-speed scan and the digest, off the per-line path;
-    the first line is cut from those blocks, so a manifest read from it belongs
-    to the hashed bytes. f is left at its start."""
-    raw, digest = f.buffer, blake2b(digest_size=32)
+def _scan(f, path, entry) -> tuple[bytes, int]:
+    """(first line, bytes of entry after its copy of the text) of the text file
+    f, open at its start; the count is -1 unless entry (open, or None) begins
+    with every byte of the text. Raise naming the line of the first NUL byte,
+    if any: the byte comparison of coordinates strips trailing NULs, so a token
+    followed by NULs would otherwise pass for its canonical text. One pass over
+    blocks of _SCAN_BYTES makes the memchr-speed scan and the memcmp with the
+    entry, off the per-line path; the first line is cut from those blocks, so a
+    manifest read from it is of the compared bytes. f is left at its start."""
+    raw, same = f.buffer, entry is not None
     head, seen = [], 0  # the first line's pieces; the bytes before this block
     while block := raw.read(_SCAN_BYTES):
         at = block.find(b"\0")
@@ -313,12 +319,12 @@ def _scan(f, path) -> tuple[bytes, bytes]:
             raw.seek(0)
             line = raw.read(seen + at).count(b"\n") + 1
             raise ManifestError(f"{path}:{line}: NUL byte")
-        digest.update(block)
+        same = same and entry.read(len(block)) == block
         if not (head and head[-1].endswith(b"\n")):  # the first line is still open
             head.append(block[: block.find(b"\n") + 1 or len(block)])
         seen += len(block)
     f.seek(0)
-    return b"".join(head), digest.digest()
+    return b"".join(head), os.fstat(entry.fileno()).st_size - seen if same else -1
 
 
 def _parse(f, path, n_coords: int, n_values: int) -> np.ndarray:
@@ -353,16 +359,20 @@ def read_file(path):
     problems, NUL bytes, coordinates that are not the canonical text of
     their manifest grid points and non-finite values raise ManifestError; domain
     validation failures of the payload constructors are wrapped into
-    ManifestError as well. When the file's parse-cache entry carries the
-    digest of its bytes (the text is as write_file wrote it) and the
-    manifest line is of those bytes, the entry's values replace the parse of
-    the data block; the manifest is read and checked either way, and the
-    reader never writes.
+    ManifestError as well. When the file's parse-cache entry begins with a
+    copy of every byte of the text (the text is as write_file wrote it), holds
+    exactly the values' bytes after it, and the manifest line is of the
+    compared bytes, the entry's values replace the parse of the data block;
+    the manifest is read and checked either way, and the reader never writes.
     """
     path = Path(path)
     try:
+        entry = open(_entry(path), "rb")
+    except OSError:
+        entry = None
+    try:
         with open(path, encoding="utf-8") as f:
-            head_bytes, digest = _scan(f, path)
+            head_bytes, left = _scan(f, path, entry)
             head = f.readline()
             if not head:
                 raise ManifestError(f"{path} is empty")
@@ -378,13 +388,17 @@ def read_file(path):
             shape = tuple(g.count for g in axes)
             n_values = len(k.columns.split()) - len(axes)
             values = None
-            if head.encode("utf-8") == head_bytes:  # the manifest is of the hashed bytes
-                values = _cached_values(path, digest, shape,
-                                        np.complex128 if n_values == 2 else np.float64)
+            # the manifest is of the compared bytes, and the values are all the entry holds
+            if head.encode("utf-8") == head_bytes and left == math.prod(shape) * 8 * n_values:
+                values = np.empty(shape, np.complex128 if n_values == 2 else np.float64)
+                values = _Owned(values) if entry.readinto(values) == left else None
             if values is None:
                 values = _text_values(f, path, axes, n_values)
     except (OSError, UnicodeDecodeError) as e:
         raise ManifestError(f"cannot read {path}: {e}") from None
+    finally:
+        if entry:
+            entry.close()
 
     missing = [name for name in k.scalars if name not in manifest.params]
     if missing:

@@ -562,12 +562,14 @@ assert abs(rho.trace_times_step - 1.0) < 0.5
     assert inverted - bare < 13500
 
 
-# the wavetomo modules (and hashlib, whose import loads OpenSSL: 3.5 MB of RSS) that
-# `import wavetomo.cli` loads, and those main(argv) adds, printed as the last line
+# the wavetomo modules and hash modules (hashlib, whose import loads OpenSSL: 3.5 MB of
+# RSS, and the builtin _blake2) that `import wavetomo.cli` loads, and those main(argv)
+# adds, printed as the last line
 _PRINT_LOADS = """
 import json, sys
 def loaded():
-    return {m for m in sys.modules if m.split(".")[0] == "wavetomo" or m in ("hashlib", "_hashlib")}
+    return {m for m in sys.modules
+            if m.split(".")[0] == "wavetomo" or m in ("hashlib", "_hashlib", "_blake2")}
 from wavetomo.cli import main
 before = loaded()
 code = main(sys.argv[1:])
@@ -1092,6 +1094,26 @@ def test_validate_missing_goldens_fails(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert any(l.startswith("FAIL golden-files: missing golden_") for l in lines)
     assert lines[-1].startswith("FAILED: 1 failure(s)")
+
+
+def test_reconstruct_reads_the_same_outputs_with_and_without_the_cache(tmp_path, monkeypatch):
+    # a parse-cache hit reads what the text parse reads: psi, rho and wigner from a
+    # 5-plane sweep are the same bytes before and after the cache is deleted
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "2", "--output", "g") == 0
+    assert run("tomogram", "--input", "g_psi.txt", "--nu-min", "-1", "--nu-max", "1",
+               "--nu-count", "5", "--output", "pl_{index}.txt") == 0
+
+    def outputs():
+        for target in ("psi", "rho", "wigner"):
+            assert run("reconstruct", "--input", "pl_*.txt", "--target", target,
+                       "--output", f"{target}.txt") == 0, target
+        return [(tmp_path / f"{t}.txt").read_bytes() for t in ("psi", "rho", "wigner")]
+
+    cached = outputs()
+    assert len(list((tmp_path / ".wavetomo-cache").glob("pl_*.txt.npy"))) == 5
+    shutil.rmtree(tmp_path / ".wavetomo-cache")
+    assert outputs() == cached
 
 
 def test_tiny_buffers_write_the_bytes_of_the_defaults(tmp_path, monkeypatch):

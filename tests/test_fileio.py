@@ -6,6 +6,8 @@ parse cache must give the same payload as the text parse.
 """
 import hashlib
 import math
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -626,6 +628,100 @@ def test_same_length_value_edit_reads_the_edited_value(tmp_path):
     assert np.array_equal(np.delete(edited.values, 18), np.delete(psi.values, 18))
 
 
+def _parsed(monkeypatch):
+    """A list that gets one entry per call of the text parse."""
+    calls, parse = [], fileio._parse
+    monkeypatch.setattr(fileio, "_parse", lambda *a: calls.append(a[1]) or parse(*a))
+    return calls
+
+
+def test_text_cut_to_a_prefix_of_its_copy_is_not_read_from_the_entry(tmp_path):
+    path = _plane_file(tmp_path)
+    text = path.read_bytes()
+    path.write_bytes(text[: text.rindex(b"\n", 0, -1) + 1])  # the last row gone
+    with pytest.raises(ManifestError, match=r"expected 63 data rows, found 62"):
+        read_file(path)
+
+
+def test_appended_comment_is_parsed_to_the_same_values(tmp_path, monkeypatch):
+    path = _psi_file(tmp_path)
+    _, psi = read_file(path)
+    with open(path, "a") as f:
+        f.write("# note\n")
+    calls = _parsed(monkeypatch)
+    _, back = read_file(path)
+    assert calls == [path] and back.values.tobytes() == psi.values.tobytes()
+
+
+def test_same_length_edit_in_the_last_row_reads_the_edited_value(tmp_path):
+    path = _psi_file(tmp_path)
+    _, psi = read_file(path)
+    text = path.read_bytes()
+    at = len(text) - 2  # the last digit of the last row's im column
+    digit = b"1" if text[at:at + 1] != b"1" else b"2"
+    path.write_bytes(text[:at] + digit + text[at + 1 :])
+    _, edited = read_file(path)
+    last = path.read_text().splitlines()[-1].split()
+    assert edited.values[-1].imag == float(last[2]) != psi.values[-1].imag
+    assert np.array_equal(edited.values[:-1], psi.values[:-1])
+
+
+def test_entry_in_the_digest_and_npy_layout_falls_back_to_the_parse(tmp_path, monkeypatch):
+    # an older entry: the blake2b-256 digest of the text, then the values as .npy
+    path = _plane_file(tmp_path)
+    with open(fileio._entry(path), "wb") as f:
+        f.write(hashlib.blake2b(path.read_bytes(), digest_size=32).digest())
+        np.save(f, np.ones((21, 3)), allow_pickle=False)
+    calls = _parsed(monkeypatch)
+    _, plane = read_file(path)
+    assert calls == [path] and np.array_equal(plane.values, np.ones((21, 3)))
+
+
+class _RewrittenOnClose:
+    """A file opened by write_file whose path gets the bytes new once it is closed."""
+
+    def __init__(self, f, path, new):
+        self.f, self.path, self.new = f, path, new
+
+    def __enter__(self):
+        return self.f
+
+    def __exit__(self, *exc):
+        self.f.close()
+        self.path.write_bytes(self.new)
+
+
+@pytest.mark.parametrize("when", ["closed", "replace"])
+def test_text_rewritten_before_its_entry_is_replaced_reads_the_new_text(tmp_path, monkeypatch,
+                                                                        when):
+    # the entry's copy is the bytes the writer wrote, never read back from the text:
+    # the old values must not pair with a text rewritten once it is closed, or as the
+    # entry is put in place
+    other = tmp_path / "other"
+    other.mkdir()
+    gx, gmu = UniformGrid1D(-1.0, 0.1, 21), UniformGrid1D(0.5, 0.5, 3)
+    write_file(other / "plane.txt", TomogramPlane(0.7, gx, gmu, np.full((21, 3), 2.0)))
+    path, new, replace = tmp_path / "plane.txt", (other / "plane.txt").read_bytes(), os.replace
+
+    def rewrite_then_replace(src, dst):
+        path.write_bytes(new)
+        replace(src, dst)
+
+    def open_text(file, mode="r", *args, **kwargs):
+        f = open(file, mode, *args, **kwargs)
+        return _RewrittenOnClose(f, path, new) if file == path and mode == "wb" else f
+
+    if when == "closed":
+        monkeypatch.setattr(fileio, "open", open_text, raising=False)
+    else:
+        monkeypatch.setattr(os, "replace", rewrite_then_replace)
+    write_file(path, TomogramPlane(0.4, gx, gmu, np.ones((21, 3))))
+    monkeypatch.undo()
+    assert fileio._entry(path).exists()
+    _, plane = read_file(path)
+    assert plane.nu == 0.7 and np.array_equal(plane.values, np.full((21, 3), 2.0))
+
+
 @pytest.mark.parametrize("damage", ["truncated", "garbage", "wrong-shape", "wrong-dtype"])
 def test_damaged_entry_falls_back_to_the_text_parse(tmp_path, damage):
     path = _plane_file(tmp_path)
@@ -676,8 +772,28 @@ def test_blocked_cache_directory_still_writes_the_text(tmp_path):
     assert np.array_equal(back.values, psi.values)
 
 
+def test_entry_write_error_drops_the_entry_and_still_writes_the_text(tmp_path, monkeypatch):
+    # every write to the entry's temporary file fails (EBADF): no entry and no
+    # temporary file is left, and the text is the bytes of a write without the error
+    psi = gcf_sampled(P, UniformGrid1D.symmetric(8.0, 5001))  # 0.3 MB, past any buffer
+    write_file(tmp_path / "want.txt", psi)
+    failing = tmp_path / "failing"
+    failing.mkdir()
+    mkstemp = tempfile.mkstemp
+
+    def read_only(**kwargs):
+        fd, name = mkstemp(**kwargs)
+        os.close(fd)
+        return os.open(name, os.O_RDONLY), name
+
+    monkeypatch.setattr(tempfile, "mkstemp", read_only)
+    write_file(failing / "psi.txt", psi)
+    assert (failing / "psi.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+    assert list((failing / ".wavetomo-cache").iterdir()) == []
+
+
 def test_manifest_and_values_come_from_the_same_bytes(tmp_path, monkeypatch):
-    # the text is rewritten in place after its digest is taken while the old
+    # the text is rewritten in place after it is compared while the old
     # entry is still there: the old entry's values must not pair with the new manifest
     path = _plane_file(tmp_path)
     other = tmp_path / "other"
@@ -686,8 +802,8 @@ def test_manifest_and_values_come_from_the_same_bytes(tmp_path, monkeypatch):
     write_file(other / "plane.txt", TomogramPlane(0.7, gx, gmu, np.full((21, 3), 2.0)))
     scan = fileio._scan
 
-    def scan_then_rewrite(f, p):
-        out = scan(f, p)
+    def scan_then_rewrite(f, p, entry):
+        out = scan(f, p, entry)
         path.write_bytes((other / "plane.txt").read_bytes())
         return out
 
@@ -710,15 +826,16 @@ def test_only_a_regular_file_gets_an_entry(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the streamed scan: one pass over blocks of _SCAN_BYTES for NUL bytes, the digest
-# and the first line
+# the streamed scan: one pass over blocks of _SCAN_BYTES for NUL bytes, the comparison
+# with the entry's copy and the first line
 
 
 def _scanned(path):
-    """_scan's (first line, digest) of path, and the line the open file reads next."""
-    with open(path, encoding="utf-8") as f:
-        head, digest = fileio._scan(f, path)
-        return head, digest, f.readline()
+    """_scan's (first line, entry bytes after its copy) of path against its entry,
+    and the line the open file reads next."""
+    with open(path, encoding="utf-8") as f, open(fileio._entry(path), "rb") as entry:
+        head, left = fileio._scan(f, path, entry)
+        return head, left, f.readline()
 
 
 def test_nul_several_blocks_in_is_refused_naming_its_line(tmp_path):
@@ -751,18 +868,35 @@ def test_first_line_longer_than_a_block_reads_from_its_entry(tmp_path, monkeypat
                          ids=["empty", "no-newline", "short-lines", "written"])
 def test_scan_takes_the_first_line_and_the_digest_of_every_byte(tmp_path, monkeypatch,
                                                                  block, text):
+    # the first line, and the comparison of every byte with the entry's copy: equal
+    # only when the copy is the text, byte for byte, and the values follow it
     path = tmp_path / "f.txt"
+    entry = fileio._entry(path)
     if text is None:
         write_file(path, gcf_sampled(P, UniformGrid1D.symmetric(5.0, 33)))
         text = path.read_bytes()
+        assert entry.read_bytes()[: len(text)] == text and _scanned(path)[1] == 33 * 16
     else:
         path.write_bytes(text)
+        entry.parent.mkdir()
     if block:
         monkeypatch.setattr(fileio, "_SCAN_BYTES", block)
-    head, digest, line = _scanned(path)
-    assert head == text[: text.find(b"\n") + 1 or len(text)]
-    assert digest == hashlib.blake2b(text, digest_size=32).digest()
-    assert line.encode("utf-8") == head  # the file is left at its start
+
+    def same(copy, values=b"\1" * 16):
+        entry.write_bytes(copy + values)
+        head, left, line = _scanned(path)
+        assert head == text[: text.find(b"\n") + 1 or len(text)]
+        assert line.encode("utf-8") == head  # the file is left at its start
+        return left == len(values)
+
+    assert same(text) and same(text, b"")
+    assert not same(text + b"\n")  # a shorter text than the copy
+    if text:
+        # a longer text than the copy, whose last byte differs from or equals the
+        # first value byte
+        assert not same(text[:-1]) and not same(text[:-1], text[-1:] + b"\1" * 15)
+        i = len(text) // 2
+        assert not same(text[:i] + bytes([text[i] ^ 1]) + text[i + 1 :])  # one byte changed
 
 
 def test_manifest_without_a_newline_reads_as_a_file_without_rows(tmp_path):
