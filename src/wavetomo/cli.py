@@ -44,12 +44,13 @@ from .errors import (
 )
 from .grid import SampledWavefunction, UniformGrid1D
 from .tomography import (
+    NdWavefunction,
     OpticalTomogram,
     TomogramPlane,
     fresnel_tomogram,
     optical_tomogram_map,
     plane_grids_for_slice,
-    symplectic_tomogram,
+    symplectic_tomogram_nd,
     symplectic_tomogram_plane,
     wavefunction_moments,
 )
@@ -365,9 +366,9 @@ def _cmd_tomogram_nd(args) -> int:
     # the product state's tomogram is the product of its factors' tomograms;
     # a degenerate factor is named by its axis, as symplectic_tomogram_nd does
     w = 1.0
-    for axis, point in enumerate(zip(factors, Xs, mus, nus)):
+    for axis, (psi, X, mu, nu) in enumerate(zip(factors, Xs, mus, nus)):
         try:
-            w *= symplectic_tomogram(*point)
+            w *= symplectic_tomogram_nd(NdWavefunction((psi.grid,), psi.values), (X,), (mu,), (nu,))
         except DegeneratePointError as e:
             raise DegeneratePointError(f"axis {axis}: {e}") from None
     print(format(w, ".17g"))

@@ -254,13 +254,14 @@ class _EntryCopy:
     def __init__(self, path: Path) -> None:
         self.entry, self.f = _entry(path), None
         try:
-            if stat.S_ISREG(os.lstat(path).st_mode):
+            if stat.S_ISREG(mode := os.lstat(path).st_mode):
                 self.entry.parent.mkdir(exist_ok=True)
                 fd, self.tmp = tempfile.mkstemp(dir=self.entry.parent,
                                                 prefix=self.entry.name, suffix=".tmp")
                 self.f = open(fd, "wb")
+                os.chmod(self.tmp, stat.S_IMODE(mode))  # the text's readers read it, not 0600
         except OSError:
-            pass
+            self.close(keep=False)
 
     def write(self, data) -> None:
         try:

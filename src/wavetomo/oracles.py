@@ -27,9 +27,9 @@ from .reconstruct import (InversionConfig, density_matrix_from_planes,
                           reconstruct_density_matrix, reconstruct_density_matrix_fresnel,
                           reconstruct_density_matrix_nd, reconstruct_psi, reconstruct_wigner,
                           wigner_from_planes)
-from .tomography import (NdWavefunction, fresnel_tomogram, optical_tomogram, optical_tomogram_map,
-                         plane_grids_for_slice, symplectic_tomogram, symplectic_tomogram_nd,
-                         symplectic_tomogram_plane, wavefunction_moments)
+from .tomography import (NdWavefunction, fresnel_tomogram, optical_tomogram_map,
+                         plane_grids_for_slice, symplectic_tomogram_nd, symplectic_tomogram_plane,
+                         wavefunction_moments)
 
 __all__ = ["ORACLES", "golden_dir", "golden_name"]
 
@@ -49,6 +49,11 @@ def golden_name(sigma: float, alpha: float) -> str:
 
 def golden_dir() -> Path:
     return Path(__file__).resolve().parent / "golden"
+
+
+def _point(psi: SampledWavefunction, X: float, mu: float, nu: float) -> float:
+    """w(X, mu, nu) of psi, the one-axis symplectic_tomogram_nd."""
+    return symplectic_tomogram_nd(NdWavefunction((psi.grid,), psi.values), (X,), (mu,), (nu,))
 
 
 def _plane_transform(grid_x, grid_y, values, omega_x: float, omega_y: float) -> complex:
@@ -78,7 +83,7 @@ def _tomogram_closed_form():
         p = GcfParams(s, a)
         psi = gcf_sampled(p, count=4096)
         for X, mu, nu in itertools.product((-2.0, 0.0, 2.0), (-1.0, 0.5, 2.0), (0.25, 1.0, 2.0)):
-            dev = abs(symplectic_tomogram(psi, X, mu, nu) - gcf_tomogram_analytic(p, X, mu, nu))
+            dev = abs(_point(psi, X, mu, nu) - gcf_tomogram_analytic(p, X, mu, nu))
             worst = max(worst, dev)
     return worst <= 1e-6, f"max dev vs quadrature {worst:.2e} (tol 1e-6)"
 
@@ -88,7 +93,7 @@ def _width_form_resolution():
     p = GcfParams(0.5, 0.0)
     mu, nu, x_probe = 1.0, 0.5, 0.4
     psi = gcf_sampled(p, count=4096)
-    w0, wx = (symplectic_tomogram(psi, X, mu, nu) for X in (0.0, x_probe))
+    w0, wx = (_point(psi, X, mu, nu) for X in (0.0, x_probe))
     omega_fit = x_probe / math.sqrt(-math.log(wx / w0))
     quartic = math.sqrt((4 * nu**2 + p.sigma**4 * mu**2) / (2 * p.sigma**2))
     quadratic = math.sqrt((4 * nu**2 + p.sigma**2 * mu**2) / (2 * p.sigma**2))
@@ -239,8 +244,8 @@ def _optical_fresnel_bridge():
     psi = gcf_sampled(p, count=4097)
     dev_good = dev_alt = 0.0
     for theta, X in itertools.product((0.3, 1.0, 2.2), (-0.8, 0.4)):
-        direct = optical_tomogram(psi, X, theta)
         c, s = math.cos(theta), math.sin(theta)
+        direct = _point(psi, X, c, s)
         good = gcf_tomogram_analytic(p, X / c, 1.0, s / c) / abs(c)
         alt = gcf_tomogram_analytic(p, X / s, 1.0, c / s) / abs(s)
         dev_good = max(dev_good, abs(direct - good))
@@ -261,14 +266,14 @@ def _forward_identities():
     gx, gn = UniformGrid1D.symmetric(4.0, 17), UniformGrid1D.symmetric(1.5, 7)
     scale, low, line = 0.0, math.inf, 0.0
     for psi in states.values():
-        base = symplectic_tomogram(psi, 0.7, 0.9, 0.6)
-        scale = max(scale, *(abs(symplectic_tomogram(psi, lam * 0.7, lam * 0.9, lam * 0.6)
+        base = _point(psi, 0.7, 0.9, 0.6)
+        scale = max(scale, *(abs(_point(psi, lam * 0.7, lam * 0.9, lam * 0.6)
                                  - base / abs(lam)) / base for lam in (-2.0, 0.5, 3.0)))
         plane = symplectic_tomogram_plane(psi, UniformGrid1D.symmetric(6.0, 101),
                                           UniformGrid1D.symmetric(4.0, 41), 0.7)
         low = min(low, float(plane.values.min()))
         wf = fresnel_tomogram(psi, gx, gn)
-        line = max(line, *(abs(wf.values[i, j] - symplectic_tomogram(psi, gx.point(i), 1.0, nu))
+        line = max(line, *(abs(wf.values[i, j] - _point(psi, gx.point(i), 1.0, nu))
                            for i in (0, 8, 16) for j, nu in enumerate(gn.points.tolist())))
     return scale <= 1e-8 and low >= -1e-10 and line <= 1e-10, (
         f"over {'; '.join(states)} on 4097 points: homogeneity at scale factors -2, 0.5, 3 "

@@ -13,11 +13,11 @@ connecting them. At nu != 0 every quadrature is a trapezoid sum on the
 wavefunction's own grid; the caller is responsible for sampling psi finely
 enough for the oscillatory kernel (roughly step < 2*pi / ((|mu|*y_max + |X|)/|nu|)).
 
-Every point value is one loop over the axes, `symplectic_tomogram_nd`
-(`symplectic_tomogram` is its one-axis call), one kernel vector per axis. Maps
-and points read the nu = 0 limit |psi(X/mu)|^2 / |mu| from one rule, psi's
-band-limited interpolant (zero off its grid, `_spectrum`), so a product state's
-tomogram is its factors'. `analytic.wigner_direct` reads the same interpolant.
+Every value takes one ray rule, `_rays` (a flat column, |nu| <= EPS_NU, reads psi's
+band-limited interpolant, `_spectrum`, as the ray (0, -mu) over its spectrum), and one
+kernel row, `_kernel`. A map sums over an X grid by chirp-z, a point at one X by a dot
+product per axis (`symplectic_tomogram_nd`), so a product state's tomogram is its
+factors'. `analytic.wigner_direct` reads the same interpolant.
 
 Every gridded map (plane, Fresnel, optical) is one call to `_chirp_z_columns`:
 with X and y both on uniform grids the sum over y is a chirp-z transform,
@@ -61,10 +61,8 @@ __all__ = [
     "OpticalTomogram",
     "NdWavefunction",
     "Moments",
-    "symplectic_tomogram",
     "symplectic_tomogram_plane",
     "fresnel_tomogram",
-    "optical_tomogram",
     "optical_tomogram_map",
     "symplectic_tomogram_nd",
     "wavefunction_moments",
@@ -134,9 +132,32 @@ class OpticalTomogram(_Tomogram):
     values: np.ndarray
 
 
-def symplectic_tomogram(psi: SampledWavefunction, X: float, mu: float, nu: float) -> float:
-    """Symplectic tomogram of psi at one (X, mu, nu): the one-axis symplectic_tomogram_nd."""
-    return symplectic_tomogram_nd(NdWavefunction((psi.grid,), psi.values), (X,), (mu,), (nu,))
+def _rays(mu, nu, X=0.0, named=False):
+    """(mu_r, nu_r, flat) of the 1-D columns (mu, nu): a value is |Sum f*k|^2 / (2*pi*|nu_r|),
+    k _kernel's row at (mu_r, nu_r), f psi's weighted samples on a live ray and sqrt(2*pi)/n
+    times its centred spectrum on the flat ray (0, -mu). A non-finite X (a point's), mu or nu
+    raises ValueError, a flat |mu| <= EPS_NU DegeneratePointError, named by axis if named."""
+    X, mu, nu = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (X, mu, nu)))
+    flat = np.abs(nu) <= EPS_NU
+    for i in np.flatnonzero(~np.isfinite([X, mu, nu]).all(0) | flat & (np.abs(mu) <= EPS_NU))[:1]:
+        where = f"axis {i}: " if named else ""
+        for name, v in (("X", X[i]), ("mu", mu[i]), ("nu", nu[i])):
+            if not np.isfinite(v):
+                raise ValueError(f"{where}{name} = {v} is not finite")
+        raise DegeneratePointError(f"{where}(mu, nu) = ({mu[i]}, {nu[i]}) is degenerate")
+    return np.where(flat, 0.0, mu), np.where(flat, -mu, nu), flat
+
+
+def _kernel(mu, nu, y2, shift, weights, phase, out) -> np.ndarray:
+    """out = exp(i*(mu*y2 - shift)/nu) * weights, by the float scratch phase, mu and nu scalars
+    or one per row: every row exp(i*mu*y^2/(2*nu) - i*X*y/nu)*w (y2 = y^2/2, shift = X*y)."""
+    np.multiply(mu, y2, out=phase)
+    phase -= shift
+    phase /= nu
+    np.multiply(phase, 1j, out=out)  # exp(1j*phase) bit for bit, with no temporary
+    np.exp(out, out=out)
+    out *= weights
+    return out
 
 
 def _fft_size(n: int) -> int:
@@ -153,12 +174,6 @@ def _block_rows(size: int, shared_chirp: bool) -> int:
     if shared_chirp:
         return max(1, (_KERNEL_BYTES // size - 72) // 16)
     return max(1, _KERNEL_BYTES // (40 * size))
-
-
-def _exp_i(phase, out) -> np.ndarray:
-    """out = exp(1j*phase), bit for bit, with no temporary of phase's size."""
-    np.multiply(phase, 1j, out=out)
-    return np.exp(out, out=out)
 
 
 def _chirp_z_columns(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu, nu, out, cols):
@@ -202,18 +217,13 @@ def _chirp_z_columns(weighted, grid_y: UniformGrid1D, grid_x: UniformGrid1D, mu,
         mu_b, nu_b = mu[s : s + n, None], nu if shared else nu[s : s + n]
         b, c = buf[shared : shared + len(mu_b)], chirp if shared else chirp[: len(mu_b)]
         if s == 0 or not shared:  # every row from its own exp, or a grid's first row
-            _exp_i(np.divide(cm2, nu_b, out=phase[: len(c)]), c)
+            _kernel(1.0, nu_b, cm2, 0.0, 1.0, phase[: len(c)], c)  # the chirp exp(i*cm2/nu)
             np.fft.fft(c, axis=1, out=c)
-            head = np.multiply(mu_b[: len(c)], y2, out=phase[: len(c), :n_y])
-            head -= shift
-            head /= nu_b
-            _exp_i(head, b[: len(c), :n_y])
-            b[: len(c), :n_y] *= weighted
+            _kernel(mu_b[: len(c)], nu_b, y2, shift, weighted, phase[: len(c), :n_y],
+                    b[: len(c), :n_y])
         if shared and len(mu) > 1:  # each row is the row before it times the step row
             if s == 0:
-                step_phase = np.multiply(d_mu, y2, out=phase[0, :n_y])
-                step_phase /= nu[0]
-                step = _exp_i(step_phase, np.empty(n_y, np.complex128))
+                step = _kernel(d_mu, nu[0], y2, 0.0, 1.0, phase[0, :n_y], np.empty(n_y, complex))
             run = buf[int(s == 0) : len(b) + 2, :n_y]  # from the block's row 0 or the carried row
             run[1:] = step
             np.cumprod(run, axis=0, out=run)
@@ -243,35 +253,28 @@ def _spectrum(values, grid: UniformGrid1D) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tomogram_columns(psi: SampledWavefunction, grid_x: UniformGrid1D, mu, nu) -> np.ndarray:
-    """w(X, mu_r, nu_r) for X on grid_x, one column per mu_r; nu is one value or one per
+    """w(X, mu_j, nu_j) for X on grid_x, one column per mu_j; nu is one value or one per
     column, and mu one value per column or, with one nu, the columns' UniformGrid1D.
 
-    Columns at |nu| <= EPS_NU are one chirp-z call by _spectrum's rule, over sqrt(2*pi)*c
-    on the p grid at mu_r = 0, nu_r = -mu; the rest one more, which writes them in place:
-    with one shared chirp and rows as a running product when mu is a grid.
+    The flat rays (_rays) are one chirp-z call on the p grid; the rest one more, with one
+    shared chirp and rows as a running product when mu is a grid.
     """
-    rows = mu if isinstance(mu, UniformGrid1D) else np.asarray(mu, dtype=np.float64)
-    mu = rows.points if isinstance(rows, UniformGrid1D) else rows
-    nu_r = np.broadcast_to(np.asarray(nu, dtype=np.float64), mu.shape)
-    flat = np.abs(nu_r) <= EPS_NU
-    if np.min(np.abs(mu[flat]), initial=np.inf) <= EPS_NU:
-        raise DegeneratePointError(
-            "a column at nu=0 has |mu| below threshold; the limit is undefined there"
-        )
-    out = np.empty((grid_x.count, mu.size))
+    grid = isinstance(mu, UniformGrid1D)
+    mu_r, nu_r, flat = _rays(mu.points if grid else mu, nu)
+    out = np.empty((grid_x.count, flat.size))
     g, cols, live = psi.grid, np.flatnonzero(flat), np.flatnonzero(~flat)
     if cols.size:
         p, c = _spectrum(psi.values, g)
         c = np.fft.fftshift(c)
         c *= math.sqrt(2.0 * math.pi) / g.count
         grid_p = UniformGrid1D(p.min(), p[1], g.count)
-        _chirp_z_columns(c, grid_p, grid_x, np.zeros(cols.size), -mu[cols], out, cols)
-        x = grid_x.points[:, None] / mu[cols]
-        out[:, cols] *= (g.start <= x) & (x <= g.end)  # else the periodic interpolant wraps
+        _chirp_z_columns(c, grid_p, grid_x, mu_r[cols], nu_r[cols], out, cols)
+        x = grid_x.points[:, None] / -nu_r[cols]  # X/mu, zero off psi's grid, where the
+        out[:, cols] *= (g.start <= x) & (x <= g.end)  # periodic interpolant would wrap
     if live.size:  # a mu grid has one nu, and it is live
-        mu_l, nu_l = (rows, nu) if isinstance(rows, UniformGrid1D) else (mu[live], nu_r[live])
         weighted = psi.values * trapezoid_weights(g.count, g.step)
-        _chirp_z_columns(weighted, g, grid_x, mu_l, nu_l, out, live)
+        _chirp_z_columns(weighted, g, grid_x, mu if grid else mu_r[live],
+                         nu if grid else nu_r[live], out, live)
     return out
 
 
@@ -299,11 +302,6 @@ def fresnel_tomogram(
     """
     ones = np.ones(grid_nu.count)
     return FresnelTomogram(grid_x, grid_nu, _tomogram_columns(psi, grid_x, ones, grid_nu.points))
-
-
-def optical_tomogram(psi: SampledWavefunction, X: float, theta: float) -> float:
-    """Optical tomogram: the symplectic tomogram along (mu, nu) = (cos t, sin t)."""
-    return symplectic_tomogram(psi, X, math.cos(theta), math.sin(theta))
 
 
 def optical_tomogram_map(
@@ -336,41 +334,33 @@ class NdWavefunction(_Record):
         # no norm gate: unnormalized tensors (even all-zero) are legal forward inputs
         object.__setattr__(self, "values", vals)
 
-    @property
-    def ndim(self) -> int:
-        return len(self.grids)
-
 
 def symplectic_tomogram_nd(
     psi: NdWavefunction, Xs: Sequence[float], mus: Sequence[float], nus: Sequence[float]
 ) -> float:
     """Product-kernel symplectic tomogram of an N-axis wavefunction.
 
-    One loop over the axes, last first, contracts psi with one kernel vector per
-    axis: the chirped one, or at |nu_k| <= EPS_NU the weights fft(exp(i*p*(X_k/mu_k
-    - x0)))/n (p = _momenta) that _spectrum's interpolant puts on the axis's samples
-    at X_k/mu_k (zero off the grid), with factor 1/|mu_k|: one 1-D FFT. A product
-    state's value is its factors' product. A degenerate axis (mu_k and nu_k both
-    below threshold) raises. At mu = (1, ..., 1) this is the N-axis Fresnel tomogram.
+    One loop over the axes, last first, contracts psi with one kernel row (_kernel) per
+    axis at its ray (_rays): over its samples, or when flat over its p grid at X - mu*x0
+    (fft(psi) is the spectrum about x0), the row taken through one 1-D FFT. A product
+    state's value is its factors' product. At mu = (1, ..., 1) this is the N-axis
+    Fresnel tomogram.
     """
-    if not (len(Xs) == len(mus) == len(nus) == psi.ndim):
-        raise ValueError(f"expected {psi.ndim} components per argument")
-    amp, factor = psi.values, 1.0
-    for axis in reversed(range(psi.ndim)):  # each step consumes the last axis of amp
-        g, X, mu, nu = psi.grids[axis], Xs[axis], mus[axis], nus[axis]
-        if abs(nu) <= EPS_NU:
-            if abs(mu) <= EPS_NU:
-                where = f"axis {axis}: " if psi.ndim > 1 else ""
-                raise DegeneratePointError(f"{where}(mu, nu) = ({mu}, {nu}) is degenerate")
-            k = np.fft.fft(np.exp(1j * _momenta(g) * (X / mu - g.start)))
-            k *= (g.start <= X / mu <= g.end) / g.count
-            factor /= abs(mu)
+    if not (len(Xs) == len(mus) == len(nus) == len(psi.grids)):
+        raise ValueError(f"expected {len(psi.grids)} components per argument")
+    mu_r, nu_r, flat = _rays(mus, nus, Xs, named=len(psi.grids) > 1)
+    amp = psi.values
+    for axis in reversed(range(len(psi.grids))):  # each step consumes the last axis of amp
+        g, X, n = psi.grids[axis], Xs[axis], psi.grids[axis].count
+        if flat[axis]:
+            y, w, X = _momenta(g), math.sqrt(2.0 * math.pi) / n, X - mus[axis] * g.start
         else:
-            y = g.points
-            k = np.exp(1j * (mu * y * y / (2.0 * nu) - X * y / nu)) * trapezoid_weights(y.size, g.step)
-            factor /= 2.0 * np.pi * abs(nu)
+            y, w = g.points, trapezoid_weights(n, g.step)
+        k = _kernel(mu_r[axis], nu_r[axis], y * y / 2, X * y, w, np.empty(n), np.empty(n, complex))
+        if flat[axis]:  # zero off psi's grid, where the periodic interpolant would wrap
+            k = np.fft.fft(k) * (g.start <= Xs[axis] / mus[axis] <= g.end)
         amp = amp @ k
-    return factor * float(amp.real**2 + amp.imag**2)
+    return float(amp.real**2 + amp.imag**2) / float(np.prod(2.0 * np.pi * np.abs(nu_r)))
 
 
 # ---------------------------------------------------------------------------

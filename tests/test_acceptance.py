@@ -53,10 +53,14 @@ from wavetomo.tomography import (
     NdWavefunction,
     fresnel_tomogram,
     optical_tomogram_map,
-    symplectic_tomogram,
     symplectic_tomogram_nd,
     symplectic_tomogram_plane,
 )
+
+
+def _point(psi, X, mu, nu):
+    """w(X, mu, nu) of psi, by symplectic_tomogram_nd on the one-axis state."""
+    return symplectic_tomogram_nd(NdWavefunction((psi.grid,), psi.values), (X,), (mu,), (nu,))
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -85,7 +89,7 @@ def test_criterion_1_closed_form_vs_quadrature_lattice():
             for X in Xs:
                 for mu in mus:
                     for nu in nus:
-                        got = symplectic_tomogram(psi, float(X), float(mu), float(nu))
+                        got = _point(psi, float(X), float(mu), float(nu))
                         want = gcf_tomogram_analytic(p, float(X), float(mu), float(nu))
                         worst = max(worst, abs(got - want))
     dt = time.monotonic() - t0
@@ -293,18 +297,33 @@ def _fresnel_is_mu1_line():
 
 
 def _chirp_shift():
-    # the sampled alpha state's values equal the alpha = 0 state's at mu + 2*alpha*nu
+    # a lens e^{iax^2/2} moves mu to mu + a*nu: the sampled alpha state's points equal the
+    # alpha = 0 state's at mu + 2*alpha*nu, and on the map path a lensed state's plane at nu
+    # equals the state's own on the mu grid shifted by a*nu (chirped Gaussian, Fock n = 1)
     pa, p0 = (gcf_sampled(GcfParams(1.0, a), count=4097) for a in (2.0, 0.0))
-    dev = max(abs(symplectic_tomogram(pa, X, mu, nu)
-                  - symplectic_tomogram(p0, X, mu + 4.0 * nu, nu))
+    dev = max(abs(_point(pa, X, mu, nu) - _point(p0, X, mu + 4.0 * nu, nu))
               for X, mu, nu in itertools.product((-1.0, 0.5), (0.3, 1.2), (0.4, 1.5)))
-    return dev <= 1e-12, f"max dev {dev:.2e} (tol 1e-12)"
+    g, gx, gmu = (UniformGrid1D.symmetric(*a) for a in ((8.0, 4097), (6.0, 121), (2.0, 41)))
+    plane = 0.0
+    for psi in (gcf_sampled(GcfParams(1.0, 1.0), count=4097),
+                SampledWavefunction.normalized(g, fock1_psi(g.points))):
+        y = psi.grid.points
+        for a, nu in itertools.product((1.5, 4.0), (0.4, 1.5, -0.7)):
+            lensed = SampledWavefunction(psi.grid, psi.values * np.exp(0.5j * a * y * y))
+            shifted = UniformGrid1D(gmu.start + a * nu, gmu.step, gmu.count)
+            diff = (symplectic_tomogram_plane(lensed, gx, gmu, nu).values
+                    - symplectic_tomogram_plane(psi, gx, shifted, nu).values)
+            plane = max(plane, float(np.max(np.abs(diff))))
+    return dev <= 1e-12 and plane <= 1e-12, (
+        f"points at mu + 2*alpha*nu: max dev {dev:.2e} (tol 1e-12); lensed planes (a = 1.5, 4; "
+        f"nu = 0.4, 1.5, -0.7; 121 X x 41 mu) on the shifted mu grid: max dev {plane:.2e} "
+        f"(tol 1e-12)")
 
 
 def _chirp_peak_shrink():
     # the sampled states' peak strictly falls with chirp at width 1; the drop softens
     # at width 0.5
-    h1, h05 = ([symplectic_tomogram(gcf_sampled(GcfParams(s, a), count=4097), 0.0, 1.0, 0.5)
+    h1, h05 = ([_point(gcf_sampled(GcfParams(s, a), count=4097), 0.0, 1.0, 0.5)
                 for a in (0.0, 0.5, 1.0, 2.0, 3.0)] for s in (1.0, 0.5))
     mono = all(b < a for a, b in zip(h1, h1[1:]))
     rel_1, rel_05 = ((h[1] - h[-1]) / h[1] for h in (h1, h05))  # chirp 0.5 -> 3

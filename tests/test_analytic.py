@@ -31,13 +31,18 @@ from wavetomo.analytic import (
 )
 from wavetomo.errors import DegeneratePointError, SingularFrequencyError
 from wavetomo.grid import SampledWavefunction, UniformGrid1D
-from wavetomo.tomography import symplectic_tomogram
+from wavetomo.tomography import NdWavefunction, symplectic_tomogram_nd
 
 PSI_0 = 0.8932438417380023  # (2/pi)^(1/4)
 SQRT_2_OVER_PI = 0.7978845608028654
 INV_SQRT_2PI = 0.3989422804014327
 # psi(0.5) * conj(psi(0)) for sigma=1, alpha=1
 SLICE_HALF = 0.6020755134639533 + 0.15373511832802772j
+
+
+def _point(psi, X, mu, nu):
+    """w(X, mu, nu) of psi, by symplectic_tomogram_nd on the one-axis state."""
+    return symplectic_tomogram_nd(NdWavefunction((psi.grid,), psi.values), (X,), (mu,), (nu,))
 
 
 def test_params_validation():
@@ -146,7 +151,7 @@ def test_lattice_analytic_vs_numerical_tomogram():
         for mu in np.linspace(-2.0, 2.0, 9):
             for nu in np.linspace(0.1, 2.0, 9):
                 a = gcf_tomogram_analytic(p, X, mu, nu)
-                n = symplectic_tomogram(psi, X, mu, nu)
+                n = _point(psi, X, mu, nu)
                 worst = max(worst, abs(a - n))
     assert worst <= 1e-6
 
@@ -309,7 +314,7 @@ def test_fock1_closed_forms_match_the_forward_map_and_direct_wigner():
     g = UniformGrid1D.symmetric(8.0, 2049)
     psi = SampledWavefunction(g, fock1_psi(g.points).astype(np.complex128))
     assert np.trapezoid(np.abs(psi.values) ** 2, dx=g.step) == pytest.approx(1.0, abs=1e-12)
-    worst = max(abs(fock1_tomogram(X, mu, nu) - symplectic_tomogram(psi, X, mu, nu))
+    worst = max(abs(fock1_tomogram(X, mu, nu) - _point(psi, X, mu, nu))
                 for X in (-1.3, 0.0, 0.4, 2.1) for mu in (-0.8, 0.0, 1.5) for nu in (0.3, -1.2))
     assert worst <= 1e-12  # measured 4.0e-14
     assert fock1_wigner(0.0, 0.0) == pytest.approx(-1.0 / math.pi, rel=1e-15)

@@ -36,11 +36,15 @@ from wavetomo.tomography import (
     FresnelTomogram,
     NdWavefunction,
     OpticalTomogram,
-    symplectic_tomogram,
     symplectic_tomogram_nd,
 )
 
 SQRT_2_OVER_PI = 0.7978845608028654
+
+
+def _point(psi, X, mu, nu):
+    """w(X, mu, nu) of psi, by symplectic_tomogram_nd on the one-axis state."""
+    return symplectic_tomogram_nd(NdWavefunction((psi.grid,), psi.values), (X,), (mu,), (nu,))
 
 
 def run(*argv):
@@ -323,7 +327,7 @@ def test_negative_values_read_after_their_flag(tmp_path, monkeypatch, capsys):
     _, psi = fileio.read_file(tmp_path / "g_psi.txt")
     capsys.readouterr()
     assert run("tomogram-nd", "--input", "g_psi.txt", "--point", "-0.4;1.2;-0.9") == 0
-    assert float(capsys.readouterr().out) == symplectic_tomogram(psi, -0.4, 1.2, -0.9)
+    assert float(capsys.readouterr().out) == _point(psi, -0.4, 1.2, -0.9)
     assert run("tomogram", "--input", "g_psi.txt", "--nu-min", "-1e-1", "--nu-max", "1e-1",
                "--nu-count", "3", "--output", "s_{index}.txt") == 0
     assert fileio.read_file(tmp_path / "s_0.txt")[0].params["nu"] == -0.1
@@ -472,7 +476,7 @@ def test_tomogram_nd_multiplies_factor_tomograms(tmp_path, monkeypatch, capsys):
     point = ";".join(",".join(map(str, v)) for v in (Xs, mus, nus))
     assert run("tomogram-nd", *inputs, "--point", point) == 0
     got = float(capsys.readouterr().out)
-    w = [symplectic_tomogram(fileio.read_file(f"{name}_psi.txt")[1], X, mu, nu)
+    w = [_point(fileio.read_file(f"{name}_psi.txt")[1], X, mu, nu)
          for name, X, mu, nu in zip("abc", Xs, mus, nus)]
     assert got == w[0] * w[1] * w[2]
     # library and CLI agree at a nu = 0 axis: two factors against their dense tensor

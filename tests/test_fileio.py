@@ -812,6 +812,23 @@ def test_manifest_and_values_come_from_the_same_bytes(tmp_path, monkeypatch):
     assert plane.nu == 0.7 and np.array_equal(plane.values, np.full((21, 3), 2.0))
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_entry_has_its_texts_permissions_and_is_still_read(tmp_path, monkeypatch, umask):
+    # whoever can read the text can read its entry: mkstemp's 0600 would make every
+    # other reader of a shared sweep parse the text again
+    old = os.umask(umask)
+    try:
+        path = _plane_file(tmp_path)
+    finally:
+        os.umask(old)
+    mode = os.stat(path).st_mode & 0o777
+    assert mode == 0o666 & ~umask
+    assert os.stat(fileio._entry(path)).st_mode & 0o777 == mode
+    monkeypatch.setattr(fileio, "_parse", lambda *a: pytest.fail("the text was parsed"))
+    _, plane = read_file(path)
+    assert plane.nu == 0.4 and np.array_equal(plane.values, np.ones((21, 3)))
+
+
 def test_only_a_regular_file_gets_an_entry(tmp_path):
     target = tmp_path / "target"
     target.mkdir()

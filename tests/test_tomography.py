@@ -32,10 +32,8 @@ from wavetomo.tomography import (
     _fft_size,
     _tomogram_columns,
     fresnel_tomogram,
-    optical_tomogram,
     optical_tomogram_map,
     plane_grids_for_slice,
-    symplectic_tomogram,
     symplectic_tomogram_nd,
     symplectic_tomogram_plane,
     wavefunction_moments,
@@ -44,6 +42,11 @@ from wavetomo.tomography import (
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)  # 0.7978845608028654
 # pinned: 1/sqrt(2.5*pi), via quadrature of the plain transform at 4x resolution
 W_0_1_1 = 0.3568248232305542
+
+
+def _point(psi, X, mu, nu):
+    """w(X, mu, nu) of psi, by symplectic_tomogram_nd on the one-axis state."""
+    return symplectic_tomogram_nd(NdWavefunction((psi.grid,), psi.values), (X,), (mu,), (nu,))
 
 
 @pytest.fixture(scope="module")
@@ -57,28 +60,53 @@ def psi_chirped():
 
 
 def test_delta_limit_value(psi_plain):
-    assert symplectic_tomogram(psi_plain, 0.0, 1.0, 0.0) == pytest.approx(
+    assert _point(psi_plain, 0.0, 1.0, 0.0) == pytest.approx(
         SQRT_2_OVER_PI, abs=1e-9
     )
 
 
 def test_momentum_direction_value(psi_plain):
-    assert symplectic_tomogram(psi_plain, 0.0, 0.0, 1.0) == pytest.approx(
+    assert _point(psi_plain, 0.0, 0.0, 1.0) == pytest.approx(
         1.0 / math.sqrt(2.0 * math.pi), abs=1e-9
     )
 
 
 def test_pinned_oblique_value(psi_plain):
-    assert symplectic_tomogram(psi_plain, 0.0, 1.0, 1.0) == pytest.approx(W_0_1_1, abs=1e-6)
+    assert _point(psi_plain, 0.0, 1.0, 1.0) == pytest.approx(W_0_1_1, abs=1e-6)
 
 
 def test_degenerate_point_raises(psi_plain):
     with pytest.raises(DegeneratePointError):
-        symplectic_tomogram(psi_plain, 0.3, 0.0, 0.0)
+        _point(psi_plain, 0.3, 0.0, 0.0)
     with pytest.raises(DegeneratePointError):  # the nu = 0 plane's mu grid holds mu = 0
         symplectic_tomogram_plane(
             psi_plain, UniformGrid1D.symmetric(1.0, 5), UniformGrid1D.symmetric(1.0, 5), 0.0
         )
+
+
+def test_flat_map_column_and_flat_point_raise_the_same_text(psi_plain):
+    # one ray rule decides flat against live for maps and points alike
+    grid_mu = UniformGrid1D(-1.0, 0.5, 5)  # holds mu = 0 exactly
+    with pytest.raises(DegeneratePointError) as from_map:
+        symplectic_tomogram_plane(psi_plain, UniformGrid1D.symmetric(1.0, 5), grid_mu, 0.0)
+    with pytest.raises(DegeneratePointError) as from_point:
+        _point(psi_plain, 0.3, 0.0, 0.0)
+    assert str(from_map.value) == str(from_point.value) == "(mu, nu) = (0.0, 0.0) is degenerate"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["X", "mu", "nu"])
+def test_non_finite_point_raises_naming_axis_and_value(psi_plain, bad, name):
+    # a NaN or infinite X, mu or nu is an error, not a silent NaN, on one axis and two
+    point = {"X": 0.3, "mu": 0.8, "nu": 0.5}
+    one = dict(point, **{name: bad})
+    with pytest.raises(ValueError, match=f"^{name} = {bad} is not finite$"):
+        _point(psi_plain, one["X"], one["mu"], one["nu"])
+    g = UniformGrid1D.symmetric(4.0, 33)
+    psi2 = NdWavefunction((g, g), np.ones((33, 33), dtype=complex))
+    two = {k: (v, one[k]) for k, v in point.items()}  # axis 1 holds the bad value
+    with pytest.raises(ValueError, match=f"^axis 1: {name} = {bad} is not finite$"):
+        symplectic_tomogram_nd(psi2, two["X"], two["mu"], two["nu"])
 
 
 def test_homogeneity_loop(psi_chirped):
@@ -87,9 +115,9 @@ def test_homogeneity_loop(psi_chirped):
     for _ in range(20):
         X, mu = rng.uniform(-1.5, 1.5, size=2)
         nu = rng.uniform(0.2, 1.5)
-        base = symplectic_tomogram(psi_chirped, X, mu, nu)
+        base = _point(psi_chirped, X, mu, nu)
         for lam in (-2.0, 0.5, 3.0):
-            scaled = symplectic_tomogram(psi_chirped, lam * X, lam * mu, lam * nu)
+            scaled = _point(psi_chirped, lam * X, lam * mu, lam * nu)
             worst = max(worst, abs(scaled - base / abs(lam)) / max(1.0, base))
     assert worst <= 1e-8
 
@@ -100,7 +128,7 @@ def test_plane_matches_pointwise(psi_chirped):
     plane = symplectic_tomogram_plane(psi_chirped, gx, gmu, 0.7)
     for i in (0, 5, 10):
         for j in (0, 3, 6):
-            point = symplectic_tomogram(psi_chirped, gx.point(i), gmu.point(j), 0.7)
+            point = _point(psi_chirped, gx.point(i), gmu.point(j), 0.7)
             assert abs(plane.values[i, j] - point) <= 1e-12
 
 
@@ -126,7 +154,7 @@ def test_fresnel_is_mu_one_line(psi_plain):
     wf = fresnel_tomogram(psi_plain, gx, gnu)
     for i in (0, 8, 16):
         for j in range(gnu.count):
-            direct = symplectic_tomogram(psi_plain, gx.point(i), 1.0, gnu.point(j))
+            direct = _point(psi_plain, gx.point(i), 1.0, gnu.point(j))
             assert abs(wf.values[i, j] - direct) <= 1e-10
 
 
@@ -150,11 +178,11 @@ def test_fresnel_rows_normalized(psi_chirped):
 def test_optical_limits_and_consistency(psi_plain):
     for theta in (0.0, math.pi):  # |psi(X/cos t)|^2 / |cos t|, X/cos t off a node
         want = gcf_tomogram_analytic(GcfParams(1.0, 0.0), 0.4, math.cos(theta), 0.0)
-        assert optical_tomogram(psi_plain, 0.4, theta) == pytest.approx(want, abs=1e-12)
-    for theta in (0.3, 1.0, 2.5):
-        got = optical_tomogram(psi_plain, 0.4, theta)
-        want = symplectic_tomogram(psi_plain, 0.4, math.cos(theta), math.sin(theta))
-        assert abs(got - want) <= 1e-10
+        assert _point(psi_plain, 0.4, math.cos(theta), 0.0) == pytest.approx(want, abs=1e-12)
+    for theta in (0.3, 1.0, 2.5):  # the optical ray is the Fresnel one at X/cos t, tan t
+        c, s = math.cos(theta), math.sin(theta)
+        fresnel = _point(psi_plain, 0.4 / c, 1.0, s / c) / abs(c)
+        assert abs(_point(psi_plain, 0.4, c, s) - fresnel) <= 1e-10
 
 
 def test_zero_nu_map_columns_equal_points_off_a_node():
@@ -168,8 +196,8 @@ def test_zero_nu_map_columns_equal_points_off_a_node():
     worst = 0.0
     for i, X in enumerate(gx.points):
         for j, mu in enumerate(plane.grid_mu.points):
-            worst = max(worst, abs(plane.values[i, j] - symplectic_tomogram(psi, X, mu, 0.0)))
-        worst = max(worst, abs(fr.values[i, 2] - symplectic_tomogram(psi, X, 1.0, 0.0)))
+            worst = max(worst, abs(plane.values[i, j] - _point(psi, X, mu, 0.0)))
+        worst = max(worst, abs(fr.values[i, 2] - _point(psi, X, 1.0, 0.0)))
     assert worst <= 1e-13
 
 
@@ -196,7 +224,7 @@ def test_optical_momentum_direction_against_fft(psi_plain):
         psi_plain.values * np.exp(-1j * k * g.points), dx=g.step
     ) / math.sqrt(2.0 * math.pi)
     want = abs(ft) ** 2
-    got = optical_tomogram(psi_plain, k, math.pi / 2.0)
+    got = _point(psi_plain, k, math.cos(math.pi / 2.0), math.sin(math.pi / 2.0))
     assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -215,7 +243,7 @@ def test_plane_chirp_z_matches_scalar_oracle(nu):
     worst = 0.0
     for i in range(0, gx.count, 7):
         for j in range(gmu.count):
-            point = symplectic_tomogram(psi, gx.point(i), gmu.point(j), nu)
+            point = _point(psi, gx.point(i), gmu.point(j), nu)
             worst = max(worst, abs(plane.values[i, j] - point))
     assert worst <= 1e-12
 
@@ -258,7 +286,7 @@ def test_fresnel_chirp_z_rows_match_scalar_oracle():
     # most negative nu, smallest |nu| on both sides, and the nu = 0 row
     for j in (0, 79, 80, 81):
         nu = gnu.point(j)
-        want = [symplectic_tomogram(psi, gx.point(i), 1.0, nu) for i in range(gx.count)]
+        want = [_point(psi, gx.point(i), 1.0, nu) for i in range(gx.count)]
         assert np.max(np.abs(wf.values[:, j] - want)) <= 1e-12
 
 
@@ -286,7 +314,7 @@ def test_fresnel_block_seams_match_scalar_oracle(psi_forward):
     assert len(edges) >= 3
     for j in sorted({j for edge in edges[:2] + edges[-2:] for j in edge}):
         nu = gnu.point(j)
-        want = [symplectic_tomogram(psi_forward, gx.point(i), 1.0, nu) for i in range(gx.count)]
+        want = [_point(psi_forward, gx.point(i), 1.0, nu) for i in range(gx.count)]
         assert np.max(np.abs(wf.values[:, j] - want)) <= 1e-12, j
 
 
@@ -297,7 +325,8 @@ def test_optical_last_partial_block_matches_scalar_oracle(psi_forward):
     first, last = edges[-1]
     assert len(edges) >= 2 and last - first < edges[0][1] - edges[0][0]
     for j in range(first, last + 1):
-        want = [optical_tomogram(psi_forward, gx.point(i), gt.point(j)) for i in range(gx.count)]
+        t = gt.point(j)
+        want = [_point(psi_forward, gx.point(i), math.cos(t), math.sin(t)) for i in range(gx.count)]
         assert np.max(np.abs(ot.values[:, j] - want)) <= 1e-12, j
 
 
@@ -331,7 +360,7 @@ def test_explicit_grid_planes_match_scalar_oracle(psi_sweep, n_mu, nu):
     gx = UniformGrid1D.symmetric(6.0, 41)
     for gmu in (UniformGrid1D.symmetric(2.0, n_mu), UniformGrid1D(0.4, 1.7 / n_mu, n_mu)):
         plane = symplectic_tomogram_plane(psi_sweep, gx, gmu, nu)
-        want = [[symplectic_tomogram(psi_sweep, gx.point(i), gmu.point(j), nu)
+        want = [[_point(psi_sweep, gx.point(i), gmu.point(j), nu)
                  for j in range(n_mu)] for i in range(gx.count)]
         assert np.max(np.abs(plane.values - want)) <= 1e-12, gmu
 
@@ -346,7 +375,7 @@ def test_plane_block_seam_matches_scalar_oracle(psi_sweep):
     assert edges[:2] == [(0, 5), (6, 11)] and edges[-1] == (42, 45)
     plane = symplectic_tomogram_plane(psi_sweep, gx, gmu, nu)
     for j in (5, 6, 41, 42, 45):
-        want = [symplectic_tomogram(psi_sweep, gx.point(i), gmu.point(j), nu)
+        want = [_point(psi_sweep, gx.point(i), gmu.point(j), nu)
                 for i in range(gx.count)]
         assert np.max(np.abs(plane.values[:, j] - want)) <= 1e-12, j
 
@@ -387,7 +416,7 @@ def test_long_plane_blocks_match_scalar_oracle(n_x):
     size = _fft_size(n_x + psi.grid.count - 1)
     assert _block_rows(size, True) == {41: 86, 15: 109}[n_x]
     plane = symplectic_tomogram_plane(psi, gx, gmu, nu)
-    want = [[symplectic_tomogram(psi, gx.point(i), gmu.point(j), nu) for j in range(gmu.count)]
+    want = [[_point(psi, gx.point(i), gmu.point(j), nu) for j in range(gmu.count)]
             for i in range(gx.count)]
     assert np.max(np.abs(plane.values - want)) <= 1e-12
 
@@ -470,7 +499,8 @@ def test_optical_map_matches_scalar_oracle(psi_chirped):
     assert {gt.point(0), gt.point(4), gt.point(8)} == {0.0, math.pi / 2.0, math.pi}
     ot = optical_tomogram_map(psi_chirped, gx, gt)
     for j in range(gt.count):
-        want = [optical_tomogram(psi_chirped, gx.point(i), gt.point(j)) for i in range(gx.count)]
+        t = gt.point(j)
+        want = [_point(psi_chirped, gx.point(i), math.cos(t), math.sin(t)) for i in range(gx.count)]
         assert np.max(np.abs(ot.values[:, j] - want)) <= 1e-12
 
 
@@ -494,7 +524,7 @@ def _assert_tensor_is_product(factors, Xs, mus, nus):
     for f in factors[1:]:
         tensor = np.multiply.outer(tensor, f.values)
     psi = NdWavefunction(tuple(f.grid for f in factors), tensor)
-    want = math.prod(map(symplectic_tomogram, factors, Xs, mus, nus))
+    want = math.prod(map(_point, factors, Xs, mus, nus))
     assert symplectic_tomogram_nd(psi, Xs, mus, nus) == pytest.approx(want, rel=1e-12)
 
 
@@ -503,8 +533,8 @@ def test_nd_separable_equals_product(psi_plain, psi_chirped):
     psi2, g, _, _ = _nd_product(p1, p2)
     point = ((0.3, -0.2), (0.8, 1.1), (0.6, 0.9))
     got = symplectic_tomogram_nd(psi2, *point)
-    w1 = symplectic_tomogram(gcf_sampled(p1, g), 0.3, 0.8, 0.6)
-    w2 = symplectic_tomogram(gcf_sampled(p2, g), -0.2, 1.1, 0.9)
+    w1 = _point(gcf_sampled(p1, g), 0.3, 0.8, 0.6)
+    w2 = _point(gcf_sampled(p2, g), -0.2, 1.1, 0.9)
     assert got == pytest.approx(w1 * w2, abs=1e-10)
     # a nu = 0 axis reads |psi|^2 between the nodes bracketing X/mu, in 1D and
     # N-axis alike, so a product tensor equals the product of its factors off
