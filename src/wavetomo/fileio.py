@@ -167,7 +167,7 @@ class Manifest(_Record):
             raise ManifestError(f"manifest JSON is malformed: {e}") from None
         try:
             grids = tuple(
-                UniformGrid1D(float(g["start"]), float(g["step"]), int(g["count"]))
+                UniformGrid1D(float(g["start"]), float(g["step"]), g["count"])
                 for g in doc["grids"]
             )
             return Manifest(

@@ -17,6 +17,7 @@ just built for that dataset (`_Owned`); an integral of uniform samples is
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -102,6 +103,8 @@ class UniformGrid1D(_Record):
     def __post_init__(self) -> None:
         if not (self.step > 0.0 and np.isfinite(self.step)):
             raise ValueError(f"grid step must be positive and finite, got {self.step}")
+        if not isinstance(self.count, numbers.Integral):
+            raise ValueError(f"grid count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.count}")
         if not np.isfinite(self.start):
@@ -159,24 +162,24 @@ def _frozen_array(values, shape: tuple[int, ...], dtype) -> np.ndarray:
     return arr
 
 
-class SampledWavefunction:
+class SampledWavefunction(_Record):
     """Complex wavefunction samples on a uniform grid, unit L2 norm.
 
     The squared norm (trapezoid rule) must sit within 1e-6 of 1; use
     :meth:`normalized` to rescale arbitrary samples first.
     """
 
-    __slots__ = ("grid", "values")
+    grid: UniformGrid1D
+    values: np.ndarray
 
-    def __init__(self, grid: UniformGrid1D, values) -> None:
-        vals = _frozen_array(values, (grid.count,), np.complex128)
-        norm2 = float(np.trapezoid(np.abs(vals) ** 2, dx=grid.step))
+    def __post_init__(self) -> None:
+        vals = _frozen_array(self.values, (self.grid.count,), np.complex128)
+        norm2 = float(np.trapezoid(np.abs(vals) ** 2, dx=self.grid.step))
         if abs(norm2 - 1.0) > NORM_TOL:
             raise ValueError(
                 f"wavefunction squared norm {norm2!r} deviates from 1 by more than {NORM_TOL}"
             )
-        self.grid = grid
-        self.values = vals
+        object.__setattr__(self, "values", vals)
 
     @staticmethod
     def normalized(grid: UniformGrid1D, values) -> "SampledWavefunction":

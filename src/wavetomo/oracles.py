@@ -21,7 +21,7 @@ from . import fileio
 from .analytic import (GcfParams, analytic_plane_set, fock1_psi, fock1_tomogram, fock1_wigner,
                        gaussian2_psi, gaussian2_tomogram, gcf_fresnel_analytic,
                        gcf_plane_analytic, gcf_psi, gcf_sampled, gcf_tomogram_analytic,
-                       gcf_tomogram_ft_analytic)
+                       gcf_tomogram_ft_analytic, gcf_wigner_analytic)
 from .grid import SampledWavefunction, UniformGrid1D
 from .reconstruct import (InversionConfig, density_matrix_from_planes,
                           reconstruct_density_matrix, reconstruct_density_matrix_fresnel,
@@ -219,6 +219,27 @@ def _fock1_inversion():
         f"max dev {err:.2e} (tol 5e-5); W(0, 0) = {w00:.6f} vs -1/pi: dev {dev:.2e} (tol 4e-5)")
 
 
+def _mixed_state_inversion():
+    # the mixture (|0><0| + |1><1|)/2, whose tomogram is the mean of its states': no other
+    # source in the table is mixed, so rho is no outer product psi psi* and W no pure state's
+    p0, cfg = GcfParams(math.sqrt(2.0)), InversionConfig()
+
+    def source(X, mu, nu):
+        return 0.5 * (gcf_tomogram_analytic(p0, X, mu, nu) + fock1_tomogram(X, mu, nu))
+
+    g, gq = UniformGrid1D.symmetric(2.0, 33), UniformGrid1D.symmetric(3.0, 25)
+    x, q, pm = g.points, gq.points[:, None], gq.points[None, :]
+    psi0, psi1 = gcf_psi(p0, x), fock1_psi(x)
+    want = 0.5 * (np.outer(psi0, psi0.conj()) + np.outer(psi1, psi1))
+    err = float(np.max(np.abs(reconstruct_density_matrix(source, g, cfg).values - want)))
+    W = reconstruct_wigner(source, gq, gq, cfg).values
+    dev = float(np.max(np.abs(W - 0.5 * (gcf_wigner_analytic(p0, q, pm) + fock1_wigner(q, pm)))))
+    return err <= 2e-11 and dev <= 2e-10, (
+        f"(|0><0| + |1><1|)/2 source, default config: rho on 33 points over +-2 vs "
+        f"(psi_0 psi_0* + psi_1 psi_1*)/2: max dev {err:.2e} (tol 2e-11); W on 25 x 25 over "
+        f"+-3 vs (W_0 + W_1)/2: max dev {dev:.2e} (tol 2e-10)")
+
+
 def _fock1_planes():
     # the plane path (adaptive grids, chirp-z planes, plane table) on a state that is
     # not Gaussian, though plane_grids_for_slice sizes its grids from moments alone
@@ -301,6 +322,7 @@ ORACLES = (
     ("entangled-two-mode", "full", _entangled_two_mode),
     ("fresnel-map-rho", "full", _fresnel_map_rho),
     ("fock1-inversion", "full", _fock1_inversion),
+    ("mixed-state-inversion", "full", _mixed_state_inversion),
     ("fock1-planes", "full", _fock1_planes),
     ("tomogram-closed-form", "fast", _tomogram_closed_form),
     ("flat-limit", "fast", _flat_limit),

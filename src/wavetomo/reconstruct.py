@@ -4,7 +4,8 @@ Every inversion goes through one table of the tomographic characteristic
 function C(mu, nu) = Int w(X, mu, nu) e^{iX} dX. The table is a stream of
 fixed-nu rows, nu = (nu_1, ..., nu_N); each row holds C on the N-fold product
 of its mu nodes times their weights (trapezoid rule and raised-cosine taper)
-and a nu weight. psi, rho and W are linear read-outs of it:
+and a nu weight. psi, rho and W are linear read-outs of it, rho by one reader
+at the pair midpoints b = (x + x')/2 (_Row.at):
 
     rho(x, x') = (1/2pi)^N Sum_mu C(mu, x - x') w_mu Prod_k e^{-i mu_k (x_k + x'_k)/2}
     psi(x)     = rho(x, 0) / sqrt(rho(0, 0))     (pure states, up to a phase)
@@ -20,7 +21,8 @@ truncated at `mu_window` with the taper on its outer `taper_fraction`, and the
 source sizes its own X columns: its X marginals with every axis on the ray
 (mu, nu) = (1, 0), (1, 1) or (1, -1), three probes, give its moments, and each
 column is sampled about its mean on a window of its std, by the plain
-trapezoid rule at the one sample count the widest column needs. As
+trapezoid rule at the one sample count the widest column needs; one table
+per axis over (|nu|, mu > 0) holds each column's X std and taper, once. As
 w(-X, -mu, -nu) = w(X, mu, nu), C(-mu, -nu) = C(mu, nu)* and each mirror pair
 of rows is computed from the source once, at the mu nodes with nonzero weight
 only. Sources are called, and a Fresnel map's [cos; sin](mu X') is built, in
@@ -32,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import warnings
 from typing import Callable, Iterable, Sequence
 
@@ -104,10 +107,9 @@ class InversionConfig(_Record):
             raise ValueError(f"mu_window must be positive, got {self.mu_window}")
         if not (0.0 <= self.taper_fraction < 1.0):
             raise ValueError(f"taper_fraction must lie in [0, 1), got {self.taper_fraction}")
-        if self.samples_per_axis < 8 or self.samples_per_axis % 2:
-            raise ValueError(
-                f"samples_per_axis must be even and at least 8, got {self.samples_per_axis}"
-            )
+        m = self.samples_per_axis
+        if not isinstance(m, numbers.Integral) or m < 8 or m % 2:
+            raise ValueError(f"samples_per_axis must be an even integer of at least 8, got {m!r}")
 
 
 def raised_cosine_taper(x, half_width: float, fraction: float) -> np.ndarray:
@@ -136,12 +138,10 @@ class _Row(_Record):
     mu: np.ndarray
     c: np.ndarray
 
-    def rho(self, x, xp):
-        """rho at pairs with x_k - x'_k = nu_k; x and xp hold one entry per axis,
-        whose two broadcast to that axis's pair dimensions of the result."""
-        return self.contract(
-            [np.exp(-1j * np.multiply.outer(0.5 * (np.asarray(xk) + xpk), self.mu))
-             for xk, xpk in zip(x, xp)])
+    def at(self, b):
+        """rho at the pairs with x_k - x'_k = nu_k and midpoints (x_k + x'_k)/2 = b[k];
+        b holds one array per axis, whose dimensions go in front in axis order."""
+        return self.contract([np.exp(-1j * np.multiply.outer(bk, self.mu)) for bk in b])
 
     def contract(self, phases):
         """(1/2pi)^N Sum_mu c Prod_k phases[k][..., mu_k]: rho from e^{-i b mu} on each
@@ -190,8 +190,7 @@ def _rho_on_pairs(rows, grids: Sequence[UniformGrid1D]) -> np.ndarray:
         elif tables is None:  # a second row on the same mu: tabulate
             tables = [np.exp(-1j * np.multiply.outer(_midpoints(x), mu)) for x in points]
         if tables is None:
-            block = row.rho([x[ik] for x, ik in zip(points, i)],
-                            [x[jk] for x, jk in zip(points, j)])
+            block = row.at([0.5 * (x[ik] + x[jk]) for x, ik, jk in zip(points, i, j)])
         else:  # i + j runs from |d| to 2n - 2 - |d| in steps of 2
             block = row.contract([t[abs(d) : t.shape[0] - abs(d) : 2] for t, d in zip(tables, ds)])
         raw[tuple(_on_axis(ix, a % n_axes, n_axes) for a, ix in enumerate(i + j))] = block
@@ -309,11 +308,6 @@ def _probe(source: Source, n_axes: int, nu: float) -> list[tuple[float, float]]:
                      f"do not settle on {PROBE_GRIDS} grids of at most {MAX_X_COUNT} points")
 
 
-def _column_sd(m: Moments, mu, nu):
-    """A bound on the column (mu, nu)'s X std that is even in mu and nu: |cov| for cov."""
-    return np.sqrt(mu * mu * m.var_q + 2.0 * np.abs(mu * nu * m.cov) + nu * nu * m.var_p)
-
-
 def _sample_count(sd: float) -> int:
     """The even count of u at which a column of X std sd is sampled at its _alias_step."""
     return 2 * math.ceil(_ALIAS_A * sd / _alias_step(math.sqrt(2.0) * sd) + 0.5)
@@ -323,9 +317,13 @@ def _windows(source: Source, nus, cfg: InversionConfig, radial: bool):
     """Each axis's Moments, from its X marginals with every axis on the ray (1, 0),
     (1, 1) or (1, -1): an axis's marginal is its reduced state's, whatever the other
     axes' rays, so three probes serve any N (none at mu = 0, where
-    fresnel_as_symplectic_source divides by mu). And the abscissas u of every
+    fresnel_as_symplectic_source divides by mu). The abscissas u of every
     column: u = j/(k - 1) for odd |j| < k, k = _sample_count of the widest column
     with taper weight; a k over MAX_X_COUNT raises UnsupportedSizeError naming it.
+    And each axis's table over (|nu|, mu > 0), both even: its |nu| rows in order of
+    first appearance (the order W sums the rows in), each the indices of its nus, and
+    each column's X std bound, sd^2 = mu^2 var_q + 2|mu nu cov| + nu^2 var_p, and
+    taper (of hypot(mu, nu) if radial, else of mu).
 
     A column's window, Y = centre + _ALIAS_A*sd*u, spans +-6.07 standard
     deviations; _ALIAS_A was derived for the step rule, where it counts 1/e
@@ -335,22 +333,28 @@ def _windows(source: Source, nus, cfg: InversionConfig, radial: bool):
     1.6e-9, 1.6e-9 and 1.3e-9 at twice k, so the window, not the step, sets it.
     """
     n_axes, mu, window = len(nus), _quad_nodes(cfg)[0], (cfg.mu_window, cfg.taper_fraction)
-    moments, widest = [], (0.0, 0.0, 0.0)
+    moments, tables, widest = [], [], (0.0, 0.0, 0.0)
     probes = zip(*(_probe(source, n_axes, nu) for nu in (0.0, 1.0, -1.0)))
     for a, ((mq, vq), (mp, vp), (mm, vm)) in enumerate(probes):
-        moments.append(Moments(mq, (mp - mm) / 2, vq, max((vp + vm) / 2 - vq, 0.0), (vp - vm) / 4))
-        MU, NU = np.meshgrid(mu[mu.size // 2 :], np.abs(nus[a]))  # sd and the taper are even
+        m = Moments(mq, (mp - mm) / 2, vq, max((vp + vm) / 2 - vq, 0.0), (vp - vm) / 4)
+        rows: dict[float, list[int]] = {}
+        for n, nu in enumerate(np.abs(nus[a]).tolist()):
+            rows.setdefault(nu, []).append(n)
+        MU, NU = np.meshgrid(mu[mu.size // 2 :], list(rows))
         taper = raised_cosine_taper(np.hypot(MU, NU) if radial else MU, *window)
-        sd = np.where(taper > 0, _column_sd(moments[a], MU, NU), 0.0)
-        i = np.argmax(sd)
-        widest = max(widest, (sd.flat[i], MU.flat[i], NU.flat[i]))
+        sd = np.sqrt(MU * MU * m.var_q + 2.0 * np.abs(MU * NU * m.cov) + NU * NU * m.var_p)
+        held = np.where(taper > 0, sd, 0.0)
+        i = np.argmax(held)
+        widest = max(widest, (held.flat[i], MU.flat[i], NU.flat[i]))
+        moments.append(m)
+        tables.append((list(rows.values()), sd, taper))
     sd, mu_w, nu_w = widest
     k = _sample_count(sd)
     if k > MAX_X_COUNT:
         raise UnsupportedSizeError(
             f"the column (mu, nu) = ({mu_w:g}, {nu_w:g}) has an X std of {sd:g}: sampling it "
             f"takes {k} X points, over MAX_X_COUNT = {MAX_X_COUNT}; narrow mu_window")
-    return moments, np.arange(1 - k, k, 2) / (k - 1)
+    return moments, np.arange(1 - k, k, 2) / (k - 1), tables
 
 
 def _column_weights(sd: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -360,24 +364,19 @@ def _column_weights(sd: np.ndarray, u: np.ndarray) -> np.ndarray:
     return s * (u[1] - u[0]) * trapezoid_weights(u.size, 1.0) * np.exp(1j * s * u)
 
 
-def _columns(nus: np.ndarray, u: np.ndarray, m: Moments, cfg: InversionConfig, radial: bool):
-    """Yield (nu, w_nu, Y, E, w_mu) for every nu of one axis, grouped by |nu|:
-    the abscissas Y = mu<q> + nu<p> + _ALIAS_A*sd*u, the weights E of
-    _column_weights, and the mu weights times the taper and the centring phase
-    e^{i(mu<q> + nu<p>)}. sd is even in nu and in mu, so each group computes E
-    once for the rows at +-nu, from the mu > 0 nodes, mirrored."""
-    (mu, wmu), window = _quad_nodes(cfg), (cfg.mu_window, cfg.taper_fraction)
-    half, w_nus = mu.size // 2, trapezoid_weights(len(nus), nus[1] - nus[0])
-    groups: dict[float, list[int]] = {}
-    for n, nu in enumerate(nus):
-        groups.setdefault(abs(float(nu)), []).append(n)
-    for a, ns in groups.items():
-        sd = _column_sd(m, mu[half:], a)
+def _columns(nus: np.ndarray, m: Moments, table, u: np.ndarray, mu, wmu):
+    """Yield (nu, w_nu, Y, E, w_mu) for every nu of one axis, by the |nu| rows of
+    its _windows table: the abscissas Y = mu<q> + nu<p> + _ALIAS_A*sd*u, the
+    weights E of _column_weights, and the mu weights wmu times the taper and the
+    centring phase e^{i(mu<q> + nu<p>)}. Each |nu| row computes E once for the
+    rows at +-nu, from its mu > 0 columns, mirrored onto the mirror nodes mu."""
+    w_nus = trapezoid_weights(len(nus), nus[1] - nus[0])
+    for ns, sd, taper in zip(*table):
         E, s = _column_weights(sd, u), _ALIAS_A * np.concatenate([sd[::-1], sd])
         E = np.concatenate([E[::-1], E])
+        w_mu = wmu * np.concatenate([taper[::-1], taper])
         for nu, w_nu in zip(nus[ns].tolist(), w_nus[ns].tolist()):
             centre = mu * m.mean_q + nu * m.mean_p
-            w_mu = wmu * raised_cosine_taper(np.hypot(mu, nu) if radial else mu, *window)
             yield nu, w_nu, centre[:, None] + s[:, None] * u, E, w_mu * np.exp(1j * centre)
 
 
@@ -414,10 +413,10 @@ def _table_from_source(source: Source, nus, cfg: InversionConfig, radial: bool):
     hypot(mu_k, nu_k) when `radial`; a row calls the source only on the span
     of nodes with nonzero weight on each axis, and its c is 0 outside it.
     """
-    moments, u = _windows(source, nus, cfg, radial)
-    mu = _quad_nodes(cfg)[0]
+    moments, u, tables = _windows(source, nus, cfg, radial)
+    mu, wmu = _quad_nodes(cfg)
     m, k, n_axes = mu.size, u.size, len(nus)
-    columns = [_columns(nus_a, u, m_a, cfg, radial) for nus_a, m_a in zip(nus, moments)]
+    columns = [_columns(*axis, u, mu, wmu) for axis in zip(nus, moments, tables)]
     kept = [list(c) for c in columns[1:]]
     for first in columns[0]:
         E0 = first[3].view(np.float64).reshape(m, k, 2)  # [Re E, Im E] at each u, a view
@@ -553,11 +552,11 @@ def reconstruct_psi(
     any iterable, in any order; it is read once and one plane is held at a time.
     """
     table, (grid_nu, anchor_idx) = _table_from_planes(planes, cfg.taper_fraction, _plane_nu_axis)
-    column = np.array([row.rho(row.nu, (0.0,)) for row in table])
+    column = np.array([row.at((0.5 * row.nu[0],)) for row in table])
     s0 = column[anchor_idx]
     mu = table[anchor_idx].mu
     x = np.linspace(-1.0, 1.0, DIAGONAL_SAMPLES) * np.pi / (mu[1] - mu[0])
-    peak = float(np.max(table[anchor_idx].rho((x,), (x,)).real))
+    peak = float(np.max(table[anchor_idx].at((x,)).real))
     if s0.real <= ANCHOR_RATIO * peak:
         raise NodeAtOriginError(
             f"rho(0,0) = {s0.real:.3e} against max rho(x,x) = {peak:.3e} is consistent "

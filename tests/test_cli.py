@@ -161,6 +161,10 @@ def test_gcf_width_map_matches_closed_form(tmp_path, monkeypatch):
     p = GcfParams(1.0, 2.0)
     want = np.array([gcf_width(p, 1.0, float(nu)) for nu in wm.grid.points])
     assert np.allclose(wm.values, want, rtol=1e-12, atol=0.0)
+    # the switch set from a config file writes the same map
+    (tmp_path / "cfg.json").write_text(json.dumps({"width_map": True}))
+    assert run("gcf", "--sigma", "1", "--alpha", "2", "--config", "cfg.json", "--output", "c") == 0
+    assert np.array_equal(fileio.read_file(tmp_path / "c_width.txt")[1].values, wm.values)
 
 
 def test_gcf_peak_shrinks_with_chirp(tmp_path, monkeypatch):
@@ -401,6 +405,11 @@ def test_tomogram_usage_and_parse_errors(tmp_path, monkeypatch, capsys):
     assert "expected a wavefunction" in capsys.readouterr().err
     assert run("tomogram", "--input", "g_psi.txt", "--output", "o.txt") == 2
     assert run("tomogram", "--input", "g_psi.txt", "--nu", "1") == 2
+    capsys.readouterr()
+    assert run("tomogram", "--input", "g_psi.txt", "--kind", "fresnel", "--x-min", "2",
+               "--x-max", "1", "--output", "o.txt") == 2
+    assert "--x-min/--x-max/--x-count must satisfy max > min" in capsys.readouterr().err
+    assert not (tmp_path / "o.txt").exists()
 
 
 def test_tomogram_degenerate_plane_request(tmp_path, monkeypatch, capsys):
@@ -890,6 +899,9 @@ def test_config_error_codes(tmp_path, monkeypatch, capsys):
     bad.write_text("{not json")
     assert run("gcf", "--sigma", "1", "--config", str(bad)) == 3
     assert f"{bad}: config JSON is malformed" in capsys.readouterr().err
+    bad.write_text("[1, 2]")
+    assert run("gcf", "--sigma", "1", "--config", str(bad)) == 3
+    assert f"{bad}: config JSON must be an object" in capsys.readouterr().err
     assert run("gcf", "--sigma", "1", "--config", "absent.json") == 2
 
 
@@ -1064,7 +1076,7 @@ def test_validate_full_regenerates_goldens_byte_for_byte(tmp_path, monkeypatch, 
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[-1].startswith("ok:")
     checks = [l for l in lines if l.startswith(("PASS", "FAIL"))]
-    assert len(checks) == 13
+    assert len(checks) == 14
     assert all(l.startswith("PASS") for l in checks)
     assert _listing(gdir) == before
     assert not (gdir / ".wavetomo-cache").exists()

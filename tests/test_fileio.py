@@ -376,6 +376,20 @@ def test_manifest_rejects_bad_magic_and_json():
         Manifest.from_line('#MANIFEST {"version":"1","kind":"wavefunction"}')
 
 
+def test_write_refuses_a_payload_no_kind_stores(tmp_path):
+    with pytest.raises(TypeError, match="no file kind stores a object"):
+        write_file(tmp_path / "o.txt", object())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_refuses_a_fractional_count():
+    # int() would read 5.9 as 5 and the file's rows against a grid it never had
+    line = Manifest("wavefunction", (UniformGrid1D(0.0, 1.0, 5),)).to_line()
+    assert '"count":5,' in line
+    with pytest.raises(ManifestError, match="grid count must be an integer, got 5.9"):
+        Manifest.from_line(line.replace('"count":5,', '"count":5.9,'))
+
+
 # ---------------------------------------------------------------------------
 # parse failures
 

@@ -173,10 +173,12 @@ def test_reconstruct_psi_error_paths():
         reconstruct_psi(analytic_plane_set(p, [-0.5, 0.5]))
     with pytest.raises(MissingAnchorError):
         reconstruct_psi(analytic_plane_set(p, [0.1, 0.2, 0.3]))
-    with pytest.raises(ValueError):
-        reconstruct_psi(analytic_plane_set(p, [-0.4, 0.0, 0.1]))  # non-uniform
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric about zero"):
+        reconstruct_psi(analytic_plane_set(p, [-0.4, 0.0, 0.1]))  # non-uniform and asymmetric
+    with pytest.raises(ValueError, match="symmetric about zero"):
         reconstruct_psi(analytic_plane_set(p, [-0.1, 0.0, 0.1, 0.2]))  # asymmetric
+    with pytest.raises(ValueError, match="plane nu values must form a uniform grid"):
+        reconstruct_psi(analytic_plane_set(p, [-1.0, -0.5, 0.0, 0.25, 1.0]))  # symmetric, non-uniform
 
 
 def test_reconstruct_psi_vanishing_anchor_raises():
@@ -453,7 +455,7 @@ def _four_fold_reference(source, grids, cfg):
     # contraction replaced; kept as the reference it must reproduce
     mu, wmu = _quad_nodes(cfg)
     wmu = wmu * raised_cosine_taper(mu, cfg.mu_window, cfg.taper_fraction)
-    (m1, m2), u = _windows(source, [_pair_nus(g) for g in grids], cfg, radial=False)
+    (m1, m2), u, _ = _windows(source, [_pair_nus(g) for g in grids], cfg, radial=False)
     g1, g2 = grids
     n1, n2 = g1.count, g2.count
     raw = np.zeros((n1, n2, n1, n2), dtype=np.complex128)
@@ -687,7 +689,7 @@ def _full_rows(source, nus, cfg, radial):
     # every row of the one-axis table from the source, with column weights
     # computed at every mu node: the reference the mirrored half table must reproduce
     mu, wmu = _quad_nodes(cfg)
-    (m,), u = _windows(source, [nus], cfg, radial)
+    (m,), u, _ = _windows(source, [nus], cfg, radial)
     rows = []
     for nu in nus:
         Y, E = _trapezoid_columns(m, u, mu, nu)
@@ -774,6 +776,30 @@ def test_column_weights_computed_once_per_abs_nu(monkeypatch):
     grids = (UniformGrid1D.symmetric(1.0, 3), UniformGrid1D.symmetric(1.0, 4))
     reconstruct_density_matrix_nd(zero6, grids, SMALL_CFG)
     assert len(calls) == 3 + 4
+
+
+def test_taper_evaluated_once_per_axis(monkeypatch):
+    # _windows tabulates each axis's taper over (|nu|, mu > 0) in one call, and the
+    # columns read that table: 14, 33 and 12 calls when each signed nu took its own
+    calls = []
+
+    def counted(x, half_width, fraction):
+        calls.append(np.shape(x))
+        return raised_cosine_taper(x, half_width, fraction)
+
+    monkeypatch.setattr(reconstruct, "raised_cosine_taper", counted)
+    src = partial(gcf_tomogram_analytic, GcfParams(1.0, 0.5))
+    half = SMALL_CFG.samples_per_axis // 2
+    reconstruct_density_matrix(src, UniformGrid1D.symmetric(1.0, 7), SMALL_CFG)
+    assert calls == [(7, half)]  # |nu| = 0 .. 6 steps
+    calls.clear()
+    g = UniformGrid1D.symmetric(1.0, 5)
+    reconstruct_wigner(src, g, g, SMALL_CFG)
+    assert calls == [(half, half)]  # the nu rows are the mu nodes
+    calls.clear()
+    g3 = UniformGrid1D.symmetric(1.0, 3)
+    reconstruct_density_matrix_nd(_product_source(GcfParams(1.0, 0.5)), (g3, g3), SMALL_CFG)
+    assert calls == [(3, half)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ PSI = SampledWavefunction.normalized(G, np.ones(3))
 # one record of each class, with its fields in declaration order
 RECORDS = [
     (G, ("start", "step", "count")),
+    (PSI, ("grid", "values")),
     (DensityMatrix(G, np.eye(3)), ("grid", "values", "asymmetry")),
     (DensityMatrixNd((G,), np.eye(3), 1e-9), ("grids", "values", "asymmetry")),
     (WignerFunction(G, G, ONES, 2e-3), ("grid_q", "grid_p", "values", "imag_residue")),
@@ -136,7 +137,11 @@ def test_defaults_apply():
 @pytest.mark.parametrize("make, error, match", [
     (lambda: UniformGrid1D(0.0, 0.0, 3), ValueError, "grid step"),
     (lambda: UniformGrid1D(0.0, 1.0, 1), ValueError, "at least 2 points"),
+    (lambda: UniformGrid1D.symmetric(1.0, 1), ValueError, "at least 2 points, got 1"),
     (lambda: UniformGrid1D(math.inf, 1.0, 3), ValueError, "grid start"),
+    (lambda: UniformGrid1D(0.0, 1.0, 2.5), ValueError, "grid count must be an integer, got 2.5"),
+    (lambda: UniformGrid1D(-4.0, 0.25, 33.0), ValueError, "an integer, got 33.0"),
+    (lambda: SampledWavefunction(G, np.ones(3)), ValueError, "squared norm"),
     (lambda: DensityMatrix(G, np.triu(ONES)), ValueError, "hermiticity defect"),
     (lambda: DensityMatrixNd((G,), np.triu(ONES)), ValueError, "hermiticity defect"),
     (lambda: WignerFunction(G, G, np.ones((3, 2))), ValueError, "does not match"),
@@ -150,6 +155,7 @@ def test_defaults_apply():
     (lambda: InversionConfig(mu_window=-1.0), ValueError, "mu_window"),
     (lambda: InversionConfig(taper_fraction=1.0), ValueError, "taper_fraction"),
     (lambda: InversionConfig(samples_per_axis=9), ValueError, "samples_per_axis"),
+    (lambda: InversionConfig(samples_per_axis=64.0), ValueError, "an even integer .* got 64.0"),
     (lambda: GcfParams(0.0), ValueError, "sigma"),
     (lambda: GcfParams(1.0, math.inf), ValueError, "alpha"),
 ])
@@ -157,6 +163,12 @@ def test_post_init_checks_raise(make, error, match):
     assert issubclass(error, ValueError)
     with pytest.raises(error, match=match):
         make()
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert UniformGrid1D(0.0, 1.0, np.int64(3)) == G
+    assert UniformGrid1D.symmetric(1.0, np.int32(5)).points.size == 5
+    assert InversionConfig(samples_per_axis=np.int64(64)) == InversionConfig(samples_per_axis=64)
 
 
 def test_the_cli_never_loads_dataclasses():

@@ -94,6 +94,16 @@ def test_flat_map_column_and_flat_point_raise_the_same_text(psi_plain):
     assert str(from_map.value) == str(from_point.value) == "(mu, nu) = (0.0, 0.0) is degenerate"
 
 
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["X", "mu", "nu"])
+def test_nd_point_refuses_a_component_count_other_than_the_axis_count(which):
+    g = UniformGrid1D.symmetric(4.0, 33)
+    psi2 = NdWavefunction((g, g), np.ones((33, 33), dtype=complex))
+    args = [(0.3, 0.1), (0.8, 1.0), (0.5, 0.2)]
+    args[which] = args[which][:1]
+    with pytest.raises(ValueError, match="expected 2 components per argument"):
+        symplectic_tomogram_nd(psi2, *args)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", ["X", "mu", "nu"])
 def test_non_finite_point_raises_naming_axis_and_value(psi_plain, bad, name):
