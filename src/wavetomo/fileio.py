@@ -192,7 +192,9 @@ def write_file(path, payload, params=None, provenance="") -> Manifest:
     """Write any dataset payload; returns the manifest written.
 
     `params` go into the manifest beside the payload's own scalar fields
-    (plane nu, density-matrix asymmetry, Wigner imaginary residue). The
+    (plane nu, density-matrix asymmetry, Wigner imaginary residue). Those
+    fields, and `variant`, which the payload's kind alone sets or leaves
+    out, replace a caller's copy, so `params` never change a file's kind. The
     text's parse-cache entry, a copy of the bytes written and then the
     payload values, is made in ``.wavetomo-cache/`` beside it as the text is
     written; when that directory cannot be written, or path is not a regular
@@ -201,7 +203,7 @@ def write_file(path, payload, params=None, provenance="") -> Manifest:
     k = next((r for r in _KINDS if type(payload) is r.payload), None)
     if k is None:
         raise TypeError(f"no file kind stores a {type(payload).__name__}")
-    p = dict(params or {})
+    p = {name: v for name, v in (params or {}).items() if name != "variant"}
     p.update({name: float(getattr(payload, name)) for name in k.scalars})
     if k.variant:
         p["variant"] = k.variant

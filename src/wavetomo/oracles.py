@@ -157,10 +157,10 @@ def _entangled_two_mode():
         InversionConfig(mu_window=16.0, samples_per_axis=48))
     p3 = gaussian2_psi(A, g3.points[:, None], g3.points[None, :])
     err = float(np.max(np.abs(rho.values - np.multiply.outer(p3, p3))))
-    return dev <= 4e-12 and err <= 2e-2, (
+    return dev <= 4e-12 and err <= 4e-10, (
         f"closed form vs symplectic_tomogram_nd at three points: max rel dev {dev:.2e} "
         f"(tol 4e-12); reconstruct_density_matrix_nd on 3x3 over +-1 vs psi psi*: "
-        f"max dev {err:.2e} (tol 2e-2)")
+        f"max dev {err:.2e} (tol 4e-10)")
 
 
 def _flat_limit():
@@ -206,17 +206,16 @@ def _fresnel_map_rho():
 
 def _fock1_inversion():
     # an odd state with a node at 0 and a negative W: the source inversions' mirrored
-    # rows must hold beyond the Gaussians; mu window 20, the one its tolerances were frozen at
-    cfg = InversionConfig(mu_window=20.0)
+    # rows must hold beyond the Gaussians, at the default config
     g, gq = UniformGrid1D.symmetric(2.0, 33), UniformGrid1D.symmetric(3.0, 25)
-    rho = reconstruct_density_matrix(fock1_tomogram, g, cfg)
+    rho = reconstruct_density_matrix(fock1_tomogram, g)
     psi = fock1_psi(g.points)
     err = float(np.max(np.abs(rho.values - np.outer(psi, psi))))
-    w00 = float(reconstruct_wigner(fock1_tomogram, gq, gq, cfg).values[12, 12])
+    w00 = float(reconstruct_wigner(fock1_tomogram, gq, gq).values[12, 12])
     dev = abs(w00 - float(fock1_wigner(0.0, 0.0)))
-    return err <= 5e-5 and dev <= 4e-5, (
-        f"Hermite-Gauss n = 1 source, mu window 20: rho on 33 points over +-2 vs psi_1 psi_1*: "
-        f"max dev {err:.2e} (tol 5e-5); W(0, 0) = {w00:.6f} vs -1/pi: dev {dev:.2e} (tol 4e-5)")
+    return err <= 4e-7 and dev <= 2e-7, (
+        f"Hermite-Gauss n = 1 source, default config: rho on 33 points over +-2 vs psi_1 psi_1*: "
+        f"max dev {err:.2e} (tol 4e-7); W(0, 0) = {w00:.6f} vs -1/pi: dev {dev:.2e} (tol 2e-7)")
 
 
 def _mixed_state_inversion():

@@ -4,12 +4,14 @@ Every inversion goes through one table of the tomographic characteristic
 function C(mu, nu) = Int w(X, mu, nu) e^{iX} dX. The table is a stream of
 fixed-nu rows, nu = (nu_1, ..., nu_N); each row holds C on the N-fold product
 of its mu nodes times their weights (trapezoid rule and raised-cosine taper)
-and a nu weight. psi, rho and W are linear read-outs of it, rho by one reader
-at the pair midpoints b = (x + x')/2 (_Row.at):
+and a nu weight. psi, rho and W are linear read-outs of it, each row read by
+_Row.contract of the phases e^{-i mu b} at pair midpoints b = (x + x')/2:
+rho and W take them from one table per mu array, psi (one midpoint a row)
+from _Row.at:
 
     rho(x, x') = (1/2pi)^N Sum_mu C(mu, x - x') w_mu Prod_k e^{-i mu_k (x_k + x'_k)/2}
     psi(x)     = rho(x, 0) / sqrt(rho(0, 0))     (pure states, up to a phase)
-    W(q, p)    = (1/4pi^2) Sum_nu w_nu Sum_mu C(mu, nu) w_mu e^{-i (mu q + nu p)}
+    W(q, p)    = (1/2pi) Sum_nu w_nu rho(q + nu/2, q - nu/2) e^{-i nu p}
 
 Three builders fill the table. From a plane sweep, each plane is one N = 1
 row: one real matmul of the rows [cos X, sin X, 1, X, X^2] on its own X grid
@@ -43,7 +45,7 @@ import numpy as np
 from .errors import DomainLookupError, MissingAnchorError, NodeAtOriginError, UnsupportedSizeError
 from .grid import (DensityMatrix, DensityMatrixNd, SampledWavefunction, UniformGrid1D,
                    WignerFunction, _Record, trapezoid_weights)
-from .tomography import (_ALIAS_A, MAX_X_COUNT, FresnelTomogram, Moments,
+from .tomography import (_ALIAS_A, EPS_NU, MAX_X_COUNT, FresnelTomogram, Moments,
                          TomogramPlane, _alias_step)
 
 __all__ = [
@@ -60,7 +62,6 @@ __all__ = [
     "wigner_from_planes",
 ]
 
-ANCHOR_FLOOR = 1e-12
 # psi(0) counts as a node when rho(0,0) is at most this fraction of max rho(x,x)
 ANCHOR_RATIO = 1e-3
 # points of rho(x, x) searched for that maximum
@@ -168,47 +169,44 @@ def _midpoints(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x[a // 2] + x[(a + 1) // 2])
 
 
+def _tabled(rows, b):
+    """Each row with its phases e^{-i b_k mu} on each axis's points b_k, tabulated
+    once per mu array: rows that share one (a source's or a Fresnel map's) share
+    the table, and a row with its own (a plane's) brings a new one."""
+    mu = None
+    for row in rows:
+        if row.mu is not mu:
+            mu, tables = row.mu, [np.exp(-1j * np.multiply.outer(bk, row.mu)) for bk in b]
+        yield row, tables
+
+
 def _rho_on_pairs(rows, grids: Sequence[UniformGrid1D]) -> np.ndarray:
     """Raw rho[i_1..i_N, j_1..j_N] on the product of grids; each row fills the
     pairs with x_k - x'_k = nu_k, so rows at every nu of _pair_nus fill it all.
-
-    Rows that share one mu array (a source's or a Fresnel map's) read their
-    phases from one table per axis: e^{-i b mu} at the 2n - 1 midpoints b =
-    (x_i + x_j)/2, one per i + j, of which the diagonal i - j = d takes every
-    other one. Rows with their own mu (a plane sweep's) take their own phases.
+    Every row reads its phases from its mu array's table (_tabled) of e^{-i b mu}
+    at the 2n - 1 midpoints b = (x_i + x_j)/2, one per i + j, of which the
+    diagonal i - j = d takes every other one, and contracts them (_Row.contract).
     """
     n_axes = len(grids)
     raw = np.zeros(tuple(g.count for g in grids) * 2, dtype=np.complex128)
-    points = [g.points for g in grids]
-    mu = tables = None
-    for row in rows:
+    for row, tables in _tabled(rows, [_midpoints(g.points) for g in grids]):
         ds = [round(nu / g.step) for g, nu in zip(grids, row.nu)]
         i = [np.arange(max(0, d), g.count + min(0, d)) for g, d in zip(grids, ds)]
         j = [ik - d for ik, d in zip(i, ds)]
-        if row.mu is not mu:
-            mu, tables = row.mu, None
-        elif tables is None:  # a second row on the same mu: tabulate
-            tables = [np.exp(-1j * np.multiply.outer(_midpoints(x), mu)) for x in points]
-        if tables is None:
-            block = row.at([0.5 * (x[ik] + x[jk]) for x, ik, jk in zip(points, i, j)])
-        else:  # i + j runs from |d| to 2n - 2 - |d| in steps of 2
-            block = row.contract([t[abs(d) : t.shape[0] - abs(d) : 2] for t, d in zip(tables, ds)])
+        # i + j runs from |d| to 2n - 2 - |d| in steps of 2
+        block = row.contract([t[abs(d) : t.shape[0] - abs(d) : 2] for t, d in zip(tables, ds)])
         raw[tuple(_on_axis(ix, a % n_axes, n_axes) for a, ix in enumerate(i + j))] = block
     return raw
 
 
 def _wigner(rows, grid_q: UniformGrid1D, grid_p: UniformGrid1D) -> WignerFunction:
-    """W(q, p) = (1/4pi^2) Sum_rows w_nu (Sum_mu c e^{-i mu q}) e^{-i nu p}, one-axis rows."""
-    q, p = grid_q.points, grid_p.points
+    """W(q, p) = (1/2pi) Sum_rows w_nu rho_row(q) e^{-i nu p}, one-axis rows: rho_row(q)
+    is the row's rho at the pairs with midpoint q (_Row.contract of its mu array's
+    table of e^{-i q mu}, _tabled)."""
     rows = list(rows)
-    cols, mu = [], None
-    for r in rows:
-        if r.mu is not mu:  # rows built from a source share one mu array
-            mu, Eq = r.mu, np.exp(-1j * np.outer(q, r.mu))
-        cols.append(Eq @ r.c)
-    inner = np.stack(cols, axis=1)
+    inner = np.stack([row.contract(t) for row, t in _tabled(rows, [grid_q.points])], axis=1)
     nu, w_nu = np.array([(r.nu[0], r.w_nu) for r in rows]).T
-    W = inner @ (w_nu[:, None] * np.exp(-1j * np.outer(nu, p))) / (4.0 * np.pi**2)
+    W = inner @ (w_nu[:, None] * np.exp(-1j * np.outer(nu, grid_p.points))) / (2.0 * np.pi)
     return WignerFunction(grid_q, grid_p, W.real, float(np.max(np.abs(W.imag))))
 
 
@@ -275,21 +273,19 @@ def _probe(source: Source, n_axes: int, nu: float) -> list[tuple[float, float]]:
     """Mean and variance of each axis's X marginal of the source with every axis
     on the ray (1, nu), by the trapezoid rule on one X grid per axis, from [-8, 8]
     in steps of 1/16 on. A source with no mass on any grid (a zero source) reads
-    as the vacuum. The source is called on at most _BLOCK_BYTES // 8 values.
+    as the vacuum. The source is called on the _node_blocks of the X grids, one
+    X per node, so on at most _BLOCK_BYTES // 8 values.
     """
     half, count, rays = 8.0, 257, [1.0] * n_axes + [nu] * n_axes
     for grid in range(PROBE_GRIDS):
         x = np.linspace(-half, half, count)
         step, wx = x[1] - x[0], trapezoid_weights(count, x[1] - x[0])
         marg = np.zeros((n_axes, count))
-        rows = max(1, _BLOCK_BYTES // 8 // count ** (n_axes - 1))
-        for s in range(0, count, rows):
-            blk = slice(s, s + rows)
-            X, W = [x[blk]] + [x] * (n_axes - 1), [wx[blk]] + [wx] * (n_axes - 1)
-            w = source(*(_on_axis(X[a], a, n_axes) for a in range(n_axes)), *rays)
+        for blk in _node_blocks([range(count)] * n_axes, 1):
+            w = source(*(_on_axis(x[s], a, n_axes) for a, s in enumerate(blk)), *rays)
             for a in range(n_axes):  # Sum over the other axes, with their X weights
-                others = itertools.chain(*((W[b], [b]) for b in range(n_axes) if b != a))
-                marg[a, blk if a == 0 else slice(None)] += np.einsum(w, range(n_axes), *others, [a])
+                others = itertools.chain(*((wx[blk[b]], [b]) for b in range(n_axes) if b != a))
+                marg[a, blk[a]] += np.einsum(w, range(n_axes), *others, [a])
         mass = marg @ wx
         mean = marg @ (wx * x) / np.where(mass, mass, 1.0)
         var = (x - mean[:, None]) ** 2 * marg @ wx / np.where(mass, mass, 1.0)
@@ -524,11 +520,11 @@ def _sweep(nus: np.ndarray) -> None:
 
 def _plane_nu_axis(nus: np.ndarray) -> tuple[UniformGrid1D, int]:
     """The sweep's nu grid, which must be uniform, from its ascending nus, and
-    the index of its nu = 0 plane, which psi and rho anchor on."""
-    if not np.any(np.abs(nus) <= ANCHOR_FLOOR):
-        raise MissingAnchorError(
-            "the psi and rho read-outs anchor on the nu=0 plane; include a plane at exactly nu=0"
-        )
+    the index of its nu = 0 plane, which psi and rho anchor on: a plane at
+    |nu| <= EPS_NU, the forward maps' flat plane."""
+    if not np.any(np.abs(nus) <= EPS_NU):
+        raise MissingAnchorError("the psi and rho read-outs anchor on the nu=0 plane; "
+                                 f"include a plane at |nu| <= {EPS_NU:g}")
     _sweep(nus)
     steps = np.diff(nus)
     step = float(np.mean(steps))
@@ -542,7 +538,7 @@ def reconstruct_psi(
 ) -> PsiReconstruction:
     """Wavefunction from a symmetric sweep of fixed-nu planes.
 
-    The nu grid must be uniform, symmetric, and contain nu=0 exactly. psi is
+    The nu grid must be uniform, symmetric, and contain nu=0 (|nu| <= EPS_NU). psi is
     rho(nu, 0) = psi(nu) conj(psi(0)) on the plane nu grid, scaled by the anchor
     rho(0, 0) = |psi(0)|^2 (psi(0) real positive pins the global phase), then
     to unit L2 norm (prenorm_l2 is the norm before). psi(0) = 0 raises

@@ -834,6 +834,19 @@ def test_reconstruct_missing_anchor_plane(tmp_path, monkeypatch, capsys):
     assert "nu=0" in capsys.readouterr().err
 
 
+def test_reconstruct_anchors_on_a_plane_within_eps_nu(tmp_path, monkeypatch, capsys):
+    # tomogram writes --nu 5e-10 as the flat plane (|nu| <= EPS_NU); psi and rho anchor on it
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "1", "--alpha", "0", "--output", "g") == 0
+    for i, nu in enumerate(("-1", "5e-10", "1")):
+        assert run("tomogram", "--input", "g_psi.txt", "--nu", nu, "--output", f"pl{i}.txt") == 0
+    for target in ("psi", "rho"):
+        assert run("reconstruct", "--input", "pl0.txt", "pl1.txt", "pl2.txt",
+                   "--target", target, "--output", f"{target}.txt") == 0
+    _, rec = fileio.read_file(tmp_path / "psi.txt")
+    assert rec.grid.count == 3 and rec.grid.step == pytest.approx(1.0)
+
+
 def test_reconstruct_two_planes_is_usage_error(tmp_path, monkeypatch, capsys):
     # the sweep holds its nu = 0 anchor; two planes are too few for any
     # read-out, which every target reports alike, not as a missing anchor

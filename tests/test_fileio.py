@@ -92,6 +92,24 @@ def test_optical_round_trip(tmp_path):
     assert np.array_equal(payload.values, vals)
 
 
+def test_params_never_change_a_files_kind(tmp_path):
+    # the payload's kind alone sets params.variant, as the payload alone sets its
+    # scalars: a caller's variant is replaced, or dropped where the kind has none
+    plane = gcf_plane_analytic(P, UniformGrid1D.symmetric(4.0, 9),
+                               UniformGrid1D.symmetric(2.0, 7), 0.7)
+    opt = OpticalTomogram(plane.grid_x, UniformGrid1D(-1.2, 0.4, 7), plane.values)
+    psi = SampledWavefunction(UniformGrid1D.symmetric(2.0, 5), np.full(5, 0.5 + 0j))
+    path = tmp_path / "f.txt"
+    for payload, params, want in (
+            (plane, {"variant": "optical", "nu": 3.0, "sigma": 1.0}, {"nu": 0.7, "sigma": 1.0}),
+            (opt, {"variant": "plain"}, {"variant": "optical"}),
+            (psi, {"variant": "optical"}, {})):
+        m = write_file(path, payload, params)
+        m_back, back = read_file(path)
+        assert m.params == want and m_back == m
+        assert type(back) is type(payload) and np.array_equal(back.values, payload.values)
+
+
 def test_fresnel_round_trip(tmp_path):
     gx = UniformGrid1D.symmetric(4.0, 11)
     gnu = UniformGrid1D.symmetric(2.0, 9)

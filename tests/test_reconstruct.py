@@ -181,6 +181,24 @@ def test_reconstruct_psi_error_paths():
         reconstruct_psi(analytic_plane_set(p, [-1.0, -0.5, 0.0, 0.25, 1.0]))  # symmetric, non-uniform
 
 
+def test_plane_readouts_anchor_on_a_plane_within_eps_nu():
+    # the forward maps read |nu| <= EPS_NU as the flat plane, and the sweep checks allow
+    # 1e-9; psi and rho anchor on such a plane as on nu = 0 itself
+    p = GcfParams(1.0, 1.0)
+    exact = np.round(np.linspace(-1.0, 1.0, 21), 12)
+    near = exact.copy()
+    near[10] = 5e-10
+    want, got = (reconstruct_psi(analytic_plane_set(p, list(nus))).psi for nus in (exact, near))
+    assert got.grid == want.grid
+    assert np.max(np.abs(got.values - want.values)) <= 1e-15  # 2.3e-18
+    rho = density_matrix_from_planes(analytic_plane_set(p, list(near)))
+    psi = gcf_psi(p, rho.grid.points)
+    assert np.max(np.abs(rho.values - np.outer(psi, psi.conj()))) <= 3e-5  # 1.1e-5
+    near[10] = 2e-8  # past EPS_NU: no anchor
+    with pytest.raises(MissingAnchorError, match=r"\|nu\| <= 1e-08"):
+        reconstruct_psi(analytic_plane_set(p, list(near)))
+
+
 def test_reconstruct_psi_vanishing_anchor_raises():
     # any state with psi(0) = 0 lands here; zero planes pin the branch exactly
     g = UniformGrid1D.symmetric(4.0, 33)
@@ -586,6 +604,41 @@ def test_windows_probe_three_ray_sets_for_any_n(monkeypatch, n_axes):
     assert calls == [(n_axes, 0.0), (n_axes, 1.0), (n_axes, -1.0)]
 
 
+@pytest.mark.parametrize("n_axes", [1, 2])
+def test_probe_calls_its_source_on_node_blocks(monkeypatch, n_axes):
+    # a narrow state grows the probe's X grid to 2049 points, where a 2-axis grid takes
+    # several calls; each call is one block of _node_blocks over the grid's X nodes, and
+    # for N <= 2 a block is whole rows of axis 0, _BLOCK_BYTES // 8 // count^(N - 1) of them
+    base = (partial(gcf_tomogram_analytic, GcfParams(0.1, 0.0)) if n_axes == 1
+            else _product_source(GcfParams(0.1, 0.0)))
+    blocks, calls, node_blocks = [], [], reconstruct._node_blocks
+
+    def recorded(spans, k):
+        blocks.append((spans, k, node_blocks(spans, k)))
+        return blocks[-1][2]
+
+    def source(*args):
+        calls.append([np.ravel(X) for X in args[:n_axes]])
+        return base(*args)
+
+    monkeypatch.setattr(reconstruct, "_node_blocks", recorded)
+    reconstruct._probe(source, n_axes, 0.0)
+    want = []
+    for spans, k, out in blocks:
+        count = len(spans[0])
+        assert spans == [range(count)] * n_axes and k == 1
+        rows = max(1, _BLOCK_BYTES // 8 // count ** (n_axes - 1))
+        assert out == [(slice(s, min(s + rows, count)),) + (slice(0, count),) * (n_axes - 1)
+                       for s in range(0, count, rows)]
+        half = -calls[len(want)][0][0]  # a grid's first block starts at its left end
+        x = np.linspace(-half, half, count)
+        want += [[x[s] for s in blk] for blk in out]
+    assert len(calls) == len(want)
+    assert all(np.array_equal(X, w) for c, b in zip(calls, want) for X, w in zip(c, b))
+    assert max(len(spans[0]) for spans, _, _ in blocks) == 2049
+    assert (len(calls) > len(blocks)) == (n_axes == 2)
+
+
 @pytest.mark.parametrize("shift", [(0.0, 0.0, 0.0, 0.0), (0.3, 0.2, -0.25, 0.1)],
                          ids=["centred", "displaced"])
 def test_windows_moments_equal_the_per_axis_ray_probes(shift):
@@ -903,6 +956,50 @@ def test_wigner_from_planes_needs_a_symmetric_sweep():
     # no nu = 0 plane is needed
     W = wigner_from_planes(analytic_plane_set(p, list(np.linspace(-3.0, 3.0, 96))), gq, gp)
     assert W.values[16, 16] == pytest.approx(1.0 / math.pi, abs=5e-3)
+
+
+@pytest.fixture(scope="module")
+def reference_sweep():
+    # the CLI's reference sweep: sigma = 1, alpha = 1, 61 planes over nu = +-3
+    psi = gcf_sampled(GcfParams(1.0, 1.0))
+    m = wavefunction_moments(psi)
+    return [symplectic_tomogram_plane(psi, *plane_grids_for_slice(nu, m), nu)
+            for nu in np.linspace(-3.0, 3.0, 61).tolist()]
+
+
+def test_rho_reads_plane_rows_from_the_midpoint_table(reference_sweep):
+    # each plane brings its own mu array, so each row tabulates all 2n - 1 midpoints
+    # and takes its n - |d| pairs from the table: its own phases at those pairs (_Row.at)
+    rows = reconstruct._table_from_planes(reference_sweep, 0.2, reconstruct._plane_nu_axis)[0]
+    dm = density_matrix_from_planes(reference_sweep)
+    x, n = dm.grid.points, dm.grid.count
+    want = np.zeros((n, n), dtype=np.complex128)
+    for row in rows:
+        d = round(row.nu[0] / dm.grid.step)
+        i = np.arange(max(0, d), n + min(0, d))
+        want[i, i - d] = row.at((0.5 * (x[i] + x[i - d]),))
+    got = reconstruct._rho_on_pairs(rows, (dm.grid,))
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.max(np.abs(want)) > 0.1
+    assert np.array_equal(DensityMatrix.from_raw(dm.grid, got).values, dm.values)
+
+
+@pytest.mark.parametrize("kind", ["planes", "source"])
+def test_wigner_reads_every_row_through_contract(reference_sweep, kind):
+    # W = (1/2pi) Sum_rows w_nu e^{-i nu p} rho_row(q), rho_row at the midpoints q: the
+    # plane rows each bring their own mu array, the source rows share one
+    gq, gp = UniformGrid1D.symmetric(3.0, 25), UniformGrid1D.symmetric(4.0, 33)
+    if kind == "planes":
+        rows = reconstruct._table_from_planes(reference_sweep, 0.2, reconstruct._sweep)[0]
+    else:
+        src, mu = partial(gcf_tomogram_analytic, GcfParams(1.0, 0.5)), _quad_nodes(SMALL_CFG)[0]
+        rows = list(reconstruct._table_from_source(src, [mu], SMALL_CFG, radial=True))
+    want = sum(r.w_nu * np.multiply.outer(r.at((gq.points,)), np.exp(-1j * r.nu[0] * gp.points))
+               for r in rows) / (2.0 * np.pi)
+    got = reconstruct._wigner(iter(rows), gq, gp)
+    assert np.max(np.abs(got.values - want.real)) <= 1e-15
+    assert got.imag_residue == pytest.approx(np.max(np.abs(want.imag)), abs=1e-15)
+    assert np.max(want.real) > 0.1
 
 
 def _readout_bytes(planes):
