@@ -48,7 +48,7 @@ from .tomography import (
     OpticalTomogram,
     TomogramPlane,
     fresnel_tomogram,
-    optical_tomogram_map,
+    optical_tomogram,
     plane_grids_for_slice,
     symplectic_tomogram_nd,
     symplectic_tomogram_plane,
@@ -301,7 +301,7 @@ def _cmd_tomogram(args) -> int:
         if single is not None:
             # one requested angle plus its conjugate quadrature
             grids["theta"] = UniformGrid1D(_finite("--theta", single), math.pi / 2.0, 2)
-        forward = fresnel_tomogram if kind == "fresnel" else optical_tomogram_map
+        forward = fresnel_tomogram if kind == "fresnel" else optical_tomogram
         data = forward(psi, *grids.values())
         fileio.write_file(out, data, meta, _provenance(args, grids, kind=kind))
         print(out)

@@ -27,7 +27,7 @@ from .reconstruct import (InversionConfig, density_matrix_from_planes,
                           reconstruct_density_matrix, reconstruct_density_matrix_fresnel,
                           reconstruct_density_matrix_nd, reconstruct_psi, reconstruct_wigner,
                           wigner_from_planes)
-from .tomography import (NdWavefunction, fresnel_tomogram, optical_tomogram_map,
+from .tomography import (NdWavefunction, fresnel_tomogram, optical_tomogram,
                          plane_grids_for_slice, symplectic_tomogram_nd, symplectic_tomogram_plane,
                          wavefunction_moments)
 
@@ -154,7 +154,7 @@ def _entangled_two_mode():
     g3 = UniformGrid1D.symmetric(1.0, 3)
     rho = reconstruct_density_matrix_nd(
         lambda *a: gaussian2_tomogram(A, *a), (g3, g3),
-        InversionConfig(mu_window=16.0, samples_per_axis=48))
+        InversionConfig(mu_window=16.0, samples_per_axis=32))
     p3 = gaussian2_psi(A, g3.points[:, None], g3.points[None, :])
     err = float(np.max(np.abs(rho.values - np.multiply.outer(p3, p3))))
     return dev <= 4e-12 and err <= 4e-10, (
@@ -170,7 +170,7 @@ def _flat_limit():
     p, cos_t = GcfParams(1.0, 2.0), np.array([1.0, -1.0])
     gx, g6 = UniformGrid1D.symmetric(8.0, 481), UniformGrid1D.symmetric(6.0, 241)
     fr = fresnel_tomogram(gcf_sampled(p), gx, UniformGrid1D.symmetric(2.0, 161)).values[:, 80]
-    op = optical_tomogram_map(gcf_sampled(p), g6, UniformGrid1D(0.0, math.pi, 2)).values
+    op = optical_tomogram(gcf_sampled(p), g6, UniformGrid1D(0.0, math.pi, 2)).values
     devs = [fr - gcf_tomogram_analytic(p, gx.points, 1.0, 0.0),
             op - gcf_tomogram_analytic(p, g6.points[:, None], cos_t, 0.0)]
     p, psi = GcfParams(1.0, 1.0), gcf_sampled(GcfParams(1.0, 1.0))

@@ -5,9 +5,9 @@ function C(mu, nu) = Int w(X, mu, nu) e^{iX} dX. The table is a stream of
 fixed-nu rows, nu = (nu_1, ..., nu_N); each row holds C on the N-fold product
 of its mu nodes times their weights (trapezoid rule and raised-cosine taper)
 and a nu weight. psi, rho and W are linear read-outs of it, each row read by
-_Row.contract of the phases e^{-i mu b} at pair midpoints b = (x + x')/2:
-rho and W take them from one table per mu array, psi (one midpoint a row)
-from _Row.at:
+_Row.contract of the phases e^{-i mu (x + x')/2} of its pairs: rho multiplies
+e^{-i mu x/2} e^{-i mu x'/2} from one table per mu array at the grid's points,
+W reads one at its q points, and psi (one pair a row) computes its own (_Row.at):
 
     rho(x, x') = (1/2pi)^N Sum_mu C(mu, x - x') w_mu Prod_k e^{-i mu_k (x_k + x'_k)/2}
     psi(x)     = rho(x, 0) / sqrt(rho(0, 0))     (pure states, up to a phase)
@@ -27,9 +27,9 @@ trapezoid rule at the one sample count the widest column needs; one table
 per axis over (|nu|, mu > 0) holds each column's X std and taper, once. As
 w(-X, -mu, -nu) = w(X, mu, nu), C(-mu, -nu) = C(mu, nu)* and each mirror pair
 of rows is computed from the source once, at the mu nodes with nonzero weight
-only. Sources are called, and a Fresnel map's [cos; sin](mu X') is built, in
-blocks of at most _BLOCK_BYTES (1 MiB), and a map is read in place: no
-inversion's memory grows with the quadrature.
+only. Sources are called, and a Fresnel map's [cos; sin](mu X') is built, on
+the blocks of _node_blocks, each of at most _BLOCK_BYTES (1 MiB), and a map is
+read in place: no inversion's memory grows with the quadrature.
 """
 from __future__ import annotations
 
@@ -145,8 +145,9 @@ class _Row(_Record):
         return self.contract([np.exp(-1j * np.multiply.outer(bk, self.mu)) for bk in b])
 
     def contract(self, phases):
-        """(1/2pi)^N Sum_mu c Prod_k phases[k][..., mu_k]: rho from e^{-i b mu} on each
-        axis's pair midpoints b, whose dimensions go in front in axis order."""
+        """(1/2pi)^N Sum_mu c Prod_k phases[k][..., mu_k]: rho from the phases
+        e^{-i mu_k (x_k + x'_k)/2} of each axis's pairs, whose dimensions go in
+        front in axis order."""
         out = self.c
         for e in reversed(phases):  # the last mu axis; its pairs go in front
             out = np.inner(e, out)
@@ -163,16 +164,11 @@ def _on_axis(x: np.ndarray, a: int, n_axes: int) -> np.ndarray:
     return x.reshape((1,) * (x.ndim * a) + x.shape + (1,) * (x.ndim * (n_axes - 1 - a)))
 
 
-def _midpoints(x: np.ndarray) -> np.ndarray:
-    """(x_i + x_j)/2 at i + j = 0, 1, ..., 2n - 2: the points and their neighbours' means."""
-    a = np.arange(2 * x.size - 1)
-    return 0.5 * (x[a // 2] + x[(a + 1) // 2])
-
-
 def _tabled(rows, b):
-    """Each row with its phases e^{-i b_k mu} on each axis's points b_k, tabulated
-    once per mu array: rows that share one (a source's or a Fresnel map's) share
-    the table, and a row with its own (a plane's) brings a new one."""
+    """Each row with its phases e^{-i b_k mu} on each axis's points b_k (rho's x/2,
+    W's q), tabulated once per mu array: rows that share one (a source's or a
+    Fresnel map's) share the table, and a row with its own (a plane's) brings a
+    new one."""
     mu = None
     for row in rows:
         if row.mu is not mu:
@@ -183,19 +179,19 @@ def _tabled(rows, b):
 def _rho_on_pairs(rows, grids: Sequence[UniformGrid1D]) -> np.ndarray:
     """Raw rho[i_1..i_N, j_1..j_N] on the product of grids; each row fills the
     pairs with x_k - x'_k = nu_k, so rows at every nu of _pair_nus fill it all.
-    Every row reads its phases from its mu array's table (_tabled) of e^{-i b mu}
-    at the 2n - 1 midpoints b = (x_i + x_j)/2, one per i + j, of which the
-    diagonal i - j = d takes every other one, and contracts them (_Row.contract).
+    A pair's phase e^{-i mu (x_i + x_j)/2} is e^{-i mu x_i/2} e^{-i mu x_j/2}: every
+    row reads both from its mu array's table (_tabled) at the n points b = x/2,
+    multiplies them on its pairs and contracts them (_Row.contract).
     """
     n_axes = len(grids)
     raw = np.zeros(tuple(g.count for g in grids) * 2, dtype=np.complex128)
-    for row, tables in _tabled(rows, [_midpoints(g.points) for g in grids]):
+    for row, tables in _tabled(rows, [0.5 * g.points for g in grids]):
         ds = [round(nu / g.step) for g, nu in zip(grids, row.nu)]
-        i = [np.arange(max(0, d), g.count + min(0, d)) for g, d in zip(grids, ds)]
-        j = [ik - d for ik, d in zip(i, ds)]
-        # i + j runs from |d| to 2n - 2 - |d| in steps of 2
-        block = row.contract([t[abs(d) : t.shape[0] - abs(d) : 2] for t, d in zip(tables, ds)])
-        raw[tuple(_on_axis(ix, a % n_axes, n_axes) for a, ix in enumerate(i + j))] = block
+        i = [slice(max(0, d), g.count + min(0, d)) for g, d in zip(grids, ds)]
+        j = [slice(s.start - d, s.stop - d) for s, d in zip(i, ds)]
+        block = row.contract([t[s] * t[r] for t, s, r in zip(tables, i, j)])  # views of t
+        ix = (np.arange(s.start, s.stop) for s in i + j)
+        raw[tuple(_on_axis(x, a % n_axes, n_axes) for a, x in enumerate(ix))] = block
     return raw
 
 
@@ -448,8 +444,8 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
     F(mu, nu') = Int w_F(X', nu') e^{i mu X'} dX', the map's column at nu'
     integrated by the trapezoid rule: a real GEMM at the positive mu nodes,
     mirrored by F(-mu) = F(mu)* (w_F is real), of the map's views of the runs
-    of adjacent columns that bracket some ray nu/mu, for blocks of mu nodes
-    whose [cos; sin](mu X') take at most _BLOCK_BYTES.
+    of adjacent columns that bracket some ray nu/mu, on the _node_blocks of the
+    mu > 0 nodes, whose [cos; sin](mu X') take at most _BLOCK_BYTES.
     Each row interpolates F linearly in nu' at nu/mu. A column whose edge
     samples exceed EDGE_FRACTION of its peak, or a ray nu/mu outside the nu'
     range, raises DomainLookupError naming that nu'. The sum on X' step h is
@@ -485,19 +481,19 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
     cuts = np.flatnonzero(np.diff(cols) > 1) + 1
     runs = list(zip([0, *cuts], [*cuts, cols.size]))
     x, wx, half = gx.points, trapezoid_weights(gx.count, gx.step), mu.size // 2
-    F = np.empty((half, cols.size), dtype=np.complex128)
-    step = min(half, max(1, _BLOCK_BYTES // (16 * gx.count)))  # mu nodes per block
-    T = np.empty((2, step, gx.count))  # [cos; sin](mu X') times the X' weights, mu > 0
-    for s in range(0, half, step):
-        t = T[:, : min(step, half - s)]
-        np.multiply.outer(mu[half + s : half + s + step], x, out=t[0])
+    F = np.empty((mu.size, cols.size), dtype=np.complex128)  # F(mu_m, nu'_cols[i])
+    blocks = _node_blocks([range(half, mu.size)], 2 * gx.count)  # [cos; sin](mu X') a node
+    T = np.empty((2, blocks[0][0].stop - half, gx.count))  # those times the X' weights
+    for (s,) in blocks:
+        t = T[:, : s.stop - s.start]
+        np.multiply.outer(mu[s], x, out=t[0])
         np.sin(t[0], out=t[1])
         np.cos(t[0], out=t[0])
         t *= wx
         for a, b in runs:
             U = t @ vals[:, cols[a] : cols[a] + b - a]
-            F[s : s + step, a:b] = U[0] + 1j * U[1]
-    F = np.concatenate([F[::-1].conj(), F])  # F(mu_m, nu'_cols[i]); the nodes are mirrors
+            F[s, a:b] = U[0] + 1j * U[1]
+    F[:half] = F[half:][::-1].conj()  # the nodes are mirrors
     nu_primes = gn.points[cols]
     C = np.stack([np.interp(r, nu_primes, Fm) for r, Fm in zip(rays.T, F)], axis=1)
     c = C * (wmu * raised_cosine_taper(mu, cfg.mu_window, cfg.taper_fraction))

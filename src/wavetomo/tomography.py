@@ -63,7 +63,7 @@ __all__ = [
     "Moments",
     "symplectic_tomogram_plane",
     "fresnel_tomogram",
-    "optical_tomogram_map",
+    "optical_tomogram",
     "symplectic_tomogram_nd",
     "wavefunction_moments",
     "plane_grids_for_slice",
@@ -304,7 +304,7 @@ def fresnel_tomogram(
     return FresnelTomogram(grid_x, grid_nu, _tomogram_columns(psi, grid_x, ones, grid_nu.points))
 
 
-def optical_tomogram_map(
+def optical_tomogram(
     psi: SampledWavefunction, grid_x: UniformGrid1D, grid_theta: UniformGrid1D
 ) -> OpticalTomogram:
     """Optical tomogram over a product (X, theta) grid.

@@ -52,7 +52,7 @@ from wavetomo.reconstruct import (
 from wavetomo.tomography import (
     NdWavefunction,
     fresnel_tomogram,
-    optical_tomogram_map,
+    optical_tomogram,
     symplectic_tomogram_nd,
     symplectic_tomogram_plane,
 )
@@ -277,7 +277,7 @@ def _nonnegativity():
     gx, gn, gt = (UniformGrid1D.symmetric(6.0, 121), UniformGrid1D.symmetric(2.0, 41),
                   UniformGrid1D(0.0, math.pi / 40, 40))
     low = min(float(min(fresnel_tomogram(psi, gx, gn).values.min(),
-                        optical_tomogram_map(psi, gx, gt).values.min()))
+                        optical_tomogram(psi, gx, gt).values.min()))
               for psi in _states())
     return low >= -1e-10, (f"min Fresnel and optical map value over three states {low:.2e} "
                            f"(floor -1e-10)")

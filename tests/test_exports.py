@@ -82,14 +82,14 @@ def test_perfbench_names_resolve():
 def test_perfbench_patch_targets_resolve():
     # launch.PATCHES wraps (module, name) pairs and counts a missing one as
     # untraced, so a name the CLI no longer binds at module level would leave
-    # its traced layer at 0 without an error; the two stale targets are known
+    # its traced layer at 0 without an error; the one stale target is known
     tree = ast.parse((PERFBENCH / "launch.py").read_text(), "launch.py")
     patches = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                    and [t.id for t in node.targets] == ["PATCHES"])
     targets = [(row.elts[0].value, row.elts[1].value) for row in patches.elts]
     assert ("wavetomo.cli", "symplectic_tomogram_plane") in targets
     assert sorted(f"{m}.{n}" for m, n in targets if not _resolves(m, n)) == [
-        "wavetomo.cli.optical_tomogram", "wavetomo.reconstruct.dft2_at"]
+        "wavetomo.reconstruct.dft2_at"]
 
 
 def _counting(calls, name, fn):
@@ -108,8 +108,8 @@ def test_perfbench_patch_points_catch_the_cli_calls(tmp_path, monkeypatch):
                    and [t.id for t in node.targets] == ["PATCHES"])
     names = [row.elts[1].value for row in patches.elts
              if row.elts[0].value == "wavetomo.cli" and _resolves("wavetomo.cli", row.elts[1].value)]
-    assert {"symplectic_tomogram_plane", "fresnel_tomogram", "reconstruct_psi",
-            "density_matrix_from_planes", "wigner_from_planes"} <= set(names)
+    assert {"symplectic_tomogram_plane", "fresnel_tomogram", "optical_tomogram",
+            "reconstruct_psi", "density_matrix_from_planes", "wigner_from_planes"} <= set(names)
     calls = []
     for name in names:
         monkeypatch.setattr(cli, name, _counting(calls, name, getattr(cli, name)))
@@ -120,6 +120,8 @@ def test_perfbench_patch_points_catch_the_cli_calls(tmp_path, monkeypatch):
                   "--nu-count", "5", "--output", "pl_{index}.txt"],
                  ["tomogram", "--kind", "fresnel", "--input", "g_psi.txt", "--x-count", "81",
                   "--nu-count", "21", "--output", "fresnel.txt"],
+                 ["tomogram", "--kind", "optical", "--input", "g_psi.txt", "--x-count", "81",
+                  "--theta-count", "21", "--output", "optical.txt"],
                  ["reconstruct", *sweep, "psi"], ["reconstruct", *sweep, "rho"],
                  ["reconstruct", *sweep, "wigner", "--q-count", "9", "--p-count", "9"]):
         assert cli.main(argv) == 0, argv

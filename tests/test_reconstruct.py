@@ -639,6 +639,33 @@ def test_probe_calls_its_source_on_node_blocks(monkeypatch, n_axes):
     assert (len(calls) > len(blocks)) == (n_axes == 2)
 
 
+def test_fresnel_lookup_builds_its_mu_blocks_on_node_blocks(monkeypatch):
+    # lib-inversion's map, 3201 X' by 281 nu': the lookup's [cos; sin](mu X') takes
+    # 2 * 3201 values a mu > 0 node, so _node_blocks cuts the 64 nodes into blocks of
+    # 20; one block over all of them reads the same rho
+    wf = gcf_fresnel_analytic(GcfParams(1.0, 0.5), UniformGrid1D.symmetric(42.0, 3201),
+                              UniformGrid1D.symmetric(3.2, 281))
+    g, cfg = UniformGrid1D.symmetric(0.5, 3), InversionConfig()
+    blocks, node_blocks = [], reconstruct._node_blocks
+
+    def recorded(spans, k):
+        blocks.append((spans, k, node_blocks(spans, k)))
+        return blocks[-1][2]
+
+    monkeypatch.setattr(reconstruct, "_node_blocks", recorded)
+    got = reconstruct_density_matrix_fresnel(wf, g, cfg)
+    half, m = cfg.samples_per_axis // 2, cfg.samples_per_axis
+    assert [(spans, k) for spans, k, _ in blocks] == [([range(half, m)], 2 * 3201)]
+    out = blocks[0][2]
+    assert [s.stop - s.start for (s,) in out] == [20, 20, 20, 4]
+    assert [i for (s,) in out for i in range(s.start, s.stop)] == list(range(half, m))
+    assert max((s.stop - s.start) * 2 * 3201 for (s,) in out) <= _BLOCK_BYTES // 8
+    monkeypatch.setattr(reconstruct, "_BLOCK_BYTES", 1 << 30)
+    whole = reconstruct_density_matrix_fresnel(wf, g, cfg)
+    assert len(blocks[-1][2]) == 1
+    assert np.max(np.abs(got.values - whole.values)) <= 1e-15
+
+
 @pytest.mark.parametrize("shift", [(0.0, 0.0, 0.0, 0.0), (0.3, 0.2, -0.25, 0.1)],
                          ids=["centred", "displaced"])
 def test_windows_moments_equal_the_per_axis_ray_probes(shift):
@@ -967,9 +994,10 @@ def reference_sweep():
             for nu in np.linspace(-3.0, 3.0, 61).tolist()]
 
 
-def test_rho_reads_plane_rows_from_the_midpoint_table(reference_sweep):
-    # each plane brings its own mu array, so each row tabulates all 2n - 1 midpoints
-    # and takes its n - |d| pairs from the table: its own phases at those pairs (_Row.at)
+def test_rho_reads_plane_rows_from_the_point_phase_table(reference_sweep):
+    # a pair's phase e^{-i mu (x + x')/2} is e^{-i mu x/2} e^{-i mu x'/2}: each row
+    # multiplies the two from its mu array's table at the n grid points, on its
+    # n - |d| pairs, and reads its own phases at those pairs (_Row.at)
     rows = reconstruct._table_from_planes(reference_sweep, 0.2, reconstruct._plane_nu_axis)[0]
     dm = density_matrix_from_planes(reference_sweep)
     x, n = dm.grid.points, dm.grid.count
@@ -982,6 +1010,26 @@ def test_rho_reads_plane_rows_from_the_midpoint_table(reference_sweep):
     assert np.max(np.abs(got - want)) <= 1e-15
     assert np.max(np.abs(want)) > 0.1
     assert np.array_equal(DensityMatrix.from_raw(dm.grid, got).values, dm.values)
+
+
+def test_rho_tabulates_each_plane_row_at_the_grid_points(reference_sweep, monkeypatch):
+    # each plane brings its own mu array, so each row builds one table, of
+    # e^{-i mu x/2} at the n points of each axis, not at the 2n - 1 pair midpoints
+    shapes, tabled = [], reconstruct._tabled
+
+    def recorded(rows, b):
+        last = None
+        for row, tables in tabled(rows, b):
+            if tables is not last:
+                shapes.append(([t.shape for t in tables], row.mu.size))
+                last = tables
+            yield row, tables
+
+    monkeypatch.setattr(reconstruct, "_tabled", recorded)
+    dm = density_matrix_from_planes(reference_sweep)
+    n = dm.grid.count
+    assert len(shapes) == len(reference_sweep) == 61
+    assert all(got == [(n, m)] for got, m in shapes)
 
 
 @pytest.mark.parametrize("kind", ["planes", "source"])

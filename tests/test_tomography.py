@@ -32,7 +32,7 @@ from wavetomo.tomography import (
     _fft_size,
     _tomogram_columns,
     fresnel_tomogram,
-    optical_tomogram_map,
+    optical_tomogram,
     plane_grids_for_slice,
     symplectic_tomogram_nd,
     symplectic_tomogram_plane,
@@ -468,7 +468,7 @@ def test_fft_size_is_the_smallest_5_smooth_length():
 
 def _cli_forward_optical(psi):
     # cli-forward's optical map: 241 X by 129 theta over [0, pi]
-    return optical_tomogram_map(
+    return optical_tomogram(
         psi, UniformGrid1D.symmetric(6.0, 241), UniformGrid1D(0.0, math.pi / 128.0, 129))
 
 
@@ -507,7 +507,7 @@ def test_optical_map_matches_scalar_oracle(psi_chirped):
     gx = UniformGrid1D.symmetric(6.0, 121)
     gt = UniformGrid1D(0.0, math.pi / 8.0, 9)  # holds 0, pi/2 and pi exactly
     assert {gt.point(0), gt.point(4), gt.point(8)} == {0.0, math.pi / 2.0, math.pi}
-    ot = optical_tomogram_map(psi_chirped, gx, gt)
+    ot = optical_tomogram(psi_chirped, gx, gt)
     for j in range(gt.count):
         t = gt.point(j)
         want = [_point(psi_chirped, gx.point(i), math.cos(t), math.sin(t)) for i in range(gx.count)]
