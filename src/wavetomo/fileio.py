@@ -36,8 +36,9 @@ The reader never writes; deleting the cache is always safe; a directory the
 writer cannot write to, or an output that is not a regular file, gets no
 entry, and the text is written all the same. Entries outlive their text.
 
-One table, ``_KINDS``, says how each payload type is stored; the writer and
-the reader are both driven by it.
+One table, ``_KINDS``, says how each payload type is stored, and both the
+writer and the reader are driven by it: a row names the kind, its columns
+line and its variant; the grid axes and scalar params come from the record.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ import numpy as np
 
 from .errors import ManifestError
 from .grid import (DensityMatrix, SampledWavefunction, UniformGrid1D, WignerFunction,
-                   _frozen_array, _Owned, _Record)
+                   _Dataset, _Owned, _Record)
 from .tomography import FresnelTomogram, OpticalTomogram, TomogramPlane
 
 __all__ = [
@@ -78,52 +79,49 @@ def _tag(v: float) -> str:
     return ("%g" % v).replace(".", "p").replace("-", "m")
 
 
-class WidthMap(_Record):
+class WidthMap(_Dataset):
     """Profile 1/e half-width along one parameter line; CLI convenience output."""
 
+    _axes = ("grid",)
     grid: UniformGrid1D
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", _frozen_array(self.values, (self.grid.count,), np.float64)
-        )
-
 
 class _Kind(_Record):
-    """How one payload type is stored.
-
-    axes names the payload's grid attribute behind each coordinate column
-    (a density matrix uses its one grid twice); the manifest lists each
-    distinct grid once. The value columns follow the coordinates: two
-    (re, im) for complex payloads, one for real ones. scalars are payload
-    fields kept in the manifest params; variant, when set, is stored as
-    params.variant and tells payloads of one kind apart.
-    """
+    """How one payload type is stored. variant, when set, is stored as params.variant
+    and tells payloads of one kind apart. axes, the payload's _axes, names the grid field
+    behind each coordinate column; the manifest lists each distinct grid once, and the
+    value columns, (re, im) or one real, follow the coordinates. scalars, the payload
+    fields that are neither a grid nor values, are kept in the manifest params."""
 
     kind: str
     payload: type
-    axes: tuple[str, ...]
     columns: str
-    scalars: tuple[str, ...] = ()
     variant: str | None = None
+
+    @property
+    def axes(self) -> tuple[str, ...]:
+        return self.payload._axes
 
     @property
     def grids(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(self.axes))
 
+    @property
+    def scalars(self) -> tuple[str, ...]:
+        return tuple(f for f in self.payload._fields if f not in self.axes and f != "values")
+
 
 # reading takes the first row whose kind matches and whose variant is unset
 # or equals params.variant, so the optical row precedes the plain plane row
 _KINDS = (
-    _Kind("wavefunction", SampledWavefunction, ("grid",), "x re im"),
-    _Kind("width_map", WidthMap, ("grid",), "nu width"),
-    _Kind("tomogram_plane", OpticalTomogram, ("grid_x", "grid_theta"), "X theta w",
-          variant="optical"),
-    _Kind("tomogram_plane", TomogramPlane, ("grid_x", "grid_mu"), "X mu w", ("nu",)),
-    _Kind("fresnel_tomogram", FresnelTomogram, ("grid_x", "grid_nu"), "X nu w"),
-    _Kind("density_matrix", DensityMatrix, ("grid", "grid"), "X Xp re im", ("asymmetry",)),
-    _Kind("wigner", WignerFunction, ("grid_q", "grid_p"), "q p W", ("imag_residue",)),
+    _Kind("wavefunction", SampledWavefunction, "x re im"),
+    _Kind("width_map", WidthMap, "nu width"),
+    _Kind("tomogram_plane", OpticalTomogram, "X theta w", "optical"),
+    _Kind("tomogram_plane", TomogramPlane, "X mu w"),
+    _Kind("fresnel_tomogram", FresnelTomogram, "X nu w"),
+    _Kind("density_matrix", DensityMatrix, "X Xp re im"),
+    _Kind("wigner", WignerFunction, "q p W"),
 )
 
 

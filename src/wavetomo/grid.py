@@ -5,10 +5,10 @@ here so that reading a file never loads the inversion code.
 Every record type derives from `_Record`, an immutable record with the
 fields, defaults, ``__post_init__``, equality, hashing and repr of a frozen
 dataclass, built without the ``exec`` calls that `dataclasses` makes at
-import. Every dataset type stores a read-only copy of its samples through
-`_frozen_array`, or the array itself when the package hands over one it has
-just built for that dataset (`_Owned`); an integral of uniform samples is
-`np.trapezoid(values, dx=step)`. Conventions used throughout the package:
+import. Each dataset type names the grid behind each dimension once (`_axes`); `_Dataset`
+stores a read-only copy of its samples through `_frozen_array`, or the array itself when
+the package hands over one it has just built for that dataset (`_Owned`). An integral of
+uniform samples is `np.trapezoid(values, dx=step)`. Conventions used throughout the package:
 
 * grids are uniform, ascending, described by (start, step, count);
 * 2D values are row-major, ``values[i, j]`` belonging to
@@ -145,7 +145,7 @@ class _Owned:
 def _frozen_array(values, shape: tuple[int, ...], dtype) -> np.ndarray:
     """Private read-only copy of finite `values` with the given shape and dtype.
 
-    Every dataset type stores its samples through this, so a constructed
+    _Dataset stores every dataset's samples through this, so a constructed
     dataset can neither hold NaN/inf nor be changed through a caller's array.
     An _Owned array that owns its data (base None) and has the dtype is
     frozen in place; any other is copied, a view or another dtype included.
@@ -162,24 +162,40 @@ def _frozen_array(values, shape: tuple[int, ...], dtype) -> np.ndarray:
     return arr
 
 
-class SampledWavefunction(_Record):
-    """Complex wavefunction samples on a uniform grid, unit L2 norm.
+class _Dataset(_Record):
+    """Samples `values`, stored through _frozen_array as _dtype, on the product of the
+    grid fields that _axes names: a field may be named twice, and one holding a tuple
+    of grids (a list is stored as a tuple) gives one dimension per grid. A subclass
+    adds only its own property check."""
 
-    The squared norm (trapezoid rule) must sit within 1e-6 of 1; use
-    :meth:`normalized` to rescale arbitrary samples first.
-    """
+    _axes = ()  # the grid field behind each dimension of values
+    _dtype = np.float64
 
+    def __post_init__(self) -> None:
+        shape = ()
+        for f in self._axes:
+            g = getattr(self, f)
+            if not isinstance(g, UniformGrid1D):
+                object.__setattr__(self, f, g := tuple(g))
+            shape += tuple(x.count for x in (g if isinstance(g, tuple) else (g,)))
+        object.__setattr__(self, "values", _frozen_array(self.values, shape, self._dtype))
+
+
+class SampledWavefunction(_Dataset):
+    """Complex wavefunction samples on a uniform grid, unit L2 norm: the squared norm
+    (trapezoid rule) must sit within 1e-6 of 1; :meth:`normalized` rescales any samples."""
+
+    _axes, _dtype = ("grid",), np.complex128
     grid: UniformGrid1D
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = _frozen_array(self.values, (self.grid.count,), np.complex128)
-        norm2 = float(np.trapezoid(np.abs(vals) ** 2, dx=self.grid.step))
+        super().__post_init__()
+        norm2 = float(np.trapezoid(np.abs(self.values) ** 2, dx=self.grid.step))
         if abs(norm2 - 1.0) > NORM_TOL:
             raise ValueError(
                 f"wavefunction squared norm {norm2!r} deviates from 1 by more than {NORM_TOL}"
             )
-        object.__setattr__(self, "values", vals)
 
     @staticmethod
     def normalized(grid: UniformGrid1D, values) -> "SampledWavefunction":
@@ -198,73 +214,56 @@ def trapezoid_weights(n: int, step: float) -> np.ndarray:
     return w
 
 
-def _check_hermitian(mat: np.ndarray) -> None:
-    defect = float(np.max(np.abs(mat - mat.conj().T)))
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"hermiticity defect {defect} exceeds {HERMITICITY_TOL}")
+class _Hermitian(_Dataset):
+    """A density matrix: values, read as a square matrix, must be Hermitian to 1e-8;
+    ``from_raw`` symmetrizes quadrature output and keeps the asymmetry it removed."""
+
+    _dtype = np.complex128
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        mat = self.values.reshape(math.isqrt(self.values.size), -1)
+        defect = float(np.max(np.abs(mat - mat.conj().T)))
+        if defect > HERMITICITY_TOL:
+            raise ValueError(f"hermiticity defect {defect} exceeds {HERMITICITY_TOL}")
+
+    @classmethod
+    def from_raw(cls, grid, raw):
+        """The record of (raw + raw^H)/2, in raw's shape, and of the asymmetry it removed."""
+        raw = np.asarray(raw, dtype=np.complex128)
+        mat = raw.reshape(math.isqrt(raw.size), -1)
+        adj = mat.conj().T
+        return cls(grid, (0.5 * (mat + adj)).reshape(raw.shape), float(np.max(np.abs(mat - adj))))
 
 
-def _hermitian_part(raw, n: int) -> tuple[np.ndarray, float]:
-    """(raw + raw^H)/2 in raw's shape, raw read as n x n, and the asymmetry it removed."""
-    mat = np.asarray(raw, dtype=np.complex128).reshape(n, n)
-    adj = mat.conj().T
-    return (0.5 * (mat + adj)).reshape(np.shape(raw)), float(np.max(np.abs(mat - adj)))
+class DensityMatrix(_Hermitian):
+    """Position-representation density matrix on a uniform grid."""
 
-
-class DensityMatrix(_Record):
-    """Position-representation density matrix on a uniform grid.
-
-    Constructed values must already be Hermitian to 1e-8; use ``from_raw``
-    to symmetrize quadrature output and keep the pre-symmetrization
-    asymmetry as a diagnostic.
-    """
-
+    _axes = ("grid", "grid")
     grid: UniformGrid1D
     values: np.ndarray
     asymmetry: float = 0.0
-
-    def __post_init__(self) -> None:
-        n = self.grid.count
-        vals = _frozen_array(self.values, (n, n), np.complex128)
-        _check_hermitian(vals)
-        object.__setattr__(self, "values", vals)
-
-    @staticmethod
-    def from_raw(grid: UniformGrid1D, raw) -> "DensityMatrix":
-        return DensityMatrix(grid, *_hermitian_part(raw, grid.count))
 
     @property
     def trace_times_step(self) -> float:
         return float(np.real(np.trace(self.values)) * self.grid.step)
 
 
-class DensityMatrixNd(_Record):
+class DensityMatrixNd(_Hermitian):
     """N-axis density matrix; values[i1..iN, j1..jN] with one index pair per axis."""
 
+    _axes = ("grids", "grids")
     grids: tuple[UniformGrid1D, ...]
     values: np.ndarray
     asymmetry: float = 0.0
 
-    def __post_init__(self) -> None:
-        shape = tuple(g.count for g in self.grids) * 2
-        object.__setattr__(self, "values", _frozen_array(self.values, shape, np.complex128))
-        _check_hermitian(self.values.reshape(math.prod(g.count for g in self.grids), -1))
 
-    @staticmethod
-    def from_raw(grids, raw) -> "DensityMatrixNd":
-        grids = tuple(grids)
-        return DensityMatrixNd(grids, *_hermitian_part(raw, math.prod(g.count for g in grids)))
-
-
-class WignerFunction(_Record):
+class WignerFunction(_Dataset):
+    _axes = ("grid_q", "grid_p")
     grid_q: UniformGrid1D
     grid_p: UniformGrid1D
     values: np.ndarray
     imag_residue: float = 0.0
-
-    def __post_init__(self) -> None:
-        shape = (self.grid_q.count, self.grid_p.count)
-        object.__setattr__(self, "values", _frozen_array(self.values, shape, np.float64))
 
     def normalization(self) -> float:
         return float(np.trapezoid(self.marginal_q(), dx=self.grid_q.step))

@@ -74,7 +74,7 @@ def _end_to_end_psi():
     rec = reconstruct_psi(analytic_plane_set(p, [float(v) for v in np.linspace(-4.0, 4.0, 129)]))
     target = gcf_psi(p, rec.psi.grid.points)
     err = float(np.sqrt(np.trapezoid(np.abs(rec.psi.values - target) ** 2, dx=rec.psi.grid.step)))
-    return err <= 1e-3, f"relative L2 error {err:.2e} (tol 1e-3) on a 129-plane sweep"
+    return err <= 1e-5, f"relative L2 error {err:.2e} (tol 1e-5) on a 129-plane sweep"
 
 
 def _tomogram_closed_form():
@@ -85,7 +85,7 @@ def _tomogram_closed_form():
         for X, mu, nu in itertools.product((-2.0, 0.0, 2.0), (-1.0, 0.5, 2.0), (0.25, 1.0, 2.0)):
             dev = abs(_point(psi, X, mu, nu) - gcf_tomogram_analytic(p, X, mu, nu))
             worst = max(worst, dev)
-    return worst <= 1e-6, f"max dev vs quadrature {worst:.2e} (tol 1e-6)"
+    return worst <= 1e-13, f"max dev vs quadrature {worst:.2e} (tol 1e-13)"
 
 
 def _width_form_resolution():
@@ -98,9 +98,9 @@ def _width_form_resolution():
     quartic = math.sqrt((4 * nu**2 + p.sigma**4 * mu**2) / (2 * p.sigma**2))
     quadratic = math.sqrt((4 * nu**2 + p.sigma**2 * mu**2) / (2 * p.sigma**2))
     dev, alt = abs(omega_fit - quartic), abs(omega_fit - quadratic)
-    return dev <= 1e-6 and alt > 1e-2, (
+    return dev <= 1e-12 and alt > 1e-2, (
         f"fitted width {omega_fit:.8f}; quartic-sigma form {quartic:.8f} matches to {dev:.2e} "
-        f"(tol 1e-6), quadratic-sigma alternative {quadratic:.8f} deviates {alt:.2e} (over 1e-2)")
+        f"(tol 1e-12), quadratic-sigma alternative {quadratic:.8f} deviates {alt:.2e} (over 1e-2)")
 
 
 def _plane_transform_closed_form():
@@ -133,9 +133,9 @@ def _autocorrelation_slice():
             s = complex(_psi_slice(p, nu, gx)[2])
         dev = max(dev, abs(s - gcf_psi(p, nu) * np.conj(gcf_psi(p, 0.0))))
         phase = max(phase, abs(cmath.phase(s) - a * nu**2))
-    return dev <= 1e-6 and phase <= 1e-3, (
+    return dev <= 1e-6 and phase <= 1e-6, (
         f"slice at (1, -nu/2) from the characteristic table, chirps 1 and 2: "
-        f"value dev {dev:.2e} (tol 1e-6), chirp phase dev {phase:.2e} (tol 1e-3)")
+        f"value dev {dev:.2e} (tol 1e-6), chirp phase dev {phase:.2e} (tol 1e-6)")
 
 
 def _entangled_two_mode():
@@ -270,8 +270,8 @@ def _optical_fresnel_bridge():
         alt = gcf_tomogram_analytic(p, X / s, 1.0, c / s) / abs(s)
         dev_good = max(dev_good, abs(direct - good))
         dev_alt = max(dev_alt, abs(direct - alt))
-    return dev_good <= 1e-6 and dev_alt > 1e-2, (
-        f"(X/cos, tan)/|cos| form matches to {dev_good:.2e} (tol 1e-6); "
+    return dev_good <= 1e-13 and dev_alt > 1e-2, (
+        f"(X/cos, tan)/|cos| form matches to {dev_good:.2e} (tol 1e-13); "
         f"(X/sin, cot)/|sin| alternative deviates {dev_alt:.2e} (over 1e-2)")
 
 
@@ -295,10 +295,10 @@ def _forward_identities():
         wf = fresnel_tomogram(psi, gx, gn)
         line = max(line, *(abs(wf.values[i, j] - _point(psi, gx.point(i), 1.0, nu))
                            for i in (0, 8, 16) for j, nu in enumerate(gn.points.tolist())))
-    return scale <= 1e-8 and low >= -1e-10 and line <= 1e-10, (
+    return scale <= 1e-13 and low >= -1e-10 and line <= 1e-13, (
         f"over {'; '.join(states)} on 4097 points: homogeneity at scale factors -2, 0.5, 3 "
-        f"max rel dev {scale:.2e} (tol 1e-8); min plane value at nu = 0.7 {low:.2e} "
-        f"(floor -1e-10); Fresnel map vs the mu = 1 line max dev {line:.2e} (tol 1e-10)")
+        f"max rel dev {scale:.2e} (tol 1e-13); min plane value at nu = 0.7 {low:.2e} "
+        f"(floor -1e-10); Fresnel map vs the mu = 1 line max dev {line:.2e} (tol 1e-13)")
 
 
 def _golden_files():

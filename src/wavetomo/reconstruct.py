@@ -515,7 +515,7 @@ def _sweep(nus: np.ndarray) -> None:
 
 
 def _plane_nu_axis(nus: np.ndarray) -> tuple[UniformGrid1D, int]:
-    """The sweep's nu grid, which must be uniform, from its ascending nus, and
+    """The sweep's nu grid, uniform with each nu once, from its ascending nus, and
     the index of its nu = 0 plane, which psi and rho anchor on: a plane at
     |nu| <= EPS_NU, the forward maps' flat plane."""
     if not np.any(np.abs(nus) <= EPS_NU):
@@ -523,8 +523,10 @@ def _plane_nu_axis(nus: np.ndarray) -> tuple[UniformGrid1D, int]:
                                  f"include a plane at |nu| <= {EPS_NU:g}")
     _sweep(nus)
     steps = np.diff(nus)
+    if not steps.all():
+        raise ValueError(f"plane nu={nus[np.argmin(steps)]:g} appears more than once")
     step = float(np.mean(steps))
-    if step <= 0 or np.max(np.abs(steps - step)) > 1e-9 * max(1.0, abs(step)):
+    if np.max(np.abs(steps - step)) > 1e-9 * max(1.0, step):
         raise ValueError("plane nu values must form a uniform grid")
     return UniformGrid1D(float(nus[0]), step, int(nus.size)), int(np.argmin(np.abs(nus)))
 

@@ -49,7 +49,7 @@ from .errors import DegeneratePointError, UnsupportedSizeError
 from .grid import (
     SampledWavefunction,
     UniformGrid1D,
-    _frozen_array,
+    _Dataset,
     _Record,
     trapezoid_weights,
 )
@@ -88,20 +88,19 @@ def _alias_step(w: float) -> float:
     return 2.0 * math.pi / (1.0 + 2.0 * _ALIAS_A / w)
 
 
-class _Tomogram(_Record):
-    """Nonnegative samples `values` on the product of the two grid fields before it."""
+class _Tomogram(_Dataset):
+    """Nonnegative samples `values` on the product of its two grids."""
 
     def __post_init__(self) -> None:
-        grid_a, grid_b = (getattr(self, f) for f in self._fields[-3:-1])
-        vals = _frozen_array(self.values, (grid_a.count, grid_b.count), np.float64)
-        if vals.min(initial=0.0) < NEGATIVITY_TOL:
-            raise ValueError(f"tomogram values must be nonnegative, min {vals.min()}")
-        object.__setattr__(self, "values", vals)
+        super().__post_init__()
+        if self.values.min(initial=0.0) < NEGATIVITY_TOL:
+            raise ValueError(f"tomogram values must be nonnegative, min {self.values.min()}")
 
 
 class TomogramPlane(_Tomogram):
     """Tomogram samples on a product (X, mu) grid at one fixed nu."""
 
+    _axes = ("grid_x", "grid_mu")
     nu: float
     grid_x: UniformGrid1D
     grid_mu: UniformGrid1D
@@ -119,6 +118,7 @@ class FresnelTomogram(_Tomogram):
     values[i, j] belongs to (grid_x.point(i), grid_nu.point(j)).
     """
 
+    _axes = ("grid_x", "grid_nu")
     grid_x: UniformGrid1D
     grid_nu: UniformGrid1D
     values: np.ndarray
@@ -127,6 +127,7 @@ class FresnelTomogram(_Tomogram):
 class OpticalTomogram(_Tomogram):
     """Homodyne-style tomogram samples over a product (X, theta) grid."""
 
+    _axes = ("grid_x", "grid_theta")
     grid_x: UniformGrid1D
     grid_theta: UniformGrid1D
     values: np.ndarray
@@ -320,9 +321,10 @@ def optical_tomogram(
 # N-dimensional fields
 
 
-class NdWavefunction(_Record):
+class NdWavefunction(_Dataset):
     """Wavefunction on an N-axis product grid, N in {1, 2, 3}."""
 
+    _axes, _dtype = ("grids",), np.complex128
     grids: tuple[UniformGrid1D, ...]
     values: np.ndarray
 
@@ -330,9 +332,7 @@ class NdWavefunction(_Record):
         n = len(self.grids)
         if n not in (1, 2, 3):
             raise UnsupportedSizeError(f"supported dimensions are 1..3, got {n}")
-        vals = _frozen_array(self.values, tuple(g.count for g in self.grids), np.complex128)
-        # no norm gate: unnormalized tensors (even all-zero) are legal forward inputs
-        object.__setattr__(self, "values", vals)
+        super().__post_init__()  # no norm gate: unnormalized tensors are legal forward inputs
 
 
 def symplectic_tomogram_nd(

@@ -268,9 +268,9 @@ def _homogeneity():
         for lam in (-2.0, 0.5, 3.0):
             scaled = symplectic_tomogram_nd(psi, *([lam * v for v in t] for t in (X, mu, nu)))
             worst = max(worst, abs(scaled - base / lam**2) / base)
-    return worst <= 1e-8, (
+    return worst <= 1e-13, (
         f"entangled state on 301^2 points, three points (two with nu = 0 axes): "
-        f"max rel dev {worst:.2e} (tol 1e-8) over scale factors -2, 0.5, 3")
+        f"max rel dev {worst:.2e} (tol 1e-13) over scale factors -2, 0.5, 3")
 
 
 def _nonnegativity():
@@ -293,7 +293,7 @@ def _fresnel_is_mu1_line():
         for j, nu in enumerate(gn.points.tolist()):
             row = symplectic_tomogram_plane(psi, gx, gmu, nu).values[:, 1]
             dev = max(dev, float(np.max(np.abs(row - wf.values[:, j]))))
-    return dev <= 1e-10, f"max dev from the planes' mu = 1 rows {dev:.2e} (tol 1e-10)"
+    return dev <= 1e-13, f"max dev from the planes' mu = 1 rows {dev:.2e} (tol 1e-13)"
 
 
 def _chirp_shift():

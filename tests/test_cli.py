@@ -720,6 +720,23 @@ def test_reference_sweep_grids(chirped_planes):
         reconstruct_psi(planes)
 
 
+def test_reconstruct_names_a_repeated_plane(chirped_planes, monkeypatch, capsys):
+    # the psi and rho read-outs need each nu once; the wigner read-out's gradient
+    # weights split a repeated plane's step, so its W is the clean sweep's
+    monkeypatch.chdir(chirped_planes)
+    nu = fileio.read_file("pl_3.txt")[1].nu
+    for target in ("psi", "rho"):
+        capsys.readouterr()
+        assert run("reconstruct", "--input", "pl_*.txt", "pl_3.txt", "--target", target,
+                   "--output", f"repeated_{target}.txt") == 2
+        assert f"plane nu={nu:g} appears more than once" in capsys.readouterr().err
+    for name, extra in (("repeated", ["pl_3.txt"]), ("clean", [])):
+        assert run("reconstruct", "--input", "pl_*.txt", *extra, "--target", "wigner",
+                   "--q-count", "9", "--p-count", "9", "--output", f"{name}_w.txt") == 0
+    repeated, clean = (fileio.read_file(f"{name}_w.txt")[1] for name in ("repeated", "clean"))
+    assert np.max(np.abs(repeated.values - clean.values)) <= 1e-12
+
+
 def test_reconstruct_accepts_shell_expanded_paths(chirped_planes, monkeypatch):
     # what an unquoted pl_*.txt becomes: several paths after one --input
     monkeypatch.chdir(chirped_planes)

@@ -235,6 +235,32 @@ def test_payload_copies_the_callers_array(kind):
     assert payload.values.tobytes() == kept.tobytes()
 
 
+_GA, _GB = UniformGrid1D(0.0, 1.0, 3), UniformGrid1D(10.0, 0.5, 4)
+# each payload type on two grids that tell its axes apart, and its scalar fields
+DISTINCT = {
+    SampledWavefunction: (SampledWavefunction.normalized(_GA, np.ones(3)), set()),
+    WidthMap: (WidthMap(_GA, np.ones(3)), set()),
+    OpticalTomogram: (OpticalTomogram(_GA, _GB, np.ones((3, 4))), set()),
+    TomogramPlane: (TomogramPlane(0.5, _GA, _GB, np.ones((3, 4))), {"nu"}),
+    FresnelTomogram: (FresnelTomogram(_GA, _GB, np.ones((3, 4))), set()),
+    DensityMatrix: (DensityMatrix(_GA, np.eye(3), 1e-9), {"asymmetry"}),
+    WignerFunction: (WignerFunction(_GA, _GB, np.ones((3, 4)), 2e-3), {"imag_residue"}),
+}
+
+
+@pytest.mark.parametrize("kind", _KINDS, ids=lambda k: k.payload.__name__)
+def test_manifest_holds_the_payloads_scalars_and_columns_follow_its_axes(kind, tmp_path):
+    payload, scalars = DISTINCT[kind.payload]
+    m = write_file(tmp_path / "k.txt", payload)
+    assert set(kind.scalars) == scalars
+    assert set(m.params) == scalars | ({"variant"} if kind.variant else set())
+    axes = [getattr(payload, a) for a in kind.axes]
+    assert m.grids == tuple(dict.fromkeys(axes))
+    coords = np.loadtxt(tmp_path / "k.txt", ndmin=2)[:, : len(axes)]
+    mesh = np.meshgrid(*(g.points for g in axes), indexing="ij")
+    assert all(np.array_equal(coords[:, i], c.ravel()) for i, c in enumerate(mesh))
+
+
 @pytest.mark.parametrize("kind", _KINDS, ids=lambda k: k.payload.__name__)
 @settings(derandomize=True, database=None, max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -179,6 +179,8 @@ def test_reconstruct_psi_error_paths():
         reconstruct_psi(analytic_plane_set(p, [-0.1, 0.0, 0.1, 0.2]))  # asymmetric
     with pytest.raises(ValueError, match="plane nu values must form a uniform grid"):
         reconstruct_psi(analytic_plane_set(p, [-1.0, -0.5, 0.0, 0.25, 1.0]))  # symmetric, non-uniform
+    with pytest.raises(ValueError, match="plane nu=0.5 appears more than once"):
+        reconstruct_psi(analytic_plane_set(p, [-0.5, 0.0, 0.5, 0.5]))  # 0.5 twice
 
 
 def test_plane_readouts_anchor_on_a_plane_within_eps_nu():

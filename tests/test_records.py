@@ -42,8 +42,7 @@ RECORDS = [
     (NdWavefunction((G,), np.ones(3)), ("grids", "values")),
     (Moments(0.0, 0.1, 1.0, 2.0, 0.5), ("mean_q", "mean_p", "var_q", "var_p", "cov")),
     (WidthMap(G, np.ones(3)), ("grid", "values")),
-    (_Kind("width_map", WidthMap, ("grid",), "nu width"),
-     ("kind", "payload", "axes", "columns", "scalars", "variant")),
+    (_Kind("width_map", WidthMap, "nu width"), ("kind", "payload", "columns", "variant")),
     (Manifest("fresnel_tomogram", (G, G), {"sigma": 0.5}, "gcf run"),
      ("kind", "grids", "params", "provenance", "version")),
     (PsiReconstruction(PSI, np.ones(3, complex), 1.0, 0.5, 0.0),
@@ -125,7 +124,7 @@ def test_defaults_apply():
     assert GcfParams(2.0).alpha == 0.0
     assert DensityMatrix(G, np.eye(3)).asymmetry == 0.0
     assert WignerFunction(G, G, ONES).imag_residue == 0.0
-    kind = _Kind("wavefunction", SampledWavefunction, ("grid",), "x re im")
+    kind = _Kind("wavefunction", SampledWavefunction, "x re im")
     assert (kind.scalars, kind.variant) == ((), None)
     a, b = Manifest("wavefunction", (G,)), Manifest("wavefunction", (G,))
     assert a.params == {} and a.params is not b.params  # a new dict each, as a default_factory
@@ -163,6 +162,42 @@ def test_post_init_checks_raise(make, error, match):
     assert issubclass(error, ValueError)
     with pytest.raises(error, match=match):
         make()
+
+
+# each dataset class from a caller's values array, and the dtype it stores
+DATASETS = [
+    (lambda v: SampledWavefunction(G, v), PSI.values.copy(), np.complex128),
+    (lambda v: DensityMatrix(G, v), np.eye(3), np.complex128),
+    (lambda v: DensityMatrixNd((G, G), v), np.eye(9).reshape(3, 3, 3, 3), np.complex128),
+    (lambda v: WignerFunction(G, G, v), -ONES, np.float64),
+    (lambda v: TomogramPlane(0.5, G, G, v), ONES.copy(), np.float64),
+    (lambda v: FresnelTomogram(G, G, v), ONES.copy(), np.float64),
+    (lambda v: OpticalTomogram(G, G, v), ONES.copy(), np.float64),
+    (lambda v: NdWavefunction([G, G], v), np.ones((3, 3)), np.complex128),
+    (lambda v: WidthMap(G, v), np.ones(3), np.float64),
+]
+
+
+@pytest.mark.parametrize("make, values, dtype", DATASETS,
+                         ids=["SampledWavefunction", "DensityMatrix", "DensityMatrixNd",
+                              "WignerFunction", "TomogramPlane", "FresnelTomogram",
+                              "OpticalTomogram", "NdWavefunction", "WidthMap"])
+def test_datasets_are_frozen_by_their_axes(make, values, dtype):
+    with pytest.raises(ValueError, match="does not match grid shape"):
+        make(values[..., :-1])
+    record = make(values)
+    assert record.values.dtype == dtype and record.values.shape == values.shape
+    assert not record.values.flags.writeable and values.flags.writeable
+    assert not np.shares_memory(record.values, values)
+
+
+def test_density_matrix_nd_from_raw_stores_a_list_of_grids_as_a_tuple():
+    raw = np.eye(9).reshape(3, 3, 3, 3) + 1e-3j * np.arange(81).reshape(3, 3, 3, 3)
+    from_list, from_tuple = (DensityMatrixNd.from_raw(g, raw) for g in ([G, G], (G, G)))
+    assert type(from_list.grids) is tuple and hash(from_list.grids) == hash((G, G))
+    assert from_list.grids == from_tuple.grids
+    assert from_list.values.tobytes() == from_tuple.values.tobytes()
+    assert from_list.asymmetry == from_tuple.asymmetry > 0.0
 
 
 def test_numpy_integer_counts_are_accepted():
