@@ -3,11 +3,11 @@
 Every inversion goes through one table of the tomographic characteristic
 function C(mu, nu) = Int w(X, mu, nu) e^{iX} dX. The table is a stream of
 fixed-nu rows, nu = (nu_1, ..., nu_N); each row holds C on the N-fold product
-of its mu nodes times their weights (trapezoid rule and raised-cosine taper)
-and a nu weight. psi, rho and W are linear read-outs of it, each row read by
-_Row.contract of the phases e^{-i mu (x + x')/2} of its pairs: rho multiplies
-e^{-i mu x/2} e^{-i mu x'/2} from one table per mu array at the grid's points,
-W reads one at its q points, and psi (one pair a row) computes its own (_Row.at):
+of its mu nodes times their weights (trapezoid rule and raised-cosine taper).
+psi, rho and W are linear read-outs of it, each row read by _Row.contract of the
+phases e^{-i mu (x + x')/2} of its pairs: rho multiplies e^{-i mu x/2} e^{-i mu x'/2}
+from one table per mu array at the grid's points, W reads one at its q points and
+forms w_nu from its rows' nu, and psi (one pair a row) computes its own (_Row.at):
 
     rho(x, x') = (1/2pi)^N Sum_mu C(mu, x - x') w_mu Prod_k e^{-i mu_k (x_k + x'_k)/2}
     psi(x)     = rho(x, 0) / sqrt(rho(0, 0))     (pure states, up to a phase)
@@ -68,6 +68,8 @@ ANCHOR_RATIO = 1e-3
 DIAGONAL_SAMPLES = 401
 # plane columns with at least this in-window mass must span one X step (std)
 RESOLVED_MASS = 1e-3
+# plane columns of mu-taper weight >= 1/2 must hold in-window mass 1 to this (cut or aliased)
+MASS_DEFECT = 1e-3
 # a Fresnel map's X' window cuts a column whose edge samples exceed this fraction of its peak
 EDGE_FRACTION = 1e-2
 # _probe's X grids: edge samples to PROBE_EDGE of the peak, PROBE_STEPS steps a std, PROBE_GRIDS
@@ -91,7 +93,8 @@ class PsiReconstruction(_Record):
 
 
 class InversionConfig(_Record):
-    """Quadrature window for the direct inverse maps.
+    """Quadrature window of the inversions from a source or a Fresnel map; the plane
+    read-outs read taper_fraction alone (of each plane's mu span, and of W's nu range).
 
     mu_window: half-width M of the mu integration window [-M, M].
     taper_fraction: outer fraction of the window under a raised-cosine taper.
@@ -131,11 +134,10 @@ def raised_cosine_taper(x, half_width: float, fraction: float) -> np.ndarray:
 class _Row(_Record):
     """One fixed-nu row of the characteristic table, nu = (nu_1, ..., nu_N): c
     holds C(mu, nu) on the N-fold product of the mu nodes times their weights
-    (trapezoid rule and taper), w_nu is the row's weight in sums over nu.
+    (trapezoid rule and taper). A row carries no nu weight (_wigner forms it).
     """
 
     nu: tuple[float, ...]
-    w_nu: float
     mu: np.ndarray
     c: np.ndarray
 
@@ -195,13 +197,15 @@ def _rho_on_pairs(rows, grids: Sequence[UniformGrid1D]) -> np.ndarray:
     return raw
 
 
-def _wigner(rows, grid_q: UniformGrid1D, grid_p: UniformGrid1D) -> WignerFunction:
-    """W(q, p) = (1/2pi) Sum_rows w_nu rho_row(q) e^{-i nu p}, one-axis rows: rho_row(q)
-    is the row's rho at the pairs with midpoint q (_Row.contract of its mu array's
-    table of e^{-i q mu}, _tabled)."""
-    rows = list(rows)
+def _wigner(rows, grid_q: UniformGrid1D, grid_p: UniformGrid1D, taper: float) -> WignerFunction:
+    """W(q, p) = (1/2pi) Sum_rows w_nu rho_row(q) e^{-i nu p} over one-axis rows in ascending
+    nu, whatever their order: rho_row(q) is the row's rho at the pairs with midpoint q
+    (_Row.contract of its mu array's table of e^{-i q mu}, _tabled), and w_nu the rows'
+    local nu spacing (np.gradient) times the raised-cosine taper over max |nu| at `taper`."""
+    rows = sorted(rows, key=lambda r: r.nu)
     inner = np.stack([row.contract(t) for row, t in _tabled(rows, [grid_q.points])], axis=1)
-    nu, w_nu = np.array([(r.nu[0], r.w_nu) for r in rows]).T
+    nu = np.array([r.nu[0] for r in rows])
+    w_nu = raised_cosine_taper(nu, np.max(np.abs(nu)), taper) * np.gradient(nu)
     W = inner @ (w_nu[:, None] * np.exp(-1j * np.outer(nu, grid_p.points))) / (2.0 * np.pi)
     return WignerFunction(grid_q, grid_p, W.real, float(np.max(np.abs(W.imag))))
 
@@ -210,13 +214,13 @@ def _table_from_planes(planes: Iterable[TomogramPlane], taper_fraction: float, a
     """One row per plane, in ascending nu, and what axis(nus) returns: it
     checks the ascending nus before any warning. Each plane is read once, as
     it arrives, by one real matmul of the weighted rows [cos X, sin X, 1, X, X^2]
-    of its X grid, and only its row and its narrowest column are kept, so a
-    sweep is held one plane at a time. The nu weights are the local plane
-    spacing, tapered over the nu range. The rows 1, X and X^2 give each column's
+    of its X grid, and only its row and the two columns a warning may name are
+    kept, so a sweep is held one plane at a time. The rows 1, X and X^2 give each column's
     X mean and std; a RuntimeWarning names the narrowest column when one with
-    in-window mass >= RESOLVED_MASS is narrower than its plane's X step.
+    in-window mass >= RESOLVED_MASS is narrower than its plane's X step, and another
+    names the worst column of mu-taper weight >= 1/2 whose mass is off 1 by over MASS_DEFECT.
     """
-    got, coarse = [], []
+    got, coarse, off = [], [], []
     for plane in planes:
         gx, gmu = plane.grid_x, plane.grid_mu
         x = gx.points
@@ -235,13 +239,15 @@ def _table_from_planes(planes: Iterable[TomogramPlane], taper_fraction: float, a
         center = 0.5 * (gmu.start + gmu.end)
         taper = raised_cosine_taper(gmu.points - center, 0.5 * gmu.width, taper_fraction)
         wmu = trapezoid_weights(gmu.count, gmu.step) * taper
+        defect = np.where(taper >= 0.5, np.abs(mass - 1.0), 0.0)
+        if defect.max() > MASS_DEFECT:
+            k = int(np.argmax(defect))
+            off.append((float(defect[k]), plane.nu, float(gmu.points[k]), float(mass[k])))
         got.append((float(plane.nu), gmu.points, (re + 1j * im) * wmu))
         del plane  # freed before the next plane is read
     got.sort(key=lambda r: r[0])
     nus = np.array([nu for nu, _, _ in got])
     checked = axis(nus)
-    nu_half = max(abs(nus[0]), abs(nus[-1]))
-    w_nus = raised_cosine_taper(nus, nu_half, taper_fraction) * np.gradient(nus)
     if coarse:
         ratio, nu, mu = min(coarse)
         warnings.warn(
@@ -249,7 +255,13 @@ def _table_from_planes(planes: Iterable[TomogramPlane], taper_fraction: float, a
             f"{len(coarse)} of {len(got)} planes hold a column narrower than their X "
             "step, whose e^{iX} sum aliases: refine those X grids",
             RuntimeWarning, stacklevel=3)
-    return [_Row((nu,), float(w_nu), mu, c) for (nu, mu, c), w_nu in zip(got, w_nus)], checked
+    if off:
+        _, nu, mu, mass = max(off)
+        warnings.warn(f"plane nu={nu:g}: the column at mu={mu:g} holds mass {mass:.4g} in its X "
+                      f"window; {len(off)} of {len(got)} planes hold a column whose mass is off 1 "
+                      f"by over {MASS_DEFECT:g}: the X window cuts it or passes its alias period",
+                      RuntimeWarning, stacklevel=3)
+    return [_Row((nu,), mu, c) for nu, mu, c in got], checked
 
 
 # w(X_1..X_N, mu_1..mu_N, nu_1..nu_N) in the X and mu broadcast shape, elementwise (it is called
@@ -313,9 +325,9 @@ def _windows(source: Source, nus, cfg: InversionConfig, radial: bool):
     column: u = j/(k - 1) for odd |j| < k, k = _sample_count of the widest column
     with taper weight; a k over MAX_X_COUNT raises UnsupportedSizeError naming it.
     And each axis's table over (|nu|, mu > 0), both even: its |nu| rows in order of
-    first appearance (the order W sums the rows in), each the indices of its nus, and
-    each column's X std bound, sd^2 = mu^2 var_q + 2|mu nu cov| + nu^2 var_p, and
-    taper (of hypot(mu, nu) if radial, else of mu).
+    first appearance, each the indices of its nus, and each column's X std bound,
+    sd^2 = mu^2 var_q + 2|mu nu cov| + nu^2 var_p, and taper (of hypot(mu, nu) if
+    radial, else of mu).
 
     A column's window, Y = centre + _ALIAS_A*sd*u, spans +-6.07 standard
     deviations; _ALIAS_A was derived for the step rule, where it counts 1/e
@@ -357,19 +369,18 @@ def _column_weights(sd: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _columns(nus: np.ndarray, m: Moments, table, u: np.ndarray, mu, wmu):
-    """Yield (nu, w_nu, Y, E, w_mu) for every nu of one axis, by the |nu| rows of
+    """Yield (nu, Y, E, w_mu) for every nu of one axis, by the |nu| rows of
     its _windows table: the abscissas Y = mu<q> + nu<p> + _ALIAS_A*sd*u, the
     weights E of _column_weights, and the mu weights wmu times the taper and the
     centring phase e^{i(mu<q> + nu<p>)}. Each |nu| row computes E once for the
     rows at +-nu, from its mu > 0 columns, mirrored onto the mirror nodes mu."""
-    w_nus = trapezoid_weights(len(nus), nus[1] - nus[0])
     for ns, sd, taper in zip(*table):
         E, s = _column_weights(sd, u), _ALIAS_A * np.concatenate([sd[::-1], sd])
         E = np.concatenate([E[::-1], E])
         w_mu = wmu * np.concatenate([taper[::-1], taper])
-        for nu, w_nu in zip(nus[ns].tolist(), w_nus[ns].tolist()):
+        for nu in nus[ns].tolist():
             centre = mu * m.mean_q + nu * m.mean_p
-            yield nu, w_nu, centre[:, None] + s[:, None] * u, E, w_mu * np.exp(1j * centre)
+            yield nu, centre[:, None] + s[:, None] * u, E, w_mu * np.exp(1j * centre)
 
 
 def _node_blocks(spans: Sequence[range], k: int) -> list[tuple[slice, ...]]:
@@ -411,9 +422,9 @@ def _table_from_source(source: Source, nus, cfg: InversionConfig, radial: bool):
     columns = [_columns(*axis, u, mu, wmu) for axis in zip(nus, moments, tables)]
     kept = [list(c) for c in columns[1:]]
     for first in columns[0]:
-        E0 = first[3].view(np.float64).reshape(m, k, 2)  # [Re E, Im E] at each u, a view
+        E0 = first[2].view(np.float64).reshape(m, k, 2)  # [Re E, Im E] at each u, a view
         for rest in itertools.product(*kept):
-            nu, w_nu, Y, E, w_mu = zip(first, *rest)
+            nu, Y, E, w_mu = zip(first, *rest)
             if nu < (0.0,) * n_axes:  # the mirror of a row >= 0
                 continue
             c = np.zeros((m,) * n_axes, dtype=np.complex128)
@@ -431,10 +442,9 @@ def _table_from_source(source: Source, nus, cfg: InversionConfig, radial: bool):
                     C = np.matmul(E[a][blk[a], None, :], C.reshape(math.prod(b[:a]), b[a], k, -1))
                 c[blk] = C.reshape(b)
             c *= functools.reduce(np.multiply.outer, w_mu)
-            row = _Row(nu, math.prod(w_nu), mu, c)
-            yield row
+            yield _Row(nu, mu, c)
             if any(nu):
-                yield _Row(tuple(-v for v in nu), row.w_nu, mu, np.flip(c).conj())
+                yield _Row(tuple(-v for v in nu), mu, np.flip(c).conj())
 
 
 def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConfig) -> list[_Row]:
@@ -497,8 +507,7 @@ def _table_from_fresnel(wf: FresnelTomogram, nus: np.ndarray, cfg: InversionConf
     nu_primes = gn.points[cols]
     C = np.stack([np.interp(r, nu_primes, Fm) for r, Fm in zip(rays.T, F)], axis=1)
     c = C * (wmu * raised_cosine_taper(mu, cfg.mu_window, cfg.taper_fraction))
-    w_nus = trapezoid_weights(len(nus), nus[1] - nus[0])
-    return [_Row((float(nu),), float(w), mu, row) for nu, w, row in zip(nus, w_nus, c)]
+    return [_Row((float(nu),), mu, row) for nu, row in zip(nus, c)]
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +609,7 @@ def wigner_from_planes(
     any iterable, in any order; it is read once and one plane is held at a time.
     """
     rows = _table_from_planes(planes, cfg.taper_fraction, _sweep)[0]
-    return _wigner(rows, grid_q, grid_p)
+    return _wigner(rows, grid_q, grid_p, cfg.taper_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -662,11 +671,11 @@ def reconstruct_wigner(
     W(q, p) = (1/(2pi)^2) Iiint w(X, mu, nu) exp(i*(X - mu*q - nu*p)) dX dmu dnu.
     The X integral per (mu, nu) node is the tomographic characteristic
     function, which decays fast; the (mu, nu) window reuses mu_window on both
-    axes with a radial raised-cosine taper. The source is as in
-    reconstruct_density_matrix.
+    axes with a radial raised-cosine taper, so W adds no nu taper. The source
+    is as in reconstruct_density_matrix.
     """
     mu = _quad_nodes(cfg)[0]
-    return _wigner(_table_from_source(source, [mu], cfg, radial=True), grid_q, grid_p)
+    return _wigner(_table_from_source(source, [mu], cfg, radial=True), grid_q, grid_p, 0.0)
 
 
 def reconstruct_density_matrix_nd(

@@ -764,7 +764,8 @@ def test_reconstruct_psi_node_at_origin(tmp_path, monkeypatch, capsys, nu_max, c
     # first excited state, psi(0) = 0: the anchor is quadrature noise; the
     # 0.1 plane spacing matches the reference sweep, where that noise is
     # positive. The +-0.1 sweep is far narrower than the state: the node
-    # check must still see the state's peak.
+    # check must still see the state's peak. The nu = +-0.1 planes' X windows
+    # pass their alias period (ROADMAP item 2), and the table warns of them.
     monkeypatch.chdir(tmp_path)
     g = UniformGrid1D.symmetric(8.0, 1025)
     psi = SampledWavefunction.normalized(g, g.points * np.exp(-(g.points**2) / 2.0))
@@ -773,9 +774,31 @@ def test_reconstruct_psi_node_at_origin(tmp_path, monkeypatch, capsys, nu_max, c
                "--nu-min", "-" + nu_max, "--nu-max", nu_max, "--nu-count", count,
                "--output", "e_{index}.txt") == 0
     capsys.readouterr()
-    assert run("reconstruct", "--input", "e_*.txt", "--target", "psi",
-               "--output", "rec.txt") == 4
+    with pytest.warns(RuntimeWarning, match=r"plane nu=-?0\.1: the column at mu=-?6\.39589 "
+                                            r"holds mass 1\.357 in its X window; 2 of"):
+        assert run("reconstruct", "--input", "e_*.txt", "--target", "psi",
+                   "--output", "rec.txt") == 4
     assert "psi(0)=0" in capsys.readouterr().err
+
+
+def test_reconstruct_warns_of_an_aliased_sweep_and_exits_0(tmp_path, monkeypatch):
+    # gcf --sigma 2 and the default sweep: the nu = +-0.1 planes' X window (+-30.3)
+    # passes the alias period 28.4 and psi reads 0.75 off; reconstruct says so on
+    # stderr and still writes psi
+    monkeypatch.chdir(tmp_path)
+    assert run("gcf", "--sigma", "2", "--output", "g") == 0
+    assert run("tomogram", "--input", "g_psi.txt", "--nu-min", "-3", "--nu-max", "3",
+               "--nu-count", "61", "--output", "pl_{index}.txt") == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fileio.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavetomo.cli", "reconstruct", "--input", "pl_*.txt",
+         "--target", "psi", "--output", "psi.txt"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"RuntimeWarning: plane nu=-?0\.1: the column at mu=-?0\.166667 holds "
+                     r"mass 3 in its X window", proc.stderr), proc.stderr
+    assert fileio.read_file("psi.txt")[1].grid.count == 61
 
 
 def test_reconstruct_psi_taper(chirped_planes, monkeypatch):

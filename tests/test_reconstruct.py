@@ -18,6 +18,7 @@ from wavetomo import reconstruct
 from wavetomo.analytic import (
     GcfParams,
     analytic_plane_set,
+    fock1_psi,
     fock1_tomogram,
     gaussian2_tomogram,
     gcf_fresnel_analytic,
@@ -133,11 +134,14 @@ def test_psi_slice_anchor_plane():
 
 def test_under_resolved_plane_column_warns():
     # the autocorrelation-slice row's planes: at 1601 X points on +-40 the nu = 0
-    # plane's mu = +-0.05 columns span 0.46 X steps; at 3201 points, one step
+    # plane's mu = +-0.05 columns span 0.46 X steps, and their trapezoid mass reads
+    # 1.014; at 3201 points, one step
     gx = UniformGrid1D.symmetric(40.0, 1601)
     with pytest.warns(RuntimeWarning, match=r"plane nu=0: the column at mu=-0.05 has "
                                             r"an X std of 0\.46 X steps; 1 of 3 planes"):
-        _psi_slice(GcfParams(1.0, 1.0), 0.5, gx)
+        with pytest.warns(RuntimeWarning, match=r"plane nu=0: the column at mu=-0.05 holds "
+                                                r"mass 1\.014 in its X window; 1 of 3 planes"):
+            _psi_slice(GcfParams(1.0, 1.0), 0.5, gx)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         _psi_slice(GcfParams(1.0, 1.0), 0.5, UniformGrid1D.symmetric(40.0, 3201))
@@ -208,7 +212,9 @@ def test_reconstruct_psi_vanishing_anchor_raises():
     planes = [
         TomogramPlane(nu, g, gm, np.zeros((33, 32))) for nu in (-0.25, 0.0, 0.25)
     ]
-    with pytest.raises(NodeAtOriginError):
+    # no column holds mass 1, and the table says so before psi raises
+    with pytest.raises(NodeAtOriginError), pytest.warns(RuntimeWarning, match=r"holds mass 0 "
+                                                        r"in its X window; 3 of 3 planes"):
         reconstruct_psi(planes)
 
 
@@ -223,7 +229,10 @@ def test_reconstruct_psi_excited_state_raises():
         symplectic_tomogram_plane(psi, *plane_grids_for_slice(nu, moments), nu)
         for nu in np.linspace(-3.0, 3.0, 61)
     ]
-    with pytest.raises(NodeAtOriginError):
+    # the nu = +-0.1 planes' X windows pass their alias period (ROADMAP item 2)
+    with pytest.raises(NodeAtOriginError), pytest.warns(
+            RuntimeWarning, match=r"plane nu=-?0\.1: the column at mu=-?6\.39589 holds mass "
+                                  r"1\.357 in its X window; 2 of 61 planes"):
         reconstruct_psi(planes)
 
 
@@ -366,8 +375,7 @@ def test_fresnel_rows_equal_interpolation_over_every_column():
     want = C * wmu * raised_cosine_taper(mu, cfg.mu_window, cfg.taper_fraction)
     assert np.max(np.abs(got - want)) <= 1e-14
     assert np.max(np.abs(want)) > 0.1
-    rows = [reconstruct._Row((nu,), w, mu, c)
-            for nu, w, c in zip(nus, trapezoid_weights(nus.size, g9.step), want)]
+    rows = [reconstruct._Row((nu,), mu, c) for nu, c in zip(nus, want)]
     rho = DensityMatrix.from_raw(g9, reconstruct._rho_on_pairs(rows, (g9,))).values
     got_rho = reconstruct_density_matrix_fresnel(wf, g9, cfg).values
     assert np.max(np.abs(got_rho - rho)) <= 1e-15 * np.max(np.abs(rho))
@@ -877,7 +885,7 @@ def test_taper_evaluated_once_per_axis(monkeypatch):
     calls.clear()
     g = UniformGrid1D.symmetric(1.0, 5)
     reconstruct_wigner(src, g, g, SMALL_CFG)
-    assert calls == [(half, half)]  # the nu rows are the mu nodes
+    assert calls == [(half, half), (2 * half,)]  # the nu rows are the mu nodes; W's nu taper
     calls.clear()
     g3 = UniformGrid1D.symmetric(1.0, 3)
     reconstruct_density_matrix_nd(_product_source(GcfParams(1.0, 0.5)), (g3, g3), SMALL_CFG)
@@ -987,13 +995,17 @@ def test_wigner_from_planes_needs_a_symmetric_sweep():
     assert W.values[16, 16] == pytest.approx(1.0 / math.pi, abs=5e-3)
 
 
+def _sweep_of(psi, nu_max=3.0):
+    """61 planes of psi over nu = +-nu_max on the CLI's grids (plane_grids_for_slice)."""
+    m = wavefunction_moments(psi)
+    return [symplectic_tomogram_plane(psi, *plane_grids_for_slice(nu, m), nu)
+            for nu in np.linspace(-nu_max, nu_max, 61).tolist()]
+
+
 @pytest.fixture(scope="module")
 def reference_sweep():
     # the CLI's reference sweep: sigma = 1, alpha = 1, 61 planes over nu = +-3
-    psi = gcf_sampled(GcfParams(1.0, 1.0))
-    m = wavefunction_moments(psi)
-    return [symplectic_tomogram_plane(psi, *plane_grids_for_slice(nu, m), nu)
-            for nu in np.linspace(-3.0, 3.0, 61).tolist()]
+    return _sweep_of(gcf_sampled(GcfParams(1.0, 1.0)))
 
 
 def test_rho_reads_plane_rows_from_the_point_phase_table(reference_sweep):
@@ -1037,19 +1049,71 @@ def test_rho_tabulates_each_plane_row_at_the_grid_points(reference_sweep, monkey
 @pytest.mark.parametrize("kind", ["planes", "source"])
 def test_wigner_reads_every_row_through_contract(reference_sweep, kind):
     # W = (1/2pi) Sum_rows w_nu e^{-i nu p} rho_row(q), rho_row at the midpoints q: the
-    # plane rows each bring their own mu array, the source rows share one
+    # plane rows each bring their own mu array, the source rows share one; w_nu is the
+    # rows' local nu spacing times the nu taper (the planes' 0.2, none on a source's rows)
     gq, gp = UniformGrid1D.symmetric(3.0, 25), UniformGrid1D.symmetric(4.0, 33)
     if kind == "planes":
         rows = reconstruct._table_from_planes(reference_sweep, 0.2, reconstruct._sweep)[0]
+        taper = 0.2
     else:
         src, mu = partial(gcf_tomogram_analytic, GcfParams(1.0, 0.5)), _quad_nodes(SMALL_CFG)[0]
         rows = list(reconstruct._table_from_source(src, [mu], SMALL_CFG, radial=True))
-    want = sum(r.w_nu * np.multiply.outer(r.at((gq.points,)), np.exp(-1j * r.nu[0] * gp.points))
+        taper = 0.0
+    nus = np.array(sorted(r.nu[0] for r in rows))
+    w_nu = dict(zip(nus, np.gradient(nus) * raised_cosine_taper(nus, np.max(np.abs(nus)), taper)))
+    want = sum(w_nu[r.nu[0]] * np.multiply.outer(r.at((gq.points,)),
+                                                 np.exp(-1j * r.nu[0] * gp.points))
                for r in rows) / (2.0 * np.pi)
-    got = reconstruct._wigner(iter(rows), gq, gp)
+    got = reconstruct._wigner(iter(rows), gq, gp, taper)
     assert np.max(np.abs(got.values - want.real)) <= 1e-15
     assert got.imag_residue == pytest.approx(np.max(np.abs(want.imag)), abs=1e-15)
     assert np.max(want.real) > 0.1
+
+
+def test_wigner_sums_the_rows_in_ascending_nu_whatever_their_order():
+    # a source's rows arrive by |nu|, each with its mirror; read in reverse they give
+    # W to the byte (1.7e-16 apart when W summed the rows as they came)
+    src, mu = partial(gcf_tomogram_analytic, GcfParams(1.0, 0.5)), _quad_nodes(SMALL_CFG)[0]
+    rows = list(reconstruct._table_from_source(src, [mu], SMALL_CFG, radial=True))
+    gq, gp = UniformGrid1D.symmetric(3.0, 25), UniformGrid1D.symmetric(4.0, 33)
+    got, back = (reconstruct._wigner(r, gq, gp, 0.0) for r in (rows, rows[::-1]))
+    assert got.values.tobytes() == back.values.tobytes()
+    assert got.imag_residue == back.imag_residue
+
+
+@pytest.mark.parametrize("p,q0,match,err", [
+    # sigma = 2: the nu = +-0.1 planes' X window (+-30.3) passes the alias period
+    # 2pi|nu|/h = 28.4 of psi's step h, so their columns hold mass 3
+    (GcfParams(2.0, 0.0), 0.0, r"plane nu=-?0\.1: the column at mu=-?0\.166667 holds mass 3 "
+                               r"in its X window; 2 of 61 planes", 0.75),
+    # shifted by q0 = 1: the X windows are sized from the variances alone, but a
+    # column sits at mu<q> + nu<p>, so the outer columns are cut
+    (GcfParams(1.0, 1.0), 1.0, r"plane nu=0: the column at mu=13 holds mass 0\.9816 in its "
+                               r"X window; 21 of 61 planes", 5.8e-3),
+], ids=["sigma-2", "shifted"])
+def test_a_sweep_the_table_cannot_invert_warns(p, q0, match, err):
+    g = gcf_sampled(p).grid
+    planes = _sweep_of(SampledWavefunction(g, gcf_psi(p, g.points - q0)))
+    with pytest.warns(RuntimeWarning, match=match):
+        rec = reconstruct_psi(planes)
+    want = gcf_psi(p, rec.psi.grid.points - q0)
+    assert _rel_l2_up_to_phase(rec.psi.values, want) == pytest.approx(err, rel=0.02)
+
+
+@pytest.mark.parametrize("state", ["reference", "sigma-0.5-alpha-3", "fock1"])
+def test_a_sweep_the_table_inverts_is_silent(state, reference_sweep):
+    # every column of mu-taper weight >= 1/2 holds its mass to 4.4e-5, 2.2e-5 and
+    # 1.4e-4 (the fock1-planes row of validate: n = 1 on +-8, 61 planes over +-5)
+    if state == "reference":
+        planes = reference_sweep
+    elif state == "fock1":
+        g = UniformGrid1D.symmetric(8.0, 1025)
+        planes = _sweep_of(SampledWavefunction.normalized(g, fock1_psi(g.points)), 5.0)
+    else:
+        planes = _sweep_of(gcf_sampled(GcfParams(0.5, 3.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        density_matrix_from_planes(planes)
 
 
 def _readout_bytes(planes):

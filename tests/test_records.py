@@ -48,7 +48,7 @@ RECORDS = [
     (PsiReconstruction(PSI, np.ones(3, complex), 1.0, 0.5, 0.0),
      ("psi", "autocorrelation", "prenorm_l2", "anchor", "anchor_imag")),
     (InversionConfig(), ("mu_window", "taper_fraction", "samples_per_axis")),
-    (_Row((0.5,), 0.25, np.linspace(-1.0, 1.0, 4), np.ones(4, complex)), ("nu", "w_nu", "mu", "c")),
+    (_Row((0.5,), np.linspace(-1.0, 1.0, 4), np.ones(4, complex)), ("nu", "mu", "c")),
     (GcfParams(1.0, 0.5), ("sigma", "alpha")),
 ]
 IDS = [type(r).__name__ for r, _ in RECORDS]
